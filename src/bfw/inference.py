@@ -24,7 +24,6 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import gammaln, psi
 from scipy.special import polygamma as _polygamma
-from scipy.stats import qmc
 
 from . import special
 from ._stable import clamped_exp, expm1_curvature, log1mexp, u_over_expm1
@@ -231,6 +230,9 @@ class FitResult:
 
 def _start_grid(config):
     """Deterministic low-discrepancy grid over log-parameter space."""
+    # imported here: scipy.stats costs about 0.5 s and 20 MB, and only fits need it
+    from scipy.stats import qmc
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # Sobol balance warning for odd counts
         points = qmc.Sobol(d=4, scramble=False).random(config.starts)

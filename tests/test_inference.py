@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -285,3 +287,10 @@ class TestConfidenceIntervals:
     def test_fit_accessor(self, pumps):
         fit = fit_mle(pumps)
         assert confidence_intervals(fit, 0.95) == fit.confidence_intervals
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about 0.5 s and 20 MB; only the start grid of a fit needs it
+    code = "import sys, bfw; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

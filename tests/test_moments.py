@@ -1,12 +1,16 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaln
 
 from bfw import (
     BFWParams,
     DomainError,
+    MomentSummary,
+    QuadratureAccuracyError,
     SeriesTruncation,
     bfw_log_pdf,
     bfw_sample,
@@ -200,3 +204,181 @@ class TestQuadratureInternals:
             lambda x: x * math.exp(bfw_log_pdf(x, params)), 0.0, 50.0, limit=500
         )[0]
         assert raw_moment_quadrature(1, params) == pytest.approx(reference, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# References that do not go through bfw: the density written from the model
+# formula, in NumPy (for locating the bulk and for grid integrals) and in
+# mpmath at 30 digits.
+
+SET28 = (0.03880321042690374, 0.02168489133047946, 22.753463110414746, 48.15681427869608)
+REFERENCE_POINTS = [(0.052, 0.024, 35.077, 20.328), (0.5, 0.5, 2.0, 2.0), SET28]
+
+
+def _ref_log_pdf(x, theta):
+    a, b, p, q = theta
+    w = a * x - b / x
+    u = np.exp(np.minimum(w, 700.0))
+    with np.errstate(divide="ignore"):
+        log_g = np.where(w < -30.0, w - u / 2.0, np.log(-np.expm1(-u)))
+    return (
+        gammaln(p + q) - gammaln(p) - gammaln(q) + np.log(a + b / x**2)
+        + w - q * u + (p - 1.0) * log_g
+    )
+
+
+def _bulk(theta, log_weight, cut=80.0):
+    """ln x range where the weighted integrand is above e^-cut of its peak."""
+    t = np.linspace(math.log(1e-12), math.log(1e6), 4001)
+    x = np.exp(t)
+    lp = _ref_log_pdf(x, theta) + t + log_weight(x, t)
+    alive = np.flatnonzero(lp > lp.max() - cut)
+    return t[max(alive[0] - 1, 0)], t[min(alive[-1] + 1, t.size - 1)]
+
+
+def _grid_integral(theta, log_weight, points=20001):
+    """Trapezoid rule in ln x on a fixed fine grid over the bulk."""
+    lo, hi = _bulk(theta, log_weight)
+    t = np.linspace(lo, hi, points)
+    x = np.exp(t)
+    lp = _ref_log_pdf(x, theta) + t + log_weight(x, t)
+    peak = lp.max()
+    return math.exp(peak) * float(np.sum(np.exp(lp - peak))) * (t[1] - t[0])
+
+
+def _mp_integral(theta, log_weight):
+    """mpmath.quad at 30 digits in ln x over the bulk, in eight pieces."""
+    lo, hi = _bulk(theta, log_weight)
+    with mpmath.workdps(30):
+        a, b, p, q = (mpmath.mpf(v) for v in theta)
+        lnorm = mpmath.loggamma(p + q) - mpmath.loggamma(p) - mpmath.loggamma(q)
+
+        def integrand(t):
+            x = mpmath.exp(t)
+            w = a * x - b / x
+            u = mpmath.exp(w)
+            return mpmath.exp(
+                lnorm + mpmath.log(a + b / x**2) + w - q * u
+                + (p - 1) * mpmath.log(-mpmath.expm1(-u)) + t + log_weight(x, t)
+            )
+
+        return float(mpmath.quad(integrand, mpmath.linspace(lo, hi, 9)))
+
+
+def _power(r):
+    return lambda x, t: r * t
+
+
+def _exponential(s):
+    return lambda x, t: s * x
+
+
+class TestHighPrecisionReferences:
+    @pytest.mark.parametrize("theta", REFERENCE_POINTS)
+    def test_against_mpmath(self, theta):
+        params = BFWParams(*theta)
+        summary = moment_summary(params)
+        for r, value in enumerate(summary.raw_moments, start=1):
+            assert value == pytest.approx(_mp_integral(theta, _power(r)), rel=1e-10)
+        for s in (-1.0, 0.5):
+            assert mgf(s, params) == pytest.approx(_mp_integral(theta, _exponential(s)), rel=1e-10)
+
+    def test_seeded_panel_never_silently_wrong(self, rng):
+        checked = 0
+        for _ in range(25):
+            theta = (
+                rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0),
+                rng.uniform(0.5, 20.0), rng.uniform(0.5, 20.0),
+            )
+            params = BFWParams(*theta)
+            try:
+                raw = moment_summary(params).raw_moments
+                mgfs = [mgf(s, params) for s in (-1.0, 0.5)]
+            except QuadratureAccuracyError:
+                continue
+            for r, value in enumerate(raw, start=1):
+                assert value == pytest.approx(_grid_integral(theta, _power(r)), rel=1e-9), theta
+            for s, value in zip((-1.0, 0.5), mgfs):
+                assert value == pytest.approx(_grid_integral(theta, _exponential(s)), rel=1e-9), theta
+            checked += 1
+        assert checked >= 20
+
+    def test_small_scale_fourth_moment(self):
+        # E[X^4] ~ 8.5e-11: an absolute error floor would refuse this
+        summary = moment_summary(BFWParams(200.0, 1e-3, 2.0, 2.0))
+        assert summary.raw_moments[3] == pytest.approx(8.48680151161e-11, rel=1e-10)
+
+
+class TestScaleIdentity:
+    # X ~ BFW(a, b, p, q) implies cX ~ BFW(a/c, b c, p, q)
+    base = BFWParams(0.5, 0.5, 2.0, 2.0)
+
+    @pytest.mark.parametrize("c", [1.0 / 400.0, 1.0, 50.0])
+    def test_raw_moments_scale(self, c):
+        scaled = moment_summary(BFWParams(0.5 / c, 0.5 * c, 2.0, 2.0)).raw_moments
+        unscaled = moment_summary(self.base).raw_moments
+        for r in range(1, 5):
+            assert scaled[r - 1] == pytest.approx(c**r * unscaled[r - 1], rel=1e-10)
+
+    @pytest.mark.parametrize("c", [1.0 / 400.0, 1.0, 50.0])
+    def test_mgf_argument_scales(self, c):
+        scaled = BFWParams(0.5 / c, 0.5 * c, 2.0, 2.0)
+        for s in (-1.0, 0.5):
+            assert mgf(s, scaled) == pytest.approx(mgf(c * s, self.base), rel=1e-10)
+
+
+class TestCentralMoments:
+    def test_binomial_expansion_of_raw_moments(self):
+        params = BFWParams(0.5, 0.5, 2.0, 2.0)
+        m1, m2, m3, _ = moment_summary(params).raw_moments
+        center = 1.0
+        expected = m3 - 3 * center * m2 + 3 * center**2 * m1 - center**3
+        assert central_moment_quadrature(3, params, center) == pytest.approx(expected, rel=1e-9)
+
+    def test_first_central_moment_vanishes(self):
+        params = BFWParams(0.5, 0.5, 2.0, 2.0)
+        summary = moment_summary(params)
+        value = central_moment_quadrature(1, params, summary.mean)
+        assert abs(value) <= 1e-10 * math.sqrt(summary.variance)
+
+    def test_accuracy_error_when_budget_exhausted(self, published_params, monkeypatch):
+        import bfw.moments as moments_module
+
+        monkeypatch.setattr(moments_module, "_QUAD_SUBDIVISIONS", 1)
+        with pytest.raises(QuadratureAccuracyError) as excinfo:
+            central_moment_quadrature(3, published_params, 1.0)
+        assert math.isfinite(excinfo.value.estimate)
+        assert excinfo.value.error_bound > 0.0
+
+
+class TestQuadratureWork:
+    def test_one_density_grid_per_level(self, published_params, monkeypatch):
+        import bfw.moments as moments_module
+
+        calls, points = [], []
+        real = moments_module.bfw_log_pdf
+
+        def counting(x, params):
+            calls.append(1)
+            points.append(np.size(x))
+            return real(x, params)
+
+        monkeypatch.setattr(moments_module, "bfw_log_pdf", counting)
+        summary = moment_summary(published_params)
+        assert len(calls) <= 50
+        assert summary.evaluations == sum(points)
+
+    def test_summary_reports_work_and_error(self, published_params):
+        summary = moment_summary(published_params)
+        assert summary.evaluations > 0
+        assert 0.0 <= summary.error_bound <= 1e-10
+
+    def test_summary_constructor_defaults(self):
+        summary = MomentSummary(1.0, 1.0, 0.0, 3.0, (1.0, 2.0, 1.0, 3.0))
+        assert summary.evaluations == 0
+        assert math.isnan(summary.error_bound)
+
+    def test_mass_below_representable_range_is_refused(self):
+        # with beta = 1e-160 part of the mass lies where x^2 underflows
+        with pytest.raises(QuadratureAccuracyError):
+            raw_moment_quadrature(1, BFWParams(1.0, 1e-160, 1.0, 1.0))
