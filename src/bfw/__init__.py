@@ -33,7 +33,6 @@ from .errors import (
     NumericError,
     QuadratureAccuracyError,
     SaturationError,
-    SeriesTermOverflowError,
 )
 from .flexible_weibull import FWParams, fw_cdf, fw_log_pdf, fw_pdf, fw_quantile, fw_sf
 from .inference import (
@@ -65,21 +64,16 @@ from .model_selection import (
 )
 from .moments import (
     MomentSummary,
-    SeriesEvaluation,
-    SeriesTruncation,
     central_moment_quadrature,
     mgf,
     moment_summary,
     raw_moment_quadrature,
-    raw_moment_series,
 )
 from .order_stats import OrderIndex, order_stat_pdf, order_stat_pdf_expansion
 from .special import (
-    EULER_GAMMA,
     digamma,
     inv_reg_inc_beta,
     log_gamma,
-    neutrix_gamma,
     polygamma,
     reg_inc_beta,
     std_normal_quantile,
@@ -97,8 +91,7 @@ __all__ = [
     "bfw_reversed_hazard", "bfw_cumulative_hazard", "bfw_quantile",
     "bfw_sample", "bfw_mode", "mode_equation",
     # moments
-    "MomentSummary", "SeriesTruncation", "SeriesEvaluation",
-    "raw_moment_quadrature", "central_moment_quadrature", "raw_moment_series",
+    "MomentSummary", "raw_moment_quadrature", "central_moment_quadrature",
     "moment_summary", "mgf",
     # order statistics
     "OrderIndex", "order_stat_pdf", "order_stat_pdf_expansion",
@@ -112,11 +105,10 @@ __all__ = [
     "kaplan_meier", "get_family", "available_families", "fit_model",
     "compare_models",
     # special functions
-    "EULER_GAMMA", "log_gamma", "polygamma", "digamma", "trigamma",
-    "reg_inc_beta", "inv_reg_inc_beta", "neutrix_gamma", "std_normal_quantile",
+    "log_gamma", "polygamma", "digamma", "trigamma",
+    "reg_inc_beta", "inv_reg_inc_beta", "std_normal_quantile",
     # errors
     "DomainError", "SaturationError", "NoInteriorModeError",
-    "QuadratureAccuracyError", "SeriesTermOverflowError",
-    "ExpansionStabilityError", "ConvergenceError", "NumericError",
+    "QuadratureAccuracyError", "ExpansionStabilityError", "ConvergenceError", "NumericError",
     "DataFormatError",
 ]

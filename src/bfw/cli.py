@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, inference, model_selection
+from . import __version__, model_selection
 from .core import BFWParams, bfw_sample
 from .datasets import ingest
 from .errors import (
@@ -30,10 +30,9 @@ from .errors import (
     NumericError,
     QuadratureAccuracyError,
     SaturationError,
-    SeriesTermOverflowError,
 )
-from .flexible_weibull import FWParams
-from .inference import OptimizerConfig, covariance_from_information, interval_bounds
+from .inference import OptimizerConfig, interval_bounds
+from .inference import covariance_from_information  # noqa: F401 - kept for perfbench/tracing.py
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -45,7 +44,6 @@ _NUMERIC_ERRORS = (
     SaturationError,
     NumericError,
     QuadratureAccuracyError,
-    SeriesTermOverflowError,
     ExpansionStabilityError,
     NoInteriorModeError,
     OverflowError,
@@ -81,7 +79,7 @@ def build_parser():
     fit.add_argument("--family", choices=("bfw", "fw", "weibull"), default="bfw")
     fit.add_argument("--level", type=float, default=0.95, help="confidence level")
     fit.add_argument("--starts", type=int, default=16, help="multi-start count (bfw)")
-    fit.add_argument("--tol", type=float, default=1e-6, help="score tolerance (bfw)")
+    fit.add_argument("--tol", type=float, default=1e-6, help="score tolerance")
     fit.add_argument("--weibull-form", choices=("scale", "rate"), default="scale")
 
     compare = sub.add_parser("compare", parents=[common], help="criteria comparison table")
@@ -132,139 +130,43 @@ def _parse_grid(text):
     return np.linspace(lo, hi, count)
 
 
-def _family_estimates(args, values):
-    """Map a flat parameter vector to the family's named estimates."""
-    if args.family == "bfw":
-        params = BFWParams(*values)
-        return {"alpha": params.alpha, "beta": params.beta, "p": params.p, "q": params.q}
-    if args.family == "fw":
-        params = FWParams(*values)
-        return {"alpha": params.alpha, "beta": params.beta}
-    if args.weibull_form == "scale":
-        shape, scale = values
-        if shape <= 0 or scale <= 0:
-            raise DomainError("weibull parameters must be strictly positive")
-        return {"shape": shape, "scale": scale}
-    rate, shape = values
-    if rate <= 0 or shape <= 0:
-        raise DomainError("weibull parameters must be strictly positive")
-    return {"rate": rate, "shape": shape}
-
-
-def _get_family(args):
-    kwargs = {}
-    if getattr(args, "weibull_form", None):
-        kwargs["weibull_parameterization"] = args.weibull_form
-    if getattr(args, "starts", None) is not None and args.family == "bfw":
-        kwargs["optimizer_config"] = OptimizerConfig(starts=args.starts, score_tol=args.tol)
-    return model_selection.get_family(args.family, **kwargs)
-
-
-def _weibull_shape_scale(estimates):
-    shape = estimates["shape"]
-    if "scale" in estimates:
-        return shape, estimates["scale"]
-    return shape, estimates["rate"] ** (-1.0 / shape)
-
-
-def _weibull_covariance(data, estimates):
-    """Observed information by finite differences of the analytic gradient,
-    reported in the requested parameterization via the delta method."""
-    shape, scale = _weibull_shape_scale(estimates)
-    theta = np.array([shape, scale])
-    info = np.empty((2, 2))
-    for j in range(2):
-        step = 1e-6 * theta[j]
-        hi = theta.copy()
-        hi[j] += step
-        lo = theta.copy()
-        lo[j] -= step
-        g_hi = model_selection.weibull_loglik_grad(data.times, *hi)[1]
-        g_lo = model_selection.weibull_loglik_grad(data.times, *lo)[1]
-        info[:, j] = -(g_hi - g_lo) / (2.0 * step)
-    info = 0.5 * (info + info.T)
-    cov, cond = covariance_from_information(info)
-    if cov is not None and "rate" in estimates:
-        rate = estimates["rate"]
-        jac = np.array([
-            [-math.log(scale) * rate, -shape * rate / scale],
-            [1.0, 0.0],
-        ])
-        cov = jac @ cov @ jac.T
-    return cov, cond
-
-
 def _run_fit(args):
     data = ingest(args.data)
-    meta = _meta(args, seed=None)
-    if args.family == "bfw":
-        config = OptimizerConfig(starts=args.starts, score_tol=args.tol, level=args.level)
-        result = inference.fit_mle(data, config)
-        estimates = {
-            "alpha": result.estimates.alpha,
-            "beta": result.estimates.beta,
-            "p": result.estimates.p,
-            "q": result.estimates.q,
-        }
-        ll = result.log_likelihood
-        covariance = result.covariance
-        condition = result.condition_number
-        intervals = inference.confidence_intervals(result, args.level) \
-            if result.covariance is not None else (None,) * 4
-        converged = result.converged
-        extra = {
-            "converged": converged,
-            "iterations": result.iterations,
-            "multistart_best_of": result.multistart_best_of,
-            "score": [float(s) for s in result.score_at_optimum],
-        }
-        family = _get_family(args)
-    else:
-        family = _get_family(args)
-        estimates, ll = family.fit(data)
-        if args.family == "fw":
-            params = (estimates["alpha"], estimates["beta"], 1.0, 1.0)
-            info = inference.observed_information(data, params)[:2, :2]
-            covariance, condition = covariance_from_information(info)
-            grad = inference.score(data, params)[:2]
-        else:
-            covariance, condition = _weibull_covariance(data, estimates)
-            shape, scale = _weibull_shape_scale(estimates)
-            grad = model_selection.weibull_loglik_grad(data.times, shape, scale)[1]
-        converged = bool(np.max(np.abs(grad)) <= 1e-5)
-        values = np.array(list(estimates.values()))
-        intervals = (
-            interval_bounds(values, np.diag(covariance), args.level)
-            if covariance is not None
-            else (None,) * len(values)
-        )
-        extra = {"converged": converged, "score": [float(g) for g in grad]}
-    criteria = model_selection.information_criteria(ll, family.parameter_count, data.n)
-    ks = model_selection.ks_statistic(data, lambda x: family.cdf(x, estimates))
-    names = list(estimates)
+    config = OptimizerConfig(starts=args.starts, score_tol=args.tol, level=args.level)
+    family = model_selection.get_family(args.family, args.weibull_form, config)
+    fit = family.fit(data)
+    row = model_selection.comparison_row(family, data, fit)
+    values, covariance = family.output(fit.estimates, fit.covariance)
+    intervals = (
+        interval_bounds(values, np.diag(covariance), args.level)
+        if covariance is not None
+        else (None,) * family.parameter_count
+    )
     result_obj = {
-        "model": family.name,
-        "estimates": estimates,
-        "log_likelihood": ll,
-        "minus_two_ll": -2.0 * ll,
-        "aic": criteria.aic,
-        "aicc": criteria.aicc,
-        "bic": criteria.bic,
-        "hqic": criteria.hqic,
-        "ks": ks,
-        "covariance": None if covariance is None else [[float(v) for v in row] for row in covariance],
-        "condition_number": condition,
+        "model": row.model,
+        "estimates": row.estimates,
+        "log_likelihood": row.log_likelihood,
+        "minus_two_ll": row.minus_two_ll,
+        "aic": row.aic,
+        "aicc": row.aicc,
+        "bic": row.bic,
+        "hqic": row.hqic,
+        "ks": row.ks,
+        "covariance": None if covariance is None else [[float(v) for v in r] for r in covariance],
+        "condition_number": fit.condition_number,
         "ci": {
             "level": args.level,
             **{
                 name: (None if interval is None else [interval[0], interval[1]])
-                for name, interval in zip(names, intervals)
+                for name, interval in zip(family.param_names, intervals)
             },
         },
-        **extra,
+        "converged": fit.converged,
+        "iterations": fit.iterations,
+        "multistart_best_of": fit.multistart_best_of,
+        "score": [float(g) for g in fit.score_at_optimum],
     }
-    exit_code = EXIT_OK if extra["converged"] else EXIT_CONVERGENCE
-    return meta, result_obj, _render_fit_csv(result_obj), exit_code
+    return _meta(args, seed=None), result_obj, _render_fit_csv(result_obj), EXIT_OK
 
 
 def _render_fit_csv(result):
@@ -290,7 +192,7 @@ def _render_fit_csv(result):
         for i, row in enumerate(result["covariance"]):
             for j, value in enumerate(row):
                 put(f"covariance.{names[i]}.{names[j]}", value)
-    put("condition_number", result.get("condition_number"))
+    put("condition_number", result["condition_number"])
     put("ci.level", result["ci"]["level"])
     for name in names:
         interval = result["ci"][name]
@@ -301,11 +203,10 @@ def _render_fit_csv(result):
             put(f"ci.{name}.lower", interval[0])
             put(f"ci.{name}.upper", interval[1])
     put("converged", result["converged"])
-    for i, value in enumerate(result.get("score", [])):
+    for i, value in enumerate(result["score"]):
         put(f"score.{i}", value)
-    if "iterations" in result:
-        put("iterations", result["iterations"])
-        put("multistart_best_of", result["multistart_best_of"])
+    put("iterations", result["iterations"])
+    put("multistart_best_of", result["multistart_best_of"])
     return "\n".join(lines) + "\n"
 
 
@@ -314,12 +215,8 @@ def _run_compare(args):
     names = [name.strip() for name in args.families.split(",") if name.strip()]
     if not names:
         raise DomainError("--families must name at least one family")
-    families = []
-    for name in names:
-        kwargs = {"weibull_parameterization": args.weibull_form}
-        if name.lower() == "bfw":
-            kwargs["optimizer_config"] = OptimizerConfig(starts=args.starts, score_tol=args.tol)
-        families.append(model_selection.get_family(name, **kwargs))
+    config = OptimizerConfig(starts=args.starts, score_tol=args.tol)
+    families = [model_selection.get_family(name, args.weibull_form, config) for name in names]
     table = model_selection.compare_models(data, families)
     rows = []
     for row in table.rows:
@@ -368,11 +265,10 @@ def _run_sample(args):
 
 def _run_eval(args):
     grid = _parse_grid(args.grid)
-    count = {"bfw": 4, "fw": 2, "weibull": 2}[args.family]
-    estimates = _family_estimates(args, _parse_params(args.params, count, args.family))
-    family = _get_family(args)
-    pdf = np.asarray(family.pdf(grid, estimates), dtype=float)
-    cdf = np.asarray(family.cdf(grid, estimates), dtype=float)
+    family = model_selection.get_family(args.family, args.weibull_form)
+    theta = family.parameters(_parse_params(args.params, family.parameter_count, family.name))
+    pdf = np.exp(np.asarray(family.log_pdf(grid, theta), dtype=float))
+    cdf = np.asarray(family.cdf(grid, theta), dtype=float)
     survival = 1.0 - cdf
     if np.any(survival <= 0.0):
         raise SaturationError("survival underflowed to zero on the requested grid")

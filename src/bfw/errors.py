@@ -30,14 +30,6 @@ class QuadratureAccuracyError(ArithmeticError):
         self.error_bound = error_bound
 
 
-class SeriesTermOverflowError(ArithmeticError):
-    """A term of the moment series is not representable in double precision."""
-
-    def __init__(self, message, cell):
-        super().__init__(message)
-        self.cell = cell  # (n, m, l)
-
-
 class ExpansionStabilityError(ValueError):
     """An alternating binomial expansion was requested beyond its stable range."""
 

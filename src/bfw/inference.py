@@ -1,14 +1,18 @@
 """Maximum-likelihood estimation: log-likelihood, analytic score and
-observed information, multi-start quasi-Newton fitting, and asymptotic
-confidence intervals.
+observed information, one multi-start fitter for every family, and
+asymptotic confidence intervals.
 
-The likelihood is maximized over log-parameters by default, which enforces
-positivity without constraint machinery and copes with estimates spanning
-several orders of magnitude.  Each start runs L-BFGS-B with the analytic
-score and is then polished by damped Newton steps on the score until the
-stationarity tolerance is met; starts are merged deterministically by
-(log-likelihood, start index), so the result does not depend on execution
-order.
+A family enters the fitter as a :class:`Likelihood`: analytic log-likelihood,
+score and observed information over its natural parameter array, plus start
+points in log-parameter space.  The likelihood is maximized over the
+log-parameters, which enforces positivity without constraint machinery and
+copes with estimates spanning several orders of magnitude.  Each start runs
+L-BFGS-B with the analytic score and is then polished by damped Newton
+steps with the analytic information until the stationarity tolerance is
+met; starts are merged deterministically by (log-likelihood, start index),
+so the result does not depend on execution order.  :func:`fit_mle` is that
+fitter on the four-parameter model; ``model_selection`` supplies the
+two-parameter families.
 
 ``log_likelihood``/``score``/``observed_information`` are pure and
 thread-safe.
@@ -17,8 +21,8 @@ thread-safe.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize
@@ -35,9 +39,11 @@ __all__ = [
     "OptimizerConfig",
     "StartDiagnostics",
     "FitResult",
+    "Likelihood",
     "log_likelihood",
     "score",
     "observed_information",
+    "fit_family",
     "fit_mle",
     "confidence_intervals",
     "interval_bounds",
@@ -165,13 +171,16 @@ def observed_information(data, params):
 
     Raises :class:`NumericError` naming the first non-finite entry.
     """
-    info = _info_raw(data.times, _unpack(params))
+    return _information(BFW, data.times, _unpack(params))
+
+
+def _information(likelihood, x, theta):
+    info = likelihood.info(x, theta)
     bad = np.argwhere(~np.isfinite(info))
     if bad.size:
         i, j = bad[0]
-        raise NumericError(
-            f"observed information entry ({PARAM_NAMES[i]}, {PARAM_NAMES[j]}) is not finite"
-        )
+        names = likelihood.names
+        raise NumericError(f"observed information entry ({names[i]}, {names[j]}) is not finite")
     return info
 
 
@@ -182,14 +191,11 @@ class OptimizerConfig:
     rel_ll_tol: float = 1e-12
     max_iter: int = 500
     polish_iter: int = 60
-    space: str = "log"  # "log" or "raw"
     start_log_low: float = math.log(1e-3)
     start_log_high: float = math.log(1e2)
     level: float = 0.95
 
     def __post_init__(self):
-        if self.space not in ("log", "raw"):
-            raise DomainError("space must be 'log' or 'raw'")
         if not 0.0 < self.level < 1.0:
             raise DomainError("confidence level must lie in (0, 1)")
         if self.starts < 1:
@@ -199,7 +205,7 @@ class OptimizerConfig:
 @dataclass(frozen=True)
 class StartDiagnostics:
     index: int
-    theta0: tuple[float, float, float, float]
+    theta0: tuple[float, ...]
     log_likelihood: float
     score_inf_norm: float
     converged: bool
@@ -209,7 +215,11 @@ class StartDiagnostics:
 
 @dataclass(frozen=True)
 class FitResult:
-    estimates: BFWParams
+    """A converged fit: :class:`BFWParams` estimates from :func:`fit_mle`, the
+    natural parameter array from :func:`fit_family`; score, information,
+    covariance and intervals are in the same parameters."""
+
+    estimates: BFWParams | np.ndarray
     log_likelihood: float
     score_at_optimum: np.ndarray
     observed_information: np.ndarray
@@ -228,18 +238,59 @@ class FitResult:
         return self.covariance is not None
 
 
+# Joe-Kuo direction numbers (degree s, coefficients a, initial m) of Sobol
+# dimensions 2-4; dimension 1 has every m = 1
+_SOBOL_DIRECTIONS = ((1, 0, (1,)), (2, 1, (1, 3)), (3, 1, (1, 3, 1)))
+_SOBOL_BITS = 30
+
+
+def _sobol(n):
+    """First n points of the unscrambled 4-d Sobol sequence, by Gray code."""
+    bits = _SOBOL_BITS
+    directions = [[1] * bits]
+    for s, a, m in _SOBOL_DIRECTIONS:
+        m = list(m)
+        for k in range(s, bits):
+            new = m[k - s] ^ (m[k - s] << s)
+            for i in range(1, s):
+                if (a >> (s - 1 - i)) & 1:
+                    new ^= m[k - i] << i
+            m.append(new)
+        directions.append(m)
+    v = np.array([[m_k << (bits - 1 - k) for k, m_k in enumerate(m)] for m in directions]).T
+    points = np.zeros((n, len(directions)), dtype=np.int64)
+    for i in range(1, n):
+        points[i] = points[i - 1] ^ v[(i & -i).bit_length() - 1]  # lowest set bit of i
+    return points / 2.0**bits
+
+
 def _start_grid(config):
     """Deterministic low-discrepancy grid over log-parameter space."""
-    # imported here: scipy.stats costs about 0.5 s and 20 MB, and only fits need it
-    from scipy.stats import qmc
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # Sobol balance warning for odd counts
-        points = qmc.Sobol(d=4, scramble=False).random(config.starts)
-    return config.start_log_low + points * (config.start_log_high - config.start_log_low)
+    span = config.start_log_high - config.start_log_low
+    return config.start_log_low + _sobol(config.starts) * span
 
 
-def _newton_polish(x, theta, ll, config, trajectory):
+@dataclass(frozen=True)
+class Likelihood:
+    """What the fitter needs of a family, over its natural parameter array.
+
+    ``loglik(x, theta)`` returns -inf where a term is not representable;
+    ``score`` and ``info`` are its analytic gradient and negative Hessian;
+    ``starts(config)`` gives the start points in log-parameter space, one
+    per row; ``names`` label the parameters in error messages.
+    """
+
+    loglik: Callable
+    score: Callable
+    info: Callable
+    starts: Callable
+    names: tuple[str, ...]
+
+
+BFW = Likelihood(_loglik_raw, _score_raw, _info_raw, _start_grid, PARAM_NAMES)
+
+
+def _newton_polish(likelihood, x, theta, ll, config, trajectory):
     """Damped Newton steps on the score until stationarity.
 
     A step is accepted when it improves the log-likelihood, or when it
@@ -250,7 +301,7 @@ def _newton_polish(x, theta, ll, config, trajectory):
     """
     iterations = 0
     last_change = math.inf
-    score_vec = _score_raw(x, theta)
+    score_vec = likelihood.score(x, theta)
     for _ in range(config.polish_iter):
         norm = float(np.max(np.abs(score_vec)))
         if norm <= config.score_tol and last_change <= config.rel_ll_tol * (1.0 + abs(ll)):
@@ -259,7 +310,7 @@ def _newton_polish(x, theta, ll, config, trajectory):
         g_z = score_vec * theta
         # Hessian in log space: -D I D + diag(theta * score), D = diag(theta)
         with np.errstate(all="ignore"):
-            h_z = (theta[:, None] * theta[None, :]) * _info_raw(x, theta) - np.diag(g_z)
+            h_z = (theta[:, None] * theta[None, :]) * likelihood.info(x, theta) - np.diag(g_z)
         if not np.all(np.isfinite(h_z)):
             break
         try:
@@ -275,16 +326,16 @@ def _newton_polish(x, theta, ll, config, trajectory):
             with np.errstate(over="ignore"):
                 cand = np.exp(z + damp * step)
             if np.all(np.isfinite(cand)) and np.all(cand > 0.0):
-                ll_cand = _loglik_raw(x, cand)
+                ll_cand = likelihood.loglik(x, cand)
                 if ll_cand > ll:
                     last_change = (ll_cand - ll) / (1.0 + abs(ll_cand))
                     theta, ll = cand, ll_cand
                     trajectory.append(ll)
-                    score_vec = _score_raw(x, theta)
+                    score_vec = likelihood.score(x, theta)
                     accepted = True
                     break
                 if ll_cand >= ll - slack:
-                    cand_score = _score_raw(x, cand)
+                    cand_score = likelihood.score(x, cand)
                     if np.max(np.abs(cand_score)) < norm:
                         last_change = 0.0
                         theta, score_vec = cand, cand_score
@@ -294,53 +345,36 @@ def _newton_polish(x, theta, ll, config, trajectory):
         iterations += 1
         if not accepted:
             break  # stationary to line-search resolution; further passes are identical
-    return theta, float(_loglik_raw(x, theta)), iterations
+    return theta, float(likelihood.loglik(x, theta)), iterations
 
 
-def _run_start(x, z0, config, index):
+def _run_start(likelihood, x, z0, config, index):
     trajectory = []
 
-    if config.space == "log":
-        def objective(z):
-            with np.errstate(all="ignore"):
-                theta = np.exp(z)
-                ll = _loglik_raw(x, theta)
-                if not math.isfinite(ll):
-                    return 1e100, np.zeros(4)
-                grad = -_score_raw(x, theta) * theta
-            return -ll, grad
+    def objective(z):
+        with np.errstate(all="ignore"):
+            theta = np.exp(z)
+            ll = likelihood.loglik(x, theta)
+            if not math.isfinite(ll):
+                return 1e100, np.zeros_like(z)
+            grad = -likelihood.score(x, theta) * theta
+        return -ll, grad
 
-        x0 = np.asarray(z0, dtype=float)
-        bounds = None
-    else:
-        def objective(theta):
-            with np.errstate(all="ignore"):
-                ll = _loglik_raw(x, theta)
-                if not math.isfinite(ll):
-                    return 1e100, np.zeros(4)
-                grad = -_score_raw(x, theta)
-            return -ll, grad
-
-        x0 = np.exp(np.asarray(z0, dtype=float))
-        bounds = [(1e-12, None)] * 4
-
-    def track(xk):
-        theta = np.exp(xk) if config.space == "log" else np.asarray(xk)
-        trajectory.append(_loglik_raw(x, theta))
+    def track(z):
+        trajectory.append(likelihood.loglik(x, np.exp(z)))
 
     res = minimize(
         objective,
-        x0,
+        np.asarray(z0, dtype=float),
         jac=True,
         method="L-BFGS-B",
-        bounds=bounds,
         callback=track,
         options=dict(maxiter=config.max_iter, ftol=1e-15, gtol=1e-12),
     )
-    theta = np.exp(res.x) if config.space == "log" else np.asarray(res.x)
-    ll = _loglik_raw(x, theta)
-    theta, ll, polish_iters = _newton_polish(x, theta, ll, config, trajectory)
-    s = _score_raw(x, theta)
+    theta = np.exp(res.x)
+    ll = likelihood.loglik(x, theta)
+    theta, ll, polish_iters = _newton_polish(likelihood, x, theta, ll, config, trajectory)
+    s = likelihood.score(x, theta)
     score_norm = float(np.max(np.abs(s)))
     changes = np.diff(trajectory[-2:]) if len(trajectory) >= 2 else np.array([0.0])
     converged = (
@@ -407,23 +441,24 @@ def confidence_intervals(fit, level=0.95):
     return interval_bounds(fit.estimates.as_array(), np.diag(fit.covariance), level)
 
 
-def fit_mle(data, config=None):
-    """Maximize the log-likelihood over the positive orthant.
+def fit_family(data, likelihood, config=None):
+    """Maximize a family's log-likelihood over the positive orthant.
 
-    Multi-start quasi-Newton with the analytic score; the best converged
-    start wins (ties broken by start index).  Raises
-    :class:`ConvergenceError` with all per-start diagnostics when no start
-    meets the dual stationarity / likelihood-change criterion.
+    Multi-start quasi-Newton with the analytic score, polished by Newton
+    steps with the analytic information; the best converged start wins
+    (ties broken by start index).  Raises :class:`ConvergenceError` with all
+    per-start diagnostics when no start meets the dual stationarity /
+    likelihood-change criterion, and :class:`NumericError` when the
+    information at the optimum is not finite.
     """
     config = config or OptimizerConfig()
-    if data.n < 5:
-        raise DomainError("at least five observations are needed for a four-parameter fit")
     x = data.times
+    starts = likelihood.starts(config)
     results = []
     diagnostics = []
-    for index, z0 in enumerate(_start_grid(config)):
+    for index, z0 in enumerate(starts):
         try:
-            theta, ll, s, diag, trajectory = _run_start(x, z0, config, index)
+            theta, ll, s, diag, trajectory = _run_start(likelihood, x, z0, config, index)
         except (FloatingPointError, np.linalg.LinAlgError) as exc:  # pragma: no cover
             diagnostics.append(
                 StartDiagnostics(
@@ -447,15 +482,14 @@ def fit_mle(data, config=None):
         )
     results.sort(key=lambda item: (-item[0], item[1]))
     ll, _, theta, s, best_diag, trajectory = results[0]
-    estimates = BFWParams(*theta)
-    info = observed_information(data, estimates)
+    info = _information(likelihood, x, theta)
     covariance, cond = covariance_from_information(info)
     if covariance is not None:
         intervals = interval_bounds(theta, np.diag(covariance), config.level)
     else:
-        intervals = (None,) * 4
+        intervals = (None,) * theta.size
     return FitResult(
-        estimates=estimates,
+        estimates=theta,
         log_likelihood=ll,
         score_at_optimum=s,
         observed_information=info,
@@ -465,7 +499,19 @@ def fit_mle(data, config=None):
         confidence_level=config.level,
         converged=best_diag.converged,
         iterations=best_diag.iterations,
-        multistart_best_of=config.starts,
+        multistart_best_of=len(starts),
         trajectory=tuple(trajectory),
         starts=tuple(diagnostics),
     )
+
+
+def fit_mle(data, config=None):
+    """Maximum-likelihood fit of the four-parameter model by :func:`fit_family`.
+
+    Raises :class:`DomainError` for fewer than five observations and
+    :class:`ConvergenceError` when no start converges.
+    """
+    if data.n < 5:
+        raise DomainError("at least five observations are needed for a four-parameter fit")
+    fit = fit_family(data, BFW, config)
+    return replace(fit, estimates=BFWParams(*fit.estimates))

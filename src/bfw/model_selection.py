@@ -3,26 +3,35 @@ empirical step curves, and maximum-likelihood fits for the implemented
 families (four-parameter model, its two-parameter base, and the ordinary
 two-parameter Weibull).
 
-The Weibull family is exposed in both common parameterizations.  The scale
-form F(x) = 1 - exp(-(x/scale)^shape) is the default: it is the one whose
-fitted (shape, scale) pair matches published analyses of the bundled pump
-data once their hundreds-of-hours unit convention is accounted for.
+Every family is described the same way: an analytic log-likelihood, score
+and observed information over its natural parameter array with its start
+points (an :class:`~bfw.inference.Likelihood`), its CDF and log-density on
+that array, and one output map to the reported parameters.  All three are
+fitted by the one driver in :mod:`bfw.inference`, so comparison rows and
+the CLI treat them alike.
+
+The Weibull family is exposed in both common parameterizations.  Its
+natural parameters are those of the scale form F(x) = 1 - exp(-(x/scale)^shape),
+the default: it is the one whose fitted (shape, scale) pair matches
+published analyses of the bundled pump data once their hundreds-of-hours
+unit convention is accounted for.  The rate form F(x) = 1 - exp(-rate x^shape)
+reports (rate, shape) = (scale^-shape, shape), its covariance by the delta
+method.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import inference
-from .core import BFWParams, bfw_cdf, bfw_log_pdf, bfw_pdf
+from .core import BFWParams, bfw_cdf, bfw_log_pdf
+from .core import bfw_pdf  # noqa: F401 - kept for perfbench/tracing.py
 from .errors import DomainError
-from .flexible_weibull import FWParams, fw_cdf, fw_log_pdf, fw_pdf
-from .inference import OptimizerConfig
+from .flexible_weibull import FWParams, fw_cdf, fw_log_pdf
 
 __all__ = [
     "InformationCriteria",
@@ -37,6 +46,7 @@ __all__ = [
     "get_family",
     "available_families",
     "fit_model",
+    "comparison_row",
     "compare_models",
     "weibull_loglik_grad",
 ]
@@ -132,84 +142,67 @@ def kaplan_meier(data):
 # model families
 
 
+def _identity(theta, covariance=None):
+    return theta, covariance
+
+
 @dataclass(frozen=True)
 class ModelFamily:
-    """A fittable family: accessors take a plain estimates dict."""
+    """A fittable family over its natural parameter array ``theta``.
+
+    ``fit(data)`` returns the :class:`~bfw.inference.FitResult` of the driver
+    in :mod:`bfw.inference`, with ``estimates`` as the natural parameter
+    array.  ``cdf(x, theta)`` and ``log_pdf(x, theta)`` evaluate the
+    distribution.  ``output(theta, covariance=None)`` maps theta, and a
+    covariance of theta when given, to the reported parameters
+    ``param_names``; ``natural`` is its inverse.
+    """
 
     name: str
-    parameter_count: int
     param_names: tuple[str, ...]
+    fit: Callable
     cdf: Callable
-    pdf: Callable
     log_pdf: Callable
-    fit: Callable  # Dataset -> (estimates dict, log-likelihood)
+    output: Callable = _identity
+    natural: Callable = lambda values: values
 
+    @property
+    def parameter_count(self) -> int:
+        return len(self.param_names)
 
-def _two_param_mle(negloglik_grad, starts, polish_objective=None):
-    """Small quasi-Newton driver in log-parameter space for 2-d families."""
-    best = None
-    for z0 in starts:
-        res = minimize(
-            negloglik_grad,
-            np.asarray(z0, dtype=float),
-            jac=True,
-            method="L-BFGS-B",
-            options=dict(maxiter=500, ftol=1e-15, gtol=1e-12),
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    z = best.x
-    # a few damped Newton steps on the gradient, Hessian by central differences
-    for _ in range(25):
-        f0, g0 = negloglik_grad(z)
-        if np.max(np.abs(g0)) < 1e-10:
-            break
-        h = np.empty((2, 2))
-        eps = 1e-6
-        for j in range(2):
-            dz = np.zeros(2)
-            dz[j] = eps
-            h[:, j] = (negloglik_grad(z + dz)[1] - negloglik_grad(z - dz)[1]) / (2 * eps)
-        try:
-            step = np.linalg.solve(0.5 * (h + h.T), -g0)
-        except np.linalg.LinAlgError:
-            break
-        damp, accepted = 1.0, False
-        for _ in range(30):
-            cand = z + damp * step
-            if negloglik_grad(cand)[0] < f0:
-                z, accepted = cand, True
-                break
-            damp *= 0.5
-        if not accepted:
-            break
-    f, _ = negloglik_grad(z)
-    return np.exp(z), -f
-
-
-_TWO_PARAM_STARTS = [np.log([0.5, 0.5]), np.log([0.05, 2.0]), np.log([2.0, 0.05]), np.log([1.0, 10.0])]
-
-
-def _fit_fw(data):
-    x = data.times
-
-    def nll(z):
+    def parameters(self, values):
+        """Natural parameters from reported ones, which must all be finite
+        and strictly positive; raises :class:`DomainError` otherwise."""
+        values = np.asarray(values, dtype=float)
+        message = f"{self.name} parameters must be strictly positive and finite"
+        if not (np.all(np.isfinite(values)) and np.all(values > 0.0)):
+            raise DomainError(message)
         with np.errstate(all="ignore"):
-            theta = np.exp(z)
-            params = (theta[0], theta[1], 1.0, 1.0)
-            ll = inference._loglik_raw(x, params)
-            if not math.isfinite(ll):
-                return 1e100, np.zeros(2)
-            grad = inference._score_raw(x, params)[:2] * theta
-        return -ll, -grad
-
-    theta, ll = _two_param_mle(nll, _TWO_PARAM_STARTS)
-    return {"alpha": float(theta[0]), "beta": float(theta[1])}, ll
+            theta = np.asarray(self.natural(values), dtype=float)
+        if not (np.all(np.isfinite(theta)) and np.all(theta > 0.0)):
+            raise DomainError(message)  # a reported set outside double range
+        return theta
 
 
-def _weibull_logpdf_scale(x, shape, scale):
-    z = x / scale
-    return math.log(shape / scale) + (shape - 1.0) * np.log(z) - z**shape
+_TWO_PARAM_STARTS = np.log([[0.5, 0.5], [0.05, 2.0], [2.0, 0.05], [1.0, 10.0]])
+
+
+def _two_param_starts(config):
+    return _TWO_PARAM_STARTS
+
+
+def _unit_shapes(theta):
+    """Flexible Weibull (alpha, beta) as the four-parameter point with p = q = 1."""
+    return (theta[0], theta[1], 1.0, 1.0)
+
+
+_FW = inference.Likelihood(
+    loglik=lambda x, theta: inference._loglik_raw(x, _unit_shapes(theta)),
+    score=lambda x, theta: inference._score_raw(x, _unit_shapes(theta))[:2],
+    info=lambda x, theta: inference._info_raw(x, _unit_shapes(theta))[:2, :2],
+    starts=_two_param_starts,
+    names=("alpha", "beta"),
+)
 
 
 def weibull_loglik_grad(x, shape, scale):
@@ -225,108 +218,120 @@ def weibull_loglik_grad(x, shape, scale):
     return ll, np.array([d_shape, d_scale])
 
 
-def _fit_weibull(data, parameterization):
-    x = data.times
-
-    def nll(z):
-        with np.errstate(all="ignore"):
-            shape, scale = np.exp(z)
-            ll, grad = weibull_loglik_grad(x, shape, scale)
-            if not math.isfinite(ll):
-                return 1e100, np.zeros(2)
-        return -ll, -grad * np.array([shape, scale])
-
-    theta, ll = _two_param_mle(nll, _TWO_PARAM_STARTS)
-    shape, scale = float(theta[0]), float(theta[1])
-    if parameterization == "scale":
-        return {"shape": shape, "scale": scale}, ll
-    # rate form F = 1 - exp(-rate * x^shape); same family, rate = scale^-shape
-    return {"rate": scale ** (-shape), "shape": shape}, ll
+def _weibull_loglik(x, theta):
+    with np.errstate(all="ignore"):
+        ll = weibull_loglik_grad(x, *theta)[0]
+    return ll if math.isfinite(ll) else -math.inf
 
 
-def _weibull_cdf(estimates):
-    if "scale" in estimates:
-        shape, scale = estimates["shape"], estimates["scale"]
-        return lambda x: -np.expm1(-((np.asarray(x, dtype=float) / scale) ** shape))
-    rate, shape = estimates["rate"], estimates["shape"]
-    return lambda x: -np.expm1(-rate * np.asarray(x, dtype=float) ** shape)
+def _weibull_score(x, theta):
+    with np.errstate(all="ignore"):
+        return weibull_loglik_grad(x, *theta)[1]
 
 
-def _weibull_family(parameterization="scale"):
-    if parameterization not in ("scale", "rate"):
-        raise DomainError("weibull parameterization must be 'scale' or 'rate'")
-
-    def cdf(x, estimates):
-        return _weibull_cdf(estimates)(x)
-
-    def log_pdf(x, estimates):
-        if "scale" in estimates:
-            shape, scale = estimates["shape"], estimates["scale"]
-        else:
-            shape = estimates["shape"]
-            scale = estimates["rate"] ** (-1.0 / shape)
-        return _weibull_logpdf_scale(np.asarray(x, dtype=float), shape, scale)
-
-    names = ("shape", "scale") if parameterization == "scale" else ("rate", "shape")
-    return ModelFamily(
-        name="weibull",
-        parameter_count=2,
-        param_names=names,
-        cdf=cdf,
-        pdf=lambda x, est: np.exp(log_pdf(x, est)),
-        log_pdf=log_pdf,
-        fit=lambda data: _fit_weibull(data, parameterization),
-    )
+def _weibull_info(x, theta):
+    """Observed information in (shape k, scale s).  With z = x/s and l = ln z:
+    I_kk = n/k^2 + sum z^k l^2, I_ks = (n - sum z^k - k sum z^k l)/s and
+    I_ss = k ((k + 1) sum z^k - n)/s^2."""
+    shape, scale = theta
+    n = x.size
+    with np.errstate(all="ignore"):
+        z = x / scale
+        log_z = np.log(z)
+        zs = z**shape
+        sum_zs = zs.sum()
+        i_kk = n / shape**2 + np.sum(zs * log_z**2)
+        i_ks = (n - sum_zs - shape * np.sum(zs * log_z)) / scale
+        i_ss = shape * ((shape + 1.0) * sum_zs - n) / scale**2
+    return np.array([[i_kk, i_ks], [i_ks, i_ss]])
 
 
-def _fw_family():
-    def cdf(x, est):
-        return fw_cdf(x, FWParams(est["alpha"], est["beta"]))
-
-    return ModelFamily(
-        name="fw",
-        parameter_count=2,
-        param_names=("alpha", "beta"),
-        cdf=cdf,
-        pdf=lambda x, est: fw_pdf(x, FWParams(est["alpha"], est["beta"])),
-        log_pdf=lambda x, est: fw_log_pdf(x, FWParams(est["alpha"], est["beta"])),
-        fit=_fit_fw,
-    )
+_WEIBULL = inference.Likelihood(
+    loglik=_weibull_loglik,
+    score=_weibull_score,
+    info=_weibull_info,
+    starts=_two_param_starts,
+    names=("shape", "scale"),
+)
 
 
-def _bfw_family(config: Optional[OptimizerConfig] = None):
-    def fit(data):
-        result = inference.fit_mle(data, config)
-        est = result.estimates
-        return (
-            {"alpha": est.alpha, "beta": est.beta, "p": est.p, "q": est.q},
-            result.log_likelihood,
-        )
+def _weibull_cdf(x, theta):
+    shape, scale = theta
+    return -np.expm1(-((np.asarray(x, dtype=float) / scale) ** shape))
 
-    def cdf(x, est):
-        return bfw_cdf(x, BFWParams(est["alpha"], est["beta"], est["p"], est["q"]))
 
-    return ModelFamily(
-        name="bfw",
-        parameter_count=4,
-        param_names=("alpha", "beta", "p", "q"),
-        cdf=cdf,
-        pdf=lambda x, est: bfw_pdf(x, BFWParams(est["alpha"], est["beta"], est["p"], est["q"])),
-        log_pdf=lambda x, est: bfw_log_pdf(x, BFWParams(est["alpha"], est["beta"], est["p"], est["q"])),
-        fit=fit,
-    )
+def _weibull_log_pdf(x, theta):
+    shape, scale = theta
+    z = np.asarray(x, dtype=float) / scale
+    return math.log(shape / scale) + (shape - 1.0) * np.log(z) - z**shape
+
+
+def _weibull_rate_output(theta, covariance=None):
+    """(shape, scale) -> (rate, shape) with rate = scale^-shape; a covariance
+    is carried by the delta method."""
+    shape, scale = theta
+    rate = scale ** (-shape)
+    if covariance is not None:
+        jac = np.array([[-math.log(scale) * rate, -shape * rate / scale], [1.0, 0.0]])
+        covariance = jac @ covariance @ jac.T
+    return np.array([rate, shape]), covariance
+
+
+def _weibull_rate_natural(values):
+    rate, shape = values
+    return np.array([shape, rate ** (-1.0 / shape)])
+
+
+def _fitter(likelihood, config):
+    return lambda data: inference.fit_family(data, likelihood, config)
 
 
 def get_family(name, weibull_parameterization="scale", optimizer_config=None):
-    """Family registry: 'bfw', 'fw', or 'weibull'."""
+    """Family registry: 'bfw', 'fw', or 'weibull'.
+
+    ``optimizer_config`` applies to every family; the start grid size and
+    range in it concern the four-parameter model only, the two-parameter
+    families start from four fixed points.
+    """
     key = name.lower()
     if key == "bfw":
-        return _bfw_family(optimizer_config)
+        return ModelFamily(
+            name="bfw",
+            param_names=inference.PARAM_NAMES,
+            # fit_mle is fit_family on inference.BFW plus the five-observation check
+            fit=lambda data: _natural_estimates(inference.fit_mle(data, optimizer_config)),
+            cdf=lambda x, theta: bfw_cdf(x, BFWParams(*theta)),
+            log_pdf=lambda x, theta: bfw_log_pdf(x, BFWParams(*theta)),
+        )
     if key == "fw":
-        return _fw_family()
+        return ModelFamily(
+            name="fw",
+            param_names=_FW.names,
+            fit=_fitter(_FW, optimizer_config),
+            cdf=lambda x, theta: fw_cdf(x, FWParams(*theta)),
+            log_pdf=lambda x, theta: fw_log_pdf(x, FWParams(*theta)),
+        )
     if key in ("weibull", "weibull2p", "wd"):
-        return _weibull_family(weibull_parameterization)
+        if weibull_parameterization == "scale":
+            maps = dict(param_names=_WEIBULL.names)
+        elif weibull_parameterization == "rate":
+            maps = dict(param_names=("rate", "shape"), output=_weibull_rate_output,
+                        natural=_weibull_rate_natural)
+        else:
+            raise DomainError("weibull parameterization must be 'scale' or 'rate'")
+        return ModelFamily(
+            name="weibull",
+            fit=_fitter(_WEIBULL, optimizer_config),
+            cdf=_weibull_cdf,
+            log_pdf=_weibull_log_pdf,
+            **maps,
+        )
     raise DomainError(f"unknown model family {name!r}")
+
+
+def _natural_estimates(fit):
+    """A :func:`~bfw.inference.fit_mle` result with its estimates as an array."""
+    return replace(fit, estimates=fit.estimates.as_array())
 
 
 def available_families():
@@ -356,12 +361,20 @@ class ComparisonTable:
 
 def fit_model(family, data):
     """Fit one family and assemble its criteria and K-S row."""
-    estimates, ll = family.fit(data)
+    return comparison_row(family, data, family.fit(data))
+
+
+def comparison_row(family, data, fit):
+    """Criteria and K-S row of a family's fit to ``data``, with the estimates
+    in the family's reported parameters."""
+    theta = fit.estimates
+    values, _ = family.output(theta)
+    ll = fit.log_likelihood
     crit = information_criteria(ll, family.parameter_count, data.n)
-    ks = ks_statistic(data, lambda x: family.cdf(x, estimates))
+    ks = ks_statistic(data, lambda x: family.cdf(x, theta))
     return ComparisonRow(
         model=family.name,
-        estimates=estimates,
+        estimates={name: float(v) for name, v in zip(family.param_names, values)},
         log_likelihood=ll,
         minus_two_ll=-2.0 * ll,
         aic=crit.aic,

@@ -14,32 +14,23 @@ nodes, until successive levels agree to 1e-10 relative for every weight.
 The density is evaluated once per level, on the whole grid.  When the
 budget of ``_QUAD_SUBDIVISIONS`` intervals runs out first,
 :class:`QuadratureAccuracyError` is raised instead of a doubtful number.
-
-The closed-form triple series (regularized with finite-part gamma values at
-its poles) is retained purely as a measured diagnostic.  Nothing guarantees
-it converges, let alone to the quadrature value, so it reports its partial
-sums and lets the caller compare.
+This rule is the only moment method: no series expansion is offered.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import rgamma
 
-from . import special
 from .core import bfw_log_pdf
-from .errors import DomainError, QuadratureAccuracyError, SeriesTermOverflowError
+from .errors import DomainError, QuadratureAccuracyError
 
 __all__ = [
     "MomentSummary",
-    "SeriesTruncation",
-    "SeriesEvaluation",
     "raw_moment_quadrature",
     "central_moment_quadrature",
-    "raw_moment_series",
     "moment_summary",
     "mgf",
 ]
@@ -218,26 +209,18 @@ class MomentSummary:
     error_bound: float = math.nan  # largest relative error estimate of the raw moments
 
 
-def moment_summary(params, kurtosis_variant="central"):
+def moment_summary(params):
     """First four raw moments with mean/variance/skewness/kurtosis.
 
     All four raw moments come from one density grid per quadrature level.
-    ``kurtosis_variant="central"`` is the standard fourth central moment over
-    sigma^4.  The ``"second_moment"`` variant replaces E[X^3] with E[X^2] in
-    the cross term; it is kept only for comparison against sources that
-    print the expression that way, and is not a central moment.
+    The kurtosis is the fourth central moment over sigma^4.
     """
-    if kurtosis_variant not in ("central", "second_moment"):
-        raise DomainError("kurtosis_variant must be 'central' or 'second_moment'")
     quad = _ln_x_quadrature(params, _powers([1, 2, 3, 4]))
     m1, m2, m3, m4 = (float(v) for v in quad.values)
     variance = m2 - m1 * m1
     sigma = math.sqrt(variance)
     skewness = (m3 - 3.0 * m1 * m2 + 2.0 * m1**3) / sigma**3
-    if kurtosis_variant == "central":
-        kurtosis = (m4 - 4.0 * m1 * m3 + 6.0 * m1**2 * m2 - 3.0 * m1**4) / sigma**4
-    else:
-        kurtosis = (m4 - 4.0 * m1 * m2 + 6.0 * m1**2 * m2 - 3.0 * m1**4) / sigma**4
+    kurtosis = (m4 - 4.0 * m1 * m3 + 6.0 * m1**2 * m2 - 3.0 * m1**4) / sigma**4
     return MomentSummary(
         mean=m1,
         variance=variance,
@@ -246,111 +229,4 @@ def moment_summary(params, kurtosis_variant="central"):
         raw_moments=(m1, m2, m3, m4),
         evaluations=quad.evaluations,
         error_bound=float(quad.rel_errors.max()),
-    )
-
-
-@dataclass(frozen=True)
-class SeriesTruncation:
-    """Index caps for the triple moment series.
-
-    ``tail_bound`` is filled in by the evaluator with the magnitude of the
-    last included shell (cells of equal n+m+l).
-    """
-
-    n_max: int
-    m_max: int
-    l_max: int
-    tail_bound: float = math.nan
-
-    def __post_init__(self):
-        for name in ("n_max", "m_max", "l_max"):
-            value = getattr(self, name)
-            if value < 1 or value != int(value):
-                raise DomainError(f"{name} must be a positive integer")
-            object.__setattr__(self, name, int(value))
-
-
-@dataclass(frozen=True)
-class SeriesEvaluation:
-    """Truncated series value plus the diagnostics needed to judge it."""
-
-    value: float
-    partial_sums: tuple[float, ...]
-    last_shell_magnitude: float
-    truncation: SeriesTruncation
-
-    @property
-    def stabilized(self) -> bool:
-        """Whether the final shell moved the sum by under 1e-10 relative."""
-        return self.last_shell_magnitude < 1e-10 * max(abs(self.value), 1e-300)
-
-
-def _series_term(r, params, n, m, l):
-    """One cell of the triple sum, evaluated through its log magnitude."""
-    rg = rgamma(params.p - n)  # zero at the poles of Gamma(p - n)
-    if rg == 0.0:
-        return 0.0
-    bracket = params.alpha * special.neutrix_gamma(-(r + l + 1)) + special.neutrix_gamma(
-        -(r + l - 1)
-    ) / ((m + 1.0) ** 2 * params.beta)
-    if bracket == 0.0:
-        return 0.0
-    log_mag = (
-        (m * math.log(params.q + n) if m else 0.0)
-        + (r + 2 * l + 1) * math.log(m + 1.0)
-        + l * math.log(params.alpha)
-        + (r + l + 1) * math.log(params.beta)
-        - special.log_gamma(n + 1.0)
-        - special.log_gamma(m + 1.0)
-        - special.log_gamma(l + 1.0)
-        + math.log(abs(rg))
-        + math.log(abs(bracket))
-    )
-    sign = (-1.0) ** (n + m) * math.copysign(1.0, rg) * math.copysign(1.0, bracket)
-    try:
-        return sign * math.exp(log_mag)
-    except OverflowError:
-        return sign * math.inf
-
-
-def raw_moment_series(r, params, trunc):
-    """Triple-series expansion of E[X^r], truncated at the given index caps.
-
-    Cells are accumulated shell by shell (constant n+m+l) and the running
-    totals are returned so divergence is visible.  No convergence claim is
-    made; compare against :func:`raw_moment_quadrature`.
-
-    Raises :class:`SeriesTermOverflowError` naming the first (n, m, l) cell
-    whose value leaves double range.
-    """
-    if r < 1 or r != int(r):
-        raise DomainError("moment order r must be a positive integer")
-    r = int(r)
-    prefactor = math.exp(special.log_gamma(params.p + params.q) - special.log_gamma(params.q))
-    partials = []
-    total = 0.0
-    last_shell = 0.0
-    for s in range(trunc.n_max + trunc.m_max + trunc.l_max + 1):
-        shell = 0.0
-        for n in range(min(s, trunc.n_max) + 1):
-            for m in range(min(s - n, trunc.m_max) + 1):
-                l = s - n - m
-                if l > trunc.l_max:
-                    continue
-                term = _series_term(r, params, n, m, l)
-                if not math.isfinite(term):
-                    raise SeriesTermOverflowError(
-                        f"series cell (n={n}, m={m}, l={l}) overflows double precision",
-                        cell=(n, m, l),
-                    )
-                shell += term
-        total += shell
-        last_shell = abs(prefactor * shell)
-        partials.append(prefactor * total)
-    value = prefactor * total
-    return SeriesEvaluation(
-        value=value,
-        partial_sums=tuple(partials),
-        last_shell_magnitude=last_shell,
-        truncation=replace(trunc, tail_bound=last_shell),
     )

@@ -1,13 +1,10 @@
 """Special-function kernel used by every other module.
 
-Thin domain-checked wrappers over the scipy implementations, plus the
-finite-part ("neutrix") gamma values at non-positive integers that the
-moment series needs.  Everything is pure and thread-safe.
+Thin domain-checked wrappers over the scipy implementations.  Everything
+is pure and thread-safe.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 from scipy import special as _sp
@@ -15,7 +12,6 @@ from scipy import special as _sp
 from .errors import DomainError
 
 __all__ = [
-    "EULER_GAMMA",
     "log_gamma",
     "polygamma",
     "digamma",
@@ -23,13 +19,8 @@ __all__ = [
     "reg_inc_beta",
     "inv_reg_inc_beta",
     "log_beta",
-    "harmonic",
-    "neutrix_gamma",
     "std_normal_quantile",
 ]
-
-EULER_GAMMA = float(np.euler_gamma)
-
 
 def _checked(x, name, lower=None, upper=None, open_lower=False, open_upper=False):
     arr = np.asarray(x, dtype=float)
@@ -97,31 +88,6 @@ def inv_reg_inc_beta(u, p, q):
     pa = _checked(p, "p", lower=0.0, open_lower=True)
     qa = _checked(q, "q", lower=0.0, open_lower=True)
     return _ret(_sp.betaincinv(pa, qa, ua))
-
-
-def harmonic(r):
-    """H_r = sum_{i=1}^{r} 1/i, with H_0 = 0 (empty sum)."""
-    if r < 0 or r != int(r):
-        raise DomainError("harmonic index must be a non-negative integer")
-    return math.fsum(1.0 / i for i in range(1, int(r) + 1))
-
-
-def neutrix_gamma(m):
-    """Finite-part value assigned to Gamma at a non-positive integer m = -r.
-
-    Evaluates ((-1)^r / r!) (H_r - euler_gamma).  This regularization exists
-    only to give the moment series a meaning at its gamma poles; it must
-    never be used where the ordinary gamma function is defined.
-    """
-    if isinstance(m, bool) or not isinstance(m, (int, float, np.integer, np.floating)):
-        raise DomainError("neutrix_gamma argument must be a number")
-    mf = float(m)
-    if not mf.is_integer():
-        raise DomainError("neutrix_gamma is defined for integer arguments only")
-    if mf > 0:
-        raise DomainError("neutrix_gamma argument must be a non-positive integer")
-    r = int(-mf)
-    return ((-1.0) ** r / math.factorial(r)) * (harmonic(r) - EULER_GAMMA)
 
 
 def std_normal_quantile(u):

@@ -96,6 +96,19 @@ class TestFitCommand:
         assert "error" in err.lower()
         assert out == ""
 
+    def test_same_fields_for_every_family(self, capsys):
+        fields = {}
+        for family in ("bfw", "fw", "weibull"):
+            code, payload, _ = run_json(capsys, "fit", "--data", "pumps", "--family", family,
+                                        "--starts", "8")
+            assert code == 0
+            result = payload["result"]
+            fields[family] = set(result)
+            assert set(result["ci"]) == {"level", *result["estimates"]}
+            assert len(result["score"]) == len(result["covariance"]) == len(result["estimates"])
+        assert fields["bfw"] == fields["fw"] == fields["weibull"]
+        assert {"iterations", "multistart_best_of", "condition_number"} <= fields["fw"]
+
     def test_csv_json_numeric_equality(self, capsys, tmp_path):
         code_c, csv_out, _ = run_cli(capsys, "fit", "--data", "pumps", "--family", "weibull")
         code_j, payload, _ = run_json(capsys, "fit", "--data", "pumps", "--family", "weibull")
@@ -209,6 +222,15 @@ class TestEvalCommand:
                                "--grid", "0:5:10")
         assert code == 2
         assert "grid" in err
+
+    @pytest.mark.parametrize("form", ["scale", "rate"])
+    @pytest.mark.parametrize("params", ["1,nan", "inf,1"])
+    def test_weibull_parameters_validated(self, capsys, form, params):
+        code, out, err = run_cli(capsys, "eval", "--family", "weibull", "--weibull-form", form,
+                                 "--params", params, "--grid", "1:2:2")
+        assert code == 2
+        assert out == ""
+        assert "strictly positive and finite" in err
 
     def test_eval_fw_family(self, capsys):
         code, payload, _ = run_json(capsys, "eval", "--family", "fw",

@@ -1,13 +1,17 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from bfw import (
     BFWParams,
+    ConvergenceError,
     Dataset,
     DomainError,
     FWParams,
+    OptimizerConfig,
     bfw_cdf,
     bfw_sample,
     compare_models,
@@ -19,7 +23,9 @@ from bfw import (
     information_criteria,
     kaplan_meier,
     ks_statistic,
+    model_selection,
 )
+from bfw.model_selection import weibull_loglik_grad
 
 
 class TestInformationCriteria:
@@ -244,3 +250,109 @@ class TestCompareModels:
     def test_empty_families_rejected(self, pumps):
         with pytest.raises(DomainError):
             compare_models(pumps, [])
+
+
+class TestFamilyProtocol:
+    @staticmethod
+    def weibull_mp_info(x, shape, scale):
+        mpmath.mp.dps = 30
+        xs = [mpmath.mpf(float(v)) for v in x]
+
+        def loglik(k, s):
+            return mpmath.fsum(mpmath.log(k / s) + (k - 1) * mpmath.log(v / s) - (v / s) ** k
+                               for v in xs)
+
+        point = (mpmath.mpf(shape), mpmath.mpf(scale))
+        return -np.array([
+            [float(mpmath.diff(loglik, point, (2, 0))), float(mpmath.diff(loglik, point, (1, 1)))],
+            [float(mpmath.diff(loglik, point, (1, 1))), float(mpmath.diff(loglik, point, (0, 2)))],
+        ])
+
+    @pytest.mark.parametrize("theta", [(0.8, 1.4), (0.80773, 1.3915), (2.5, 0.3)])
+    def test_weibull_information(self, pumps, theta):
+        x = pumps.times
+        info = model_selection._weibull_info(x, np.array(theta))
+        numeric = np.empty((2, 2))
+        for j in range(2):
+            step = 1e-6 * theta[j]
+            hi, lo = np.array(theta), np.array(theta)
+            hi[j] += step
+            lo[j] -= step
+            numeric[:, j] = -(weibull_loglik_grad(x, *hi)[1] - weibull_loglik_grad(x, *lo)[1]) / (
+                2.0 * step
+            )
+        assert np.all(np.abs(info - numeric) <= 1e-8 * np.max(np.abs(info)))
+        reference = self.weibull_mp_info(x, *theta)
+        assert np.all(np.abs(info - reference) <= 1e-8 * np.abs(reference))
+
+    def test_rate_form_covariance_is_inverse_rate_information(self, pumps):
+        family = get_family("weibull", weibull_parameterization="rate")
+        fit = family.fit(pumps)
+        (rate, shape), covariance = family.output(fit.estimates, fit.covariance)
+        x = pumps.times
+
+        def rate_score(r, k):  # gradient of sum(ln r + ln k + (k - 1) ln x - r x^k)
+            xk = x**k
+            return np.array([x.size / r - xk.sum(),
+                             x.size / k + np.log(x).sum() - r * np.sum(xk * np.log(x))])
+
+        point = np.array([rate, shape])
+        info = np.empty((2, 2))
+        for j in range(2):
+            step = 1e-6 * point[j]
+            hi, lo = point.copy(), point.copy()
+            hi[j] += step
+            lo[j] -= step
+            info[:, j] = -(rate_score(*hi) - rate_score(*lo)) / (2.0 * step)
+        reference = np.linalg.inv(0.5 * (info + info.T))
+        assert np.all(np.abs(covariance - reference) <= 1e-6 * np.abs(reference))
+
+    @staticmethod
+    def weibull_profile_root(x):
+        lx = np.log(x)
+
+        def profile(k):
+            xk = (x / x.max()) ** k
+            return float(np.sum(xk * lx) / np.sum(xk) - 1.0 / k - lx.mean())
+
+        shape = brentq(profile, 1e-3, 1e3, xtol=1e-15, rtol=1e-15)
+        return shape, float(np.mean(x**shape) ** (1.0 / shape))
+
+    @pytest.mark.parametrize("n", [4, 23, 200, 5000])
+    def test_two_parameter_fits_reach_stationarity(self, n):
+        x = bfw_sample(n, BFWParams(0.5, 0.5, 2.0, 2.0), seed=1000 + n)
+        data = Dataset(times=x)
+        weibull = get_family("weibull").fit(data)
+        shape, scale = self.weibull_profile_root(x)
+        assert weibull.estimates == pytest.approx([shape, scale], rel=1e-9)
+        fw = get_family("fw").fit(data)
+        assert fw.converged
+        assert np.max(np.abs(fw.score_at_optimum)) <= 1e-6
+        assert fw.multistart_best_of == weibull.multistart_best_of == 4
+
+    def test_unconverged_two_parameter_fit_is_an_error_row(self, pumps):
+        config = OptimizerConfig(max_iter=1, polish_iter=0)
+        with pytest.raises(ConvergenceError):
+            get_family("weibull", optimizer_config=config).fit(pumps)
+        table = compare_models(pumps, [get_family("fw", optimizer_config=config)])
+        assert table.rows[0].error.startswith("no optimizer start converged")
+        assert math.isnan(table.rows[0].aic)
+
+    @pytest.mark.parametrize("form", ["scale", "rate"])
+    @pytest.mark.parametrize("values", [(1.0, math.nan), (math.inf, 1.0), (1.0, 0.0), (-1.0, 2.0)])
+    def test_parameters_rejected_unless_positive_and_finite(self, form, values):
+        with pytest.raises(DomainError):
+            get_family("weibull", weibull_parameterization=form).parameters(values)
+
+    def test_rate_parameters_map_to_the_scale_form(self):
+        family = get_family("weibull", weibull_parameterization="rate")
+        theta = family.parameters([0.25, 2.0])
+        assert theta == pytest.approx([2.0, 2.0], rel=1e-15)
+        assert family.output(theta)[0] == pytest.approx([0.25, 2.0], rel=1e-15)
+
+
+def test_every_exported_name_resolves():
+    import bfw
+
+    missing = [name for name in bfw.__all__ if not hasattr(bfw, name)]
+    assert missing == []

@@ -11,16 +11,13 @@ from bfw import (
     DomainError,
     MomentSummary,
     QuadratureAccuracyError,
-    SeriesTruncation,
     bfw_log_pdf,
     bfw_sample,
     central_moment_quadrature,
     mgf,
     moment_summary,
     raw_moment_quadrature,
-    raw_moment_series,
 )
-from bfw.special import EULER_GAMMA, neutrix_gamma
 
 
 class TestRawMomentQuadrature:
@@ -69,42 +66,6 @@ class TestRawMomentQuadrature:
             raw_moment_quadrature(0, published_params)
 
 
-class TestRawMomentSeries:
-    def test_diagnostics_shape(self):
-        params = BFWParams(0.5, 0.5, 1.0, 1.0)
-        trunc = SeriesTruncation(20, 20, 20)
-        result = raw_moment_series(1, params, trunc)
-        assert len(result.partial_sums) == 61
-        assert math.isfinite(result.value)
-        assert result.truncation.tail_bound == result.last_shell_magnitude
-
-    def test_measured_against_quadrature(self, capsys):
-        params = BFWParams(0.5, 0.5, 1.0, 1.0)
-        result = raw_moment_series(1, params, SeriesTruncation(20, 20, 20))
-        reference = raw_moment_quadrature(1, params)
-        # a measurement, not an assertion: the expansion need not converge
-        # to the quadrature value, and for this configuration it does not
-        print(f"series value {result.value:.8f} vs quadrature {reference:.8f}; "
-              f"stabilized={result.stabilized}, "
-              f"discrepancy={abs(result.value - reference):.3e}")
-        assert math.isfinite(result.value)
-
-    def test_integer_p_truncates_in_n(self):
-        # 1/Gamma(p - n) kills every cell with n >= p when p is an integer
-        params = BFWParams(0.5, 0.5, 3.0, 1.5)
-        small = raw_moment_series(1, params, SeriesTruncation(3, 12, 12))
-        large = raw_moment_series(1, params, SeriesTruncation(9, 12, 12))
-        assert small.value == pytest.approx(large.value, rel=1e-12)
-
-    def test_neutrix_values_feeding_series(self):
-        # the r = 1, l = 0 cell needs the finite part of Gamma(0)
-        assert neutrix_gamma(0) == pytest.approx(-EULER_GAMMA, rel=1e-12)
-
-    def test_truncation_validation(self):
-        with pytest.raises(DomainError):
-            SeriesTruncation(0, 5, 5)
-
-
 class TestMomentSummary:
     def test_skewness_matches_central_quadrature(self, rng):
         params = BFWParams(0.8, 0.6, 2.0, 3.0)
@@ -134,22 +95,6 @@ class TestMomentSummary:
         assert summary.variance == pytest.approx(
             summary.raw_moments[1] - summary.mean**2, rel=1e-12
         )
-
-    def test_second_moment_variant_differs(self):
-        params = BFWParams(0.5, 0.5, 2.0, 2.0)
-        standard = moment_summary(params)
-        variant = moment_summary(params, kurtosis_variant="second_moment")
-        m1, m2, m3, m4 = standard.raw_moments
-        sigma4 = standard.variance**2
-        assert variant.kurtosis == pytest.approx(
-            (m4 - 4 * m1 * m2 + 6 * m1**2 * m2 - 3 * m1**4) / sigma4, rel=1e-12
-        )
-        assert variant.kurtosis != pytest.approx(standard.kurtosis, rel=1e-6)
-        assert variant.skewness == standard.skewness
-
-    def test_bad_variant(self, published_params):
-        with pytest.raises(DomainError):
-            moment_summary(published_params, kurtosis_variant="bogus")
 
 
 class TestMgf:

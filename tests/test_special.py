@@ -5,12 +5,10 @@ import pytest
 from scipy.integrate import quad
 
 from bfw import (
-    EULER_GAMMA,
     DomainError,
     digamma,
     inv_reg_inc_beta,
     log_gamma,
-    neutrix_gamma,
     polygamma,
     reg_inc_beta,
     std_normal_quantile,
@@ -43,13 +41,13 @@ class TestLogGamma:
 
 class TestPolygamma:
     def test_digamma_at_one(self):
-        assert polygamma(0, 1.0) == pytest.approx(-EULER_GAMMA, rel=1e-12)
+        assert polygamma(0, 1.0) == pytest.approx(-np.euler_gamma, rel=1e-12)
 
     def test_trigamma_at_one(self):
         assert polygamma(1, 1.0) == pytest.approx(math.pi**2 / 6.0, rel=1e-12)
 
     def test_digamma_at_two(self):
-        assert polygamma(0, 2.0) == pytest.approx(1.0 - EULER_GAMMA, rel=1e-12)
+        assert polygamma(0, 2.0) == pytest.approx(1.0 - np.euler_gamma, rel=1e-12)
 
     def test_aliases(self):
         assert digamma(3.7) == polygamma(0, 3.7)
@@ -136,26 +134,6 @@ class TestInvRegIncBeta:
     def test_domain(self):
         with pytest.raises(DomainError):
             inv_reg_inc_beta(0.5, 0.0, 1.0)
-
-
-class TestNeutrixGamma:
-    def test_at_zero(self):
-        assert neutrix_gamma(0) == pytest.approx(-EULER_GAMMA, rel=1e-12)
-
-    def test_at_minus_one(self):
-        assert neutrix_gamma(-1) == pytest.approx(-(1.0 - EULER_GAMMA), rel=1e-12)
-
-    def test_at_minus_two(self):
-        # ((-1)^2 / 2!) (1 + 1/2 - euler_gamma)
-        assert neutrix_gamma(-2) == pytest.approx(0.5 * (1.5 - EULER_GAMMA), rel=1e-12)
-
-    def test_non_integer_rejected(self):
-        with pytest.raises(DomainError):
-            neutrix_gamma(-0.5)
-
-    def test_positive_rejected(self):
-        with pytest.raises(DomainError):
-            neutrix_gamma(1)
 
 
 class TestStdNormalQuantile:
