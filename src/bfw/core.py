@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import special
 from ._stable import clamped_exp, u_over_expm1
@@ -186,31 +185,38 @@ def mode_equation(x, params):
     return _ret(out)
 
 
+_MODE_SUBDIVISIONS = 256  # sub-intervals per bracket and refinement round
+
+
 def bfw_mode(params, bracket=(1e-6, 1e4), grid_points=400):
     """Locate the interior mode by bracketing the stationarity function
-    on a log-spaced grid and bisecting each descending sign change.
+    on a log-spaced grid and refining every descending sign change at once.
 
+    Each refinement round evaluates the stationarity function on
+    ``_MODE_SUBDIVISIONS`` equal sub-intervals of every bracket and keeps the
+    first that still changes sign downward, until the brackets are one
+    rounding step wide; among the roots the one of highest density wins.
     Raises :class:`NoInteriorModeError` when no sign change exists on the
     grid (the density then peaks at a boundary of the bracket).
     """
     xs = np.geomspace(bracket[0], bracket[1], grid_points)
     vals = np.asarray(mode_equation(xs, params))
-    sign = np.sign(vals)
-    candidates = []
-    for i in range(len(xs) - 1):
-        if not (np.isfinite(sign[i]) and np.isfinite(sign[i + 1])):
-            continue
-        if sign[i] > 0 and sign[i + 1] < 0:
-            candidates.append((xs[i], xs[i + 1]))
-        elif sign[i + 1] == 0 and sign[i] > 0:
-            candidates.append((xs[i], xs[i + 1]))
-    if not candidates:
+    # descending sign changes; NaN compares false and never brackets a root
+    starts = np.flatnonzero((vals[:-1] > 0) & (vals[1:] <= 0))
+    if starts.size == 0:
         raise NoInteriorModeError(
             f"no descending sign change of the mode equation on [{bracket[0]}, {bracket[1]}]"
         )
-    roots = []
-    for lo, hi in candidates:
-        root = brentq(lambda t: mode_equation(t, params), lo, hi, xtol=1e-15, rtol=8.9e-16)
-        roots.append(root)
-    dens = [bfw_log_pdf(r, params) for r in roots]
-    return float(roots[int(np.argmax(dens))])
+    lo, hi = xs[starts], xs[starts + 1]
+    fractions = np.linspace(0.0, 1.0, _MODE_SUBDIVISIONS + 1)[1:]
+    rows = np.arange(starts.size)
+    while np.any(hi - lo > 2.0 * np.spacing(hi)):
+        grid = lo[:, None] + (hi - lo)[:, None] * fractions
+        grid[:, -1] = hi  # keep the upper end exact
+        # mode_equation(lo) > 0 >= mode_equation(hi) holds for every bracket
+        first = np.argmax(np.asarray(mode_equation(grid, params)) <= 0, axis=1)
+        lo = np.where(first > 0, grid[rows, first - 1], lo)
+        hi = grid[rows, first]
+    roots = 0.5 * (lo + hi)
+    best = np.argmax(bfw_log_pdf(roots, params)) if roots.size > 1 else 0
+    return float(roots[best])

@@ -2,32 +2,51 @@
 observed information, one multi-start fitter for every family, and
 asymptotic confidence intervals.
 
-A family enters the fitter as a :class:`Likelihood`: analytic log-likelihood,
-score and observed information over its natural parameter array, plus start
-points in log-parameter space.  The likelihood is maximized over the
-log-parameters, which enforces positivity without constraint machinery and
-copes with estimates spanning several orders of magnitude.  Each start runs
-L-BFGS-B with the analytic score and is then polished by damped Newton
-steps with the analytic information until the stationarity tolerance is
-met; starts are merged deterministically by (log-likelihood, start index),
-so the result does not depend on execution order.  :func:`fit_mle` is that
-fitter on the four-parameter model; ``model_selection`` supplies the
-two-parameter families.
+A family enters the fitter as a :class:`Likelihood`: one kernel that returns
+the log-likelihood, score and observed information of every row of a
+(starts, k) batch of natural parameters, plus start points in log-parameter
+space.  The likelihood is maximized over z = ln theta, which enforces
+positivity without constraint machinery and copes with estimates spanning
+several orders of magnitude.  All starts advance together as the rows of one
+array, by damped Newton steps:
 
+- Step.  With g and H the gradient and negative Hessian in z, and
+  H = V diag(e) V^T, a row steps by V diag(1 / (|e| + lambda max|e|)) V^T g:
+  the Newton step where H is positive definite and the damping lambda is
+  small, an ascent direction everywhere.
+- Acceptance.  A step is kept when it raises the log-likelihood, or when it
+  lowers the score norm while losing at most a few ulps of it (near the
+  optimum genuine progress is below double resolution).  Acceptance divides
+  lambda by 3; consecutive rejections multiply it by 2, 4, 8, ...
+- Stopping.  A start leaves the active set when its score sup-norm is at
+  most ``score_tol`` and its last step changed the log-likelihood by at most
+  ``rel_ll_tol (1 + |ll|)`` (converged), after ``max_iter`` trial steps,
+  when lambda passes 1e10 (step rejected), or at once when its start point
+  is not finite.  Only active rows are evaluated, so the work shrinks as
+  starts finish; ``StartDiagnostics`` records why each start stopped.
+- Determinism.  Rows never interact: every sum runs along one row and every
+  eigendecomposition is per matrix, so a start's path does not depend on the
+  other starts.  The best converged start wins by (log-likelihood, start
+  index).
+- Memory.  The kernel runs in row blocks whose temporaries hold at most
+  ``_BLOCK_ELEMENTS`` doubles (starts x observations), unless a single row
+  is longer.
+
+:func:`fit_mle` is that fitter on the four-parameter model;
+``model_selection`` supplies the two-parameter families.
 ``log_likelihood``/``score``/``observed_information`` are pure and
 thread-safe.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import gammaln, psi
-from scipy.special import polygamma as _polygamma
+from scipy.special import gammaln, psi, zeta
 
 from . import special
 from ._stable import clamped_exp, expm1_curvature, log1mexp, u_over_expm1
@@ -52,6 +71,9 @@ __all__ = [
 
 PARAM_NAMES = ("alpha", "beta", "p", "q")
 
+_rowsum = functools.partial(np.add.reduce, axis=-1)  # np.sum over the last axis
+_LOWER = np.tril_indices(4, -1)
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -74,95 +96,90 @@ class Dataset:
         return self.times.size
 
 
-def _unpack(params):
+def _row(params):
+    """(alpha, beta, p, q) as a one-row batch."""
     if isinstance(params, BFWParams):
-        return params.alpha, params.beta, params.p, params.q
+        return params.as_array()[None, :]
     a, b, p, q = (float(v) for v in params)
-    return a, b, p, q
+    return np.array([[a, b, p, q]])
 
 
-def _loglik_raw(x, theta):
-    a, b, p, q = theta
+def _bfw_evaluate(x, theta, order=2):
+    """Log-likelihood of each row of a (m, 4) batch of (alpha, beta, p, q),
+    plus for ``order`` >= 1 the score (m, 4) and for ``order`` 2 the observed
+    information (m, 4, 4); parts not asked for are None.
+
+    w, e^w and ln(1 - e^{-e^w}) are formed once and shared by all three.
+    Each row is reduced on its own, so its values do not depend on the other
+    rows; a row whose log-likelihood is not representable gives -inf.
+    """
     n = x.size
+    x2 = x**2
+    a, b, p, q = theta.T
+    ac, bc = a[:, None], b[:, None]
     with np.errstate(all="ignore"):
-        w = a * x - b / x
+        w = ac * x - bc / x
         ew = clamped_exp(w)
         ln_f = log1mexp(ew, log_v=w)
-        value = (
-            n * (gammaln(p + q) - gammaln(p) - gammaln(q))
-            + np.sum(np.log(a + b / x**2))
-            + np.sum(w)
-            - q * np.sum(ew)
-            + (p - 1.0) * np.sum(ln_f)
+        sum_ew = _rowsum(ew)
+        sum_ln_f = _rowsum(ln_f)
+        shapes = np.stack([p + q, p, q])
+        log_gamma = gammaln(shapes)
+        ll = (
+            n * (log_gamma[0] - log_gamma[1] - log_gamma[2])
+            + _rowsum(np.log(ac + bc / x2))
+            + _rowsum(w)
+            - q * sum_ew
+            + (p - 1.0) * sum_ln_f
         )
-    # any non-representable configuration acts as an impossible fit
-    return value if math.isfinite(value) else -math.inf
-
-
-def _score_raw(x, theta):
-    a, b, p, q = theta
-    n = x.size
-    with np.errstate(all="ignore"):
-        w = a * x - b / x
-        ew = clamped_exp(w)
+        # any non-representable configuration acts as an impossible fit
+        ll = np.where(np.isfinite(ll), ll, -np.inf)
+        if order == 0:
+            return ll, None, None
         ratio = u_over_expm1(ew)  # e^w / (e^{e^w} - 1)
-        ln_f = log1mexp(ew, log_v=w)
-        denom = b + a * x**2
-        d_alpha = (
-            np.sum(x**2 / denom) + np.sum(x) - q * np.sum(x * ew) + (p - 1.0) * np.sum(x * ratio)
-        )
-        d_beta = (
-            np.sum(1.0 / denom)
-            - np.sum(1.0 / x)
-            + q * np.sum(ew / x)
-            - (p - 1.0) * np.sum(ratio / x)
-        )
-        d_p = n * psi(p + q) - n * psi(p) + np.sum(ln_f)
-        d_q = n * psi(p + q) - n * psi(q) - np.sum(ew)
-    return np.array([d_alpha, d_beta, d_p, d_q])
-
-
-def _info_raw(x, theta):
-    a, b, p, q = theta
-    n = x.size
-    info = np.empty((4, 4))
-    with np.errstate(all="ignore"):
-        w = a * x - b / x
-        ew = clamped_exp(w)
-        ratio = u_over_expm1(ew)
+        denom = bc + ac * x2
+        x_ew = _rowsum(x * ew)
+        x_ratio = _rowsum(x * ratio)
+        ew_x = _rowsum(ew / x)
+        ratio_x = _rowsum(ratio / x)
+        digamma = psi(shapes)
+        grad = np.empty((theta.shape[0], 4))
+        grad[:, 0] = _rowsum(x2 / denom) + np.sum(x) - q * x_ew + (p - 1.0) * x_ratio
+        grad[:, 1] = _rowsum(1.0 / denom) - np.sum(1.0 / x) + q * ew_x - (p - 1.0) * ratio_x
+        grad[:, 2] = n * digamma[0] - n * digamma[1] + sum_ln_f
+        grad[:, 3] = n * digamma[0] - n * digamma[2] - sum_ew
+        if order == 1:
+            return ll, grad, None
         curv = expm1_curvature(ew)
-        denom2 = (b + a * x**2) ** 2
-        info[0, 0] = (
-            np.sum(x**4 / denom2) + q * np.sum(x**2 * ew) - (p - 1.0) * np.sum(x**2 * curv)
+        denom2 = denom**2
+        trigamma = zeta(2.0, shapes)  # polygamma(1, s) = zeta(2, s), bit for bit
+        info = np.empty((theta.shape[0], 4, 4))
+        info[:, 0, 0] = (
+            _rowsum(x**4 / denom2) + q * _rowsum(x2 * ew) - (p - 1.0) * _rowsum(x2 * curv)
         )
-        info[0, 1] = np.sum(x**2 / denom2) - q * np.sum(ew) + (p - 1.0) * np.sum(curv)
-        info[0, 2] = -np.sum(x * ratio)
-        info[0, 3] = np.sum(x * ew)
-        info[1, 1] = (
-            np.sum(1.0 / denom2) + q * np.sum(ew / x**2) - (p - 1.0) * np.sum(curv / x**2)
+        info[:, 0, 1] = _rowsum(x2 / denom2) - q * sum_ew + (p - 1.0) * _rowsum(curv)
+        info[:, 0, 2] = -x_ratio
+        info[:, 0, 3] = x_ew
+        info[:, 1, 1] = (
+            _rowsum(1.0 / denom2) + q * _rowsum(ew / x2) - (p - 1.0) * _rowsum(curv / x2)
         )
-        info[1, 2] = np.sum(ratio / x)
-        info[1, 3] = -np.sum(ew / x)
-        info[2, 2] = n * (_polygamma(1, p) - _polygamma(1, p + q))
-        info[2, 3] = -n * _polygamma(1, p + q)
-        info[3, 3] = n * (_polygamma(1, q) - _polygamma(1, p + q))
-    info[1, 0] = info[0, 1]
-    info[2, 0] = info[0, 2]
-    info[3, 0] = info[0, 3]
-    info[2, 1] = info[1, 2]
-    info[3, 1] = info[1, 3]
-    info[3, 2] = info[2, 3]
-    return info
+        info[:, 1, 2] = ratio_x
+        info[:, 1, 3] = -ew_x
+        info[:, 2, 2] = n * (trigamma[1] - trigamma[0])
+        info[:, 2, 3] = -n * trigamma[0]
+        info[:, 3, 3] = n * (trigamma[2] - trigamma[0])
+    info[:, _LOWER[0], _LOWER[1]] = info[:, _LOWER[1], _LOWER[0]]
+    return ll, grad, info
 
 
 def log_likelihood(data, params):
     """Joint log density of the data; -inf when a term is not representable."""
-    return float(_loglik_raw(data.times, _unpack(params)))
+    return float(_bfw_evaluate(data.times, _row(params), order=0)[0][0])
 
 
 def score(data, params):
     """Gradient of the log-likelihood in (alpha, beta, p, q)."""
-    return _score_raw(data.times, _unpack(params))
+    return _bfw_evaluate(data.times, _row(params), order=1)[1][0]
 
 
 def observed_information(data, params):
@@ -171,16 +188,13 @@ def observed_information(data, params):
 
     Raises :class:`NumericError` naming the first non-finite entry.
     """
-    return _information(BFW, data.times, _unpack(params))
-
-
-def _information(likelihood, x, theta):
-    info = likelihood.info(x, theta)
+    info = _bfw_evaluate(data.times, _row(params))[2][0]
     bad = np.argwhere(~np.isfinite(info))
     if bad.size:
         i, j = bad[0]
-        names = likelihood.names
-        raise NumericError(f"observed information entry ({names[i]}, {names[j]}) is not finite")
+        raise NumericError(
+            f"observed information entry ({PARAM_NAMES[i]}, {PARAM_NAMES[j]}) is not finite"
+        )
     return info
 
 
@@ -189,8 +203,7 @@ class OptimizerConfig:
     starts: int = 16
     score_tol: float = 1e-6
     rel_ll_tol: float = 1e-12
-    max_iter: int = 500
-    polish_iter: int = 60
+    max_iter: int = 100
     start_log_low: float = math.log(1e-3)
     start_log_high: float = math.log(1e2)
     level: float = 0.95
@@ -211,6 +224,7 @@ class StartDiagnostics:
     converged: bool
     iterations: int
     message: str = ""
+    evaluations: int = 0
 
 
 @dataclass(frozen=True)
@@ -274,124 +288,133 @@ def _start_grid(config):
 class Likelihood:
     """What the fitter needs of a family, over its natural parameter array.
 
-    ``loglik(x, theta)`` returns -inf where a term is not representable;
-    ``score`` and ``info`` are its analytic gradient and negative Hessian;
-    ``starts(config)`` gives the start points in log-parameter space, one
-    per row; ``names`` label the parameters in error messages.
+    ``evaluate(x, theta)`` takes a (starts, k) batch of parameter rows and
+    returns the log-likelihood (starts,), the analytic score (starts, k) and
+    the observed information (starts, k, k) of each row, -inf log-likelihood
+    where a term is not representable; ``starts(config)`` gives the start
+    points in log-parameter space, one per row; ``names`` label the
+    parameters in error messages.
     """
 
-    loglik: Callable
-    score: Callable
-    info: Callable
+    evaluate: Callable
     starts: Callable
     names: tuple[str, ...]
 
 
-BFW = Likelihood(_loglik_raw, _score_raw, _info_raw, _start_grid, PARAM_NAMES)
+BFW = Likelihood(_bfw_evaluate, _start_grid, PARAM_NAMES)
+
+# Relative damping of the Newton step: the first step of every start uses
+# _DAMPING_START; an accepted step divides it by 3 (not below _DAMPING_MIN),
+# consecutive rejections multiply it by 2, 4, 8, ...; a start whose damping
+# passes _DAMPING_MAX stops.
+_DAMPING_START = 1e-3
+_DAMPING_MIN = 1e-15
+_DAMPING_MAX = 1e10
+_SLACK = 4.0 * np.finfo(float).eps  # relative log-likelihood loss a step may take
+_BLOCK_ELEMENTS = 1 << 15  # starts x observations per kernel temporary (256 KB)
+
+_ACTIVE, _CONVERGED, _BUDGET, _REJECTED, _NONFINITE = range(5)
+_STOP_MESSAGES = {
+    _CONVERGED: "converged: score and log-likelihood change within tolerance",
+    _BUDGET: "iteration budget exhausted",
+    _REJECTED: "step rejected at the largest damping",
+    _NONFINITE: "log-likelihood, score or information not finite at the start",
+}
 
 
-def _newton_polish(likelihood, x, theta, ll, config, trajectory):
-    """Damped Newton steps on the score until stationarity.
+def _evaluate(likelihood, x, theta):
+    """``likelihood.evaluate`` in row blocks of at most ``_BLOCK_ELEMENTS``
+    elements per temporary, so memory stays bounded for large samples."""
+    rows = max(1, _BLOCK_ELEMENTS // x.size)
+    if theta.shape[0] <= rows:
+        return likelihood.evaluate(x, theta)
+    blocks = [likelihood.evaluate(x, theta[i : i + rows]) for i in range(0, len(theta), rows)]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
-    A step is accepted when it improves the log-likelihood, or when it
-    shrinks the score norm without losing more likelihood than a couple of
-    ulps -- near the optimum genuine Newton progress changes the likelihood
-    by less than double precision can represent.  Only true improvements
-    enter the trajectory, which therefore stays nondecreasing.
+
+def _log_space(theta, grad, info):
+    """Gradient g = theta * score and negative Hessian
+    H = D I D - diag(g), D = diag(theta), of each row in z = ln theta, and
+    whether every entry of the row is finite."""
+    with np.errstate(all="ignore"):
+        g = grad * theta
+        h = theta[:, :, None] * theta[:, None, :] * info
+        diagonal = np.arange(theta.shape[1])
+        h[:, diagonal, diagonal] -= g
+    finite = np.all(np.isfinite(g), axis=1) & np.all(np.isfinite(h), axis=(1, 2))
+    return g, h, finite
+
+
+def _damped_steps(g, h, damping):
+    """One damped Newton step per row: with H = V diag(e) V^T, the step is
+    V diag(1 / (|e| + damping max|e|)) V^T g -- the Newton step where H is
+    positive definite and the damping small, an ascent direction always."""
+    e, v = np.linalg.eigh(h)
+    abs_e = np.abs(e)
+    scale = abs_e + damping[:, None] * abs_e.max(axis=1)[:, None]
+    return (v @ ((g[:, None, :] @ v)[:, 0] / scale)[:, :, None])[:, :, 0]
+
+
+def _newton(likelihood, x, z0, config):
+    """Damped Newton ascent of every start at once (see the module notes);
+    the rows of ``z0`` are the starts in log-parameters.
+
+    Each pass evaluates one trial step for every start still active.  Returns
+    the final parameters, log-likelihood, score and information per start,
+    its stop code, accepted steps, kernel passes and the log-likelihoods of
+    its improving steps.
     """
-    iterations = 0
-    last_change = math.inf
-    score_vec = likelihood.score(x, theta)
-    for _ in range(config.polish_iter):
-        norm = float(np.max(np.abs(score_vec)))
-        if norm <= config.score_tol and last_change <= config.rel_ll_tol * (1.0 + abs(ll)):
+    z = np.array(z0, dtype=float)
+    m = z.shape[0]
+    theta = np.exp(z)
+    ll, grad, info = _evaluate(likelihood, x, theta)
+    g, h, finite = _log_space(theta, grad, info)
+    norm = np.max(np.abs(grad), axis=1)
+    stop = np.where(np.isfinite(ll) & finite, _ACTIVE, _NONFINITE)
+    iterations = np.zeros(m, dtype=int)
+    evaluations = np.ones(m, dtype=int)
+    damping = np.full(m, _DAMPING_START)
+    growth = np.full(m, 2.0)
+    change = np.full(m, math.inf)
+    trajectories = [[float(value)] for value in ll]
+    active = np.flatnonzero(stop == _ACTIVE)
+    while True:
+        settled = (norm[active] <= config.score_tol) & (
+            change[active] <= config.rel_ll_tol * (1.0 + np.abs(ll[active])))
+        stop[active] = np.where(
+            settled, _CONVERGED, np.where(
+                evaluations[active] > config.max_iter, _BUDGET, np.where(
+                    damping[active] > _DAMPING_MAX, _REJECTED, _ACTIVE)))
+        active = active[stop[active] == _ACTIVE]
+        if active.size == 0:
             break
-        z = np.log(theta)
-        g_z = score_vec * theta
-        # Hessian in log space: -D I D + diag(theta * score), D = diag(theta)
-        with np.errstate(all="ignore"):
-            h_z = (theta[:, None] * theta[None, :]) * likelihood.info(x, theta) - np.diag(g_z)
-        if not np.all(np.isfinite(h_z)):
-            break
-        try:
-            step = np.linalg.solve(h_z, g_z)
-        except np.linalg.LinAlgError:
-            step = g_z / max(1.0, float(np.max(np.abs(np.diag(h_z)))))
-        if not np.all(np.isfinite(step)):
-            break
-        slack = 4.0 * np.finfo(float).eps * (1.0 + abs(ll))
-        damp = 1.0
-        accepted = False
-        for _ in range(40):
-            with np.errstate(over="ignore"):
-                cand = np.exp(z + damp * step)
-            if np.all(np.isfinite(cand)) and np.all(cand > 0.0):
-                ll_cand = likelihood.loglik(x, cand)
-                if ll_cand > ll:
-                    last_change = (ll_cand - ll) / (1.0 + abs(ll_cand))
-                    theta, ll = cand, ll_cand
-                    trajectory.append(ll)
-                    score_vec = likelihood.score(x, theta)
-                    accepted = True
-                    break
-                if ll_cand >= ll - slack:
-                    cand_score = likelihood.score(x, cand)
-                    if np.max(np.abs(cand_score)) < norm:
-                        last_change = 0.0
-                        theta, score_vec = cand, cand_score
-                        accepted = True
-                        break
-            damp *= 0.5
-        iterations += 1
-        if not accepted:
-            break  # stationary to line-search resolution; further passes are identical
-    return theta, float(likelihood.loglik(x, theta)), iterations
+        z_t = z[active] + _damped_steps(g[active], h[active], damping[active])
+        with np.errstate(over="ignore"):
+            theta_t = np.exp(z_t)
+        ll_t, grad_t, info_t = _evaluate(likelihood, x, theta_t)
+        g_t, h_t, finite_t = _log_space(theta_t, grad_t, info_t)
+        norm_t = np.max(np.abs(grad_t), axis=1)
+        ll_a = ll[active]
+        better = ll_t > ll_a
+        close = (ll_t >= ll_a - _SLACK * (1.0 + np.abs(ll_a))) & (norm_t < norm[active])
+        accept = finite_t & (better | close)
+        evaluations[active] += 1
+        change[active] = np.abs(ll_t - ll_a)  # inf for a non-representable trial
 
+        rows = active[accept]
+        z[rows], theta[rows], ll[rows] = z_t[accept], theta_t[accept], ll_t[accept]
+        grad[rows], info[rows], norm[rows] = grad_t[accept], info_t[accept], norm_t[accept]
+        g[rows], h[rows] = g_t[accept], h_t[accept]
+        iterations[rows] += 1
+        damping[rows] = np.maximum(damping[rows] / 3.0, _DAMPING_MIN)
+        growth[rows] = 2.0
+        for i in rows[better[accept]]:
+            trajectories[i].append(float(ll[i]))
 
-def _run_start(likelihood, x, z0, config, index):
-    trajectory = []
-
-    def objective(z):
-        with np.errstate(all="ignore"):
-            theta = np.exp(z)
-            ll = likelihood.loglik(x, theta)
-            if not math.isfinite(ll):
-                return 1e100, np.zeros_like(z)
-            grad = -likelihood.score(x, theta) * theta
-        return -ll, grad
-
-    def track(z):
-        trajectory.append(likelihood.loglik(x, np.exp(z)))
-
-    res = minimize(
-        objective,
-        np.asarray(z0, dtype=float),
-        jac=True,
-        method="L-BFGS-B",
-        callback=track,
-        options=dict(maxiter=config.max_iter, ftol=1e-15, gtol=1e-12),
-    )
-    theta = np.exp(res.x)
-    ll = likelihood.loglik(x, theta)
-    theta, ll, polish_iters = _newton_polish(likelihood, x, theta, ll, config, trajectory)
-    s = likelihood.score(x, theta)
-    score_norm = float(np.max(np.abs(s)))
-    changes = np.diff(trajectory[-2:]) if len(trajectory) >= 2 else np.array([0.0])
-    converged = (
-        math.isfinite(ll)
-        and score_norm <= config.score_tol
-        and abs(float(changes[-1])) <= config.rel_ll_tol * (1.0 + abs(ll))
-    )
-    diag = StartDiagnostics(
-        index=index,
-        theta0=tuple(np.exp(z0)),
-        log_likelihood=ll,
-        score_inf_norm=score_norm,
-        converged=converged,
-        iterations=int(res.nit) + polish_iters,
-        message=str(res.message),
-    )
-    return theta, ll, s, diag, trajectory
+        rows = active[~accept]
+        damping[rows] *= growth[rows]
+        growth[rows] *= 2.0
+    return theta, ll, grad, info, stop, iterations, evaluations, trajectories
 
 
 def covariance_from_information(info):
@@ -444,64 +467,55 @@ def confidence_intervals(fit, level=0.95):
 def fit_family(data, likelihood, config=None):
     """Maximize a family's log-likelihood over the positive orthant.
 
-    Multi-start quasi-Newton with the analytic score, polished by Newton
-    steps with the analytic information; the best converged start wins
+    All starts advance together by damped Newton steps in log-parameters
+    with the analytic score and information; the best converged start wins
     (ties broken by start index).  Raises :class:`ConvergenceError` with all
     per-start diagnostics when no start meets the dual stationarity /
-    likelihood-change criterion, and :class:`NumericError` when the
-    information at the optimum is not finite.
+    likelihood-change criterion.
     """
     config = config or OptimizerConfig()
-    x = data.times
-    starts = likelihood.starts(config)
-    results = []
-    diagnostics = []
-    for index, z0 in enumerate(starts):
-        try:
-            theta, ll, s, diag, trajectory = _run_start(likelihood, x, z0, config, index)
-        except (FloatingPointError, np.linalg.LinAlgError) as exc:  # pragma: no cover
-            diagnostics.append(
-                StartDiagnostics(
-                    index=index,
-                    theta0=tuple(np.exp(z0)),
-                    log_likelihood=-math.inf,
-                    score_inf_norm=math.inf,
-                    converged=False,
-                    iterations=0,
-                    message=f"start failed: {exc}",
-                )
-            )
-            continue
-        diagnostics.append(diag)
-        if diag.converged:
-            results.append((ll, index, theta, s, diag, trajectory))
-    if not results:
+    z0 = np.asarray(likelihood.starts(config), dtype=float)
+    theta, ll, grad, info, stop, iterations, evaluations, trajectories = _newton(
+        likelihood, data.times, z0, config)
+    diagnostics = tuple(
+        StartDiagnostics(
+            index=i,
+            theta0=tuple(np.exp(z0[i])),
+            log_likelihood=float(ll[i]),
+            score_inf_norm=float(np.max(np.abs(grad[i]))),
+            converged=bool(stop[i] == _CONVERGED),
+            iterations=int(iterations[i]),
+            message=_STOP_MESSAGES[stop[i]],
+            evaluations=int(evaluations[i]),
+        )
+        for i in range(len(z0))
+    )
+    converged = [d.index for d in diagnostics if d.converged]
+    if not converged:
         raise ConvergenceError(
             "no optimizer start converged; inspect per-start diagnostics",
-            diagnostics=diagnostics,
+            diagnostics=list(diagnostics),
         )
-    results.sort(key=lambda item: (-item[0], item[1]))
-    ll, _, theta, s, best_diag, trajectory = results[0]
-    info = _information(likelihood, x, theta)
-    covariance, cond = covariance_from_information(info)
+    best = min(converged, key=lambda i: (-ll[i], i))
+    covariance, cond = covariance_from_information(info[best])
     if covariance is not None:
-        intervals = interval_bounds(theta, np.diag(covariance), config.level)
+        intervals = interval_bounds(theta[best], np.diag(covariance), config.level)
     else:
-        intervals = (None,) * theta.size
+        intervals = (None,) * theta.shape[1]
     return FitResult(
-        estimates=theta,
-        log_likelihood=ll,
-        score_at_optimum=s,
-        observed_information=info,
+        estimates=theta[best],
+        log_likelihood=float(ll[best]),
+        score_at_optimum=grad[best],
+        observed_information=info[best],
         covariance=covariance,
         condition_number=cond,
         confidence_intervals=intervals,
         confidence_level=config.level,
-        converged=best_diag.converged,
-        iterations=best_diag.iterations,
-        multistart_best_of=len(starts),
-        trajectory=tuple(trajectory),
-        starts=tuple(diagnostics),
+        converged=True,
+        iterations=int(iterations[best]),
+        multistart_best_of=len(z0),
+        trajectory=tuple(trajectories[best]),
+        starts=diagnostics,
     )
 
 

@@ -191,65 +191,56 @@ def _two_param_starts(config):
     return _TWO_PARAM_STARTS
 
 
-def _unit_shapes(theta):
-    """Flexible Weibull (alpha, beta) as the four-parameter point with p = q = 1."""
-    return (theta[0], theta[1], 1.0, 1.0)
+def _fw_evaluate(x, theta):
+    """Flexible Weibull (alpha, beta) rows as four-parameter rows with p = q = 1."""
+    ll, grad, info = inference._bfw_evaluate(x, np.column_stack([theta, np.ones_like(theta)]))
+    return ll, grad[:, :2], info[:, :2, :2]
 
 
-_FW = inference.Likelihood(
-    loglik=lambda x, theta: inference._loglik_raw(x, _unit_shapes(theta)),
-    score=lambda x, theta: inference._score_raw(x, _unit_shapes(theta))[:2],
-    info=lambda x, theta: inference._info_raw(x, _unit_shapes(theta))[:2, :2],
-    starts=_two_param_starts,
-    names=("alpha", "beta"),
-)
+_FW = inference.Likelihood(evaluate=_fw_evaluate, starts=_two_param_starts, names=("alpha", "beta"))
+
+
+def _weibull_evaluate(x, theta, order=2):
+    """Log-likelihood (m,), score (m, 2) and observed information (m, 2, 2)
+    of a batch of scale-form rows (shape k, scale s); parts above ``order``
+    are None.  With z = x/s and l = ln z: the score is
+    (n/k + sum l - sum z^k l, k (sum z^k - n)/s), and the information
+    I_kk = n/k^2 + sum z^k l^2, I_ks = (n - sum z^k - k sum z^k l)/s,
+    I_ss = k ((k + 1) sum z^k - n)/s^2."""
+    n = x.size
+    shape, scale = theta.T
+    with np.errstate(all="ignore"):
+        log_scale = np.log(scale)
+        z = x / scale[:, None]
+        log_z = np.log(z)
+        zs = z ** shape[:, None]
+        sum_zs = np.sum(zs, axis=-1)
+        sum_log_x = np.sum(np.log(x))
+        ll = n * np.log(shape) - n * shape * log_scale + (shape - 1.0) * sum_log_x - sum_zs
+        ll = np.where(np.isfinite(ll), ll, -np.inf)
+        if order == 0:
+            return ll, None, None
+        zs_log_z = np.sum(zs * log_z, axis=-1)
+        d_shape = n / shape - n * log_scale + sum_log_x - zs_log_z
+        grad = np.column_stack([d_shape, shape / scale * (sum_zs - n)])
+        if order == 1:
+            return ll, grad, None
+        i_ks = (n - sum_zs - shape * zs_log_z) / scale
+        info = np.empty((theta.shape[0], 2, 2))
+        info[:, 0, 0] = n / shape**2 + np.sum(zs * log_z**2, axis=-1)
+        info[:, 0, 1] = info[:, 1, 0] = i_ks
+        info[:, 1, 1] = shape * ((shape + 1.0) * sum_zs - n) / scale**2
+    return ll, grad, info
 
 
 def weibull_loglik_grad(x, shape, scale):
     """Log-likelihood and its (shape, scale) gradient for the scale form."""
-    n = x.size
-    log_x = np.log(x)
-    zs = (x / scale) ** shape
-    ll = n * math.log(shape) - n * shape * math.log(scale) + (shape - 1.0) * log_x.sum() - zs.sum()
-    d_shape = (
-        n / shape - n * math.log(scale) + log_x.sum() - np.sum(zs * (log_x - math.log(scale)))
-    )
-    d_scale = (shape / scale) * (zs.sum() - n)
-    return ll, np.array([d_shape, d_scale])
-
-
-def _weibull_loglik(x, theta):
-    with np.errstate(all="ignore"):
-        ll = weibull_loglik_grad(x, *theta)[0]
-    return ll if math.isfinite(ll) else -math.inf
-
-
-def _weibull_score(x, theta):
-    with np.errstate(all="ignore"):
-        return weibull_loglik_grad(x, *theta)[1]
-
-
-def _weibull_info(x, theta):
-    """Observed information in (shape k, scale s).  With z = x/s and l = ln z:
-    I_kk = n/k^2 + sum z^k l^2, I_ks = (n - sum z^k - k sum z^k l)/s and
-    I_ss = k ((k + 1) sum z^k - n)/s^2."""
-    shape, scale = theta
-    n = x.size
-    with np.errstate(all="ignore"):
-        z = x / scale
-        log_z = np.log(z)
-        zs = z**shape
-        sum_zs = zs.sum()
-        i_kk = n / shape**2 + np.sum(zs * log_z**2)
-        i_ks = (n - sum_zs - shape * np.sum(zs * log_z)) / scale
-        i_ss = shape * ((shape + 1.0) * sum_zs - n) / scale**2
-    return np.array([[i_kk, i_ks], [i_ks, i_ss]])
+    ll, grad, _ = _weibull_evaluate(x, np.array([[shape, scale]], dtype=float), order=1)
+    return ll[0], grad[0]
 
 
 _WEIBULL = inference.Likelihood(
-    loglik=_weibull_loglik,
-    score=_weibull_score,
-    info=_weibull_info,
+    evaluate=_weibull_evaluate,
     starts=_two_param_starts,
     names=("shape", "scale"),
 )

@@ -17,8 +17,10 @@ from bfw import (
     confidence_intervals,
     covariance_from_information,
     fit_mle,
+    inference,
     interval_bounds,
     log_likelihood,
+    model_selection,
     observed_information,
     score,
     std_normal_quantile,
@@ -227,7 +229,7 @@ class TestFitMle:
             fit_mle(Dataset(times=np.array([1.0, 2.0, 3.0, 4.0])))
 
     def test_convergence_error_carries_diagnostics(self, pumps):
-        config = OptimizerConfig(starts=2, max_iter=1, polish_iter=0, score_tol=1e-16)
+        config = OptimizerConfig(starts=2, max_iter=1, score_tol=1e-16)
         with pytest.raises(ConvergenceError) as excinfo:
             fit_mle(pumps, config)
         assert len(excinfo.value.diagnostics) == 2
@@ -237,6 +239,139 @@ class TestFitMle:
         b = fit_mle(pumps)
         assert a.log_likelihood == b.log_likelihood
         assert np.array_equal(a.estimates.as_array(), b.estimates.as_array())
+
+
+def weibull_reference(x, theta):
+    """Scale-form Weibull log-likelihood, score and information, term by term."""
+    k, s = theta
+    n = x.size
+    z = x / s
+    lz = np.log(z)
+    zk = z**k
+    ll = np.sum(np.log(k / s) + (k - 1.0) * lz - zk)
+    grad = np.array([n / k + np.sum(lz) - np.sum(zk * lz), k / s * (np.sum(zk) - n)])
+    i_ks = (n - np.sum(zk) - k * np.sum(zk * lz)) / s
+    info = np.array([[n / k**2 + np.sum(zk * lz**2), i_ks],
+                     [i_ks, k * ((k + 1.0) * np.sum(zk) - n) / s**2]])
+    return ll, grad, info
+
+
+def bfw_reference(x, theta):
+    data, params = Dataset(times=x), BFWParams(*theta)
+    return log_likelihood(data, params), score(data, params), observed_information(data, params)
+
+
+def fw_reference(x, theta):
+    ll, grad, info = bfw_reference(x, (theta[0], theta[1], 1.0, 1.0))
+    return ll, grad[:2], info[:2, :2]
+
+
+BATCH_CASES = [
+    ("bfw", inference.BFW, bfw_reference),
+    ("fw", model_selection._FW, fw_reference),
+    ("weibull", model_selection._WEIBULL, weibull_reference),
+]
+
+
+class TestBatchKernels:
+    @pytest.mark.parametrize("name, likelihood, reference", BATCH_CASES)
+    @pytest.mark.parametrize("n", [23, 1000])
+    def test_rows_match_the_one_point_kernels(self, name, likelihood, reference, n):
+        x = bfw_sample(n, BFWParams(0.5, 0.5, 2.0, 2.0), seed=n)
+        k = len(likelihood.names)
+        theta = np.exp(np.random.default_rng(n).uniform(-1.5, 1.5, (16, k)))
+        ll, grad, info = likelihood.evaluate(x, theta)
+        assert ll.shape == (16,) and grad.shape == (16, k) and info.shape == (16, k, k)
+        for row in range(16):
+            ref_ll, ref_grad, ref_info = reference(x, theta[row])
+            assert ll[row] == pytest.approx(ref_ll, rel=1e-13)
+            assert np.all(np.abs(grad[row] - ref_grad) <= 1e-13 * np.abs(ref_grad))
+            assert np.all(np.abs(info[row] - ref_info) <= 1e-13 * np.abs(ref_info))
+
+    @pytest.mark.parametrize("name, likelihood, reference", BATCH_CASES)
+    def test_unrepresentable_row_is_minus_inf_and_isolated(self, name, likelihood, reference,
+                                                          pumps):
+        x = pumps.times
+        k = len(likelihood.names)
+        theta = np.exp(np.random.default_rng(1).uniform(-1.0, 1.0, (4, k)))
+        clean = likelihood.evaluate(x, theta)
+        theta[2, 0] = math.inf
+        dirty = likelihood.evaluate(x, theta)
+        assert dirty[0][2] == -math.inf
+        keep = [0, 1, 3]
+        for got, want in zip(dirty, clean):
+            assert np.array_equal(got[keep], want[keep])
+
+    def test_row_blocks_leave_each_row_unchanged(self):
+        # n = 5000 splits 16 rows into blocks; every row equals its own evaluation
+        x = bfw_sample(5000, BFWParams(0.5, 0.5, 2.0, 2.0), seed=5)
+        theta = np.exp(np.random.default_rng(5).uniform(-1.0, 1.0, (16, 4)))
+        assert inference._BLOCK_ELEMENTS // x.size < 16
+        blocked = inference._evaluate(inference.BFW, x, theta)
+        for row in range(16):
+            alone = inference.BFW.evaluate(x, theta[row : row + 1])
+            for got, want in zip(blocked, alone):
+                assert np.array_equal(got[row], want[0])
+
+
+def benchmark_panel(draws_per_cell=3):
+    """The first draws of each (anchor, n) cell of the benchmark's fixed fit
+    panel (perfbench/workloads.py: panel seed 20170316, four draws a cell)."""
+    anchors = ((0.052, 0.024, 35.077, 20.328), (0.5, 0.5, 2.0, 2.0))
+    panel = np.random.default_rng(20170316)
+    for anchor, n in [(0, 50), (1, 50), (0, 200), (1, 200), (0, 1000), (1, 1000)]:
+        for i in range(4):
+            seed = int(panel.integers(2**63))
+            if i < draws_per_cell:
+                truth = BFWParams(*anchors[anchor])
+                data = Dataset(times=bfw_sample(n, truth, seed=seed))
+                yield f"anchor{anchor}-n{n}-{i}", data, truth
+
+
+class TestBatchedNewton:
+    def test_panel_converges_above_the_truth_or_raises(self):
+        outcomes = []
+        for label, data, truth in benchmark_panel():
+            try:
+                fit = fit_mle(data)
+            except ConvergenceError as exc:
+                assert [d.index for d in exc.diagnostics] == list(range(16)), label
+                outcomes.append("raised")
+                continue
+            assert np.max(np.abs(fit.score_at_optimum)) <= 1e-6, label
+            assert fit.log_likelihood >= log_likelihood(data, truth) - 1e-6, label
+            outcomes.append("converged")
+        assert outcomes.count("converged") >= 12
+
+    def test_start_diagnostics_explain_each_stop(self, pumps):
+        config = OptimizerConfig()
+        fit = fit_mle(pumps, config)
+        reasons = {"converged", "iteration budget", "step rejected", "log-likelihood, score"}
+        for diag in fit.starts:
+            assert any(diag.message.startswith(reason) for reason in reasons)
+            assert diag.converged == diag.message.startswith("converged")
+            assert diag.iterations < diag.evaluations <= config.max_iter + 1
+        best = [d for d in fit.starts if d.converged and d.log_likelihood == fit.log_likelihood]
+        assert fit.iterations == best[0].iterations
+
+    def test_budget_bounds_kernel_passes(self, pumps):
+        config = OptimizerConfig(max_iter=3)
+        with pytest.raises(ConvergenceError) as excinfo:
+            fit_mle(pumps, config)
+        for diag in excinfo.value.diagnostics:
+            assert diag.evaluations == 4
+            assert diag.message == "iteration budget exhausted"
+
+    def test_fresh_process_fit_is_bit_identical(self, pumps):
+        fit = fit_mle(pumps)
+        code = (
+            "import bfw; f = bfw.fit_mle(bfw.ingest('pumps')); "
+            "print(*(float(v).hex() for v in (*f.estimates.as_array(), f.log_likelihood)))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        expected = [float(v).hex() for v in (*fit.estimates.as_array(), fit.log_likelihood)]
+        assert out.stdout.split() == expected
 
 
 class TestConfidenceIntervals:
@@ -289,6 +424,17 @@ def test_import_leaves_scipy_stats_unloaded():
     code = (
         "import sys, bfw; print('scipy.stats' in sys.modules); "
         "bfw.fit_mle(bfw.ingest('pumps')); print('scipy.stats' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "False"]
+
+
+def test_fitting_and_mode_leave_scipy_optimize_unloaded():
+    # the fitter and the mode search are self-contained; scipy.optimize is not imported
+    code = (
+        "import sys, bfw; print('scipy.optimize' in sys.modules); "
+        "bfw.fit_mle(bfw.ingest('pumps')); bfw.bfw_mode(bfw.BFWParams(0.5, 0.5, 2.0, 2.0)); "
+        "print('scipy.optimize' in sys.modules)"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["False", "False"]

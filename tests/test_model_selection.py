@@ -271,7 +271,7 @@ class TestFamilyProtocol:
     @pytest.mark.parametrize("theta", [(0.8, 1.4), (0.80773, 1.3915), (2.5, 0.3)])
     def test_weibull_information(self, pumps, theta):
         x = pumps.times
-        info = model_selection._weibull_info(x, np.array(theta))
+        info = model_selection._weibull_evaluate(x, np.array([theta]))[2][0]
         numeric = np.empty((2, 2))
         for j in range(2):
             step = 1e-6 * theta[j]
@@ -331,7 +331,7 @@ class TestFamilyProtocol:
         assert fw.multistart_best_of == weibull.multistart_best_of == 4
 
     def test_unconverged_two_parameter_fit_is_an_error_row(self, pumps):
-        config = OptimizerConfig(max_iter=1, polish_iter=0)
+        config = OptimizerConfig(max_iter=1)
         with pytest.raises(ConvergenceError):
             get_family("weibull", optimizer_config=config).fit(pumps)
         table = compare_models(pumps, [get_family("fw", optimizer_config=config)])
