@@ -19,18 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special
-from ._stable import clamped_exp, u_over_expm1
+from ._stable import _ret, clamped_exp, fw_tail_terms
 from .errors import DomainError, NoInteriorModeError, SaturationError
-from .flexible_weibull import (
-    FWParams,
-    _check_u,
-    _check_x,
-    _ret,
-    _w,
-    fw_cdf,
-    fw_log_cdf,
-    fw_quantile,
-)
+from .flexible_weibull import FWParams, _check_u, _check_x, _w, fw_cdf, fw_quantile
 
 __all__ = [
     "BFWParams",
@@ -87,13 +78,15 @@ def bfw_log_pdf(x, params):
     arr = _check_x(x)
     base = params.base
     w = _w(arr, base)
+    ew = clamped_exp(w)
+    ln_f = fw_tail_terms(w, ew)[0]
     amp = np.log(base.alpha + base.beta / arr**2)
     lnorm = (
         special.log_gamma(params.p + params.q)
         - special.log_gamma(params.p)
         - special.log_gamma(params.q)
     )
-    out = lnorm + amp + w - params.q * clamped_exp(w) + (params.p - 1.0) * fw_log_cdf(arr, base)
+    out = lnorm + amp + w - params.q * ew + (params.p - 1.0) * ln_f
     return _ret(out)
 
 
@@ -173,15 +166,19 @@ def mode_equation(x, params):
 
     -2 beta / x^3 + (alpha + beta/x^2)^2 [1 - q e^w + (p-1) e^w/(e^{e^w}-1)];
     positive where the density rises and negative where it falls.  The
-    final factor is evaluated as e^w / expm1(e^w) so neither tail overflows.
+    final factor comes from :func:`bfw._stable.fw_tail_terms`, which
+    neither tail overflows.
     """
     arr = _check_x(x)
     base = params.base
-    ew = clamped_exp(_w(arr, base))
-    amp = base.alpha + base.beta / arr**2
+    w = _w(arr, base)
+    ew = clamped_exp(w)
+    x2 = arr * arr
+    amp = base.alpha + base.beta / x2
+    ratio = fw_tail_terms(w, ew, log_cdf=False, ratio=True)[1]
     with np.errstate(over="ignore"):
-        bracket = 1.0 - params.q * ew + (params.p - 1.0) * u_over_expm1(ew)
-        out = -2.0 * base.beta / arr**3 + amp * amp * bracket
+        bracket = 1.0 - params.q * ew + (params.p - 1.0) * ratio
+        out = -2.0 * base.beta / (arr * x2) + amp * amp * bracket
     return _ret(out)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._stable import clamped_exp, log1mexp
+from ._stable import _ret, clamped_exp, fw_tail_terms
 from .errors import DomainError
 
 __all__ = ["FWParams", "fw_cdf", "fw_pdf", "fw_log_pdf", "fw_log_cdf", "fw_sf", "fw_quantile"]
@@ -48,10 +48,6 @@ def _check_u(u):
     return arr
 
 
-def _ret(arr):
-    return float(arr) if np.ndim(arr) == 0 else arr
-
-
 def _w(x, params):
     return params.alpha * x - params.beta / x
 
@@ -72,7 +68,7 @@ def fw_log_cdf(x, params):
     """ln F(x), finite for every representable positive x."""
     arr = _check_x(x)
     w = _w(arr, params)
-    return _ret(log1mexp(clamped_exp(w), log_v=w))
+    return _ret(fw_tail_terms(w, clamped_exp(w))[0])
 
 
 def fw_pdf(x, params):

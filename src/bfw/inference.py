@@ -49,7 +49,7 @@ import numpy as np
 from scipy.special import gammaln, psi, zeta
 
 from . import special
-from ._stable import clamped_exp, expm1_curvature, log1mexp, u_over_expm1
+from ._stable import clamped_exp, fw_tail_terms
 from .core import BFWParams
 from .errors import ConvergenceError, DomainError, NumericError
 
@@ -109,18 +109,22 @@ def _bfw_evaluate(x, theta, order=2):
     plus for ``order`` >= 1 the score (m, 4) and for ``order`` 2 the observed
     information (m, 4, 4); parts not asked for are None.
 
-    w, e^w and ln(1 - e^{-e^w}) are formed once and shared by all three.
-    Each row is reduced on its own, so its values do not depend on the other
-    rows; a row whose log-likelihood is not representable gives -inf.
+    w, e^w and the tail terms are formed once and shared by all three: ln F =
+    ln(1 - e^{-e^w}), and for the score and information the ratio
+    e^w/(e^{e^w} - 1) and its curvature, all from one survival e^{-e^w} and
+    one cdf 1 - e^{-e^w} per element (:func:`bfw._stable.fw_tail_terms`,
+    which switches the curvature to its series below e^w = 1e-2).  Each row
+    is reduced on its own, so its values do not depend on the other rows; a
+    row whose log-likelihood is not representable gives -inf.
     """
     n = x.size
-    x2 = x**2
+    x2 = x * x
     a, b, p, q = theta.T
     ac, bc = a[:, None], b[:, None]
     with np.errstate(all="ignore"):
         w = ac * x - bc / x
         ew = clamped_exp(w)
-        ln_f = log1mexp(ew, log_v=w)
+        ln_f, ratio, curv = fw_tail_terms(w, ew, ratio=order >= 1, curvature=order == 2)
         sum_ew = _rowsum(ew)
         sum_ln_f = _rowsum(ln_f)
         shapes = np.stack([p + q, p, q])
@@ -136,7 +140,6 @@ def _bfw_evaluate(x, theta, order=2):
         ll = np.where(np.isfinite(ll), ll, -np.inf)
         if order == 0:
             return ll, None, None
-        ratio = u_over_expm1(ew)  # e^w / (e^{e^w} - 1)
         denom = bc + ac * x2
         x_ew = _rowsum(x * ew)
         x_ratio = _rowsum(x * ratio)
@@ -150,12 +153,11 @@ def _bfw_evaluate(x, theta, order=2):
         grad[:, 3] = n * digamma[0] - n * digamma[2] - sum_ew
         if order == 1:
             return ll, grad, None
-        curv = expm1_curvature(ew)
         denom2 = denom**2
         trigamma = zeta(2.0, shapes)  # polygamma(1, s) = zeta(2, s), bit for bit
         info = np.empty((theta.shape[0], 4, 4))
         info[:, 0, 0] = (
-            _rowsum(x**4 / denom2) + q * _rowsum(x2 * ew) - (p - 1.0) * _rowsum(x2 * curv)
+            _rowsum(x2 * x2 / denom2) + q * _rowsum(x2 * ew) - (p - 1.0) * _rowsum(x2 * curv)
         )
         info[:, 0, 1] = _rowsum(x2 / denom2) - q * sum_ew + (p - 1.0) * _rowsum(curv)
         info[:, 0, 2] = -x_ratio

@@ -15,7 +15,8 @@ import numpy as np
 from . import special
 from .core import bfw_cdf, bfw_log_pdf, bfw_pdf
 from .errors import DomainError, ExpansionStabilityError
-from .flexible_weibull import _check_x, _ret
+from ._stable import _ret
+from .flexible_weibull import _check_x
 
 __all__ = ["OrderIndex", "order_stat_pdf", "order_stat_log_pdf", "order_stat_pdf_expansion"]
 

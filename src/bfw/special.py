@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import special as _sp
 
+from ._stable import _ret
 from .errors import DomainError
 
 __all__ = [
@@ -37,10 +38,6 @@ def _checked(x, name, lower=None, upper=None, open_lower=False, open_upper=False
         if not np.all(ok):
             raise DomainError(f"{name} must be {'<' if open_upper else '<='} {upper}")
     return arr
-
-
-def _ret(arr):
-    return float(arr) if np.ndim(arr) == 0 else arr
 
 
 def log_gamma(x):

@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -312,6 +313,156 @@ class TestBatchKernels:
             alone = inference.BFW.evaluate(x, theta[row : row + 1])
             for got, want in zip(blocked, alone):
                 assert np.array_equal(got[row], want[0])
+
+
+def mp_reference(x, theta, dps=30):
+    """Log-likelihood, score and information of one (alpha, beta, p, q) row,
+    term by term in mpmath at ``dps`` digits, each with an error scale for
+    a double-precision evaluation: eps times the sum of |terms| plus the
+    rounding of w = alpha x - beta / x propagated through each term.
+
+    Per observation, with u = e^w, S = e^{-u}, F = 1 - S, r = u S / F and
+    c = dr/dw, the additive terms are ln(alpha + beta/x^2) + w - q u +
+    (p - 1) ln F for the log-likelihood; x^2/D + x - q u x + (p - 1) x r,
+    1/D - 1/x + q u/x - (p - 1) r/x, psi(p+q) - psi(p) + ln F and
+    psi(p+q) - psi(q) - u for the score (D = beta + alpha x^2); and the
+    negative second derivatives of those for the information.
+    """
+    with mpmath.workdps(dps):
+        a, b, p, q = (mpmath.mpf(float(v)) for v in theta)
+        ll = mpmath.mpf(0)
+        grad = [mpmath.mpf(0)] * 4
+        info = [[mpmath.mpf(0)] * 4 for _ in range(4)]
+        ll_scale, grad_scale, info_scale = mpmath.mpf(0), [mpmath.mpf(0)] * 4, mpmath.mpf(0)
+        psi = [mpmath.digamma(s) for s in (p + q, p, q)]
+        tri = [mpmath.polygamma(1, s) for s in (p + q, p, q)]
+        norm = mpmath.loggamma(p + q) - mpmath.loggamma(p) - mpmath.loggamma(q)
+        for xi in x:
+            xi = mpmath.mpf(float(xi))
+            w = a * xi - b / xi
+            w_err = abs(a * xi) + abs(b / xi)  # rounding scale of w, divided by eps
+            u = mpmath.exp(w)
+            s = mpmath.exp(-u)
+            f = -mpmath.expm1(-u)
+            ln_f = mpmath.log(f) if s > 0.5 else mpmath.log1p(-s)
+            r = u * s / f
+            if u < mpmath.mpf("1e-5"):
+                c = -u / 2 + u**2 / 6 - u**4 / 180 + u**6 / 5040
+            else:
+                with mpmath.workdps(dps + 20):
+                    c = r * (f - u) / f
+            d = b + a * xi**2
+            terms = [norm, mpmath.log(a + b / xi**2), w, -q * u, (p - 1) * ln_f]
+            ll += mpmath.fsum(terms)
+            ll_scale += mpmath.fsum(abs(t) for t in terms) + abs(1 - q * u + (p - 1) * r) * w_err
+            score_terms = [
+                [xi**2 / d, xi, -q * u * xi, (p - 1) * xi * r],
+                [1 / d, -1 / xi, q * u / xi, -(p - 1) * r / xi],
+                [psi[0], -psi[1], ln_f],
+                [psi[0], -psi[2], -u],
+            ]
+            score_dw = [-q * u * xi + (p - 1) * xi * c, q * u / xi - (p - 1) * c / xi, r, -u]
+            for k in range(4):
+                grad[k] += mpmath.fsum(score_terms[k])
+                grad_scale[k] += (mpmath.fsum(abs(t) for t in score_terms[k])
+                                  + abs(score_dw[k]) * w_err)
+            x2 = xi**2
+            pieces = {
+                (0, 0): [x2**2 / d**2, q * u * x2, -(p - 1) * x2 * c],
+                (0, 1): [x2 / d**2, -q * u, (p - 1) * c],
+                (0, 2): [-xi * r], (0, 3): [xi * u],
+                (1, 1): [1 / d**2, q * u / x2, -(p - 1) * c / x2],
+                (1, 2): [r / xi], (1, 3): [-u / xi],
+                (2, 2): [tri[1], -tri[0]], (2, 3): [-tri[0]], (3, 3): [tri[2], -tri[0]],
+            }
+            for (j, k), part in pieces.items():
+                info[j][k] += mpmath.fsum(part)
+                info_scale += mpmath.fsum(abs(t) for t in part) * (1 + w_err)
+        for j in range(4):
+            for k in range(j):
+                info[j][k] = info[k][j]
+        return (float(ll), np.array([float(v) for v in grad]),
+                np.array([[float(v) for v in row] for row in info]),
+                float(ll_scale), np.array([float(v) for v in grad_scale]), float(info_scale))
+
+
+# (alpha, beta, p, q) rows for the pump data: the published estimates; e^w
+# below the 1e-2 series switch at the smallest times; e^w ~ 720 (survival
+# subnormal) and ~ 1300 (survival zero) at the largest; p < 1
+KERNEL_ROWS = [
+    (0.052, 0.024, 35.077, 20.328),
+    (0.5, 0.5, 2.0, 2.0),
+    (1.0145, 0.5, 2.0, 0.5),
+    (1.1, 0.5, 2.0, 0.5),
+    (0.3, 2.0, 0.4, 3.0),
+]
+# where starts of fit_mle(pumps) stop on the iteration budget (ln theta),
+# and a row whose e^w terms overflow (log-likelihood -inf)
+EXTREME_ROWS = [
+    tuple(np.exp([14.7264, 18.4884, -19.6947, -16.4752])),
+    tuple(np.exp([14.9946, 18.7566, -19.971, -16.879])),
+    tuple(np.exp([3.1828, 4.5339, -5.4687, -94.713])),
+    tuple(np.exp([3.8543, -6.1362, 1.0074, -94.8592])),
+    (3.0, 1.0, 2.0, 1e300),
+]
+
+
+class TestKernelAgainstMpmath:
+    def test_rows_reach_the_tail_regimes(self, pumps):
+        x = pumps.times
+        ew = [np.exp(a * x - b / x) for a, b, _, _ in KERNEL_ROWS]
+        assert np.any(ew[1] < 1e-2)
+        assert np.any((ew[2] > 708.4) & (ew[2] < 745.0)) and np.any(ew[3] > 745.0)
+
+    def test_reference_derivatives_match_mpmath_diff(self, pumps, published_params):
+        x = pumps.times[::4]
+        theta = published_params.as_array()
+        _, grad, info, *_ = mp_reference(x, theta)
+        with mpmath.workdps(30):
+            point = [mpmath.mpf(float(v)) for v in theta]
+
+            def loglik(a, b, p, q):
+                total = len(x) * (mpmath.loggamma(p + q) - mpmath.loggamma(p)
+                                  - mpmath.loggamma(q))
+                for xi in x:
+                    xi = mpmath.mpf(float(xi))
+                    w = a * xi - b / xi
+                    total += (mpmath.log(a + b / xi**2) + w - q * mpmath.exp(w)
+                              + (p - 1) * mpmath.log(-mpmath.expm1(-mpmath.exp(w))))
+                return total
+
+            for j in range(4):
+                order = tuple(int(i == j) for i in range(4))
+                assert float(mpmath.diff(loglik, point, order)) == pytest.approx(grad[j],
+                                                                                rel=1e-12)
+                for k in range(j, 4):
+                    order = tuple(int(i == j) + int(i == k) for i in range(4))
+                    assert -float(mpmath.diff(loglik, point, order)) == pytest.approx(
+                        info[j, k], rel=1e-10)
+
+    @pytest.mark.parametrize("theta", KERNEL_ROWS)
+    def test_kernel_matches_the_reference(self, pumps, theta):
+        ll, grad, info = inference.BFW.evaluate(pumps.times, np.array([theta]))
+        ref_ll, ref_grad, ref_info, ll_scale, grad_scale, info_scale = mp_reference(
+            pumps.times, theta)
+        eps = np.finfo(float).eps
+        assert abs(ll[0] - ref_ll) <= 16 * eps * ll_scale
+        assert np.all(np.abs(grad[0] - ref_grad) <= 16 * eps * grad_scale)
+        assert np.all(np.abs(info[0] - ref_info) <= 16 * eps * info_scale)
+
+    @pytest.mark.parametrize("theta", EXTREME_ROWS)
+    def test_extreme_rows_are_finite_exactly_where_the_reference_is(self, pumps, theta):
+        ll, grad, info = inference.BFW.evaluate(pumps.times, np.array([theta]))
+        ref_ll, ref_grad, ref_info, ll_scale, grad_scale, info_scale = mp_reference(
+            pumps.times, theta)
+        assert np.isfinite(ll[0]) == np.isfinite(ref_ll)
+        if np.isfinite(ref_ll):
+            eps = np.finfo(float).eps
+            assert abs(ll[0] - ref_ll) <= 16 * eps * ll_scale
+            assert np.all(np.abs(grad[0] - ref_grad) <= 16 * eps * grad_scale)
+            assert np.all(np.abs(info[0] - ref_info) <= 16 * eps * info_scale)
+        else:
+            assert ll[0] == -math.inf
 
 
 def benchmark_panel(draws_per_cell=3):
