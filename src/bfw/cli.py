@@ -2,8 +2,9 @@
 
 Subcommands: ``fit``, ``compare``, ``sample``, ``eval`` and ``km``.  Results
 go to stdout (or ``--output``) as CSV or as a JSON envelope with ``meta``
-and ``result`` members.  Numbers are written with 17 significant digits so
-a text round-trip reproduces the exact double.
+and ``result`` members; a command builds only the format it writes.
+Numbers are written with 17 significant digits so a text round-trip
+reproduces the exact double.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 convergence failure,
 5 numeric failure.
@@ -166,7 +167,7 @@ def _run_fit(args):
         "multistart_best_of": fit.multistart_best_of,
         "score": [float(g) for g in fit.score_at_optimum],
     }
-    return _meta(args, seed=None), result_obj, _render_fit_csv(result_obj), EXIT_OK
+    return result_obj if args.format == "json" else _render_fit_csv(result_obj)
 
 
 def _render_fit_csv(result):
@@ -218,9 +219,8 @@ def _run_compare(args):
     config = OptimizerConfig(starts=args.starts, score_tol=args.tol)
     families = [model_selection.get_family(name, args.weibull_form, config) for name in names]
     table = model_selection.compare_models(data, families)
-    rows = []
-    for row in table.rows:
-        rows.append(
+    if args.format == "json":
+        rows = [
             {
                 "model": row.model,
                 "estimates": row.estimates,
@@ -233,8 +233,9 @@ def _run_compare(args):
                 "ks": _json_value(row.ks),
                 "error": row.error,
             }
-        )
-    result = {"label": table.label, "n": table.n, "rows": rows}
+            for row in table.rows
+        ]
+        return {"label": table.label, "n": table.n, "rows": rows}
     lines = ["model,parameters,log_likelihood,minus_two_ll,aic,aicc,bic,hqic,ks,error"]
     for row in table.rows:
         params = (
@@ -249,7 +250,7 @@ def _run_compare(args):
             cells.append(_fmt(value))
         cells.append(row.error or "")
         lines.append(",".join(cells))
-    return _meta(args, seed=None), result, "\n".join(lines) + "\n", EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
 def _run_sample(args):
@@ -257,10 +258,10 @@ def _run_sample(args):
         raise DomainError("--n must be non-negative")
     values = _parse_params(args.params, 4, "bfw")
     params = BFWParams(*values)
-    draws = bfw_sample(args.n, params, args.seed)
-    result = {"values": [float(v) for v in draws]}
-    csv_text = "".join(_fmt(v) + "\n" for v in draws)
-    return _meta(args, seed=args.seed), result, csv_text, EXIT_OK
+    draws = bfw_sample(args.n, params, args.seed).tolist()
+    if args.format == "json":
+        return {"values": draws}
+    return "".join(_fmt(v) + "\n" for v in draws)
 
 
 def _run_eval(args):
@@ -273,12 +274,8 @@ def _run_eval(args):
     if np.any(survival <= 0.0):
         raise SaturationError("survival underflowed to zero on the requested grid")
     hazard = pdf / survival
-    columns = ["x", "pdf", "cdf", "survival", "hazard"]
-    rows = np.column_stack([grid, pdf, cdf, survival, hazard])
-    result = {"columns": columns, "rows": [[float(v) for v in row] for row in rows]}
-    lines = [",".join(columns)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    return _meta(args, seed=None), result, "\n".join(lines) + "\n", EXIT_OK
+    return _table(args, ["x", "pdf", "cdf", "survival", "hazard"],
+                  [grid, pdf, cdf, survival, hazard])
 
 
 def _run_km(args):
@@ -288,14 +285,20 @@ def _run_km(args):
     times = np.concatenate(([0.0], emp.times))
     ecdf_vals = np.concatenate(([emp.initial_value], emp.values))
     km_vals = np.concatenate(([km.initial_value], km.values))
-    columns = ["time", "ecdf", "km_survival"]
-    rows = np.column_stack([times, ecdf_vals, km_vals])
-    result = {"columns": columns, "rows": [[float(v) for v in row] for row in rows]}
+    return _table(args, ["time", "ecdf", "km_survival"], [times, ecdf_vals, km_vals])
+
+
+def _table(args, columns, values):
+    """The JSON result or the CSV text of equal-length numeric columns."""
+    rows = np.column_stack(values).tolist()
+    if args.format == "json":
+        return {"columns": columns, "rows": rows}
     lines = [",".join(columns)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
-    return _meta(args, seed=None), result, "\n".join(lines) + "\n", EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
+# each returns the JSON result under --format json, else the CSV text
 _COMMANDS = {
     "fit": _run_fit,
     "compare": _run_compare,
@@ -305,7 +308,7 @@ _COMMANDS = {
 }
 
 
-def _meta(args, seed):
+def _meta(args):
     config = {
         key: value
         for key, value in sorted(vars(args).items())
@@ -314,12 +317,14 @@ def _meta(args, seed):
     return {
         "command": args.command,
         "version": __version__,
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "config": config,
     }
 
 
 def _sanitize(obj):
+    if type(obj) is float:  # the bulk of every payload, so tested first
+        return None if math.isnan(obj) else obj
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -341,19 +346,19 @@ def _write(args, text):
             handle.write(text)
 
 
-def _emit(args, meta, result, csv_text):
+def _emit(args, output):
+    """Write a command's output: its CSV text, or its result in the JSON envelope."""
     if args.format == "json":
-        envelope = {"meta": _sanitize(meta), "result": _sanitize(result)}
-        _write(args, json.dumps(envelope, indent=2, allow_nan=False) + "\n")
-    else:
-        _write(args, csv_text)
+        envelope = {"meta": _sanitize(_meta(args)), "result": _sanitize(output)}
+        output = json.dumps(envelope, indent=2, allow_nan=False) + "\n"
+    _write(args, output)
 
 
 def _fail(args, code, exc):
     sys.stderr.write(f"bfw: error: {exc}\n")
     if getattr(args, "format", "csv") == "json":
         envelope = {
-            "meta": _sanitize(_meta(args, seed=getattr(args, "seed", None))),
+            "meta": _sanitize(_meta(args)),
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
         _write(args, json.dumps(envelope, indent=2, allow_nan=False) + "\n")
@@ -367,7 +372,7 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        meta, result, csv_text, exit_code = _COMMANDS[args.command](args)
+        output = _COMMANDS[args.command](args)
     except (DataFormatError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         return _fail(args, EXIT_DATA, exc)
     except ConvergenceError as exc:
@@ -376,8 +381,8 @@ def main(argv=None):
         return _fail(args, EXIT_USAGE, exc)
     except _NUMERIC_ERRORS as exc:
         return _fail(args, EXIT_NUMERIC, exc)
-    _emit(args, meta, result, csv_text)
-    return exit_code
+    _emit(args, output)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

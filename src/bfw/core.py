@@ -81,11 +81,9 @@ def bfw_log_pdf(x, params):
     ew = clamped_exp(w)
     ln_f = fw_tail_terms(w, ew)[0]
     amp = np.log(base.alpha + base.beta / arr**2)
-    lnorm = (
-        special.log_gamma(params.p + params.q)
-        - special.log_gamma(params.p)
-        - special.log_gamma(params.q)
-    )
+    # BFWParams has checked the shapes; skip log_gamma's re-validation
+    gammaln = special._scipy().gammaln
+    lnorm = gammaln(params.p + params.q) - gammaln(params.p) - gammaln(params.q)
     out = lnorm + amp + w - params.q * ew + (params.p - 1.0) * ln_f
     return _ret(out)
 

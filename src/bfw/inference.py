@@ -46,7 +46,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, psi, zeta
 
 from . import special
 from ._stable import clamped_exp, fw_tail_terms
@@ -117,6 +116,7 @@ def _bfw_evaluate(x, theta, order=2):
     is reduced on its own, so its values do not depend on the other rows; a
     row whose log-likelihood is not representable gives -inf.
     """
+    sp = special._scipy()
     n = x.size
     x2 = x * x
     a, b, p, q = theta.T
@@ -128,7 +128,7 @@ def _bfw_evaluate(x, theta, order=2):
         sum_ew = _rowsum(ew)
         sum_ln_f = _rowsum(ln_f)
         shapes = np.stack([p + q, p, q])
-        log_gamma = gammaln(shapes)
+        log_gamma = sp.gammaln(shapes)
         ll = (
             n * (log_gamma[0] - log_gamma[1] - log_gamma[2])
             + _rowsum(np.log(ac + bc / x2))
@@ -145,7 +145,7 @@ def _bfw_evaluate(x, theta, order=2):
         x_ratio = _rowsum(x * ratio)
         ew_x = _rowsum(ew / x)
         ratio_x = _rowsum(ratio / x)
-        digamma = psi(shapes)
+        digamma = sp.psi(shapes)
         grad = np.empty((theta.shape[0], 4))
         grad[:, 0] = _rowsum(x2 / denom) + np.sum(x) - q * x_ew + (p - 1.0) * x_ratio
         grad[:, 1] = _rowsum(1.0 / denom) - np.sum(1.0 / x) + q * ew_x - (p - 1.0) * ratio_x
@@ -154,7 +154,7 @@ def _bfw_evaluate(x, theta, order=2):
         if order == 1:
             return ll, grad, None
         denom2 = denom**2
-        trigamma = zeta(2.0, shapes)  # polygamma(1, s) = zeta(2, s), bit for bit
+        trigamma = sp.zeta(2.0, shapes)  # polygamma(1, s) = zeta(2, s), bit for bit
         info = np.empty((theta.shape[0], 4, 4))
         info[:, 0, 0] = (
             _rowsum(x2 * x2 / denom2) + q * _rowsum(x2 * ew) - (p - 1.0) * _rowsum(x2 * curv)

@@ -2,12 +2,18 @@
 
 Thin domain-checked wrappers over the scipy implementations.  Everything
 is pure and thread-safe.
+
+``scipy.special`` costs about as much to import as numpy, so it is loaded
+on first use through :func:`_scipy`, not when ``bfw`` is imported.  Of the
+CLI commands, ``fit``, ``compare`` and ``eval`` load it with their first
+kernel call; ``sample``, ``km`` and ``--help`` never do.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy import special as _sp
 
 from ._stable import _ret
 from .errors import DomainError
@@ -22,6 +28,15 @@ __all__ = [
     "log_beta",
     "std_normal_quantile",
 ]
+
+
+@functools.cache
+def _scipy():
+    """The ``scipy.special`` module, imported on the first call."""
+    from scipy import special
+
+    return special
+
 
 def _checked(x, name, lower=None, upper=None, open_lower=False, open_upper=False):
     arr = np.asarray(x, dtype=float)
@@ -42,7 +57,7 @@ def _checked(x, name, lower=None, upper=None, open_lower=False, open_upper=False
 
 def log_gamma(x):
     """ln Gamma(x) for x > 0."""
-    return _ret(_sp.gammaln(_checked(x, "x", lower=0.0, open_lower=True)))
+    return _ret(_scipy().gammaln(_checked(x, "x", lower=0.0, open_lower=True)))
 
 
 def polygamma(order, x):
@@ -50,7 +65,7 @@ def polygamma(order, x):
     if order not in (0, 1):
         raise DomainError("polygamma supports orders 0 and 1 only")
     arr = _checked(x, "x", lower=0.0, open_lower=True)
-    return _ret(_sp.psi(arr) if order == 0 else _sp.polygamma(1, arr))
+    return _ret(_scipy().psi(arr) if order == 0 else _scipy().polygamma(1, arr))
 
 
 def digamma(x):
@@ -65,7 +80,8 @@ def log_beta(p, q):
     """ln B(p, q) for p, q > 0."""
     pa = _checked(p, "p", lower=0.0, open_lower=True)
     qa = _checked(q, "q", lower=0.0, open_lower=True)
-    return _ret(_sp.gammaln(pa) + _sp.gammaln(qa) - _sp.gammaln(pa + qa))
+    gammaln = _scipy().gammaln
+    return _ret(gammaln(pa) + gammaln(qa) - gammaln(pa + qa))
 
 
 def reg_inc_beta(y, p, q):
@@ -73,7 +89,7 @@ def reg_inc_beta(y, p, q):
     ya = _checked(y, "y", lower=0.0, upper=1.0)
     pa = _checked(p, "p", lower=0.0, open_lower=True)
     qa = _checked(q, "q", lower=0.0, open_lower=True)
-    return _ret(_sp.betainc(pa, qa, ya))
+    return _ret(_scipy().betainc(pa, qa, ya))
 
 
 def inv_reg_inc_beta(u, p, q):
@@ -84,10 +100,10 @@ def inv_reg_inc_beta(u, p, q):
     ua = _checked(u, "u", lower=0.0, upper=1.0)
     pa = _checked(p, "p", lower=0.0, open_lower=True)
     qa = _checked(q, "q", lower=0.0, open_lower=True)
-    return _ret(_sp.betaincinv(pa, qa, ua))
+    return _ret(_scipy().betaincinv(pa, qa, ua))
 
 
 def std_normal_quantile(u):
     """z with Phi(z) = u, for u in the open interval (0, 1)."""
     ua = _checked(u, "u", lower=0.0, upper=1.0, open_lower=True, open_upper=True)
-    return _ret(_sp.ndtri(ua))
+    return _ret(_scipy().ndtri(ua))

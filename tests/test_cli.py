@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -10,7 +12,8 @@ import pytest
 from bfw import DataFormatError, bfw_cdf, BFWParams, ingest
 from bfw.cli import main
 
-SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "output_schema.json").read_text())
+ROOT = Path(__file__).parent.parent
+SCHEMA = json.loads((ROOT / "docs" / "output_schema.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -303,6 +306,76 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0
         assert len(proc.stdout.strip().splitlines()) == 2
+
+
+def run_fresh(code):
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, check=True)
+
+
+class TestLazyScipy:
+    """scipy.special costs as much to import as numpy; only kernels that call it load it."""
+
+    @staticmethod
+    def main_in_fresh_process(*argv):
+        # stdout carries the command's output; stderr ends with whether scipy.special loaded
+        proc = run_fresh(
+            "import sys\nfrom bfw.cli import main\n"
+            f"code = main({list(argv)!r})\n"
+            "sys.stderr.write(f\"{code} {'scipy.special' in sys.modules}\")"
+        )
+        return proc.stdout, proc.stderr.split()
+
+    def test_import_leaves_scipy_special_unloaded(self):
+        proc = run_fresh("import sys, bfw, bfw.cli; print('scipy.special' in sys.modules)")
+        assert proc.stdout.split() == ["False"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        ["km", "--data", "pumps"],
+        ["sample", "--n", "1000", "--params", "0.052,0.024,35.077,20.328", "--seed", "5",
+         "--format", "json"],
+    ])
+    def test_commands_without_special_functions_leave_it_unloaded(self, argv):
+        stdout, status = self.main_in_fresh_process(*argv)
+        assert stdout
+        assert status == ["0", "False"]
+
+    def test_fit_loads_it_on_first_use_and_matches_in_process(self, capsys):
+        stdout, status = self.main_in_fresh_process("fit", "--data", "pumps", "--format", "json")
+        assert status == ["0", "True"]
+        code, payload, _ = run_json(capsys, "fit", "--data", "pumps")
+        assert code == 0
+        assert json.loads(stdout)["result"] == payload["result"]
+
+
+class TestTracerContract:
+    """perfbench/tracing.py times ``import bfw.cli`` per bfw module and patches
+    module attributes by name; both break silently if the names move."""
+
+    @staticmethod
+    def contract():
+        tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+        assigned = {
+            node.targets[0].id: node.value
+            for node in tree.body
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        }
+        modules = ast.literal_eval(assigned["IMPORT_MODULES"])
+        targets = [tuple(ast.literal_eval(e) for e in t.elts[:2]) for t in assigned["TARGETS"].elts]
+        return modules, targets
+
+    def test_import_of_cli_imports_every_traced_module(self):
+        modules, _ = self.contract()
+        proc = run_fresh("import sys, bfw.cli; print(*sorted(sys.modules))")
+        assert modules
+        assert set(modules) <= set(proc.stdout.split())
+
+    def test_patched_attributes_exist(self):
+        _, targets = self.contract()
+        assert targets
+        for module, attr in targets:
+            assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
 
 
 class TestOutputPrecision:

@@ -26,9 +26,11 @@ from bfw import (
     fw_pdf,
     fw_quantile,
     ks_statistic,
+    log_gamma,
     mode_equation,
     raw_moment_quadrature,
 )
+from bfw._stable import clamped_exp, fw_tail_terms
 from bfw.inference import Dataset
 
 
@@ -150,6 +152,33 @@ class TestLogPdf:
     def test_finite_deep_in_left_tail(self, published_params):
         # naive arithmetic underflows here; the log form must survive
         assert math.isfinite(bfw_log_pdf(1e-3, published_params))
+
+    @pytest.mark.parametrize("theta", [
+        (0.052, 0.024, 35.077, 20.328),
+        (0.5, 0.5, 2.0, 2.0),
+        (0.5, 0.8, 1.0, 1.0),
+        (1e-3, 5.0, 0.1, 300.0),
+        (2.0, 0.01, 1e-3, 1e-3),
+        (0.3, 1.2, 1e3, 0.5),
+        (0.1, 0.1, 1e8, 1.0),
+        (3.7, 0.2, 12.5, 0.07),
+        (0.9, 2.2, 0.37, 7.3),
+    ])
+    def test_normalizer_bit_identical_to_checked_log_gamma(self, theta):
+        # the kernel skips log_gamma's validation, not one rounding step
+        params = BFWParams(*theta)
+        a, b, p, q = theta
+        lnorm = log_gamma(p + q) - log_gamma(p) - log_gamma(q)
+        for x in (np.geomspace(0.05, 10.0, 200), 0.101, 3.0):
+            arr = np.asarray(x)
+            w = a * arr - b / arr
+            ew = clamped_exp(w)
+            ln_f = fw_tail_terms(w, ew)[0]
+            amp = np.log(a + b / arr**2)
+            expected = lnorm + amp + w - q * ew + (p - 1.0) * ln_f
+            got = bfw_log_pdf(x, params)
+            assert np.shape(got) == np.shape(expected)
+            assert np.all(got == expected)
 
 
 class TestSurvivalHazards:

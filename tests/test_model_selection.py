@@ -255,18 +255,20 @@ class TestCompareModels:
 class TestFamilyProtocol:
     @staticmethod
     def weibull_mp_info(x, shape, scale):
-        mpmath.mp.dps = 30
-        xs = [mpmath.mpf(float(v)) for v in x]
+        with mpmath.workdps(30):
+            xs = [mpmath.mpf(float(v)) for v in x]
 
-        def loglik(k, s):
-            return mpmath.fsum(mpmath.log(k / s) + (k - 1) * mpmath.log(v / s) - (v / s) ** k
-                               for v in xs)
+            def loglik(k, s):
+                return mpmath.fsum(mpmath.log(k / s) + (k - 1) * mpmath.log(v / s) - (v / s) ** k
+                                   for v in xs)
 
-        point = (mpmath.mpf(shape), mpmath.mpf(scale))
-        return -np.array([
-            [float(mpmath.diff(loglik, point, (2, 0))), float(mpmath.diff(loglik, point, (1, 1)))],
-            [float(mpmath.diff(loglik, point, (1, 1))), float(mpmath.diff(loglik, point, (0, 2)))],
-        ])
+            point = (mpmath.mpf(shape), mpmath.mpf(scale))
+            return -np.array([
+                [float(mpmath.diff(loglik, point, (2, 0))),
+                 float(mpmath.diff(loglik, point, (1, 1)))],
+                [float(mpmath.diff(loglik, point, (1, 1))),
+                 float(mpmath.diff(loglik, point, (0, 2)))],
+            ])
 
     @pytest.mark.parametrize("theta", [(0.8, 1.4), (0.80773, 1.3915), (2.5, 0.3)])
     def test_weibull_information(self, pumps, theta):
