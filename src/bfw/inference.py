@@ -31,6 +31,19 @@ array, by damped Newton steps:
 - Memory.  The kernel runs in row blocks whose temporaries hold at most
   ``_BLOCK_ELEMENTS`` doubles (starts x observations), unless a single row
   is longer.
+- Profile step.  A family may move each start and trial row before the
+  acceptance test (``Likelihood.profile``).  The four-parameter model does:
+  its kernel is one data pass at (alpha, beta) that forms the per-row sums
+  (:func:`_bfw_sums`) and an O(rows) assembly at any (p, q)
+  (:func:`_bfw_assemble`).  Given those sums the log-likelihood in (p, q)
+  is a Beta(p, q) log-likelihood, and each row takes the best of its own
+  (p, q) and the two closed-form solutions of the Beta likelihood equations
+  (all shapes small, all shapes large; :func:`_profile_shapes`).  The step
+  uses no second pass over the data, rows stay independent, and it never
+  lowers a row's log-likelihood; it lets a row jump the orders of magnitude
+  that a Newton step in ln q crosses one unit per pass.  The two-parameter
+  families have no profile step and keep their trial rows; there is no
+  option and no second path.
 
 :func:`fit_mle` is that fitter on the four-parameter model;
 ``model_selection`` supplies the two-parameter families.
@@ -72,6 +85,7 @@ PARAM_NAMES = ("alpha", "beta", "p", "q")
 
 _rowsum = functools.partial(np.add.reduce, axis=-1)  # np.sum over the last axis
 _LOWER = np.tril_indices(4, -1)
+_GAP_RATIO = 64.0  # shape ratio from which the psi gaps are integrated
 
 
 @dataclass(frozen=True)
@@ -103,75 +117,183 @@ def _row(params):
     return np.array([[a, b, p, q]])
 
 
-def _bfw_evaluate(x, theta, order=2):
-    """Log-likelihood of each row of a (m, 4) batch of (alpha, beta, p, q),
-    plus for ``order`` >= 1 the score (m, 4) and for ``order`` 2 the observed
-    information (m, 4, 4); parts not asked for are None.
+def _bfw_sums(x, alpha, beta, order):
+    """One pass over the data at rows (alpha, beta): the per-row sums in
+    which the log-likelihood, score and information are affine given (p, q).
 
-    w, e^w and the tail terms are formed once and shared by all three: ln F =
-    ln(1 - e^{-e^w}), and for the score and information the ratio
-    e^w/(e^{e^w} - 1) and its curvature, all from one survival e^{-e^w} and
-    one cdf 1 - e^{-e^w} per element (:func:`bfw._stable.fw_tail_terms`,
-    which switches the curvature to its series below e^w = 1e-2).  Each row
-    is reduced on its own, so its values do not depend on the other rows; a
-    row whose log-likelihood is not representable gives -inf.
+    Order 0 forms sum e^w (minus T2), sum ln F (T1), sum ln(alpha + beta/x^2)
+    and sum w; order 1 adds the x- and 1/x-weighted sums of e^w and of the
+    ratio e^w/(e^{e^w} - 1), and sum x^2/D and sum 1/D with
+    D = beta + alpha x^2; order 2 adds the x^2-, 1/x^2- and D^-2-weighted
+    sums of e^w, the ratio's curvature and 1.  w, e^w and the tail terms are
+    formed once per element (:func:`bfw._stable.fw_tail_terms`).  Each row
+    is reduced on its own, so its sums do not depend on the other rows.
     """
-    sp = special._scipy()
     n = x.size
     x2 = x * x
-    a, b, p, q = theta.T
-    ac, bc = a[:, None], b[:, None]
+    ac, bc = alpha[:, None], beta[:, None]
     with np.errstate(all="ignore"):
         w = ac * x - bc / x
         ew = clamped_exp(w)
         ln_f, ratio, curv = fw_tail_terms(w, ew, ratio=order >= 1, curvature=order == 2)
-        sum_ew = _rowsum(ew)
-        sum_ln_f = _rowsum(ln_f)
-        shapes = np.stack([p + q, p, q])
-        log_gamma = sp.gammaln(shapes)
+        sums = {
+            "n": n,
+            "ew": _rowsum(ew),
+            "ln_f": _rowsum(ln_f),
+            "amp": _rowsum(np.log(ac + bc / x2)),
+            "w": _rowsum(w),
+        }
+        if order == 0:
+            return sums
+        denom = bc + ac * x2
+        sums.update(
+            x=_rowsum(x), inv_x=_rowsum(1.0 / x),
+            x2_d=_rowsum(x2 / denom), inv_d=_rowsum(1.0 / denom),
+            x_ew=_rowsum(x * ew), x_r=_rowsum(x * ratio),
+            ew_x=_rowsum(ew / x), r_x=_rowsum(ratio / x),
+        )
+        if order == 1:
+            return sums
+        denom2 = denom**2
+        sums.update(
+            x4_d2=_rowsum(x2 * x2 / denom2), x2_ew=_rowsum(x2 * ew), x2_c=_rowsum(x2 * curv),
+            x2_d2=_rowsum(x2 / denom2), c=_rowsum(curv),
+            inv_d2=_rowsum(1.0 / denom2), ew_x2=_rowsum(ew / x2), c_x2=_rowsum(curv / x2),
+        )
+    return sums
+
+
+def _shape_terms(shapes, order):
+    """The shape terms of the score (order >= 1) and information (order 2)
+    at rows ``shapes`` = (p, q), a (2, m) array: the digamma gaps
+    psi(p+q) - (psi(p), psi(q)), stacked like ``shapes``, and for order 2
+    the trigamma psi'(p+q) and the trigamma gaps (psi'(p), psi'(q)) -
+    psi'(p+q).  Between shapes more than ``_GAP_RATIO`` times apart, where a
+    direct difference would lose some (b/s) max(1, ln b) ulps of psi(b),
+    the gaps at the larger shape b come from
+    :func:`bfw.special.polygamma_gaps`, which does not cancel.  Returns
+    (gaps, trigamma, trigamma gaps), None for parts above ``order``.
+    Callers hold ``np.errstate(all="ignore")``."""
+    sp = special._scipy()
+    total = shapes[0] + shapes[1]
+    gaps = sp.psi(total) - sp.psi(shapes)
+    tri_s = tri_gaps = None
+    if order == 2:
+        tri_s = sp.zeta(2.0, total)  # polygamma(1, s) = zeta(2, s), bit for bit
+        tri_gaps = sp.zeta(2.0, shapes) - tri_s
+    other = shapes[::-1]
+    far = other * _GAP_RATIO < shapes
+    if far.any():
+        d_psi, d_tri = special.polygamma_gaps(shapes[far], other[far])
+        gaps[far] = d_psi
+        if order == 2:
+            tri_gaps[far] = d_tri
+    return gaps, tri_s, tri_gaps
+
+
+def _bfw_assemble(sums, p, q, order):
+    """Log-likelihood, score (order >= 1) and information (order 2) of each
+    row at shapes (p, q) from its :func:`_bfw_sums` of at least that order:
+    O(rows) work, no pass over the data.  A row whose log-likelihood is not representable gives -inf."""
+    n = sums["n"]
+    with np.errstate(all="ignore"):
         ll = (
-            n * (log_gamma[0] - log_gamma[1] - log_gamma[2])
-            + _rowsum(np.log(ac + bc / x2))
-            + _rowsum(w)
-            - q * sum_ew
-            + (p - 1.0) * sum_ln_f
+            -n * special._scipy().betaln(p, q)
+            + sums["amp"]
+            + sums["w"]
+            - q * sums["ew"]
+            + (p - 1.0) * sums["ln_f"]
         )
         # any non-representable configuration acts as an impossible fit
         ll = np.where(np.isfinite(ll), ll, -np.inf)
         if order == 0:
             return ll, None, None
-        denom = bc + ac * x2
-        x_ew = _rowsum(x * ew)
-        x_ratio = _rowsum(x * ratio)
-        ew_x = _rowsum(ew / x)
-        ratio_x = _rowsum(ratio / x)
-        digamma = sp.psi(shapes)
-        grad = np.empty((theta.shape[0], 4))
-        grad[:, 0] = _rowsum(x2 / denom) + np.sum(x) - q * x_ew + (p - 1.0) * x_ratio
-        grad[:, 1] = _rowsum(1.0 / denom) - np.sum(1.0 / x) + q * ew_x - (p - 1.0) * ratio_x
-        grad[:, 2] = n * digamma[0] - n * digamma[1] + sum_ln_f
-        grad[:, 3] = n * digamma[0] - n * digamma[2] - sum_ew
+        gaps, tri_s, tri_gaps = _shape_terms(np.array([p, q]), order)
+        pm1 = p - 1.0
+        grad = np.empty((ll.size, 4))
+        grad[:, 0] = sums["x2_d"] + sums["x"] - q * sums["x_ew"] + pm1 * sums["x_r"]
+        grad[:, 1] = sums["inv_d"] - sums["inv_x"] + q * sums["ew_x"] - pm1 * sums["r_x"]
+        grad[:, 2] = n * gaps[0] + sums["ln_f"]
+        grad[:, 3] = n * gaps[1] - sums["ew"]
         if order == 1:
             return ll, grad, None
-        denom2 = denom**2
-        trigamma = sp.zeta(2.0, shapes)  # polygamma(1, s) = zeta(2, s), bit for bit
-        info = np.empty((theta.shape[0], 4, 4))
-        info[:, 0, 0] = (
-            _rowsum(x2 * x2 / denom2) + q * _rowsum(x2 * ew) - (p - 1.0) * _rowsum(x2 * curv)
-        )
-        info[:, 0, 1] = _rowsum(x2 / denom2) - q * sum_ew + (p - 1.0) * _rowsum(curv)
-        info[:, 0, 2] = -x_ratio
-        info[:, 0, 3] = x_ew
-        info[:, 1, 1] = (
-            _rowsum(1.0 / denom2) + q * _rowsum(ew / x2) - (p - 1.0) * _rowsum(curv / x2)
-        )
-        info[:, 1, 2] = ratio_x
-        info[:, 1, 3] = -ew_x
-        info[:, 2, 2] = n * (trigamma[1] - trigamma[0])
-        info[:, 2, 3] = -n * trigamma[0]
-        info[:, 3, 3] = n * (trigamma[2] - trigamma[0])
+        info = np.empty((ll.size, 4, 4))
+        info[:, 0, 0] = sums["x4_d2"] + q * sums["x2_ew"] - pm1 * sums["x2_c"]
+        info[:, 0, 1] = sums["x2_d2"] - q * sums["ew"] + pm1 * sums["c"]
+        info[:, 0, 2] = -sums["x_r"]
+        info[:, 0, 3] = sums["x_ew"]
+        info[:, 1, 1] = sums["inv_d2"] + q * sums["ew_x2"] - pm1 * sums["c_x2"]
+        info[:, 1, 2] = sums["r_x"]
+        info[:, 1, 3] = -sums["ew_x"]
+        info[:, 2, 2] = n * tri_gaps[0]
+        info[:, 2, 3] = -n * tri_s
+        info[:, 3, 3] = n * tri_gaps[1]
     info[:, _LOWER[0], _LOWER[1]] = info[:, _LOWER[1], _LOWER[0]]
     return ll, grad, info
+
+
+def _bfw_evaluate(x, theta, order=2):
+    """Log-likelihood of each row of a (m, 4) batch of (alpha, beta, p, q),
+    plus for ``order`` >= 1 the score (m, 4) and for ``order`` 2 the observed
+    information (m, 4, 4); parts not asked for are None.  One data pass
+    (:func:`_bfw_sums`) and its assembly at the rows' own shapes
+    (:func:`_bfw_assemble`)."""
+    sums = _bfw_sums(x, theta[:, 0], theta[:, 1], order)
+    return _bfw_assemble(sums, theta[:, 2], theta[:, 3], order)
+
+
+def _profile_shapes(n, t, shapes):
+    """The profile step of each row's shapes ``shapes`` = (p, q), given its
+    sums ``t`` = (t1, t2) = (sum ln F, -sum e^w), both (2, m) arrays.
+
+    For fixed (alpha, beta) the log-likelihood is
+    phi = -n ln B(p, q) + p t1 + q t2 plus terms free of (p, q): a
+    Beta(p, q) log-likelihood of n points y with sum ln y = t1 and
+    sum ln(1 - y) = t2.  Its likelihood equations
+    n [psi(p+q) - psi(p)] + t1 = 0 and n [psi(p+q) - psi(q)] + t2 = 0 have
+    closed-form solutions in two limits, with (a, b) = -t/n:
+
+    - both shapes small, psi(x) ~ -1/x - gamma:
+      p = 1/(a + sqrt(a b)), q = 1/(b + sqrt(a b));
+    - both shapes large, psi(x) ~ ln(x - 1/2):
+      (p, q) = 1/2 + (e^-a, e^-b) / (2 (1 - e^-a - e^-b)).
+
+    A row moves to whichever of them has the highest phi, when that is
+    above its own, so the move never lowers its log-likelihood; the
+    four-parameter Newton step refines from there.  This is what ends the
+    ln q crawl: where -q sum e^w dominates a row, a Newton step in ln q is
+    -1 per pass, while the small-shape solution lands at q ~ n / sum e^w at
+    once.  The Beta likelihood has a maximum only where e^-a + e^-b < 1;
+    elsewhere, and where the sums are not finite, a row keeps its (p, q).
+    Rows are independent.  Returns the shapes, ``shapes`` itself when no
+    row moves.
+    """
+    with np.errstate(all="ignore"):
+        g = np.exp(t / n)  # e^-a, e^-b
+        gap = 1.0 - (g[0] + g[1])
+        a = np.where(gap > 0.0, t / -n, np.nan)  # no candidate where no maximum exists
+        cand = np.array([shapes, 1.0 / (a + np.sqrt(a[0] * a[1])), 0.5 + (0.5 / gap) * g])
+        phi = np.add.reduce(cand * t, axis=1) - n * special._scipy().betaln(cand[:, 0], cand[:, 1])
+        best = np.where(phi == phi, phi, -np.inf).argmax(axis=0)
+        if best.any():
+            shapes = cand[best, :, np.arange(best.size)].T
+        return shapes
+
+
+def _bfw_profiled(x, theta):
+    """The fitter's evaluation of (alpha, beta, p, q) rows: one data pass at
+    each row's (alpha, beta), the profile step of its (p, q)
+    (:func:`_profile_shapes`) from the sums of that pass, and the
+    log-likelihood, score and information assembled at the result.
+    Returns (theta, ll, grad, info)."""
+    sums = _bfw_sums(x, theta[:, 0], theta[:, 1], 2)
+    start = theta[:, 2:].T
+    shapes = _profile_shapes(sums["n"], np.array([sums["ln_f"], -sums["ew"]]), start)
+    ll, grad, info = _bfw_assemble(sums, shapes[0], shapes[1], 2)
+    if shapes is not start:  # some row moved
+        theta = theta.copy()
+        theta[:, 2:] = shapes.T
+    return theta, ll, grad, info
 
 
 def log_likelihood(data, params):
@@ -295,15 +417,25 @@ class Likelihood:
     the observed information (starts, k, k) of each row, -inf log-likelihood
     where a term is not representable; ``starts(config)`` gives the start
     points in log-parameter space, one per row; ``names`` label the
-    parameters in error messages.
+    parameters in error messages.  ``profile(x, theta)``, where a family has
+    one, returns (theta, ll, grad, info) after moving each row to a point
+    whose log-likelihood is no lower, on its own.
     """
 
     evaluate: Callable
     starts: Callable
     names: tuple[str, ...]
+    profile: Callable | None = None
+
+    def trial(self, x, theta):
+        """What the fitter evaluates at start and trial rows:
+        (theta, ll, grad, info) from ``profile``, or at the rows as given."""
+        if self.profile is None:
+            return (theta, *self.evaluate(x, theta))
+        return self.profile(x, theta)
 
 
-BFW = Likelihood(_bfw_evaluate, _start_grid, PARAM_NAMES)
+BFW = Likelihood(_bfw_evaluate, _start_grid, PARAM_NAMES, profile=_bfw_profiled)
 
 # Relative damping of the Newton step: the first step of every start uses
 # _DAMPING_START; an accepted step divides it by 3 (not below _DAMPING_MIN),
@@ -324,13 +456,13 @@ _STOP_MESSAGES = {
 }
 
 
-def _evaluate(likelihood, x, theta):
-    """``likelihood.evaluate`` in row blocks of at most ``_BLOCK_ELEMENTS``
+def _evaluate(kernel, x, theta):
+    """``kernel(x, theta)`` in row blocks of at most ``_BLOCK_ELEMENTS``
     elements per temporary, so memory stays bounded for large samples."""
     rows = max(1, _BLOCK_ELEMENTS // x.size)
     if theta.shape[0] <= rows:
-        return likelihood.evaluate(x, theta)
-    blocks = [likelihood.evaluate(x, theta[i : i + rows]) for i in range(0, len(theta), rows)]
+        return kernel(x, theta)
+    blocks = [kernel(x, theta[i : i + rows]) for i in range(0, len(theta), rows)]
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
@@ -357,19 +489,28 @@ def _damped_steps(g, h, damping):
     return (v @ ((g[:, None, :] @ v)[:, 0] / scale)[:, :, None])[:, :, 0]
 
 
+def _follow(z, theta):
+    """Set z = ln theta in place where the family's profile moved theta away
+    from e^z; elsewhere z stays as stepped."""
+    moved = theta != np.exp(z)
+    if moved.any():
+        z[moved] = np.log(theta[moved])
+
+
 def _newton(likelihood, x, z0, config):
     """Damped Newton ascent of every start at once (see the module notes);
     the rows of ``z0`` are the starts in log-parameters.
 
-    Each pass evaluates one trial step for every start still active.  Returns
-    the final parameters, log-likelihood, score and information per start,
-    its stop code, accepted steps, kernel passes and the log-likelihoods of
-    its improving steps.
+    Each pass evaluates one trial step for every start still active, at the
+    rows ``likelihood.trial`` moves it to.  Returns the final parameters,
+    log-likelihood, score and information per start, its stop code, accepted
+    steps, kernel passes and the log-likelihoods of its improving steps.
     """
     z = np.array(z0, dtype=float)
     m = z.shape[0]
-    theta = np.exp(z)
-    ll, grad, info = _evaluate(likelihood, x, theta)
+    with np.errstate(over="ignore"):
+        theta, ll, grad, info = _evaluate(likelihood.trial, x, np.exp(z))
+        _follow(z, theta)
     g, h, finite = _log_space(theta, grad, info)
     norm = np.max(np.abs(grad), axis=1)
     stop = np.where(np.isfinite(ll) & finite, _ACTIVE, _NONFINITE)
@@ -392,8 +533,8 @@ def _newton(likelihood, x, z0, config):
             break
         z_t = z[active] + _damped_steps(g[active], h[active], damping[active])
         with np.errstate(over="ignore"):
-            theta_t = np.exp(z_t)
-        ll_t, grad_t, info_t = _evaluate(likelihood, x, theta_t)
+            theta_t, ll_t, grad_t, info_t = _evaluate(likelihood.trial, x, np.exp(z_t))
+            _follow(z_t, theta_t)
         g_t, h_t, finite_t = _log_space(theta_t, grad_t, info_t)
         norm_t = np.max(np.abs(grad_t), axis=1)
         ll_a = ll[active]

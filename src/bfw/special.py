@@ -26,6 +26,7 @@ __all__ = [
     "reg_inc_beta",
     "inv_reg_inc_beta",
     "log_beta",
+    "polygamma_gaps",
     "std_normal_quantile",
 ]
 
@@ -77,11 +78,54 @@ def trigamma(x):
 
 
 def log_beta(p, q):
-    """ln B(p, q) for p, q > 0."""
+    """ln B(p, q) for p, q > 0, by ``betaln``, which does not cancel where
+    one shape swamps the other as ln Gamma(p) + ln Gamma(q) - ln Gamma(p + q)
+    does (at p ~ 2.5e-5, q ~ 2e32 that difference loses every digit)."""
     pa = _checked(p, "p", lower=0.0, open_lower=True)
     qa = _checked(q, "q", lower=0.0, open_lower=True)
-    gammaln = _scipy().gammaln
-    return _ret(gammaln(pa) + gammaln(qa) - gammaln(pa + qa))
+    return _ret(_scipy().betaln(pa, qa))
+
+
+# three-point Gauss-Legendre nodes and weights on [0, 1]
+_GAUSS_NODES = 0.5 + 0.5 * np.sqrt(0.6) * np.array([-1.0, 0.0, 1.0])[:, None]
+# weights of the psi' and 2 zeta(3, .) rows, shaped for a (2, 3, m) stack of node values
+_GAUSS_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0 * np.array([1.0, 2.0])[:, None, None]
+_ZETA_ORDERS = np.array([2.0, 3.0])[:, None, None]  # psi' = zeta(2, .), -psi'' = 2 zeta(3, .)
+_LEADING_FROM = 2.0**60  # base from which the gaps are their leading terms
+
+
+def polygamma_gaps(b, s):
+    """psi(b + s) - psi(b) and psi'(b) - psi'(b + s) for arrays 0 < s <= b/64,
+    without the cancellation of the direct differences (which lose every
+    digit once b + s rounds to b).
+
+    Each gap is the integral of its derivative over [c, c + s]:
+    psi(c + s) - psi(c) = int psi' and psi'(c) - psi'(c + s) = int -psi'',
+    with psi'(x) = zeta(2, x) and -psi''(x) = 2 zeta(3, x), by three-point
+    Gauss-Legendre quadrature, whose relative error is about
+    2.5e-3 (s/c)^6: below 1e-13 for s <= c/64, whatever the scale of c.
+    c is b, or b + 1 for b < 1 (where zeta(2, b) ~ 1/b^2 may overflow), the
+    recurrences psi(x) = psi(x + 1) - 1/x and psi'(x) = psi'(x + 1) + 1/x^2
+    adding t = 1/b - 1/(b + s) to the first gap and t (1/b + 1/(b + s)) to
+    the second, both without cancellation.  From b = 2^60 on, where
+    zeta(3, b) ~ 1/(2 b^2) would underflow first, the gaps are their
+    leading terms ln(1 + s/b) and 1/b - 1/(b + s); the rest is below
+    1/b relative.
+    """
+    b, s = np.asarray(b, dtype=float), np.asarray(s, dtype=float)
+    shift = b < 1.0
+    zeta = _scipy().zeta(_ZETA_ORDERS, b + shift + s * _GAUSS_NODES)
+    d_psi, d_tri = s * (_GAUSS_WEIGHTS @ zeta)[:, 0]
+    if shift.any():
+        with np.errstate(over="ignore"):
+            t = (s[shift] / b[shift]) / (b[shift] + s[shift])  # 1/b - 1/(b + s)
+            d_psi[shift] += t
+            d_tri[shift] += t * (1.0 / b[shift] + 1.0 / (b[shift] + s[shift]))
+    huge = b >= _LEADING_FROM
+    if huge.any():
+        d_psi[huge] = np.log1p(s[huge] / b[huge])
+        d_tri[huge] = (s[huge] / b[huge]) / (b[huge] + s[huge])
+    return d_psi, d_tri
 
 
 def reg_inc_beta(y, p, q):

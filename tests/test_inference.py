@@ -5,6 +5,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from scipy import special as sp
 
 from bfw import (
     BFWParams,
@@ -308,7 +309,7 @@ class TestBatchKernels:
         x = bfw_sample(5000, BFWParams(0.5, 0.5, 2.0, 2.0), seed=5)
         theta = np.exp(np.random.default_rng(5).uniform(-1.0, 1.0, (16, 4)))
         assert inference._BLOCK_ELEMENTS // x.size < 16
-        blocked = inference._evaluate(inference.BFW, x, theta)
+        blocked = inference._evaluate(inference.BFW.evaluate, x, theta)
         for row in range(16):
             alone = inference.BFW.evaluate(x, theta[row : row + 1])
             for got, want in zip(blocked, alone):
@@ -463,6 +464,230 @@ class TestKernelAgainstMpmath:
             assert np.all(np.abs(info[0] - ref_info) <= 16 * eps * info_scale)
         else:
             assert ll[0] == -math.inf
+
+
+
+class TestBetaNormalizerInKernel:
+    # where start 7 of fit_mle(pumps) stopped at the gammaln-difference kernel (ln theta),
+    # which reported log-likelihood +209.2 there
+    START7 = tuple(np.exp([0.459, 9.404, -10.588, 74.351]))
+
+    def test_start7_point_matches_mpmath(self, pumps):
+        ll, grad, info = inference.BFW.evaluate(pumps.times, np.array([self.START7]))
+        ref_ll, ref_grad, ref_info, ll_scale, grad_scale, info_scale = mp_reference(
+            pumps.times, self.START7, dps=90)
+        assert ref_ll == pytest.approx(-34.24, abs=5e-3)
+        eps = np.finfo(float).eps
+        assert abs(ll[0] - ref_ll) <= 16 * eps * ll_scale
+        assert np.all(np.abs(grad[0] - ref_grad) <= 16 * eps * grad_scale)
+        assert np.all(np.abs(info[0] - ref_info) <= 16 * eps * info_scale)
+
+
+def gammaln_kernel(x, theta):
+    """One row by the formulas of the gammaln-difference kernel: the
+    normalizer gammaln(p+q) - gammaln(p) - gammaln(q), the shape terms as
+    direct digamma and trigamma differences, each sum over the data in
+    float; with the sum of |terms| of each output as its rounding scale."""
+    a, b, p, q = theta
+    n = x.size
+    w = a * x - b / x
+    u = np.exp(w)
+    s = np.exp(-u)
+    f = -np.expm1(-u)
+    ln_f = np.where(u < math.log(2.0), np.log(f), np.log1p(-s))
+    r = u * s / f
+    c = np.where(u < 1e-2, -u / 2 + u**2 / 6 - u**4 / 180 + u**6 / 5040, r * ((1 - u) - s) / f)
+    d = b + a * x * x
+    norm = sp.gammaln(p + q) - sp.gammaln(p) - sp.gammaln(q)
+    psi = sp.psi([p + q, p, q])
+    tri = sp.polygamma(1, [p + q, p, q])
+    ll_terms = [n * norm, np.log(a + b / x**2), w, -q * u, (p - 1) * ln_f]
+    score_terms = [
+        [x * x / d, x, -q * u * x, (p - 1) * x * r],
+        [1 / d, -1 / x, q * u / x, -(p - 1) * r / x],
+        [n * psi[0], -n * psi[1], ln_f],
+        [n * psi[0], -n * psi[2], -u],
+    ]
+    x2 = x * x
+    info_terms = {
+        (0, 0): [x2 * x2 / d**2, q * u * x2, -(p - 1) * x2 * c],
+        (0, 1): [x2 / d**2, -q * u, (p - 1) * c], (0, 2): [-x * r], (0, 3): [x * u],
+        (1, 1): [1 / d**2, q * u / x2, -(p - 1) * c / x2], (1, 2): [r / x], (1, 3): [-u / x],
+        (2, 2): [n * tri[1], -n * tri[0]], (2, 3): [-n * tri[0]], (3, 3): [n * tri[2], -n * tri[0]],
+    }
+
+    def total(terms):
+        return sum(float(np.sum(t)) for t in terms), sum(float(np.sum(np.abs(t))) for t in terms)
+
+    ll, ll_scale = total(ll_terms)
+    grad, grad_scale = np.array([total(t) for t in score_terms]).T
+    info, info_scale = np.zeros((4, 4)), np.zeros((4, 4))
+    for (j, k), terms in info_terms.items():
+        info[j, k], info_scale[j, k] = total(terms)
+        info[k, j], info_scale[k, j] = info[j, k], info_scale[j, k]
+    return ll, grad, info, ll_scale, grad_scale, info_scale
+
+
+class TestSplitKernel:
+    def test_public_functions_match_the_gammaln_kernel(self, rng):
+        # 30 (data, probe) pairs with moderate shapes, where the gammaln normalizer is exact
+        for _ in range(30):
+            data, probe = random_instance(rng)
+            ref_ll, ref_grad, ref_info, ll_scale, grad_scale, info_scale = gammaln_kernel(
+                data.times, probe.as_array())
+            assert abs(log_likelihood(data, probe) - ref_ll) <= 1e-13 * ll_scale
+            assert np.all(np.abs(score(data, probe) - ref_grad) <= 1e-13 * grad_scale)
+            assert np.all(np.abs(observed_information(data, probe) - ref_info)
+                          <= 1e-13 * info_scale)
+
+    @pytest.mark.parametrize("theta", KERNEL_ROWS + EXTREME_ROWS[:4])
+    def test_one_pass_assembles_at_any_shapes(self, pumps, theta):
+        # the sums of one data pass, assembled at other (p, q), give the evaluation there
+        x = pumps.times
+        sums = inference._bfw_sums(x, np.array([theta[0]]), np.array([theta[1]]), 2)
+        for p, q in [(theta[2], theta[3]), (0.3, 7.0), (40.0, 1e-3), (2e-9, 3e5)]:
+            assembled = inference._bfw_assemble(sums, np.array([p]), np.array([q]), 2)
+            direct = inference.BFW.evaluate(x, np.array([[theta[0], theta[1], p, q]]))
+            for got, want in zip(assembled, direct):
+                assert np.array_equal(got, want, equal_nan=True)
+
+    def test_profiled_rows_are_independent(self):
+        # n = 5000 splits 16 rows into blocks; every profiled row equals its own evaluation
+        x = bfw_sample(5000, BFWParams(0.5, 0.5, 2.0, 2.0), seed=5)
+        theta = np.exp(np.random.default_rng(5).uniform(-4.0, 4.0, (16, 4)))
+        blocked = inference._evaluate(inference.BFW.trial, x, theta)
+        assert len(blocked) == 4
+        for row in range(16):
+            alone = inference.BFW.trial(x, theta[row : row + 1])
+            for got, want in zip(blocked, alone):
+                assert np.array_equal(got[row], want[0])
+
+
+def beta_residuals(n, t, shapes):
+    """The Beta likelihood equations n [psi(p+q) - psi(p)] + t1 and
+    n [psi(p+q) - psi(q)] + t2 at (p, q) by 50-digit mpmath, relative to
+    |t1| and |t2|."""
+    with mpmath.workdps(50):
+        p, q = (mpmath.mpf(float(v)) for v in shapes)
+        s = mpmath.digamma(p + q)
+        return (float((n * (s - mpmath.digamma(p)) + t[0]) / abs(t[0])),
+                float((n * (s - mpmath.digamma(q)) + t[1]) / abs(t[1])))
+
+
+class TestProfileStep:
+    N = 23
+
+    def profile(self, t, shapes):
+        t = np.array(t, dtype=float).reshape(2, -1)
+        shapes = np.array(shapes, dtype=float).reshape(2, -1)
+        return inference._profile_shapes(self.N, t, shapes)
+
+    @pytest.mark.parametrize("a, b", [(1e6, 3e5), (1e8, 1e8), (1e4, 1e9), (3e3, 2e4)])
+    def test_small_shape_solution_solves_the_likelihood_equations(self, a, b):
+        # with -t/n = (a, b) large the shapes are small and psi(x) ~ -1/x - gamma is
+        # exact up to terms of order p + q
+        t = (-a * self.N, -b * self.N)
+        p, q = self.profile(t, (1.0, 1.0))[:, 0]
+        assert (p, q) == pytest.approx((1 / (a + math.sqrt(a * b)), 1 / (b + math.sqrt(a * b))))
+        residuals = beta_residuals(self.N, t, (p, q))
+        assert max(map(abs, residuals)) <= p + q
+
+    @pytest.mark.parametrize("g1, g2", [(0.5, 0.49), (0.3, 0.6999), (0.9, 0.0999999)])
+    def test_large_shape_solution_solves_the_likelihood_equations(self, g1, g2):
+        # geometric means (g1, g2) of y and 1 - y summing to just under 1: both shapes
+        # large, where psi(x) ~ ln(x - 1/2) is exact up to terms of order 1/x^2
+        t = (self.N * math.log(g1), self.N * math.log(g2))
+        p, q = self.profile(t, (1.0, 1.0))[:, 0]
+        residuals = beta_residuals(self.N, t, (p, q))
+        assert max(map(abs, residuals)) <= 1.0 / min(p, q) ** 2
+
+    def test_rows_without_a_beta_maximum_keep_their_shapes(self):
+        shapes = np.array([[0.7, 2.0, 3.0, 0.1], [1.3, 0.5, 0.2, 9.0]])
+        t = np.array([[-0.01, -0.2, math.nan, -5.0], [-0.01, -0.1, -1.0, math.inf]]) * self.N
+        # exp(t1/n) + exp(t2/n) >= 1 in the first two rows, sums not finite in the others
+        assert np.array_equal(inference._profile_shapes(self.N, t, shapes), shapes)
+
+    def test_never_lowers_the_log_likelihood(self, pumps):
+        rng = np.random.default_rng(3)
+        datasets = [pumps.times] + [data.times for _, data, _ in benchmark_panel(1)]
+        for x in datasets:
+            theta = np.exp(rng.uniform(-8.0, 8.0, (64, 4)))
+            moved, ll, _, _ = inference.BFW.trial(x, theta)
+            before = inference.BFW.evaluate(x, theta)[0]
+            assert np.array_equal(moved[:, :2], theta[:, :2])
+            slack = 4 * np.finfo(float).eps * (1.0 + np.abs(before))
+            assert np.all(ll >= before - slack)
+            assert np.any(ll > before + 1.0)  # and it does move rows
+
+    def test_ends_the_ln_q_crawl(self, pumps):
+        # a row where -q sum e^w dominates: a Newton step in ln q is -1 per pass,
+        # the profile step lands at q ~ n / sum e^w at once
+        theta = np.exp([[3.1828, 4.5339, -5.4687, 5.0]])
+        before = inference.BFW.evaluate(pumps.times, theta)[0][0]
+        moved, ll, _, _ = inference.BFW.trial(pumps.times, theta)
+        assert before < -1e60
+        assert ll[0] > -1e4
+        assert np.log(moved[0, 3]) < -80.0
+
+    def test_two_parameter_families_unchanged(self, pumps):
+        # (log-likelihood, natural parameters) of the fw and Weibull fits, as the
+        # gammaln-difference kernel gave them; these families have no profile step
+        pinned = {
+            "pumps": ((-30.382906584468707, 0.20710404104962474, 0.25875975057135986),
+                      (-32.51392123580808, 0.8077346872432372, 1.3915044911730003)),
+            "anchor0-n50-0": ((-50.09020119344049, 0.2335164931069064, 0.18595701706652534),
+                              (-63.73682302192745, 0.7315647053124348, 1.180582694301357)),
+            "anchor1-n50-0": ((-33.98910678515614, 0.6790402629623882, 0.7434816828217875),
+                              (-37.036309217275026, 1.6376805583373537, 1.027134487420465)),
+            "anchor0-n200-0": ((-305.65558591779825, 0.19652424043508143, 0.27236260129017903),
+                               (-327.47353893966397, 0.8510185612014594, 1.7809907417218305)),
+            "anchor1-n200-0": ((-120.24744633803911, 0.7378378264395862, 0.6915975286378183),
+                               (-129.3169990944265, 1.6540259826756574, 0.9429398741197246)),
+            "anchor0-n1000-0": ((-1266.6849803004316, 0.2054031493116951, 0.2244600137878144),
+                                (-1437.7841809516754, 0.7797966528773362, 1.4152927253617198)),
+            "anchor1-n1000-0": ((-555.5903785402681, 0.80983506562856, 0.7409066021246191),
+                                (-604.1553261306559, 1.7624640641695883, 0.9417497383284981)),
+        }
+        datasets = {"pumps": pumps}
+        datasets.update({label: data for label, data, _ in benchmark_panel(1)})
+        for label, data in datasets.items():
+            for family, want in zip(("fw", "weibull"), pinned[label]):
+                fit = model_selection.get_family(family).fit(data)
+                got = (fit.log_likelihood, *fit.estimates)
+                assert got == pytest.approx(want, rel=1e-12), (label, family)
+
+
+class TestCrawlRegression:
+    def test_every_pumps_start_ends_near_the_data(self, pumps):
+        # the gammaln kernel without the profile step left two starts at
+        # -2.5e21 and -1.8e93 after the full 100 passes
+        fit = fit_mle(pumps)
+        assert min(d.log_likelihood for d in fit.starts) > -1e3
+
+    def test_kernel_passes_stay_bounded(self, pumps):
+        # summed kernel passes of all starts; 917 on pumps and 17957 on the panel
+        # without the profile step
+        passes = sum(d.evaluations for d in fit_mle(pumps).starts)
+        assert passes <= 485
+        total = 0
+        for _, data, _ in benchmark_panel():
+            try:
+                starts = fit_mle(data).starts
+            except ConvergenceError as exc:
+                starts = exc.diagnostics
+            total += sum(d.evaluations for d in starts)
+        assert total <= 12142
+
+    def test_far_shape_optimum_is_no_lower(self):
+        # panel draw anchor1-n200-2 converges at q ~ 9e5, where betaln rounds by some
+        # 1e-9 relative, below the kernel's own resolution: the fit's estimates must
+        # be no lower by 60-digit mpmath than those of the gammaln kernel without the
+        # profile step (its log-likelihood reads 8.0e-10 relative higher in floats)
+        before = (1.0770496063902957, 33.376569801978306, 0.024385548138666835, 911429.2230166916)
+        data = {label: data for label, data, _ in benchmark_panel()}["anchor1-n200-2"]
+        fit = fit_mle(data)
+        after = mp_reference(data.times, fit.estimates.as_array(), dps=60)[0]
+        assert after >= mp_reference(data.times, before, dps=60)[0]
 
 
 def benchmark_panel(draws_per_cell=3):

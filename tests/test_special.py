@@ -1,9 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from bfw import special
 from bfw import (
     DomainError,
     digamma,
@@ -161,3 +163,69 @@ class TestStdNormalQuantile:
     def test_domain(self, bad):
         with pytest.raises(DomainError):
             std_normal_quantile(bad)
+
+
+def mp_log_beta(p, q):
+    """ln B(p, q) from 60 digits plus the digits the larger shape needs."""
+    with mpmath.workdps(60 + int(max(0.0, math.log10(max(p, q))))):
+        p, q = mpmath.mpf(p), mpmath.mpf(q)
+        return float(mpmath.loggamma(p) + mpmath.loggamma(q) - mpmath.loggamma(p + q))
+
+
+class TestLogBeta:
+    @pytest.mark.parametrize("p, q", [
+        (math.exp(-10.588), math.exp(74.351)),  # where pumps start 7 of the gammaln kernel stopped
+        (1e-3, 1e10), (2.0, 1e20), (1e-40, 1e-38), (0.5, 0.5), (35.077, 20.328), (1e5, 1e5),
+        (3.0, 1e300),
+    ])
+    def test_against_mpmath(self, p, q):
+        assert special.log_beta(p, q) == pytest.approx(mp_log_beta(p, q), rel=1e-13)
+        assert special.log_beta(q, p) == special.log_beta(p, q)
+
+    def test_gammaln_difference_cancels_where_betaln_does_not(self):
+        p, q = math.exp(-10.588), math.exp(74.351)
+        exact = mp_log_beta(p, q)
+        difference = log_gamma(p) + log_gamma(q) - log_gamma(p + q)
+        assert abs(difference - exact) > 1.0  # every digit lost
+        assert special.log_beta(p, q) == pytest.approx(exact, rel=1e-14)
+
+    def test_array_and_domain(self):
+        values = special.log_beta(np.array([1.0, 2.0]), 3.0)
+        assert values == pytest.approx([math.log(1.0 / 3.0), math.log(1.0 / 12.0)], rel=1e-14)
+        with pytest.raises(DomainError):
+            special.log_beta(0.0, 1.0)
+
+
+def mp_gaps(b, s):
+    """psi(b + s) - psi(b) and psi'(b) - psi'(b + s) with enough digits that
+    b + s does not round to b."""
+    digits = 60 + int(max(0.0, math.log10(b))) + int(max(0.0, -math.log10(s / b)))
+    with mpmath.workdps(digits):
+        b, s = mpmath.mpf(b), mpmath.mpf(s)
+        return (float(mpmath.digamma(b + s) - mpmath.digamma(b)),
+                float(mpmath.polygamma(1, b) - mpmath.polygamma(1, b + s)))
+
+
+class TestPolygammaGaps:
+    def test_against_mpmath(self):
+        rng = np.random.default_rng(7)
+        b = np.exp(rng.uniform(math.log(1e-250), math.log(1e250), 120))
+        s = b * np.exp(rng.uniform(math.log(1e-30), math.log(1.0 / 64.0), 120))
+        edges_b = [0.999, 1.0, 1.0 - 1e-12, 16.0, 2.0**60, 2.0**60 * 0.999, math.exp(74.351), 1e-250]
+        edges_s = [0.999 / 64, 1.0 / 64, 1.0 / 64, 0.25, 2.0**54, 2.0**54, math.exp(-10.588), 1e-252]
+        b, s = np.concatenate([b, edges_b]), np.concatenate([s, edges_s])
+        with np.errstate(over="ignore"):
+            d_psi, d_tri = special.polygamma_gaps(b, s)
+        for i in range(b.size):
+            ref_psi, ref_tri = mp_gaps(b[i], s[i])
+            assert d_psi[i] == pytest.approx(ref_psi, rel=1e-13), (b[i], s[i])
+            if 1e-300 < abs(ref_tri) < 1e300:  # the second gap is ~2 s / b^3 for small b
+                assert d_tri[i] == pytest.approx(ref_tri, rel=2e-13), (b[i], s[i])
+
+    def test_direct_differences_lose_what_the_gaps_keep(self):
+        b, s = math.exp(74.351), math.exp(-10.588)
+        assert digamma(b + s) - digamma(b) == 0.0
+        d_psi, d_tri = special.polygamma_gaps(np.array([b]), np.array([s]))
+        ref_psi, ref_tri = mp_gaps(b, s)
+        assert d_psi[0] == pytest.approx(ref_psi, rel=1e-14)
+        assert d_tri[0] == pytest.approx(ref_tri, rel=1e-14)
