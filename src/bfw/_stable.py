@@ -1,15 +1,26 @@
-"""Numerically stable kernels shared by the distribution and likelihood code.
+"""Input validation and numerically stable kernels shared by the
+distribution and likelihood code.
 
-All functions accept scalars or arrays and never raise on extreme inputs;
+:func:`checked` is the one place where a public input is validated: every
+entry point of ``special``, ``flexible_weibull``, ``core`` and the data and
+parameter containers call it, so a value outside its range raises the same
+:class:`DomainError` message wherever it enters.  Internal calls pass
+checked values on and do not validate again.
+
+The kernels accept scalars or arrays and never raise on extreme inputs;
 they return the correct IEEE limit instead.  :func:`fw_tail_terms` is the
 one place where the flexible-Weibull tail terms -- ln F, the ratio
 e^w/(e^{e^w} - 1) and its curvature -- are formed, for the log-density, the
-log-cdf, the mode equation and the likelihood kernel alike.
+mode equation and the likelihood kernel alike.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .errors import DomainError
 
 # exp(w) overflows just above 709; exp(exp(w)) already at w ~ 6.57.
 W_CLAMP = 700.0
@@ -24,6 +35,41 @@ _SERIES_BELOW = 1e-2  # e^w under which the curvature takes its series
 
 def _ret(arr):
     return float(arr) if np.ndim(arr) == 0 else arr
+
+
+def checked(x, name, high=math.inf, closed=False):
+    """``x`` once every element lies in the open interval (0, high), or in
+    [0, high] when ``closed``; raises :class:`DomainError` naming ``name``
+    otherwise.  The default (0, inf) means strictly positive and finite, and
+    NaN never passes.
+
+    A Python float is checked by one comparison and returned as it is (the
+    parameter containers' fast path); anything else is returned as a float
+    array, checked by its minimum and maximum, which NaN propagates to.  A
+    kernel that takes a returned float squares it by ``np.square``: Python's
+    ``x**2`` raises on overflow and ``1.0 / 0.0`` on underflow.
+    """
+    if type(x) is float:
+        lo = hi = x
+    else:
+        x = np.asarray(x, dtype=float)
+        if x.size == 0:
+            return x
+        lo, hi = x.min(), x.max()
+    if (0.0 <= lo and hi <= high) if closed else (0.0 < lo and hi < high):
+        return x
+    if closed:
+        bounds = f"in [0, {high:g}]"
+    else:
+        bounds = "strictly positive and finite" if high == math.inf else f"in (0, {high:g})"
+    raise DomainError(f"{name} must be {bounds}")
+
+
+def checked_fields(obj):
+    """``__post_init__`` of a frozen parameter dataclass: every field stored
+    as a float and checked strictly positive and finite by :func:`checked`."""
+    for name in obj.__dataclass_fields__:
+        object.__setattr__(obj, name, checked(float(getattr(obj, name)), name))
 
 
 def clamped_exp(w):

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 convergence failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -55,13 +56,6 @@ _NUMERIC_ERRORS = (
 
 def _fmt(value):
     return format(float(value), ".17g")
-
-
-def _json_value(value):
-    if value is None:
-        return None
-    value = float(value)
-    return None if math.isnan(value) else value
 
 
 def build_parser():
@@ -220,21 +214,7 @@ def _run_compare(args):
     families = [model_selection.get_family(name, args.weibull_form, config) for name in names]
     table = model_selection.compare_models(data, families)
     if args.format == "json":
-        rows = [
-            {
-                "model": row.model,
-                "estimates": row.estimates,
-                "log_likelihood": _json_value(row.log_likelihood),
-                "minus_two_ll": _json_value(row.minus_two_ll),
-                "aic": _json_value(row.aic),
-                "aicc": _json_value(row.aicc),
-                "bic": _json_value(row.bic),
-                "hqic": _json_value(row.hqic),
-                "ks": _json_value(row.ks),
-                "error": row.error,
-            }
-            for row in table.rows
-        ]
+        rows = [dataclasses.asdict(row) for row in table.rows]  # _emit maps NaN to null
         return {"label": table.label, "n": table.n, "rows": rows}
     lines = ["model,parameters,log_likelihood,minus_two_ll,aic,aicc,bic,hqic,ks,error"]
     for row in table.rows:

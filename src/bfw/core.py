@@ -13,15 +13,15 @@ needs distinct seeds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import special
-from ._stable import _ret, clamped_exp, fw_tail_terms
+from ._stable import _ret, checked, checked_fields, clamped_exp, fw_tail_terms
 from .errors import DomainError, NoInteriorModeError, SaturationError
-from .flexible_weibull import FWParams, _check_u, _check_x, _w, fw_cdf, fw_quantile
+from .flexible_weibull import FWParams, _w, fw_cdf, fw_quantile
 
 __all__ = [
     "BFWParams",
@@ -48,15 +48,11 @@ class BFWParams:
     p: float
     q: float
 
-    def __post_init__(self):
-        for name in ("alpha", "beta", "p", "q"):
-            value = float(getattr(self, name))
-            if not (math.isfinite(value) and value > 0.0):
-                raise DomainError(f"{name} must be strictly positive and finite")
-            object.__setattr__(self, name, value)
+    __post_init__ = checked_fields
 
-    @property
+    @cached_property
     def base(self) -> FWParams:
+        """The flexible Weibull (alpha, beta), built once per instance."""
         return FWParams(self.alpha, self.beta)
 
     def as_array(self) -> np.ndarray:
@@ -72,18 +68,16 @@ def bfw_cdf(x, params):
 def bfw_log_pdf(x, params):
     """Log density; finite wherever the inputs are representable.
 
-    ln Gamma(p+q) - ln Gamma(p) - ln Gamma(q) + ln(alpha + beta/x^2)
-    + w - q e^w + (p-1) ln(1 - e^{-e^w}).
+    -ln B(p, q) + ln(alpha + beta/x^2) + w - q e^w + (p-1) ln(1 - e^{-e^w}),
+    with ln B(p, q) by :func:`bfw.special.log_beta`, as in the likelihood
+    kernel and the order statistics.
     """
-    arr = _check_x(x)
-    base = params.base
-    w = _w(arr, base)
+    arr = checked(x, "x")
+    w = _w(arr, params)
     ew = clamped_exp(w)
     ln_f = fw_tail_terms(w, ew)[0]
-    amp = np.log(base.alpha + base.beta / arr**2)
-    # BFWParams has checked the shapes; skip log_gamma's re-validation
-    gammaln = special._scipy().gammaln
-    lnorm = gammaln(params.p + params.q) - gammaln(params.p) - gammaln(params.q)
+    amp = np.log(params.alpha + params.beta / np.square(arr))
+    lnorm = -special.log_beta(params.p, params.q)
     out = lnorm + amp + w - params.q * ew + (params.p - 1.0) * ln_f
     return _ret(out)
 
@@ -136,8 +130,7 @@ def bfw_cumulative_hazard(x, params):
 
 def bfw_quantile(u, params):
     """Inverse CDF: flexible Weibull quantile of the Beta(p, q) quantile."""
-    arr = _check_u(u)
-    y = np.asarray(special.inv_reg_inc_beta(arr, params.p, params.q))
+    y = np.asarray(special.inv_reg_inc_beta(checked(u, "u", high=1.0), params.p, params.q))
     # betaincinv can land exactly on an endpoint for extreme shapes
     y = np.clip(y, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
     return fw_quantile(y, params.base)
@@ -167,16 +160,15 @@ def mode_equation(x, params):
     final factor comes from :func:`bfw._stable.fw_tail_terms`, which
     neither tail overflows.
     """
-    arr = _check_x(x)
-    base = params.base
-    w = _w(arr, base)
+    arr = checked(x, "x")
+    w = _w(arr, params)
     ew = clamped_exp(w)
-    x2 = arr * arr
-    amp = base.alpha + base.beta / x2
+    x2 = np.square(arr)
+    amp = params.alpha + params.beta / x2
     ratio = fw_tail_terms(w, ew, log_cdf=False, ratio=True)[1]
     with np.errstate(over="ignore"):
         bracket = 1.0 - params.q * ew + (params.p - 1.0) * ratio
-        out = -2.0 * base.beta / (arr * x2) + amp * amp * bracket
+        out = -2.0 * params.beta / (arr * x2) + amp * amp * bracket
     return _ret(out)
 
 

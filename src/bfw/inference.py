@@ -61,7 +61,7 @@ from typing import Callable
 import numpy as np
 
 from . import special
-from ._stable import clamped_exp, fw_tail_terms
+from ._stable import checked, clamped_exp, fw_tail_terms
 from .core import BFWParams
 from .errors import ConvergenceError, DomainError, NumericError
 
@@ -99,8 +99,7 @@ class Dataset:
         arr = np.array(self.times, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("dataset must be a non-empty 1-d collection")
-        if not (np.all(np.isfinite(arr)) and np.all(arr > 0.0)):
-            raise DomainError("all failure times must be strictly positive and finite")
+        checked(arr, "all failure times")
         arr.flags.writeable = False
         object.__setattr__(self, "times", arr)
 
@@ -416,10 +415,10 @@ class Likelihood:
     returns the log-likelihood (starts,), the analytic score (starts, k) and
     the observed information (starts, k, k) of each row, -inf log-likelihood
     where a term is not representable; ``starts(config)`` gives the start
-    points in log-parameter space, one per row; ``names`` label the
-    parameters in error messages.  ``profile(x, theta)``, where a family has
-    one, returns (theta, ll, grad, info) after moving each row to a point
-    whose log-likelihood is no lower, on its own.
+    points in log-parameter space, one per row; ``names`` name the columns
+    of theta.  ``profile(x, theta)``, where a family has one, returns
+    (theta, ll, grad, info) after moving each row to a point whose
+    log-likelihood is no lower, on its own.
     """
 
     evaluate: Callable

@@ -28,6 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import inference
+from ._stable import checked
 from .core import BFWParams, bfw_cdf, bfw_log_pdf
 from .core import bfw_pdf  # noqa: F401 - kept for perfbench/tracing.py
 from .errors import DomainError
@@ -173,15 +174,10 @@ class ModelFamily:
     def parameters(self, values):
         """Natural parameters from reported ones, which must all be finite
         and strictly positive; raises :class:`DomainError` otherwise."""
-        values = np.asarray(values, dtype=float)
-        message = f"{self.name} parameters must be strictly positive and finite"
-        if not (np.all(np.isfinite(values)) and np.all(values > 0.0)):
-            raise DomainError(message)
-        with np.errstate(all="ignore"):
-            theta = np.asarray(self.natural(values), dtype=float)
-        if not (np.all(np.isfinite(theta)) and np.all(theta > 0.0)):
-            raise DomainError(message)  # a reported set outside double range
-        return theta
+        name = f"{self.name} parameters"
+        values = checked(values, name)
+        with np.errstate(all="ignore"):  # a natural form outside double range fails the check
+            return checked(self.natural(values), name)
 
 
 _TWO_PARAM_STARTS = np.log([[0.5, 0.5], [0.05, 2.0], [2.0, 0.05], [1.0, 10.0]])
@@ -331,15 +327,17 @@ def available_families():
 
 @dataclass(frozen=True)
 class ComparisonRow:
+    """One family's fit; a failed fit keeps the defaults and its ``error``."""
+
     model: str
-    estimates: Optional[dict]
-    log_likelihood: float
-    minus_two_ll: float
-    aic: float
-    aicc: float
-    bic: float
-    hqic: float
-    ks: float
+    estimates: Optional[dict] = None
+    log_likelihood: float = math.nan
+    minus_two_ll: float = math.nan
+    aic: float = math.nan
+    aicc: float = math.nan
+    bic: float = math.nan
+    hqic: float = math.nan
+    ks: float = math.nan
     error: Optional[str] = None
 
 
@@ -390,19 +388,6 @@ def compare_models(data, families):
         try:
             rows.append(fit_model(family, data))
         except Exception as exc:  # noqa: BLE001 - failures are part of the contract
-            rows.append(
-                ComparisonRow(
-                    model=family.name,
-                    estimates=None,
-                    log_likelihood=math.nan,
-                    minus_two_ll=math.nan,
-                    aic=math.nan,
-                    aicc=math.nan,
-                    bic=math.nan,
-                    hqic=math.nan,
-                    ks=math.nan,
-                    error=str(exc),
-                )
-            )
+            rows.append(ComparisonRow(model=family.name, error=str(exc)))
     rows.sort(key=lambda row: math.inf if math.isnan(row.aic) else row.aic)
     return ComparisonTable(rows=tuple(rows), label=data.label, n=data.n)

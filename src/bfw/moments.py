@@ -26,6 +26,7 @@ import numpy as np
 
 from .core import bfw_log_pdf
 from .errors import DomainError, QuadratureAccuracyError
+from .flexible_weibull import _x_at_exponent
 
 __all__ = [
     "MomentSummary",
@@ -49,13 +50,6 @@ class _Quadrature:
     values: np.ndarray  # one integral per weight
     rel_errors: np.ndarray  # last level difference over the integral of |integrand|
     evaluations: int  # density points, scan included
-
-
-def _x_at_exponent(w, params):
-    """The x > 0 at which the flexible Weibull exponent alpha x - beta/x is w."""
-    disc = np.sqrt(w * w + 4.0 * params.alpha * params.beta)
-    with np.errstate(divide="ignore"):
-        return np.where(w >= 0.0, (w + disc) / (2.0 * params.alpha), 2.0 * params.beta / (disc - w))
 
 
 def _log_integrand(t, params, weight):

@@ -16,7 +16,6 @@ from . import special
 from .core import bfw_cdf, bfw_log_pdf, bfw_pdf
 from .errors import DomainError, ExpansionStabilityError
 from ._stable import _ret
-from .flexible_weibull import _check_x
 
 __all__ = ["OrderIndex", "order_stat_pdf", "order_stat_log_pdf", "order_stat_pdf_expansion"]
 
@@ -43,12 +42,13 @@ class OrderIndex:
 
 
 def order_stat_log_pdf(x, idx, params):
-    """Log density of the r-th of n: -ln B(r, n-r+1) + (r-1) ln F + (n-r) ln(1-F) + ln f."""
-    arr = _check_x(x)
+    """Log density of the r-th of n: -ln B(r, n-r+1) + (r-1) ln F + (n-r) ln(1-F) + ln f.
+
+    ``bfw_log_pdf`` validates x."""
     r, n = idx.r, idx.n
     log_norm = -special.log_beta(float(r), float(n - r + 1))
-    out = log_norm + np.asarray(bfw_log_pdf(arr, params), dtype=float)
-    cdf = np.asarray(bfw_cdf(arr, params), dtype=float)
+    out = log_norm + np.asarray(bfw_log_pdf(x, params), dtype=float)
+    cdf = np.asarray(bfw_cdf(x, params), dtype=float)
     with np.errstate(divide="ignore"):
         if r > 1:
             out = out + (r - 1) * np.log(cdf)
@@ -77,9 +77,8 @@ def order_stat_pdf_expansion(x, idx, params):
             f"alternating expansion is unstable for n > {_EXPANSION_MAX_N}; "
             "use order_stat_pdf instead"
         )
-    arr = _check_x(x)
-    cdf = np.asarray(bfw_cdf(arr, params), dtype=float)
-    pdf = np.asarray(bfw_pdf(arr, params), dtype=float)
+    cdf = np.asarray(bfw_cdf(x, params), dtype=float)  # validates x
+    pdf = np.asarray(bfw_pdf(x, params), dtype=float)
     total = np.zeros_like(cdf)
     total_abs = np.zeros_like(cdf)
     for i in range(n - r + 1):

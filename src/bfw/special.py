@@ -1,7 +1,7 @@
 """Special-function kernel used by every other module.
 
-Thin domain-checked wrappers over the scipy implementations.  Everything
-is pure and thread-safe.
+Thin wrappers over the scipy implementations, each input validated by
+:func:`bfw._stable.checked`.  Everything is pure and thread-safe.
 
 ``scipy.special`` costs about as much to import as numpy, so it is loaded
 on first use through :func:`_scipy`, not when ``bfw`` is imported.  Of the
@@ -15,7 +15,7 @@ import functools
 
 import numpy as np
 
-from ._stable import _ret
+from ._stable import _ret, checked
 from .errors import DomainError
 
 __all__ = [
@@ -39,33 +39,16 @@ def _scipy():
     return special
 
 
-def _checked(x, name, lower=None, upper=None, open_lower=False, open_upper=False):
-    arr = np.asarray(x, dtype=float)
-    if arr.size == 0:
-        return arr
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite")
-    if lower is not None:
-        ok = arr > lower if open_lower else arr >= lower
-        if not np.all(ok):
-            raise DomainError(f"{name} must be {'>' if open_lower else '>='} {lower}")
-    if upper is not None:
-        ok = arr < upper if open_upper else arr <= upper
-        if not np.all(ok):
-            raise DomainError(f"{name} must be {'<' if open_upper else '<='} {upper}")
-    return arr
-
-
 def log_gamma(x):
     """ln Gamma(x) for x > 0."""
-    return _ret(_scipy().gammaln(_checked(x, "x", lower=0.0, open_lower=True)))
+    return _ret(_scipy().gammaln(checked(x, "x")))
 
 
 def polygamma(order, x):
     """Digamma (order 0) or trigamma (order 1) at x > 0."""
     if order not in (0, 1):
         raise DomainError("polygamma supports orders 0 and 1 only")
-    arr = _checked(x, "x", lower=0.0, open_lower=True)
+    arr = checked(x, "x")
     return _ret(_scipy().psi(arr) if order == 0 else _scipy().polygamma(1, arr))
 
 
@@ -81,9 +64,7 @@ def log_beta(p, q):
     """ln B(p, q) for p, q > 0, by ``betaln``, which does not cancel where
     one shape swamps the other as ln Gamma(p) + ln Gamma(q) - ln Gamma(p + q)
     does (at p ~ 2.5e-5, q ~ 2e32 that difference loses every digit)."""
-    pa = _checked(p, "p", lower=0.0, open_lower=True)
-    qa = _checked(q, "q", lower=0.0, open_lower=True)
-    return _ret(_scipy().betaln(pa, qa))
+    return _ret(_scipy().betaln(checked(p, "p"), checked(q, "q")))
 
 
 # three-point Gauss-Legendre nodes and weights on [0, 1]
@@ -130,10 +111,8 @@ def polygamma_gaps(b, s):
 
 def reg_inc_beta(y, p, q):
     """Regularized incomplete beta I_y(p, q), the Beta(p, q) CDF at y."""
-    ya = _checked(y, "y", lower=0.0, upper=1.0)
-    pa = _checked(p, "p", lower=0.0, open_lower=True)
-    qa = _checked(q, "q", lower=0.0, open_lower=True)
-    return _ret(_scipy().betainc(pa, qa, ya))
+    ya = checked(y, "y", high=1.0, closed=True)
+    return _ret(_scipy().betainc(checked(p, "p"), checked(q, "q"), ya))
 
 
 def inv_reg_inc_beta(u, p, q):
@@ -141,13 +120,10 @@ def inv_reg_inc_beta(u, p, q):
 
     Endpoints map to themselves: u = 0 -> 0 and u = 1 -> 1.
     """
-    ua = _checked(u, "u", lower=0.0, upper=1.0)
-    pa = _checked(p, "p", lower=0.0, open_lower=True)
-    qa = _checked(q, "q", lower=0.0, open_lower=True)
-    return _ret(_scipy().betaincinv(pa, qa, ua))
+    ua = checked(u, "u", high=1.0, closed=True)
+    return _ret(_scipy().betaincinv(checked(p, "p"), checked(q, "q"), ua))
 
 
 def std_normal_quantile(u):
     """z with Phi(z) = u, for u in the open interval (0, 1)."""
-    ua = _checked(u, "u", lower=0.0, upper=1.0, open_lower=True, open_upper=True)
-    return _ret(_scipy().ndtri(ua))
+    return _ret(_scipy().ndtri(checked(u, "u", high=1.0)))

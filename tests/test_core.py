@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -26,11 +27,9 @@ from bfw import (
     fw_pdf,
     fw_quantile,
     ks_statistic,
-    log_gamma,
     mode_equation,
     raw_moment_quadrature,
 )
-from bfw._stable import clamped_exp, fw_tail_terms
 from bfw.inference import Dataset
 
 
@@ -66,6 +65,10 @@ class TestParams:
     def test_validation(self, bad):
         with pytest.raises(DomainError):
             BFWParams(*bad)
+
+    def test_base_is_built_once(self, published_params):
+        assert published_params.base is published_params.base
+        assert published_params.base == FWParams(published_params.alpha, published_params.beta)
 
 
 class TestCdf:
@@ -153,32 +156,38 @@ class TestLogPdf:
         # naive arithmetic underflows here; the log form must survive
         assert math.isfinite(bfw_log_pdf(1e-3, published_params))
 
-    @pytest.mark.parametrize("theta", [
-        (0.052, 0.024, 35.077, 20.328),
-        (0.5, 0.5, 2.0, 2.0),
-        (0.5, 0.8, 1.0, 1.0),
-        (1e-3, 5.0, 0.1, 300.0),
-        (2.0, 0.01, 1e-3, 1e-3),
-        (0.3, 1.2, 1e3, 0.5),
-        (0.1, 0.1, 1e8, 1.0),
-        (3.7, 0.2, 12.5, 0.07),
-        (0.9, 2.2, 0.37, 7.3),
+    @pytest.mark.parametrize("theta, x", [
+        # one shape swamps the other: gammaln(p + q) - gammaln(p) - gammaln(q)
+        # is 2.2e-7 off in both, betaln is not
+        ((0.1, 0.1, 1e8, 1.0), 30.0),
+        ((1.0, 1.0, 1.0, 1e8), 1e-3),
+        ((0.052, 0.024, 35.077, 20.328), 0.101),
+        ((0.052, 0.024, 35.077, 20.328), 3.0),
+        ((0.5, 0.8, 1.0, 1.0), 1.0),
+        ((1e-3, 5.0, 0.1, 300.0), 2.0),
+        ((2.0, 0.01, 1e-3, 1e-3), 0.5),
+        ((0.3, 1.2, 1e3, 0.5), 10.0),
+        ((3.7, 0.2, 12.5, 0.07), 1.0),
     ])
-    def test_normalizer_bit_identical_to_checked_log_gamma(self, theta):
-        # the kernel skips log_gamma's validation, not one rounding step
-        params = BFWParams(*theta)
-        a, b, p, q = theta
-        lnorm = log_gamma(p + q) - log_gamma(p) - log_gamma(q)
-        for x in (np.geomspace(0.05, 10.0, 200), 0.101, 3.0):
-            arr = np.asarray(x)
-            w = a * arr - b / arr
-            ew = clamped_exp(w)
-            ln_f = fw_tail_terms(w, ew)[0]
-            amp = np.log(a + b / arr**2)
-            expected = lnorm + amp + w - q * ew + (p - 1.0) * ln_f
-            got = bfw_log_pdf(x, params)
-            assert np.shape(got) == np.shape(expected)
-            assert np.all(got == expected)
+    def test_against_mpmath(self, theta, x):
+        # 60-digit terms of the log-density at the double inputs.  The float
+        # sum may round each by a few eps, and scipy's betaln, which takes a
+        # gammaln difference at some shapes, is ~3e-13 relative off at
+        # (0.1, 300) and (1e3, 0.5): allow 1e-12 of |ln B(p, q)| for it
+        with mpmath.workdps(60):
+            a, b, p, q, xm = (mpmath.mpf(v) for v in (*theta, x))
+            w = a * xm - b / xm
+            terms = [
+                -mpmath.log(mpmath.beta(p, q)),
+                mpmath.log(a + b / xm**2),
+                w,
+                -q * mpmath.exp(w),
+                (p - 1) * mpmath.log(-mpmath.expm1(-mpmath.exp(w))),
+            ]
+            expected = float(mpmath.fsum(terms))
+            scale = float(mpmath.fsum(abs(t) for t in terms))
+        tol = 8.0 * np.finfo(float).eps * scale + 1e-12 * abs(float(terms[0]))
+        assert abs(bfw_log_pdf(x, BFWParams(*theta)) - expected) <= tol
 
 
 class TestSurvivalHazards:

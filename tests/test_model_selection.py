@@ -354,7 +354,14 @@ class TestFamilyProtocol:
 
 
 def test_every_exported_name_resolves():
+    import importlib
+    import pkgutil
+
     import bfw
 
-    missing = [name for name in bfw.__all__ if not hasattr(bfw, name)]
+    # __main__ runs the CLI on import; every other module is checked
+    modules = [bfw] + [importlib.import_module(f"bfw.{info.name}")
+                       for info in pkgutil.iter_modules(bfw.__path__) if info.name != "__main__"]
+    missing = [f"{module.__name__}.{name}" for module in modules
+               for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
