@@ -11,11 +11,14 @@ The kernels accept scalars or arrays and never raise on extreme inputs;
 they return the correct IEEE limit instead.  :func:`fw_tail_terms` is the
 one place where the flexible-Weibull tail terms -- ln F, the ratio
 e^w/(e^{e^w} - 1) and its curvature -- are formed, for the log-density, the
-mode equation and the likelihood kernel alike.
+mode equation and the likelihood kernel alike.  :func:`tiny_x` and
+:func:`log_amplitude` carry the densities down to the smallest double, where
+x^2 is subnormal and beta/x^2 overflows.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -27,6 +30,8 @@ W_CLAMP = 700.0
 
 _LN2 = float(np.log(2.0))
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
+_HUGE = float(np.finfo(float).max)
+_NO_OP = contextlib.nullcontext()
 _DEEP = -float(np.log(_TINY))  # e^{-e^w} is subnormal above this e^w
 _SHIFT = 700.0  # SHIFT - e^w is exact for e^w in [350, 1400]
 _EXP_NEG_SHIFT = float(np.exp(-_SHIFT))
@@ -75,6 +80,41 @@ def checked_fields(obj):
 def clamped_exp(w):
     """exp(min(w, W_CLAMP)); keeps products like q*e^w representable."""
     return np.exp(np.minimum(w, W_CLAMP))
+
+
+def tiny_x(x, beta):
+    """Whether some element of ``x``, as :func:`checked` returns it, lies
+    where x^2 is subnormal or beta/x^2 overflows: below ~1.5e-154 for beta
+    up to 4.  Only there do the density kernels run under :func:`quiet` and
+    take :func:`log_amplitude`'s second form; elsewhere they pay one
+    comparison of the smallest x."""
+    lo = x if type(x) is float else (x.min() if x.size else 1.0)
+    return lo * lo < max(_TINY, beta / _HUGE)
+
+
+def quiet(tiny):
+    """``np.errstate(all="ignore")`` when ``tiny`` (from :func:`tiny_x`),
+    where the kernels take IEEE limits on purpose; a no-op otherwise."""
+    return np.errstate(all="ignore") if tiny else _NO_OP
+
+
+def log_amplitude(x, alpha, beta, tiny):
+    """ln(alpha + beta/x^2) for positive x and parameters, ``tiny`` being
+    :func:`tiny_x`.  The direct form, except where x^2 is subnormal or
+    beta/x^2 overflows (:func:`tiny_mask`), where it is
+    ln beta - 2 ln x + log1p(alpha x^2/beta), which does neither; callers
+    hold :func:`quiet` when ``tiny``."""
+    x2 = np.square(x)
+    near = np.log(alpha + beta / x2)
+    if not tiny:
+        return near
+    far = np.log(beta) - 2.0 * np.log(x) + np.log1p(alpha * x2 / beta)
+    return np.where(tiny_mask(x, beta), far, near)
+
+
+def tiny_mask(x, beta):
+    """Which elements :func:`tiny_x` means: x^2 below max(tiny, beta/max)."""
+    return np.square(x) < max(_TINY, beta / _HUGE)
 
 
 def fw_tail_terms(w, ew, log_cdf=True, ratio=False, curvature=False):

@@ -19,7 +19,9 @@ from functools import cached_property
 import numpy as np
 
 from . import special
-from ._stable import _ret, checked, checked_fields, clamped_exp, fw_tail_terms
+from ._stable import (
+    _ret, checked, checked_fields, clamped_exp, fw_tail_terms, log_amplitude, quiet, tiny_x,
+)
 from .errors import DomainError, NoInteriorModeError, SaturationError
 from .flexible_weibull import FWParams, _w, fw_cdf, fw_quantile
 
@@ -69,17 +71,28 @@ def bfw_log_pdf(x, params):
     """Log density; finite wherever the inputs are representable.
 
     -ln B(p, q) + ln(alpha + beta/x^2) + w - q e^w + (p-1) ln(1 - e^{-e^w}),
-    with ln B(p, q) by :func:`bfw.special.log_beta`, as in the likelihood
-    kernel and the order statistics.
+    with ln B(p, q) by scipy's ``betaln``, as in the likelihood kernel and
+    the order statistics, and ln(alpha + beta/x^2) by
+    :func:`bfw._stable.log_amplitude`, which stays finite for tiny x: at the
+    smallest double the log density is -inf, not NaN.
     """
-    arr = checked(x, "x")
-    w = _w(arr, params)
-    ew = clamped_exp(w)
-    ln_f = fw_tail_terms(w, ew)[0]
-    amp = np.log(params.alpha + params.beta / np.square(arr))
-    lnorm = -special.log_beta(params.p, params.q)
-    out = lnorm + amp + w - params.q * ew + (params.p - 1.0) * ln_f
-    return _ret(out)
+    return _ret(_log_pdf(checked(x, "x"), params))
+
+
+def _log_pdf(arr, params):
+    """:func:`bfw_log_pdf` of checked ``arr``, for callers whose x are
+    positive and finite by construction."""
+    tiny = tiny_x(arr, params.beta)
+    with quiet(tiny):
+        w = _w(arr, params)  # -inf where beta/x overflows
+        ew = clamped_exp(w)
+        ln_f = fw_tail_terms(w, ew)[0]
+        amp = log_amplitude(arr, params.alpha, params.beta, tiny)
+        lnorm = -special._scipy().betaln(params.p, params.q)  # checked shapes
+        out = lnorm + amp + w - params.q * ew + (params.p - 1.0) * ln_f
+        if tiny and params.p <= 1.0:  # (p - 1) ln F is not -inf where w = -inf; p w is
+            out = np.where(w == -np.inf, -np.inf, out)
+    return out
 
 
 def bfw_pdf(x, params):
@@ -158,18 +171,31 @@ def mode_equation(x, params):
     -2 beta / x^3 + (alpha + beta/x^2)^2 [1 - q e^w + (p-1) e^w/(e^{e^w}-1)];
     positive where the density rises and negative where it falls.  The
     final factor comes from :func:`bfw._stable.fw_tail_terms`, which
-    neither tail overflows.
+    neither tail overflows.  Where that sum is not finite (x below ~1e-100)
+    it is (alpha + beta/x^2)^2 [bracket - 2 beta x/(beta + alpha x^2)^2],
+    whose sign is the bracket's.
     """
     arr = checked(x, "x")
-    w = _w(arr, params)
-    ew = clamped_exp(w)
-    x2 = np.square(arr)
-    amp = params.alpha + params.beta / x2
-    ratio = fw_tail_terms(w, ew, log_cdf=False, ratio=True)[1]
-    with np.errstate(over="ignore"):
+    amp, bracket, out = _mode_terms(arr, params)
+    if out.size and not np.isfinite(out.min()):
+        with np.errstate(all="ignore"):
+            gap = 2.0 * params.beta * arr / np.square(params.beta + params.alpha * np.square(arr))
+            out = np.where(np.isfinite(out), out, amp * amp * (bracket - gap))
+    return _ret(out)
+
+
+def _mode_terms(arr, params):
+    """alpha + beta/x^2, the bracket and the sum of :func:`mode_equation`
+    at checked ``arr``; the sum is NaN where both of its terms overflow."""
+    with np.errstate(all="ignore"):
+        w = _w(arr, params)
+        ew = clamped_exp(w)
+        x2 = np.square(arr)
+        ratio = fw_tail_terms(w, ew, log_cdf=False, ratio=True)[1]
+        amp = params.alpha + params.beta / x2
         bracket = 1.0 - params.q * ew + (params.p - 1.0) * ratio
         out = -2.0 * params.beta / (arr * x2) + amp * amp * bracket
-    return _ret(out)
+    return amp, bracket, out
 
 
 _MODE_SUBDIVISIONS = 256  # sub-intervals per bracket and refinement round
@@ -201,9 +227,9 @@ def bfw_mode(params, bracket=(1e-6, 1e4), grid_points=400):
         grid = lo[:, None] + (hi - lo)[:, None] * fractions
         grid[:, -1] = hi  # keep the upper end exact
         # mode_equation(lo) > 0 >= mode_equation(hi) holds for every bracket
-        first = np.argmax(np.asarray(mode_equation(grid, params)) <= 0, axis=1)
+        first = np.argmax(_mode_terms(grid, params)[2] <= 0, axis=1)
         lo = np.where(first > 0, grid[rows, first - 1], lo)
         hi = grid[rows, first]
     roots = 0.5 * (lo + hi)
-    best = np.argmax(bfw_log_pdf(roots, params)) if roots.size > 1 else 0
+    best = np.argmax(_log_pdf(roots, params)) if roots.size > 1 else 0
     return float(roots[best])

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._stable import _ret, checked, checked_fields, clamped_exp
+from ._stable import (
+    _ret, checked, checked_fields, clamped_exp, log_amplitude, quiet, tiny_mask, tiny_x,
+)
 
 __all__ = ["FWParams", "fw_cdf", "fw_pdf", "fw_log_pdf", "fw_sf", "fw_quantile"]
 
@@ -54,18 +56,28 @@ def fw_sf(x, params):
 
 
 def fw_pdf(x, params):
-    """(alpha + beta/x^2) e^w exp(-e^w); integrates to one over (0, inf)."""
+    """(alpha + beta/x^2) e^w exp(-e^w); integrates to one over (0, inf).
+    Where the amplitude overflows (x below ~1e-154) the density is the exp
+    of its log form, which tends to 0."""
     arr = checked(x, "x")
-    w = _w(arr, params)
-    amp = params.alpha + params.beta / np.square(arr)
-    # w - e^w <= -1 for all w, so the exponential never overflows
-    return _ret(amp * np.exp(w - clamped_exp(w)))
+    tiny = tiny_x(arr, params.beta)
+    with quiet(tiny):
+        w = _w(arr, params)
+        # w - e^w <= -1 for all w, so the exponential never overflows
+        tail = w - clamped_exp(w)
+        out = (params.alpha + params.beta / np.square(arr)) * np.exp(tail)
+        if tiny:
+            log_pdf = log_amplitude(arr, params.alpha, params.beta, tiny) + tail
+            out = np.where(tiny_mask(arr, params.beta), np.exp(log_pdf), out)
+    return _ret(out)
 
 
 def fw_log_pdf(x, params):
     arr = checked(x, "x")
-    w = _w(arr, params)
-    return _ret(np.log(params.alpha + params.beta / np.square(arr)) + w - clamped_exp(w))
+    tiny = tiny_x(arr, params.beta)
+    with quiet(tiny):
+        w = _w(arr, params)
+        return _ret(log_amplitude(arr, params.alpha, params.beta, tiny) + w - clamped_exp(w))
 
 
 def fw_quantile(u, params):

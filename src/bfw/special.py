@@ -69,8 +69,8 @@ def log_beta(p, q):
 
 # three-point Gauss-Legendre nodes and weights on [0, 1]
 _GAUSS_NODES = 0.5 + 0.5 * np.sqrt(0.6) * np.array([-1.0, 0.0, 1.0])[:, None]
-# weights of the psi' and 2 zeta(3, .) rows, shaped for a (2, 3, m) stack of node values
-_GAUSS_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0 * np.array([1.0, 2.0])[:, None, None]
+# weights of the psi' and 2 zeta(3, .) rows, one column per node
+_GAUSS_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0 * np.array([1.0, 2.0])[:, None]
 _ZETA_ORDERS = np.array([2.0, 3.0])[:, None, None]  # psi' = zeta(2, .), -psi'' = 2 zeta(3, .)
 _LEADING_FROM = 2.0**60  # base from which the gaps are their leading terms
 
@@ -96,7 +96,10 @@ def polygamma_gaps(b, s):
     b, s = np.asarray(b, dtype=float), np.asarray(s, dtype=float)
     shift = b < 1.0
     zeta = _scipy().zeta(_ZETA_ORDERS, b + shift + s * _GAUSS_NODES)
-    d_psi, d_tri = s * (_GAUSS_WEIGHTS @ zeta)[:, 0]
+    # an explicit sum over the nodes: a matrix product rounds differently with
+    # the number of columns, and each element must get the value it gets alone
+    w = _GAUSS_WEIGHTS[:, :, None]
+    d_psi, d_tri = s * (w[:, 0] * zeta[:, 0] + w[:, 1] * zeta[:, 1] + w[:, 2] * zeta[:, 2])
     if shift.any():
         with np.errstate(over="ignore"):
             t = (s[shift] / b[shift]) / (b[shift] + s[shift])  # 1/b - 1/(b + s)

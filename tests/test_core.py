@@ -24,13 +24,17 @@ from bfw import (
     bfw_sample,
     bfw_survival,
     fw_cdf,
+    fw_log_pdf,
     fw_pdf,
     fw_quantile,
     ks_statistic,
     mode_equation,
     raw_moment_quadrature,
 )
+from bfw._stable import log_amplitude, tiny_x
 from bfw.inference import Dataset
+
+PUBLISHED = (0.052, 0.024, 35.077, 20.328)
 
 
 def naive_pdf(x, params):
@@ -155,6 +159,65 @@ class TestLogPdf:
     def test_finite_deep_in_left_tail(self, published_params):
         # naive arithmetic underflows here; the log form must survive
         assert math.isfinite(bfw_log_pdf(1e-3, published_params))
+
+    @pytest.mark.parametrize("x", ["1e-160", "1e-200"])
+    def test_tiny_x_against_mpmath(self, published_params, x):
+        # beta/x^2 overflows (or x^2 underflows) here; 50-digit mpmath gives
+        # -8.41848e159 at 1e-160, and the density and mode equation their limits
+        with mpmath.workdps(50):
+            a, b, p, q, xm = (mpmath.mpf(v) for v in (*PUBLISHED, x))
+            w = a * xm - b / xm
+            log_amp = mpmath.log(a + b / xm**2)
+            expected = float(-mpmath.log(mpmath.beta(p, q)) + log_amp + w - q * mpmath.exp(w)
+                             + (p - 1) * mpmath.log(-mpmath.expm1(-mpmath.exp(w))))
+            fw_expected = float(log_amp + w - mpmath.exp(w))
+        xf = float(x)
+        assert bfw_log_pdf(xf, published_params) == pytest.approx(expected, rel=1e-15)
+        assert bfw_log_pdf(np.array([xf, 1.0]), published_params)[0] == pytest.approx(
+            expected, rel=1e-15)
+        assert fw_log_pdf(xf, published_params.base) == pytest.approx(fw_expected, rel=1e-15)
+        assert bfw_pdf(xf, published_params) == 0.0
+        assert fw_pdf(xf, published_params.base) == 0.0
+        assert mode_equation(xf, published_params) == math.inf  # beta^2 p / x^4 overflows
+
+    def test_smallest_double_gives_the_ieee_limits(self, published_params):
+        # warnings are errors in this suite, so each call is also warning-free
+        def first(values):
+            return np.atleast_1d(values)[0]
+
+        for x in (5e-324, np.array([5e-324, 1e-170, 1.0])):
+            assert first(bfw_log_pdf(x, published_params)) == -math.inf
+            assert first(bfw_pdf(x, published_params)) == 0.0
+            assert first(fw_log_pdf(x, published_params.base)) == -math.inf
+            assert first(fw_pdf(x, published_params.base)) == 0.0
+            assert first(mode_equation(x, published_params)) == math.inf
+        # p <= 1 must not leave -inf + inf where w = -inf
+        assert bfw_log_pdf(5e-324, BFWParams(0.5, 0.5, 0.5, 2.0)) == -math.inf
+        assert bfw_log_pdf(5e-324, BFWParams(0.5, 0.5, 1.0, 2.0)) == -math.inf
+
+    def test_amplitude_log_keeps_every_bit_from_1e_150(self, published_params):
+        # the second form of ln(alpha + beta/x^2) takes over only below ~1.5e-154
+        x = np.geomspace(1e-150, 1e4, 4001)
+        for alpha, beta in [(0.052, 0.024), (0.5, 0.5), (3.0, 4.0), (1e-3, 1e-6)]:
+            direct = np.log(alpha + beta / np.square(x))
+            assert not tiny_x(x, beta)
+            assert np.array_equal(log_amplitude(x, alpha, beta, False), direct)
+            # a tiny x elsewhere in the batch leaves these elements as they are
+            with np.errstate(all="ignore"):
+                mixed = log_amplitude(np.append(x, 1e-170), alpha, beta, True)
+            assert np.array_equal(mixed[:-1], direct)
+
+    @pytest.mark.parametrize("x", [1e-155, 1e-158, 1e-162, 1e-170, 1e-250, 1e-320])
+    def test_amplitude_log_against_mpmath_below_1e_154(self, x):
+        # x^2 is subnormal or zero here, or beta/x^2 overflows
+        for alpha, beta in [(0.052, 0.024), (2.0, 1e30)]:
+            with mpmath.workdps(50):
+                a, b, xm = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(x)
+                expected = float(mpmath.log(a + b / xm**2))
+            assert tiny_x(x, beta)
+            with np.errstate(all="ignore"):
+                got = log_amplitude(x, alpha, beta, True)
+            assert got == pytest.approx(expected, rel=1e-15)
 
     @pytest.mark.parametrize("theta, x", [
         # one shape swamps the other: gammaln(p + q) - gammaln(p) - gammaln(q)

@@ -607,9 +607,10 @@ class TestProfileStep:
         # exp(t1/n) + exp(t2/n) >= 1 in the first two rows, sums not finite in the others
         assert np.array_equal(inference._profile_shapes(self.N, t, shapes), shapes)
 
-    def test_never_lowers_the_log_likelihood(self, pumps):
+    def test_never_lowers_the_log_likelihood(self, pumps, benchmark_panel):
         rng = np.random.default_rng(3)
-        datasets = [pumps.times] + [data.times for _, data, _ in benchmark_panel(1)]
+        datasets = [pumps.times] + [data.times for label, data, _ in benchmark_panel
+                                    if label.endswith("-0")]
         for x in datasets:
             theta = np.exp(rng.uniform(-8.0, 8.0, (64, 4)))
             moved, ll, _, _ = inference.BFW.trial(x, theta)
@@ -629,7 +630,7 @@ class TestProfileStep:
         assert ll[0] > -1e4
         assert np.log(moved[0, 3]) < -80.0
 
-    def test_two_parameter_families_unchanged(self, pumps):
+    def test_two_parameter_families_unchanged(self, pumps, benchmark_panel):
         # (log-likelihood, natural parameters) of the fw and Weibull fits, as the
         # gammaln-difference kernel gave them; these families have no profile step
         pinned = {
@@ -649,7 +650,7 @@ class TestProfileStep:
                                 (-604.1553261306559, 1.7624640641695883, 0.9417497383284981)),
         }
         datasets = {"pumps": pumps}
-        datasets.update({label: data for label, data, _ in benchmark_panel(1)})
+        datasets.update({label: data for label, data, _ in benchmark_panel if label.endswith("-0")})
         for label, data in datasets.items():
             for family, want in zip(("fw", "weibull"), pinned[label]):
                 fit = model_selection.get_family(family).fit(data)
@@ -664,53 +665,36 @@ class TestCrawlRegression:
         fit = fit_mle(pumps)
         assert min(d.log_likelihood for d in fit.starts) > -1e3
 
-    def test_kernel_passes_stay_bounded(self, pumps):
+    def test_kernel_passes_stay_bounded(self, pumps, panel_fits):
         # summed kernel passes of all starts; 917 on pumps and 17957 on the panel
-        # without the profile step
+        # without the profile step, 485 and 12142 without retirement
         passes = sum(d.evaluations for d in fit_mle(pumps).starts)
-        assert passes <= 485
+        assert passes <= 422
         total = 0
-        for _, data, _ in benchmark_panel():
-            try:
-                starts = fit_mle(data).starts
-            except ConvergenceError as exc:
-                starts = exc.diagnostics
+        for fit in panel_fits.values():
+            starts = fit.diagnostics if isinstance(fit, ConvergenceError) else fit.starts
             total += sum(d.evaluations for d in starts)
-        assert total <= 12142
+        assert total <= 9517
 
-    def test_far_shape_optimum_is_no_lower(self):
+    def test_far_shape_optimum_is_no_lower(self, benchmark_draws, panel_fits):
         # panel draw anchor1-n200-2 converges at q ~ 9e5, where betaln rounds by some
         # 1e-9 relative, below the kernel's own resolution: the fit's estimates must
         # be no lower by 60-digit mpmath than those of the gammaln kernel without the
         # profile step (its log-likelihood reads 8.0e-10 relative higher in floats)
         before = (1.0770496063902957, 33.376569801978306, 0.024385548138666835, 911429.2230166916)
-        data = {label: data for label, data, _ in benchmark_panel()}["anchor1-n200-2"]
-        fit = fit_mle(data)
+        data = benchmark_draws["anchor1-n200-2"][0]
+        fit = panel_fits["anchor1-n200-2"]
         after = mp_reference(data.times, fit.estimates.as_array(), dps=60)[0]
         assert after >= mp_reference(data.times, before, dps=60)[0]
 
 
-def benchmark_panel(draws_per_cell=3):
-    """The first draws of each (anchor, n) cell of the benchmark's fixed fit
-    panel (perfbench/workloads.py: panel seed 20170316, four draws a cell)."""
-    anchors = ((0.052, 0.024, 35.077, 20.328), (0.5, 0.5, 2.0, 2.0))
-    panel = np.random.default_rng(20170316)
-    for anchor, n in [(0, 50), (1, 50), (0, 200), (1, 200), (0, 1000), (1, 1000)]:
-        for i in range(4):
-            seed = int(panel.integers(2**63))
-            if i < draws_per_cell:
-                truth = BFWParams(*anchors[anchor])
-                data = Dataset(times=bfw_sample(n, truth, seed=seed))
-                yield f"anchor{anchor}-n{n}-{i}", data, truth
-
-
 class TestBatchedNewton:
-    def test_panel_converges_above_the_truth_or_raises(self):
+    def test_panel_converges_above_the_truth_or_raises(self, benchmark_panel, panel_fits):
         outcomes = []
-        for label, data, truth in benchmark_panel():
-            try:
-                fit = fit_mle(data)
-            except ConvergenceError as exc:
+        for label, data, truth in benchmark_panel:
+            fit = panel_fits[label]
+            if isinstance(fit, ConvergenceError):
+                exc = fit
                 assert [d.index for d in exc.diagnostics] == list(range(16)), label
                 outcomes.append("raised")
                 continue
@@ -722,7 +706,8 @@ class TestBatchedNewton:
     def test_start_diagnostics_explain_each_stop(self, pumps):
         config = OptimizerConfig()
         fit = fit_mle(pumps, config)
-        reasons = {"converged", "iteration budget", "step rejected", "log-likelihood, score"}
+        reasons = {"converged", "iteration budget", "step rejected", "log-likelihood, score",
+                   "retired"}
         for diag in fit.starts:
             assert any(diag.message.startswith(reason) for reason in reasons)
             assert diag.converged == diag.message.startswith("converged")
@@ -748,6 +733,121 @@ class TestBatchedNewton:
                              check=True)
         expected = [float(v).hex() for v in (*fit.estimates.as_array(), fit.log_likelihood)]
         assert out.stdout.split() == expected
+
+
+# Outcome of every fit (None: ConvergenceError) and its best log-likelihood,
+# recorded before starts were retired: retirement changes neither
+RECORDED_FITS = {
+    "pumps": "-0x1.d5f9bc961a6c0p+4",
+    "anchor0-n50-0": "-0x1.7ccd462ecb280p+5",
+    "anchor0-n50-1": "-0x1.060429cb38a74p+6",
+    "anchor0-n50-2": None,
+    "anchor1-n50-0": None,
+    "anchor1-n50-1": "-0x1.f66620207a6d8p+4",
+    "anchor1-n50-2": "-0x1.89f068ed401f4p+4",
+    "anchor0-n200-0": "-0x1.293c6557966c4p+8",
+    "anchor0-n200-1": "-0x1.0905b4d676b58p+8",
+    "anchor0-n200-2": None,
+    "anchor1-n200-0": "-0x1.d348977a8d39cp+6",
+    "anchor1-n200-1": None,
+    "anchor1-n200-2": "-0x1.c3325173ec400p+6",
+    "anchor0-n1000-0": "-0x1.379162981af00p+10",
+    "anchor0-n1000-1": "-0x1.3e23cacfef4d8p+10",
+    "anchor0-n1000-2": "-0x1.4a0ede9774400p+10",
+    "anchor1-n1000-0": "-0x1.0df52c456d8e0p+9",
+    "anchor1-n1000-1": "-0x1.1feae8dd781a5p+9",
+    "anchor1-n1000-2": "-0x1.36f6d2b9ab9ccp+9",
+    "fresh7-0": "-0x1.81b01c8cb5c35p+5",
+    "fresh7-1": "-0x1.fc48ea927d920p+4",
+    "fresh7-2": "-0x1.b5177a64ce664p+6",
+    "fresh7-3": "-0x1.52738f91638d0p+5",
+    "fresh7-4": "0x1.d39034aef9eacp+7",
+    "fresh7-5": None,
+    "fresh7-6": "-0x1.2b34a6b35ab98p+8",
+    "fresh7-7": "-0x1.fd3dbd0381280p+7",
+    "fresh7-8": "0x1.d1f6e50e57270p+10",
+    "fresh7-9": "-0x1.8c0cb5794fe48p+10",
+    "fresh7-10": "0x1.703e46c98b552p+3",
+    "fresh7-11": None,
+    "fresh7-12": None,
+    "fresh7-13": "-0x1.dc391ec45d228p+5",
+    "fresh7-14": "0x1.06022395eab00p+5",
+    "fresh7-15": "-0x1.ce2e3fdc5a200p+4",
+    "fresh7-16": "-0x1.d6122255b7990p+8",
+    "fresh7-17": "-0x1.7691ab6f6ca70p+3",
+    "fresh7-18": "0x1.eae353d83c4e0p+10",
+    "fresh7-19": "-0x1.cd2948878136ap+9",
+    "fresh7-20": None,
+    "fresh7-21": "-0x1.7886fd8057532p+4",
+    "fresh7-22": None,
+    "fresh7-23": None,
+}
+
+# (draw, start, message) of one benchmark panel start per retirement trigger
+RETIRED_STARTS = [
+    # walks to beta ~ 1e21, where sum w and (p - 1) sum ln F cancel to ll = 0.0
+    ("anchor1-n5000-0", 0, "retired: log-likelihood rounding error"),
+    # -q sum e^w ~ -1e79 at the start, while every ln F rounds to nearly 0
+    ("anchor1-n1000-2", 10, "retired: the ln q crawl cannot finish"),
+    # ends at the fit's -111.38 "step rejected at the largest damping"
+    ("anchor1-n200-1", 7, "retired: log-likelihood flat"),
+]
+
+
+class TestRetirement:
+    def test_each_start_alone_matches_the_batch(self, pumps):
+        # rows never interact, so a start runs the same alone; before the Gauss sums
+        # of the psi gaps were an explicit node sum, pumps start 10 read
+        # -29.373470865574575 in the batch and -29.37347086557469 alone
+        config = OptimizerConfig()
+        z0 = inference.BFW.starts(config)
+        batch = inference._newton(inference.BFW, pumps.times, z0, config)
+        for i in range(len(z0)):
+            alone = inference._newton(inference.BFW, pumps.times, z0[i : i + 1], config)
+            for got, want in zip(alone[:7], batch[:7]):  # theta, ll, ..., evaluations
+                assert np.array_equal(got[0], want[i]), i
+            assert alone[8][0] == batch[8][i]
+
+    def test_fits_match_the_record(self, pumps, panel_fits, fresh_fits):
+        fits = {"pumps": fit_mle(pumps), **panel_fits, **fresh_fits}
+        got = {label: None if isinstance(fit, ConvergenceError) else float(fit.log_likelihood).hex()
+               for label, fit in fits.items()}
+        assert got == RECORDED_FITS
+
+    @pytest.mark.parametrize("label, start, message", RETIRED_STARTS)
+    def test_trigger_retires_a_start_that_cannot_converge(self, benchmark_draws, monkeypatch,
+                                                           label, start, message):
+        x = benchmark_draws[label][0].times
+        config = OptimizerConfig()
+        z0 = inference.BFW.starts(config)[start : start + 1]
+        retired = inference._newton(inference.BFW, x, z0, config)
+        assert retired[4][0] == inference._RETIRED
+        assert retired[8][0].startswith(message)
+        # without retirement the same start runs to the budget or to rejection
+        monkeypatch.setattr(inference, "_RETIRE_AFTER", config.max_iter + 1)
+        kept = inference._newton(inference.BFW, x, z0, config)
+        assert kept[4][0] in (inference._BUDGET, inference._REJECTED)
+        assert retired[6][0] < kept[6][0]
+
+    def test_budget_stop_wins_on_the_same_pass(self, benchmark_draws):
+        # the flat walker of RETIRED_STARTS retires on its last pass; a budget
+        # one trial step smaller ends it on that same pass
+        x = benchmark_draws["anchor1-n200-1"][0].times
+        z0 = inference.BFW.starts(OptimizerConfig())[7:8]
+        passes = inference._newton(inference.BFW, x, z0, OptimizerConfig())[6][0]
+        config = OptimizerConfig(max_iter=passes - 1)
+        stop = inference._newton(inference.BFW, x, z0, config)[4][0]
+        assert stop == inference._BUDGET
+
+    def test_two_parameter_families_retire_nothing(self, pumps, panel_fits):
+        # they report no walk terms, so their starts stop as before
+        for family in ("fw", "weibull"):
+            fit = model_selection.get_family(family).fit(pumps)
+            assert not any(d.message.startswith("retired") for d in fit.starts)
+        retired = sum(d.message.startswith("retired")
+                      for fit in panel_fits.values() if not isinstance(fit, ConvergenceError)
+                      for d in fit.starts)
+        assert retired > 0
 
 
 class TestConfidenceIntervals:

@@ -229,3 +229,15 @@ class TestPolygammaGaps:
         ref_psi, ref_tri = mp_gaps(b, s)
         assert d_psi[0] == pytest.approx(ref_psi, rel=1e-14)
         assert d_tri[0] == pytest.approx(ref_tri, rel=1e-14)
+
+    def test_each_element_is_the_same_alone_and_in_a_batch(self):
+        # a matrix product over the Gauss nodes rounded differently with the
+        # batch size, which moved single fitter starts run alone
+        rng = np.random.default_rng(11)
+        b = np.exp(rng.uniform(math.log(1e-3), math.log(1e8), 97))
+        s = b * np.exp(rng.uniform(math.log(1e-12), math.log(1.0 / 64.0), 97))
+        for size in (1, 2, 5, 16, 97):
+            d_psi, d_tri = special.polygamma_gaps(b[:size], s[:size])
+            for i in range(size):
+                alone = special.polygamma_gaps(b[i : i + 1], s[i : i + 1])
+                assert (d_psi[i], d_tri[i]) == (alone[0][0], alone[1][0])
