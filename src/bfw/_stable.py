@@ -77,9 +77,10 @@ def checked_fields(obj):
         object.__setattr__(obj, name, checked(float(getattr(obj, name)), name))
 
 
-def clamped_exp(w):
-    """exp(min(w, W_CLAMP)); keeps products like q*e^w representable."""
-    return np.exp(np.minimum(w, W_CLAMP))
+def clamped_exp(w, out=None):
+    """exp(min(w, W_CLAMP)); keeps products like q*e^w representable.
+    Written into ``out`` when given."""
+    return np.exp(np.minimum(w, W_CLAMP, out=out), out)
 
 
 def tiny_x(x, beta):
@@ -117,7 +118,7 @@ def tiny_mask(x, beta):
     return np.square(x) < max(_TINY, beta / _HUGE)
 
 
-def fw_tail_terms(w, ew, log_cdf=True, ratio=False, curvature=False):
+def fw_tail_terms(w, ew, log_cdf=True, ratio=False, curvature=False, out=None):
     """The flexible-Weibull tail terms of exponent ``w``, ``ew`` being
     ``clamped_exp(w)``, all derived from one survival S = e^{-e^w} and one
     cdf F = 1 - S = -expm1(-e^w) per element:
@@ -136,34 +137,46 @@ def fw_tail_terms(w, ew, log_cdf=True, ratio=False, curvature=False):
     is e^w e^{700 - e^w} e^{-700} with the subtraction exact.  A limit is
     patched only when an element needs it, and every element gets the value
     it would get alone, so rows of a batch stay independent.
+
+    ``out``, when given, holds the buffers, each shaped like ``ew``: five
+    float arrays, which receive S, F, ln F, the ratio and the curvature
+    (the last also ln F's scratch), and one boolean array for the masks.
+    The terms are returned as views of them, and S and F are free for the
+    caller to reuse.  The ratio's buffer may be ``w`` itself: w is read for
+    the last time before the ratio is written.  Without ``out`` each
+    result is a new array.
     """
     shape = np.shape(ew)
     w, ew = np.atleast_1d(w, ew)
-    ln_f = r = curv = None
+    s, f, ln_f, r, curv, mask = (None,) * 6 if out is None else out
     with np.errstate(all="ignore"):
-        tiny = ew < _TINY
-        any_tiny = tiny.any()
+        any_tiny = np.less(ew, _TINY, mask).any()
         if log_cdf or curvature:
-            s = np.exp(-ew)
-            f = -np.expm1(-ew)
+            s = np.exp(np.negative(ew, s), s)
+            f = np.negative(np.expm1(np.negative(ew, f), f), f)
         if log_cdf:
-            ln_f = np.where(ew < _LN2, np.log(f), np.log1p(-s))
+            ln_f = np.log1p(np.negative(s, ln_f), ln_f)
+            np.putmask(ln_f, np.less(ew, _LN2, mask), np.log(f, curv))
             if any_tiny:
-                ln_f[tiny] = w[tiny]
+                np.putmask(ln_f, np.less(ew, _TINY, mask), w)
         if ratio or curvature:
-            r = ew * s / f if log_cdf or curvature else ew / np.expm1(ew)
+            if log_cdf or curvature:
+                r = np.divide(np.multiply(ew, s, r), f, r)
+            else:
+                r = np.divide(ew, np.expm1(ew, r), r)
             if any_tiny:
-                r[tiny] = 1.0
-            deep = ew > _DEEP
+                np.putmask(r, np.less(ew, _TINY, mask), 1.0)
+            deep = np.greater(ew, _DEEP, mask)
             if deep.any():
                 u = ew[deep]
                 r[deep] = u * np.exp(_SHIFT - u) * _EXP_NEG_SHIFT
         if curvature:
-            curv = r * ((1.0 - ew) - s) / f
-            small = ew < _SERIES_BELOW
+            curv = np.subtract(np.subtract(1.0, ew, curv), s, curv)
+            curv = np.divide(np.multiply(r, curv, curv), f, curv)
+            small = np.less(ew, _SERIES_BELOW, mask)
             if small.any():
                 u = ew[small]
                 u2 = u * u
                 curv[small] = u * (-0.5 + u * (1.0 / 6.0 + u2 * (-1.0 / 180.0 + u2 / 5040.0)))
-    terms = ln_f, (r if ratio else None), curv
+    terms = (ln_f if log_cdf else None), (r if ratio else None), (curv if curvature else None)
     return tuple(None if t is None else t.reshape(shape) for t in terms)

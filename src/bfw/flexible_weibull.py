@@ -46,13 +46,20 @@ def _x_at_exponent(w, params):
 
 
 def fw_cdf(x, params):
-    """P(X <= x) = 1 - exp(-e^w); tends to 0 as x -> 0+ and to 1 as x -> inf."""
-    return _ret(-np.expm1(-clamped_exp(_w(checked(x, "x"), params))))
+    """P(X <= x) = 1 - exp(-e^w); tends to 0 as x -> 0+ and to 1 as x -> inf.
+    Where beta/x overflows (x below ~1e-308 beta) w is -inf and the value
+    its limit 0, without a warning."""
+    arr = checked(x, "x")
+    with quiet(tiny_x(arr, params.beta)):
+        return _ret(-np.expm1(-clamped_exp(_w(arr, params))))
 
 
 def fw_sf(x, params):
-    """Survival exp(-e^w), computed directly so the far right tail keeps precision."""
-    return _ret(np.exp(-clamped_exp(_w(checked(x, "x"), params))))
+    """Survival exp(-e^w), computed directly so the far right tail keeps
+    precision; 1 without a warning where beta/x overflows."""
+    arr = checked(x, "x")
+    with quiet(tiny_x(arr, params.beta)):
+        return _ret(np.exp(-clamped_exp(_w(arr, params))))
 
 
 def fw_pdf(x, params):

@@ -43,9 +43,20 @@ array, by damped Newton steps:
   size (the psi gaps sum their Gauss nodes explicitly), so a start's path
   does not depend on the other starts, bit for bit.  The best converged
   start wins by (log-likelihood, start index).
-- Memory.  The kernel runs in row blocks whose temporaries hold at most
-  ``_BLOCK_ELEMENTS`` doubles (starts x observations), unless a single row
-  is longer.
+- Memory.  The kernel runs in row blocks of at most ``_BLOCK_ELEMENTS``
+  doubles (starts x observations) per buffer, unless a single row is
+  longer.  Each fit owns one workspace (:class:`_Workspace`), allocated
+  when the fit starts (``Likelihood.bind``) and freed when it returns: six
+  float buffers of one block in one allocation and a mask, 1.4 MB at
+  n = 5000 (6 rows) and 0.8 MB at n = 1000 (16 rows), plus the per-row
+  sums.  Every block of every pass writes into their leading rows.  It
+  exists for the page faults: with fresh temporaries, about 45 of
+  128-240 KB per pass at n >= 1000, glibc mapped or trimmed them again on
+  every pass, some 120k minor faults per cycle of the benchmark's 28 fits
+  (116k in the four-parameter fits, 3.9k in the flexible Weibull's); with
+  the workspace there are under 10.  No buffer is kept between fits or
+  shared by two, so concurrent fits stay independent.  The public
+  one-row functions make a single pass and use no buffers.
 - Profile step.  A family may move each start and trial row before the
   acceptance test (``Likelihood.profile``).  The four-parameter model does:
   its kernel is one data pass at (alpha, beta) that forms the per-row sums
@@ -131,7 +142,62 @@ def _row(params):
     return np.array([[a, b, p, q]])
 
 
-def _bfw_sums(x, alpha, beta, order):
+# the per-row sums of _bfw_sums, those of order 0 first, then 1 and 2
+_SUM_NAMES = (
+    "ew", "ln_f", "amp", "w",
+    "x2_d", "inv_d", "x_ew", "x_r", "ew_x", "r_x",
+    "x4_d2", "x2_ew", "x2_c", "x2_d2", "c", "inv_d2", "ew_x2", "c_x2",
+)
+_SUM_COUNTS = (4, 10, 18)  # sums up to each order
+
+
+class _Workspace:
+    """The data ``x`` of one fit with what its passes share: x^2, and x^4,
+    sum x and sum 1/x on first use, and for blocks of up to ``rows`` rows
+    the buffers of the kernel (:func:`_bfw_sums`): six (rows, n) float
+    arrays in one allocation (w, e^w and four of the five of
+    :func:`bfw._stable.fw_tail_terms`, whose ratio takes the place of w),
+    one (rows, n) mask and the (sums, rows) array the rows are reduced
+    into.  A block of r rows writes into the leading r rows of each, so the
+    passes of a fit allocate no data-sized temporaries.  With ``rows``
+    None there are no buffers and every result is a new array: the public
+    one-row functions make a single pass, which has nothing to reuse.
+    """
+
+    def __init__(self, x, rows=None):
+        self.x = x
+        with np.errstate(all="ignore"):
+            self.x2 = x * x
+        self.floats = self.mask = self.sums = None
+        if rows is not None:
+            self.floats = np.empty((6, rows, x.size))
+            self.mask = np.empty((rows, x.size), dtype=bool)
+            self.sums = np.empty((len(_SUM_NAMES), rows))
+
+    def buffers(self, rows):
+        """The six float buffers, the mask and the sums array for ``rows``
+        rows, as views of their leading rows; the buffers and the mask are
+        None, and the sums array new, when the workspace has none."""
+        if self.floats is None:
+            return (None,) * 6, None, np.empty((len(_SUM_NAMES), rows))
+        return self.floats[:, :rows], self.mask[:rows], self.sums[:, :rows]
+
+    @functools.cached_property
+    def x4(self):
+        with np.errstate(all="ignore"):
+            return self.x2 * self.x2
+
+    @functools.cached_property
+    def sum_x(self):
+        return _rowsum(self.x)
+
+    @functools.cached_property
+    def sum_inv_x(self):
+        with np.errstate(all="ignore"):
+            return _rowsum(1.0 / self.x)
+
+
+def _bfw_sums(x, alpha, beta, order, ws=None):
     """One pass over the data at rows (alpha, beta): the per-row sums in
     which the log-likelihood, score and information are affine given (p, q).
 
@@ -142,39 +208,58 @@ def _bfw_sums(x, alpha, beta, order):
     sums of e^w, the ratio's curvature and 1.  w, e^w and the tail terms are
     formed once per element (:func:`bfw._stable.fw_tail_terms`).  Each row
     is reduced on its own, so its sums do not depend on the other rows.
+
+    Every elementwise result is written into the buffers of ``ws``, a
+    :class:`_Workspace` for ``x`` with room for these rows, or is a new
+    array where it has none (``ws`` None: a new one without buffers).  The
+    sums are views of its sums array, valid until its next pass.
     """
     n = x.size
-    x2 = x * x
+    rows = alpha.size
+    if ws is None:
+        ws = _Workspace(x)
+    (w, ew, s, f, ln_f, curv), mask, totals = ws.buffers(rows)
+    sums = dict(zip(_SUM_NAMES[: _SUM_COUNTS[order]], totals), n=n)
+    x2 = ws.x2
     ac, bc = alpha[:, None], beta[:, None]
     with np.errstate(all="ignore"):
-        w = ac * x - bc / x
-        ew = clamped_exp(w)
-        ln_f, ratio, curv = fw_tail_terms(w, ew, ratio=order >= 1, curvature=order == 2)
-        sums = {
-            "n": n,
-            "ew": _rowsum(ew),
-            "ln_f": _rowsum(ln_f),
-            "amp": _rowsum(np.log(ac + bc / x2)),
-            "w": _rowsum(w),
-        }
+        w = np.subtract(np.multiply(ac, x, w), np.divide(bc, x, s), w)
+        _rowsum(w, out=sums["w"])
+        ew = clamped_exp(w, ew)
+        ln_f, ratio, curv = fw_tail_terms(w, ew, ratio=order >= 1, curvature=order == 2,
+                                          out=(s, f, ln_f, w, curv, mask))
+        tmp, denom = s, f  # S and F are free from here on
+        _rowsum(ew, out=sums["ew"])
+        _rowsum(ln_f, out=sums["ln_f"])
+        _rowsum(np.log(np.add(ac, np.divide(bc, x2, tmp), tmp), tmp), out=sums["amp"])
         if order == 0:
             return sums
-        denom = bc + ac * x2
-        sums.update(
-            x=_rowsum(x), inv_x=_rowsum(1.0 / x),
-            x2_d=_rowsum(x2 / denom), inv_d=_rowsum(1.0 / denom),
-            x_ew=_rowsum(x * ew), x_r=_rowsum(x * ratio),
-            ew_x=_rowsum(ew / x), r_x=_rowsum(ratio / x),
-        )
+        denom = np.add(bc, np.multiply(ac, x2, denom), denom)
+        sums.update(x=ws.sum_x, inv_x=ws.sum_inv_x)
+        _sum_products(sums, tmp, (
+            ("x2_d", np.divide, x2, denom), ("inv_d", np.divide, 1.0, denom),
+            ("x_ew", np.multiply, x, ew), ("x_r", np.multiply, x, ratio),
+            ("ew_x", np.divide, ew, x), ("r_x", np.divide, ratio, x),
+        ))
         if order == 1:
             return sums
-        denom2 = denom**2
-        sums.update(
-            x4_d2=_rowsum(x2 * x2 / denom2), x2_ew=_rowsum(x2 * ew), x2_c=_rowsum(x2 * curv),
-            x2_d2=_rowsum(x2 / denom2), c=_rowsum(curv),
-            inv_d2=_rowsum(1.0 / denom2), ew_x2=_rowsum(ew / x2), c_x2=_rowsum(curv / x2),
-        )
+        denom = np.square(denom, denom)
+        _rowsum(curv, out=sums["c"])
+        _sum_products(sums, tmp, (
+            ("x4_d2", np.divide, ws.x4, denom), ("x2_ew", np.multiply, x2, ew),
+            ("x2_c", np.multiply, x2, curv), ("x2_d2", np.divide, x2, denom),
+            ("inv_d2", np.divide, 1.0, denom), ("ew_x2", np.divide, ew, x2),
+            ("c_x2", np.divide, curv, x2),
+        ))
     return sums
+
+
+def _sum_products(sums, tmp, products):
+    """Each ``sums[name]``, from (name, ufunc, a, b) in ``products``, set to
+    the row sums of ufunc(a, b), formed in the buffer ``tmp`` (None: a new
+    array)."""
+    for name, op, a, b in products:
+        _rowsum(op(a, b, tmp), out=sums[name])
 
 
 def _shape_terms(shapes, order):
@@ -223,20 +308,15 @@ def _bfw_assemble(sums, p, q, order):
         if order == 0:
             return ll, None, None
         gaps, tri_s, tri_gaps = _shape_terms(np.array([p, q]), order)
-        pm1 = p - 1.0
         grad = np.empty((ll.size, 4))
-        grad[:, 0] = sums["x2_d"] + sums["x"] - q * sums["x_ew"] + pm1 * sums["x_r"]
-        grad[:, 1] = sums["inv_d"] - sums["inv_x"] + q * sums["ew_x"] - pm1 * sums["r_x"]
+        info = np.empty((ll.size, 4, 4)) if order == 2 else None
+        _rate_terms(sums, q, p - 1.0, grad, info)
         grad[:, 2] = n * gaps[0] + sums["ln_f"]
         grad[:, 3] = n * gaps[1] - sums["ew"]
         if order == 1:
             return ll, grad, None
-        info = np.empty((ll.size, 4, 4))
-        info[:, 0, 0] = sums["x4_d2"] + q * sums["x2_ew"] - pm1 * sums["x2_c"]
-        info[:, 0, 1] = sums["x2_d2"] - q * sums["ew"] + pm1 * sums["c"]
         info[:, 0, 2] = -sums["x_r"]
         info[:, 0, 3] = sums["x_ew"]
-        info[:, 1, 1] = sums["inv_d2"] + q * sums["ew_x2"] - pm1 * sums["c_x2"]
         info[:, 1, 2] = sums["r_x"]
         info[:, 1, 3] = -sums["ew_x"]
         info[:, 2, 2] = n * tri_gaps[0]
@@ -246,13 +326,28 @@ def _bfw_assemble(sums, p, q, order):
     return ll, grad, info
 
 
-def _bfw_evaluate(x, theta, order=2):
+def _rate_terms(sums, q, pm1, grad, info=None):
+    """The (alpha, beta) block of the score, written into ``grad[:, :2]``,
+    and when ``info`` is given of the information, into ``info[:, :2, :2]``,
+    at shapes p and q, ``pm1`` being p - 1, from :func:`_bfw_sums` of that
+    order.  At p = q = 1 it is the two-parameter flexible Weibull's.
+    Callers hold ``np.errstate(all="ignore")``."""
+    grad[:, 0] = sums["x2_d"] + sums["x"] - q * sums["x_ew"] + pm1 * sums["x_r"]
+    grad[:, 1] = sums["inv_d"] - sums["inv_x"] + q * sums["ew_x"] - pm1 * sums["r_x"]
+    if info is not None:
+        info[:, 0, 0] = sums["x4_d2"] + q * sums["x2_ew"] - pm1 * sums["x2_c"]
+        info[:, 0, 1] = info[:, 1, 0] = sums["x2_d2"] - q * sums["ew"] + pm1 * sums["c"]
+        info[:, 1, 1] = sums["inv_d2"] + q * sums["ew_x2"] - pm1 * sums["c_x2"]
+
+
+def _bfw_evaluate(x, theta, order=2, ws=None):
     """Log-likelihood of each row of a (m, 4) batch of (alpha, beta, p, q),
     plus for ``order`` >= 1 the score (m, 4) and for ``order`` 2 the observed
     information (m, 4, 4); parts not asked for are None.  One data pass
     (:func:`_bfw_sums`) and its assembly at the rows' own shapes
-    (:func:`_bfw_assemble`)."""
-    sums = _bfw_sums(x, theta[:, 0], theta[:, 1], order)
+    (:func:`_bfw_assemble`), written into the workspace ``ws`` as
+    :func:`_bfw_sums` says."""
+    sums = _bfw_sums(x, theta[:, 0], theta[:, 1], order, ws)
     return _bfw_assemble(sums, theta[:, 2], theta[:, 3], order)
 
 
@@ -318,14 +413,15 @@ def _walk_terms(sums, p, q):
     return walk
 
 
-def _bfw_profiled(x, theta):
+def _bfw_profiled(x, theta, ws=None):
     """The fitter's evaluation of (alpha, beta, p, q) rows: one data pass at
     each row's (alpha, beta), the profile step of its (p, q)
     (:func:`_profile_shapes`) from the sums of that pass, and the
     log-likelihood, score and information assembled at the result.
     Returns (theta, ll, grad, info, walk), ``walk`` from
-    :func:`_walk_terms`."""
-    sums = _bfw_sums(x, theta[:, 0], theta[:, 1], 2)
+    :func:`_walk_terms`; the data pass writes into the workspace ``ws`` as
+    :func:`_bfw_sums` says."""
+    sums = _bfw_sums(x, theta[:, 0], theta[:, 1], 2, ws)
     start = theta[:, 2:].T
     shapes = _profile_shapes(sums["n"], np.array([sums["ln_f"], -sums["ew"]]), start)
     ll, grad, info = _bfw_assemble(sums, shapes[0], shapes[1], 2)
@@ -469,28 +565,41 @@ class Likelihood:
     log-likelihood's rounding error, the length of its ln q crawl and how
     near the profile step is to ending it, see :func:`_walk_terms`).  A
     family without a profile reports no such terms, and the fitter retires
-    none of its rows.
+    none of its rows.  ``workspace(x, rows)``, where a family has one,
+    allocates the buffers its ``evaluate`` and ``profile`` write a data pass
+    into, passed to them as ``ws``; the fitter makes one per fit
+    (:meth:`bind`).
     """
 
     evaluate: Callable
     starts: Callable
     names: tuple[str, ...]
     profile: Callable | None = None
+    workspace: Callable | None = None
 
-    def walk(self, x, theta):
+    def walk(self, x, theta, **ws):
         """What the fitter evaluates at start and trial rows:
         (theta, ll, grad, info, walk) from ``profile``, or at the rows as
-        given with ``walk`` None."""
+        given with ``walk`` None; a ``ws`` keyword goes to the kernel."""
         if self.profile is None:
-            return (theta, *self.evaluate(x, theta), None)
-        return self.profile(x, theta)
+            return (theta, *self.evaluate(x, theta, **ws), None)
+        return self.profile(x, theta, **ws)
+
+    def bind(self, x, rows):
+        """:meth:`walk` for the passes of one fit on data ``x``, in blocks
+        of at most ``rows`` rows.  A family's workspace is allocated here,
+        once, and freed with the returned function."""
+        if self.workspace is None:
+            return self.walk
+        return functools.partial(self.walk, ws=self.workspace(x, rows))
 
     def trial(self, x, theta):
         """(theta, ll, grad, info) of :meth:`walk`."""
         return self.walk(x, theta)[:4]
 
 
-BFW = Likelihood(_bfw_evaluate, _start_grid, PARAM_NAMES, profile=_bfw_profiled)
+BFW = Likelihood(_bfw_evaluate, _start_grid, PARAM_NAMES, profile=_bfw_profiled,
+                 workspace=_Workspace)
 
 # Relative damping of the Newton step: the first step of every start uses
 # _DAMPING_START; an accepted step divides it by 3 (not below _DAMPING_MIN),
@@ -502,7 +611,7 @@ _DAMPING_MAX = 1e10
 _EPS = float(np.finfo(float).eps)
 _SLACK = 4.0 * _EPS  # relative log-likelihood loss a step may take
 _LN_HALF_EPS = math.log(_EPS / 2.0)
-_BLOCK_ELEMENTS = 1 << 15  # starts x observations per kernel temporary (256 KB)
+_BLOCK_ELEMENTS = 1 << 15  # starts x observations per workspace buffer (256 KB)
 
 # Retirement of a start that cannot meet the convergence test (_walking).
 # Measured over pumps, the benchmark's 26 fit draws and 200 fresh draws
@@ -536,10 +645,15 @@ _RETIRE_MESSAGES = (
 )
 
 
+def _block_rows(n):
+    """Rows per block of the kernel on n observations."""
+    return max(1, _BLOCK_ELEMENTS // n)
+
+
 def _evaluate(kernel, x, theta):
     """``kernel(x, theta)`` in row blocks of at most ``_BLOCK_ELEMENTS``
     elements per temporary, so memory stays bounded for large samples."""
-    rows = max(1, _BLOCK_ELEMENTS // x.size)
+    rows = _block_rows(x.size)
     if theta.shape[0] <= rows:
         return kernel(x, theta)
     blocks = [kernel(x, theta[i : i + rows]) for i in range(0, len(theta), rows)]
@@ -619,8 +733,9 @@ def _newton(likelihood, x, z0, config):
     """
     z = np.array(z0, dtype=float)
     m = z.shape[0]
+    kernel = likelihood.bind(x, min(m, _block_rows(x.size)))
     with np.errstate(over="ignore"):
-        theta, ll, grad, info, walk = _evaluate(likelihood.walk, x, np.exp(z))
+        theta, ll, grad, info, walk = _evaluate(kernel, x, np.exp(z))
         reach = None if walk is None else walk[:, 2]
         _follow(z, theta)
     g, h, finite = _log_space(theta, grad, info)
@@ -648,7 +763,7 @@ def _newton(likelihood, x, z0, config):
             break
         z_t = z[active] + _damped_steps(g[active], h[active], damping[active])
         with np.errstate(over="ignore"):
-            theta_t, ll_t, grad_t, info_t, walk_t = _evaluate(likelihood.walk, x, np.exp(z_t))
+            theta_t, ll_t, grad_t, info_t, walk_t = _evaluate(kernel, x, np.exp(z_t))
             _follow(z_t, theta_t)
         g_t, h_t, finite_t = _log_space(theta_t, grad_t, info_t)
         norm_t = np.max(np.abs(grad_t), axis=1)

@@ -187,13 +187,22 @@ def _two_param_starts(config):
     return _TWO_PARAM_STARTS
 
 
-def _fw_evaluate(x, theta):
-    """Flexible Weibull (alpha, beta) rows as four-parameter rows with p = q = 1."""
-    ll, grad, info = inference._bfw_evaluate(x, np.column_stack([theta, np.ones_like(theta)]))
-    return ll, grad[:, :2], info[:, :2, :2]
+def _fw_evaluate(x, theta, ws=None):
+    """Flexible Weibull (alpha, beta) rows as four-parameter rows with
+    p = q = 1: the four-parameter kernel's data pass, written into the
+    workspace ``ws`` (:func:`bfw.inference._bfw_sums`), then its
+    log-likelihood and the (alpha, beta) block of its score and information
+    alone."""
+    sums = inference._bfw_sums(x, theta[:, 0], theta[:, 1], 2, ws)
+    ones = np.ones(theta.shape[0])
+    grad, info = np.empty((ones.size, 2)), np.empty((ones.size, 2, 2))
+    with np.errstate(all="ignore"):
+        inference._rate_terms(sums, ones, ones - 1.0, grad, info)
+    return inference._bfw_assemble(sums, ones, ones, 0)[0], grad, info
 
 
-_FW = inference.Likelihood(evaluate=_fw_evaluate, starts=_two_param_starts, names=("alpha", "beta"))
+_FW = inference.Likelihood(evaluate=_fw_evaluate, starts=_two_param_starts, names=("alpha", "beta"),
+                           workspace=inference._Workspace)
 
 
 def _weibull_evaluate(x, theta, order=2):

@@ -90,6 +90,14 @@ def panel_fits(benchmark_panel):
 
 
 @pytest.fixture(scope="session")
+def large_fits(benchmark_draws):
+    """label -> ``fit_or_error`` of the two n = 5000 draws of the benchmark's
+    fit panel, fitted once per session."""
+    return {label: fit_or_error(data) for label, (data, _) in benchmark_draws.items()
+            if "-n5000-" in label}
+
+
+@pytest.fixture(scope="session")
 def fresh_fits():
     """label -> ``fit_or_error`` of 24 seeded draws off the panel."""
     return {label: fit_or_error(data) for label, data, _ in fresh_draws(7, 24)}

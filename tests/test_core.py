@@ -315,6 +315,29 @@ class TestSurvivalHazards:
         vals = bfw_cumulative_hazard(xs, published_params)
         assert np.all(np.diff(vals) >= 0.0)
 
+    def test_smallest_double_gives_the_limits_without_warning(self, published_params):
+        # beta/x overflows in w there; warnings are errors in this suite
+        def first(values):
+            return np.atleast_1d(values)[0]
+
+        for x in (5e-324, np.array([5e-324, 1e-170, 1.0])):
+            assert first(bfw_cdf(x, published_params)) == 0.0
+            assert first(bfw_survival(x, published_params)) == 1.0
+            assert first(bfw_hazard(x, published_params)) == 0.0
+            assert first(bfw_cumulative_hazard(x, published_params)) == 0.0
+            with pytest.raises(SaturationError):  # the cdf is 0 there
+                bfw_reversed_hazard(x, published_params)
+
+    @pytest.mark.parametrize("theta", [(0.052, 0.024, 35.077, 20.328), (0.5, 0.5, 2.0, 2.0)])
+    def test_tiny_x_in_a_batch_leaves_the_other_elements_bit_identical(self, theta):
+        params = BFWParams(*theta)
+        x = np.geomspace(1e-150, 1e3, 20001)
+        # the hazards up to x = 5, below where the survival underflows
+        for fn, top in ((bfw_cdf, 1e3), (bfw_survival, 1e3), (bfw_hazard, 5.0),
+                        (bfw_cumulative_hazard, 5.0)):
+            grid = x[x <= top]
+            assert np.array_equal(fn(np.append(grid, 5e-324), params)[:-1], fn(grid, params))
+
     def test_matches_minus_log_survival(self, published_params):
         for x in (0.5, 2.0, 5.0):
             assert bfw_cumulative_hazard(x, published_params) == pytest.approx(

@@ -55,6 +55,19 @@ class TestCdf:
             interior = (values > 1e-12) & (values < 1.0 - 1e-12)
             assert np.all(np.diff(values[interior]) > 0.0)
 
+    def test_smallest_double_gives_the_limits_without_warning(self, published_fw):
+        # beta/x overflows in w there; warnings are errors in this suite
+        for x in (5e-324, np.array([5e-324, 1e-170, 1.0])):
+            assert np.atleast_1d(fw_cdf(x, published_fw))[0] == 0.0
+            assert np.atleast_1d(fw_sf(x, published_fw))[0] == 1.0
+
+    @pytest.mark.parametrize("alpha, beta", [(0.052, 0.024), (0.5, 0.5)])
+    def test_tiny_x_in_a_batch_leaves_the_other_elements_bit_identical(self, alpha, beta):
+        params = FWParams(alpha, beta)
+        x = np.geomspace(1e-150, 1e3, 20001)
+        for fn in (fw_cdf, fw_sf):
+            assert np.array_equal(fn(np.append(x, 5e-324), params)[:-1], fn(x, params))
+
     def test_survival_complement(self):
         params = FWParams(0.3, 1.1)
         for x in (0.1, 1.0, 5.0):

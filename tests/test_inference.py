@@ -1,10 +1,13 @@
 import math
 import subprocess
 import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
 import pytest
+from conftest import fit_or_error
 from scipy import special as sp
 
 from bfw import (
@@ -308,12 +311,27 @@ class TestBatchKernels:
         # n = 5000 splits 16 rows into blocks; every row equals its own evaluation
         x = bfw_sample(5000, BFWParams(0.5, 0.5, 2.0, 2.0), seed=5)
         theta = np.exp(np.random.default_rng(5).uniform(-1.0, 1.0, (16, 4)))
-        assert inference._BLOCK_ELEMENTS // x.size < 16
+        rows = inference._block_rows(x.size)
+        assert rows < 16
         blocked = inference._evaluate(inference.BFW.evaluate, x, theta)
         for row in range(16):
             alone = inference.BFW.evaluate(x, theta[row : row + 1])
             for got, want in zip(blocked, alone):
                 assert np.array_equal(got[row], want[0])
+        # so does every profiled row, and every fw row, through one fit's
+        # workspace while the active set shrinks from 16 rows to 5 and 1
+        wide = np.exp(np.random.default_rng(6).uniform(-4.0, 4.0, (16, 4)))
+        for likelihood, points in ((inference.BFW, wide), (model_selection._FW, wide[:, :2])):
+            kernel = likelihood.bind(x, rows)
+            for active in (np.arange(16), np.array([1, 4, 9, 12, 15]), np.array([7])):
+                passed = inference._evaluate(kernel, x, points[active])
+                for i, row in enumerate(active):
+                    alone = likelihood.walk(x, points[row : row + 1])
+                    for got, want in zip(passed, alone):
+                        if want is None:
+                            assert got is None
+                        else:
+                            assert np.array_equal(got[i], want[0], equal_nan=True), (row, i)
 
 
 def mp_reference(x, theta, dps=30):
@@ -848,6 +866,99 @@ class TestRetirement:
                       for fit in panel_fits.values() if not isinstance(fit, ConvergenceError)
                       for d in fit.starts)
         assert retired > 0
+
+
+# every start of the two n = 5000 draws of the benchmark's fit panel, the only
+# ones that split their 16 rows into kernel blocks: (log-likelihood, score
+# sup-norm, accepted steps, kernel passes, message), recorded while every
+# pass allocated fresh temporaries; anchor0-n5000-0 raises ConvergenceError
+CONVERGED, REJECTED, NONFINITE = (inference._STOP_MESSAGES[code] for code in (
+    inference._CONVERGED, inference._REJECTED, inference._NONFINITE))
+ROUNDING, CRAWL, FLAT = inference._RETIRE_MESSAGES
+LARGE_DRAW_STARTS = {
+    "anchor0-n5000-0": [
+        ("-0x1.8cf5880000000p+12", "0x1.39d2780000000p+5", 26, 45, REJECTED),
+        ("-0x1.8cf5830000000p+12", "0x1.157bc80000000p+10", 28, 34, ROUNDING),
+        ("-0x1.8cf57be000000p+12", "0x1.c91abe0000000p+10", 42, 66, REJECTED),
+        ("-0x1.8cf587f000000p+12", "0x1.44fc080000000p+7", 35, 57, REJECTED),
+        ("-0x1.8cf57ec000000p+12", "0x1.ca69000000000p+2", 30, 54, REJECTED),
+        ("-0x1.c3b6f10000000p+12", "0x1.0ce75a9fbe000p+29", 20, 27, ROUNDING),
+        ("-0x1.8cf5805000000p+12", "0x1.525cef0000000p+11", 35, 58, REJECTED),
+        ("-0x1.8cf5754000000p+12", "0x1.29e5780000000p+8", 36, 61, REJECTED),
+        ("-0x1.8cf57e1000000p+12", "0x1.19d67e0000000p+12", 25, 39, REJECTED),
+        ("-0x1.8cf579a000000p+12", "0x1.1958100000000p+7", 29, 51, REJECTED),
+        ("-0x1.1309b4bf26e63p+21", "0x1.71cfbdd337c89p+15", 0, 1, NONFINITE),
+        ("-0x1.8cf5832000000p+12", "0x1.2867c00000000p+4", 35, 63, REJECTED),
+        ("-0x1.8cf588b400000p+12", "0x1.4125840000000p+6", 25, 43, REJECTED),
+        ("-0x1.2c8c580000000p+15", "0x1.11a6de72b1543p+57", 10, 19, ROUNDING),
+        ("-0x1.8cf588a000000p+12", "0x1.39d4ba8000000p+9", 30, 55, REJECTED),
+        ("-0x1.8cf5885000000p+12", "0x1.0cf3a00000000p+3", 38, 66, REJECTED),
+    ],
+    "anchor1-n5000-0": [
+        ("0x0.0p+0", "0x1.b62bf396ce3a2p+84", 26, 36, ROUNDING),
+        ("-0x1.74bdf5d984558p+11", "0x1.6d70e00000000p-22", 11, 15, CONVERGED),
+        ("-0x1.74bdf5d98455cp+11", "0x1.c000000000000p-38", 25, 34, CONVERGED),
+        ("-0x1.74bdf5d984556p+11", "0x1.80ba000000000p-28", 23, 35, CONVERGED),
+        ("-0x1.74bdf5d98455ap+11", "0x1.ed79000000000p-27", 19, 27, CONVERGED),
+        ("-0x1.74bdf5d984556p+11", "0x1.efce000000000p-26", 18, 19, CONVERGED),
+        ("-0x1.74bdf5d98455cp+11", "0x1.3f80000000000p-34", 19, 23, CONVERGED),
+        ("-0x1.751cad2b58e40p+11", "0x1.01f2f6bde1600p+2", 29, 32, FLAT),
+        ("-0x1.74bdf5d984558p+11", "0x1.bd00000000000p-33", 23, 32, CONVERGED),
+        ("-0x1.74bdf5d984559p+11", "0x1.a382240000000p-21", 16, 20, CONVERGED),
+        ("-0x1.4b1e1fdec13dep+242", "0x1.dc12ede0aaa6bp+255", 13, 14, CRAWL),
+        ("-0x1.74bdf5d984558p+11", "0x1.4b9e000000000p-26", 10, 13, CONVERGED),
+        ("-0x1.74bdf5d984558p+11", "0x1.6800000000000p-35", 27, 39, CONVERGED),
+        ("-0x1.74bdf5d98455dp+11", "0x1.7100000000000p-31", 24, 31, CONVERGED),
+        ("-0x1.74bdf5d984554p+11", "0x1.6580000000000p-32", 11, 14, CONVERGED),
+        ("-0x1.751cad2b58dd0p+11", "0x1.01f2f68a3da00p+2", 28, 30, FLAT),
+    ],
+}
+
+
+def start_records(fit):
+    """(log-likelihood, score sup-norm, iterations, evaluations, message) of
+    every start of a :func:`fit_or_error` result, floats as hex."""
+    starts = fit.diagnostics if isinstance(fit, ConvergenceError) else fit.starts
+    return [(float(d.log_likelihood).hex(), float(d.score_inf_norm).hex(), d.iterations,
+             d.evaluations, d.message) for d in starts]
+
+
+def fit_record(fit):
+    """Everything a :func:`fit_or_error` result reports, floats as hex."""
+    if isinstance(fit, ConvergenceError):
+        return start_records(fit)
+    arrays = (fit.estimates.as_array(), fit.score_at_optimum, fit.observed_information)
+    return (float(fit.log_likelihood).hex(), [float(v).hex() for a in arrays for v in a.ravel()],
+            start_records(fit))
+
+
+class TestWorkspace:
+    def test_large_draws_match_the_record(self, large_fits):
+        assert isinstance(large_fits["anchor0-n5000-0"], ConvergenceError)
+        assert {label: start_records(fit) for label, fit in large_fits.items()} == LARGE_DRAW_STARTS
+
+    def test_fits_in_two_threads_match_the_fits_one_after_the_other(self, benchmark_draws,
+                                                                     large_fits):
+        # each fit owns its workspace: nothing is shared between concurrent fits
+        labels = list(large_fits)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(fit_or_error, benchmark_draws[k][0]) for k in labels]
+            threaded = [future.result(timeout=120) for future in futures]
+        for label, fit in zip(labels, threaded):
+            assert fit_record(fit) == fit_record(large_fits[label]), label
+
+    def test_fit_memory_stays_within_the_kernel_budget(self, benchmark_draws):
+        # tracemalloc peak of one fit on an n = 5000 draw: 2,264,565 bytes while
+        # every pass allocated fresh temporaries, 2.01e6 with the workspace of six
+        # float buffers and one mask of 6 x 5000 elements; the bound is 2.1 MiB
+        data = benchmark_draws["anchor1-n5000-0"][0]
+        tracemalloc.start()
+        try:
+            fit_mle(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * 2**20
 
 
 class TestConfidenceIntervals:

@@ -203,7 +203,35 @@ class TestFamilies:
         assert ks_statistic(Dataset(times=draws), weibull_cdf) < crit
 
 
+# (log-likelihood, estimates, K-S) of the fw and Weibull rows of
+# compare_models as hex, recorded while the fw kernel assembled the full
+# four-parameter score and information at p = q = 1
+TWO_PARAMETER_ROWS = {
+    "pumps": {
+        "fw": ("-0x1.e62062a79b756p+4", "0x1.a82629d96baefp-3",
+              "0x1.08f850e8e682bp-2", "0x1.1b9d034352b10p-3"),
+        "weibull": ("-0x1.041c82bca41ffp+5", "0x1.9d8f66a31be66p-1",
+                   "0x1.6439a369d33d8p+0", "0x1.e4f21572944b8p-4"),
+    },
+    "anchor1-n1000-0": {
+        "fw": ("-0x1.15cb9186255b2p+9", "0x1.9ea2b3a40eaf0p-1",
+              "0x1.7b581c33080cep-1", "0x1.c56d6f12135e8p-5"),
+        "weibull": ("-0x1.2e13e1ba05b0dp+9", "0x1.c330d84bfbcf0p+0",
+                   "0x1.e22d058e4660cp-1", "0x1.12c9f2f075064p-4"),
+    },
+}
+
+
 class TestCompareModels:
+    def test_two_parameter_rows_match_the_record(self, pumps, benchmark_draws):
+        datasets = {"pumps": pumps, "anchor1-n1000-0": benchmark_draws["anchor1-n1000-0"][0]}
+        families = [get_family(name) for name in ("fw", "weibull")]
+        for label, data in datasets.items():
+            got = {row.model: tuple(float(v).hex() for v in (row.log_likelihood,
+                                                              *row.estimates.values(), row.ks))
+                   for row in compare_models(data, families).rows}
+            assert got == TWO_PARAMETER_ROWS[label], label
+
     def test_three_family_table(self, pumps):
         families = [get_family(name) for name in ("bfw", "fw", "weibull")]
         table = compare_models(pumps, families)
