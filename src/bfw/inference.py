@@ -26,18 +26,21 @@ array, by damped Newton steps:
   evaluated, so the work shrinks as starts finish; ``StartDiagnostics``
   records why each start stopped.
 - Retirement.  A start that cannot meet the convergence test is retired
-  once one trigger has held on 3 consecutive accepted points: the
-  log-likelihood's rounding error exceeds 3e-8 (1 + |ll|), the ln q crawl
-  outlasts the budget, or the log-likelihood is flat while the step still
-  moves (:func:`_walking`).  The family's kernel reports the terms
-  (``Likelihood.walk``), so each row decides on its own without a second
-  data pass; the two-parameter families report none and retire nothing.
-  Such starts climb toward the boundary, where the likelihood can grow
-  without an interior maximum (Cheng & Amin 1983, JRSS B 45:394-403).  A
-  retired start keeps the log-likelihood of its last accepted point, the
-  highest it reached up to the few ulps an accepted step may give up; on
-  the alpha, beta -> inf ridge it can exceed the reported estimate's, which
-  is the best converged interior start.
+  once one trigger has held on 3 consecutive accepted points, each with its
+  own "retired:" message (:func:`_walking`).  Three triggers name why the
+  test cannot be met: the log-likelihood's rounding error exceeds
+  3e-8 (1 + |ll|), the ln q crawl outlasts the budget, or the
+  log-likelihood is flat while the step still moves.  Three name the
+  boundary limit the start walks, by its signature in theta and x_(n) and
+  the motion along it: ridge A (sqrt(beta/alpha) -> x_(n) with p falling
+  below 1e-3), ridge B ((e - 1) q/p -> 1 with ln p rising above ln 1e4),
+  and the q limit (ln q rising above 60 with p < 1).  The family's kernel
+  reports the terms (``Likelihood.walk``), so each row decides on its own
+  without a second data pass; the two-parameter families report none and
+  retire nothing.  A retired start keeps the log-likelihood of its last
+  accepted point, the highest it reached up to the few ulps an accepted
+  step may give up; on either ridge it can exceed the reported estimate's,
+  which is the best converged interior start (see :func:`fit_mle`).
 - Determinism.  Rows never interact: every sum runs along one row, every
   eigendecomposition is per matrix and no reduction rounds by the batch
   size (the psi gaps sum their Gauss nodes explicitly), so a start's path
@@ -149,6 +152,7 @@ _SUM_NAMES = (
     "x4_d2", "x2_ew", "x2_c", "x2_d2", "c", "inv_d2", "ew_x2", "c_x2",
 )
 _SUM_COUNTS = (4, 10, 18)  # sums up to each order
+_TAIL_SUMS = frozenset(("ln_f", "x_r", "r_x", "x2_c", "c", "c_x2"))  # of ln F, ratio, curvature
 
 
 class _Workspace:
@@ -196,8 +200,12 @@ class _Workspace:
         with np.errstate(all="ignore"):
             return _rowsum(1.0 / self.x)
 
+    @functools.cached_property
+    def x_max(self):
+        return self.x.max()
 
-def _bfw_sums(x, alpha, beta, order, ws=None):
+
+def _bfw_sums(x, alpha, beta, order, ws=None, tails=True):
     """One pass over the data at rows (alpha, beta): the per-row sums in
     which the log-likelihood, score and information are affine given (p, q).
 
@@ -208,6 +216,9 @@ def _bfw_sums(x, alpha, beta, order, ws=None):
     sums of e^w, the ratio's curvature and 1.  w, e^w and the tail terms are
     formed once per element (:func:`bfw._stable.fw_tail_terms`).  Each row
     is reduced on its own, so its sums do not depend on the other rows.
+    With ``tails`` False neither the tail terms (ln F, the ratio and its
+    curvature) nor the sums ``_TAIL_SUMS`` they enter are formed: at
+    p = q = 1, the flexible Weibull, every one is multiplied by p - 1 = 0.
 
     Every elementwise result is written into the buffers of ``ws``, a
     :class:`_Workspace` for ``x`` with room for these rows, or is a new
@@ -219,18 +230,20 @@ def _bfw_sums(x, alpha, beta, order, ws=None):
     if ws is None:
         ws = _Workspace(x)
     (w, ew, s, f, ln_f, curv), mask, totals = ws.buffers(rows)
-    sums = dict(zip(_SUM_NAMES[: _SUM_COUNTS[order]], totals), n=n)
+    names = [name for name in _SUM_NAMES[: _SUM_COUNTS[order]] if tails or name not in _TAIL_SUMS]
+    sums = dict(zip(names, totals), n=n)
     x2 = ws.x2
     ac, bc = alpha[:, None], beta[:, None]
     with np.errstate(all="ignore"):
         w = np.subtract(np.multiply(ac, x, w), np.divide(bc, x, s), w)
         _rowsum(w, out=sums["w"])
         ew = clamped_exp(w, ew)
-        ln_f, ratio, curv = fw_tail_terms(w, ew, ratio=order >= 1, curvature=order == 2,
-                                          out=(s, f, ln_f, w, curv, mask))
+        if tails:
+            ln_f, ratio, curv = fw_tail_terms(w, ew, ratio=order >= 1, curvature=order == 2,
+                                              out=(s, f, ln_f, w, curv, mask))
+            _rowsum(ln_f, out=sums["ln_f"])
         tmp, denom = s, f  # S and F are free from here on
         _rowsum(ew, out=sums["ew"])
-        _rowsum(ln_f, out=sums["ln_f"])
         _rowsum(np.log(np.add(ac, np.divide(bc, x2, tmp), tmp), tmp), out=sums["amp"])
         if order == 0:
             return sums
@@ -238,19 +251,25 @@ def _bfw_sums(x, alpha, beta, order, ws=None):
         sums.update(x=ws.sum_x, inv_x=ws.sum_inv_x)
         _sum_products(sums, tmp, (
             ("x2_d", np.divide, x2, denom), ("inv_d", np.divide, 1.0, denom),
-            ("x_ew", np.multiply, x, ew), ("x_r", np.multiply, x, ratio),
-            ("ew_x", np.divide, ew, x), ("r_x", np.divide, ratio, x),
+            ("x_ew", np.multiply, x, ew), ("ew_x", np.divide, ew, x),
         ))
+        if tails:
+            _sum_products(sums, tmp, (
+                ("x_r", np.multiply, x, ratio), ("r_x", np.divide, ratio, x),
+            ))
         if order == 1:
             return sums
         denom = np.square(denom, denom)
-        _rowsum(curv, out=sums["c"])
         _sum_products(sums, tmp, (
             ("x4_d2", np.divide, ws.x4, denom), ("x2_ew", np.multiply, x2, ew),
-            ("x2_c", np.multiply, x2, curv), ("x2_d2", np.divide, x2, denom),
-            ("inv_d2", np.divide, 1.0, denom), ("ew_x2", np.divide, ew, x2),
-            ("c_x2", np.divide, curv, x2),
+            ("x2_d2", np.divide, x2, denom), ("inv_d2", np.divide, 1.0, denom),
+            ("ew_x2", np.divide, ew, x2),
         ))
+        if tails:
+            _rowsum(curv, out=sums["c"])
+            _sum_products(sums, tmp, (
+                ("x2_c", np.multiply, x2, curv), ("c_x2", np.divide, curv, x2),
+            ))
     return sums
 
 
@@ -330,14 +349,24 @@ def _rate_terms(sums, q, pm1, grad, info=None):
     """The (alpha, beta) block of the score, written into ``grad[:, :2]``,
     and when ``info`` is given of the information, into ``info[:, :2, :2]``,
     at shapes p and q, ``pm1`` being p - 1, from :func:`_bfw_sums` of that
-    order.  At p = q = 1 it is the two-parameter flexible Weibull's.
-    Callers hold ``np.errstate(all="ignore")``."""
-    grad[:, 0] = sums["x2_d"] + sums["x"] - q * sums["x_ew"] + pm1 * sums["x_r"]
-    grad[:, 1] = sums["inv_d"] - sums["inv_x"] + q * sums["ew_x"] - pm1 * sums["r_x"]
-    if info is not None:
-        info[:, 0, 0] = sums["x4_d2"] + q * sums["x2_ew"] - pm1 * sums["x2_c"]
-        info[:, 0, 1] = info[:, 1, 0] = sums["x2_d2"] - q * sums["ew"] + pm1 * sums["c"]
-        info[:, 1, 1] = sums["inv_d2"] + q * sums["ew_x2"] - pm1 * sums["c_x2"]
+    order.  With ``pm1`` None, p = 1 and the tail sums, which p - 1 would
+    multiply, are not read: at p = q = 1 it is the two-parameter flexible
+    Weibull's.  Callers hold ``np.errstate(all="ignore")``."""
+    grad[:, 0] = sums["x2_d"] + sums["x"] - q * sums["x_ew"]
+    grad[:, 1] = sums["inv_d"] - sums["inv_x"] + q * sums["ew_x"]
+    if pm1 is not None:
+        grad[:, 0] += pm1 * sums["x_r"]
+        grad[:, 1] -= pm1 * sums["r_x"]
+    if info is None:
+        return
+    info[:, 0, 0] = sums["x4_d2"] + q * sums["x2_ew"]
+    info[:, 0, 1] = sums["x2_d2"] - q * sums["ew"]
+    info[:, 1, 1] = sums["inv_d2"] + q * sums["ew_x2"]
+    if pm1 is not None:
+        info[:, 0, 0] -= pm1 * sums["x2_c"]
+        info[:, 0, 1] += pm1 * sums["c"]
+        info[:, 1, 1] -= pm1 * sums["c_x2"]
+    info[:, 1, 0] = info[:, 0, 1]
 
 
 def _bfw_evaluate(x, theta, order=2, ws=None):
@@ -389,9 +418,10 @@ def _profile_shapes(n, t, shapes):
         return shapes
 
 
-def _walk_terms(sums, p, q):
+def _walk_terms(sums, theta, x_max):
     """The terms by which the fitter retires a row (see ``_newton``), from
-    its :func:`_bfw_sums`, as a (rows, 3) array:
+    its :func:`_bfw_sums` and its parameters ``theta`` on data whose largest
+    value is ``x_max``, as a (rows, 5) array:
 
     - the log-likelihood's rounding error eps (n |ln B(p, q)|
       + |sum ln(alpha + beta/x^2)| + |sum w| + q sum e^w + |p - 1| |sum ln F|);
@@ -400,16 +430,21 @@ def _walk_terms(sums, p, q):
       to n;
     - ln(-sum ln F / n): the profile step has a candidate, and can end that
       crawl at once, only where this exceeds ln(eps / 2) (below it
-      exp(sum ln F / n) rounds to 1; -inf where every ln F rounds to 0).
+      exp(sum ln F / n) rounds to 1; -inf where every ln F rounds to 0);
+    - sqrt(beta/alpha) / x_max - 1, which ridge A takes to 0;
+    - (e - 1) q / p - 1, which ridge B takes to 0.
     """
     n = sums["n"]
-    walk = np.empty((p.size, 3))
+    alpha, beta, p, q = theta.T
+    walk = np.empty((p.size, 5))
     with np.errstate(all="ignore"):
         q_ew = q * sums["ew"]
         walk[:, 0] = _EPS * (n * np.abs(special._scipy().betaln(p, q)) + np.abs(sums["amp"])
                              + np.abs(sums["w"]) + q_ew + np.abs((p - 1.0) * sums["ln_f"]))
         walk[:, 1] = np.log(q_ew / n)
         walk[:, 2] = np.log(sums["ln_f"] / -n)
+        walk[:, 3] = np.sqrt(beta / alpha) / x_max - 1.0
+        walk[:, 4] = _E_MINUS_1 * q / p - 1.0
     return walk
 
 
@@ -421,6 +456,8 @@ def _bfw_profiled(x, theta, ws=None):
     Returns (theta, ll, grad, info, walk), ``walk`` from
     :func:`_walk_terms`; the data pass writes into the workspace ``ws`` as
     :func:`_bfw_sums` says."""
+    if ws is None:
+        ws = _Workspace(x)
     sums = _bfw_sums(x, theta[:, 0], theta[:, 1], 2, ws)
     start = theta[:, 2:].T
     shapes = _profile_shapes(sums["n"], np.array([sums["ln_f"], -sums["ew"]]), start)
@@ -428,7 +465,7 @@ def _bfw_profiled(x, theta, ws=None):
     if shapes is not start:  # some row moved
         theta = theta.copy()
         theta[:, 2:] = shapes.T
-    return theta, ll, grad, info, _walk_terms(sums, shapes[0], shapes[1])
+    return theta, ll, grad, info, _walk_terms(sums, theta, ws.x_max)
 
 
 def log_likelihood(data, params):
@@ -480,7 +517,7 @@ class StartDiagnostics:
     sup-norm, accepted steps (``iterations``), kernel passes
     (``evaluations``) and why it stopped (``message``).  A retired start's
     message begins "retired:" and its log-likelihood is the highest it
-    reached, which on the boundary ridge can exceed the fit's."""
+    reached, which on a boundary ridge can exceed the fit's."""
 
     index: int
     theta0: tuple[float, ...]
@@ -560,10 +597,11 @@ class Likelihood:
     points in log-parameter space, one per row; ``names`` name the columns
     of theta.  ``profile(x, theta)``, where a family has one, returns
     (theta, ll, grad, info, walk) after moving each row to a point whose
-    log-likelihood is no lower, on its own; ``walk`` holds the (rows, 3)
+    log-likelihood is no lower, on its own; ``walk`` holds the (rows, 5)
     terms by which the fitter retires a row that cannot converge (its
-    log-likelihood's rounding error, the length of its ln q crawl and how
-    near the profile step is to ending it, see :func:`_walk_terms`).  A
+    log-likelihood's rounding error, the length of its ln q crawl, how
+    near the profile step is to ending it and its offsets from the two
+    ridges, see :func:`_walk_terms`).  A
     family without a profile reports no such terms, and the fitter retires
     none of its rows.  ``workspace(x, rows)``, where a family has one,
     allocates the buffers its ``evaluate`` and ``profile`` write a data pass
@@ -631,6 +669,26 @@ _RETIRE_ROUNDING = 3e-8  # rounding error per unit of 1 + |ll|
 _RETIRE_CRAWL_SLACK = 5.0  # unit ln q steps beyond the budget left
 _RETIRE_MOVING = 0.01  # largest |step| in z of a start still moving
 
+# The boundary limits that non-converging starts walk (see fit_mle), each
+# recognized by its signature in theta and x_(n) plus the motion along it.
+# Measured over pumps, the benchmark's 26 fit draws and 160 fresh draws
+# (seeds 7, 11, 13 and 17 of the tests' fresh_draws) against the same
+# fitter without them: none of the 1,659 starts that converge there is
+# retired, every start that converges ends bit-identically, every fit is
+# unchanged, and the loop passes of the benchmark's 28-fit cycle fall from
+# 1,923 to 1,620.  The motion terms are what spare the converging starts:
+# start 0 on pumps, and on several panel draws, sits ~10 passes on ridge
+# B's plateau (ln p ~ 10.5) with the ratio test met, and then turns back
+# to the interior maximum.  Rejected: the q limit at ln q > 30 rising by
+# 0.5 retired a converging start (fresh seed 7, draw 30, start 15).
+_RIDGE_OFFSET = 1e-3  # |signature - 1| of a row on a ridge
+_RIDGE_A_LN_P = math.log(1e-3)  # ridge A: ln p below this and still falling
+_RIDGE_B_LN_P = math.log(1e4)  # ridge B: ln p above this ...
+_RIDGE_B_RISE = 0.1  # ... and rising by at least this per accepted point
+_Q_LIMIT_LN_Q = 60.0  # q limit: ln q above this, with p < 1 ...
+_Q_LIMIT_RISE = 1.0  # ... and rising by at least this per accepted point
+_E_MINUS_1 = math.e - 1.0
+
 _ACTIVE, _CONVERGED, _BUDGET, _REJECTED, _NONFINITE, _RETIRED = range(6)
 _STOP_MESSAGES = {
     _CONVERGED: "converged: score and log-likelihood change within tolerance",
@@ -642,6 +700,9 @@ _RETIRE_MESSAGES = (
     "retired: log-likelihood rounding error exceeds what the convergence test resolves",
     "retired: the ln q crawl cannot finish within the iteration budget",
     "retired: log-likelihood flat while the step still moves",
+    "retired: on ridge A (p -> 0, sqrt(beta/alpha) -> x_(n)), where the likelihood is unbounded",
+    "retired: on ridge B (p, q -> inf, q/p -> 1/(e - 1)), toward its finite limit",
+    "retired: on the q -> inf limit with p < 1",
 )
 
 
@@ -691,11 +752,12 @@ def _follow(z, theta):
         z[moved] = np.log(theta[moved])
 
 
-def _walking(before, walk, ll, change, step, left, config):
-    """Which retirement trigger holds at each trial point, a (rows, 3)
-    boolean array, from the point's :func:`_walk_terms` ``walk``, the
-    ln(-sum ln F / n) term ``before`` of the row's previous accepted point,
-    the log-likelihood ``change`` and the ``step`` in z that led to it:
+def _walking(before, walk, ll, change, z, step, left, config):
+    """Which retirement trigger holds at each trial point, a (rows, 6)
+    boolean array in the order of ``_RETIRE_MESSAGES``, from the point's
+    :func:`_walk_terms` ``walk``, the ln(-sum ln F / n) term ``before`` of
+    the row's previous accepted point, the log-likelihood ``change``, the
+    point ``z`` = ln theta and the ``step`` in z that led to it:
 
     - rounding: the log-likelihood's rounding error exceeds
       ``_RETIRE_ROUNDING`` (1 + |ll|), so it cannot resolve ``rel_ll_tol``;
@@ -703,18 +765,29 @@ def _walking(before, walk, ll, change, step, left, config):
       ``_RETIRE_CRAWL_SLACK``, and so does the profile step's approach to a
       candidate, at the rate ln(-sum ln F / n) rose since ``before``;
     - flat: the log-likelihood changed within the convergence tolerance
-      while the step moved z by at least ``_RETIRE_MOVING``.
+      while the step moved z by at least ``_RETIRE_MOVING``;
+    - ridge A: sqrt(beta/alpha) within ``_RIDGE_OFFSET`` of x_(n), with p
+      below e^``_RIDGE_A_LN_P`` and falling;
+    - ridge B: (e - 1) q/p within ``_RIDGE_OFFSET`` of 1, with p above
+      e^``_RIDGE_B_LN_P`` and ln p rising by at least ``_RIDGE_B_RISE``;
+    - q limit: ln q above ``_Q_LIMIT_LN_Q`` and rising by at least
+      ``_Q_LIMIT_RISE``, with p < 1.
     """
     scale = 1.0 + np.abs(ll)
     span = left + _RETIRE_CRAWL_SLACK
     with np.errstate(invalid="ignore"):
         rate = walk[:, 2] - before  # nan where both are -inf
         ends = (rate > 0.0) & (_LN_HALF_EPS - walk[:, 2] <= rate * span)
-    holds = np.empty((ll.size, 3), dtype=bool)
+        near = np.abs(walk[:, 3:]) < _RIDGE_OFFSET
+    ln_p, ln_q = z[:, 2], z[:, 3]
+    holds = np.empty((ll.size, len(_RETIRE_MESSAGES)), dtype=bool)
     holds[:, 0] = walk[:, 0] > _RETIRE_ROUNDING * scale
     holds[:, 1] = (walk[:, 1] > span) & ~ends
     moving = np.abs(step).max(axis=1) >= _RETIRE_MOVING
     holds[:, 2] = (change <= config.rel_ll_tol * scale) & moving
+    holds[:, 3] = near[:, 0] & (ln_p < _RIDGE_A_LN_P) & (step[:, 2] < 0.0)
+    holds[:, 4] = near[:, 1] & (ln_p > _RIDGE_B_LN_P) & (step[:, 2] >= _RIDGE_B_RISE)
+    holds[:, 5] = (ln_q > _Q_LIMIT_LN_Q) & (step[:, 3] >= _Q_LIMIT_RISE) & (ln_p < 0.0)
     return holds
 
 
@@ -778,7 +851,8 @@ def _newton(likelihood, x, z0, config):
         rows = active[accept]
         if walk_t is not None:
             left = config.max_iter + 1 - evaluations[active]
-            holds = _walking(reach[active], walk_t, ll_t, change_t, z_t - z[active], left, config)
+            holds = _walking(reach[active], walk_t, ll_t, change_t, z_t, z_t - z[active], left,
+                             config)
             streak[rows] = (streak[rows] + 1) * holds[accept]
             reach[rows] = walk_t[accept, 2]
         z[rows], theta[rows], ll[rows] = z_t[accept], theta_t[accept], ll_t[accept]
@@ -904,6 +978,24 @@ def fit_family(data, likelihood, config=None):
 
 def fit_mle(data, config=None):
     """Maximum-likelihood fit of the four-parameter model by :func:`fit_family`.
+
+    The likelihood has no global maximum.  With a = alpha p, b = beta p and
+    q/p fixed, let p -> 0 with b = x_(n) (a x_(n) + p ln q): the density puts
+    a spike of width O(p) on the largest observation and
+    ln L = ln(1/p) + C, unbounded (ridge A; Cheng & Amin 1983, JRSS B
+    45:394-403, treat this case for threshold models).  The reported
+    estimate is therefore a local maximum: the best converged interior
+    stationary point.  Its information was positive definite on every
+    converged fit of pumps, the benchmark's fit panel and 160 fresh draws;
+    where it is not, ``covariance`` is None.  A fit fails, with
+    :class:`ConvergenceError`, when its starts end on the boundary instead;
+    on the benchmark's fit panel every failed fit ends on ridge B:
+    alpha, beta -> 0 and p, q -> inf with q/p -> 1/(e - 1), whose limit is
+    the finite three-parameter model a x - b/x ~ N(mu, 1), and whose
+    walkers reach that model's maximum log-likelihood.  A start's message
+    names the limit it was retired on (see the module notes):
+    "retired: on ridge A", "retired: on ridge B", or "retired: on the
+    q -> inf limit" (ln q above 60 and rising, with p < 1).
 
     Raises :class:`DomainError` for fewer than five observations and
     :class:`ConvergenceError` when no start converges.

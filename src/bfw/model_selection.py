@@ -189,29 +189,31 @@ def _two_param_starts(config):
 
 def _fw_evaluate(x, theta, ws=None):
     """Flexible Weibull (alpha, beta) rows as four-parameter rows with
-    p = q = 1: the four-parameter kernel's data pass, written into the
-    workspace ``ws`` (:func:`bfw.inference._bfw_sums`), then its
-    log-likelihood and the (alpha, beta) block of its score and information
-    alone."""
-    sums = inference._bfw_sums(x, theta[:, 0], theta[:, 1], 2, ws)
-    ones = np.ones(theta.shape[0])
-    grad, info = np.empty((ones.size, 2)), np.empty((ones.size, 2, 2))
+    p = q = 1: the four-parameter kernel's data pass without the tail terms
+    that p - 1 = 0 multiplies, written into the workspace ``ws``
+    (:func:`bfw.inference._bfw_sums`), then its log-likelihood and the
+    (alpha, beta) block of its score and information alone."""
+    sums = inference._bfw_sums(x, theta[:, 0], theta[:, 1], 2, ws, tails=False)
+    grad, info = np.empty((theta.shape[0], 2)), np.empty((theta.shape[0], 2, 2))
     with np.errstate(all="ignore"):
-        inference._rate_terms(sums, ones, ones - 1.0, grad, info)
-    return inference._bfw_assemble(sums, ones, ones, 0)[0], grad, info
+        inference._rate_terms(sums, 1.0, None, grad, info)
+        ll = sums["amp"] + sums["w"] - sums["ew"]  # ln B(1, 1) = 0
+        ll = np.where(np.isfinite(ll), ll, -np.inf)
+    return ll, grad, info
 
 
 _FW = inference.Likelihood(evaluate=_fw_evaluate, starts=_two_param_starts, names=("alpha", "beta"),
                            workspace=inference._Workspace)
 
 
-def _weibull_evaluate(x, theta, order=2):
+def _weibull_evaluate(x, theta, order=2, ws=None):
     """Log-likelihood (m,), score (m, 2) and observed information (m, 2, 2)
     of a batch of scale-form rows (shape k, scale s); parts above ``order``
     are None.  With z = x/s and l = ln z: the score is
     (n/k + sum l - sum z^k l, k (sum z^k - n)/s), and the information
     I_kk = n/k^2 + sum z^k l^2, I_ks = (n - sum z^k - k sum z^k l)/s,
-    I_ss = k ((k + 1) sum z^k - n)/s^2."""
+    I_ss = k ((k + 1) sum z^k - n)/s^2.  ``ws``, when given, is the data's
+    sum ln x (:func:`_weibull_workspace`), formed once per fit."""
     n = x.size
     shape, scale = theta.T
     with np.errstate(all="ignore"):
@@ -220,7 +222,7 @@ def _weibull_evaluate(x, theta, order=2):
         log_z = np.log(z)
         zs = z ** shape[:, None]
         sum_zs = np.sum(zs, axis=-1)
-        sum_log_x = np.sum(np.log(x))
+        sum_log_x = _weibull_workspace(x) if ws is None else ws
         ll = n * np.log(shape) - n * shape * log_scale + (shape - 1.0) * sum_log_x - sum_zs
         ll = np.where(np.isfinite(ll), ll, -np.inf)
         if order == 0:
@@ -244,10 +246,16 @@ def weibull_loglik_grad(x, shape, scale):
     return ll[0], grad[0]
 
 
+def _weibull_workspace(x, rows=None):
+    """What every pass of one Weibull fit shares: the data's sum ln x."""
+    return np.sum(np.log(x))
+
+
 _WEIBULL = inference.Likelihood(
     evaluate=_weibull_evaluate,
     starts=_two_param_starts,
     names=("shape", "scale"),
+    workspace=_weibull_workspace,
 )
 
 

@@ -20,6 +20,7 @@ from bfw import (
     fw_cdf,
     fw_quantile,
     get_family,
+    inference,
     information_criteria,
     kaplan_meier,
     ks_statistic,
@@ -314,6 +315,25 @@ class TestFamilyProtocol:
         assert np.all(np.abs(info - numeric) <= 1e-8 * np.max(np.abs(info)))
         reference = self.weibull_mp_info(x, *theta)
         assert np.all(np.abs(info - reference) <= 1e-8 * np.abs(reference))
+
+    def test_fw_rows_are_the_four_parameter_block_at_unit_shapes(self, pumps):
+        # the fw pass skips ln F, the ratio, the curvature and their sums, which
+        # p - 1 = 0 multiplies: every row still equals the four-parameter kernel's
+        # log-likelihood and (alpha, beta) block at p = q = 1, bit for bit, and is
+        # finite exactly where that is, for alpha and beta from e^-700 to e^700
+        rng = np.random.default_rng(11)
+        for x in (pumps.times, bfw_sample(1000, BFWParams(0.5, 0.5, 2.0, 2.0), seed=2)):
+            ab = np.exp(rng.uniform(-700.0, 700.0, (200, 2)))
+            ll, grad, info = model_selection._fw_evaluate(x, ab)
+            ll4, grad4, info4 = inference.BFW.evaluate(x, np.column_stack([ab, np.ones((200, 2))]))
+            finite = np.isfinite(ll) & np.isfinite(grad).all(1) & np.isfinite(info).all((1, 2))
+            finite4 = (np.isfinite(ll4) & np.isfinite(grad4[:, :2]).all(1)
+                       & np.isfinite(info4[:, :2, :2]).all((1, 2)))
+            assert np.array_equal(finite, finite4)
+            assert 0 < finite.sum() < 200
+            assert np.array_equal(ll[finite], ll4[finite])
+            assert np.array_equal(grad[finite], grad4[finite, :2])
+            assert np.array_equal(info[finite], info4[finite, :2, :2])
 
     def test_rate_form_covariance_is_inverse_rate_information(self, pumps):
         family = get_family("weibull", weibull_parameterization="rate")
