@@ -13,8 +13,9 @@ needs distinct seeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -57,6 +58,11 @@ class BFWParams:
         """The flexible Weibull (alpha, beta), built once per instance."""
         return FWParams(self.alpha, self.beta)
 
+    @cached_property
+    def log_beta(self) -> float:
+        """ln B(p, q) by scipy's ``betaln``, computed once per instance."""
+        return float(special._scipy().betaln(self.p, self.q))
+
     def as_array(self) -> np.ndarray:
         return np.array([self.alpha, self.beta, self.p, self.q])
 
@@ -72,7 +78,8 @@ def bfw_log_pdf(x, params):
 
     -ln B(p, q) + ln(alpha + beta/x^2) + w - q e^w + (p-1) ln(1 - e^{-e^w}),
     with ln B(p, q) by scipy's ``betaln``, as in the likelihood kernel and
-    the order statistics, and ln(alpha + beta/x^2) by
+    the order statistics (cached on the parameters as
+    :attr:`BFWParams.log_beta`), and ln(alpha + beta/x^2) by
     :func:`bfw._stable.log_amplitude`, which stays finite for tiny x: at the
     smallest double the log density is -inf, not NaN.
     """
@@ -88,8 +95,7 @@ def _log_pdf(arr, params):
         ew = clamped_exp(w)
         ln_f = fw_tail_terms(w, ew)[0]
         amp = log_amplitude(arr, params.alpha, params.beta, tiny)
-        lnorm = -special._scipy().betaln(params.p, params.q)  # checked shapes
-        out = lnorm + amp + w - params.q * ew + (params.p - 1.0) * ln_f
+        out = -params.log_beta + amp + w - params.q * ew + (params.p - 1.0) * ln_f
         if tiny and params.p <= 1.0:  # (p - 1) ln F is not -inf where w = -inf; p w is
             out = np.where(w == -np.inf, -np.inf, out)
     return out
@@ -175,13 +181,19 @@ def mode_equation(x, params):
     it is (alpha + beta/x^2)^2 [bracket - 2 beta x/(beta + alpha x^2)^2],
     whose sign is the bracket's.
     """
-    arr = checked(x, "x")
+    return _ret(_stationarity(checked(x, "x"), params))
+
+
+def _stationarity(arr, params):
+    """:func:`mode_equation` at checked ``arr``: the sum of
+    :func:`_mode_terms`, and its factored form only where that sum is not
+    finite."""
     amp, bracket, out = _mode_terms(arr, params)
     if out.size and not np.isfinite(out.min()):
         with np.errstate(all="ignore"):
             gap = 2.0 * params.beta * arr / np.square(params.beta + params.alpha * np.square(arr))
             out = np.where(np.isfinite(out), out, amp * amp * (bracket - gap))
-    return _ret(out)
+    return out
 
 
 def _mode_terms(arr, params):
@@ -199,37 +211,47 @@ def _mode_terms(arr, params):
 
 
 _MODE_SUBDIVISIONS = 256  # sub-intervals per bracket and refinement round
+_MODE_FRACTIONS = np.linspace(0.0, 1.0, _MODE_SUBDIVISIONS + 1)[1:]
+
+
+@lru_cache(maxsize=16)
+def _mode_grid(lo, hi, points):
+    """The read-only log-spaced scan grid of :func:`bfw_mode`, built once per
+    ``(lo, hi, points)``."""
+    xs = checked(np.geomspace(lo, hi, points), "x")
+    xs.flags.writeable = False
+    return xs
 
 
 def bfw_mode(params, bracket=(1e-6, 1e4), grid_points=400):
     """Locate the interior mode by bracketing the stationarity function
-    on a log-spaced grid and refining every descending sign change at once.
+    on a log-spaced grid and refining every descending sign change.
 
-    Each refinement round evaluates the stationarity function on
+    The grid is built once per ``(bracket, grid_points)`` and kept.  Each
+    refinement round evaluates the stationarity function on
     ``_MODE_SUBDIVISIONS`` equal sub-intervals of every bracket and keeps the
-    first that still changes sign downward, until the brackets are one
+    first that still changes sign downward, until every bracket is one
     rounding step wide; among the roots the one of highest density wins.
     Raises :class:`NoInteriorModeError` when no sign change exists on the
     grid (the density then peaks at a boundary of the bracket).
     """
-    xs = np.geomspace(bracket[0], bracket[1], grid_points)
-    vals = np.asarray(mode_equation(xs, params))
+    xs = _mode_grid(float(bracket[0]), float(bracket[1]), int(grid_points))
+    vals = _stationarity(xs, params)
     # descending sign changes; NaN compares false and never brackets a root
     starts = np.flatnonzero((vals[:-1] > 0) & (vals[1:] <= 0))
     if starts.size == 0:
         raise NoInteriorModeError(
             f"no descending sign change of the mode equation on [{bracket[0]}, {bracket[1]}]"
         )
-    lo, hi = xs[starts], xs[starts + 1]
-    fractions = np.linspace(0.0, 1.0, _MODE_SUBDIVISIONS + 1)[1:]
-    rows = np.arange(starts.size)
-    while np.any(hi - lo > 2.0 * np.spacing(hi)):
-        grid = lo[:, None] + (hi - lo)[:, None] * fractions
-        grid[:, -1] = hi  # keep the upper end exact
-        # mode_equation(lo) > 0 >= mode_equation(hi) holds for every bracket
-        first = np.argmax(_mode_terms(grid, params)[2] <= 0, axis=1)
-        lo = np.where(first > 0, grid[rows, first - 1], lo)
-        hi = grid[rows, first]
-    roots = 0.5 * (lo + hi)
+    lo, hi = xs[starts].tolist(), xs[starts + 1].tolist()
+    # every bracket takes a round while any is still wide
+    while any(b - a > 2.0 * math.ulp(b) for a, b in zip(lo, hi)):
+        for i, (a, b) in enumerate(zip(lo, hi)):
+            grid = a + (b - a) * _MODE_FRACTIONS
+            grid[-1] = b  # keep the upper end exact
+            # mode_equation(a) > 0 >= mode_equation(b) holds for every bracket
+            first = int(np.argmax(_mode_terms(grid, params)[2] <= 0))
+            lo[i], hi[i] = (grid[first - 1] if first > 0 else a), grid[first]
+    roots = 0.5 * (np.array(lo) + np.array(hi))
     best = np.argmax(_log_pdf(roots, params)) if roots.size > 1 else 0
     return float(roots[best])

@@ -437,3 +437,60 @@ class TestMode:
         params = BFWParams(0.5, 0.5, 1.0, 1.0)
         with pytest.raises(NoInteriorModeError):
             bfw_mode(params, bracket=(5.0, 10.0), grid_points=50)
+
+
+# Values recorded as hex before ln B(p, q) was cached on the parameters and
+# the mode's scan grid was kept between calls; neither may move them by a bit.
+PIN_POINTS = {PUBLISHED: [0.5, 2.0, 6.0, 12.0], (0.5, 0.5, 2.0, 2.0): [0.1, 0.7, 1.5, 4.0]}
+PINNED = {
+    (PUBLISHED, "bfw_log_pdf"): ["-0x1.1e015765c3470p+0", "-0x1.1049a3f1b0880p+1",
+                                 "-0x1.cffa69a0a5ac0p+1", "-0x1.2596658b2c906p+3"],
+    (PUBLISHED, "bfw_pdf"): ["0x1.4f0b6edce0654p-2", "0x1.e8196accdcb7ep-4",
+                             "0x1.b4b179eb50f52p-6", "0x1.b2b02e403ec65p-14"],
+    (PUBLISHED, "bfw_hazard"): ["0x1.28775956dd87bp-1", "0x1.859322d219925p-2",
+                                "0x1.697baf040d100p-1", "0x1.69384cde3b34ep+0"],
+    ((0.5, 0.5, 2.0, 2.0), "bfw_log_pdf"): ["-0x1.0d0de765724a0p+2", "-0x1.e054daad52c1cp-3",
+                                            "-0x1.66023bd13fe1ap+0", "-0x1.4048b3f7bcc69p+3"],
+    ((0.5, 0.5, 2.0, 2.0), "bfw_pdf"): ["0x1.e96d2832e59f4p-7", "0x1.94f5b4cde318cp-1",
+                                        "0x1.f9cd95f991c45p-3", "0x1.797a2c6407831p-15"],
+    ((0.5, 0.5, 2.0, 2.0), "bfw_hazard"): ["0x1.e97fcc5b9bf84p-7", "0x1.95e6692204789p+0",
+                                           "0x1.006f01f467fc4p+1", "0x1.bb32a635d944ep+2"],
+}
+PINNED_MODES = {  # default bracket, (1e-3, 1e3) on 97 points, np.array([1e-4, 50.0])
+    PUBLISHED: ("0x1.854923c1285ddp-4", "0x1.854923c1285dep-4", "0x1.854923c1285dep-4"),
+    (0.5, 0.5, 2.0, 2.0): ("0x1.8d5e960cd3e85p-2", "0x1.8d5e960cd3e86p-2", "0x1.8d5e960cd3e86p-2"),
+}
+KERNELS = {"bfw_log_pdf": bfw_log_pdf, "bfw_pdf": bfw_pdf, "bfw_hazard": bfw_hazard}
+
+
+class TestBitPins:
+    @pytest.mark.parametrize("theta, name", sorted(PINNED, key=str))
+    def test_kernels(self, theta, name):
+        params, xs = BFWParams(*theta), PIN_POINTS[theta]
+        expected = [float.fromhex(h) for h in PINNED[theta, name]]
+        assert np.asarray(KERNELS[name](np.array(xs), params)).tolist() == expected
+        assert KERNELS[name](xs[1], params) == expected[1]
+
+    @pytest.mark.parametrize("theta", sorted(PINNED_MODES))
+    def test_mode(self, theta):
+        params = BFWParams(*theta)
+        default, custom, ndarray = (float.fromhex(h) for h in PINNED_MODES[theta])
+        for _ in range(2):  # the second call reads the kept grid
+            assert bfw_mode(params) == default
+            assert bfw_mode(params, bracket=(1e-3, 1e3), grid_points=97) == custom
+            assert bfw_mode(params, bracket=np.array([1e-4, 50.0])) == ndarray
+
+    def test_kept_grid_is_read_only(self):
+        from bfw.core import _mode_grid
+
+        grid = _mode_grid(1e-6, 1e4, 400)
+        assert _mode_grid(1e-6, 1e4, 400) is grid
+        with pytest.raises(ValueError):
+            grid[0] = 1.0
+
+    def test_cached_normalizer_is_betaln(self):
+        from scipy.special import betaln
+
+        params = BFWParams(*PUBLISHED)
+        assert params.log_beta == betaln(PUBLISHED[2], PUBLISHED[3])
+        assert params.log_beta is params.log_beta

@@ -254,6 +254,59 @@ class TestHighPrecisionReferences:
         assert summary.raw_moments[3] == pytest.approx(8.48680151161e-11, rel=1e-10)
 
 
+# sigma is below 1e-3 of the mean: central moments formed from raw moments
+# lose every digit here
+CONCENTRATED = [(0.052, 0.024, 1e7, 1e7), (0.5, 0.5, 1e6, 1e6)]
+
+
+def _mp_shape(theta, degree=5, pieces=8):
+    """Skewness and kurtosis of the density written in mpmath at 50 digits:
+    Gauss-Legendre in ln x (48 nodes on each of eight pieces of the bulk),
+    every moment taken about the mean of the same nodes."""
+    from mpmath.calculus.quadrature import GaussLegendre
+
+    with np.errstate(over="ignore"):  # q e^w overflows to inf far in the right tail
+        lo, hi = _bulk(theta, lambda x, t: 0.0 * t)
+    with mpmath.workdps(50):
+        a, b, p, q = (mpmath.mpf(v) for v in theta)
+        lnorm = mpmath.loggamma(p + q) - mpmath.loggamma(p) - mpmath.loggamma(q)
+        rule = GaussLegendre(mpmath.mp)
+        ends = mpmath.linspace(mpmath.mpf(lo), mpmath.mpf(hi), pieces + 1)
+        xs, masses = [], []
+        for left, right in zip(ends[:-1], ends[1:]):
+            for t, node_weight in rule.get_nodes(left, right, degree, mpmath.mp.prec):
+                x = mpmath.exp(t)
+                w = a * x - b / x
+                u = mpmath.exp(w)
+                xs.append(x)
+                masses.append(node_weight * mpmath.exp(
+                    lnorm + mpmath.log(a + b / x**2) + w - q * u
+                    + (p - 1) * mpmath.log(-mpmath.expm1(-u)) + t
+                ))
+        total = mpmath.fsum(masses)
+        mean = mpmath.fsum(m * x for m, x in zip(masses, xs)) / total
+        mu2, mu3, mu4 = (
+            mpmath.fsum(m * (x - mean) ** k for m, x in zip(masses, xs)) / total for k in (2, 3, 4)
+        )
+        return float(mu3 / mu2**1.5), float(mu4 / mu2**2)
+
+
+class TestShapeMeasures:
+    @pytest.mark.parametrize("theta", CONCENTRATED)
+    def test_concentrated_shapes_against_mpmath(self, theta):
+        summary = moment_summary(BFWParams(*theta))
+        skewness, kurtosis = _mp_shape(theta)
+        assert summary.skewness == pytest.approx(skewness, abs=1e-6)
+        assert summary.kurtosis == pytest.approx(kurtosis, rel=1e-6)
+
+    def test_published_point_keeps_its_raw_moment_values(self, published_params):
+        # skewness and kurtosis as the raw-moment formula gave them, which does
+        # not cancel at this point
+        summary = moment_summary(published_params)
+        assert summary.skewness == pytest.approx(1.4921602493466923, abs=1e-10)
+        assert summary.kurtosis == pytest.approx(4.892968298321172, abs=1e-10)
+
+
 class TestScaleIdentity:
     # X ~ BFW(a, b, p, q) implies cX ~ BFW(a/c, b c, p, q)
     base = BFWParams(0.5, 0.5, 2.0, 2.0)
@@ -295,6 +348,21 @@ class TestCentralMoments:
         assert math.isfinite(excinfo.value.estimate)
         assert excinfo.value.error_bound > 0.0
 
+    @pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf])
+    def test_non_finite_center_is_refused(self, published_params, center):
+        with pytest.raises(DomainError):
+            central_moment_quadrature(2, published_params, center)
+
+    def test_scan_without_a_value_above_the_cut(self, published_params):
+        # every scanned log-integrand NaN: a typed refusal, not an IndexError
+        import bfw.moments as moments_module
+
+        def weight(x, t):
+            return np.full((1, x.size), math.nan), None
+
+        with pytest.raises(QuadratureAccuracyError):
+            moments_module._ln_x_quadrature(published_params, weight)
+
 
 class TestQuadratureWork:
     def test_one_density_grid_per_level(self, published_params, monkeypatch):
@@ -312,6 +380,43 @@ class TestQuadratureWork:
         summary = moment_summary(published_params)
         assert len(calls) <= 50
         assert summary.evaluations == sum(points)
+
+    @pytest.mark.parametrize("which", ["mgf", "summary"])
+    def test_two_density_calls_at_published_point(self, published_params, monkeypatch, which):
+        # the scan is the first level and the first halving converges
+        import bfw.moments as moments_module
+
+        points = []
+        real = moments_module.bfw_log_pdf
+
+        def counting(x, params):
+            points.append(np.size(x))
+            return real(x, params)
+
+        monkeypatch.setattr(moments_module, "bfw_log_pdf", counting)
+        if which == "mgf":
+            mgf(0.5, published_params)
+        else:
+            assert moment_summary(published_params).evaluations == sum(points)
+        assert len(points) == 2
+
+    def test_no_convergence_test_below_64_intervals(self, monkeypatch):
+        # p = q = 1e6 puts the mass within a few scan steps; with a target every
+        # test meets, the quadrature stops at its first test, which must come
+        # after the untested halvings have reached 64 intervals
+        import bfw.moments as moments_module
+
+        points = []
+        real = moments_module.bfw_log_pdf
+
+        def counting(x, params):
+            points.append(np.size(x))
+            return real(x, params)
+
+        monkeypatch.setattr(moments_module, "bfw_log_pdf", counting)
+        monkeypatch.setattr(moments_module, "_QUAD_REL_TARGET", math.inf)
+        raw_moment_quadrature(1, BFWParams(0.5, 0.5, 1e6, 1e6))
+        assert min(points) < 64 <= points[-1] < 128
 
     def test_summary_reports_work_and_error(self, published_params):
         summary = moment_summary(published_params)
