@@ -24,7 +24,7 @@ from ._stable import (
     _ret, checked, checked_fields, clamped_exp, fw_tail_terms, log_amplitude, quiet, tiny_x,
 )
 from .errors import DomainError, NoInteriorModeError, SaturationError
-from .flexible_weibull import FWParams, _w, fw_cdf, fw_quantile
+from .flexible_weibull import FWParams, _w, _x_at_exponent, fw_cdf, fw_quantile, fw_sf
 
 __all__ = [
     "BFWParams",
@@ -107,12 +107,18 @@ def bfw_pdf(x, params):
 
 
 def bfw_survival(x, params):
-    """1 - bfw_cdf(x); nonincreasing, tends to 1 as x -> 0+."""
-    return _ret(1.0 - np.asarray(bfw_cdf(x, params)))
+    """I_{S_G(x)}(q, p) with S_G = ``fw_sf`` the flexible Weibull survival:
+    1 - bfw_cdf(x) by the reflection I_y(p, q) = 1 - I_{1-y}(q, p)
+    (DLMF 8.17.4), so the right tail keeps its relative precision where
+    1 - cdf would round to zero (at the published estimates, x = 25 gives
+    8.5773e-19, not 0).  Nonincreasing; 1 where x -> 0+."""
+    return special.reg_inc_beta(fw_sf(x, params.base), params.q, params.p)
 
 
 def bfw_hazard(x, params):
-    """Failure rate pdf/survival.
+    """Failure rate pdf/survival, the survival by reflection
+    (:func:`bfw_survival`), so the hazard keeps its precision as far right
+    as the survival is a nonzero double.
 
     Raises :class:`SaturationError` once the survival underflows to zero,
     reporting the largest hazard still representable on the request.
@@ -140,19 +146,57 @@ def bfw_reversed_hazard(x, params):
 
 
 def bfw_cumulative_hazard(x, params):
-    """-ln survival, which equals the integral of the hazard from 0 to x."""
-    cdf = np.asarray(bfw_cdf(x, params))
-    if np.any(cdf >= 1.0):
-        raise SaturationError("survival underflowed to zero", last_value=None)
-    return _ret(-np.log1p(-cdf))
+    """-ln survival, which equals the integral of the hazard from 0 to x:
+    -log1p(-cdf) where the cdf is at most 1/2, -ln of the reflected
+    survival (:func:`bfw_survival`) elsewhere, each form where its argument
+    is exact.  Saturates only where the survival underflows to zero."""
+    xa = np.atleast_1d(checked(x, "x"))
+    cdf = np.asarray(bfw_cdf(xa, params))
+    far = cdf > 0.5
+    out = -np.log1p(-np.where(far, 0.0, cdf))
+    if far.any():
+        sf = np.asarray(bfw_survival(xa[far], params))
+        if np.any(sf <= 0.0):
+            raise SaturationError("survival underflowed to zero", last_value=None)
+        out[far] = -np.log(sf)
+    return _ret(out.reshape(np.shape(x)))
+
+
+# bfw_quantile takes its Beta quantile from special._beta_quantile from this
+# many points on, and one betaincinv per point below it.  Measured crossover
+# (2-vCPU x86_64 VM, evenly spaced u, median of 41 interleaved calls): the
+# two break even at about 700 points at the published estimates and 450 at
+# (0.5, 0.5, 2, 2); at 1024 the bracketed path is 17% and 51% faster, at 256
+# 57% and 41% slower (its node solves and array passes cost a fixed ~0.3 ms).
+_BRACKETED_FROM = 1024
+_SMALLEST = float(np.nextafter(0.0, 1.0))
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 
 def bfw_quantile(u, params):
-    """Inverse CDF: flexible Weibull quantile of the Beta(p, q) quantile."""
-    y = np.asarray(special.inv_reg_inc_beta(checked(u, "u", high=1.0), params.p, params.q))
-    # betaincinv can land exactly on an endpoint for extreme shapes
-    y = np.clip(y, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
-    return fw_quantile(y, params.base)
+    """Inverse CDF: flexible Weibull quantile of the Beta(p, q) quantile y,
+    at the exponent w = ln(-ln(1 - y)).
+
+    Below :data:`_BRACKETED_FROM` points y is ``betaincinv``'s.  From there
+    on it comes from :func:`bfw.special._beta_quantile`, which solves each
+    u > 1/2 for 1 - y directly, so that -ln(1 - y) keeps every digit in the
+    right tail.  The value solved for, y or 1 - y, is kept in
+    [5e-324, 1 - 2^-53].
+    """
+    ua = checked(u, "u", high=1.0)
+    if np.size(ua) < _BRACKETED_FROM:
+        y = np.asarray(special.inv_reg_inc_beta(ua, params.p, params.q))
+        # betaincinv can land exactly on an endpoint for extreme shapes
+        y = np.clip(y, _SMALLEST, _BELOW_ONE)
+        return fw_quantile(y, params.base)
+    v, upper = special._beta_quantile(ua, params.p, params.q, params.log_beta)
+    np.clip(v, _SMALLEST, _BELOW_ONE, out=v)
+    log_sf = np.log(v[upper])  # ln(1 - y) where v is 1 - y ...
+    np.negative(v, out=v)
+    np.log1p(v, out=v)  # ... and where v is y
+    v[upper] = log_sf
+    np.negative(v, out=v)
+    return _x_at_exponent(np.log(v, out=v), params.base)
 
 
 def bfw_sample(n, params, seed):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
+from scipy import special as scipy_special
 from scipy.special import gamma as gamma_fn
 
 from bfw import (
@@ -27,11 +28,14 @@ from bfw import (
     fw_log_pdf,
     fw_pdf,
     fw_quantile,
+    inv_reg_inc_beta,
     ks_statistic,
     mode_equation,
     raw_moment_quadrature,
 )
 from bfw._stable import log_amplitude, tiny_x
+from bfw.core import _BRACKETED_FROM
+from bfw.special import _beta_quantile
 from bfw.inference import Dataset
 
 PUBLISHED = (0.052, 0.024, 35.077, 20.328)
@@ -59,6 +63,26 @@ def beta_cdf_finite_sum(y, p, q):
 
 def quad_cdf(x, params):
     return quad(lambda t: naive_pdf(t, params), 0.0, x, limit=500)[0]
+
+
+EPS = 2.0**-52
+# survival and hazard in the right tail: the survival is about S_G^q with
+# S_G = exp(-e^w), so the rounding of w (|w| eps) is multiplied by q e^w:
+# about 3e-14 at x = 30
+TAIL_RTOL = 1e-13
+
+
+def mp_survival_hazard(x, theta):
+    """Survival I_{S_G}(q, p) and hazard pdf / survival at 50 digits."""
+    with mpmath.workdps(50):
+        a, b, p, q = (mpmath.mpf(v) for v in theta)
+        x = mpmath.mpf(x)
+        w = a * x - b / x
+        ew = mpmath.exp(w)
+        log_pdf = (-mpmath.log(mpmath.beta(p, q)) + mpmath.log(a + b / x**2) + w - q * ew
+                   + (p - 1) * mpmath.log(-mpmath.expm1(-ew)))
+        sf = mpmath.betainc(q, p, 0, mpmath.exp(-ew), regularized=True)
+        return sf, mpmath.exp(log_pdf) / sf if sf else None
 
 
 class TestParams:
@@ -254,9 +278,38 @@ class TestLogPdf:
 
 
 class TestSurvivalHazards:
-    def test_complement_exact(self, published_params):
+    def test_complement_of_cdf(self, published_params):
+        # the survival is I_{S_G}(q, p) by reflection, not 1 - cdf: the two
+        # sum to one up to their errors, each the rounding of G or S_G times
+        # y f(y) / I of the Beta(35, 20) cdf (up to ~8 here); 5.5 eps seen
         for x in (0.1, 0.75, 2.16, 6.0):
-            assert bfw_survival(x, published_params) == 1.0 - bfw_cdf(x, published_params)
+            total = bfw_survival(x, published_params) + bfw_cdf(x, published_params)
+            assert abs(total - 1.0) <= 16.0 * EPS
+
+    @pytest.mark.parametrize("x", [22.0, 25.0, 30.0])
+    def test_right_tail_against_mpmath(self, published_params, x):
+        # 1 - cdf was 2.2427e-14 at x = 22 (0.15% off) and 0 from x = 25 on
+        sf, h = mp_survival_hazard(x, PUBLISHED)
+        assert bfw_survival(x, published_params) == pytest.approx(float(sf), rel=TAIL_RTOL)
+        assert bfw_hazard(x, published_params) == pytest.approx(float(h), rel=TAIL_RTOL)
+        assert bfw_cumulative_hazard(x, published_params) == pytest.approx(
+            float(-mpmath.log(sf)), rel=4 * EPS)
+
+    def test_published_tail_values(self, published_params):
+        assert bfw_survival(25.0, published_params) == pytest.approx(8.5773302e-19, rel=1e-7)
+        assert bfw_survival(22.0, published_params) == pytest.approx(2.2460472e-14, rel=1e-7)
+
+    def test_survival_underflow_matches_mpmath(self):
+        # at x = 1e3 the survival is about exp(-2.8e217): the double nearest is 0,
+        # and the hazards saturate there
+        params = BFWParams(0.5, 0.5, 2.0, 2.0)
+        sf, _ = mp_survival_hazard(1e3, (0.5, 0.5, 2.0, 2.0))
+        assert float(sf) == 0.0
+        assert bfw_survival(1e3, params) == 0.0
+        with pytest.raises(SaturationError):
+            bfw_hazard(1e3, params)
+        with pytest.raises(SaturationError):
+            bfw_cumulative_hazard(1e3, params)
 
     def test_survival_limit(self, published_params):
         assert bfw_survival(1e-8, published_params) == pytest.approx(1.0, abs=1e-14)
@@ -271,6 +324,8 @@ class TestSurvivalHazards:
         s = bfw_survival(xs, published_params)
         f = bfw_pdf(xs, published_params)
         assert np.allclose(h * s, f, rtol=1e-10)
+        # h is f / S with the same S, so h S returns f to rounding
+        assert np.all(np.abs(h * s - f) <= 2.0 * EPS * f)
 
     def test_hazard_reduces_to_base(self):
         params = BFWParams(0.5, 0.8, 1.0, 1.0)
@@ -345,6 +400,33 @@ class TestSurvivalHazards:
             )
 
 
+# The Beta quantile on u from 1e-300 to 1 - 1e-15, geometric in both tails,
+# at both benchmark anchors and three harder shape pairs
+QUANTILE_SHAPES = [(35.077, 20.328), (2.0, 2.0), (0.3, 0.7), (300.0, 5.0), (0.05, 40.0)]
+QUANTILE_GRID = np.concatenate([np.geomspace(1e-300, 0.5, 200),
+                                1.0 - np.geomspace(1e-15, 0.5, 100)[:-1]])
+BULK_U = (np.arange(50_000) + 0.5) / 50_000  # the benchmark's quantile grid
+TINY = float(np.finfo(float).tiny)
+
+
+def beta_quantile_reference(t, a, b):
+    """z with I_z(a, b) = t by Newton steps in ln z at 50 digits."""
+    with mpmath.workdps(50):
+        t, a, b = mpmath.mpf(float(t)), mpmath.mpf(float(a)), mpmath.mpf(float(b))
+        log_beta = mpmath.log(mpmath.beta(a, b))
+        z = mpmath.mpf(float(scipy_special.betaincinv(float(a), float(b), float(t))))
+        if z == 0:  # below the doubles: the leading term of the series
+            z = mpmath.exp((mpmath.log(t * a) + log_beta) / a)
+        for _ in range(100):
+            big_i = mpmath.betainc(a, b, 0, z, regularized=True)
+            slope = mpmath.exp(a * mpmath.log(z) + (b - 1) * mpmath.log1p(-z) - log_beta) / big_i
+            step = mpmath.log(big_i / t) / slope
+            z *= mpmath.exp(-step)
+            if abs(step) < mpmath.mpf(10) ** -45:
+                return z
+        raise AssertionError("reference Newton did not converge")
+
+
 class TestQuantile:
     def test_reduces_to_base(self):
         params = BFWParams(0.5, 0.8, 1.0, 1.0)
@@ -372,6 +454,86 @@ class TestQuantile:
     def test_domain(self, bad, published_params):
         with pytest.raises(DomainError):
             bfw_quantile(bad, published_params)
+        with pytest.raises(DomainError):  # the bracketed path checks alike
+            bfw_quantile(np.append(BULK_U, bad), published_params)
+
+    @pytest.mark.parametrize("shapes", QUANTILE_SHAPES)
+    def test_beta_quantile_against_mpmath(self, shapes):
+        # the Beta quantile of both paths of bfw_quantile: the bracketed one
+        # above the size constant, betaincinv below it
+        p, q = shapes
+        u = QUANTILE_GRID
+        reflected = u > 0.5
+        a, b = np.where(reflected, q, p), np.where(reflected, p, q)
+        t = np.where(reflected, 1.0 - u, u)
+        ref = [beta_quantile_reference(*args) for args in zip(t, a, b)]
+        normal = np.array([z >= TINY for z in ref])
+
+        def worst(z):
+            return max(float(abs(mpmath.mpf(zi) / ri - 1)) for zi, ri, ok in zip(z, ref, normal) if ok)
+
+        own = np.array([scipy_special.betaincinv(*args) for args in zip(a, b, t)])
+        bound = max(4.0 * EPS, worst(own))
+        v, upper = _beta_quantile(u, p, q, scipy_special.betaln(p, q))
+        # z of the reflected problem; a reflected element solved for y directly
+        # has y < 1/2, so 1 - y loses nothing
+        z = np.where(reflected & ~upper, 1.0 - v, v)
+        assert worst(z) <= bound
+        # below the normal range the element is betaincinv's
+        assert np.array_equal(z[~normal], own[~normal])
+        # below the constant bfw_quantile's y is betaincinv(p, q, u); its
+        # 1 - y would lose every digit as y -> 1, so the lower half is checked
+        lower = ~reflected
+        direct = np.asarray(inv_reg_inc_beta(u[lower], p, q))
+        assert np.array_equal(direct, own[lower])
+
+    @pytest.mark.parametrize("theta", [PUBLISHED, (0.5, 0.5, 2.0, 2.0), (1.0, 0.1, 300.0, 5.0)])
+    def test_bracketed_path_is_independent_of_the_batch(self, theta):
+        params = BFWParams(*theta)
+        assert BULK_U.size >= _BRACKETED_FROM
+        x = bfw_quantile(BULK_U, params)
+        assert np.array_equal(bfw_quantile(BULK_U[::-1], params), x[::-1])
+        rng = np.random.default_rng(11)
+        other = np.concatenate([rng.uniform(size=3000), np.geomspace(1e-300, 1e-3, 500)])
+        superset = np.concatenate([other, BULK_U[::7]])
+        order = rng.permutation(superset.size)
+        mixed = np.empty(superset.size)
+        mixed[order] = bfw_quantile(superset[order], params)
+        assert np.array_equal(mixed[other.size:], x[::7])
+        # and so is the Beta quantile it rests on
+        v, upper = _beta_quantile(BULK_U, params.p, params.q, params.log_beta)
+        v_rev, upper_rev = _beta_quantile(BULK_U[::-1], params.p, params.q, params.log_beta)
+        assert np.array_equal(v_rev, v[::-1]) and np.array_equal(upper_rev, upper[::-1])
+
+    @pytest.mark.parametrize("theta", [PUBLISHED, (0.5, 0.5, 2.0, 2.0)])
+    def test_direct_path_below_the_size_constant(self, theta):
+        params = BFWParams(*theta)
+        for u in (BULK_U[:: BULK_U.size // 99], BULK_U[: _BRACKETED_FROM - 1], 0.3):
+            y = np.clip(inv_reg_inc_beta(u, params.p, params.q), 5e-324, 1.0 - 2.0**-53)
+            expected = fw_quantile(y, params.base)
+            assert np.array_equal(bfw_quantile(u, params), expected)
+
+    @pytest.mark.parametrize("theta", [PUBLISHED, (0.5, 0.5, 2.0, 2.0), (1.0, 0.1, 0.05, 40.0)])
+    def test_bracketed_path_against_mpmath(self, theta):
+        # x = Q(u) through the reference Beta quantile; the right tail keeps
+        # its digits, as -ln(1 - y) is formed from 1 - y itself, and so does a
+        # small y above u = 1/2 (at (0.05, 40) y is 1e-7 at u = 0.6)
+        params = BFWParams(*theta)
+        u = np.concatenate([QUANTILE_GRID, BULK_U[: _BRACKETED_FROM]])
+        x = bfw_quantile(u, params)[: QUANTILE_GRID.size]
+        worst = 0.0
+        for ui, xi in zip(QUANTILE_GRID, x):
+            reflected = ui > 0.5
+            a, b = (params.q, params.p) if reflected else (params.p, params.q)
+            z = beta_quantile_reference(1.0 - ui if reflected else ui, a, b)
+            if not reflected and z < TINY:
+                continue  # y below the doubles: x is that of the clip to 5e-324
+            with mpmath.workdps(50):
+                neg_log_sf = -mpmath.log(z) if reflected else -mpmath.log1p(-z)
+                w = mpmath.log(neg_log_sf)
+                ref = (w + mpmath.sqrt(w * w + 4 * params.alpha * params.beta)) / (2 * params.alpha)
+                worst = max(worst, float(abs(xi / ref - 1)))
+        assert worst <= 1e-13
 
 
 class TestSample:
@@ -441,6 +603,10 @@ class TestMode:
 
 # Values recorded as hex before ln B(p, q) was cached on the parameters and
 # the mode's scan grid was kept between calls; neither may move them by a bit.
+# The hazards were re-recorded when the survival became I_{S_G}(q, p): each
+# new value is at least as close to 50-digit mpmath as the old pdf/(1 - cdf)
+# (at x = 12 on the published point 1.5e-14 against 4.6e-13, at x = 4 on the
+# second 5.8e-16 against 1.3e-12).
 PIN_POINTS = {PUBLISHED: [0.5, 2.0, 6.0, 12.0], (0.5, 0.5, 2.0, 2.0): [0.1, 0.7, 1.5, 4.0]}
 PINNED = {
     (PUBLISHED, "bfw_log_pdf"): ["-0x1.1e015765c3470p+0", "-0x1.1049a3f1b0880p+1",
@@ -448,13 +614,13 @@ PINNED = {
     (PUBLISHED, "bfw_pdf"): ["0x1.4f0b6edce0654p-2", "0x1.e8196accdcb7ep-4",
                              "0x1.b4b179eb50f52p-6", "0x1.b2b02e403ec65p-14"],
     (PUBLISHED, "bfw_hazard"): ["0x1.28775956dd87bp-1", "0x1.859322d219925p-2",
-                                "0x1.697baf040d100p-1", "0x1.69384cde3b34ep+0"],
+                                "0x1.697baf040d0f1p-1", "0x1.69384cde3a82bp+0"],
     ((0.5, 0.5, 2.0, 2.0), "bfw_log_pdf"): ["-0x1.0d0de765724a0p+2", "-0x1.e054daad52c1cp-3",
                                             "-0x1.66023bd13fe1ap+0", "-0x1.4048b3f7bcc69p+3"],
     ((0.5, 0.5, 2.0, 2.0), "bfw_pdf"): ["0x1.e96d2832e59f4p-7", "0x1.94f5b4cde318cp-1",
                                         "0x1.f9cd95f991c45p-3", "0x1.797a2c6407831p-15"],
-    ((0.5, 0.5, 2.0, 2.0), "bfw_hazard"): ["0x1.e97fcc5b9bf84p-7", "0x1.95e6692204789p+0",
-                                           "0x1.006f01f467fc4p+1", "0x1.bb32a635d944ep+2"],
+    ((0.5, 0.5, 2.0, 2.0), "bfw_hazard"): ["0x1.e97fcc5b9bf84p-7", "0x1.95e669220478ap+0",
+                                           "0x1.006f01f467fc4p+1", "0x1.bb32a635dba8fp+2"],
 }
 PINNED_MODES = {  # default bracket, (1e-3, 1e3) on 97 points, np.array([1e-4, 50.0])
     PUBLISHED: ("0x1.854923c1285ddp-4", "0x1.854923c1285dep-4", "0x1.854923c1285dep-4"),
