@@ -191,6 +191,9 @@ def bfw_quantile(u, params):
         return fw_quantile(y, params.base)
     v, upper = special._beta_quantile(ua, params.p, params.q, params.log_beta)
     np.clip(v, _SMALLEST, _BELOW_ONE, out=v)
+    # betaincinv's NaN (at (2, 2) for u = 5e-324) raises here as fw_quantile's
+    # check raises it on the direct path
+    checked(v, "u", high=1.0)
     log_sf = np.log(v[upper])  # ln(1 - y) where v is 1 - y ...
     np.negative(v, out=v)
     np.log1p(v, out=v)  # ... and where v is y

@@ -4,7 +4,7 @@ Mostly thin wrappers over the scipy implementations, each input validated
 by :func:`bfw._stable.checked`.  Two kernels do more: :func:`polygamma_gaps`
 integrates the polygamma differences that direct subtraction would cancel,
 and the private :func:`_beta_quantile` solves large batches of Beta
-quantiles by bracketed Halley steps on ``betainc``, at about half the cost
+quantiles by a bracketed Halley step on ``betainc``, at about half the cost
 of ``betaincinv`` (it takes validated input).  Everything is pure and
 thread-safe.
 
@@ -136,19 +136,17 @@ def inv_reg_inc_beta(u, p, q):
 # lie on the logit grid -k * _NODE_STEP, k = 0, 1, ...; at this step the
 # cubic Hermite start is within ~1e-8 relative of the root on the shapes
 # tested, so one Halley step reaches the last bit (at twice the step, 12% of
-# the elements at (2, 2) took a second one).
+# the elements at (2, 2) were not done after it).
 _NODE_STEP = 0.125
 # A Halley step d (in ln y) with |d| max(1, |g''/g'|) below this leaves an
 # error of order (d g''/g')^2 d, far below one ulp: the element is done
-# after it, without evaluating betainc again.
+# after it.  An element the step leaves short of this goes to betaincinv.
 _STEP_DONE = 2.0**-22
-_MAX_STEPS = 6  # elements still moving after this many steps go to betaincinv
-_NODE_SLACK = 2.0**-20  # relative widening of each node bracket
 
 
 def _beta_quantile(u, p, q, log_beta):
-    """The Beta(p, q) quantile of an array u in (0, 1) by bracketed Halley
-    steps on ``betainc``, as ``(v, upper)``: v is y with I_y(p, q) = u, or
+    """The Beta(p, q) quantile of an array u in (0, 1) by a bracketed Halley
+    step on ``betainc``, as ``(v, upper)``: v is y with I_y(p, q) = u, or
     1 - y where ``upper``.  ``log_beta`` is ln B(p, q).
 
     Each u > 1/2 is reflected to I_{1-y}(q, p) = 1 - u (DLMF 8.17.4, with
@@ -156,17 +154,17 @@ def _beta_quantile(u, p, q, log_beta):
     returns z.  Its start is a cubic Hermite interpolant of ln z in
     logit(t) between the two nodes of a fixed logit grid that bracket t;
     the nodes come from ``betaincinv``, only those some element needs.
-    Halley steps on g(ln z) = ln I_z(a, b) - ln t refine it until the
-    element is done (:data:`_STEP_DONE`), and the bracket keeps every step
-    inside the nodes.  Every value depends on its own u and the shapes
-    only, not on the rest of the batch.
+    One Halley step on g(ln z) = ln I_z(a, b) - ln t refines it.  Every
+    value depends on its own u and the shapes only, not on the rest of the
+    batch.
 
     ``betaincinv`` solves I_z(a, b) = t instead where a < 1, since each
-    ulp of betainc's error costs 1/a ulps of z there; where a node is not a
-    normal double (z underflows); and where the steps do not settle within
-    :data:`_MAX_STEPS`.  A reflected element whose z exceeds 1/2 is solved
-    for y directly (``upper`` False), since 1 - z would lose the digits of
-    a small y.
+    ulp of betainc's error costs 1/a ulps of z there; where a node's t or z
+    is not a normal double (betainc's I would be subnormal, or z
+    underflows); and where the step does not leave the element done
+    (:data:`_STEP_DONE`).  A reflected element whose z exceeds 1/2 is
+    solved for y directly (``upper`` False), since 1 - z would lose the
+    digits of a small y.
     """
     u = np.asarray(u, dtype=float)
     upper = u > 0.5
@@ -195,10 +193,11 @@ def _halley_quantile(t, a, b, log_beta):
     element must be solved elsewhere (see :func:`_beta_quantile`).  Written
     in place where it can: at 5e4 points a bulk call holds few arrays."""
     scipy = _scipy()
-    # -logit(t) / step lies in [k, k + 1]: t is bracketed by nodes k and k + 1
-    tau = np.subtract(1.0, t)
-    tau /= t
-    np.log(tau, out=tau)
+    # -logit(t) / step lies in [k, k + 1]: t is bracketed by nodes k and k + 1.
+    # ln(1 - t) - ln t, not ln((1 - t) / t), whose quotient overflows for a
+    # subnormal t; this stays below ~745 for every t > 0.
+    tau = np.log1p(-t)
+    tau -= np.log(t)
     tau *= 1.0 / _NODE_STEP
     j = np.floor(tau)
     np.subtract(j, tau, out=tau)
@@ -206,7 +205,7 @@ def _halley_quantile(t, a, b, log_beta):
     j = j.astype(np.intp)
     k_lo = int(j.min())
     j -= k_lo
-    ln_lo, rise, bend_lo, bend_hi, y_nodes, good = _node_table(k_lo, j, a, b, log_beta)
+    ln_lo, rise, bend_lo, bend_hi, good = _node_table(k_lo, j, a, b, log_beta)
     ok = good.take(j)
     run = np.flatnonzero(ok)
     if run.size < ok.size:
@@ -222,67 +221,59 @@ def _halley_quantile(t, a, b, log_beta):
     ln_z -= rise.take(j)
     ln_z *= tau
     np.subtract(ln_lo.take(j), ln_z, out=ln_z)
-    del tau
+    del tau, j
     y = np.exp(ln_z)
+    with np.errstate(all="ignore"):
+        big_i = scipy.betainc(a, b, y)
+        g = np.subtract(big_i, t)
+        g /= t
+        np.log1p(g, out=g)  # ln(I / t), without rounding I / t
+        gp = np.negative(y)  # y f(y) / I = exp(a ln y + (b - 1) ln(1 - y) - ln B) / I
+        np.log1p(gp, out=gp)
+        gp *= b - 1.0
+        ln_z *= a
+        gp += ln_z
+        gp -= log_beta
+        np.exp(gp, out=gp)
+        gp /= big_i
+        del big_i, ln_z
+        curv = np.subtract(1.0, y)  # g'' / g' = a - (b - 1) y / (1 - y) - g'
+        np.divide(y, curv, out=curv)
+        curv *= 1.0 - b
+        curv += a
+        curv -= gp
+        g /= gp  # the Newton step r = g / g'
+        del gp
+        d = np.multiply(g, curv)
+        d *= 0.5
+        d -= 1.0
+        np.divide(g, d, out=d)  # the Halley step in ln z, r / (r g'' / (2 g') - 1)
+        del g
+        np.abs(curv, out=curv)
+        np.maximum(curv, 1.0, out=curv)
+        curv *= d
+        np.abs(curv, out=curv)
+        done = curv <= _STEP_DONE  # False where the step is NaN
+        del curv
+        np.expm1(d, out=d)
+        d *= y
+        y += d
+        del d
+    if run.size == ok.size and done.all():
+        return y, ok
     z = np.zeros(ok.shape)
-    for _ in range(_MAX_STEPS):
-        with np.errstate(all="ignore"):
-            big_i = scipy.betainc(a, b, y)
-            g = np.subtract(big_i, t)
-            g /= t
-            np.log1p(g, out=g)  # ln(I / t), without rounding I / t
-            gp = np.negative(y)  # y f(y) / I = exp(a ln y + (b - 1) ln(1 - y) - ln B) / I
-            np.log1p(gp, out=gp)
-            gp *= b - 1.0
-            ln_z *= a
-            gp += ln_z
-            gp -= log_beta
-            np.exp(gp, out=gp)
-            gp /= big_i
-            del big_i, ln_z
-            curv = np.subtract(1.0, y)  # g'' / g' = a - (b - 1) y / (1 - y) - g'
-            np.divide(y, curv, out=curv)
-            curv *= 1.0 - b
-            curv += a
-            curv -= gp
-            g /= gp  # the Newton step r = g / g'
-            del gp
-            d = np.multiply(g, curv)
-            d *= 0.5
-            d -= 1.0
-            np.divide(g, d, out=d)  # the Halley step in ln z, r / (r g'' / (2 g') - 1)
-            del g
-            np.abs(curv, out=curv)
-            np.maximum(curv, 1.0, out=curv)
-            curv *= d
-            np.abs(curv, out=curv)
-            done = curv <= _STEP_DONE
-            del curv
-            np.expm1(d, out=d)
-            d *= y
-            y += d
-            del d
-        if done.all():
-            z[run] = y
-            return z, ok
-        z[run[done]] = y[done]
-        keep = np.flatnonzero(~done)
-        run, j, t = run[keep], j[keep], t[keep]
-        # a step that left the bracket restarts from its edge
-        y = np.minimum(np.maximum(y[keep], y_nodes.take(j + 1) * (1.0 - _NODE_SLACK)),
-                       y_nodes.take(j) * (1.0 + _NODE_SLACK))
-        ln_z = np.log(y)
-    ok[run] = False
+    z[run] = y
+    ok[run[~done]] = False
     return z, ok
 
 
 def _node_table(k_lo, j, a, b, log_beta):
     """The nodes k_lo + j and k_lo + j + 1 for every interval index in ``j``,
     solved by ``betaincinv``.  Returns arrays over the intervals j = 0, 1,
-    ... (ln y at the lower node j + 1, the rise of ln y to node j, each
-    end's slope times the step less that rise, whether the interval is
-    usable: both nodes normal and below 1, finite slopes) and y over the
-    nodes.  Nodes no interval needs stay NaN."""
+    ... : ln y at the lower node j + 1, the rise of ln y to node j, each
+    end's slope times the step less that rise, and whether the interval is
+    usable (both nodes' probabilities and y normal, y below 1, finite
+    slopes).  Intervals no element needs are not usable."""
     used = np.zeros(int(j.max()) + 2, dtype=bool)
     used[j] = True
     used[1:] |= used[:-1]
@@ -290,6 +281,8 @@ def _node_table(k_lo, j, a, b, log_beta):
     t_nodes = _scipy().expit(-_NODE_STEP * (nodes + k_lo))
     y_nodes = np.full(used.size, np.nan)
     y_nodes[nodes] = inv_reg_inc_beta(t_nodes, a, b)
+    t_lo = np.zeros(used.size - 1)  # each interval's lower node probability
+    t_lo[nodes[nodes > 0] - 1] = t_nodes[nodes > 0]
     with np.errstate(all="ignore"):
         ln_y = np.log(y_nodes)
         # d ln y / d logit(t) = t (1 - t) / (y f(y)), times the step
@@ -299,9 +292,9 @@ def _node_table(k_lo, j, a, b, log_beta):
         # node j + 1 is the lower end of interval j
         rise = ln_y[:-1] - ln_y[1:]
         bend_lo, bend_hi = slope[1:] - rise, slope[:-1] - rise
-        good = ((y_nodes[1:] >= _TINY) & (y_nodes[:-1] < 1.0)
+        good = ((t_lo >= _TINY) & (y_nodes[1:] >= _TINY) & (y_nodes[:-1] < 1.0)
                 & np.isfinite(bend_lo) & np.isfinite(bend_hi))
-    return ln_y[1:], rise, bend_lo, bend_hi, y_nodes, good
+    return ln_y[1:], rise, bend_lo, bend_hi, good
 
 
 def std_normal_quantile(u):

@@ -505,6 +505,28 @@ class TestQuantile:
         v_rev, upper_rev = _beta_quantile(BULK_U[::-1], params.p, params.q, params.log_beta)
         assert np.array_equal(v_rev, v[::-1]) and np.array_equal(upper_rev, upper[::-1])
 
+    @pytest.mark.parametrize("theta", [PUBLISHED, (0.5, 0.5, 2.0, 2.0), (1.0, 0.1, 300.0, 5.0),
+                                       (1.0, 0.1, 1.0, 1.0), (1.0, 0.1, 1.5, 3.0)])
+    def test_subnormal_u_on_the_bracketed_path(self, theta):
+        # a subnormal u is betaincinv's on both paths, bit for bit
+        params = BFWParams(*theta)
+        tiny = np.geomspace(5e-324, 2e-308, 64)
+        grid = BULK_U[:: BULK_U.size // _BRACKETED_FROM]
+        v, upper = _beta_quantile(np.append(tiny, grid), params.p, params.q, params.log_beta)
+        assert not upper[: tiny.size].any()
+        y = scipy_special.betaincinv(params.p, params.q, tiny)
+        assert np.array_equal(v[: tiny.size], y, equal_nan=True)
+        for ui in (1e-310, 5e-324):
+            u = np.append(ui, grid)
+            assert u.size >= _BRACKETED_FROM
+            if np.isnan(scipy_special.betaincinv(params.p, params.q, ui)):
+                # betaincinv fails (at (2, 2) for u = 5e-324): both paths raise
+                for batch in (ui, u):
+                    with pytest.raises(DomainError):
+                        bfw_quantile(batch, params)
+            else:
+                assert bfw_quantile(u, params)[0] == bfw_quantile(ui, params)
+
     @pytest.mark.parametrize("theta", [PUBLISHED, (0.5, 0.5, 2.0, 2.0)])
     def test_direct_path_below_the_size_constant(self, theta):
         params = BFWParams(*theta)
