@@ -68,9 +68,19 @@ class BFWParams:
 
 
 def bfw_cdf(x, params):
-    """I_{G(x)}(p, q) with G the flexible Weibull CDF."""
-    g = fw_cdf(x, params.base)
-    return special.reg_inc_beta(g, params.p, params.q)
+    """I_{G(x)}(p, q) with G the flexible Weibull CDF: one ``betainc`` per
+    point below :data:`bfw.special._LARGE_FROM` points, the node-grid series
+    of :func:`bfw.special._beta_cdf` from there on.  Either way each value
+    depends on its own x and the parameters only; the series adds to
+    ``betainc``'s error only the rounding of its node factor."""
+    return _inc_beta(fw_cdf(x, params.base), params.p, params.q, params)
+
+
+def _inc_beta(y, a, b, params):
+    """I_y(a, b) with (a, b) = (p, q) or (q, p) of ``params``."""
+    if np.size(y) < special._LARGE_FROM:
+        return special.reg_inc_beta(y, a, b)
+    return special._beta_cdf(y, a, b, params.log_beta)
 
 
 def bfw_log_pdf(x, params):
@@ -111,14 +121,18 @@ def bfw_survival(x, params):
     1 - bfw_cdf(x) by the reflection I_y(p, q) = 1 - I_{1-y}(q, p)
     (DLMF 8.17.4), so the right tail keeps its relative precision where
     1 - cdf would round to zero (at the published estimates, x = 25 gives
-    8.5773e-19, not 0).  Nonincreasing; 1 where x -> 0+."""
-    return special.reg_inc_beta(fw_sf(x, params.base), params.q, params.p)
+    8.5773e-19, not 0).  Nonincreasing; 1 where x -> 0+.  Like
+    :func:`bfw_cdf`, one ``betainc`` per point below
+    :data:`bfw.special._LARGE_FROM` points and
+    :func:`bfw.special._beta_cdf` from there on."""
+    return _inc_beta(fw_sf(x, params.base), params.q, params.p, params)
 
 
 def bfw_hazard(x, params):
     """Failure rate pdf/survival, the survival by reflection
     (:func:`bfw_survival`), so the hazard keeps its precision as far right
-    as the survival is a nonzero double.
+    as the survival is a nonzero double.  Large batches take the survival
+    from :func:`bfw.special._beta_cdf`.
 
     Raises :class:`SaturationError` once the survival underflows to zero,
     reporting the largest hazard still representable on the request.
@@ -162,13 +176,6 @@ def bfw_cumulative_hazard(x, params):
     return _ret(out.reshape(np.shape(x)))
 
 
-# bfw_quantile takes its Beta quantile from special._beta_quantile from this
-# many points on, and one betaincinv per point below it.  Measured crossover
-# (2-vCPU x86_64 VM, evenly spaced u, median of 41 interleaved calls): the
-# two break even at about 700 points at the published estimates and 450 at
-# (0.5, 0.5, 2, 2); at 1024 the bracketed path is 17% and 51% faster, at 256
-# 57% and 41% slower (its node solves and array passes cost a fixed ~0.3 ms).
-_BRACKETED_FROM = 1024
 _SMALLEST = float(np.nextafter(0.0, 1.0))
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
@@ -177,29 +184,26 @@ def bfw_quantile(u, params):
     """Inverse CDF: flexible Weibull quantile of the Beta(p, q) quantile y,
     at the exponent w = ln(-ln(1 - y)).
 
-    Below :data:`_BRACKETED_FROM` points y is ``betaincinv``'s.  From there
-    on it comes from :func:`bfw.special._beta_quantile`, which solves each
-    u > 1/2 for 1 - y directly, so that -ln(1 - y) keeps every digit in the
-    right tail.  The value solved for, y or 1 - y, is kept in
-    [5e-324, 1 - 2^-53].
+    y comes from :func:`bfw.special._beta_quantile` at every batch size: it
+    solves each u > 1/2 for 1 - y directly, so that -ln(1 - y) keeps every
+    digit in the right tail, by ``betaincinv`` below
+    :data:`bfw.special._LARGE_FROM` points and by a bracketed Halley step on
+    :func:`bfw.special._beta_cdf` from there on, and by the series form of
+    the Beta cdf wherever y (or 1 - y) is small enough for it, where
+    ``betaincinv`` can be NaN or far off.  The value solved for, y or
+    1 - y, is kept in [5e-324, 1 - 2^-53].
     """
     ua = checked(u, "u", high=1.0)
-    if np.size(ua) < _BRACKETED_FROM:
-        y = np.asarray(special.inv_reg_inc_beta(ua, params.p, params.q))
-        # betaincinv can land exactly on an endpoint for extreme shapes
-        y = np.clip(y, _SMALLEST, _BELOW_ONE)
-        return fw_quantile(y, params.base)
-    v, upper = special._beta_quantile(ua, params.p, params.q, params.log_beta)
+    v, upper = special._beta_quantile(np.atleast_1d(ua), params.p, params.q, params.log_beta)
     np.clip(v, _SMALLEST, _BELOW_ONE, out=v)
-    # betaincinv's NaN (at (2, 2) for u = 5e-324) raises here as fw_quantile's
-    # check raises it on the direct path
+    # a NaN from betaincinv raises here, as the check of u would
     checked(v, "u", high=1.0)
     log_sf = np.log(v[upper])  # ln(1 - y) where v is 1 - y ...
     np.negative(v, out=v)
     np.log1p(v, out=v)  # ... and where v is y
     v[upper] = log_sf
     np.negative(v, out=v)
-    return _x_at_exponent(np.log(v, out=v), params.base)
+    return _ret(_x_at_exponent(np.log(v, out=v), params.base).reshape(np.shape(ua)))
 
 
 def bfw_sample(n, params, seed):

@@ -1,12 +1,17 @@
 """Special-function kernel used by every other module.
 
 Mostly thin wrappers over the scipy implementations, each input validated
-by :func:`bfw._stable.checked`.  Two kernels do more: :func:`polygamma_gaps`
-integrates the polygamma differences that direct subtraction would cancel,
-and the private :func:`_beta_quantile` solves large batches of Beta
-quantiles by a bracketed Halley step on ``betainc``, at about half the cost
-of ``betaincinv`` (it takes validated input).  Everything is pure and
-thread-safe.
+by :func:`bfw._stable.checked`.  Three kernels do more, the last two private
+and taking validated input: :func:`polygamma_gaps` integrates the polygamma
+differences that direct subtraction would cancel; :func:`_beta_cdf` sums
+the Beta cdf of large batches as a Taylor series from a node of a fixed
+grid at or below each point, one ``betainc`` per node, at about a tenth of
+``betainc``'s cost per point at the published shapes; and
+:func:`_beta_quantile` solves Beta quantiles on the reflected problem, by
+a bracketed Halley step on :func:`_beta_cdf` for large batches and by the
+series form where the quantile is small.  Both large-batch paths start at
+:data:`_LARGE_FROM` points.  Everything is pure and thread-safe; the
+per-shape constants of the kernels are cached.
 
 ``scipy.special`` costs about as much to import as numpy, so it is loaded
 on first use through :func:`_scipy`, not when ``bfw`` is imported.  Of the
@@ -17,6 +22,7 @@ kernel call; ``sample``, ``km`` and ``--help`` never do.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -132,6 +138,16 @@ def inv_reg_inc_beta(u, p, q):
     return _ret(_scipy().betaincinv(checked(p, "p"), checked(q, "q"), ua))
 
 
+# Both large-batch kernels, :func:`_beta_cdf` and :func:`_beta_quantile`, run
+# from this many points on; below it each point is one betainc or betaincinv.
+# Measured crossover (2-vCPU x86_64 VM, median of 41 interleaved calls): at
+# the published shapes the cdf kernel breaks even with betainc near 550
+# points (0.40 against 0.66 ms at 1024) and the Halley quantile with
+# betaincinv near 800 (0.95 against 1.19 ms); at (2, 2) the quantile near 700
+# (0.52 against 0.75 ms at 1024), while the cdf kernel costs 0.09 ms more
+# than betainc's closed form at 1024 points and breaks even near 2500.
+_LARGE_FROM = 1024
+
 # The bracketed Beta quantile (:func:`_beta_quantile`).  Node probabilities
 # lie on the logit grid -k * _NODE_STEP, k = 0, 1, ...; at this step the
 # cubic Hermite start is within ~1e-8 relative of the root on the shapes
@@ -142,57 +158,175 @@ _NODE_STEP = 0.125
 # error of order (d g''/g')^2 d, far below one ulp: the element is done
 # after it.  An element the step leaves short of this goes to betaincinv.
 _STEP_DONE = 2.0**-22
+# The Beta quantile's series form (:func:`_inverse`) is solved where its
+# fixed-point map contracts by 2^-9 or more and the terms of its
+# hypergeometric factor shrink by 1/8 or more: seven steps reach 2^-63, and
+# 19 terms leave below 2^-57.  That takes in a subnormal t at (300, 5),
+# where z is 0.08, and starts below t = 4e-6 at (2, 2).
+_SERIES_FROM = 2.0**-9
+_SERIES_RATIO = 0.125
+_FIXED_STEPS = 7
+_SERIES_TERMS = 19
 
 
 def _beta_quantile(u, p, q, log_beta):
-    """The Beta(p, q) quantile of an array u in (0, 1) by a bracketed Halley
-    step on ``betainc``, as ``(v, upper)``: v is y with I_y(p, q) = u, or
-    1 - y where ``upper``.  ``log_beta`` is ln B(p, q).
+    """The Beta(p, q) quantile of an array u in (0, 1) as ``(v, upper)``: v
+    is y with I_y(p, q) = u, or 1 - y where ``upper``.  ``log_beta`` is
+    ln B(p, q).
 
     Each u > 1/2 is reflected to I_{1-y}(q, p) = 1 - u (DLMF 8.17.4, with
     1 - u exact), so every element solves I_z(a, b) = t with t <= 1/2 and
-    returns z.  Its start is a cubic Hermite interpolant of ln z in
-    logit(t) between the two nodes of a fixed logit grid that bracket t;
-    the nodes come from ``betaincinv``, only those some element needs.
-    One Halley step on g(ln z) = ln I_z(a, b) - ln t refines it.  Every
-    value depends on its own u and the shapes only, not on the rest of the
-    batch.
+    returns z.  From :data:`_LARGE_FROM` points on, its start is a cubic
+    Hermite interpolant of ln z in logit(t) between the two nodes of a fixed
+    logit grid that bracket t; the nodes come from :func:`_inverse`, only
+    those some element needs.  One Halley step on
+    g(ln z) = ln I_z(a, b) - ln t, with I from :func:`_beta_cdf`, refines
+    it.  Every value depends on its own u and the shapes only, not on the
+    rest of the batch.
 
-    ``betaincinv`` solves I_z(a, b) = t instead where a < 1, since each
-    ulp of betainc's error costs 1/a ulps of z there; where a node's t or z
-    is not a normal double (betainc's I would be subnormal, or z
-    underflows); and where the step does not leave the element done
-    (:data:`_STEP_DONE`).  A reflected element whose z exceeds 1/2 is
-    solved for y directly (``upper`` False), since 1 - z would lose the
-    digits of a small y.
+    :func:`_inverse` solves I_z(a, b) = t instead below :data:`_LARGE_FROM`
+    points; where t is small enough for its series root
+    (:func:`_series_top`); where a < 1, since each ulp of the cdf's error
+    costs 1/a ulps of z there; where a node's t or z is not a normal double
+    (the cdf would be subnormal, or z underflows); and where the step does
+    not leave the element done (:data:`_STEP_DONE`).  A reflected element
+    whose z exceeds 1/2 is solved for y directly (``upper`` False), since
+    1 - z would lose the digits of a small y.
     """
     u = np.asarray(u, dtype=float)
     upper = u > 0.5
     v = np.empty_like(u)
+    large = u.size >= _LARGE_FROM
     for reflected, a, b in ((False, p, q), (True, q, p)):
         side = upper if reflected else ~upper
         if not side.any():
             continue
         t = 1.0 - u[side] if reflected else u[side]
-        if a < 1.0:
-            v[side] = inv_reg_inc_beta(t, a, b)
+        if a < 1.0 or not large:
+            v[side] = _inverse(t, a, b, log_beta)
             continue
         z, ok = _halley_quantile(t, a, b, log_beta)
+        ok &= t > _series_top(a, b, log_beta)
         if not ok.all():
-            z[~ok] = inv_reg_inc_beta(t[~ok], a, b)
+            z[~ok] = _inverse(t[~ok], a, b, log_beta)
         v[side] = z
     swap = upper & (v > 0.5)
     if swap.any():
-        v[swap] = inv_reg_inc_beta(u[swap], p, q)
+        v[swap] = _inverse(u[swap], p, q, log_beta)
         upper &= ~swap
     return v, upper
+
+
+def _inverse(t, a, b, log_beta):
+    """z with I_z(a, b) = t for an array t in [0, 1]: ``betaincinv``, or at
+    or below :func:`_series_top` the root of the series form (DLMF 8.17.8)
+
+        I_z(a, b) = z^a (1 - z)^b F(z) / (a B(a, b)),
+        F(z) = 2F1(a + b, 1; a + 1; z) = 1 + (a + b) / (a + 1) z + ...,
+
+    that is z = z0 ((1 - z)^b F(z))^(-1/a) with the leading term
+    z0 = (t a B(a, b))^(1/a).  Where z0 (b + (a + b) / (a + 1)) / a is at
+    most :data:`_SERIES_FROM` this map contracts by that much, and where
+    z0 max(1, (a + b) / (a + 1)) is at most :data:`_SERIES_RATIO` the terms
+    of F shrink by that much, so :data:`_FIXED_STEPS` steps from z0 reach
+    the root to rounding (where the correction is below eps/4 z is z0
+    itself).  There ``betaincinv`` is NaN (at (5, 300) for every t below
+    ~1e-170, at (2, 2) for t = 5e-324) or far off (5.4% and 103% at the
+    published shapes for t = 1e-310 and 5e-324, 6% at (300, 5) for a
+    subnormal t).  Where a subnormal t has z near 1 (a first shape in the
+    thousands) ``betaincinv`` is all there is."""
+    t = np.asarray(t, dtype=float)
+    near = t <= _series_top(a, b, log_beta)
+    if not near.any():
+        return _scipy().betaincinv(a, b, t)
+    z = np.empty_like(t)
+    far = ~near
+    if far.any():
+        z[far] = _scipy().betaincinv(a, b, t[far])
+    z0 = _leading_root(t[near], a, _log_norm(a, b, log_beta))
+    root = z0
+    for _ in range(_FIXED_STEPS):
+        # F(z) - 1 by Horner over its first terms, each (a + b + n) / (a + 1 + n) z
+        # times the one before
+        rest = np.zeros_like(root)
+        for n in range(_SERIES_TERMS - 1, -1, -1):
+            rest += 1.0
+            rest *= ((a + b + n) / (a + 1.0 + n)) * root
+        root = z0 * np.exp(-(b * np.log1p(-root) + np.log1p(rest)) / a)
+    z[near] = root
+    return z
+
+
+@functools.lru_cache(maxsize=1024)
+def _series_top(a, b, log_beta):
+    """The largest t that :func:`_inverse` takes to the series root: the
+    leading term z0^a / (a B(a, b)) at the largest z0 the series admits."""
+    grow = (a + b) / (a + 1.0)
+    z0 = min(_SERIES_FROM * a / (b + grow), _SERIES_RATIO / max(1.0, grow))
+    return math.exp(a * math.log(z0) - _log_norm(a, b, log_beta))
+
+
+def _leading_root(t, a, log_norm):
+    """(t a B)^(1/a) for an array t, with ``log_norm`` = ln(a B), as
+    exp((ln t + ln(a B)) / a), the large part of ln t kept exact: for
+    t = m 2^e it is 2^(e/a) exp((ln m + ln(a B)) / a), e/a split into a
+    double and its remainder by Dekker's product, so the rounding of ~745/a
+    never reaches the result; a few eps remain."""
+    m, e = np.frexp(t)
+    e = e.astype(float)
+    q = e / a
+    hi, lo = _two_product(q, a)
+    rest = (e - hi) - lo  # e - q a, exactly up to the last rounding
+    with np.errstate(divide="ignore"):
+        return np.exp2(q) * np.exp((rest * _LN2 + np.log(m) + log_norm) / a)
+
+
+@functools.lru_cache(maxsize=1024)
+def _log_norm(a, b, log_beta):
+    """ln(a B(a, b)), given ``log_beta`` = scipy's ``betaln(a, b)``, to a
+    few eps where one shape is 4 or more times the other.
+
+    There ``betaln`` cancels ln Gamma terms of the larger shape: it is
+    4.4e-13 off at (5, 300) and 1.3e-10 at (10, 1e5).  With s <= l the
+    shapes, DLMF 8.17.20 gives y^s (1 - y)^l / (s B) = I_y(s, l) - I_y(s + 1, l),
+    which at y = s / (s + l) is the larger part of I_y(s, l), so
+    ln(s B) = s ln y + l ln(1 - y) - ln(that difference), whose terms are
+    all small: ln B so formed is 3.1e-16 off at (5, 300) and 7.7e-15 at
+    (10, 1e5).  Where the shapes are within a factor 4 the difference
+    cancels as s grows (1.9e-12 off at (1e4, 1e4), where ``betaln`` is
+    6.4e-14 off), and ln a + ``log_beta`` is kept.
+    """
+    s, l = min(a, b), max(a, b)
+    if l >= 4.0 * s:
+        y = s / (s + l)
+        head = _scipy().betainc(s, l, y) - _scipy().betainc(s + 1.0, l, y)
+        if head > 0.0:
+            scaled = s * math.log(y) + l * math.log1p(-y) - math.log(head)
+            return scaled if a == s else scaled - math.log(s) + math.log(a)
+    return math.log(a) + log_beta
+
+
+_LN2 = math.log(2.0)
+_SPLIT = 2.0**27 + 1.0  # Veltkamp's splitter for 53-bit doubles
+
+
+def _two_product(x, c):
+    """(p, r) with p = fl(x c) and p + r = x c exactly (Dekker), for an array
+    x and a float c."""
+    p = x * c
+    big = _SPLIT * x
+    x_hi = big - (big - x)
+    x_lo = x - x_hi
+    big = _SPLIT * c
+    c_hi = big - (big - c)
+    c_lo = c - c_hi
+    return p, ((x_hi * c_hi - p) + x_hi * c_lo + x_lo * c_hi) + x_lo * c_lo
 
 
 def _halley_quantile(t, a, b, log_beta):
     """(z, ok): z with I_z(a, b) = t for t in (0, 1/2], ok False where the
     element must be solved elsewhere (see :func:`_beta_quantile`).  Written
     in place where it can: at 5e4 points a bulk call holds few arrays."""
-    scipy = _scipy()
     # -logit(t) / step lies in [k, k + 1]: t is bracketed by nodes k and k + 1.
     # ln(1 - t) - ln t, not ln((1 - t) / t), whose quotient overflows for a
     # subnormal t; this stays below ~745 for every t > 0.
@@ -224,7 +358,7 @@ def _halley_quantile(t, a, b, log_beta):
     del tau, j
     y = np.exp(ln_z)
     with np.errstate(all="ignore"):
-        big_i = scipy.betainc(a, b, y)
+        big_i = _beta_cdf(y, a, b, log_beta)
         g = np.subtract(big_i, t)
         g /= t
         np.log1p(g, out=g)  # ln(I / t), without rounding I / t
@@ -269,7 +403,7 @@ def _halley_quantile(t, a, b, log_beta):
 
 def _node_table(k_lo, j, a, b, log_beta):
     """The nodes k_lo + j and k_lo + j + 1 for every interval index in ``j``,
-    solved by ``betaincinv``.  Returns arrays over the intervals j = 0, 1,
+    solved by :func:`_inverse`.  Returns arrays over the intervals j = 0, 1,
     ... : ln y at the lower node j + 1, the rise of ln y to node j, each
     end's slope times the step less that rise, and whether the interval is
     usable (both nodes' probabilities and y normal, y below 1, finite
@@ -280,7 +414,7 @@ def _node_table(k_lo, j, a, b, log_beta):
     nodes = np.flatnonzero(used)
     t_nodes = _scipy().expit(-_NODE_STEP * (nodes + k_lo))
     y_nodes = np.full(used.size, np.nan)
-    y_nodes[nodes] = inv_reg_inc_beta(t_nodes, a, b)
+    y_nodes[nodes] = _inverse(t_nodes, a, b, log_beta)
     t_lo = np.zeros(used.size - 1)  # each interval's lower node probability
     t_lo[nodes[nodes > 0] - 1] = t_nodes[nodes > 0]
     with np.errstate(all="ignore"):
@@ -295,6 +429,185 @@ def _node_table(k_lo, j, a, b, log_beta):
         good = ((t_lo >= _TINY) & (y_nodes[1:] >= _TINY) & (y_nodes[:-1] < 1.0)
                 & np.isfinite(bend_lo) & np.isfinite(bend_hi))
     return ln_y[1:], rise, bend_lo, bend_hi, good
+
+
+# The Beta cdf kernel (:func:`_beta_cdf`).  Its grid keeps 5 to 16 mantissa
+# bits of a node, its series has at most degree 30, and each node's cut-off
+# series is at most 2^-55 of the node's I.  Shapes that need a finer grid
+# (|a - 1| + |b - 1| above 2^15) are concentrated enough that nearly every
+# point would need its own node (a 5e4-point Beta(1e6, 1e6) sample needs
+# 2.1e4 nodes at the 22 bits its shapes ask for), so they stay with betainc.
+_GRID_BITS = (5, 16)
+_MAX_DEGREE = 30
+_SERIES_TOL = 2.0**-55
+# a node mask spans up to this many keys per point; np.unique sorts wider ranges
+_COMPACT_SPAN = 4
+# betainc loses digits where its result nears underflow (at (300, 5): 35 ulp
+# at 1e-300, 4.8e4 ulp at 1e-303, 3 ulp from 1e-295 up), so a node whose I
+# is below this is not used, and its elements are betainc's
+_NODE_FLOOR = 2.0**-960
+
+
+@functools.lru_cache(maxsize=1024)
+def _cdf_plan(a, b):
+    """(shift, degree, tail) of :func:`_beta_cdf` at shapes (a, b), or None
+    where ``betainc`` takes every point (see :data:`_GRID_BITS`).
+
+    Nodes keep the top ``52 - shift`` bits of the mantissa of the distance
+    z to the nearer end of [0, 1], so an element's series variable v is below
+    U = 2^(shift - 52).  The integrand factor (1 + e1 v)^(a-1) (1 - e2 v)^(b-1)
+    has 0 < e1, e2 <= 1, so its Taylor coefficients are bounded by those of
+    (1 - v)^-k, k = |a - 1| + |b - 1|, and the series cut after v^degree
+    leaves at most ``tail`` = U sum_{n > degree} C(k + n - 1, n) U^n of the
+    integral.  U is the largest power of 2 at most 1/(2k) and 1/32, which
+    keeps that majorant near e^(1/2); the degree is the least for which ``tail`` times
+    4 max(a, b, 1) (about the largest z f(y) / I of a node) is below 2^-55.
+    Where a - 1 and b - 1 are non-negative integers the series ends by
+    itself, after v^(a + b - 2), and nothing is cut."""
+    k = abs(a - 1.0) + abs(b - 1.0)
+    bits = max(_GRID_BITS[0], math.ceil(math.log2(2.0 * k))) if k > 0.5 else _GRID_BITS[0]
+    if bits > _GRID_BITS[1]:
+        return None
+    step = 2.0**-bits
+    terms = [1.0]  # C(k + n - 1, n) step^n, summed far beyond where they matter
+    for n in range(1, 256):
+        terms.append(terms[-1] * (k + n - 1.0) / n * step)
+    ratio = 4.0 * max(a, b, 1.0)
+    ends = a >= 1.0 and b >= 1.0 and a == int(a) and b == int(b)
+    for degree in range(_MAX_DEGREE + 1):
+        if ends and degree == a + b - 2.0:
+            return 52 - bits, degree, 0.0
+        tail = step * math.fsum(terms[degree + 1:])
+        if ratio * tail <= _SERIES_TOL:
+            return 52 - bits, degree, tail
+    return None
+
+
+def _beta_cdf(y, a, b, log_beta):
+    """I_y(a, b) for an array y in [0, 1], shapes a, b > 0 and ``log_beta``
+    = ln B(a, b), by a node-grid series; the large-batch path of
+    :func:`bfw.core.bfw_cdf` and :func:`bfw.core.bfw_survival` and the cdf of
+    the Halley step of :func:`_beta_quantile`.
+
+    Each element adds to the I of a node y_k <= y the integral of the
+    density from y_k to y, so the increment never cancels, and the result
+    keeps the relative precision of the node's I wherever it lies.  A node
+    keeps the top bits of z = min(y, 1 - y) (see :func:`_cdf_plan`): below
+    1/2 the bits of y rounded down, above it those of 1 - y rounded up, so
+    y_k and 1 - y_k are both exact doubles and y - y_k <= 2^(shift - 52) z_k.
+    With v = (y - y_k) / z_k,
+
+        inc = f(y_k) z_k int_0^v (1 + e1 s)^(a-1) (1 - e2 s)^(b-1) ds,
+
+    f the Beta(a, b) density, e1 = z_k / y_k and e2 = z_k / (1 - y_k), the
+    larger of them 1.  The integrand's Taylor coefficients follow a
+    three-term recurrence from its logarithmic derivative; each node's
+    coefficients of the integral, times f(y_k) z_k, are one row of a table,
+    and every element sums its series by Horner.  Each node's I comes from
+    one ``betainc``, and only the nodes some element needs are built.  Every
+    value depends on its own y and the shapes only: the tables are built
+    element-wise, with no reduction across nodes.
+
+    The error is the node's ``betainc`` error plus that of
+    f(y_k) z_k = exp(phi), about |phi| eps / 2 of the increment, and a few
+    eps; ln B is :func:`_log_norm`'s.  ``betainc`` takes an element whose
+    node is subnormal, whose node's I is below :data:`_NODE_FLOOR` or whose
+    series bound is not met, and every element at concentrated shapes
+    (:data:`_GRID_BITS`); both rules look at the element's node and the
+    shapes only.
+    """
+    y = np.asarray(y, dtype=float)
+    plan = _cdf_plan(float(a), float(b)) if y.size else None
+    if plan is None:
+        return _scipy().betainc(a, b, y)
+    shape, y = y.shape, y.ravel()
+    shift, degree, tail = plan
+    z = np.subtract(1.0, y)  # exact where y >= 1/2, the only place it is kept
+    np.minimum(y, z, out=z)
+    bits = z.view(np.int64)
+    key = bits >> shift  # z rounded down to a node ...
+    hi = y > 0.5
+    up = (key << shift) != bits
+    up &= hi  # ... or up, where z is 1 - y
+    del z, bits
+    key += up
+    del up
+    key <<= 1
+    key += hi  # a node is (z_k, whether y_k = 1 - z_k)
+    del hi
+    nodes, idx = _compact(key)
+    del key
+    node_y, scale, base, coef, usable = _cdf_nodes(nodes, shift, degree, tail, a, b, log_beta)
+    # v = (y - y_k) / z_k; y - y_k is exact (both within a factor 2, or both in [1/2, 1])
+    v = node_y.take(idx)
+    np.subtract(y, v, out=v)
+    v *= scale.take(idx)
+    out = coef[degree].take(idx)
+    for n in range(degree - 1, -1, -1):
+        out *= v
+        out += coef[n].take(idx)
+    out *= v
+    out += base.take(idx)
+    if not usable.all():
+        sel = np.flatnonzero(~usable.take(idx))
+        out[sel] = _scipy().betainc(a, b, y[sel])
+    return out.reshape(shape)
+
+
+def _compact(key):
+    """(nodes, idx): the sorted distinct values of an int64 array and each
+    element's position among them, by a mask over their range where that is
+    short, and by sorting where it is not."""
+    lo = int(key.min())
+    span = int(key.max()) - lo + 1
+    if span > _COMPACT_SPAN * key.size:
+        return np.unique(key, return_inverse=True)
+    rel = key - lo
+    used = np.zeros(span, dtype=bool)
+    used[rel] = True
+    nodes = np.flatnonzero(used)
+    lut = np.cumsum(used, dtype=np.intp)
+    lut -= 1
+    idx = lut.take(rel)
+    nodes += lo
+    return nodes, idx
+
+
+def _cdf_nodes(nodes, shift, degree, tail, a, b, log_beta):
+    """The node table of :func:`_beta_cdf`: each node's y_k, the factor
+    1/z_k of v, its I, the Horner rows (``degree`` + 1, nodes) of
+    f(y_k) z_k c_n / (n + 1), and whether the node is usable."""
+    hi = (nodes & 1).astype(bool)
+    z = ((nodes >> 1) << shift).view(float)
+    node_y = np.where(hi, 1.0 - z, z)  # exact: a node above 1/2 is a multiple of 2^-53
+    base = _scipy().betainc(a, b, node_y)
+    with np.errstate(all="ignore"):  # subnormal and zero nodes are not used
+        ln_z, ln_far = np.log(z), np.log1p(-z)
+        ln_y, ln_1y = np.where(hi, ln_far, ln_z), np.where(hi, ln_z, ln_far)
+        # f(y_k) z_k = exp(phi), the one factor whose rounding reaches the result
+        log_beta = _log_norm(a, b, log_beta) - math.log(a)
+        fac = np.exp((a - 1.0) * ln_y + (b - 1.0) * ln_1y + ln_z - log_beta)
+        usable = (z > _TINY) & (base >= _NODE_FLOOR) & (fac * tail <= _SERIES_TOL * base)
+        usable &= np.isfinite(fac)
+        ratio = z / (1.0 - z)
+        e1 = np.where(hi, ratio, 1.0)  # z_k / y_k
+        e2 = np.where(hi, 1.0, ratio)  # z_k / (1 - y_k)
+        scale = 1.0 / z
+    fac[~usable] = e1[~usable] = e2[~usable] = scale[~usable] = base[~usable] = 0.0
+    # Taylor coefficients c_n of g(s) = (1 + e1 s)^alpha (1 - e2 s)^beta from
+    # (1 + e1 s)(1 - e2 s) g' = (alpha e1 (1 - e2 s) - beta e2 (1 + e1 s)) g:
+    # (n + 1) c_{n+1} = (alpha e1 - beta e2 - n (e1 - e2)) c_n
+    #                   - e1 e2 (alpha + beta + 1 - n) c_{n-1}
+    alpha, beta = a - 1.0, b - 1.0
+    lead, both, prod = alpha * e1 - beta * e2, e1 - e2, e1 * e2
+    coef = np.empty((degree + 1, nodes.size))
+    prev, cur = np.zeros_like(z), fac  # f(y_k) z_k c_{n-1} and f(y_k) z_k c_n
+    for n in range(degree + 1):
+        np.divide(cur, n + 1.0, out=coef[n])
+        if n < degree:
+            nxt = (lead - n * both) * cur - (alpha + beta + 1.0 - n) * prod * prev
+            prev, cur = cur, nxt / (n + 1.0)
+    return node_y, scale, base, coef, usable
 
 
 def std_normal_quantile(u):

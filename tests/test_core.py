@@ -28,14 +28,16 @@ from bfw import (
     fw_log_pdf,
     fw_pdf,
     fw_quantile,
+    fw_sf,
     inv_reg_inc_beta,
     ks_statistic,
     mode_equation,
     raw_moment_quadrature,
 )
 from bfw._stable import log_amplitude, tiny_x
-from bfw.core import _BRACKETED_FROM
-from bfw.special import _beta_quantile
+from bfw import special
+from bfw.flexible_weibull import _x_at_exponent
+from bfw.special import _LARGE_FROM, _beta_cdf, _beta_quantile, _cdf_plan
 from bfw.inference import Dataset
 
 PUBLISHED = (0.052, 0.024, 35.077, 20.328)
@@ -415,7 +417,7 @@ def beta_quantile_reference(t, a, b):
         t, a, b = mpmath.mpf(float(t)), mpmath.mpf(float(a)), mpmath.mpf(float(b))
         log_beta = mpmath.log(mpmath.beta(a, b))
         z = mpmath.mpf(float(scipy_special.betaincinv(float(a), float(b), float(t))))
-        if z == 0:  # below the doubles: the leading term of the series
+        if not z > 0:  # below the doubles, or NaN: the leading term of the series
             z = mpmath.exp((mpmath.log(t * a) + log_beta) / a)
         for _ in range(100):
             big_i = mpmath.betainc(a, b, 0, z, regularized=True)
@@ -425,6 +427,20 @@ def beta_quantile_reference(t, a, b):
             if abs(step) < mpmath.mpf(10) ** -45:
                 return z
         raise AssertionError("reference Newton did not converge")
+
+
+def quantile_reference(u, params):
+    """x = Q(u) at 50 digits through the reference Beta quantile, or None
+    where y lies below the doubles (x is then that of the clip to 5e-324)."""
+    reflected = u > 0.5
+    a, b = (params.q, params.p) if reflected else (params.p, params.q)
+    z = beta_quantile_reference(1.0 - u if reflected else u, a, b)
+    if not reflected and z < TINY:
+        return None
+    with mpmath.workdps(50):
+        neg_log_sf = -mpmath.log(z) if reflected else -mpmath.log1p(-z)
+        w = mpmath.log(neg_log_sf)
+        return (w + mpmath.sqrt(w * w + 4 * params.alpha * params.beta)) / (2 * params.alpha)
 
 
 class TestQuantile:
@@ -460,7 +476,8 @@ class TestQuantile:
     @pytest.mark.parametrize("shapes", QUANTILE_SHAPES)
     def test_beta_quantile_against_mpmath(self, shapes):
         # the Beta quantile of both paths of bfw_quantile: the bracketed one
-        # above the size constant, betaincinv below it
+        # from the size constant on, betaincinv below it, each with the
+        # series root where z is small
         p, q = shapes
         u = QUANTILE_GRID
         reflected = u > 0.5
@@ -474,15 +491,18 @@ class TestQuantile:
 
         own = np.array([scipy_special.betaincinv(*args) for args in zip(a, b, t)])
         bound = max(4.0 * EPS, worst(own))
-        v, upper = _beta_quantile(u, p, q, scipy_special.betaln(p, q))
-        # z of the reflected problem; a reflected element solved for y directly
-        # has y < 1/2, so 1 - y loses nothing
-        z = np.where(reflected & ~upper, 1.0 - v, v)
-        assert worst(z) <= bound
-        # below the normal range the element is betaincinv's
-        assert np.array_equal(z[~normal], own[~normal])
-        # below the constant bfw_quantile's y is betaincinv(p, q, u); its
-        # 1 - y would lose every digit as y -> 1, so the lower half is checked
+        for batch in (u, np.concatenate([u, BULK_U[:_LARGE_FROM]])):
+            v, upper = _beta_quantile(batch, p, q, scipy_special.betaln(p, q))
+            v, upper = v[: u.size], upper[: u.size]
+            # z of the reflected problem; a reflected element solved for y
+            # directly has y < 1/2, so 1 - y loses nothing
+            z = np.where(reflected & ~upper, 1.0 - v, v)
+            assert worst(z) <= bound
+            # below the normal range z is within one subnormal step of the
+            # reference (betaincinv returned the smallest normal double there)
+            assert all(abs(zi - float(ri)) <= 5e-324
+                       for zi, ri, ok in zip(z, ref, normal) if not ok)
+        # the public inverse stays scipy's betaincinv
         lower = ~reflected
         direct = np.asarray(inv_reg_inc_beta(u[lower], p, q))
         assert np.array_equal(direct, own[lower])
@@ -490,7 +510,7 @@ class TestQuantile:
     @pytest.mark.parametrize("theta", [PUBLISHED, (0.5, 0.5, 2.0, 2.0), (1.0, 0.1, 300.0, 5.0)])
     def test_bracketed_path_is_independent_of_the_batch(self, theta):
         params = BFWParams(*theta)
-        assert BULK_U.size >= _BRACKETED_FROM
+        assert BULK_U.size >= _LARGE_FROM
         x = bfw_quantile(BULK_U, params)
         assert np.array_equal(bfw_quantile(BULK_U[::-1], params), x[::-1])
         rng = np.random.default_rng(11)
@@ -508,54 +528,203 @@ class TestQuantile:
     @pytest.mark.parametrize("theta", [PUBLISHED, (0.5, 0.5, 2.0, 2.0), (1.0, 0.1, 300.0, 5.0),
                                        (1.0, 0.1, 1.0, 1.0), (1.0, 0.1, 1.5, 3.0)])
     def test_subnormal_u_on_the_bracketed_path(self, theta):
-        # a subnormal u is betaincinv's on both paths, bit for bit
+        # a subnormal u is solved by the series root on both paths, where
+        # betaincinv was NaN or off (5.4% at the published shapes at 1e-310)
         params = BFWParams(*theta)
         tiny = np.geomspace(5e-324, 2e-308, 64)
-        grid = BULK_U[:: BULK_U.size // _BRACKETED_FROM]
+        grid = BULK_U[:: BULK_U.size // _LARGE_FROM]
         v, upper = _beta_quantile(np.append(tiny, grid), params.p, params.q, params.log_beta)
         assert not upper[: tiny.size].any()
-        y = scipy_special.betaincinv(params.p, params.q, tiny)
-        assert np.array_equal(v[: tiny.size], y, equal_nan=True)
+        for ti, zi in zip(tiny, v[: tiny.size]):
+            ref = beta_quantile_reference(ti, params.p, params.q)
+            if ref >= TINY:
+                assert abs(zi / ref - 1) <= 8 * EPS
+            else:
+                assert abs(zi - float(ref)) <= 5e-324
         for ui in (1e-310, 5e-324):
             u = np.append(ui, grid)
-            assert u.size >= _BRACKETED_FROM
-            if np.isnan(scipy_special.betaincinv(params.p, params.q, ui)):
-                # betaincinv fails (at (2, 2) for u = 5e-324): both paths raise
-                for batch in (ui, u):
-                    with pytest.raises(DomainError):
-                        bfw_quantile(batch, params)
-            else:
-                assert bfw_quantile(u, params)[0] == bfw_quantile(ui, params)
+            assert u.size >= _LARGE_FROM
+            x = bfw_quantile(ui, params)
+            assert bfw_quantile(u, params)[0] == x
+            ref = quantile_reference(ui, params)
+            if ref is not None:
+                assert abs(x / ref - 1) <= 1e-13
 
     @pytest.mark.parametrize("theta", [PUBLISHED, (0.5, 0.5, 2.0, 2.0)])
     def test_direct_path_below_the_size_constant(self, theta):
+        # below the constant the lower half is betaincinv(p, q, u) bit for
+        # bit; the upper half solves I_{1-y}(q, p) = 1 - u for 1 - y, or for
+        # y where 1 - y would exceed 1/2
         params = BFWParams(*theta)
-        for u in (BULK_U[:: BULK_U.size // 99], BULK_U[: _BRACKETED_FROM - 1], 0.3):
-            y = np.clip(inv_reg_inc_beta(u, params.p, params.q), 5e-324, 1.0 - 2.0**-53)
-            expected = fw_quantile(y, params.base)
-            assert np.array_equal(bfw_quantile(u, params), expected)
+        p, q = params.p, params.q
+        for u in (BULK_U[:: BULK_U.size // 99], BULK_U[: _LARGE_FROM - 1], 0.3):
+            u = np.atleast_1d(u)
+            x = np.atleast_1d(bfw_quantile(u, params))
+            lower = u <= 0.5
+            y = np.clip(scipy_special.betaincinv(p, q, u), 5e-324, 1.0 - 2.0**-53)
+            assert np.array_equal(x[lower], fw_quantile(y[lower], params.base))
+            z = np.clip(scipy_special.betaincinv(q, p, 1.0 - u), 5e-324, 1.0 - 2.0**-53)
+            w = np.where(z > 0.5, np.log(-np.log1p(-y)), np.log(-np.log(z)))
+            assert np.array_equal(x[~lower], _x_at_exponent(w, params.base)[~lower])
 
     @pytest.mark.parametrize("theta", [PUBLISHED, (0.5, 0.5, 2.0, 2.0), (1.0, 0.1, 0.05, 40.0)])
     def test_bracketed_path_against_mpmath(self, theta):
         # x = Q(u) through the reference Beta quantile; the right tail keeps
         # its digits, as -ln(1 - y) is formed from 1 - y itself, and so does a
-        # small y above u = 1/2 (at (0.05, 40) y is 1e-7 at u = 0.6)
+        # small y above u = 1/2 (at (0.05, 40) y is 1e-7 at u = 0.6).  Batches
+        # below the size constant solve the same reflected problem.
         params = BFWParams(*theta)
-        u = np.concatenate([QUANTILE_GRID, BULK_U[: _BRACKETED_FROM]])
-        x = bfw_quantile(u, params)[: QUANTILE_GRID.size]
-        worst = 0.0
-        for ui, xi in zip(QUANTILE_GRID, x):
-            reflected = ui > 0.5
-            a, b = (params.q, params.p) if reflected else (params.p, params.q)
-            z = beta_quantile_reference(1.0 - ui if reflected else ui, a, b)
-            if not reflected and z < TINY:
-                continue  # y below the doubles: x is that of the clip to 5e-324
-            with mpmath.workdps(50):
-                neg_log_sf = -mpmath.log(z) if reflected else -mpmath.log1p(-z)
-                w = mpmath.log(neg_log_sf)
-                ref = (w + mpmath.sqrt(w * w + 4 * params.alpha * params.beta)) / (2 * params.alpha)
-                worst = max(worst, float(abs(xi / ref - 1)))
-        assert worst <= 1e-13
+        refs = [quantile_reference(ui, params) for ui in QUANTILE_GRID]
+        for u in (np.concatenate([QUANTILE_GRID, BULK_U[: _LARGE_FROM]]), QUANTILE_GRID):
+            x = bfw_quantile(u, params)[: QUANTILE_GRID.size]
+            worst = max(float(abs(xi / ref - 1)) for xi, ref in zip(x, refs) if ref is not None)
+            assert worst <= 1e-13
+
+
+def mp_beta_cdf(y, a, b):
+    """I_y(a, b) at 50 digits, from the tail below the mean or its complement."""
+    with mpmath.workdps(50):
+        y, a, b = mpmath.mpf(float(y)), mpmath.mpf(float(a)), mpmath.mpf(float(b))
+        if y > a / (a + b):
+            return 1 - mpmath.betainc(b, a, 0, 1 - y, regularized=True)
+        return mpmath.betainc(a, b, 0, y, regularized=True)
+
+
+def mp_cdf_survival_hazard(x, theta):
+    """bfw cdf, survival and hazard at 50 digits."""
+    with mpmath.workdps(50):
+        a, b, p, q = (mpmath.mpf(v) for v in theta)
+        x = mpmath.mpf(float(x))
+        w = a * x - b / x
+        ew = mpmath.exp(w)
+        g, s_g = -mpmath.expm1(-ew), mpmath.exp(-ew)
+        log_pdf = (-mpmath.log(mpmath.beta(p, q)) + mpmath.log(a + b / x**2) + w - q * ew
+                   + (p - 1) * mpmath.log(g))
+        if g > p / (p + q):
+            sf = mpmath.betainc(q, p, 0, s_g, regularized=True)
+            cdf = 1 - sf
+        else:
+            cdf = mpmath.betainc(p, q, 0, g, regularized=True)
+            sf = 1 - cdf
+        return cdf, sf, mpmath.exp(log_pdf) / sf
+
+
+def tail_grid(theta, points=1100):
+    """A log-spaced x grid from where the cdf is ~1e-300 to where the
+    survival is, each end held where G or S_G stays a normal double."""
+    alpha, beta, p, q = theta
+    ln_b = scipy_special.betaln(p, q)
+    # cdf ~ G^p / (p B) and survival ~ S_G^q / (q B) in the tails
+    ln_g = max((math.log(1e-300) + math.log(p) + ln_b) / p, math.log(1e-300))
+    ln_s = max((math.log(1e-300) + math.log(q) + ln_b) / q, math.log(1e-300))
+    lo = _x_at_exponent(np.array(ln_g), FWParams(alpha, beta))
+    hi = _x_at_exponent(np.array(math.log(-ln_s)), FWParams(alpha, beta))
+    return np.geomspace(float(lo), float(hi), points)
+
+
+def worst_rel(values, refs):
+    return max(float(abs(mpmath.mpf(float(v)) / r - 1)) for v, r in zip(values, refs) if r != 0)
+
+
+class TestBetaCdfKernel:
+    """special._beta_cdf, the large-batch path of bfw_cdf, bfw_survival and
+    bfw_hazard (through the survival) and the cdf of the quantile's Halley step."""
+
+    @pytest.mark.parametrize("shapes", QUANTILE_SHAPES)
+    def test_bfw_functions_against_mpmath(self, shapes):
+        # the kernel's worst error over the tails stays within twice that of
+        # the betainc path (chunks below the size constant) on the same grid;
+        # both carry the rounding of G, about p |w| eps / 2 in the left tail.
+        # Compared where the reference is above 1e-290 (below it betainc
+        # loses digits and takes the elements on both paths), and the
+        # survival and hazard where the survival is at most 1/2 (left of
+        # the median S_G = 1 - G rounds away G's digits)
+        theta = (PUBLISHED[0], PUBLISHED[1], *shapes)
+        params = BFWParams(*theta)
+        x = tail_grid(theta)
+        assert x.size >= _LARGE_FROM
+        check = np.arange(0, x.size, 10)
+        refs = [mp_cdf_survival_hazard(xi, theta) for xi in x[check]]
+        for col, fn in enumerate((bfw_cdf, bfw_survival, bfw_hazard)):
+            keep = [r[col] >= 1e-290 and (col == 0 or r[1] <= 0.5) for r in refs]
+            large = np.asarray(fn(x, params))[check][keep]
+            small = np.concatenate([fn(chunk, params) for chunk in np.array_split(x, 2)])
+            small = small[check][keep]
+            ref = [r[col] for r, k in zip(refs, keep) if k]
+            assert len(ref) >= 10
+            assert worst_rel(large, ref) <= 2.0 * max(worst_rel(small, ref), 4 * EPS)
+
+    @pytest.mark.parametrize("shapes", QUANTILE_SHAPES)
+    def test_error_within_the_node_factor_rounding(self, shapes):
+        # relative error <= (|phi| + 64) eps, phi the exponent of the node
+        # factor f(y_k) z_k, taken at y (a node is within 2^-5 of it)
+        a, b = shapes
+        ln_b = scipy_special.betaln(a, b)
+        y = np.concatenate([np.geomspace(1e-300, 0.5, 200), 1.0 - np.geomspace(2e-16, 0.5, 200),
+                            np.linspace(0.01, 0.99, 99)])
+        out = _beta_cdf(y, a, b, ln_b)
+        for yi, vi in zip(y, out):
+            ref = mp_beta_cdf(yi, a, b)
+            if ref < 1e-280:
+                continue  # betainc's own digits thin out near underflow
+            phi = ((a - 1) * math.log(yi) + (b - 1) * math.log1p(-yi)
+                   + math.log(min(yi, 1.0 - yi)) - ln_b)
+            assert abs(mpmath.mpf(float(vi)) / ref - 1) <= (abs(phi) + 64) * EPS
+
+    @pytest.mark.parametrize("theta", [PUBLISHED, (0.5, 0.5, 2.0, 2.0), (1.0, 0.1, 300.0, 5.0),
+                                       (0.052, 0.024, 0.05, 40.0)])
+    def test_independent_of_the_batch(self, theta):
+        params = BFWParams(*theta)
+        x = bfw_sample(50_000, params, seed=3)
+        rng = np.random.default_rng(5)
+        tails = tail_grid(theta, 500)
+        other = np.concatenate([tails, rng.uniform(tails[0], tails[-1], 3000)])
+        superset = np.concatenate([other, x[::7]])
+        order = rng.permutation(superset.size)
+        for fn in (bfw_cdf, bfw_survival, bfw_hazard):
+            out = fn(x, params)
+            assert np.array_equal(fn(x[::-1], params), out[::-1])
+            mixed = np.empty(superset.size)
+            mixed[order] = fn(superset[order], params)
+            assert np.array_equal(mixed[other.size:], out[::7])
+
+    @pytest.mark.parametrize("theta", [PUBLISHED, (0.5, 0.5, 2.0, 2.0)])
+    def test_betainc_below_the_size_constant(self, theta):
+        params = BFWParams(*theta)
+        x = bfw_sample(_LARGE_FROM - 1, params, seed=4)
+        g, s_g = fw_cdf(x, params.base), fw_sf(x, params.base)
+        assert np.array_equal(bfw_cdf(x, params), scipy_special.betainc(params.p, params.q, g))
+        assert np.array_equal(bfw_survival(x, params),
+                              scipy_special.betainc(params.q, params.p, s_g))
+
+    def test_concentrated_shapes_are_betaincs(self):
+        # at (1e6, 1e6) nearly every point would need its own node
+        a = b = 1e6
+        assert _cdf_plan(a, b) is None
+        y = 0.5 + np.linspace(-5e-3, 5e-3, 2000)
+        assert np.array_equal(_beta_cdf(y, a, b, scipy_special.betaln(a, b)),
+                              scipy_special.betainc(a, b, y))
+
+    @pytest.mark.parametrize("shapes", [(2.0, 2.0), (35.077, 20.328), (0.3, 0.7)])
+    def test_nodes_near_underflow_are_betaincs(self, shapes):
+        # a node that is subnormal, or whose I is below the floor, hands its
+        # elements to betainc, as do the ends 0 and 1
+        a, b = shapes
+        y = np.concatenate([[0.0, 1.0, 5e-324, 1e-310], np.geomspace(1e-300, 1e-100, 300)])
+        cdf = scipy_special.betainc(a, b, y)
+        out = _beta_cdf(y, a, b, scipy_special.betaln(a, b))
+        theirs = (y < TINY) | (cdf < special._NODE_FLOOR)
+        theirs[1] = True
+        assert np.array_equal(out[theirs], cdf[theirs])
+        assert out[0] == 0.0 and out[1] == 1.0
+
+    def test_series_bound_hands_nodes_to_betainc(self, monkeypatch):
+        # with no room for the cut-off series every node fails its bound
+        a, b = PUBLISHED[2:]
+        y = np.linspace(0.01, 0.99, 2000)
+        monkeypatch.setattr(special, "_SERIES_TOL", 0.0)
+        assert np.array_equal(_beta_cdf(y, a, b, scipy_special.betaln(a, b)),
+                              scipy_special.betainc(a, b, y))
 
 
 class TestSample:
