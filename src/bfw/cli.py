@@ -3,8 +3,9 @@
 Subcommands: ``fit``, ``compare``, ``sample``, ``eval`` and ``km``.  Results
 go to stdout (or ``--output``) as CSV or as a JSON envelope with ``meta``
 and ``result`` members; a command builds only the format it writes.
-Numbers are written with 17 significant digits so a text round-trip
-reproduces the exact double.
+Numbers are written with 17 significant digits in CSV and by ``repr`` in
+JSON, so a text round-trip reproduces the exact double; in JSON, NaN and
++/-inf are written as ``null``.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 convergence failure,
 5 numeric failure.
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 import numpy as np
@@ -214,7 +214,7 @@ def _run_compare(args):
     families = [model_selection.get_family(name, args.weibull_form, config) for name in names]
     table = model_selection.compare_models(data, families)
     if args.format == "json":
-        rows = [dataclasses.asdict(row) for row in table.rows]  # _emit maps NaN to null
+        rows = [dataclasses.asdict(row) for row in table.rows]  # _json writes NaN as null
         return {"label": table.label, "n": table.n, "rows": rows}
     lines = ["model,parameters,log_likelihood,minus_two_ll,aic,aicc,bic,hqic,ks,error"]
     for row in table.rows:
@@ -250,7 +250,7 @@ def _run_eval(args):
     theta = family.parameters(_parse_params(args.params, family.parameter_count, family.name))
     pdf = np.exp(np.asarray(family.log_pdf(grid, theta), dtype=float))
     cdf = np.asarray(family.cdf(grid, theta), dtype=float)
-    survival = 1.0 - cdf
+    survival = np.asarray(family.survival(grid, theta), dtype=float)
     if np.any(survival <= 0.0):
         raise SaturationError("survival underflowed to zero on the requested grid")
     hazard = pdf / survival
@@ -302,20 +302,42 @@ def _meta(args):
     }
 
 
-def _sanitize(obj):
-    if type(obj) is float:  # the bulk of every payload, so tested first
-        return None if math.isnan(obj) else obj
+# how the C encoder writes non-finite floats, "-Infinity" before "Infinity"
+_NON_FINITE = ("-Infinity", "Infinity", "NaN")
+
+
+def _json(obj, pad="\n"):
+    """``obj`` as ``json.dumps(obj, indent=2)`` writes it at the nesting whose
+    lines start with ``pad``, with NaN and +/-inf written as null and numpy
+    scalars as Python ones; dict keys are strings.
+
+    ``indent`` always takes the pure-Python encoder, so a list that holds no
+    container or string is encoded by the C encoder and re-indented instead.
+    Its text then holds no '"', and no '[' or '{' but the first bracket; and
+    ", " appears in it only between items, since no number, ``null``,
+    ``true`` or ``false`` contains it.
+    """
+    inner = pad + "  "
     if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
+        items = [inner + json.dumps(key) + ": " + _json(value, inner) for key, value in obj.items()]
+        return "{" + ",".join(items) + pad + "}" if items else "{}"
     if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    return obj
+        if not obj:
+            return "[]"
+        if not isinstance(obj[0], (dict, list, tuple, str)):
+            try:
+                text = json.dumps(obj)
+            except TypeError:  # a numpy scalar, rendered item by item below
+                text = ""
+            if text and '"' not in text and "{" not in text and "[" not in text[1:]:
+                for token in _NON_FINITE:
+                    text = text.replace(token, "null")
+                return "[" + inner + text[1:-1].replace(", ", "," + inner) + pad + "]"
+        return "[" + ",".join(inner + _json(value, inner) for value in obj) + pad + "]"
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    text = json.dumps(obj)
+    return "null" if text in _NON_FINITE else text
 
 
 def _write(args, text):
@@ -329,8 +351,7 @@ def _write(args, text):
 def _emit(args, output):
     """Write a command's output: its CSV text, or its result in the JSON envelope."""
     if args.format == "json":
-        envelope = {"meta": _sanitize(_meta(args)), "result": _sanitize(output)}
-        output = json.dumps(envelope, indent=2, allow_nan=False) + "\n"
+        output = _json({"meta": _meta(args), "result": output}) + "\n"
     _write(args, output)
 
 
@@ -338,10 +359,10 @@ def _fail(args, code, exc):
     sys.stderr.write(f"bfw: error: {exc}\n")
     if getattr(args, "format", "csv") == "json":
         envelope = {
-            "meta": _sanitize(_meta(args)),
+            "meta": _meta(args),
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
-        _write(args, json.dumps(envelope, indent=2, allow_nan=False) + "\n")
+        _write(args, _json(envelope) + "\n")
     return code
 
 

@@ -1,15 +1,19 @@
 import ast
+import argparse
 import importlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import jsonschema
+import mpmath
 import numpy as np
 import pytest
 
-from bfw import DataFormatError, bfw_cdf, BFWParams, ingest
+from bfw import DataFormatError, bfw_cdf, bfw_sample, bfw_survival, BFWParams, ingest
+from bfw import cli
 from bfw.cli import main
 
 ROOT = Path(__file__).parent.parent
@@ -235,6 +239,37 @@ class TestEvalCommand:
         assert out == ""
         assert "strictly positive and finite" in err
 
+    def test_survival_from_the_library_where_one_minus_cdf_rounds_to_zero(self, capsys):
+        # at x = 30 the cdf rounds to 1; the survival is I_{S_G}(q, p), 3.6e-28
+        code, payload, _ = run_json(capsys, "eval", "--params", "0.052,0.024,35.077,20.328",
+                                    "--grid", "1:30:4")
+        assert code == 0
+        rows = np.array(payload["result"]["rows"])
+        params = BFWParams(0.052, 0.024, 35.077, 20.328)
+        assert rows[-1, 2] == 1.0
+        assert np.array_equal(rows[:, 3], bfw_survival(rows[:, 0], params))
+        with mpmath.workdps(40):
+            alpha, beta, p, q = (mpmath.mpf(v) for v in (0.052, 0.024, 35.077, 20.328))
+            s_g = mpmath.exp(-mpmath.exp(alpha * 30 - beta / 30))
+            ref = float(mpmath.betainc(q, p, 0, s_g, regularized=True))  # 3.6332e-28
+        assert rows[-1, 3] == pytest.approx(ref, rel=1e-12)
+        assert np.array_equal(rows[:, 4], rows[:, 1] / rows[:, 3])
+
+    @pytest.mark.parametrize("family, params, x, log_sf", [
+        ("fw", "0.207,0.2588", 21.0, lambda x: -mpmath.exp(0.207 * x - 0.2588 / x)),
+        ("weibull", "1.5,2", 40.0, lambda x: -(x / 2) ** 1.5),
+    ])
+    def test_two_parameter_survival_in_the_right_tail(self, capsys, family, params, x, log_sf):
+        code, payload, _ = run_json(capsys, "eval", "--family", family, "--params", params,
+                                    "--grid", f"{x}:{x}:1")
+        assert code == 0
+        (row,) = payload["result"]["rows"]
+        assert row[2] == 1.0
+        with mpmath.workdps(30):
+            assert row[3] == pytest.approx(float(mpmath.exp(log_sf(mpmath.mpf(x)))), rel=1e-13)
+        assert row[3] < 1e-30
+        assert row[4] == row[1] / row[3]
+
     def test_eval_fw_family(self, capsys):
         code, payload, _ = run_json(capsys, "eval", "--family", "fw",
                                     "--params", "0.207,0.2588", "--grid", "0.1:5:50")
@@ -280,6 +315,95 @@ class TestErrorEnvelope:
         capsys.readouterr()
 
 
+class TestJsonRenderer:
+    """``cli._json`` writes what ``json.dumps(indent=2)`` wrote of the
+    sanitized envelope, byte for byte."""
+
+    @staticmethod
+    def sanitize(obj):
+        # the reference: what fed json.dumps(indent=2) before cli._json
+        if type(obj) is float:
+            return None if math.isnan(obj) else obj
+        if isinstance(obj, dict):
+            return {k: TestJsonRenderer.sanitize(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [TestJsonRenderer.sanitize(v) for v in obj]
+        if isinstance(obj, float) and math.isnan(obj):
+            return None
+        if isinstance(obj, np.floating):
+            return float(obj)
+        if isinstance(obj, np.integer):
+            return int(obj)
+        return obj
+
+    def reference(self, envelope):
+        return json.dumps(self.sanitize(envelope), indent=2, allow_nan=False) + "\n"
+
+    def assert_main_matches(self, capsys, argv):
+        args = cli.build_parser().parse_args(argv)
+        envelope = {"meta": cli._meta(args), "result": cli._COMMANDS[args.command](args)}
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == self.reference(envelope)
+        return json.loads(out)
+
+    @pytest.fixture(scope="class")
+    def draw_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("draw") / "n1000.txt"
+        draw = bfw_sample(1000, BFWParams(0.052, 0.024, 35.077, 20.328), seed=11)
+        path.write_text("".join(f"{v!r}\n" for v in draw.tolist()))
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--data", "pumps"],
+        ["fit", "--family", "weibull", "--data", "DRAW"],
+        ["fit", "--family", "fw", "--data", "pumps", "--weibull-form", "rate"],
+        ["compare", "--data", "pumps"],
+        ["eval", "--params", "0.052,0.024,35.077,20.328", "--grid", "0.01:7:200"],
+        ["eval", "--params", "0.052,0.024,35.077,20.328", "--grid", "1:30:4"],
+        ["sample", "--n", "100000", "--params", "0.052,0.024,35.077,20.328", "--seed", "7"],
+        ["sample", "--n", "0", "--params", "1,1,1,1", "--seed", "7"],
+        ["km", "--data", "pumps"],
+    ], ids=lambda argv: "-".join(argv[:3]))
+    def test_commands_byte_identical(self, capsys, draw_file, argv):
+        argv = [draw_file if a == "DRAW" else a for a in argv] + ["--format", "json"]
+        self.assert_main_matches(capsys, argv)
+
+    def test_compare_with_a_failed_row(self, capsys):
+        payload = self.assert_main_matches(
+            capsys, ["compare", "--data", "pumps", "--starts", "2", "--tol", "1e-18",
+                     "--families", "bfw,weibull", "--format", "json"])
+        failed = [row for row in payload["result"]["rows"] if row["error"]]
+        assert failed and failed[0]["aic"] is None and failed[0]["estimates"] is None
+
+    def test_error_envelope(self, capsys):
+        args = cli.build_parser().parse_args(["km", "--data", "missing.txt", "--format", "json"])
+        exc = FileNotFoundError(2, "No such file or directory: 'missing.txt', \"quoted\"")
+        assert cli._fail(args, cli.EXIT_DATA, exc) == cli.EXIT_DATA
+        envelope = {"meta": cli._meta(args),
+                    "error": {"type": "FileNotFoundError", "message": str(exc)}}
+        assert capsys.readouterr().out == self.reference(envelope)
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], {"a": [], "b": {}}, [[]], [{}], [[], {}],
+        {"x": [1.5, math.nan, None, True, 3, -0.0, 1e300, 5e-324]},
+        {"s": ["a, b", "c"], "t": (1.0, 2.0)},
+        [1, [2, 3]], [1.0, "x, y"], [None, {"k": 1}],
+        [np.float64(2.5), np.int64(3)], [np.float32(0.1)], {"k": np.int64(5), "j": np.nan},
+        [np.int64(1), np.float64(math.nan)], {"z": np.float64(math.nan)},
+        {"rows": [[1.0, 2.0], [math.nan, 4]], "label": "a\u00e9\n"},
+    ])
+    def test_containers_and_scalars(self, obj):
+        assert cli._json(obj) + "\n" == self.reference(obj)
+
+    def test_infinities_are_null(self, capsys):
+        # a singular information has condition number inf; json.dumps raised on it
+        args = argparse.Namespace(command="fit", format="json", output="-")
+        cli._emit(args, {"condition_number": math.inf, "score": [-math.inf, 1.0, math.nan]})
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["result"] == {"condition_number": None, "score": [None, 1.0, None]}
+
+
 class TestExitCodes:
     def test_convergence_failure_is_exit_4(self, capsys):
         # an unreachable stationarity tolerance fails every start
@@ -314,15 +438,19 @@ def run_fresh(code):
 
 
 class TestLazyScipy:
-    """scipy.special costs as much to import as numpy; only kernels that call it load it."""
+    """scipy.special costs twice as much to import as numpy; only kernels that
+    call it load it.  No command loads ``statistics``, which imports
+    ``decimal``, ``fractions`` and ``random``."""
 
     @staticmethod
     def main_in_fresh_process(*argv):
-        # stdout carries the command's output; stderr ends with whether scipy.special loaded
+        # stdout carries the command's output; stderr ends with the exit code and
+        # whether scipy.special and statistics loaded
         proc = run_fresh(
             "import sys\nfrom bfw.cli import main\n"
             f"code = main({list(argv)!r})\n"
-            "sys.stderr.write(f\"{code} {'scipy.special' in sys.modules}\")"
+            "sys.stderr.write(f\"{code} {'scipy.special' in sys.modules} "
+            "{'statistics' in sys.modules}\")"
         )
         return proc.stdout, proc.stderr.split()
 
@@ -339,11 +467,33 @@ class TestLazyScipy:
     def test_commands_without_special_functions_leave_it_unloaded(self, argv):
         stdout, status = self.main_in_fresh_process(*argv)
         assert stdout
-        assert status == ["0", "False"]
+        assert status == ["0", "False", "False"]
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--data", "pumps", "--family", "weibull"],
+        ["fit", "--data", "pumps", "--family", "weibull", "--format", "json"],
+        ["fit", "--data", "pumps", "--family", "fw"],
+        ["fit", "--data", "pumps", "--family", "fw", "--format", "json"],
+        ["eval", "--family", "weibull", "--params", "1.5,2", "--grid", "0.5:5:10"],
+        ["eval", "--family", "fw", "--params", "0.207,0.2588", "--grid", "0.5:5:10"],
+    ], ids=lambda argv: "-".join(argv[:4]))
+    def test_two_parameter_commands_load_neither_scipy_special_nor_statistics(self, argv):
+        stdout, status = self.main_in_fresh_process(*argv)
+        assert stdout
+        assert status == ["0", "False", "False"]
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--data", "pumps", "--starts", "4"],
+        ["eval", "--params", "0.052,0.024,35.077,20.328", "--grid", "0.5:5:10"],
+    ], ids=lambda argv: argv[0])
+    def test_four_parameter_commands_load_scipy_special(self, argv):
+        stdout, status = self.main_in_fresh_process(*argv)
+        assert stdout
+        assert status == ["0", "True", "False"]
 
     def test_fit_loads_it_on_first_use_and_matches_in_process(self, capsys):
         stdout, status = self.main_in_fresh_process("fit", "--data", "pumps", "--format", "json")
-        assert status == ["0", "True"]
+        assert status == ["0", "True", "False"]
         code, payload, _ = run_json(capsys, "fit", "--data", "pumps")
         assert code == 0
         assert json.loads(stdout)["result"] == payload["result"]

@@ -164,6 +164,49 @@ class TestStdNormalQuantile:
         with pytest.raises(DomainError):
             std_normal_quantile(bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, [0.3, 0.0], np.array([[0.5, math.inf]])])
+    def test_domain_arrays_and_nan(self, bad):
+        with pytest.raises(DomainError):
+            std_normal_quantile(bad)
+
+    @staticmethod
+    def mp_quantile(u):
+        """The 50-digit root of ncdf(z) = u, by Newton steps from the double."""
+        with mpmath.workdps(50):
+            t = min(mpmath.mpf(u), 1 - mpmath.mpf(u))  # both exact
+            z = mpmath.mpf(-abs(std_normal_quantile(u)))
+            for _ in range(4):
+                z -= (mpmath.ncdf(z) - t) / mpmath.npdf(z)
+            return z if u < 0.5 else -z
+
+    def test_relative_error_against_mpmath(self):
+        # every branch of AS241: the central rational, r <= 5 and r > 5
+        us = np.concatenate([
+            np.logspace(-300, np.log10(0.499), 160),
+            0.5 + np.linspace(-0.425, 0.425, 41),
+            1.0 - np.logspace(-16, np.log10(0.499), 60),
+        ])
+        worst = 0.0
+        for u in us.tolist():
+            ref = self.mp_quantile(u)
+            if ref != 0:
+                worst = max(worst, float(abs((std_normal_quantile(u) - ref) / ref)))
+        assert worst <= 1e-15
+
+    def test_exact_antisymmetry(self):
+        # u = k / 2^20 and 1 - u are both exact, so both take the same steps
+        u = np.arange(1, 2**19 + 1, 997) / 2.0**20
+        assert np.array_equal(std_normal_quantile(1.0 - u), -std_normal_quantile(u))
+
+    def test_scalar_and_array_returns(self):
+        assert type(std_normal_quantile(0.975)) is float
+        assert type(std_normal_quantile(np.float64(0.975))) is float
+        grid = np.array([[0.025, 0.5], [0.975, 1e-300]])
+        z = std_normal_quantile(grid)
+        assert isinstance(z, np.ndarray) and z.shape == (2, 2)
+        assert np.array_equal(z.ravel(), [std_normal_quantile(u) for u in grid.ravel().tolist()])
+        assert std_normal_quantile(np.array([])).shape == (0,)
+
 
 def mp_log_beta(p, q):
     """ln B(p, q) from 60 digits plus the digits the larger shape needs."""
