@@ -250,7 +250,7 @@ def _run_eval(args):
     theta = family.parameters(_parse_params(args.params, family.parameter_count, family.name))
     pdf = np.exp(np.asarray(family.log_pdf(grid, theta), dtype=float))
     cdf = np.asarray(family.cdf(grid, theta), dtype=float)
-    survival = np.asarray(family.survival(grid, theta), dtype=float)
+    survival = 1.0 - cdf
     if np.any(survival <= 0.0):
         raise SaturationError("survival underflowed to zero on the requested grid")
     hazard = pdf / survival

@@ -29,10 +29,10 @@ import numpy as np
 
 from . import inference
 from ._stable import checked
-from .core import BFWParams, bfw_cdf, bfw_log_pdf, bfw_survival
+from .core import BFWParams, bfw_cdf, bfw_log_pdf
 from .core import bfw_pdf  # noqa: F401 - kept for perfbench/tracing.py
 from .errors import DomainError
-from .flexible_weibull import FWParams, fw_cdf, fw_log_pdf, fw_sf
+from .flexible_weibull import FWParams, fw_cdf, fw_log_pdf
 
 __all__ = [
     "InformationCriteria",
@@ -153,19 +153,16 @@ class ModelFamily:
 
     ``fit(data)`` returns the :class:`~bfw.inference.FitResult` of the driver
     in :mod:`bfw.inference`, with ``estimates`` as the natural parameter
-    array.  ``cdf(x, theta)``, ``survival(x, theta)`` and
-    ``log_pdf(x, theta)`` evaluate the distribution; the survival keeps its
-    relative precision in the right tail, where ``1 - cdf`` rounds to 0.
-    ``output(theta, covariance=None)`` maps theta, and a covariance of theta
-    when given, to the reported parameters ``param_names``; ``natural`` is
-    its inverse.
+    array.  ``cdf(x, theta)`` and ``log_pdf(x, theta)`` evaluate the
+    distribution.  ``output(theta, covariance=None)`` maps theta, and a
+    covariance of theta when given, to the reported parameters
+    ``param_names``; ``natural`` is its inverse.
     """
 
     name: str
     param_names: tuple[str, ...]
     fit: Callable
     cdf: Callable
-    survival: Callable
     log_pdf: Callable
     output: Callable = _identity
     natural: Callable = lambda values: values
@@ -267,11 +264,6 @@ def _weibull_cdf(x, theta):
     return -np.expm1(-((np.asarray(x, dtype=float) / scale) ** shape))
 
 
-def _weibull_survival(x, theta):
-    shape, scale = theta
-    return np.exp(-((np.asarray(x, dtype=float) / scale) ** shape))
-
-
 def _weibull_log_pdf(x, theta):
     shape, scale = theta
     z = np.asarray(x, dtype=float) / scale
@@ -313,7 +305,6 @@ def get_family(name, weibull_parameterization="scale", optimizer_config=None):
             # fit_mle is fit_family on inference.BFW plus the five-observation check
             fit=lambda data: _natural_estimates(inference.fit_mle(data, optimizer_config)),
             cdf=lambda x, theta: bfw_cdf(x, BFWParams(*theta)),
-            survival=lambda x, theta: bfw_survival(x, BFWParams(*theta)),
             log_pdf=lambda x, theta: bfw_log_pdf(x, BFWParams(*theta)),
         )
     if key == "fw":
@@ -322,7 +313,6 @@ def get_family(name, weibull_parameterization="scale", optimizer_config=None):
             param_names=_FW.names,
             fit=_fitter(_FW, optimizer_config),
             cdf=lambda x, theta: fw_cdf(x, FWParams(*theta)),
-            survival=lambda x, theta: fw_sf(x, FWParams(*theta)),
             log_pdf=lambda x, theta: fw_log_pdf(x, FWParams(*theta)),
         )
     if key in ("weibull", "weibull2p", "wd"):
@@ -337,7 +327,6 @@ def get_family(name, weibull_parameterization="scale", optimizer_config=None):
             name="weibull",
             fit=_fitter(_WEIBULL, optimizer_config),
             cdf=_weibull_cdf,
-            survival=_weibull_survival,
             log_pdf=_weibull_log_pdf,
             **maps,
         )

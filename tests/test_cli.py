@@ -8,11 +8,10 @@ import sys
 from pathlib import Path
 
 import jsonschema
-import mpmath
 import numpy as np
 import pytest
 
-from bfw import DataFormatError, bfw_cdf, bfw_sample, bfw_survival, BFWParams, ingest
+from bfw import DataFormatError, bfw_cdf, bfw_sample, BFWParams, ingest
 from bfw import cli
 from bfw.cli import main
 
@@ -239,37 +238,6 @@ class TestEvalCommand:
         assert out == ""
         assert "strictly positive and finite" in err
 
-    def test_survival_from_the_library_where_one_minus_cdf_rounds_to_zero(self, capsys):
-        # at x = 30 the cdf rounds to 1; the survival is I_{S_G}(q, p), 3.6e-28
-        code, payload, _ = run_json(capsys, "eval", "--params", "0.052,0.024,35.077,20.328",
-                                    "--grid", "1:30:4")
-        assert code == 0
-        rows = np.array(payload["result"]["rows"])
-        params = BFWParams(0.052, 0.024, 35.077, 20.328)
-        assert rows[-1, 2] == 1.0
-        assert np.array_equal(rows[:, 3], bfw_survival(rows[:, 0], params))
-        with mpmath.workdps(40):
-            alpha, beta, p, q = (mpmath.mpf(v) for v in (0.052, 0.024, 35.077, 20.328))
-            s_g = mpmath.exp(-mpmath.exp(alpha * 30 - beta / 30))
-            ref = float(mpmath.betainc(q, p, 0, s_g, regularized=True))  # 3.6332e-28
-        assert rows[-1, 3] == pytest.approx(ref, rel=1e-12)
-        assert np.array_equal(rows[:, 4], rows[:, 1] / rows[:, 3])
-
-    @pytest.mark.parametrize("family, params, x, log_sf", [
-        ("fw", "0.207,0.2588", 21.0, lambda x: -mpmath.exp(0.207 * x - 0.2588 / x)),
-        ("weibull", "1.5,2", 40.0, lambda x: -(x / 2) ** 1.5),
-    ])
-    def test_two_parameter_survival_in_the_right_tail(self, capsys, family, params, x, log_sf):
-        code, payload, _ = run_json(capsys, "eval", "--family", family, "--params", params,
-                                    "--grid", f"{x}:{x}:1")
-        assert code == 0
-        (row,) = payload["result"]["rows"]
-        assert row[2] == 1.0
-        with mpmath.workdps(30):
-            assert row[3] == pytest.approx(float(mpmath.exp(log_sf(mpmath.mpf(x)))), rel=1e-13)
-        assert row[3] < 1e-30
-        assert row[4] == row[1] / row[3]
-
     def test_eval_fw_family(self, capsys):
         code, payload, _ = run_json(capsys, "eval", "--family", "fw",
                                     "--params", "0.207,0.2588", "--grid", "0.1:5:50")
@@ -360,7 +328,6 @@ class TestJsonRenderer:
         ["fit", "--family", "fw", "--data", "pumps", "--weibull-form", "rate"],
         ["compare", "--data", "pumps"],
         ["eval", "--params", "0.052,0.024,35.077,20.328", "--grid", "0.01:7:200"],
-        ["eval", "--params", "0.052,0.024,35.077,20.328", "--grid", "1:30:4"],
         ["sample", "--n", "100000", "--params", "0.052,0.024,35.077,20.328", "--seed", "7"],
         ["sample", "--n", "0", "--params", "1,1,1,1", "--seed", "7"],
         ["km", "--data", "pumps"],
@@ -383,6 +350,17 @@ class TestJsonRenderer:
         envelope = {"meta": cli._meta(args),
                     "error": {"type": "FileNotFoundError", "message": str(exc)}}
         assert capsys.readouterr().out == self.reference(envelope)
+
+    def test_numeric_failure_envelope(self, capsys):
+        # 1 - cdf rounds to 0 at x = 30, so eval exits 5 with the error envelope
+        argv = ["eval", "--params", "0.052,0.024,35.077,20.328", "--grid", "1:30:4",
+                "--format", "json"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == cli.EXIT_NUMERIC
+        envelope = {"meta": cli._meta(cli.build_parser().parse_args(argv)),
+                    "error": {"type": "SaturationError",
+                              "message": "survival underflowed to zero on the requested grid"}}
+        assert out == self.reference(envelope)
 
     @pytest.mark.parametrize("obj", [
         {}, [], {"a": [], "b": {}}, [[]], [{}], [[], {}],

@@ -28,8 +28,6 @@ from bfw import (
 )
 from bfw.model_selection import weibull_loglik_grad
 
-import bfw
-
 
 class TestInformationCriteria:
     def test_two_parameter_row_arithmetic(self):
@@ -395,26 +393,6 @@ class TestFamilyProtocol:
     def test_parameters_rejected_unless_positive_and_finite(self, form, values):
         with pytest.raises(DomainError):
             get_family("weibull", weibull_parameterization=form).parameters(values)
-
-    @pytest.mark.parametrize("name, theta, far, log_sf", [
-        ("bfw", (0.052, 0.024, 35.077, 20.328), (30.0, 40.0), None),
-        ("fw", (0.052, 0.024), (80.0, 100.0), lambda x: -mpmath.exp(0.052 * x - 0.024 / x)),
-        ("weibull", (1.5, 2.0), (40.0, 60.0), lambda x: -(x / 2) ** 1.5),
-    ])
-    def test_survival_keeps_the_right_tail(self, name, theta, far, log_sf):
-        # where the cdf rounds to 1 the survival is still a nonzero double
-        family = get_family(name)
-        theta = np.array(theta)
-        x = np.array([0.5, 2.0, *far])
-        sf, cdf = family.survival(x, theta), family.cdf(x, theta)
-        assert sf[:2] + cdf[:2] == pytest.approx(1.0, rel=1e-15)
-        assert np.all(cdf[2:] == 1.0) and np.all(sf[2:] > 0.0)
-        if log_sf is None:
-            assert np.array_equal(sf, bfw.bfw_survival(x, BFWParams(*theta)))
-            return
-        with mpmath.workdps(30):
-            ref = [float(mpmath.exp(log_sf(mpmath.mpf(float(v))))) for v in x]
-        assert sf == pytest.approx(ref, rel=1e-13)
 
     def test_rate_parameters_map_to_the_scale_form(self):
         family = get_family("weibull", weibull_parameterization="rate")
