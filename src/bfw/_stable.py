@@ -114,8 +114,9 @@ def log_amplitude(x, alpha, beta, tiny):
 
 
 def tiny_mask(x, beta):
-    """Which elements :func:`tiny_x` means: x^2 below max(tiny, beta/max)."""
-    return np.square(x) < max(_TINY, beta / _HUGE)
+    """Which elements :func:`tiny_x` means: x^2 below max(tiny, beta/max).
+    ``beta`` may be a column of rows, one mask row each."""
+    return np.square(x) < np.maximum(_TINY, beta / _HUGE)
 
 
 def fw_tail_terms(w, ew, log_cdf=True, ratio=False, curvature=False, out=None):

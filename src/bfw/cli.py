@@ -33,7 +33,7 @@ from .errors import (
     QuadratureAccuracyError,
     SaturationError,
 )
-from .inference import OptimizerConfig, interval_bounds
+from .inference import OptimizerConfig, checked_level, interval_bounds
 from .inference import covariance_from_information  # noqa: F401 - kept for perfbench/tracing.py
 
 EXIT_OK = 0
@@ -127,7 +127,8 @@ def _parse_grid(text):
 
 def _run_fit(args):
     data = ingest(args.data)
-    config = OptimizerConfig(starts=args.starts, score_tol=args.tol, level=args.level)
+    checked_level(args.level)  # before the fit
+    config = OptimizerConfig(starts=args.starts, score_tol=args.tol)
     family = model_selection.get_family(args.family, args.weibull_form, config)
     fit = family.fit(data)
     row = model_selection.comparison_row(family, data, fit)

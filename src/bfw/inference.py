@@ -20,7 +20,7 @@ array, by damped Newton steps:
   lambda by 3; consecutive rejections multiply it by 2, 4, 8, ...
 - Stopping.  A start leaves the active set when its score sup-norm is at
   most ``score_tol`` and its last step changed the log-likelihood by at most
-  ``rel_ll_tol (1 + |ll|)`` (converged), after ``max_iter`` trial steps,
+  ``_REL_LL_TOL (1 + |ll|)`` (converged), after ``_MAX_ITER`` trial steps,
   when it is retired (below), when lambda passes 1e10 (step rejected), or
   at once when its start point is not finite.  Only active rows are
   evaluated, so the work shrinks as starts finish; ``StartDiagnostics``
@@ -35,9 +35,9 @@ array, by damped Newton steps:
   the motion along it: ridge A (sqrt(beta/alpha) -> x_(n) with p falling
   below 1e-3), ridge B ((e - 1) q/p -> 1 with ln p rising above ln 1e4),
   and the q limit (ln q rising above 60 with p < 1).  The family's kernel
-  reports the terms (``Likelihood.walk``), so each row decides on its own
-  without a second data pass; the two-parameter families report none and
-  retire nothing.  A retired start keeps the log-likelihood of its last
+  reports the terms (the last item it returns), so each row decides on its
+  own without a second data pass; the two-parameter families report none
+  and retire nothing.  A retired start keeps the log-likelihood of its last
   accepted point, the highest it reached up to the few ulps an accepted
   step may give up; on either ridge it can exceed the reported estimate's,
   which is the best converged interior start (see :func:`fit_mle`).
@@ -48,8 +48,9 @@ array, by damped Newton steps:
   start wins by (log-likelihood, start index).
 - Memory.  The kernel runs in row blocks of at most ``_BLOCK_ELEMENTS``
   doubles (starts x observations) per buffer, unless a single row is
-  longer.  Each fit owns one workspace (:class:`_Workspace`), allocated
-  when the fit starts (``Likelihood.bind``) and freed when it returns: six
+  longer.  Each fit owns one workspace (``Likelihood.workspace``; for the
+  Beta-mixed families :class:`_Workspace`), allocated when the fit starts
+  and freed when it returns: six
   float buffers of one block in one allocation and a mask, 1.4 MB at
   n = 5000 (6 rows) and 0.8 MB at n = 1000 (16 rows), plus the per-row
   sums.  Every block of every pass writes into their leading rows.  It
@@ -60,9 +61,9 @@ array, by damped Newton steps:
   the workspace there are under 10.  No buffer is kept between fits or
   shared by two, so concurrent fits stay independent.  The public
   one-row functions make a single pass and use no buffers.
-- Profile step.  A family may move each start and trial row before the
-  acceptance test (``Likelihood.profile``).  The four-parameter model does:
-  its kernel is one data pass at (alpha, beta) that forms the per-row sums
+- Profile step.  A family's kernel may move each start and trial row
+  before the acceptance test.  The four-parameter kernel does: it makes
+  one data pass at (alpha, beta) that forms the per-row sums
   (:func:`_bfw_sums`) and an O(rows) assembly at any (p, q)
   (:func:`_bfw_assemble`).  Given those sums the log-likelihood in (p, q)
   is a Beta(p, q) log-likelihood, and each row takes the best of its own
@@ -71,8 +72,8 @@ array, by damped Newton steps:
   uses no second pass over the data, rows stay independent, and it never
   lowers a row's log-likelihood; it lets a row jump the orders of magnitude
   that a Newton step in ln q crosses one unit per pass.  The two-parameter
-  families have no profile step and keep their trial rows; there is no
-  option and no second path.
+  kernels return their rows as given; there is no option and no second
+  path.
 
 :func:`fit_mle` is that fitter on the four-parameter model;
 ``model_selection`` supplies the two-parameter families.
@@ -90,7 +91,7 @@ from typing import Callable
 import numpy as np
 
 from . import special
-from ._stable import checked, clamped_exp, fw_tail_terms
+from ._stable import checked, clamped_exp, fw_tail_terms, log_amplitude, tiny_x
 from .core import BFWParams
 from .errors import ConvergenceError, DomainError, NumericError
 
@@ -166,10 +167,16 @@ class _Workspace:
     passes of a fit allocate no data-sized temporaries.  With ``rows``
     None there are no buffers and every result is a new array: the public
     one-row functions make a single pass, which has nothing to reuse.
+
+    ``tiny`` is whether some x^2 is subnormal, whatever beta
+    (:func:`bfw._stable.tiny_x`); only then do the passes form
+    ln(alpha + beta/x^2) by :func:`bfw._stable.log_amplitude`, whose far
+    form takes the elements where x^2 is subnormal or beta/x^2 overflows.
     """
 
     def __init__(self, x, rows=None):
         self.x = x
+        self.tiny = tiny_x(x, 0.0)
         with np.errstate(all="ignore"):
             self.x2 = x * x
         self.floats = self.mask = self.sums = None
@@ -244,7 +251,10 @@ def _bfw_sums(x, alpha, beta, order, ws=None, tails=True):
             _rowsum(ln_f, out=sums["ln_f"])
         tmp, denom = s, f  # S and F are free from here on
         _rowsum(ew, out=sums["ew"])
-        _rowsum(np.log(np.add(ac, np.divide(bc, x2, tmp), tmp), tmp), out=sums["amp"])
+        if ws.tiny:
+            _rowsum(log_amplitude(x, ac, bc, True), out=sums["amp"])
+        else:
+            _rowsum(np.log(np.add(ac, np.divide(bc, x2, tmp), tmp), tmp), out=sums["amp"])
         if order == 0:
             return sums
         denom = np.add(bc, np.multiply(ac, x2, denom), denom)
@@ -448,16 +458,14 @@ def _walk_terms(sums, theta, x_max):
     return walk
 
 
-def _bfw_profiled(x, theta, ws=None):
-    """The fitter's evaluation of (alpha, beta, p, q) rows: one data pass at
-    each row's (alpha, beta), the profile step of its (p, q)
-    (:func:`_profile_shapes`) from the sums of that pass, and the
+def _bfw_profiled(x, theta, ws):
+    """The four-parameter kernel of the fitter on (alpha, beta, p, q) rows:
+    one data pass at each row's (alpha, beta), the profile step of its
+    (p, q) (:func:`_profile_shapes`) from the sums of that pass, and the
     log-likelihood, score and information assembled at the result.
     Returns (theta, ll, grad, info, walk), ``walk`` from
     :func:`_walk_terms`; the data pass writes into the workspace ``ws`` as
     :func:`_bfw_sums` says."""
-    if ws is None:
-        ws = _Workspace(x)
     sums = _bfw_sums(x, theta[:, 0], theta[:, 1], 2, ws)
     start = theta[:, 2:].T
     shapes = _profile_shapes(sums["n"], np.array([sums["ln_f"], -sums["ew"]]), start)
@@ -496,19 +504,19 @@ def observed_information(data, params):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """What a caller sets of the fitter: the number of four-parameter starts
+    (the two-parameter families start from four fixed points) and the score
+    sup-norm of the convergence test, strictly positive and finite.  The
+    rest is fixed in this module (``_REL_LL_TOL``, ``_MAX_ITER`` and the
+    start range ``_START_LOG_LOW``, ``_START_LOG_HIGH``)."""
+
     starts: int = 16
     score_tol: float = 1e-6
-    rel_ll_tol: float = 1e-12
-    max_iter: int = 100
-    start_log_low: float = math.log(1e-3)
-    start_log_high: float = math.log(1e2)
-    level: float = 0.95
 
     def __post_init__(self):
-        if not 0.0 < self.level < 1.0:
-            raise DomainError("confidence level must lie in (0, 1)")
         if self.starts < 1:
             raise DomainError("at least one start is required")
+        checked(self.score_tol, "score tolerance")
 
 
 @dataclass(frozen=True)
@@ -532,8 +540,9 @@ class StartDiagnostics:
 @dataclass(frozen=True)
 class FitResult:
     """A converged fit: :class:`BFWParams` estimates from :func:`fit_mle`, the
-    natural parameter array from :func:`fit_family`; score, information,
-    covariance and intervals are in the same parameters."""
+    natural parameter array from :func:`fit_family`; score, information and
+    covariance are in the same parameters, and :func:`confidence_intervals`
+    reads intervals off them at any level."""
 
     estimates: BFWParams | np.ndarray
     log_likelihood: float
@@ -541,17 +550,11 @@ class FitResult:
     observed_information: np.ndarray
     covariance: np.ndarray | None
     condition_number: float
-    confidence_intervals: tuple
-    confidence_level: float
     converged: bool
     iterations: int
     multistart_best_of: int
     trajectory: tuple[float, ...] = field(repr=False, default=())
     starts: tuple[StartDiagnostics, ...] = field(repr=False, default=())
-
-    @property
-    def covariance_available(self) -> bool:
-        return self.covariance is not None
 
 
 # Joe-Kuo direction numbers (degree s, coefficients a, initial m) of Sobol
@@ -582,62 +585,38 @@ def _sobol(n):
 
 def _start_grid(config):
     """Deterministic low-discrepancy grid over log-parameter space."""
-    span = config.start_log_high - config.start_log_low
-    return config.start_log_low + _sobol(config.starts) * span
+    span = _START_LOG_HIGH - _START_LOG_LOW
+    return _START_LOG_LOW + _sobol(config.starts) * span
 
 
 @dataclass(frozen=True)
 class Likelihood:
     """What the fitter needs of a family, over its natural parameter array.
 
-    ``evaluate(x, theta)`` takes a (starts, k) batch of parameter rows and
-    returns the log-likelihood (starts,), the analytic score (starts, k) and
-    the observed information (starts, k, k) of each row, -inf log-likelihood
-    where a term is not representable; ``starts(config)`` gives the start
-    points in log-parameter space, one per row; ``names`` name the columns
-    of theta.  ``profile(x, theta)``, where a family has one, returns
-    (theta, ll, grad, info, walk) after moving each row to a point whose
-    log-likelihood is no lower, on its own; ``walk`` holds the (rows, 5)
-    terms by which the fitter retires a row that cannot converge (its
-    log-likelihood's rounding error, the length of its ln q crawl, how
-    near the profile step is to ending it and its offsets from the two
-    ridges, see :func:`_walk_terms`).  A
-    family without a profile reports no such terms, and the fitter retires
-    none of its rows.  ``workspace(x, rows)``, where a family has one,
-    allocates the buffers its ``evaluate`` and ``profile`` write a data pass
-    into, passed to them as ``ws``; the fitter makes one per fit
-    (:meth:`bind`).
+    ``kernel(x, theta, ws)`` takes a (starts, k) batch of parameter rows and
+    returns (theta, ll, grad, info, walk): the rows, each moved on its own
+    to a point whose log-likelihood is no lower where the family has a
+    profile step and as given elsewhere, and at them the log-likelihood
+    (starts,), -inf where a term is not representable, the analytic score
+    (starts, k) and the observed information (starts, k, k).  ``walk``
+    holds the (starts, 5) terms by which the fitter retires a row that
+    cannot converge (its log-likelihood's rounding error, the length of its
+    ln q crawl, how near the profile step is to ending it and its offsets
+    from the two ridges, see :func:`_walk_terms`); a family that reports
+    None retires no row.  ``ws`` is what ``workspace(x, rows)`` returns:
+    what every pass of one fit on data ``x`` shares, with buffers for
+    blocks of at most ``rows`` rows; the fitter makes one per fit.
+    ``starts(config)`` gives the start points in log-parameter space, one
+    per row; ``names`` name the columns of theta.
     """
 
-    evaluate: Callable
+    kernel: Callable
     starts: Callable
     names: tuple[str, ...]
-    profile: Callable | None = None
-    workspace: Callable | None = None
-
-    def walk(self, x, theta, **ws):
-        """What the fitter evaluates at start and trial rows:
-        (theta, ll, grad, info, walk) from ``profile``, or at the rows as
-        given with ``walk`` None; a ``ws`` keyword goes to the kernel."""
-        if self.profile is None:
-            return (theta, *self.evaluate(x, theta, **ws), None)
-        return self.profile(x, theta, **ws)
-
-    def bind(self, x, rows):
-        """:meth:`walk` for the passes of one fit on data ``x``, in blocks
-        of at most ``rows`` rows.  A family's workspace is allocated here,
-        once, and freed with the returned function."""
-        if self.workspace is None:
-            return self.walk
-        return functools.partial(self.walk, ws=self.workspace(x, rows))
-
-    def trial(self, x, theta):
-        """(theta, ll, grad, info) of :meth:`walk`."""
-        return self.walk(x, theta)[:4]
+    workspace: Callable
 
 
-BFW = Likelihood(_bfw_evaluate, _start_grid, PARAM_NAMES, profile=_bfw_profiled,
-                 workspace=_Workspace)
+BFW = Likelihood(_bfw_profiled, _start_grid, PARAM_NAMES, _Workspace)
 
 # Relative damping of the Newton step: the first step of every start uses
 # _DAMPING_START; an accepted step divides it by 3 (not below _DAMPING_MIN),
@@ -646,6 +625,13 @@ BFW = Likelihood(_bfw_evaluate, _start_grid, PARAM_NAMES, profile=_bfw_profiled,
 _DAMPING_START = 1e-3
 _DAMPING_MIN = 1e-15
 _DAMPING_MAX = 1e10
+# The convergence test's log-likelihood change per unit of 1 + |ll|, the
+# trial steps of a start, and the range of the start grid in every
+# log-parameter.
+_REL_LL_TOL = 1e-12
+_MAX_ITER = 100
+_START_LOG_LOW = math.log(1e-3)
+_START_LOG_HIGH = math.log(1e2)
 _EPS = float(np.finfo(float).eps)
 _SLACK = 4.0 * _EPS  # relative log-likelihood loss a step may take
 _LN_HALF_EPS = math.log(_EPS / 2.0)
@@ -711,13 +697,13 @@ def _block_rows(n):
     return max(1, _BLOCK_ELEMENTS // n)
 
 
-def _evaluate(kernel, x, theta):
-    """``kernel(x, theta)`` in row blocks of at most ``_BLOCK_ELEMENTS``
+def _evaluate(kernel, x, theta, ws):
+    """``kernel(x, theta, ws)`` in row blocks of at most ``_BLOCK_ELEMENTS``
     elements per temporary, so memory stays bounded for large samples."""
     rows = _block_rows(x.size)
     if theta.shape[0] <= rows:
-        return kernel(x, theta)
-    blocks = [kernel(x, theta[i : i + rows]) for i in range(0, len(theta), rows)]
+        return kernel(x, theta, ws)
+    blocks = [kernel(x, theta[i : i + rows], ws) for i in range(0, len(theta), rows)]
     return tuple(None if parts[0] is None else np.concatenate(parts) for parts in zip(*blocks))
 
 
@@ -745,14 +731,14 @@ def _damped_steps(g, h, damping):
 
 
 def _follow(z, theta):
-    """Set z = ln theta in place where the family's profile moved theta away
+    """Set z = ln theta in place where the family's kernel moved theta away
     from e^z; elsewhere z stays as stepped."""
     moved = theta != np.exp(z)
     if moved.any():
         z[moved] = np.log(theta[moved])
 
 
-def _walking(before, walk, ll, change, z, step, left, config):
+def _walking(before, walk, ll, change, z, step, left):
     """Which retirement trigger holds at each trial point, a (rows, 6)
     boolean array in the order of ``_RETIRE_MESSAGES``, from the point's
     :func:`_walk_terms` ``walk``, the ln(-sum ln F / n) term ``before`` of
@@ -760,7 +746,7 @@ def _walking(before, walk, ll, change, z, step, left, config):
     point ``z`` = ln theta and the ``step`` in z that led to it:
 
     - rounding: the log-likelihood's rounding error exceeds
-      ``_RETIRE_ROUNDING`` (1 + |ll|), so it cannot resolve ``rel_ll_tol``;
+      ``_RETIRE_ROUNDING`` (1 + |ll|), so it cannot resolve ``_REL_LL_TOL``;
     - crawl: the ln q crawl outlasts the passes ``left`` by more than
       ``_RETIRE_CRAWL_SLACK``, and so does the profile step's approach to a
       candidate, at the rate ln(-sum ln F / n) rose since ``before``;
@@ -784,7 +770,7 @@ def _walking(before, walk, ll, change, z, step, left, config):
     holds[:, 0] = walk[:, 0] > _RETIRE_ROUNDING * scale
     holds[:, 1] = (walk[:, 1] > span) & ~ends
     moving = np.abs(step).max(axis=1) >= _RETIRE_MOVING
-    holds[:, 2] = (change <= config.rel_ll_tol * scale) & moving
+    holds[:, 2] = (change <= _REL_LL_TOL * scale) & moving
     holds[:, 3] = near[:, 0] & (ln_p < _RIDGE_A_LN_P) & (step[:, 2] < 0.0)
     holds[:, 4] = near[:, 1] & (ln_p > _RIDGE_B_LN_P) & (step[:, 2] >= _RIDGE_B_RISE)
     holds[:, 5] = (ln_q > _Q_LIMIT_LN_Q) & (step[:, 3] >= _Q_LIMIT_RISE) & (ln_p < 0.0)
@@ -796,7 +782,7 @@ def _newton(likelihood, x, z0, config):
     the rows of ``z0`` are the starts in log-parameters.
 
     Each pass evaluates one trial step for every start still active, at the
-    rows ``likelihood.walk`` moves it to.  A start is retired when one
+    rows ``likelihood.kernel`` moves it to.  A start is retired when one
     trigger of :func:`_walking` holds on ``_RETIRE_AFTER`` consecutive
     accepted points, from the terms its family reports; the budget stop wins
     when both fall on one pass.  Returns the final parameters,
@@ -806,9 +792,9 @@ def _newton(likelihood, x, z0, config):
     """
     z = np.array(z0, dtype=float)
     m = z.shape[0]
-    kernel = likelihood.bind(x, min(m, _block_rows(x.size)))
+    kernel, ws = likelihood.kernel, likelihood.workspace(x, min(m, _block_rows(x.size)))
     with np.errstate(over="ignore"):
-        theta, ll, grad, info, walk = _evaluate(kernel, x, np.exp(z))
+        theta, ll, grad, info, walk = _evaluate(kernel, x, np.exp(z), ws)
         reach = None if walk is None else walk[:, 2]
         _follow(z, theta)
     g, h, finite = _log_space(theta, grad, info)
@@ -824,11 +810,11 @@ def _newton(likelihood, x, z0, config):
     active = np.flatnonzero(stop == _ACTIVE)
     while True:
         settled = (norm[active] <= config.score_tol) & (
-            change[active] <= config.rel_ll_tol * (1.0 + np.abs(ll[active])))
+            change[active] <= _REL_LL_TOL * (1.0 + np.abs(ll[active])))
         retire = (streak[active] >= _RETIRE_AFTER).any(axis=1)
         stop[active] = np.where(
             settled, _CONVERGED, np.where(
-                evaluations[active] > config.max_iter, _BUDGET, np.where(
+                evaluations[active] > _MAX_ITER, _BUDGET, np.where(
                     retire, _RETIRED, np.where(
                         damping[active] > _DAMPING_MAX, _REJECTED, _ACTIVE))))
         active = active[stop[active] == _ACTIVE]
@@ -836,7 +822,7 @@ def _newton(likelihood, x, z0, config):
             break
         z_t = z[active] + _damped_steps(g[active], h[active], damping[active])
         with np.errstate(over="ignore"):
-            theta_t, ll_t, grad_t, info_t, walk_t = _evaluate(kernel, x, np.exp(z_t))
+            theta_t, ll_t, grad_t, info_t, walk_t = _evaluate(kernel, x, np.exp(z_t), ws)
             _follow(z_t, theta_t)
         g_t, h_t, finite_t = _log_space(theta_t, grad_t, info_t)
         norm_t = np.max(np.abs(grad_t), axis=1)
@@ -850,9 +836,8 @@ def _newton(likelihood, x, z0, config):
 
         rows = active[accept]
         if walk_t is not None:
-            left = config.max_iter + 1 - evaluations[active]
-            holds = _walking(reach[active], walk_t, ll_t, change_t, z_t, z_t - z[active], left,
-                             config)
+            left = _MAX_ITER + 1 - evaluations[active]
+            holds = _walking(reach[active], walk_t, ll_t, change_t, z_t, z_t - z[active], left)
             streak[rows] = (streak[rows] + 1) * holds[accept]
             reach[rows] = walk_t[accept, 2]
         z[rows], theta[rows], ll[rows] = z_t[accept], theta_t[accept], ll_t[accept]
@@ -895,15 +880,20 @@ def covariance_from_information(info):
     return 0.5 * (cov + cov.T), cond
 
 
+def checked_level(level):
+    """``level`` once it lies in (0, 1); raises :class:`DomainError` otherwise."""
+    if not 0.0 < level < 1.0:
+        raise DomainError("confidence level must lie in (0, 1)")
+    return level
+
+
 def interval_bounds(estimates, variances, level):
     """theta_hat +/- z * sqrt(var) per parameter, lower endpoint clamped at 0.
 
     A negative variance (indefinite information) yields None for that
     parameter instead of a nonsensical interval.
     """
-    if not 0.0 < level < 1.0:
-        raise DomainError("confidence level must lie in (0, 1)")
-    z = special.std_normal_quantile(0.5 + 0.5 * level)
+    z = special.std_normal_quantile(0.5 + 0.5 * checked_level(level))
     out = []
     for est, var in zip(np.asarray(estimates, float), np.asarray(variances, float)):
         if var < 0.0 or not math.isfinite(var):
@@ -915,10 +905,15 @@ def interval_bounds(estimates, variances, level):
 
 
 def confidence_intervals(fit, level=0.95):
-    """Asymptotic normal intervals for a fitted model at the given level."""
+    """Asymptotic normal intervals of a fit's estimates at the given level,
+    by :func:`interval_bounds`; the estimates may be :class:`BFWParams` or a
+    family's natural parameter array."""
     if fit.covariance is None:
         raise NumericError("covariance unavailable: observed information not positive definite")
-    return interval_bounds(fit.estimates.as_array(), np.diag(fit.covariance), level)
+    estimates = fit.estimates
+    if isinstance(estimates, BFWParams):
+        estimates = estimates.as_array()
+    return interval_bounds(estimates, np.diag(fit.covariance), level)
 
 
 def fit_family(data, likelihood, config=None):
@@ -955,10 +950,6 @@ def fit_family(data, likelihood, config=None):
         )
     best = min(converged, key=lambda i: (-ll[i], i))
     covariance, cond = covariance_from_information(info[best])
-    if covariance is not None:
-        intervals = interval_bounds(theta[best], np.diag(covariance), config.level)
-    else:
-        intervals = (None,) * theta.shape[1]
     return FitResult(
         estimates=theta[best],
         log_likelihood=float(ll[best]),
@@ -966,8 +957,6 @@ def fit_family(data, likelihood, config=None):
         observed_information=info[best],
         covariance=covariance,
         condition_number=cond,
-        confidence_intervals=intervals,
-        confidence_level=config.level,
         converged=True,
         iterations=int(iterations[best]),
         multistart_best_of=len(z0),

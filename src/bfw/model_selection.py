@@ -187,22 +187,23 @@ def _two_param_starts(config):
     return _TWO_PARAM_STARTS
 
 
-def _fw_evaluate(x, theta, ws=None):
+def _fw_kernel(x, theta, ws):
     """Flexible Weibull (alpha, beta) rows as four-parameter rows with
     p = q = 1: the four-parameter kernel's data pass without the tail terms
     that p - 1 = 0 multiplies, written into the workspace ``ws``
     (:func:`bfw.inference._bfw_sums`), then its log-likelihood and the
-    (alpha, beta) block of its score and information alone."""
+    (alpha, beta) block of its score and information alone.  The rows stay
+    as given and report no walk terms."""
     sums = inference._bfw_sums(x, theta[:, 0], theta[:, 1], 2, ws, tails=False)
     grad, info = np.empty((theta.shape[0], 2)), np.empty((theta.shape[0], 2, 2))
     with np.errstate(all="ignore"):
         inference._rate_terms(sums, 1.0, None, grad, info)
         ll = sums["amp"] + sums["w"] - sums["ew"]  # ln B(1, 1) = 0
         ll = np.where(np.isfinite(ll), ll, -np.inf)
-    return ll, grad, info
+    return theta, ll, grad, info, None
 
 
-_FW = inference.Likelihood(evaluate=_fw_evaluate, starts=_two_param_starts, names=("alpha", "beta"),
+_FW = inference.Likelihood(kernel=_fw_kernel, starts=_two_param_starts, names=("alpha", "beta"),
                            workspace=inference._Workspace)
 
 
@@ -251,8 +252,14 @@ def _weibull_workspace(x, rows=None):
     return np.sum(np.log(x))
 
 
+def _weibull_kernel(x, theta, ws):
+    """The fitter's kernel: the rows as given, their :func:`_weibull_evaluate`
+    and no walk terms."""
+    return (theta, *_weibull_evaluate(x, theta, ws=ws), None)
+
+
 _WEIBULL = inference.Likelihood(
-    evaluate=_weibull_evaluate,
+    kernel=_weibull_kernel,
     starts=_two_param_starts,
     names=("shape", "scale"),
     workspace=_weibull_workspace,
@@ -293,9 +300,9 @@ def _fitter(likelihood, config):
 def get_family(name, weibull_parameterization="scale", optimizer_config=None):
     """Family registry: 'bfw', 'fw', or 'weibull'.
 
-    ``optimizer_config`` applies to every family; the start grid size and
-    range in it concern the four-parameter model only, the two-parameter
-    families start from four fixed points.
+    ``optimizer_config`` applies to every family; its start count concerns
+    the four-parameter model only, the two-parameter families start from
+    four fixed points.
     """
     key = name.lower()
     if key == "bfw":
@@ -315,7 +322,7 @@ def get_family(name, weibull_parameterization="scale", optimizer_config=None):
             cdf=lambda x, theta: fw_cdf(x, FWParams(*theta)),
             log_pdf=lambda x, theta: fw_log_pdf(x, FWParams(*theta)),
         )
-    if key in ("weibull", "weibull2p", "wd"):
+    if key == "weibull":
         if weibull_parameterization == "scale":
             maps = dict(param_names=_WEIBULL.names)
         elif weibull_parameterization == "rate":

@@ -390,6 +390,35 @@ class TestExitCodes:
         assert code == 4
         assert "error" in err.lower()
 
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    @pytest.mark.parametrize("tol", ["-1", "nan", "0", "inf"])
+    def test_tolerance_must_be_positive_and_finite(self, capsys, command, tol):
+        code, out, err = run_cli(capsys, command, "--data", "pumps", "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert err == "bfw: error: score tolerance must be strictly positive and finite\n"
+
+    def test_compare_takes_only_the_offered_family_names(self, capsys):
+        code, out, err = run_cli(capsys, "compare", "--data", "pumps", "--families", "fw,wd")
+        assert code == 2
+        assert err == "bfw: error: unknown model family 'wd'\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_level_outside_the_unit_interval_is_a_usage_error(self, capsys, fmt):
+        argv = ["fit", "--data", "pumps", "--level", "1.5", "--format", fmt]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err == "bfw: error: confidence level must lie in (0, 1)\n"
+        if fmt == "csv":
+            assert out == ""
+        else:
+            payload = json.loads(out)
+            jsonschema.validate(payload, SCHEMA)
+            assert payload == {
+                "meta": cli._meta(cli.build_parser().parse_args(argv)),
+                "error": {"type": "DomainError", "message": "confidence level must lie in (0, 1)"},
+            }
+
     def test_numeric_failure_is_exit_5(self, capsys):
         # far beyond the right tail the survival underflows to zero
         code, out, err = run_cli(capsys, "eval", "--family", "bfw",

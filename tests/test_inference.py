@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from bfw import (
     ConvergenceError,
     Dataset,
     DomainError,
+    FWParams,
     NumericError,
     OptimizerConfig,
     bfw_log_pdf,
@@ -22,6 +24,7 @@ from bfw import (
     confidence_intervals,
     covariance_from_information,
     fit_mle,
+    fw_log_pdf,
     inference,
     interval_bounds,
     log_likelihood,
@@ -233,8 +236,9 @@ class TestFitMle:
         with pytest.raises(DomainError):
             fit_mle(Dataset(times=np.array([1.0, 2.0, 3.0, 4.0])))
 
-    def test_convergence_error_carries_diagnostics(self, pumps):
-        config = OptimizerConfig(starts=2, max_iter=1, score_tol=1e-16)
+    def test_convergence_error_carries_diagnostics(self, pumps, monkeypatch):
+        monkeypatch.setattr(inference, "_MAX_ITER", 1)
+        config = OptimizerConfig(starts=2, score_tol=1e-16)
         with pytest.raises(ConvergenceError) as excinfo:
             fit_mle(pumps, config)
         assert len(excinfo.value.diagnostics) == 2
@@ -244,6 +248,14 @@ class TestFitMle:
         b = fit_mle(pumps)
         assert a.log_likelihood == b.log_likelihood
         assert np.array_equal(a.estimates.as_array(), b.estimates.as_array())
+
+    def test_config_holds_the_two_settings_a_caller_varies(self):
+        assert [f.name for f in dataclasses.fields(OptimizerConfig)] == ["starts", "score_tol"]
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.inf, math.nan])
+    def test_score_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(DomainError, match="score tolerance"):
+            OptimizerConfig(score_tol=tol)
 
 
 def weibull_reference(x, theta):
@@ -271,21 +283,31 @@ def fw_reference(x, theta):
     return ll, grad[:2], info[:2, :2]
 
 
+def bfw_profiled(x, theta):
+    """(theta, ll, grad, info) of four-parameter rows after the profile step."""
+    return inference.BFW.kernel(x, theta, inference.BFW.workspace(x))[:4]
+
+
+def kernel_rows(likelihood):
+    """(ll, grad, info) from a family's kernel on one pass's own workspace."""
+    return lambda x, theta: likelihood.kernel(x, theta, likelihood.workspace(x))[1:4]
+
+
 BATCH_CASES = [
-    ("bfw", inference.BFW, bfw_reference),
-    ("fw", model_selection._FW, fw_reference),
-    ("weibull", model_selection._WEIBULL, weibull_reference),
+    ("bfw", inference._bfw_evaluate, bfw_reference),  # the rows as given, no profile step
+    ("fw", kernel_rows(model_selection._FW), fw_reference),
+    ("weibull", kernel_rows(model_selection._WEIBULL), weibull_reference),
 ]
 
 
 class TestBatchKernels:
-    @pytest.mark.parametrize("name, likelihood, reference", BATCH_CASES)
+    @pytest.mark.parametrize("name, evaluate, reference", BATCH_CASES)
     @pytest.mark.parametrize("n", [23, 1000])
-    def test_rows_match_the_one_point_kernels(self, name, likelihood, reference, n):
+    def test_rows_match_the_one_point_kernels(self, name, evaluate, reference, n):
         x = bfw_sample(n, BFWParams(0.5, 0.5, 2.0, 2.0), seed=n)
-        k = len(likelihood.names)
+        k = 4 if name == "bfw" else 2
         theta = np.exp(np.random.default_rng(n).uniform(-1.5, 1.5, (16, k)))
-        ll, grad, info = likelihood.evaluate(x, theta)
+        ll, grad, info = evaluate(x, theta)
         assert ll.shape == (16,) and grad.shape == (16, k) and info.shape == (16, k, k)
         for row in range(16):
             ref_ll, ref_grad, ref_info = reference(x, theta[row])
@@ -293,15 +315,15 @@ class TestBatchKernels:
             assert np.all(np.abs(grad[row] - ref_grad) <= 1e-13 * np.abs(ref_grad))
             assert np.all(np.abs(info[row] - ref_info) <= 1e-13 * np.abs(ref_info))
 
-    @pytest.mark.parametrize("name, likelihood, reference", BATCH_CASES)
-    def test_unrepresentable_row_is_minus_inf_and_isolated(self, name, likelihood, reference,
+    @pytest.mark.parametrize("name, evaluate, reference", BATCH_CASES)
+    def test_unrepresentable_row_is_minus_inf_and_isolated(self, name, evaluate, reference,
                                                           pumps):
         x = pumps.times
-        k = len(likelihood.names)
+        k = 4 if name == "bfw" else 2
         theta = np.exp(np.random.default_rng(1).uniform(-1.0, 1.0, (4, k)))
-        clean = likelihood.evaluate(x, theta)
+        clean = evaluate(x, theta)
         theta[2, 0] = math.inf
-        dirty = likelihood.evaluate(x, theta)
+        dirty = evaluate(x, theta)
         assert dirty[0][2] == -math.inf
         keep = [0, 1, 3]
         for got, want in zip(dirty, clean):
@@ -313,25 +335,67 @@ class TestBatchKernels:
         theta = np.exp(np.random.default_rng(5).uniform(-1.0, 1.0, (16, 4)))
         rows = inference._block_rows(x.size)
         assert rows < 16
-        blocked = inference._evaluate(inference.BFW.evaluate, x, theta)
+        blocked = inference._evaluate(lambda x, rows, ws: inference._bfw_evaluate(x, rows), x,
+                                      theta, None)
         for row in range(16):
-            alone = inference.BFW.evaluate(x, theta[row : row + 1])
+            alone = inference._bfw_evaluate(x, theta[row : row + 1])
             for got, want in zip(blocked, alone):
                 assert np.array_equal(got[row], want[0])
         # so does every profiled row, and every fw row, through one fit's
         # workspace while the active set shrinks from 16 rows to 5 and 1
         wide = np.exp(np.random.default_rng(6).uniform(-4.0, 4.0, (16, 4)))
         for likelihood, points in ((inference.BFW, wide), (model_selection._FW, wide[:, :2])):
-            kernel = likelihood.bind(x, rows)
+            ws = likelihood.workspace(x, rows)
             for active in (np.arange(16), np.array([1, 4, 9, 12, 15]), np.array([7])):
-                passed = inference._evaluate(kernel, x, points[active])
+                passed = inference._evaluate(likelihood.kernel, x, points[active], ws)
                 for i, row in enumerate(active):
-                    alone = likelihood.walk(x, points[row : row + 1])
+                    alone = likelihood.kernel(x, points[row : row + 1], likelihood.workspace(x))
                     for got, want in zip(passed, alone):
                         if want is None:
                             assert got is None
                         else:
                             assert np.array_equal(got[i], want[0], equal_nan=True), (row, i)
+
+
+class TestTinyObservations:
+    # at x = 1e-160, x^2 is subnormal and beta/x^2 overflows: the data pass forms
+    # ln(alpha + beta/x^2) as ln beta - 2 ln x + log1p(alpha x^2/beta) there
+    X = np.array([1e-160, 1.0, 2.0])
+    ROWS = np.array([[0.052, 0.024, 35.077, 20.328], [0.5, 5.0, 2.0, 2.0],
+                     [3.0, 1e-300, 0.7, 1.5]])
+
+    def test_log_likelihood_is_the_summed_log_density(self, published_params):
+        value = log_likelihood(Dataset(self.X), published_params)
+        summed = float(np.sum(bfw_log_pdf(self.X, published_params)))
+        assert summed == pytest.approx(-8.41848e159, rel=1e-5)
+        assert value == pytest.approx(summed, rel=1e-15)
+
+    def test_amplitude_sum_matches_mpmath(self):
+        sums = inference._bfw_sums(self.X, self.ROWS[:, 0], self.ROWS[:, 1], 0)
+        with mpmath.workdps(40):
+            for row, (a, b) in enumerate(self.ROWS[:, :2]):
+                exact = mpmath.fsum(mpmath.log(mpmath.mpf(a) + mpmath.mpf(b) / mpmath.mpf(v) ** 2)
+                                    for v in self.X)
+                assert sums["amp"][row] == pytest.approx(float(exact), rel=4e-16)
+
+    def test_kernels_match_the_summed_log_density(self):
+        ll = inference._bfw_evaluate(self.X, self.ROWS)[0]
+        fw = model_selection._FW.kernel(self.X, self.ROWS[:, :2], inference._Workspace(self.X))[1]
+        for row in range(len(self.ROWS)):
+            summed = np.sum(bfw_log_pdf(self.X, BFWParams(*self.ROWS[row])))
+            assert np.isfinite(summed) and ll[row] == pytest.approx(summed, rel=1e-15)
+            alpha, beta = self.ROWS[row, :2]
+            summed_fw = np.sum(fw_log_pdf(self.X, FWParams(alpha, beta)))
+            assert np.isfinite(summed_fw) and fw[row] == pytest.approx(summed_fw, rel=1e-15)
+
+    def test_ordinary_data_take_the_direct_form(self, pumps):
+        # no x^2 is subnormal: the amplitude sum is the direct one, bit for bit
+        x = pumps.times
+        assert not inference._Workspace(x).tiny
+        rows = np.exp(np.random.default_rng(2).uniform(-8.0, 8.0, (8, 2)))
+        sums = inference._bfw_sums(x, rows[:, 0], rows[:, 1], 0)
+        direct = np.add.reduce(np.log(rows[:, :1] + rows[:, 1:] / (x * x)), axis=-1)
+        assert np.array_equal(sums["amp"], direct)
 
 
 def mp_reference(x, theta, dps=30):
@@ -461,7 +525,7 @@ class TestKernelAgainstMpmath:
 
     @pytest.mark.parametrize("theta", KERNEL_ROWS)
     def test_kernel_matches_the_reference(self, pumps, theta):
-        ll, grad, info = inference.BFW.evaluate(pumps.times, np.array([theta]))
+        ll, grad, info = inference._bfw_evaluate(pumps.times, np.array([theta]))
         ref_ll, ref_grad, ref_info, ll_scale, grad_scale, info_scale = mp_reference(
             pumps.times, theta)
         eps = np.finfo(float).eps
@@ -471,7 +535,7 @@ class TestKernelAgainstMpmath:
 
     @pytest.mark.parametrize("theta", EXTREME_ROWS)
     def test_extreme_rows_are_finite_exactly_where_the_reference_is(self, pumps, theta):
-        ll, grad, info = inference.BFW.evaluate(pumps.times, np.array([theta]))
+        ll, grad, info = inference._bfw_evaluate(pumps.times, np.array([theta]))
         ref_ll, ref_grad, ref_info, ll_scale, grad_scale, info_scale = mp_reference(
             pumps.times, theta)
         assert np.isfinite(ll[0]) == np.isfinite(ref_ll)
@@ -491,7 +555,7 @@ class TestBetaNormalizerInKernel:
     START7 = tuple(np.exp([0.459, 9.404, -10.588, 74.351]))
 
     def test_start7_point_matches_mpmath(self, pumps):
-        ll, grad, info = inference.BFW.evaluate(pumps.times, np.array([self.START7]))
+        ll, grad, info = inference._bfw_evaluate(pumps.times, np.array([self.START7]))
         ref_ll, ref_grad, ref_info, ll_scale, grad_scale, info_scale = mp_reference(
             pumps.times, self.START7, dps=90)
         assert ref_ll == pytest.approx(-34.24, abs=5e-3)
@@ -565,7 +629,7 @@ class TestSplitKernel:
         sums = inference._bfw_sums(x, np.array([theta[0]]), np.array([theta[1]]), 2)
         for p, q in [(theta[2], theta[3]), (0.3, 7.0), (40.0, 1e-3), (2e-9, 3e5)]:
             assembled = inference._bfw_assemble(sums, np.array([p]), np.array([q]), 2)
-            direct = inference.BFW.evaluate(x, np.array([[theta[0], theta[1], p, q]]))
+            direct = inference._bfw_evaluate(x, np.array([[theta[0], theta[1], p, q]]))
             for got, want in zip(assembled, direct):
                 assert np.array_equal(got, want, equal_nan=True)
 
@@ -573,10 +637,10 @@ class TestSplitKernel:
         # n = 5000 splits 16 rows into blocks; every profiled row equals its own evaluation
         x = bfw_sample(5000, BFWParams(0.5, 0.5, 2.0, 2.0), seed=5)
         theta = np.exp(np.random.default_rng(5).uniform(-4.0, 4.0, (16, 4)))
-        blocked = inference._evaluate(inference.BFW.trial, x, theta)
-        assert len(blocked) == 4
+        blocked = inference._evaluate(inference.BFW.kernel, x, theta, inference.BFW.workspace(x))
+        assert len(blocked) == 5
         for row in range(16):
-            alone = inference.BFW.trial(x, theta[row : row + 1])
+            alone = inference.BFW.kernel(x, theta[row : row + 1], inference.BFW.workspace(x))
             for got, want in zip(blocked, alone):
                 assert np.array_equal(got[row], want[0])
 
@@ -631,8 +695,8 @@ class TestProfileStep:
                                     if label.endswith("-0")]
         for x in datasets:
             theta = np.exp(rng.uniform(-8.0, 8.0, (64, 4)))
-            moved, ll, _, _ = inference.BFW.trial(x, theta)
-            before = inference.BFW.evaluate(x, theta)[0]
+            moved, ll, _, _ = bfw_profiled(x, theta)
+            before = inference._bfw_evaluate(x, theta)[0]
             assert np.array_equal(moved[:, :2], theta[:, :2])
             slack = 4 * np.finfo(float).eps * (1.0 + np.abs(before))
             assert np.all(ll >= before - slack)
@@ -642,8 +706,8 @@ class TestProfileStep:
         # a row where -q sum e^w dominates: a Newton step in ln q is -1 per pass,
         # the profile step lands at q ~ n / sum e^w at once
         theta = np.exp([[3.1828, 4.5339, -5.4687, 5.0]])
-        before = inference.BFW.evaluate(pumps.times, theta)[0][0]
-        moved, ll, _, _ = inference.BFW.trial(pumps.times, theta)
+        before = inference._bfw_evaluate(pumps.times, theta)[0][0]
+        moved, ll, _, _ = bfw_profiled(pumps.times, theta)
         assert before < -1e60
         assert ll[0] > -1e4
         assert np.log(moved[0, 3]) < -80.0
@@ -733,14 +797,14 @@ class TestBatchedNewton:
         for diag in fit.starts:
             assert any(diag.message.startswith(reason) for reason in reasons)
             assert diag.converged == diag.message.startswith("converged")
-            assert diag.iterations < diag.evaluations <= config.max_iter + 1
+            assert diag.iterations < diag.evaluations <= inference._MAX_ITER + 1
         best = [d for d in fit.starts if d.converged and d.log_likelihood == fit.log_likelihood]
         assert fit.iterations == best[0].iterations
 
-    def test_budget_bounds_kernel_passes(self, pumps):
-        config = OptimizerConfig(max_iter=3)
+    def test_budget_bounds_kernel_passes(self, pumps, monkeypatch):
+        monkeypatch.setattr(inference, "_MAX_ITER", 3)
         with pytest.raises(ConvergenceError) as excinfo:
-            fit_mle(pumps, config)
+            fit_mle(pumps)
         for diag in excinfo.value.diagnostics:
             assert diag.evaluations == 4
             assert diag.message == "iteration budget exhausted"
@@ -850,18 +914,19 @@ class TestRetirement:
         assert retired[4][0] == inference._RETIRED
         assert retired[8][0].startswith(message)
         # without retirement the same start runs to the budget or to rejection
-        monkeypatch.setattr(inference, "_RETIRE_AFTER", config.max_iter + 1)
+        monkeypatch.setattr(inference, "_RETIRE_AFTER", inference._MAX_ITER + 1)
         kept = inference._newton(inference.BFW, x, z0, config)
         assert kept[4][0] in (inference._BUDGET, inference._REJECTED)
         assert retired[6][0] < kept[6][0]
 
-    def test_budget_stop_wins_on_the_same_pass(self, benchmark_draws):
+    def test_budget_stop_wins_on_the_same_pass(self, benchmark_draws, monkeypatch):
         # the flat walker of RETIRED_STARTS retires on its last pass; a budget
         # one trial step smaller ends it on that same pass
         x = benchmark_draws["anchor1-n200-1"][0].times
-        z0 = inference.BFW.starts(OptimizerConfig())[7:8]
-        passes = inference._newton(inference.BFW, x, z0, OptimizerConfig())[6][0]
-        config = OptimizerConfig(max_iter=passes - 1)
+        config = OptimizerConfig()
+        z0 = inference.BFW.starts(config)[7:8]
+        passes = inference._newton(inference.BFW, x, z0, config)[6][0]
+        monkeypatch.setattr(inference, "_MAX_ITER", passes - 1)
         stop = inference._newton(inference.BFW, x, z0, config)[4][0]
         assert stop == inference._BUDGET
 
@@ -1105,7 +1170,7 @@ class TestRidges:
 class TestConfidenceIntervals:
     def test_intervals_from_fit_contain_estimates(self, pumps):
         fit = fit_mle(pumps)
-        for estimate, interval in zip(fit.estimates.as_array(), fit.confidence_intervals):
+        for estimate, interval in zip(fit.estimates.as_array(), confidence_intervals(fit)):
             low, high = interval
             assert low <= estimate <= high
             assert low >= 0.0
@@ -1144,7 +1209,22 @@ class TestConfidenceIntervals:
 
     def test_fit_accessor(self, pumps):
         fit = fit_mle(pumps)
-        assert confidence_intervals(fit, 0.95) == fit.confidence_intervals
+        expected = interval_bounds(fit.estimates.as_array(), np.diag(fit.covariance), 0.9)
+        assert confidence_intervals(fit, 0.9) == expected
+
+    @pytest.mark.parametrize("family", ["fw", "weibull"])
+    def test_two_parameter_fits_take_array_estimates(self, pumps, family):
+        # their estimates are the natural parameter array, not BFWParams
+        fit = model_selection.get_family(family).fit(pumps)
+        expected = interval_bounds(fit.estimates, np.diag(fit.covariance), 0.95)
+        assert confidence_intervals(fit) == expected
+        assert all(interval is not None for interval in expected)
+
+    def test_level_outside_the_unit_interval_rejected(self, pumps):
+        fit = model_selection.get_family("weibull").fit(pumps)
+        for level in (0.0, 1.0, 1.5, math.nan):
+            with pytest.raises(DomainError, match="confidence level"):
+                confidence_intervals(fit, level)
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -11,7 +11,6 @@ from bfw import (
     Dataset,
     DomainError,
     FWParams,
-    OptimizerConfig,
     bfw_cdf,
     bfw_sample,
     compare_models,
@@ -182,8 +181,9 @@ class TestFamilies:
         )
 
     def test_unknown_family(self):
-        with pytest.raises(DomainError):
-            get_family("gumbel")
+        for name in ("gumbel", "wd", "weibull2p"):  # only the names the CLI offers resolve
+            with pytest.raises(DomainError):
+                get_family(name)
 
     def test_sampler_ks_per_family(self, rng):
         n = 50_000
@@ -324,8 +324,8 @@ class TestFamilyProtocol:
         rng = np.random.default_rng(11)
         for x in (pumps.times, bfw_sample(1000, BFWParams(0.5, 0.5, 2.0, 2.0), seed=2)):
             ab = np.exp(rng.uniform(-700.0, 700.0, (200, 2)))
-            ll, grad, info = model_selection._fw_evaluate(x, ab)
-            ll4, grad4, info4 = inference.BFW.evaluate(x, np.column_stack([ab, np.ones((200, 2))]))
+            _, ll, grad, info, _ = model_selection._fw_kernel(x, ab, inference._Workspace(x))
+            ll4, grad4, info4 = inference._bfw_evaluate(x, np.column_stack([ab, np.ones((200, 2))]))
             finite = np.isfinite(ll) & np.isfinite(grad).all(1) & np.isfinite(info).all((1, 2))
             finite4 = (np.isfinite(ll4) & np.isfinite(grad4[:, :2]).all(1)
                        & np.isfinite(info4[:, :2, :2]).all((1, 2)))
@@ -380,11 +380,11 @@ class TestFamilyProtocol:
         assert np.max(np.abs(fw.score_at_optimum)) <= 1e-6
         assert fw.multistart_best_of == weibull.multistart_best_of == 4
 
-    def test_unconverged_two_parameter_fit_is_an_error_row(self, pumps):
-        config = OptimizerConfig(max_iter=1)
+    def test_unconverged_two_parameter_fit_is_an_error_row(self, pumps, monkeypatch):
+        monkeypatch.setattr(inference, "_MAX_ITER", 1)
         with pytest.raises(ConvergenceError):
-            get_family("weibull", optimizer_config=config).fit(pumps)
-        table = compare_models(pumps, [get_family("fw", optimizer_config=config)])
+            get_family("weibull").fit(pumps)
+        table = compare_models(pumps, [get_family("fw")])
         assert table.rows[0].error.startswith("no optimizer start converged")
         assert math.isnan(table.rows[0].aic)
 
