@@ -68,21 +68,22 @@ def build_parser():
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--output", default="-", help="output path, '-' for stdout")
     sub = parser.add_subparsers(dest="command", required=True)
+    families, forms = model_selection.available_families(), model_selection.WEIBULL_FORMS
 
     fit = sub.add_parser("fit", parents=[common], help="maximum-likelihood fit")
     fit.add_argument("--data", required=True, help="file of positive reals, or 'pumps'")
-    fit.add_argument("--family", choices=("bfw", "fw", "weibull"), default="bfw")
+    fit.add_argument("--family", choices=families, default=families[0])
     fit.add_argument("--level", type=float, default=0.95, help="confidence level")
     fit.add_argument("--starts", type=int, default=16, help="multi-start count (bfw)")
     fit.add_argument("--tol", type=float, default=1e-6, help="score tolerance")
-    fit.add_argument("--weibull-form", choices=("scale", "rate"), default="scale")
+    fit.add_argument("--weibull-form", choices=forms, default=forms[0])
 
     compare = sub.add_parser("compare", parents=[common], help="criteria comparison table")
     compare.add_argument("--data", required=True)
-    compare.add_argument("--families", default="bfw,fw,weibull")
+    compare.add_argument("--families", default=",".join(families))
     compare.add_argument("--starts", type=int, default=16)
     compare.add_argument("--tol", type=float, default=1e-6)
-    compare.add_argument("--weibull-form", choices=("scale", "rate"), default="scale")
+    compare.add_argument("--weibull-form", choices=forms, default=forms[0])
 
     sample = sub.add_parser("sample", parents=[common], help="draw random variates")
     sample.add_argument("--n", type=int, required=True)
@@ -90,10 +91,10 @@ def build_parser():
     sample.add_argument("--seed", type=int, required=True)
 
     ev = sub.add_parser("eval", parents=[common], help="distribution curves on a grid")
-    ev.add_argument("--family", choices=("bfw", "fw", "weibull"), default="bfw")
+    ev.add_argument("--family", choices=families, default=families[0])
     ev.add_argument("--params", required=True, help="comma-separated family parameters")
     ev.add_argument("--grid", required=True, help="lo:hi:count, strictly positive")
-    ev.add_argument("--weibull-form", choices=("scale", "rate"), default="scale")
+    ev.add_argument("--weibull-form", choices=forms, default=forms[0])
 
     km = sub.add_parser("km", parents=[common], help="empirical step curves")
     km.add_argument("--data", required=True)
@@ -138,16 +139,9 @@ def _run_fit(args):
         if covariance is not None
         else (None,) * family.parameter_count
     )
-    result_obj = {
-        "model": row.model,
-        "estimates": row.estimates,
-        "log_likelihood": row.log_likelihood,
-        "minus_two_ll": row.minus_two_ll,
-        "aic": row.aic,
-        "aicc": row.aicc,
-        "bic": row.bic,
-        "hqic": row.hqic,
-        "ks": row.ks,
+    result_obj = dataclasses.asdict(row)
+    del result_obj["error"]  # None: the fit returned
+    result_obj.update({
         "covariance": None if covariance is None else [[float(v) for v in r] for r in covariance],
         "condition_number": fit.condition_number,
         "ci": {
@@ -161,7 +155,7 @@ def _run_fit(args):
         "iterations": fit.iterations,
         "multistart_best_of": fit.multistart_best_of,
         "score": [float(g) for g in fit.score_at_optimum],
-    }
+    })
     return result_obj if args.format == "json" else _render_fit_csv(result_obj)
 
 
@@ -219,25 +213,17 @@ def _run_compare(args):
         return {"label": table.label, "n": table.n, "rows": rows}
     lines = ["model,parameters,log_likelihood,minus_two_ll,aic,aicc,bic,hqic,ks,error"]
     for row in table.rows:
-        params = (
-            ";".join(f"{k}={_fmt(v)}" for k, v in row.estimates.items())
-            if row.estimates
-            else ""
-        )
-        cells = [row.model, params]
-        for value in (
-            row.log_likelihood, row.minus_two_ll, row.aic, row.aicc, row.bic, row.hqic, row.ks,
-        ):
-            cells.append(_fmt(value))
-        cells.append(row.error or "")
-        lines.append(",".join(cells))
+        fields = dataclasses.asdict(row)  # the header's order
+        model, estimates, error = fields.pop("model"), fields.pop("estimates"), fields.pop("error")
+        params = ";".join(f"{k}={_fmt(v)}" for k, v in (estimates or {}).items())
+        lines.append(",".join([model, params, *map(_fmt, fields.values()), error or ""]))
     return "\n".join(lines) + "\n"
 
 
 def _run_sample(args):
     if args.n < 0:
         raise DomainError("--n must be non-negative")
-    values = _parse_params(args.params, 4, "bfw")
+    values = _parse_params(args.params, 4, model_selection.available_families()[0])  # bfw
     params = BFWParams(*values)
     draws = bfw_sample(args.n, params, args.seed).tolist()
     if args.format == "json":
@@ -357,13 +343,18 @@ def _emit(args, output):
 
 
 def _fail(args, code, exc):
+    """Report ``exc`` on stderr and, under ``--format json``, in the error
+    envelope on the output (``args`` None: on stderr only); returns ``code``."""
     sys.stderr.write(f"bfw: error: {exc}\n")
     if getattr(args, "format", "csv") == "json":
         envelope = {
             "meta": _meta(args),
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
-        _write(args, _json(envelope) + "\n")
+        try:
+            _write(args, _json(envelope) + "\n")
+        except OSError as write_exc:
+            _fail(None, code, write_exc)
     return code
 
 
@@ -375,7 +366,7 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         output = _COMMANDS[args.command](args)
-    except (DataFormatError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (DataFormatError, OSError) as exc:
         return _fail(args, EXIT_DATA, exc)
     except ConvergenceError as exc:
         return _fail(args, EXIT_CONVERGENCE, exc)
@@ -383,7 +374,10 @@ def main(argv=None):
         return _fail(args, EXIT_USAGE, exc)
     except _NUMERIC_ERRORS as exc:
         return _fail(args, EXIT_NUMERIC, exc)
-    _emit(args, output)
+    try:
+        _emit(args, output)
+    except OSError as exc:  # the output failed, so nothing more is written to it
+        return _fail(None, EXIT_DATA, exc)
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -61,26 +61,16 @@ class BFWParams:
     @cached_property
     def log_beta(self) -> float:
         """ln B(p, q) by scipy's ``betaln``, computed once per instance."""
-        return float(special._scipy().betaln(self.p, self.q))
+        return float(special._log_beta(self.p, self.q))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.alpha, self.beta, self.p, self.q])
 
 
 def bfw_cdf(x, params):
-    """I_{G(x)}(p, q) with G the flexible Weibull CDF: one ``betainc`` per
-    point below :data:`bfw.special._LARGE_FROM` points, the node-grid series
-    of :func:`bfw.special._beta_cdf` from there on.  Either way each value
-    depends on its own x and the parameters only; the series adds to
-    ``betainc``'s error only the rounding of its node factor."""
-    return _inc_beta(fw_cdf(x, params.base), params.p, params.q, params)
-
-
-def _inc_beta(y, a, b, params):
-    """I_y(a, b) with (a, b) = (p, q) or (q, p) of ``params``."""
-    if np.size(y) < special._LARGE_FROM:
-        return special.reg_inc_beta(y, a, b)
-    return special._beta_cdf(y, a, b, params.log_beta)
+    """I_{G(x)}(p, q) with G the flexible Weibull CDF, by
+    :func:`bfw.special._inc_beta`."""
+    return special._inc_beta(fw_cdf(x, params.base), params.p, params.q, params.log_beta)
 
 
 def bfw_log_pdf(x, params):
@@ -121,42 +111,39 @@ def bfw_survival(x, params):
     1 - bfw_cdf(x) by the reflection I_y(p, q) = 1 - I_{1-y}(q, p)
     (DLMF 8.17.4), so the right tail keeps its relative precision where
     1 - cdf would round to zero (at the published estimates, x = 25 gives
-    8.5773e-19, not 0).  Nonincreasing; 1 where x -> 0+.  Like
-    :func:`bfw_cdf`, one ``betainc`` per point below
-    :data:`bfw.special._LARGE_FROM` points and
-    :func:`bfw.special._beta_cdf` from there on."""
-    return _inc_beta(fw_sf(x, params.base), params.q, params.p, params)
+    8.5773e-19, not 0).  Nonincreasing; 1 where x -> 0+.  By
+    :func:`bfw.special._inc_beta`, like :func:`bfw_cdf`."""
+    return special._inc_beta(fw_sf(x, params.base), params.q, params.p, params.log_beta)
 
 
 def bfw_hazard(x, params):
     """Failure rate pdf/survival, the survival by reflection
     (:func:`bfw_survival`), so the hazard keeps its precision as far right
-    as the survival is a nonzero double.  Large batches take the survival
-    from :func:`bfw.special._beta_cdf`.
+    as the survival is a nonzero double.
 
     Raises :class:`SaturationError` once the survival underflows to zero,
     reporting the largest hazard still representable on the request.
     """
-    pdf = np.asarray(bfw_pdf(x, params))
-    sf = np.asarray(bfw_survival(x, params))
-    if np.any(sf <= 0.0):
-        p1, s1 = np.atleast_1d(pdf), np.atleast_1d(sf)
-        alive = s1 > 0.0
-        last = float(np.max(p1[alive] / s1[alive])) if np.any(alive) else None
-        raise SaturationError("survival underflowed to zero", last_value=last)
-    return _ret(pdf / sf)
+    return _saturating_ratio(bfw_pdf(x, params), bfw_survival(x, params),
+                             "survival underflowed to zero")
 
 
 def bfw_reversed_hazard(x, params):
     """Reversed failure rate pdf/cdf; saturates when the CDF underflows."""
-    pdf = np.asarray(bfw_pdf(x, params))
-    cdf = np.asarray(bfw_cdf(x, params))
-    if np.any(cdf <= 0.0):
-        p1, c1 = np.atleast_1d(pdf), np.atleast_1d(cdf)
-        seen = c1 > 0.0
-        last = float(np.max(p1[seen] / c1[seen])) if np.any(seen) else None
-        raise SaturationError("distribution function underflowed to zero", last_value=last)
-    return _ret(pdf / cdf)
+    return _saturating_ratio(bfw_pdf(x, params), bfw_cdf(x, params),
+                             "distribution function underflowed to zero")
+
+
+def _saturating_ratio(num, den, message):
+    """num/den; where some den is zero, :class:`SaturationError` with
+    ``message`` and the largest ratio over the others (or None) instead."""
+    num, den = np.asarray(num), np.asarray(den)
+    if np.any(den <= 0.0):
+        n1, d1 = np.atleast_1d(num), np.atleast_1d(den)
+        alive = d1 > 0.0
+        last = float(np.max(n1[alive] / d1[alive])) if np.any(alive) else None
+        raise SaturationError(message, last_value=last)
+    return _ret(num / den)
 
 
 def bfw_cumulative_hazard(x, params):
@@ -184,14 +171,10 @@ def bfw_quantile(u, params):
     """Inverse CDF: flexible Weibull quantile of the Beta(p, q) quantile y,
     at the exponent w = ln(-ln(1 - y)).
 
-    y comes from :func:`bfw.special._beta_quantile` at every batch size: it
-    solves each u > 1/2 for 1 - y directly, so that -ln(1 - y) keeps every
-    digit in the right tail, by ``betaincinv`` below
-    :data:`bfw.special._LARGE_FROM` points and by a bracketed Halley step on
-    :func:`bfw.special._beta_cdf` from there on, and by the series form of
-    the Beta cdf wherever y (or 1 - y) is small enough for it, where
-    ``betaincinv`` can be NaN or far off.  The value solved for, y or
-    1 - y, is kept in [5e-324, 1 - 2^-53].
+    y comes from :func:`bfw.special._beta_quantile`, which solves each
+    u > 1/2 for 1 - y directly, so that -ln(1 - y) keeps every digit in the
+    right tail.  The value solved for, y or 1 - y, is kept in
+    [5e-324, 1 - 2^-53].
     """
     ua = checked(u, "u", high=1.0)
     v, upper = special._beta_quantile(np.atleast_1d(ua), params.p, params.q, params.log_beta)
@@ -263,46 +246,49 @@ def _mode_terms(arr, params):
 
 _MODE_SUBDIVISIONS = 256  # sub-intervals per bracket and refinement round
 _MODE_FRACTIONS = np.linspace(0.0, 1.0, _MODE_SUBDIVISIONS + 1)[1:]
+# The scan grid of bfw_mode in units of sqrt(beta/alpha), the x where w = 0:
+# there w = sqrt(alpha beta) (t - 1/t) at x = t sqrt(beta/alpha), so the scan
+# follows the time unit, and the range is symmetric in t and 1/t.
+_MODE_GRID = np.geomspace(1e-5, 1e5, 401)
+_MODE_GRID.flags.writeable = False
 
 
-@lru_cache(maxsize=16)
-def _mode_grid(lo, hi, points):
-    """The read-only log-spaced scan grid of :func:`bfw_mode`, built once per
-    ``(lo, hi, points)``."""
-    xs = checked(np.geomspace(lo, hi, points), "x")
-    xs.flags.writeable = False
-    return xs
-
-
-def bfw_mode(params, bracket=(1e-6, 1e4), grid_points=400):
+def bfw_mode(params):
     """Locate the interior mode by bracketing the stationarity function
     on a log-spaced grid and refining every descending sign change.
 
-    The grid is built once per ``(bracket, grid_points)`` and kept.  Each
+    The grid is :data:`_MODE_GRID` times sqrt(beta/alpha), so the mode of
+    the model rescaled to another time unit is the same one rescaled.  Each
     refinement round evaluates the stationarity function on
     ``_MODE_SUBDIVISIONS`` equal sub-intervals of every bracket and keeps the
     first that still changes sign downward, until every bracket is one
     rounding step wide; among the roots the one of highest density wins.
     Raises :class:`NoInteriorModeError` when no sign change exists on the
-    grid (the density then peaks at a boundary of the bracket).
+    grid (the density then peaks outside it).
     """
-    xs = _mode_grid(float(bracket[0]), float(bracket[1]), int(grid_points))
+    xs = _MODE_GRID * (math.sqrt(params.beta) / math.sqrt(params.alpha))
     vals = _stationarity(xs, params)
     # descending sign changes; NaN compares false and never brackets a root
     starts = np.flatnonzero((vals[:-1] > 0) & (vals[1:] <= 0))
     if starts.size == 0:
         raise NoInteriorModeError(
-            f"no descending sign change of the mode equation on [{bracket[0]}, {bracket[1]}]"
+            f"no descending sign change of the mode equation on [{xs[0]:g}, {xs[-1]:g}]"
         )
     lo, hi = xs[starts].tolist(), xs[starts + 1].tolist()
+    f_lo, f_hi = vals[starts].tolist(), vals[starts + 1].tolist()
     # every bracket takes a round while any is still wide
     while any(b - a > 2.0 * math.ulp(b) for a, b in zip(lo, hi)):
         for i, (a, b) in enumerate(zip(lo, hi)):
             grid = a + (b - a) * _MODE_FRACTIONS
             grid[-1] = b  # keep the upper end exact
             # mode_equation(a) > 0 >= mode_equation(b) holds for every bracket
-            first = int(np.argmax(_mode_terms(grid, params)[2] <= 0))
-            lo[i], hi[i] = (grid[first - 1] if first > 0 else a), grid[first]
-    roots = 0.5 * (np.array(lo) + np.array(hi))
+            f = _mode_terms(grid, params)[2]
+            first = int(np.argmax(f <= 0))
+            if first:
+                lo[i], f_lo[i] = grid[first - 1], f[first - 1]
+            hi[i], f_hi[i] = grid[first], f[first]
+    # each root is the end of its bracket nearer the zero of the line through
+    # both ends: the upper one where the equation is zero there, the lower on a tie
+    roots = np.where(-np.array(f_hi) < np.array(f_lo), hi, lo)
     best = np.argmax(_log_pdf(roots, params)) if roots.size > 1 else 0
     return float(roots[best])

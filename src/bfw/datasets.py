@@ -27,12 +27,16 @@ def ingest(source):
 
     Files may hold one or many whitespace- or comma-separated values per
     line.  A non-numeric or non-positive token raises
-    :class:`DataFormatError` carrying its 1-based line and column.
+    :class:`DataFormatError` carrying its 1-based line and column, and so
+    does a file that is not text in the locale's encoding, without them.
     """
     if str(source) == "pumps":
         return Dataset(times=np.array(PUMPS), label="pumps")
     path = Path(source)
-    text = path.read_text()
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not a text file ({exc})") from None
     values = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         for match in _TOKEN.finditer(line):

@@ -18,7 +18,7 @@ class SaturationError(ArithmeticError):
 
 
 class NoInteriorModeError(RuntimeError):
-    """The density has no stationary point inside the search bracket."""
+    """The density has no stationary point on the scan grid."""
 
 
 class QuadratureAccuracyError(ArithmeticError):

@@ -115,7 +115,6 @@ PARAM_NAMES = ("alpha", "beta", "p", "q")
 
 _rowsum = functools.partial(np.add.reduce, axis=-1)  # np.sum over the last axis
 _LOWER = np.tril_indices(4, -1)
-_GAP_RATIO = 64.0  # shape ratio from which the psi gaps are integrated
 
 
 @dataclass(frozen=True)
@@ -291,34 +290,6 @@ def _sum_products(sums, tmp, products):
         _rowsum(op(a, b, tmp), out=sums[name])
 
 
-def _shape_terms(shapes, order):
-    """The shape terms of the score (order >= 1) and information (order 2)
-    at rows ``shapes`` = (p, q), a (2, m) array: the digamma gaps
-    psi(p+q) - (psi(p), psi(q)), stacked like ``shapes``, and for order 2
-    the trigamma psi'(p+q) and the trigamma gaps (psi'(p), psi'(q)) -
-    psi'(p+q).  Between shapes more than ``_GAP_RATIO`` times apart, where a
-    direct difference would lose some (b/s) max(1, ln b) ulps of psi(b),
-    the gaps at the larger shape b come from
-    :func:`bfw.special.polygamma_gaps`, which does not cancel.  Returns
-    (gaps, trigamma, trigamma gaps), None for parts above ``order``.
-    Callers hold ``np.errstate(all="ignore")``."""
-    sp = special._scipy()
-    total = shapes[0] + shapes[1]
-    gaps = sp.psi(total) - sp.psi(shapes)
-    tri_s = tri_gaps = None
-    if order == 2:
-        tri_s = sp.zeta(2.0, total)  # polygamma(1, s) = zeta(2, s), bit for bit
-        tri_gaps = sp.zeta(2.0, shapes) - tri_s
-    other = shapes[::-1]
-    far = other * _GAP_RATIO < shapes
-    if far.any():
-        d_psi, d_tri = special.polygamma_gaps(shapes[far], other[far])
-        gaps[far] = d_psi
-        if order == 2:
-            tri_gaps[far] = d_tri
-    return gaps, tri_s, tri_gaps
-
-
 def _bfw_assemble(sums, p, q, order):
     """Log-likelihood, score (order >= 1) and information (order 2) of each
     row at shapes (p, q) from its :func:`_bfw_sums` of at least that order:
@@ -326,7 +297,7 @@ def _bfw_assemble(sums, p, q, order):
     n = sums["n"]
     with np.errstate(all="ignore"):
         ll = (
-            -n * special._scipy().betaln(p, q)
+            -n * special._log_beta(p, q)
             + sums["amp"]
             + sums["w"]
             - q * sums["ew"]
@@ -336,7 +307,7 @@ def _bfw_assemble(sums, p, q, order):
         ll = np.where(np.isfinite(ll), ll, -np.inf)
         if order == 0:
             return ll, None, None
-        gaps, tri_s, tri_gaps = _shape_terms(np.array([p, q]), order)
+        gaps, tri_s, tri_gaps = special._log_beta_derivatives(np.array([p, q]), order)
         grad = np.empty((ll.size, 4))
         info = np.empty((ll.size, 4, 4)) if order == 2 else None
         _rate_terms(sums, q, p - 1.0, grad, info)
@@ -421,7 +392,7 @@ def _profile_shapes(n, t, shapes):
         gap = 1.0 - (g[0] + g[1])
         a = np.where(gap > 0.0, t / -n, np.nan)  # no candidate where no maximum exists
         cand = np.array([shapes, 1.0 / (a + np.sqrt(a[0] * a[1])), 0.5 + (0.5 / gap) * g])
-        phi = np.add.reduce(cand * t, axis=1) - n * special._scipy().betaln(cand[:, 0], cand[:, 1])
+        phi = np.add.reduce(cand * t, axis=1) - n * special._log_beta(cand[:, 0], cand[:, 1])
         best = np.where(phi == phi, phi, -np.inf).argmax(axis=0)
         if best.any():
             shapes = cand[best, :, np.arange(best.size)].T
@@ -449,7 +420,7 @@ def _walk_terms(sums, theta, x_max):
     walk = np.empty((p.size, 5))
     with np.errstate(all="ignore"):
         q_ew = q * sums["ew"]
-        walk[:, 0] = _EPS * (n * np.abs(special._scipy().betaln(p, q)) + np.abs(sums["amp"])
+        walk[:, 0] = _EPS * (n * np.abs(special._log_beta(p, q)) + np.abs(sums["amp"])
                              + np.abs(sums["w"]) + q_ew + np.abs((p - 1.0) * sums["ln_f"]))
         walk[:, 1] = np.log(q_ew / n)
         walk[:, 2] = np.log(sums["ln_f"] / -n)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,6 +47,7 @@ __all__ = [
     "kaplan_meier",
     "get_family",
     "available_families",
+    "WEIBULL_FORMS",
     "fit_model",
     "comparison_row",
     "compare_models",
@@ -143,33 +145,33 @@ def kaplan_meier(data):
 # model families
 
 
-def _identity(theta, covariance=None):
-    return theta, covariance
-
-
 @dataclass(frozen=True)
 class ModelFamily:
     """A fittable family over its natural parameter array ``theta``.
 
-    ``fit(data)`` returns the :class:`~bfw.inference.FitResult` of the driver
-    in :mod:`bfw.inference`, with ``estimates`` as the natural parameter
-    array.  ``cdf(x, theta)`` and ``log_pdf(x, theta)`` evaluate the
-    distribution.  ``output(theta, covariance=None)`` maps theta, and a
-    covariance of theta when given, to the reported parameters
-    ``param_names``; ``natural`` is its inverse.
+    ``fit(data)`` returns the :class:`~bfw.inference.FitResult` of a driver
+    of :mod:`bfw.inference`, ``fitter(data, config=config)``, with
+    ``estimates`` as the natural parameter array.  ``cdf(x, theta)`` and
+    ``log_pdf(x, theta)`` evaluate the distribution.  ``output(theta,
+    covariance=None)`` maps theta, and a covariance of theta when given, to
+    the reported parameters ``param_names``; ``natural`` is its inverse.
     """
 
     name: str
     param_names: tuple[str, ...]
-    fit: Callable
+    fitter: Callable
     cdf: Callable
     log_pdf: Callable
-    output: Callable = _identity
+    output: Callable = lambda theta, covariance=None: (theta, covariance)
     natural: Callable = lambda values: values
+    config: Optional[inference.OptimizerConfig] = None
 
     @property
     def parameter_count(self) -> int:
         return len(self.param_names)
+
+    def fit(self, data):
+        return self.fitter(data, config=self.config)
 
     def parameters(self, values):
         """Natural parameters from reported ones, which must all be finite
@@ -293,60 +295,55 @@ def _weibull_rate_natural(values):
     return np.array([shape, rate ** (-1.0 / shape)])
 
 
-def _fitter(likelihood, config):
-    return lambda data: inference.fit_family(data, likelihood, config)
-
-
-def get_family(name, weibull_parameterization="scale", optimizer_config=None):
-    """Family registry: 'bfw', 'fw', or 'weibull'.
-
-    ``optimizer_config`` applies to every family; its start count concerns
-    the four-parameter model only, the two-parameter families start from
-    four fixed points.
-    """
-    key = name.lower()
-    if key == "bfw":
-        return ModelFamily(
-            name="bfw",
-            param_names=inference.PARAM_NAMES,
-            # fit_mle is fit_family on inference.BFW plus the five-observation check
-            fit=lambda data: _natural_estimates(inference.fit_mle(data, optimizer_config)),
-            cdf=lambda x, theta: bfw_cdf(x, BFWParams(*theta)),
-            log_pdf=lambda x, theta: bfw_log_pdf(x, BFWParams(*theta)),
-        )
-    if key == "fw":
-        return ModelFamily(
-            name="fw",
-            param_names=_FW.names,
-            fit=_fitter(_FW, optimizer_config),
-            cdf=lambda x, theta: fw_cdf(x, FWParams(*theta)),
-            log_pdf=lambda x, theta: fw_log_pdf(x, FWParams(*theta)),
-        )
-    if key == "weibull":
-        if weibull_parameterization == "scale":
-            maps = dict(param_names=_WEIBULL.names)
-        elif weibull_parameterization == "rate":
-            maps = dict(param_names=("rate", "shape"), output=_weibull_rate_output,
-                        natural=_weibull_rate_natural)
-        else:
-            raise DomainError("weibull parameterization must be 'scale' or 'rate'")
-        return ModelFamily(
-            name="weibull",
-            fit=_fitter(_WEIBULL, optimizer_config),
-            cdf=_weibull_cdf,
-            log_pdf=_weibull_log_pdf,
-            **maps,
-        )
-    raise DomainError(f"unknown model family {name!r}")
-
-
-def _natural_estimates(fit):
-    """A :func:`~bfw.inference.fit_mle` result with its estimates as an array."""
+def _fit_bfw(data, config):
+    """:func:`bfw.inference.fit_mle`, its estimates as an array."""
+    fit = inference.fit_mle(data, config)
     return replace(fit, estimates=fit.estimates.as_array())
 
 
+# Every family once, the first the default, and the Weibull's reported
+# parameters by form, the first the default.  The bfw and fw rows look their
+# kernels up at the call, where perfbench/tracing.py patches them.
+_WEIBULL_SCALE = ModelFamily("weibull", _WEIBULL.names,
+                             partial(inference.fit_family, likelihood=_WEIBULL),
+                             cdf=_weibull_cdf, log_pdf=_weibull_log_pdf)
+_FAMILIES = {family.name: family for family in (
+    ModelFamily("bfw", inference.PARAM_NAMES, _fit_bfw,
+                cdf=lambda x, theta: bfw_cdf(x, BFWParams(*theta)),
+                log_pdf=lambda x, theta: bfw_log_pdf(x, BFWParams(*theta))),
+    ModelFamily("fw", _FW.names, partial(inference.fit_family, likelihood=_FW),
+                cdf=lambda x, theta: fw_cdf(x, FWParams(*theta)),
+                log_pdf=lambda x, theta: fw_log_pdf(x, FWParams(*theta))),
+    _WEIBULL_SCALE,
+)}
+_WEIBULL_FORMS = {
+    "scale": _WEIBULL_SCALE,
+    "rate": replace(_WEIBULL_SCALE, param_names=("rate", "shape"), output=_weibull_rate_output,
+                    natural=_weibull_rate_natural),
+}
+WEIBULL_FORMS = tuple(_WEIBULL_FORMS)
+
+
+def get_family(name, weibull_parameterization=WEIBULL_FORMS[0], optimizer_config=None):
+    """The family of :func:`available_families` named ``name`` (in any case),
+    the Weibull in its form ``weibull_parameterization`` of
+    :data:`WEIBULL_FORMS`.  ``optimizer_config`` applies to every family; its
+    start count concerns the four-parameter model only, the two-parameter
+    families start from four fixed points.
+    """
+    family = _FAMILIES.get(name.lower())
+    if family is None:
+        raise DomainError(f"unknown model family {name!r}")
+    if family is _WEIBULL_SCALE:
+        family = _WEIBULL_FORMS.get(weibull_parameterization)
+        if family is None:
+            forms = " or ".join(map(repr, WEIBULL_FORMS))
+            raise DomainError(f"weibull parameterization must be {forms}")
+    return replace(family, config=optimizer_config)
+
+
 def available_families():
-    return ("bfw", "fw", "weibull")
+    return tuple(_FAMILIES)
 
 
 @dataclass(frozen=True)

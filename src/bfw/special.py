@@ -1,4 +1,5 @@
-"""Special-function kernel used by every other module.
+"""Special-function kernel used by every other module, and the one module
+that reaches ``scipy.special``.
 
 Mostly thin wrappers over the scipy implementations, each input validated
 by :func:`bfw._stable.checked`.  Three kernels do more, the last two private
@@ -80,7 +81,12 @@ def log_beta(p, q):
     """ln B(p, q) for p, q > 0, by ``betaln``, which does not cancel where
     one shape swamps the other as ln Gamma(p) + ln Gamma(q) - ln Gamma(p + q)
     does (at p ~ 2.5e-5, q ~ 2e32 that difference loses every digit)."""
-    return _ret(_scipy().betaln(checked(p, "p"), checked(q, "q")))
+    return _ret(_log_beta(checked(p, "p"), checked(q, "q")))
+
+
+def _log_beta(p, q):
+    """:func:`log_beta` unchecked, for shapes such as the fitter's trial rows."""
+    return _scipy().betaln(p, q)
 
 
 # three-point Gauss-Legendre nodes and weights on [0, 1]
@@ -128,6 +134,37 @@ def polygamma_gaps(b, s):
     return d_psi, d_tri
 
 
+_GAP_RATIO = 64.0  # shape ratio from which the psi gaps are integrated
+
+
+def _log_beta_derivatives(shapes, order):
+    """The derivatives of -ln B(p, q) at rows ``shapes`` = (p, q), a (2, m)
+    array, for the score (order >= 1) and information (order 2) of a Beta
+    likelihood: the digamma gaps psi(p+q) - (psi(p), psi(q)), stacked like
+    ``shapes``, and for order 2 the trigamma psi'(p+q) and the trigamma gaps
+    (psi'(p), psi'(q)) - psi'(p+q).  Between shapes more than
+    :data:`_GAP_RATIO` times apart, where a direct difference would lose
+    some (b/s) max(1, ln b) ulps of psi(b), the gaps at the larger shape b
+    come from :func:`polygamma_gaps`, which does not cancel.  Returns
+    (gaps, trigamma, trigamma gaps), None for parts above ``order``.
+    Callers hold ``np.errstate(all="ignore")``."""
+    sp = _scipy()
+    total = shapes[0] + shapes[1]
+    gaps = sp.psi(total) - sp.psi(shapes)
+    tri_s = tri_gaps = None
+    if order == 2:
+        tri_s = sp.zeta(2.0, total)  # polygamma(1, s) = zeta(2, s), bit for bit
+        tri_gaps = sp.zeta(2.0, shapes) - tri_s
+    other = shapes[::-1]
+    far = other * _GAP_RATIO < shapes
+    if far.any():
+        d_psi, d_tri = polygamma_gaps(shapes[far], other[far])
+        gaps[far] = d_psi
+        if order == 2:
+            tri_gaps[far] = d_tri
+    return gaps, tri_s, tri_gaps
+
+
 def reg_inc_beta(y, p, q):
     """Regularized incomplete beta I_y(p, q), the Beta(p, q) CDF at y."""
     ya = checked(y, "y", high=1.0, closed=True)
@@ -152,6 +189,16 @@ def inv_reg_inc_beta(u, p, q):
 # (0.52 against 0.75 ms at 1024), while the cdf kernel costs 0.09 ms more
 # than betainc's closed form at 1024 points and breaks even near 2500.
 _LARGE_FROM = 1024
+
+
+def _inc_beta(y, a, b, log_beta):
+    """I_y(a, b) with ``log_beta`` = ln B(a, b): :func:`reg_inc_beta` below
+    :data:`_LARGE_FROM` points, :func:`_beta_cdf` from there on.  Either way
+    each value depends on its own y and the shapes only; the series adds to
+    ``betainc``'s error only the rounding of its node factor."""
+    if np.size(y) < _LARGE_FROM:
+        return reg_inc_beta(y, a, b)
+    return _beta_cdf(y, a, b, log_beta)
 
 # The bracketed Beta quantile (:func:`_beta_quantile`).  Node probabilities
 # lie on the logit grid -k * _NODE_STEP, k = 0, 1, ...; at this step the

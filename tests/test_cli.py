@@ -419,6 +419,41 @@ class TestExitCodes:
                 "error": {"type": "DomainError", "message": "confidence level must lie in (0, 1)"},
             }
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_undecodable_data_is_a_data_error(self, capsys, tmp_path, fmt):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("1.5 2.5 \u00e9\n".encode("latin-1"))
+        code, out, err = run_cli(capsys, "fit", "--family", "weibull", "--data", str(path),
+                                 "--format", fmt)
+        assert code == 3
+        assert err.startswith(f"bfw: error: {path}: not a text file (") and err.count("\n") == 1
+        if fmt == "csv":
+            assert out == ""
+        else:
+            payload = json.loads(out)
+            jsonschema.validate(payload, SCHEMA)
+            assert payload["error"]["type"] == "DataFormatError"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unwritable_output_is_a_data_error(self, capsys, tmp_path, fmt):
+        target = tmp_path / "no" / "such" / "x.csv"
+        code, out, err = run_cli(capsys, "km", "--data", "pumps", "--output", str(target),
+                                 "--format", fmt)
+        assert code == 3
+        assert out == ""  # nothing goes to stdout in place of the output that failed
+        assert err == f"bfw: error: [Errno 2] No such file or directory: '{target}'\n"
+        assert not target.parent.exists()
+
+    def test_error_envelope_to_an_unwritable_output(self, capsys, tmp_path):
+        # the data error is reported, then the output that could not take its envelope
+        target = tmp_path / "no" / "x.json"
+        code, out, err = run_cli(capsys, "km", "--data", str(tmp_path / "missing.txt"),
+                                 "--output", str(target), "--format", "json")
+        assert code == 3
+        assert out == ""
+        assert err.count("bfw: error: [Errno 2] No such file or directory: ") == 2
+        assert str(target) in err.splitlines()[1]
+
     def test_numeric_failure_is_exit_5(self, capsys):
         # far beyond the right tail the survival underflows to zero
         code, out, err = run_cli(capsys, "eval", "--family", "bfw",

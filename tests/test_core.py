@@ -786,18 +786,34 @@ class TestMode:
         assert changes == 1
 
     def test_no_interior_mode_error(self):
-        # within [1, 2] the density of this configuration has no stationary point
-        params = BFWParams(0.5, 0.5, 1.0, 1.0)
-        with pytest.raises(NoInteriorModeError):
-            bfw_mode(params, bracket=(5.0, 10.0), grid_points=50)
+        # with sqrt(alpha beta) = 1e-8 the density peaks where q e^w ~ 1, at
+        # w ~ -18, that is x ~ 5e-10 sqrt(beta/alpha): below the scan grid
+        params = BFWParams(1e-8, 1e-8, 1.0, 1e8)
+        with pytest.raises(NoInteriorModeError, match=r"on \[1e-05, 100000\]"):
+            bfw_mode(params)
+
+    @pytest.mark.parametrize("c", [1e-3, 1e3, 3.6e6])
+    def test_mode_follows_the_time_unit(self, c):
+        # c X is BFW(alpha/c, beta c, p, q); 3.6e6 turns thousands of hours into seconds
+        base = bfw_mode(BFWParams(*PUBLISHED))
+        scaled = bfw_mode(BFWParams(PUBLISHED[0] / c, PUBLISHED[1] * c, *PUBLISHED[2:])) / c
+        assert abs(scaled - base) <= 2 * math.ulp(base)
+
+    def test_scan_grid_is_read_only(self):
+        from bfw.core import _MODE_GRID
+
+        with pytest.raises(ValueError):
+            _MODE_GRID[0] = 1.0
 
 
-# Values recorded as hex before ln B(p, q) was cached on the parameters and
-# the mode's scan grid was kept between calls; neither may move them by a bit.
-# The hazards were re-recorded when the survival became I_{S_G}(q, p): each
-# new value is at least as close to 50-digit mpmath as the old pdf/(1 - cdf)
-# (at x = 12 on the published point 1.5e-14 against 4.6e-13, at x = 4 on the
-# second 5.8e-16 against 1.3e-12).
+# Values recorded as hex before ln B(p, q) was cached on the parameters; that
+# may not move them by a bit.  The hazards were re-recorded when the survival
+# became I_{S_G}(q, p): each new value is at least as close to 50-digit mpmath
+# as the old pdf/(1 - cdf) (at x = 12 on the published point 1.5e-14 against
+# 4.6e-13, at x = 4 on the second 5.8e-16 against 1.3e-12).  The mode at
+# (0.5, 0.5, 2, 2) moved up one ulp when bfw_mode began to return the end of
+# its last bracket nearer the root, not the midpoint: from 1.29 to 0.29 ulp
+# below the 60-digit root (test_mode_against_mpmath).
 PIN_POINTS = {PUBLISHED: [0.5, 2.0, 6.0, 12.0], (0.5, 0.5, 2.0, 2.0): [0.1, 0.7, 1.5, 4.0]}
 PINNED = {
     (PUBLISHED, "bfw_log_pdf"): ["-0x1.1e015765c3470p+0", "-0x1.1049a3f1b0880p+1",
@@ -813,10 +829,7 @@ PINNED = {
     ((0.5, 0.5, 2.0, 2.0), "bfw_hazard"): ["0x1.e97fcc5b9bf84p-7", "0x1.95e669220478ap+0",
                                            "0x1.006f01f467fc4p+1", "0x1.bb32a635dba8fp+2"],
 }
-PINNED_MODES = {  # default bracket, (1e-3, 1e3) on 97 points, np.array([1e-4, 50.0])
-    PUBLISHED: ("0x1.854923c1285ddp-4", "0x1.854923c1285dep-4", "0x1.854923c1285dep-4"),
-    (0.5, 0.5, 2.0, 2.0): ("0x1.8d5e960cd3e85p-2", "0x1.8d5e960cd3e86p-2", "0x1.8d5e960cd3e86p-2"),
-}
+PINNED_MODES = {PUBLISHED: "0x1.854923c1285ddp-4", (0.5, 0.5, 2.0, 2.0): "0x1.8d5e960cd3e86p-2"}
 KERNELS = {"bfw_log_pdf": bfw_log_pdf, "bfw_pdf": bfw_pdf, "bfw_hazard": bfw_hazard}
 
 
@@ -830,20 +843,23 @@ class TestBitPins:
 
     @pytest.mark.parametrize("theta", sorted(PINNED_MODES))
     def test_mode(self, theta):
-        params = BFWParams(*theta)
-        default, custom, ndarray = (float.fromhex(h) for h in PINNED_MODES[theta])
-        for _ in range(2):  # the second call reads the kept grid
-            assert bfw_mode(params) == default
-            assert bfw_mode(params, bracket=(1e-3, 1e3), grid_points=97) == custom
-            assert bfw_mode(params, bracket=np.array([1e-4, 50.0])) == ndarray
+        assert bfw_mode(BFWParams(*theta)) == float.fromhex(PINNED_MODES[theta])
 
-    def test_kept_grid_is_read_only(self):
-        from bfw.core import _mode_grid
+    @pytest.mark.parametrize("theta", sorted(PINNED_MODES))
+    def test_mode_against_mpmath(self, theta):
+        # the 60-digit root of the mode equation; at the published point
+        # 0.09504045454607231475...
+        with mpmath.workdps(60):
+            a, b, p, q = (mpmath.mpf(v) for v in theta)
 
-        grid = _mode_grid(1e-6, 1e4, 400)
-        assert _mode_grid(1e-6, 1e4, 400) is grid
-        with pytest.raises(ValueError):
-            grid[0] = 1.0
+            def equation(x):
+                ew = mpmath.exp(a * x - b / x)
+                return -2 * b / x**3 + (a + b / x**2) ** 2 * (
+                    1 - q * ew + (p - 1) * ew / mpmath.expm1(ew))
+
+            pin = float.fromhex(PINNED_MODES[theta])
+            root = mpmath.findroot(equation, mpmath.mpf(pin))
+            assert abs(pin - root) <= math.ulp(pin)
 
     def test_cached_normalizer_is_betaln(self):
         from scipy.special import betaln

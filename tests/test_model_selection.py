@@ -1,4 +1,7 @@
+import argparse
+import ast
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -413,3 +416,50 @@ def test_every_exported_name_resolves():
     missing = [f"{module.__name__}.{name}" for module in modules
                for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+class TestFamilyTable:
+    """The family table in ``model_selection`` is the one place that names the
+    families and the Weibull forms; the CLI offers what it holds."""
+
+    @staticmethod
+    def literals(value):
+        # string constants equal to ``value`` in the package, aside from the
+        # CLI's program name (``prog="bfw"``) and parameter names (the Weibull's
+        # ``scale`` and ``rate`` name a form and a parameter)
+        found = []
+        for path in sorted((Path(__file__).parent.parent / "src" / "bfw").glob("*.py")):
+            tree = ast.parse(path.read_text())
+            aside = {id(node) for k in ast.walk(tree)
+                     if isinstance(k, ast.keyword) and k.arg in ("prog", "names", "param_names")
+                     for node in ast.walk(k.value)}
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Constant) and node.value == value
+                      and id(node) not in aside]
+        return found
+
+    @pytest.mark.parametrize("name", [*model_selection.available_families(),
+                                      *model_selection.WEIBULL_FORMS])
+    def test_each_name_is_written_once(self, name):
+        assert len(self.literals(name)) == 1, self.literals(name)
+
+    def test_cli_offers_the_table(self):
+        from bfw.cli import build_parser
+
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for command in ("fit", "eval"):
+            options = {a.dest: a for a in subparsers.choices[command]._actions}
+            assert tuple(options["family"].choices) == model_selection.available_families()
+            assert options["family"].default == "bfw"
+            assert tuple(options["weibull_form"].choices) == model_selection.WEIBULL_FORMS
+        compare = parser.parse_args(["compare", "--data", "pumps"])
+        assert compare.families == "bfw,fw,weibull"
+        assert compare.weibull_form == "scale"
+
+    def test_config_reaches_the_fit(self, pumps):
+        config = inference.OptimizerConfig(starts=2)
+        family = get_family("bfw", optimizer_config=config)
+        assert family.config is config
+        assert family.fit(pumps).multistart_best_of == 2
+        assert get_family("bfw").config is None

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -284,3 +286,30 @@ class TestPolygammaGaps:
             for i in range(size):
                 alone = special.polygamma_gaps(b[i : i + 1], s[i : i + 1])
                 assert (d_psi[i], d_tri[i]) == (alone[0][0], alone[1][0])
+
+
+class TestOneOwner:
+    """``special`` is the one module that reaches ``scipy.special``, and the
+    one that chooses between a batch's incomplete-beta paths."""
+
+    SOURCES = sorted((Path(__file__).parent.parent / "src" / "bfw").glob("*.py"))
+
+    def test_scipy_is_reached_only_from_special(self):
+        callers = set()
+        for path in self.SOURCES:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                    if name == "_scipy":
+                        callers.add(path.name)
+        assert callers == {"special.py"}
+
+    def test_core_keeps_no_batch_size_rule(self):
+        from bfw import core
+
+        assert not hasattr(core, "_inc_beta")
+        assert "_LARGE_FROM" not in {
+            node.attr for node in ast.walk(ast.parse(Path(core.__file__).read_text()))
+            if isinstance(node, ast.Attribute)
+        }
