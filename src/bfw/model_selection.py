@@ -149,7 +149,7 @@ def kaplan_meier(data):
 class ModelFamily:
     """A fittable family over its natural parameter array ``theta``.
 
-    ``fit(data)`` returns the :class:`~bfw.inference.FitResult` of a driver
+    ``fit(data)`` returns the :class:`~bfw.inference.FitResult` of a fitter
     of :mod:`bfw.inference`, ``fitter(data, config=config)``, with
     ``estimates`` as the natural parameter array.  ``cdf(x, theta)`` and
     ``log_pdf(x, theta)`` evaluate the distribution.  ``output(theta,
