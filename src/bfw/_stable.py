@@ -8,8 +8,10 @@ parameter containers call it, so a value outside its range raises the same
 checked values on and do not validate again.
 
 The kernels accept scalars or arrays and never raise on extreme inputs;
-they return the correct IEEE limit instead.  :func:`fw_tail_terms` is the
-one place where the flexible-Weibull tail terms -- ln F, the ratio
+they return the correct IEEE limit instead.  Every caller forms e^w as the
+plain ``np.exp(w)``, exact wherever it is a double and inf past w ~ 709.78,
+where each function returns its limit.  :func:`fw_tail_terms` is the one
+place where the flexible-Weibull tail terms -- ln F, the ratio
 e^w/(e^{e^w} - 1) and its curvature -- are formed, for the log-density, the
 mode equation and the likelihood kernel alike.  :func:`tiny_x` and
 :func:`log_amplitude` carry the densities down to the smallest double, where
@@ -24,9 +26,6 @@ import math
 import numpy as np
 
 from .errors import DomainError
-
-# exp(w) overflows just above 709; exp(exp(w)) already at w ~ 6.57.
-W_CLAMP = 700.0
 
 _LN2 = float(np.log(2.0))
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
@@ -77,12 +76,6 @@ def checked_fields(obj):
         object.__setattr__(obj, name, checked(float(getattr(obj, name)), name))
 
 
-def clamped_exp(w, out=None):
-    """exp(min(w, W_CLAMP)); keeps products like q*e^w representable.
-    Written into ``out`` when given."""
-    return np.exp(np.minimum(w, W_CLAMP, out=out), out)
-
-
 def tiny_x(x, beta):
     """Whether some element of ``x``, as :func:`checked` returns it, lies
     where x^2 is subnormal or beta/x^2 overflows: below ~1.5e-154 for beta
@@ -121,7 +114,7 @@ def tiny_mask(x, beta):
 
 def fw_tail_terms(w, ew, log_cdf=True, ratio=False, curvature=False, out=None):
     """The flexible-Weibull tail terms of exponent ``w``, ``ew`` being
-    ``clamped_exp(w)``, all derived from one survival S = e^{-e^w} and one
+    ``np.exp(w)``, all derived from one survival S = e^{-e^w} and one
     cdf F = 1 - S = -expm1(-e^w) per element:
 
     - ln F: ln F below e^w = ln 2 and ln(1 - S) above it, each form used
@@ -135,7 +128,8 @@ def fw_tail_terms(w, ew, log_cdf=True, ratio=False, curvature=False, out=None):
     Asked for the ratio alone, it forms e^w / expm1(e^w) and neither S nor
     F, one transcendental per element.  Limits: where e^w is subnormal or
     zero, ln F is w and the ratio 1; where S is subnormal or zero, the ratio
-    is e^w e^{700 - e^w} e^{-700} with the subtraction exact.  A limit is
+    is e^w e^{700 - e^w} e^{-700} with the subtraction exact; where e^w
+    overflows to inf, ln F, the ratio and the curvature are 0.  A limit is
     patched only when an element needs it, and every element gets the value
     it would get alone, so rows of a batch stay independent.
 
@@ -168,12 +162,17 @@ def fw_tail_terms(w, ew, log_cdf=True, ratio=False, curvature=False, out=None):
             if any_tiny:
                 np.putmask(r, np.less(ew, _TINY, mask), 1.0)
             deep = np.greater(ew, _DEEP, mask)
+            overflow = False
             if deep.any():
                 u = ew[deep]
-                r[deep] = u * np.exp(_SHIFT - u) * _EXP_NEG_SHIFT
+                overflow = u.max() == np.inf
+                # e^w = inf takes the limit 0, as the largest double does
+                r[deep] = np.minimum(u, _HUGE) * np.exp(_SHIFT - u) * _EXP_NEG_SHIFT
         if curvature:
             curv = np.subtract(np.subtract(1.0, ew, curv), s, curv)
             curv = np.divide(np.multiply(r, curv, curv), f, curv)
+            if overflow:  # 0 (1 - e^w) is NaN where e^w = inf; the limit is 0
+                np.putmask(curv, np.equal(ew, np.inf, mask), 0.0)
             small = np.less(ew, _SERIES_BELOW, mask)
             if small.any():
                 u = ew[small]

@@ -8,8 +8,9 @@ JSON, so a text round-trip reproduces the exact double; in JSON, NaN and
 +/-inf are written as ``null``.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 convergence failure,
-5 numeric failure.  An output that cannot be written, stdout included, is a
-data error.
+5 numeric failure.  An output that cannot be written, stdout included and
+help text too, is a data error.  A stderr that cannot be written is passed
+over: the exit code stays the command's.
 
 :func:`main` is the embedding API: it returns the exit code and never ends
 the process.  :func:`run` is the process entry point of the ``bfw`` script
@@ -68,8 +69,25 @@ def _fmt(value):
     return format(float(value), ".17g")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that writes through the CLI's writers: help text
+    to stdout by :func:`_write`, so that an unwritable stdout is a data
+    error, and usage errors to stderr by :func:`_say`.  Its subparsers are
+    of the same class."""
+
+    def _print_message(self, message, file=None):
+        if not message:
+            return
+        if file is None or file is sys.stderr:
+            _say(message)
+        elif file is sys.stdout:
+            _write("-", message)
+        else:
+            file.write(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bfw",
         description="Beta flexible Weibull lifetime model: fitting, comparison, "
         "sampling and curve evaluation.",
@@ -339,33 +357,44 @@ def _json(obj, pad="\n"):
     return "null" if text in _NON_FINITE else text
 
 
-def _write(args, text):
-    if args.output == "-":
+def _write(output, text):
+    """Write ``text`` to the path ``output``, '-' for stdout; an ``OSError``
+    propagates."""
+    if output == "-":
         sys.stdout.write(text)
         sys.stdout.flush()  # a buffered stdout fails here, inside main's OSError handling
     else:
-        with open(args.output, "w", newline="\n") as handle:
+        with open(output, "w", newline="\n") as handle:
             handle.write(text)
+
+
+def _say(text):
+    """Write ``text`` to stderr, passing over a stderr that cannot be
+    written, so that the exit code stays the command's."""
+    try:
+        sys.stderr.write(text)
+    except (AttributeError, OSError):  # None when the process started with fd 2 closed
+        pass
 
 
 def _emit(args, output):
     """Write a command's output: its CSV text, or its result in the JSON envelope."""
     if args.format == "json":
         output = _json({"meta": _meta(args), "result": output}) + "\n"
-    _write(args, output)
+    _write(args.output, output)
 
 
 def _fail(args, code, exc):
     """Report ``exc`` on stderr and, under ``--format json``, in the error
     envelope on the output (``args`` None: on stderr only); returns ``code``."""
-    sys.stderr.write(f"bfw: error: {exc}\n")
+    _say(f"bfw: error: {exc}\n")
     if getattr(args, "format", "csv") == "json":
         envelope = {
             "meta": _meta(args),
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
         try:
-            _write(args, _json(envelope) + "\n")
+            _write(args.output, _json(envelope) + "\n")
         except OSError as write_exc:
             _fail(None, code, write_exc)
     return code
@@ -377,6 +406,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    except OSError as exc:  # help text that cannot be written
+        return _fail(None, EXIT_DATA, exc)
     try:
         output = _COMMANDS[args.command](args)
     except (DataFormatError, OSError) as exc:
@@ -398,24 +429,18 @@ def run():
     """Run :func:`main` on ``sys.argv``, flush stdout and stderr, and end
     the process with its exit code, skipping interpreter teardown.
 
-    ``main`` has flushed every output it wrote, so stdout can hold only
-    argparse's help text here; if that cannot be written either, one
-    ``bfw: error:`` line reports it and the exit code is 3.  A command that
-    failed has already reported its output.  An exception that escapes
-    ``main`` propagates with its traceback and a normal exit.
+    ``main`` writes every output, help text included, by :func:`_write`,
+    which flushes it, and reports a write that failed in its exit code, so
+    a flush that fails here has nothing left to report.  An exception that
+    escapes ``main`` propagates with its traceback and a normal exit.
     """
     code = main()
-    if sys.stdout is not None:  # None when the process started with fd 1 closed
-        try:
-            sys.stdout.flush()
-        except OSError as exc:
-            if code == EXIT_OK:
-                code = _fail(None, EXIT_DATA, exc)
-    if sys.stderr is not None:
-        try:
-            sys.stderr.flush()
-        except OSError:
-            pass  # nowhere left to report it
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when the process started with that fd closed
+            try:
+                stream.flush()
+            except OSError:
+                pass
     os._exit(code)
 
 

@@ -21,10 +21,10 @@ import numpy as np
 
 from . import special
 from ._stable import (
-    _ret, checked, checked_fields, clamped_exp, fw_tail_terms, log_amplitude, quiet, tiny_x,
+    _ret, checked, checked_fields, fw_tail_terms, log_amplitude, quiet, tiny_x,
 )
 from .errors import DomainError, NoInteriorModeError, SaturationError
-from .flexible_weibull import FWParams, _w, _x_at_exponent, fw_cdf, fw_quantile, fw_sf
+from .flexible_weibull import FWParams, _overflows, _w, _x_at_exponent, fw_cdf, fw_quantile, fw_sf
 
 __all__ = [
     "BFWParams",
@@ -74,14 +74,16 @@ def bfw_cdf(x, params):
 
 
 def bfw_log_pdf(x, params):
-    """Log density; finite wherever the inputs are representable.
+    """Log density; finite wherever it is a double.
 
     -ln B(p, q) + ln(alpha + beta/x^2) + w - q e^w + (p-1) ln(1 - e^{-e^w}),
     with ln B(p, q) by scipy's ``betaln``, as in the likelihood kernel and
     the order statistics (cached on the parameters as
     :attr:`BFWParams.log_beta`), and ln(alpha + beta/x^2) by
     :func:`bfw._stable.log_amplitude`, which stays finite for tiny x: at the
-    smallest double the log density is -inf, not NaN.
+    smallest double the log density is -inf, not NaN.  e^w is the plain
+    IEEE value; where it overflows, q e^w is formed as exp(w + ln q), which
+    is finite where q < 1 brings it back into range, and is -inf elsewhere.
     """
     return _ret(_log_pdf(checked(x, "x"), params))
 
@@ -90,12 +92,16 @@ def _log_pdf(arr, params):
     """:func:`bfw_log_pdf` of checked ``arr``, for callers whose x are
     positive and finite by construction."""
     tiny = tiny_x(arr, params.beta)
-    with quiet(tiny):
+    overflows = _overflows(arr, params, max(params.q, 1.0))  # e^w or q e^w
+    with quiet(tiny or overflows):
         w = _w(arr, params)  # -inf where beta/x overflows
-        ew = clamped_exp(w)
+        ew = np.exp(w)
         ln_f = fw_tail_terms(w, ew)[0]
         amp = log_amplitude(arr, params.alpha, params.beta, tiny)
-        out = -params.log_beta + amp + w - params.q * ew + (params.p - 1.0) * ln_f
+        q_ew = params.q * ew
+        if overflows:
+            q_ew = np.where(ew == np.inf, np.exp(w + math.log(params.q)), q_ew)
+        out = -params.log_beta + amp + w - q_ew + (params.p - 1.0) * ln_f
         if tiny and params.p <= 1.0:  # (p - 1) ln F is not -inf where w = -inf; p w is
             out = np.where(w == -np.inf, -np.inf, out)
     return out
@@ -215,7 +221,7 @@ def mode_equation(x, params):
     final factor comes from :func:`bfw._stable.fw_tail_terms`, which
     neither tail overflows.  Where that sum is not finite (x below ~1e-100)
     it is (alpha + beta/x^2)^2 [bracket - 2 beta x/(beta + alpha x^2)^2],
-    whose sign is the bracket's.
+    whose sign is the bracket's.  Where e^w overflows it is -inf.
     """
     return _ret(_stationarity(checked(x, "x"), params))
 
@@ -234,10 +240,11 @@ def _stationarity(arr, params):
 
 def _mode_terms(arr, params):
     """alpha + beta/x^2, the bracket and the sum of :func:`mode_equation`
-    at checked ``arr``; the sum is NaN where both of its terms overflow."""
+    at checked ``arr``; the sum is NaN where both of its terms overflow,
+    and the bracket and the sum are -inf where e^w does."""
     with np.errstate(all="ignore"):
         w = _w(arr, params)
-        ew = clamped_exp(w)
+        ew = np.exp(w)
         x2 = np.square(arr)
         ratio = fw_tail_terms(w, ew, log_cdf=False, ratio=True)[1]
         amp = params.alpha + params.beta / x2

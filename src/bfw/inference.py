@@ -91,7 +91,7 @@ from typing import Callable
 import numpy as np
 
 from . import special
-from ._stable import checked, clamped_exp, fw_tail_terms, log_amplitude, tiny_x
+from ._stable import checked, fw_tail_terms, log_amplitude, tiny_x
 from .core import BFWParams
 from .errors import ConvergenceError, DomainError, NumericError
 
@@ -243,7 +243,7 @@ def _bfw_sums(x, alpha, beta, order, ws=None, tails=True):
     with np.errstate(all="ignore"):
         w = np.subtract(np.multiply(ac, x, w), np.divide(bc, x, s), w)
         _rowsum(w, out=sums["w"])
-        ew = clamped_exp(w, ew)
+        ew = np.exp(w, ew)
         if tails:
             ln_f, ratio, curv = fw_tail_terms(w, ew, ratio=order >= 1, curvature=order == 2,
                                               out=(s, f, ln_f, w, curv, mask))

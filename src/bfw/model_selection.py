@@ -211,8 +211,8 @@ _FW = inference.Likelihood(kernel=_fw_kernel, starts=_two_param_starts, names=("
 
 def _weibull_evaluate(x, theta, order=2, ws=None):
     """Log-likelihood (m,), score (m, 2) and observed information (m, 2, 2)
-    of a batch of scale-form rows (shape k, scale s); parts above ``order``
-    are None.  With z = x/s and l = ln z: the score is
+    of a batch of scale-form rows (shape k, scale s); ``order`` 1 leaves the
+    information None.  With z = x/s and l = ln z: the score is
     (n/k + sum l - sum z^k l, k (sum z^k - n)/s), and the information
     I_kk = n/k^2 + sum z^k l^2, I_ks = (n - sum z^k - k sum z^k l)/s,
     I_ss = k ((k + 1) sum z^k - n)/s^2.  ``ws``, when given, is the data's
@@ -228,8 +228,6 @@ def _weibull_evaluate(x, theta, order=2, ws=None):
         sum_log_x = _weibull_workspace(x) if ws is None else ws
         ll = n * np.log(shape) - n * shape * log_scale + (shape - 1.0) * sum_log_x - sum_zs
         ll = np.where(np.isfinite(ll), ll, -np.inf)
-        if order == 0:
-            return ll, None, None
         zs_log_z = np.sum(zs * log_z, axis=-1)
         d_shape = n / shape - n * log_scale + sum_log_x - zs_log_z
         grad = np.column_stack([d_shape, shape / scale * (sum_zs - n)])

@@ -385,6 +385,23 @@ class TestJsonRenderer:
 
 
 class TestExitCodes:
+    def test_help_is_the_text_the_parser_formats(self, capsys):
+        # help goes through the CLI's own writer, byte for byte argparse's text
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for argv, formatter in [(["--help"], parser),
+                                *(([name, "--help"], sub) for name, sub in subparsers.choices.items())]:
+            assert run_cli(capsys, *argv) == (0, formatter.format_help(), "")
+
+    def test_a_stderr_that_cannot_be_written_keeps_the_exit_code(self, monkeypatch):
+        class Full:
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(sys, "stderr", Full())
+        assert main(["fit"]) == 2
+        assert main(["km", "--data", "no-such-file"]) == 3
+
     def test_convergence_failure_is_exit_4(self, capsys):
         # an unreachable stationarity tolerance fails every start
         code, out, err = run_cli(capsys, "fit", "--data", "pumps", "--family", "bfw",
@@ -491,9 +508,10 @@ def load_benchmark_workloads():
 
 # the eight benchmark commands, every subcommand's --help and every TestExitCodes
 # case; relative paths name files of the `workdir` fixture
+HELP_CASES = [["--help"], *([command, "--help"] for command in cli._COMMANDS)]
 ENTRY_CASES = [
     *(argv for _, argv in load_benchmark_workloads().cli_commands("draw.txt", 5)),
-    *([command, "--help"] for command in ("fit", "compare", "eval", "sample", "km")),
+    *HELP_CASES[1:],
     ["fit", "--data", "pumps", "--family", "bfw", "--starts", "2", "--tol", "1e-18"],
     *([command, "--data", "pumps", "--tol", tol]
       for command in ("fit", "compare") for tol in ("-1", "nan", "0", "inf")),
@@ -523,11 +541,16 @@ class TestProcessEntryPoint:
     its exit code."""
 
     @staticmethod
-    def env():
-        # the package's directory first, so that it imports from any working directory
+    def env(unbuffered=None):
+        # the package's directory first, so that it imports from any working
+        # directory; PYTHONUNBUFFERED as it is, or unset (False) or 1 (True)
         env = dict(os.environ)
         package_root = str(Path(cli.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        if unbuffered is not None:
+            env.pop("PYTHONUNBUFFERED", None)
+            if unbuffered:
+                env["PYTHONUNBUFFERED"] = "1"
         return env
 
     @pytest.fixture(scope="class")
@@ -553,16 +576,36 @@ class TestProcessEntryPoint:
     @pytest.mark.parametrize("unbuffered", [False, True])
     @pytest.mark.parametrize("entry", [MODULE, SCRIPT], ids=["module", "script"])
     def test_stdout_that_cannot_be_written_is_a_data_error(self, entry, unbuffered):
-        env = self.env()
-        env.pop("PYTHONUNBUFFERED", None)
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
         with open("/dev/full", "w") as full:
             proc = subprocess.run([sys.executable, *entry, "km", "--data", "pumps"],
-                                  stdout=full, stderr=subprocess.PIPE, env=env, text=True,
-                                  timeout=120)
+                                  stdout=full, stderr=subprocess.PIPE, env=self.env(unbuffered),
+                                  text=True, timeout=120)
         assert proc.returncode == 3
         assert proc.stderr == "bfw: error: [Errno 28] No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("entry", [MODULE, SCRIPT], ids=["module", "script"])
+    def test_help_to_a_stdout_that_cannot_be_written_is_a_data_error(self, entry, unbuffered):
+        with open("/dev/full", "w") as full:
+            procs = [subprocess.Popen([sys.executable, *entry, *argv], stdout=full,
+                                      stderr=subprocess.PIPE, env=self.env(unbuffered), text=True)
+                     for argv in HELP_CASES]
+            results = [(proc.communicate(timeout=120)[1], proc.returncode) for proc in procs]
+        assert results == [("bfw: error: [Errno 28] No space left on device\n", 3)] * len(procs)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("entry", [MODULE, SCRIPT], ids=["module", "script"])
+    def test_stderr_that_cannot_be_written_keeps_the_exit_code(self, workdir, entry, unbuffered):
+        cases = [(["km", "--data", "missing"], 3), (["fit", "--data", "pumps", "--level", "2"], 2)]
+        with open("/dev/full", "w") as full:
+            procs = [subprocess.Popen([sys.executable, *entry, *argv], cwd=workdir,
+                                      stdout=subprocess.PIPE, stderr=full,
+                                      env=self.env(unbuffered), text=True)
+                     for argv, _ in cases]
+            results = [(proc.communicate(timeout=120)[0], proc.returncode) for proc in procs]
+        assert results == [("", code) for _, code in cases]
 
     @pytest.mark.parametrize("argv", ENTRY_CASES, ids=" ".join)
     def test_main_never_ends_the_process(self, capsys, monkeypatch, workdir, argv):

@@ -206,6 +206,50 @@ class TestLogPdf:
         assert fw_pdf(xf, published_params.base) == 0.0
         assert mode_equation(xf, published_params) == math.inf  # beta^2 p / x^4 overflows
 
+    @staticmethod
+    def mp_log_pdfs(theta, x):
+        """50-digit fw and bfw log densities at the double x (-inf past the
+        range of doubles), and the relative rounding of w at x, divided by
+        eps, that e^w carries into both."""
+        with mpmath.workdps(50):
+            a, b, p, q, xm = (mpmath.mpf(float(v)) for v in (*theta, x))
+            w = a * xm - b / xm
+            fw = mpmath.log(a + b / xm**2) + w - mpmath.exp(w)
+            bfw = (-mpmath.log(mpmath.beta(p, q)) + mpmath.log(a + b / xm**2) + w
+                   - q * mpmath.exp(w) + (p - 1) * mpmath.log(-mpmath.expm1(-mpmath.exp(w))))
+            return float(fw), float(bfw), float(1 + a * xm + b / xm)
+
+    @pytest.mark.parametrize("w", [702.0, 705.0, 709.0, 715.0])
+    def test_past_the_overflow_of_e_w_against_mpmath(self, published_params, w):
+        # q e^w overflows above w ~ 706.8 and e^w above ~ 709.78, where each
+        # log density is -inf; below, both are exact (mpmath: fw -7.4942e304,
+        # -1.5053e306, -8.2184e307; bfw -1.5234e306, -3.0599e307)
+        x = float(_x_at_exponent(np.array(w), published_params.base))
+        fw_expected, bfw_expected, w_rounding = self.mp_log_pdfs(PUBLISHED, x)
+        tol = 4.0 * EPS * w_rounding
+        for got, expected in [(fw_log_pdf(x, published_params.base), fw_expected),
+                              (bfw_log_pdf(x, published_params), bfw_expected)]:
+            if math.isinf(expected):
+                assert got == expected
+            else:
+                assert got == pytest.approx(expected, rel=tol)
+        batch = bfw_log_pdf(np.array([1.0, x]), published_params)
+        assert batch.tolist() == [bfw_log_pdf(1.0, published_params),
+                                  bfw_log_pdf(x, published_params)]
+
+    @pytest.mark.parametrize("w", [712.0, 715.0])
+    def test_small_q_brings_q_e_w_back_into_range(self, w):
+        # e^w is inf here, q e^w = e^(w + ln q) is not
+        theta = (0.052, 0.024, 35.077, 1e-3)
+        params = BFWParams(*theta)
+        x = float(_x_at_exponent(np.array(w), params.base))
+        _, expected, w_rounding = self.mp_log_pdfs(theta, x)
+        assert math.isfinite(expected)
+        # exp(w + ln q) rounds w + ln q once more
+        assert bfw_log_pdf(x, params) == pytest.approx(expected, rel=4.0 * EPS * (w_rounding + w))
+        batch = bfw_log_pdf(np.array([1.0, x]), params)
+        assert batch.tolist() == [bfw_log_pdf(1.0, params), bfw_log_pdf(x, params)]
+
     def test_smallest_double_gives_the_ieee_limits(self, published_params):
         # warnings are errors in this suite, so each call is also warning-free
         def first(values):
@@ -804,6 +848,16 @@ class TestMode:
         base = bfw_mode(BFWParams(*PUBLISHED))
         scaled = bfw_mode(BFWParams(PUBLISHED[0] / c, PUBLISHED[1] * c, *PUBLISHED[2:])) / c
         assert abs(scaled - base) <= 2 * math.ulp(base)
+
+    def test_scan_grid_has_no_nan_past_the_overflow_of_e_w(self, published_params):
+        # the published grid ends at w ~ 3,500, where e^w is inf and the
+        # equation its limit -inf
+        from bfw.core import _MODE_GRID
+
+        xs = _MODE_GRID * math.sqrt(published_params.beta / published_params.alpha)
+        values = mode_equation(xs, published_params)
+        assert not np.any(np.isnan(values))
+        assert values[-1] == -math.inf
 
     def test_scan_grid_is_read_only(self):
         from bfw.core import _MODE_GRID

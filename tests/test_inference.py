@@ -480,13 +480,17 @@ KERNEL_ROWS = [
     (0.3, 2.0, 0.4, 3.0),
 ]
 # where starts of fit_mle(pumps) stop on the iteration budget (ln theta),
-# and a row whose e^w terms overflow (log-likelihood -inf)
+# a row whose e^w terms overflow (log-likelihood -inf), and rows whose largest
+# w is 705.05 (e^w finite, log-likelihood -1.5786e306) and 787 (e^w and the
+# log-likelihood overflow)
 EXTREME_ROWS = [
     tuple(np.exp([14.7264, 18.4884, -19.6947, -16.4752])),
     tuple(np.exp([14.9946, 18.7566, -19.971, -16.879])),
     tuple(np.exp([3.1828, 4.5339, -5.4687, -94.713])),
     tuple(np.exp([3.8543, -6.1362, 1.0074, -94.8592])),
     (3.0, 1.0, 2.0, 1e300),
+    (107.5, 1.0, 2.0, 1.0),
+    (120.0, 1.0, 2.0, 1.0),
 ]
 
 

@@ -319,6 +319,28 @@ class TestFamilyProtocol:
         reference = self.weibull_mp_info(x, *theta)
         assert np.all(np.abs(info - reference) <= 1e-8 * np.abs(reference))
 
+    @pytest.mark.parametrize("form", model_selection.WEIBULL_FORMS)
+    def test_weibull_log_pdf_against_mpmath(self, form):
+        # reported (shape, scale) = (1.5, 2) or (rate, shape) = (2^-1.5, 1.5)
+        family = get_family("weibull", form)
+        theta = family.parameters(family.output(np.array([1.5, 2.0]))[0])
+        x = np.array([1e-3, 0.3, 2.0, 7.5])
+        with mpmath.workdps(50):
+            k, s = (mpmath.mpf(float(v)) for v in theta)
+            expected = [float(mpmath.log(k / s) + (k - 1) * mpmath.log(mpmath.mpf(v) / s)
+                              - (mpmath.mpf(v) / s) ** k) for v in x]
+        assert np.allclose(family.log_pdf(x, theta), expected, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("form", model_selection.WEIBULL_FORMS)
+    @pytest.mark.parametrize("natural", [(1.5, 2.0), (0.6, 0.3)])
+    def test_weibull_density_is_the_derivative_of_its_cdf(self, form, natural):
+        family = get_family("weibull", form)
+        theta = family.parameters(family.output(np.array(natural))[0])
+        x = np.array([0.05, 0.4, 1.0, 3.0])
+        h = 1e-5 * x
+        slope = (family.cdf(x + h, theta) - family.cdf(x - h, theta)) / (2.0 * h)
+        assert np.allclose(np.exp(family.log_pdf(x, theta)), slope, rtol=1e-8, atol=0.0)
+
     def test_fw_rows_are_the_four_parameter_block_at_unit_shapes(self, pumps):
         # the fw pass skips ln F, the ratio, the curvature and their sums, which
         # p - 1 = 0 multiplies: every row still equals the four-parameter kernel's

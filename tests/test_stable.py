@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from bfw._stable import clamped_exp, fw_tail_terms
+from bfw._stable import fw_tail_terms
 
 EPS = np.finfo(float).eps
 TINY = np.finfo(float).tiny
@@ -58,7 +58,7 @@ def relative_error(got, want):
 
 class TestTailTerms:
     def test_sweep_covers_every_regime(self):
-        ew = clamped_exp(SWEEP)
+        ew = np.exp(SWEEP)
         assert np.any(ew == 0.0) and np.any((ew > 0.0) & (ew < TINY))
         assert np.any(ew < 1e-2) and np.any((ew > 1e-2) & (ew < np.log(2.0)))
         survival = np.exp(-ew)
@@ -69,7 +69,7 @@ class TestTailTerms:
         # a term's sensitivity to a relative change in e^w is at most about
         # 1 + e^w; above the 1e-2 switch the curvature's (1 - u) - S cancels
         # to -u^2/2, which costs up to 2 eps / u^2
-        ew = clamped_exp(SWEEP)
+        ew = np.exp(SWEEP)
         got = fw_tail_terms(SWEEP, ew, ratio=True, curvature=True)[index]
         err = relative_error(got, references[:, index])
         bound = 2.0 * EPS * (1.0 + ew)
@@ -80,12 +80,12 @@ class TestTailTerms:
 
     @pytest.mark.parametrize("index, name", [(0, "ln F"), (2, "curvature")])
     def test_no_worse_than_the_replaced_helpers(self, references, index, name):
-        ew = clamped_exp(SWEEP)
+        ew = np.exp(SWEEP)
         got = fw_tail_terms(SWEEP, ew, ratio=True, curvature=True)[index]
         assert relative_error(got, references[:, index]).max() <= REPLACED_MAX_ERROR[name]
 
     def test_ratio_alone_matches_the_reference(self, references):
-        ew = clamped_exp(SWEEP)
+        ew = np.exp(SWEEP)
         ln_f, ratio, curvature = fw_tail_terms(SWEEP, ew, log_cdf=False, ratio=True)
         assert ln_f is None and curvature is None
         err = relative_error(ratio, references[:, 1])
@@ -93,7 +93,7 @@ class TestTailTerms:
 
     def test_ratio_stays_positive_while_it_is_a_normal_double(self, references):
         # expm1(e^w) overflows at e^w ~ 709.8; e^w e^{-e^w} is normal up to ~745
-        ew = clamped_exp(SWEEP)
+        ew = np.exp(SWEEP)
         normal = references[:, 1] >= TINY
         assert np.any(normal & (ew > 709.8))
         for kwargs in ({"ratio": True}, {"log_cdf": False, "ratio": True}):
@@ -102,23 +102,34 @@ class TestTailTerms:
 
     def test_underflowed_exponent_limits(self):
         w = np.array([-800.0, -746.0, -720.0])
-        ln_f, ratio, curvature = fw_tail_terms(w, clamped_exp(w), ratio=True, curvature=True)
+        ln_f, ratio, curvature = fw_tail_terms(w, np.exp(w), ratio=True, curvature=True)
         assert np.array_equal(ln_f, w)
         assert np.array_equal(ratio, np.ones(3))
         assert np.all(curvature <= 0.0) and np.all(curvature > -1e-300)
+
+    def test_overflowed_exponent_limits(self):
+        # e^w is inf past w ~ 709.78, where F = 1: ln F, the ratio and the curvature are 0
+        w = np.array([710.0, 800.0])
+        with np.errstate(over="ignore"):
+            ew = np.exp(w)
+        assert np.all(ew == np.inf)
+        for kwargs in ({"ratio": True, "curvature": True}, {"log_cdf": False, "ratio": True}):
+            for term in fw_tail_terms(w, ew, **kwargs):
+                assert term is None or np.array_equal(term, np.zeros(2))
 
     def test_only_requested_terms_and_input_shape(self):
         assert fw_tail_terms(-1.0, np.exp(-1.0))[1:] == (None, None)
         ln_f, ratio, curvature = fw_tail_terms(-1.0, np.exp(-1.0), ratio=True, curvature=True)
         assert ln_f.shape == ratio.shape == curvature.shape == ()
         w = np.linspace(-900.0, 900.0, 12).reshape(3, 4)
-        assert all(t.shape == (3, 4) for t in fw_tail_terms(w, clamped_exp(w), ratio=True,
-                                                            curvature=True))
+        with np.errstate(over="ignore"):
+            ew = np.exp(w)
+        assert all(t.shape == (3, 4) for t in fw_tail_terms(w, ew, ratio=True, curvature=True))
 
     def test_each_element_is_independent_of_its_neighbours(self):
         # limits are patched only in blocks that need them; values must not change
         w = SWEEP
-        ew = clamped_exp(w)
+        ew = np.exp(w)
         together = fw_tail_terms(w, ew, ratio=True, curvature=True)
         for i in range(0, w.size, 37):
             alone = fw_tail_terms(w[i : i + 1], ew[i : i + 1], ratio=True, curvature=True)
