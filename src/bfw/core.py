@@ -2,9 +2,10 @@
 
 The distribution passes the flexible Weibull CDF through the regularized
 incomplete beta function with shapes (p, q).  The CDF is always evaluated
-through the incomplete-beta ratio, which is exact for every q > 0; the
-density is assembled in log space so that neither e^{e^w} nor the beta
-normalizer can overflow.
+through the incomplete-beta ratio, which is exact for every q > 0.  The
+density is the exp of the log density, which the base model's log-density
+kernel (:func:`bfw.flexible_weibull._log_pdf`) forms with the shapes and
+ln B(p, q), so that neither e^{e^w} nor the beta normalizer can overflow.
 
 Distribution functions are pure and thread-safe.  The sampler owns a
 private generator per call (seed in, sequence out); concurrent sampling
@@ -20,11 +21,9 @@ from functools import cached_property
 import numpy as np
 
 from . import special
-from ._stable import (
-    _ret, checked, checked_fields, fw_tail_terms, log_amplitude, quiet, tiny_x,
-)
+from ._stable import _ret, checked, checked_fields, fw_tail_terms
 from .errors import DomainError, NoInteriorModeError, SaturationError
-from .flexible_weibull import FWParams, _overflows, _w, _x_at_exponent, fw_cdf, fw_quantile, fw_sf
+from .flexible_weibull import FWParams, _log_pdf, _w, _x_at_exponent, fw_cdf, fw_quantile, fw_sf
 
 __all__ = [
     "BFWParams",
@@ -77,34 +76,15 @@ def bfw_log_pdf(x, params):
     """Log density; finite wherever it is a double.
 
     -ln B(p, q) + ln(alpha + beta/x^2) + w - q e^w + (p-1) ln(1 - e^{-e^w}),
-    with ln B(p, q) by scipy's ``betaln``, as in the likelihood kernel and
+    by :func:`bfw.flexible_weibull._log_pdf`, the one log-density kernel,
+    which at p = q = 1 is :func:`bfw.flexible_weibull.fw_log_pdf` bit for
+    bit.  ln B(p, q) is scipy's ``betaln``, as in the likelihood kernel and
     the order statistics (cached on the parameters as
-    :attr:`BFWParams.log_beta`), and ln(alpha + beta/x^2) by
-    :func:`bfw._stable.log_amplitude`, which stays finite for tiny x: at the
-    smallest double the log density is -inf, not NaN.  e^w is the plain
-    IEEE value; where it overflows, q e^w is formed as exp(w + ln q), which
-    is finite where q < 1 brings it back into range, and is -inf elsewhere.
+    :attr:`BFWParams.log_beta`).  At the smallest double the log density is
+    -inf, not NaN; where e^w overflows, q e^w is exp(w + ln q), finite where
+    q < 1 brings it back into range, and the log density is -inf elsewhere.
     """
-    return _ret(_log_pdf(checked(x, "x"), params))
-
-
-def _log_pdf(arr, params):
-    """:func:`bfw_log_pdf` of checked ``arr``, for callers whose x are
-    positive and finite by construction."""
-    tiny = tiny_x(arr, params.beta)
-    overflows = _overflows(arr, params, max(params.q, 1.0))  # e^w or q e^w
-    with quiet(tiny or overflows):
-        w = _w(arr, params)  # -inf where beta/x overflows
-        ew = np.exp(w)
-        ln_f = fw_tail_terms(w, ew)[0]
-        amp = log_amplitude(arr, params.alpha, params.beta, tiny)
-        q_ew = params.q * ew
-        if overflows:
-            q_ew = np.where(ew == np.inf, np.exp(w + math.log(params.q)), q_ew)
-        out = -params.log_beta + amp + w - q_ew + (params.p - 1.0) * ln_f
-        if tiny and params.p <= 1.0:  # (p - 1) ln F is not -inf where w = -inf; p w is
-            out = np.where(w == -np.inf, -np.inf, out)
-    return out
+    return _ret(_log_pdf(checked(x, "x"), params, params.p, params.q, params.log_beta))
 
 
 def bfw_pdf(x, params):
@@ -299,5 +279,7 @@ def bfw_mode(params):
     # each root is the end of its bracket nearer the zero of the line through
     # both ends: the upper one where the equation is zero there, the lower on a tie
     roots = np.where(-np.array(f_hi) < np.array(f_lo), hi, lo)
-    best = np.argmax(_log_pdf(roots, params)) if roots.size > 1 else 0
+    best = 0
+    if roots.size > 1:
+        best = np.argmax(_log_pdf(roots, params, params.p, params.q, params.log_beta))
     return float(roots[best])

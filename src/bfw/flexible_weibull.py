@@ -5,7 +5,8 @@ for large x and falls like -beta/x near zero, which gives the family its
 bathtub-capable hazard; it also means e^{e^w} overflows doubles near
 w = 6.57, so every tail quantity here goes through expm1/log1p forms.  e^w
 itself is the plain IEEE value: past w ~ 709.78 it is inf, and each function
-returns its limit there without a warning.
+returns its limit there without a warning.  The log density is written once,
+in :func:`_log_pdf`, which the beta flexible Weibull calls with its shapes.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._stable import (
-    _ret, checked, checked_fields, log_amplitude, quiet, tiny_mask, tiny_x,
-)
+from ._stable import _ret, checked, checked_fields, fw_tail_terms, log_amplitude, tiny_x
 
 __all__ = ["FWParams", "fw_cdf", "fw_pdf", "fw_log_pdf", "fw_sf", "fw_quantile"]
 
@@ -32,25 +31,8 @@ class FWParams:
     __post_init__ = checked_fields
 
 
-_W_OVERFLOW = math.log(np.finfo(float).max)  # e^w is inf exactly above this w
-
-
 def _w(x, params):
     return params.alpha * x - params.beta / x
-
-
-def _overflows(x, params, scale=1.0):
-    """Whether ``scale`` e^w, ``scale`` >= 1, overflows at some element of
-    ``x``, as :func:`checked` returns it, or comes within 1e-12 in ln of
-    it: w grows with x, so the largest element decides, by one comparison
-    in Python floats (which overflow to inf without a warning).  Beside
-    :func:`tiny_x`, it tells the density functions to run under
-    :func:`quiet`."""
-    if type(x) is not float:
-        if not x.size:
-            return False
-        x = float(x.max())
-    return _w(x, params) + math.log(scale) > _W_OVERFLOW - 1e-12
 
 
 def _x_at_exponent(w, params):
@@ -70,7 +52,7 @@ def fw_cdf(x, params):
     Where beta/x overflows (x below ~1e-308 beta) w is -inf and the value
     its limit 0, and where e^w overflows 1, without a warning."""
     arr = checked(x, "x")
-    with quiet(tiny_x(arr, params.beta) or _overflows(arr, params)):
+    with np.errstate(all="ignore"):
         return _ret(-np.expm1(-np.exp(_w(arr, params))))
 
 
@@ -79,35 +61,52 @@ def fw_sf(x, params):
     precision; 1 without a warning where beta/x overflows, 0 where e^w
     does."""
     arr = checked(x, "x")
-    with quiet(tiny_x(arr, params.beta) or _overflows(arr, params)):
+    with np.errstate(all="ignore"):
         return _ret(np.exp(-np.exp(_w(arr, params))))
 
 
 def fw_pdf(x, params):
-    """(alpha + beta/x^2) e^w exp(-e^w); integrates to one over (0, inf).
-    Where the amplitude overflows (x below ~1e-154) the density is the exp
-    of its log form, which tends to 0; where e^w overflows it is 0."""
-    arr = checked(x, "x")
-    tiny = tiny_x(arr, params.beta)
-    with quiet(tiny or _overflows(arr, params)):
-        w = _w(arr, params)
-        # w - e^w <= -1 for all w, so the exponential never overflows
-        tail = w - np.exp(w)
-        out = (params.alpha + params.beta / np.square(arr)) * np.exp(tail)
-        if tiny:
-            log_pdf = log_amplitude(arr, params.alpha, params.beta, tiny) + tail
-            out = np.where(tiny_mask(arr, params.beta), np.exp(log_pdf), out)
-    return _ret(out)
+    """(alpha + beta/x^2) e^w exp(-e^w), the exp of :func:`fw_log_pdf`;
+    integrates to one over (0, inf).  It tends to 0 as x -> 0+ and is 0
+    where e^w overflows."""
+    return _ret(np.exp(fw_log_pdf(x, params)))
 
 
 def fw_log_pdf(x, params):
-    """ln(alpha + beta/x^2) + w - e^w, by :func:`bfw._stable.log_amplitude`;
-    exact wherever e^w is a double, and -inf where it overflows."""
-    arr = checked(x, "x")
+    """ln(alpha + beta/x^2) + w - e^w, by :func:`_log_pdf` with p = q = 1;
+    exact wherever e^w is a double, and -inf where it overflows or where
+    beta/x does."""
+    return _ret(_log_pdf(checked(x, "x"), params))
+
+
+def _log_pdf(arr, params, p=1.0, q=1.0, log_beta=0.0):
+    """The one log-density kernel, at checked ``arr``:
+
+    -ln B + ln(alpha + beta/x^2) + w - q e^w + (p - 1) ln F,
+
+    of the flexible Weibull at (p, q, ln B) = (1, 1, 0) and of the beta
+    flexible Weibull with shapes (p, q) and ln B = ln B(p, q) otherwise;
+    ``params`` supplies alpha and beta.  ln(alpha + beta/x^2) is
+    :func:`bfw._stable.log_amplitude`, finite for tiny x, and ln F
+    :func:`bfw._stable.fw_tail_terms`' first term, formed only where
+    p != 1.  e^w is the plain IEEE value; where it overflows and q < 1,
+    q e^w is exp(w + ln q), finite where q brings it back into range.
+    Runs without warnings and returns the IEEE limits: -inf where e^w or
+    beta/x overflows, also for p < 1, where (p - 1) ln F would make it NaN.
+    """
     tiny = tiny_x(arr, params.beta)
-    with quiet(tiny or _overflows(arr, params)):
-        w = _w(arr, params)
-        return _ret(log_amplitude(arr, params.alpha, params.beta, tiny) + w - np.exp(w))
+    with np.errstate(all="ignore"):
+        w = _w(arr, params)  # -inf where beta/x overflows
+        ew = np.exp(w)
+        q_ew = q * ew
+        if q < 1.0 and (ew == np.inf).any():
+            q_ew = np.where(ew == np.inf, np.exp(w + math.log(q)), q_ew)
+        out = -log_beta + log_amplitude(arr, params.alpha, params.beta, tiny) + w - q_ew
+        if p != 1.0:
+            out += (p - 1.0) * fw_tail_terms(w, ew)[0]
+        if tiny and p < 1.0:  # (p - 1) ln F is +inf where w = -inf; p w is -inf
+            out = np.where(w == -np.inf, -np.inf, out)
+    return out
 
 
 def fw_quantile(u, params):

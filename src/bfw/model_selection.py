@@ -67,13 +67,14 @@ def information_criteria(ll, k, n):
     """AIC, AICC, BIC and HQIC from a log-likelihood with k parameters, n points.
 
     AICC is the small-sample correction AIC + 2k(k+1)/(n-k-1); it is NaN
-    (undefined) when n <= k + 1.
+    (undefined) when n <= k + 1.  HQIC is -2 ll + 2k ln ln n; it is NaN
+    (undefined) when n = 1, where ln n = 0.
     """
     minus_two = -2.0 * ll
     aic = minus_two + 2.0 * k
     aicc = aic + 2.0 * k * (k + 1.0) / (n - k - 1.0) if n > k + 1 else math.nan
     bic = minus_two + k * math.log(n)
-    hqic = minus_two + 2.0 * k * math.log(math.log(n))
+    hqic = minus_two + 2.0 * k * math.log(math.log(n)) if n > 1 else math.nan
     return InformationCriteria(aic=aic, aicc=aicc, bic=bic, hqic=hqic)
 
 

@@ -237,6 +237,27 @@ class TestLogPdf:
         assert batch.tolist() == [bfw_log_pdf(1.0, published_params),
                                   bfw_log_pdf(x, published_params)]
 
+    @pytest.mark.parametrize("alpha, beta", [(0.052, 0.024), (0.5, 0.5), (2.0, 3.0), (1e-3, 4.0)])
+    def test_p_q_one_is_the_base_log_density_bit_for_bit(self, alpha, beta):
+        # one kernel: the base model is the p = q = 1, ln B = 0 case
+        x = np.concatenate([np.geomspace(5e-324, 1.7e308, 20001),
+                            np.geomspace(1e-160, 1e-150, 501)])
+        bfw_params, fw_params = BFWParams(alpha, beta, 1.0, 1.0), FWParams(alpha, beta)
+        assert bfw_params.log_beta == 0.0
+        assert bfw_log_pdf(x, bfw_params).tobytes() == fw_log_pdf(x, fw_params).tobytes()
+        for xf in x[::500].tolist():
+            assert (np.float64(bfw_log_pdf(xf, bfw_params)).tobytes()
+                    == np.float64(fw_log_pdf(xf, fw_params)).tobytes())
+
+    def test_huge_x_batch_runs_without_warnings(self, published_params):
+        # the smallest x squares past the largest double; warnings are errors here
+        x = np.array([1e160, 1e200, 1.7e308])
+        for fn, params in [(bfw_log_pdf, published_params), (bfw_pdf, published_params),
+                           (fw_log_pdf, published_params.base), (fw_pdf, published_params.base)]:
+            assert np.all(fn(x, params) == fn(1e200, params))
+        assert fw_cdf(x, published_params.base).tolist() == [1.0] * 3
+        assert fw_sf(x, published_params.base).tolist() == [0.0] * 3
+
     @pytest.mark.parametrize("w", [712.0, 715.0])
     def test_small_q_brings_q_e_w_back_into_range(self, w):
         # e^w is inf here, q e^w = e^(w + ln q) is not

@@ -1,11 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from bfw import DomainError, FWParams, fw_cdf, fw_pdf, fw_quantile, fw_sf
+from bfw.flexible_weibull import _x_at_exponent
+
+EPS = 2.0**-52
 
 
 def naive_pdf(x, alpha, beta):
@@ -91,6 +95,32 @@ class TestPdf:
         x = math.sqrt(params.beta / params.alpha)
         # at w = 0 the density is (alpha + beta/x^2)/e = 2 alpha / e
         assert fw_pdf(x, params) == pytest.approx(2.0 * params.alpha / math.e, rel=1e-13)
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (0.052, 0.024), (0.5, 0.5), (2.0, 3.0), (1e-3, 4.0), (0.0207, 2.5875),
+    ])
+    def test_against_mpmath_where_a_normal_double(self, alpha, beta):
+        # on the band w in [-745, -700] e^w is subnormal or nearly so, and a
+        # product with a subnormal factor would lose digits.  The bound is the
+        # rounding of ln(alpha + beta/x^2), w and e^w, carried by the exp.
+        params = FWParams(alpha, beta)
+        band = _x_at_exponent(np.linspace(-745.0, -700.0, 200), params)
+        wide = np.geomspace(1e-3, 1e3, 3000) * math.sqrt(beta / alpha)
+        xs = np.concatenate([band, wide])
+        checked = 0
+        with mpmath.workdps(50):
+            a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+            for x, got in zip(xs.tolist(), fw_pdf(xs, params).tolist()):
+                xm = mpmath.mpf(x)
+                w = a * xm - b / xm
+                amp = a + b / xm**2
+                expected = amp * mpmath.exp(w - mpmath.exp(w))
+                if not np.finfo(float).tiny <= expected <= np.finfo(float).max:
+                    continue
+                unit = abs(mpmath.log(amp)) + abs(w) + mpmath.exp(w) + 1
+                assert abs(got - expected) <= 5.0 * EPS * unit * expected, x
+                checked += 1
+        assert checked > 1000
 
     def test_nonnegative(self, rng):
         for _ in range(10):

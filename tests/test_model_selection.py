@@ -56,6 +56,14 @@ class TestInformationCriteria:
         assert math.isnan(crit.aicc)
         assert math.isfinite(crit.aic)
 
+    def test_hqic_undefined_at_one_point(self):
+        # ln ln 1 = ln 0; HQIC is undefined there, as AICC is
+        crit = information_criteria(-3.0, 2, 1)
+        assert math.isnan(crit.hqic) and math.isnan(crit.aicc)
+        assert crit.aic == 10.0 and crit.bic == 6.0
+        at_two = information_criteria(-3.0, 2, 2).hqic
+        assert at_two == pytest.approx(6.0 + 4.0 * math.log(math.log(2.0)))
+
 
 class TestKsStatistic:
     def test_fw_at_published_parameters_in_hundreds_units(self, pumps_hundreds):
