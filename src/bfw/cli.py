@@ -8,9 +8,9 @@ JSON, so a text round-trip reproduces the exact double; in JSON, NaN and
 +/-inf are written as ``null``.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 convergence failure,
-5 numeric failure.  An output that cannot be written, stdout included and
-help text too, is a data error.  A stderr that cannot be written is passed
-over: the exit code stays the command's.
+5 numeric failure.  An unwritable output, stdout and help text included, is
+a data error; an unwritable stderr keeps the command's code.  A standard
+stream that fails a write is replaced by one on ``os.devnull``.
 
 :func:`main` is the embedding API: it returns the exit code and never ends
 the process.  :func:`run` is the process entry point of the ``bfw`` script
@@ -361,8 +361,12 @@ def _write(output, text):
     """Write ``text`` to the path ``output``, '-' for stdout; an ``OSError``
     propagates."""
     if output == "-":
-        sys.stdout.write(text)
-        sys.stdout.flush()  # a buffered stdout fails here, inside main's OSError handling
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()  # a buffered stdout fails here, inside main's OSError handling
+        except OSError:  # its unwritten bytes would fail the interpreter's final flush
+            sys.stdout = open(os.devnull, "w")
+            raise
     else:
         with open(output, "w", newline="\n") as handle:
             handle.write(text)
@@ -374,7 +378,7 @@ def _say(text):
     try:
         sys.stderr.write(text)
     except (AttributeError, OSError):  # None when the process started with fd 2 closed
-        pass
+        sys.stderr = open(os.devnull, "w")  # drops unwritten bytes, as in _write
 
 
 def _emit(args, output):

@@ -80,9 +80,8 @@ def bfw_log_pdf(x, params):
     which at p = q = 1 is :func:`bfw.flexible_weibull.fw_log_pdf` bit for
     bit.  ln B(p, q) is scipy's ``betaln``, as in the likelihood kernel and
     the order statistics (cached on the parameters as
-    :attr:`BFWParams.log_beta`).  At the smallest double the log density is
-    -inf, not NaN; where e^w overflows, q e^w is exp(w + ln q), finite where
-    q < 1 brings it back into range, and the log density is -inf elsewhere.
+    :attr:`BFWParams.log_beta`).  -inf where w is +-inf, at either end of the
+    doubles, and where q e^w overflows (q < 1 puts that past e^w's overflow).
     """
     return _ret(_log_pdf(checked(x, "x"), params, params.p, params.q, params.log_beta))
 
@@ -194,43 +193,32 @@ def bfw_sample(n, params, seed):
 
 
 def mode_equation(x, params):
-    """Stationarity function of the density, zero at interior extrema.
-
-    -2 beta / x^3 + (alpha + beta/x^2)^2 [1 - q e^w + (p-1) e^w/(e^{e^w}-1)];
-    positive where the density rises and negative where it falls.  The
-    final factor comes from :func:`bfw._stable.fw_tail_terms`, which
-    neither tail overflows.  Where that sum is not finite (x below ~1e-100)
-    it is (alpha + beta/x^2)^2 [bracket - 2 beta x/(beta + alpha x^2)^2],
-    whose sign is the bracket's.  Where e^w overflows it is -inf.
-    """
-    return _ret(_stationarity(checked(x, "x"), params))
-
-
-def _stationarity(arr, params):
-    """:func:`mode_equation` at checked ``arr``: the sum of
-    :func:`_mode_terms`, and its factored form only where that sum is not
-    finite."""
-    amp, bracket, out = _mode_terms(arr, params)
-    if out.size and not np.isfinite(out.min()):
-        with np.errstate(all="ignore"):
-            gap = 2.0 * params.beta * arr / np.square(params.beta + params.alpha * np.square(arr))
-            out = np.where(np.isfinite(out), out, amp * amp * (bracket - gap))
-    return out
+    """Stationarity function of the density, zero at interior extrema:
+    -2 beta/x^3 + (alpha + beta/x^2)^2 [1 - q e^w + (p-1) e^w/(e^{e^w}-1)],
+    positive where the density rises and negative where it falls.  By
+    :func:`_mode_terms`: +inf where beta/x^2 overflows and -inf where e^w
+    does."""
+    return _ret(_mode_terms(checked(x, "x"), params))
 
 
 def _mode_terms(arr, params):
-    """alpha + beta/x^2, the bracket and the sum of :func:`mode_equation`
-    at checked ``arr``; the sum is NaN where both of its terms overflow,
-    and the bracket and the sum are -inf where e^w does."""
+    """:func:`mode_equation` at checked ``arr``, in the one form that
+    :func:`bfw_mode` scans and refines too; with D = beta + alpha x^2,
+
+    (alpha + beta/x^2)^2 [1 - q e^w + (p-1) e^w/(e^{e^w}-1) - (2 beta/D)(x/D)].
+
+    2 beta/D <= 2 and x/D <= 1/(2 sqrt(alpha beta)) stay finite where
+    2 beta x overflows, and the ratio (:func:`bfw._stable.fw_tail_terms`)
+    overflows in neither tail."""
     with np.errstate(all="ignore"):
         w = _w(arr, params)
         ew = np.exp(w)
         x2 = np.square(arr)
         ratio = fw_tail_terms(w, ew, log_cdf=False, ratio=True)[1]
         amp = params.alpha + params.beta / x2
-        bracket = 1.0 - params.q * ew + (params.p - 1.0) * ratio
-        out = -2.0 * params.beta / (arr * x2) + amp * amp * bracket
-    return amp, bracket, out
+        d = params.beta + params.alpha * x2
+        gap = (2.0 * params.beta / d) * (arr / d)  # 2 beta/x^3 over amp^2
+        return amp * amp * (1.0 - params.q * ew + (params.p - 1.0) * ratio - gap)
 
 
 _MODE_SUBDIVISIONS = 256  # sub-intervals per bracket and refinement round
@@ -256,8 +244,7 @@ def bfw_mode(params):
     grid (the density then peaks outside it).
     """
     xs = _MODE_GRID * (math.sqrt(params.beta) / math.sqrt(params.alpha))
-    vals = _stationarity(xs, params)
-    # descending sign changes; NaN compares false and never brackets a root
+    vals = _mode_terms(xs, params)
     starts = np.flatnonzero((vals[:-1] > 0) & (vals[1:] <= 0))
     if starts.size == 0:
         raise NoInteriorModeError(
@@ -271,7 +258,7 @@ def bfw_mode(params):
             grid = a + (b - a) * _MODE_FRACTIONS
             grid[-1] = b  # keep the upper end exact
             # mode_equation(a) > 0 >= mode_equation(b) holds for every bracket
-            f = _mode_terms(grid, params)[2]
+            f = _mode_terms(grid, params)
             first = int(np.argmax(f <= 0))
             if first:
                 lo[i], f_lo[i] = grid[first - 1], f[first - 1]

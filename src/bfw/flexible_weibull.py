@@ -91,21 +91,22 @@ def _log_pdf(arr, params, p=1.0, q=1.0, log_beta=0.0):
     :func:`bfw._stable.fw_tail_terms`' first term, formed only where
     p != 1.  e^w is the plain IEEE value; where it overflows and q < 1,
     q e^w is exp(w + ln q), finite where q brings it back into range.
-    Runs without warnings and returns the IEEE limits: -inf where e^w or
-    beta/x overflows, also for p < 1, where (p - 1) ln F would make it NaN.
+    Runs without warnings.  The terms meet as inf - inf only where w is
+    +-inf (beta/x or alpha x overflows), and there the log density is -inf.
     """
     tiny = tiny_x(arr, params.beta)
     with np.errstate(all="ignore"):
-        w = _w(arr, params)  # -inf where beta/x overflows
+        w = _w(arr, params)  # -inf where beta/x overflows, +inf where alpha x does
         ew = np.exp(w)
+        overflow = (ew == np.inf).any()
         q_ew = q * ew
-        if q < 1.0 and (ew == np.inf).any():
+        if overflow and q < 1.0:
             q_ew = np.where(ew == np.inf, np.exp(w + math.log(q)), q_ew)
         out = -log_beta + log_amplitude(arr, params.alpha, params.beta, tiny) + w - q_ew
         if p != 1.0:
             out += (p - 1.0) * fw_tail_terms(w, ew)[0]
-        if tiny and p < 1.0:  # (p - 1) ln F is +inf where w = -inf; p w is -inf
-            out = np.where(w == -np.inf, -np.inf, out)
+        if tiny or overflow:  # the only places where w can be infinite
+            out = np.where(np.isinf(w), -np.inf, out)
     return out
 
 

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import inference
+from . import errors, inference
 from ._stable import checked
 from .core import BFWParams, bfw_cdf, bfw_log_pdf
 from .core import bfw_pdf  # noqa: F401 - kept for perfbench/tracing.py
@@ -395,19 +395,23 @@ def comparison_row(family, data, fit):
 
 
 def compare_models(data, families):
-    """One row per family, sorted by AIC ascending (failures sort last).
-
-    A family whose fit raises does not abort the comparison; the error text
-    is recorded in its row.
+    """One row per :class:`ModelFamily` (any other entry, a name included,
+    raises :class:`DomainError` before a fit), sorted by AIC ascending,
+    failures last.  A fit that raises a type of :mod:`bfw.errors` or a
+    ``LinAlgError`` leaves its error text in its row; any other propagates.
     """
     families = list(families)
     if not families:
         raise DomainError("at least one family is required")
+    for family in families:
+        if not isinstance(family, ModelFamily):
+            raise DomainError(f"compare_models takes ModelFamily entries, got {family!r}")
+    typed = tuple(cls for cls in vars(errors).values() if isinstance(cls, type))
     rows = []
     for family in families:
         try:
             rows.append(fit_model(family, data))
-        except Exception as exc:  # noqa: BLE001 - failures are part of the contract
+        except (*typed, np.linalg.LinAlgError) as exc:
             rows.append(ComparisonRow(model=family.name, error=str(exc)))
     rows.sort(key=lambda row: math.inf if math.isnan(row.aic) else row.aic)
     return ComparisonTable(rows=tuple(rows), label=data.label, n=data.n)

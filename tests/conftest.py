@@ -25,6 +25,14 @@ def panel_plan():
         yield f"anchor{anchor}-n{n}-{i}", BFWParams(*PANEL_ANCHORS[anchor]), n, seed
 
 
+def moment_panel():
+    """The benchmark's 64 ``moments`` parameter sets (perfbench/workloads.py),
+    alternating between the anchors, each parameter scaled by e^(0.5 N(0, 1))."""
+    rng = np.random.default_rng([PANEL_SEED, 3])
+    return [BFWParams(*(np.array(PANEL_ANCHORS[i % 2]) * np.exp(0.5 * rng.standard_normal(4))))
+            for i in range(64)]
+
+
 def panel_draw(truth, n, seed):
     return Dataset(times=bfw_sample(n, truth, seed=seed))
 

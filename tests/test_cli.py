@@ -538,7 +538,9 @@ class TestProcessEntryPoint:
     """``python -m bfw`` and the ``bfw`` script end in ``cli.run``, which
     flushes and then ends the process with ``os._exit``; ``main`` never
     does.  Skipping the teardown must not change what a process writes or
-    its exit code."""
+    its exit code, and an unwritable stream gives the same exit code under
+    ``sys.exit(main())``, whose final flush would fail again on a stream's
+    unwritten bytes."""
 
     @staticmethod
     def env(unbuffered=None):
@@ -574,7 +576,8 @@ class TestProcessEntryPoint:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", [False, True])
-    @pytest.mark.parametrize("entry", [MODULE, SCRIPT], ids=["module", "script"])
+    @pytest.mark.parametrize("entry", [NORMAL_EXIT, MODULE, SCRIPT],
+                             ids=["main", "module", "script"])
     def test_stdout_that_cannot_be_written_is_a_data_error(self, entry, unbuffered):
         with open("/dev/full", "w") as full:
             proc = subprocess.run([sys.executable, *entry, "km", "--data", "pumps"],
@@ -585,7 +588,8 @@ class TestProcessEntryPoint:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", [False, True])
-    @pytest.mark.parametrize("entry", [MODULE, SCRIPT], ids=["module", "script"])
+    @pytest.mark.parametrize("entry", [NORMAL_EXIT, MODULE, SCRIPT],
+                             ids=["main", "module", "script"])
     def test_help_to_a_stdout_that_cannot_be_written_is_a_data_error(self, entry, unbuffered):
         with open("/dev/full", "w") as full:
             procs = [subprocess.Popen([sys.executable, *entry, *argv], stdout=full,
@@ -596,7 +600,8 @@ class TestProcessEntryPoint:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", [False, True])
-    @pytest.mark.parametrize("entry", [MODULE, SCRIPT], ids=["module", "script"])
+    @pytest.mark.parametrize("entry", [NORMAL_EXIT, MODULE, SCRIPT],
+                             ids=["main", "module", "script"])
     def test_stderr_that_cannot_be_written_keeps_the_exit_code(self, workdir, entry, unbuffered):
         cases = [(["km", "--data", "missing"], 3), (["fit", "--data", "pumps", "--level", "2"], 2)]
         with open("/dev/full", "w") as full:

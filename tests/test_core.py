@@ -13,6 +13,7 @@ from bfw import (
     DomainError,
     FWParams,
     NoInteriorModeError,
+    OrderIndex,
     SaturationError,
     bfw_cdf,
     bfw_cumulative_hazard,
@@ -32,6 +33,7 @@ from bfw import (
     inv_reg_inc_beta,
     ks_statistic,
     mode_equation,
+    order_stat_pdf,
     raw_moment_quadrature,
 )
 from bfw._stable import log_amplitude, tiny_x
@@ -39,6 +41,7 @@ from bfw import special
 from bfw.flexible_weibull import _x_at_exponent
 from bfw.special import _LARGE_FROM, _beta_cdf, _beta_quantile, _cdf_plan
 from bfw.inference import Dataset
+from conftest import moment_panel
 
 PUBLISHED = (0.052, 0.024, 35.077, 20.328)
 
@@ -51,6 +54,17 @@ def naive_pdf(x, params):
     return const * (a + b / x**2) * math.exp(w) * math.exp(-q * math.exp(w)) * (
         1.0 - math.exp(-math.exp(w))
     ) ** (p - 1.0)
+
+
+def mp_mode_equation(theta):
+    """The mode equation at the current mpmath precision, in its sum form."""
+    a, b, p, q = (mpmath.mpf(v) for v in theta)
+
+    def equation(x):
+        ew = mpmath.exp(a * x - b / x)
+        return -2 * b / x**3 + (a + b / x**2) ** 2 * (1 - q * ew + (p - 1) * ew / mpmath.expm1(ew))
+
+    return equation
 
 
 def beta_cdf_finite_sum(y, p, q):
@@ -823,6 +837,38 @@ class TestSample:
         assert draws.mean() == pytest.approx(raw_moment_quadrature(1, params), abs=3.0 * se)
 
 
+# x from the smallest double to 1.79e308 (index 20000), with a dense band
+# from 1e307 up, where alpha x overflows for alpha > 1
+NAN_SWEEP = np.concatenate([np.geomspace(5e-324, 1.79e308, 20001),
+                            np.geomspace(1e307, 1.79e308, 3701)])
+
+
+class TestNoNaN:
+    @pytest.mark.parametrize("theta", [
+        PUBLISHED, (0.0207, 2.5875, 1.0, 1.0), (0.5, 0.5, 2.0, 2.0), (0.052, 0.024, 0.3, 0.7),
+        (2.0, 3.0, 0.5, 1e-3), (1e-3, 4.0, 3.0, 1.0), (2.0, 3.0, 2.0, 2.0)])
+    def test_density_and_mode_functions_take_their_limits(self, theta):
+        # w is -inf where beta/x overflows and +inf where alpha x does; the
+        # mode equation's -2 beta/x^3 term overflowed from x ~ max/(2 beta) up
+        params = BFWParams(*theta)
+        functions = {
+            "fw_log_pdf": (lambda x: fw_log_pdf(x, params.base), -math.inf),
+            "fw_pdf": (lambda x: fw_pdf(x, params.base), 0.0),
+            "bfw_log_pdf": (lambda x: bfw_log_pdf(x, params), -math.inf),
+            "bfw_pdf": (lambda x: bfw_pdf(x, params), 0.0),
+            "mode_equation": (lambda x: mode_equation(x, params), -math.inf),
+            "order_stat_pdf": (lambda x: order_stat_pdf(x, OrderIndex(3, 10), params), 0.0),
+        }
+        with np.errstate(over="ignore"):
+            over = params.alpha * NAN_SWEEP == math.inf
+        for name, (fn, limit) in functions.items():
+            values = fn(NAN_SWEEP)
+            assert not np.isnan(values).any(), name
+            assert np.all(values[over] == limit), name
+            # a scalar at either end gives the batch's value
+            assert [fn(5e-324), fn(1.79e308)] == [values[0], values[20000]], name
+
+
 class TestMode:
     def test_stationarity_by_finite_difference(self, published_params):
         x_star = bfw_mode(published_params)
@@ -855,6 +901,41 @@ class TestMode:
         signs = np.sign(mode_equation(xs, published_params))
         changes = np.sum(signs[:-1] != signs[1:])
         assert changes == 1
+
+    def test_mode_census_against_mpmath(self):
+        # the benchmark's 64 moments sets and both pinned points: at most 20
+        # modes beyond 1 ulp of the 60-digit root, the worst 2.80 ulp (set36);
+        # the sum form -2 beta/x^3 + amp^2 bracket gave 31 and 3.08 (set17)
+        sets = moment_panel() + [BFWParams(*PUBLISHED), BFWParams(0.5, 0.5, 2.0, 2.0)]
+        errors = []
+        for params in sets:
+            mode = bfw_mode(params)
+            with mpmath.workdps(60):
+                equation = mp_mode_equation((params.alpha, params.beta, params.p, params.q))
+                root = mpmath.findroot(equation, mpmath.mpf(mode))
+                errors.append(float(abs(mode - root)) / math.ulp(mode))
+        assert sum(error > 1.0 for error in errors) <= 20
+        assert max(errors) <= 2.80
+
+    @pytest.mark.parametrize("theta, bound", [
+        (PUBLISHED, 115.1), ((0.5, 0.5, 2.0, 2.0), 122.5), ((0.052, 0.024, 0.3, 0.7), 38.8),
+        ((2.0, 3.0, 2.0, 2.0), 223.4)])
+    def test_equation_against_mpmath(self, theta, bound):
+        # worst relative error in eps, bounded by what the sum form gave (the
+        # grouped form gives 80.5, 122.4, 36.7 and 223.4); where the 50-digit
+        # value is beyond the doubles, the equation is its limit -inf
+        params = BFWParams(*theta)
+        xs = np.geomspace(1e-3, 1e3, 400) * math.sqrt(params.beta / params.alpha)
+        worst = 0.0
+        with mpmath.workdps(50):
+            equation = mp_mode_equation(theta)
+            for x, got in zip(xs.tolist(), mode_equation(xs, params).tolist()):
+                expected = equation(mpmath.mpf(x))
+                if math.isinf(float(expected)):
+                    assert got == float(expected)
+                else:
+                    worst = max(worst, float(abs(got - expected) / abs(expected)) / EPS)
+        assert worst <= bound
 
     def test_no_interior_mode_error(self):
         # with sqrt(alpha beta) = 1e-8 the density peaks where q e^w ~ 1, at

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath
@@ -290,6 +291,38 @@ class TestCompareModels:
     def test_empty_families_rejected(self, pumps):
         with pytest.raises(DomainError):
             compare_models(pumps, [])
+
+    @staticmethod
+    def failing(exc):
+        """The fw family with a fitter that raises ``exc``, and its call log."""
+        calls = []
+
+        def fitter(data, config=None):
+            calls.append(data)
+            raise exc
+
+        return replace(get_family("fw"), fitter=fitter), calls
+
+    def test_an_entry_that_is_not_a_family_is_refused_before_any_fit(self, pumps):
+        family, calls = self.failing(ConvergenceError("not reached"))
+        for entry in ("bfw", None):
+            with pytest.raises(DomainError, match=f"got {entry!r}"):
+                compare_models(pumps, [family, entry])
+        assert calls == []
+
+    @pytest.mark.parametrize("exc", [ConvergenceError("no start converged"),
+                                     np.linalg.LinAlgError("singular information")])
+    def test_library_errors_are_recorded_in_the_row(self, pumps, exc):
+        family, calls = self.failing(exc)
+        table = compare_models(pumps, [family, get_family("weibull")])
+        assert [(row.model, row.error) for row in table.rows] == [("weibull", None),
+                                                                  ("fw", str(exc))]
+        assert len(calls) == 1
+
+    def test_a_programming_error_in_a_family_propagates(self, pumps):
+        family, _ = self.failing(TypeError("a bug"))
+        with pytest.raises(TypeError, match="a bug"):
+            compare_models(pumps, [get_family("weibull"), family])
 
 
 class TestFamilyProtocol:
