@@ -69,7 +69,7 @@ class BFWParams:
 def bfw_cdf(x, params):
     """I_{G(x)}(p, q) with G the flexible Weibull CDF, by
     :func:`bfw.special._inc_beta`."""
-    return special._inc_beta(fw_cdf(x, params.base), params.p, params.q, params.log_beta)
+    return special._inc_beta(fw_cdf(x, params.base), params.p, params.q)
 
 
 def bfw_log_pdf(x, params):
@@ -98,7 +98,7 @@ def bfw_survival(x, params):
     1 - cdf would round to zero (at the published estimates, x = 25 gives
     8.5773e-19, not 0).  Nonincreasing; 1 where x -> 0+.  By
     :func:`bfw.special._inc_beta`, like :func:`bfw_cdf`."""
-    return special._inc_beta(fw_sf(x, params.base), params.q, params.p, params.log_beta)
+    return special._inc_beta(fw_sf(x, params.base), params.q, params.p)
 
 
 def bfw_hazard(x, params):
@@ -162,7 +162,7 @@ def bfw_quantile(u, params):
     [5e-324, 1 - 2^-53].
     """
     ua = checked(u, "u", high=1.0)
-    v, upper = special._beta_quantile(np.atleast_1d(ua), params.p, params.q, params.log_beta)
+    v, upper = special._beta_quantile(np.atleast_1d(ua), params.p, params.q)
     np.clip(v, _SMALLEST, _BELOW_ONE, out=v)
     # a NaN from betaincinv raises here, as the check of u would
     checked(v, "u", high=1.0)
@@ -218,7 +218,9 @@ def _mode_terms(arr, params):
         amp = params.alpha + params.beta / x2
         d = params.beta + params.alpha * x2
         gap = (2.0 * params.beta / d) * (arr / d)  # 2 beta/x^3 over amp^2
-        return amp * amp * (1.0 - params.q * ew + (params.p - 1.0) * ratio - gap)
+        out = amp * amp * (1.0 - params.q * ew + (params.p - 1.0) * ratio - gap)
+        over = ew == np.inf  # -inf there, also where amp^2 underflows (0 times -inf)
+        return np.where(over, -np.inf, out) if over.any() else out
 
 
 _MODE_SUBDIVISIONS = 256  # sub-intervals per bracket and refinement round

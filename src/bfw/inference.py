@@ -60,7 +60,7 @@ array, by damped Newton steps:
   (116k in the four-parameter fits, 3.9k in the flexible Weibull's); with
   the workspace there are under 10.  No buffer is kept between fits or
   shared by two, so concurrent fits stay independent.  The public
-  one-row functions make a single pass and use no buffers.
+  one-row functions make their one pass in a one-row workspace.
 - Profile step.  A family's kernel may move each start and trial row
   before the acceptance test.  The four-parameter kernel does: it makes
   one data pass at (alpha, beta) that forms the per-row sums
@@ -163,9 +163,7 @@ class _Workspace:
     :func:`bfw._stable.fw_tail_terms`, whose ratio takes the place of w),
     one (rows, n) mask and the (sums, rows) array the rows are reduced
     into.  A block of r rows writes into the leading r rows of each, so the
-    passes of a fit allocate no data-sized temporaries.  With ``rows``
-    None there are no buffers and every result is a new array: the public
-    one-row functions make a single pass, which has nothing to reuse.
+    passes of a fit allocate no data-sized temporaries.
 
     ``tiny`` is whether some x^2 is subnormal, whatever beta
     (:func:`bfw._stable.tiny_x`); only then do the passes form
@@ -173,23 +171,18 @@ class _Workspace:
     form takes the elements where x^2 is subnormal or beta/x^2 overflows.
     """
 
-    def __init__(self, x, rows=None):
+    def __init__(self, x, rows):
         self.x = x
         self.tiny = tiny_x(x, 0.0)
         with np.errstate(all="ignore"):
             self.x2 = x * x
-        self.floats = self.mask = self.sums = None
-        if rows is not None:
-            self.floats = np.empty((6, rows, x.size))
-            self.mask = np.empty((rows, x.size), dtype=bool)
-            self.sums = np.empty((len(_SUM_NAMES), rows))
+        self.floats = np.empty((6, rows, x.size))
+        self.mask = np.empty((rows, x.size), dtype=bool)
+        self.sums = np.empty((len(_SUM_NAMES), rows))
 
     def buffers(self, rows):
         """The six float buffers, the mask and the sums array for ``rows``
-        rows, as views of their leading rows; the buffers and the mask are
-        None, and the sums array new, when the workspace has none."""
-        if self.floats is None:
-            return (None,) * 6, None, np.empty((len(_SUM_NAMES), rows))
+        rows, as views of their leading rows."""
         return self.floats[:, :rows], self.mask[:rows], self.sums[:, :rows]
 
     @functools.cached_property
@@ -227,14 +220,14 @@ def _bfw_sums(x, alpha, beta, order, ws=None, tails=True):
     p = q = 1, the flexible Weibull, every one is multiplied by p - 1 = 0.
 
     Every elementwise result is written into the buffers of ``ws``, a
-    :class:`_Workspace` for ``x`` with room for these rows, or is a new
-    array where it has none (``ws`` None: a new one without buffers).  The
-    sums are views of its sums array, valid until its next pass.
+    :class:`_Workspace` for ``x`` with room for these rows (``ws`` None: a
+    new one sized for them).  The sums are views of its sums array, valid
+    until its next pass.
     """
     n = x.size
     rows = alpha.size
     if ws is None:
-        ws = _Workspace(x)
+        ws = _Workspace(x, rows)
     (w, ew, s, f, ln_f, curv), mask, totals = ws.buffers(rows)
     names = [name for name in _SUM_NAMES[: _SUM_COUNTS[order]] if tails or name not in _TAIL_SUMS]
     sums = dict(zip(names, totals), n=n)
@@ -284,8 +277,7 @@ def _bfw_sums(x, alpha, beta, order, ws=None, tails=True):
 
 def _sum_products(sums, tmp, products):
     """Each ``sums[name]``, from (name, ufunc, a, b) in ``products``, set to
-    the row sums of ufunc(a, b), formed in the buffer ``tmp`` (None: a new
-    array)."""
+    the row sums of ufunc(a, b), formed in the buffer ``tmp``."""
     for name, op, a, b in products:
         _rowsum(op(a, b, tmp), out=sums[name])
 

@@ -11,8 +11,10 @@ grid at or below each point, one ``betainc`` per node, at about a tenth of
 :func:`_beta_quantile` solves Beta quantiles on the reflected problem, by
 a bracketed Halley step on :func:`_beta_cdf` for large batches and by the
 series form where the quantile is small.  Both large-batch paths start at
-:data:`_LARGE_FROM` points.  Everything is pure and thread-safe; the
-per-shape constants of the kernels are cached.
+:data:`_LARGE_FROM` points.  :func:`inv_reg_inc_beta` is their Beta
+inverse (:func:`_inverse`) behind validation.  The Beta kernels take the
+shapes alone: no caller passes ln B.  Everything is pure and thread-safe;
+the per-shape constants of the kernels are cached.
 
 ``scipy.special`` costs about twice as much to import as numpy (scipy
 1.17 imports ``array_api_compat.numpy``, whose namespace clone imports
@@ -172,12 +174,16 @@ def reg_inc_beta(y, p, q):
 
 
 def inv_reg_inc_beta(u, p, q):
-    """Inverse of ``reg_inc_beta`` in its first argument.
-
-    Endpoints map to themselves: u = 0 -> 0 and u = 1 -> 1.
-    """
-    ua = checked(u, "u", high=1.0, closed=True)
-    return _ret(_scipy().betaincinv(checked(p, "p"), checked(q, "q"), ua))
+    """Inverse of ``reg_inc_beta`` in its first argument: :func:`_inverse`
+    once per distinct (p, q) pair, the shapes broadcast against u.
+    Endpoints map to themselves: u = 0 -> 0 and u = 1 -> 1."""
+    shapes = np.broadcast_arrays(checked(p, "p"), checked(q, "q"))
+    ua, pa, qa = np.broadcast_arrays(checked(u, "u", high=1.0, closed=True), *shapes)
+    out = np.empty(ua.shape)
+    for a, b in set(zip(shapes[0].flat, shapes[1].flat)):
+        at = (pa == a) & (qa == b)
+        out[at] = _inverse(ua[at], a, b)
+    return _ret(out)
 
 
 # Both large-batch kernels, :func:`_beta_cdf` and :func:`_beta_quantile`, run
@@ -191,14 +197,14 @@ def inv_reg_inc_beta(u, p, q):
 _LARGE_FROM = 1024
 
 
-def _inc_beta(y, a, b, log_beta):
-    """I_y(a, b) with ``log_beta`` = ln B(a, b): :func:`reg_inc_beta` below
-    :data:`_LARGE_FROM` points, :func:`_beta_cdf` from there on.  Either way
-    each value depends on its own y and the shapes only; the series adds to
-    ``betainc``'s error only the rounding of its node factor."""
+def _inc_beta(y, a, b):
+    """I_y(a, b): :func:`reg_inc_beta` below :data:`_LARGE_FROM` points,
+    :func:`_beta_cdf` from there on.  Either way each value depends on its
+    own y and the shapes only; the series adds to ``betainc``'s error only
+    the rounding of its node factor."""
     if np.size(y) < _LARGE_FROM:
         return reg_inc_beta(y, a, b)
-    return _beta_cdf(y, a, b, log_beta)
+    return _beta_cdf(y, a, b)
 
 # The bracketed Beta quantile (:func:`_beta_quantile`).  Node probabilities
 # lie on the logit grid -k * _NODE_STEP, k = 0, 1, ...; at this step the
@@ -221,10 +227,9 @@ _FIXED_STEPS = 7
 _SERIES_TERMS = 19
 
 
-def _beta_quantile(u, p, q, log_beta):
+def _beta_quantile(u, p, q):
     """The Beta(p, q) quantile of an array u in (0, 1) as ``(v, upper)``: v
-    is y with I_y(p, q) = u, or 1 - y where ``upper``.  ``log_beta`` is
-    ln B(p, q).
+    is y with I_y(p, q) = u, or 1 - y where ``upper``.
 
     Each u > 1/2 is reflected to I_{1-y}(q, p) = 1 - u (DLMF 8.17.4, with
     1 - u exact), so every element solves I_z(a, b) = t with t <= 1/2 and
@@ -255,23 +260,24 @@ def _beta_quantile(u, p, q, log_beta):
             continue
         t = 1.0 - u[side] if reflected else u[side]
         if a < 1.0 or not large:
-            v[side] = _inverse(t, a, b, log_beta)
+            v[side] = _inverse(t, a, b)
             continue
-        z, ok = _halley_quantile(t, a, b, log_beta)
-        ok &= t > _series_top(a, b, log_beta)
+        z, ok = _halley_quantile(t, a, b)
+        ok &= t > _series_top(a, b)
         if not ok.all():
-            z[~ok] = _inverse(t[~ok], a, b, log_beta)
+            z[~ok] = _inverse(t[~ok], a, b)
         v[side] = z
     swap = upper & (v > 0.5)
     if swap.any():
-        v[swap] = _inverse(u[swap], p, q, log_beta)
+        v[swap] = _inverse(u[swap], p, q)
         upper &= ~swap
     return v, upper
 
 
-def _inverse(t, a, b, log_beta):
-    """z with I_z(a, b) = t for an array t in [0, 1]: ``betaincinv``, or at
-    or below :func:`_series_top` the root of the series form (DLMF 8.17.8)
+def _inverse(t, a, b):
+    """z with I_z(a, b) = t for an array t in [0, 1], the Beta inverse of
+    :func:`_beta_quantile` and :func:`inv_reg_inc_beta`: ``betaincinv``, or
+    at or below :func:`_series_top` the root of the series form (DLMF 8.17.8)
 
         I_z(a, b) = z^a (1 - z)^b F(z) / (a B(a, b)),
         F(z) = 2F1(a + b, 1; a + 1; z) = 1 + (a + b) / (a + 1) z + ...,
@@ -288,14 +294,14 @@ def _inverse(t, a, b, log_beta):
     subnormal t).  Where a subnormal t has z near 1 (a first shape in the
     thousands) ``betaincinv`` is all there is."""
     t = np.asarray(t, dtype=float)
-    near = t <= _series_top(a, b, log_beta)
+    near = t <= _series_top(a, b)
     if not near.any():
         return _scipy().betaincinv(a, b, t)
     z = np.empty_like(t)
     far = ~near
     if far.any():
         z[far] = _scipy().betaincinv(a, b, t[far])
-    z0 = _leading_root(t[near], a, _log_norm(a, b, log_beta))
+    z0 = _leading_root(t[near], a, _log_norm(a, b))
     root = z0
     for _ in range(_FIXED_STEPS):
         # F(z) - 1 by Horner over its first terms, each (a + b + n) / (a + 1 + n) z
@@ -310,12 +316,12 @@ def _inverse(t, a, b, log_beta):
 
 
 @functools.lru_cache(maxsize=1024)
-def _series_top(a, b, log_beta):
+def _series_top(a, b):
     """The largest t that :func:`_inverse` takes to the series root: the
     leading term z0^a / (a B(a, b)) at the largest z0 the series admits."""
     grow = (a + b) / (a + 1.0)
     z0 = min(_SERIES_FROM * a / (b + grow), _SERIES_RATIO / max(1.0, grow))
-    return math.exp(a * math.log(z0) - _log_norm(a, b, log_beta))
+    return math.exp(a * math.log(z0) - _log_norm(a, b))
 
 
 def _leading_root(t, a, log_norm):
@@ -334,9 +340,8 @@ def _leading_root(t, a, log_norm):
 
 
 @functools.lru_cache(maxsize=1024)
-def _log_norm(a, b, log_beta):
-    """ln(a B(a, b)), given ``log_beta`` = scipy's ``betaln(a, b)``, to a
-    few eps where one shape is 4 or more times the other.
+def _log_norm(a, b):
+    """ln(a B(a, b)), to a few eps where one shape is 4 or more times the other.
 
     There ``betaln`` cancels ln Gamma terms of the larger shape: it is
     4.4e-13 off at (5, 300) and 1.3e-10 at (10, 1e5).  With s <= l the
@@ -346,7 +351,7 @@ def _log_norm(a, b, log_beta):
     all small: ln B so formed is 3.1e-16 off at (5, 300) and 7.7e-15 at
     (10, 1e5).  Where the shapes are within a factor 4 the difference
     cancels as s grows (1.9e-12 off at (1e4, 1e4), where ``betaln`` is
-    6.4e-14 off), and ln a + ``log_beta`` is kept.
+    6.4e-14 off), and ln a + ``betaln(a, b)`` is kept.
     """
     s, l = min(a, b), max(a, b)
     if l >= 4.0 * s:
@@ -355,7 +360,7 @@ def _log_norm(a, b, log_beta):
         if head > 0.0:
             scaled = s * math.log(y) + l * math.log1p(-y) - math.log(head)
             return scaled if a == s else scaled - math.log(s) + math.log(a)
-    return math.log(a) + log_beta
+    return math.log(a) + _log_beta(a, b)
 
 
 _LN2 = math.log(2.0)
@@ -375,7 +380,7 @@ def _two_product(x, c):
     return p, ((x_hi * c_hi - p) + x_hi * c_lo + x_lo * c_hi) + x_lo * c_lo
 
 
-def _halley_quantile(t, a, b, log_beta):
+def _halley_quantile(t, a, b):
     """(z, ok): z with I_z(a, b) = t for t in (0, 1/2], ok False where the
     element must be solved elsewhere (see :func:`_beta_quantile`).  Written
     in place where it can: at 5e4 points a bulk call holds few arrays."""
@@ -391,7 +396,7 @@ def _halley_quantile(t, a, b, log_beta):
     j = j.astype(np.intp)
     k_lo = int(j.min())
     j -= k_lo
-    ln_lo, rise, bend_lo, bend_hi, good = _node_table(k_lo, j, a, b, log_beta)
+    ln_lo, rise, bend_lo, bend_hi, good = _node_table(k_lo, j, a, b)
     ok = good.take(j)
     run = np.flatnonzero(ok)
     if run.size < ok.size:
@@ -410,7 +415,7 @@ def _halley_quantile(t, a, b, log_beta):
     del tau, j
     y = np.exp(ln_z)
     with np.errstate(all="ignore"):
-        big_i = _beta_cdf(y, a, b, log_beta)
+        big_i = _beta_cdf(y, a, b)
         g = np.subtract(big_i, t)
         g /= t
         np.log1p(g, out=g)  # ln(I / t), without rounding I / t
@@ -419,7 +424,7 @@ def _halley_quantile(t, a, b, log_beta):
         gp *= b - 1.0
         ln_z *= a
         gp += ln_z
-        gp -= log_beta
+        gp -= _log_beta(a, b)
         np.exp(gp, out=gp)
         gp /= big_i
         del big_i, ln_z
@@ -453,7 +458,7 @@ def _halley_quantile(t, a, b, log_beta):
     return z, ok
 
 
-def _node_table(k_lo, j, a, b, log_beta):
+def _node_table(k_lo, j, a, b):
     """The nodes k_lo + j and k_lo + j + 1 for every interval index in ``j``,
     solved by :func:`_inverse`.  Returns arrays over the intervals j = 0, 1,
     ... : ln y at the lower node j + 1, the rise of ln y to node j, each
@@ -466,7 +471,7 @@ def _node_table(k_lo, j, a, b, log_beta):
     nodes = np.flatnonzero(used)
     t_nodes = _scipy().expit(-_NODE_STEP * (nodes + k_lo))
     y_nodes = np.full(used.size, np.nan)
-    y_nodes[nodes] = _inverse(t_nodes, a, b, log_beta)
+    y_nodes[nodes] = _inverse(t_nodes, a, b)
     t_lo = np.zeros(used.size - 1)  # each interval's lower node probability
     t_lo[nodes[nodes > 0] - 1] = t_nodes[nodes > 0]
     with np.errstate(all="ignore"):
@@ -474,7 +479,7 @@ def _node_table(k_lo, j, a, b, log_beta):
         # d ln y / d logit(t) = t (1 - t) / (y f(y)), times the step
         slope = np.full(used.size, np.nan)
         slope[nodes] = _NODE_STEP * t_nodes * (1.0 - t_nodes) * np.exp(
-            log_beta - a * ln_y[nodes] - (b - 1.0) * np.log1p(-y_nodes[nodes]))
+            _log_beta(a, b) - a * ln_y[nodes] - (b - 1.0) * np.log1p(-y_nodes[nodes]))
         # node j + 1 is the lower end of interval j
         rise = ln_y[:-1] - ln_y[1:]
         bend_lo, bend_hi = slope[1:] - rise, slope[:-1] - rise
@@ -535,11 +540,11 @@ def _cdf_plan(a, b):
     return None
 
 
-def _beta_cdf(y, a, b, log_beta):
-    """I_y(a, b) for an array y in [0, 1], shapes a, b > 0 and ``log_beta``
-    = ln B(a, b), by a node-grid series; the large-batch path of
-    :func:`bfw.core.bfw_cdf` and :func:`bfw.core.bfw_survival` and the cdf of
-    the Halley step of :func:`_beta_quantile`.
+def _beta_cdf(y, a, b):
+    """I_y(a, b) for an array y in [0, 1] and shapes a, b > 0, by a
+    node-grid series; the large-batch path of :func:`bfw.core.bfw_cdf` and
+    :func:`bfw.core.bfw_survival` and the cdf of the Halley step of
+    :func:`_beta_quantile`.
 
     Each element adds to the I of a node y_k <= y the integral of the
     density from y_k to y, so the increment never cancels, and the result
@@ -589,7 +594,7 @@ def _beta_cdf(y, a, b, log_beta):
     del hi
     nodes, idx = _compact(key)
     del key
-    node_y, scale, base, coef, usable = _cdf_nodes(nodes, shift, degree, tail, a, b, log_beta)
+    node_y, scale, base, coef, usable = _cdf_nodes(nodes, shift, degree, tail, a, b)
     # v = (y - y_k) / z_k; y - y_k is exact (both within a factor 2, or both in [1/2, 1])
     v = node_y.take(idx)
     np.subtract(y, v, out=v)
@@ -625,7 +630,7 @@ def _compact(key):
     return nodes, idx
 
 
-def _cdf_nodes(nodes, shift, degree, tail, a, b, log_beta):
+def _cdf_nodes(nodes, shift, degree, tail, a, b):
     """The node table of :func:`_beta_cdf`: each node's y_k, the factor
     1/z_k of v, its I, the Horner rows (``degree`` + 1, nodes) of
     f(y_k) z_k c_n / (n + 1), and whether the node is usable."""
@@ -637,8 +642,8 @@ def _cdf_nodes(nodes, shift, degree, tail, a, b, log_beta):
         ln_z, ln_far = np.log(z), np.log1p(-z)
         ln_y, ln_1y = np.where(hi, ln_far, ln_z), np.where(hi, ln_z, ln_far)
         # f(y_k) z_k = exp(phi), the one factor whose rounding reaches the result
-        log_beta = _log_norm(a, b, log_beta) - math.log(a)
-        fac = np.exp((a - 1.0) * ln_y + (b - 1.0) * ln_1y + ln_z - log_beta)
+        ln_b = _log_norm(a, b) - math.log(a)
+        fac = np.exp((a - 1.0) * ln_y + (b - 1.0) * ln_1y + ln_z - ln_b)
         usable = (z > _TINY) & (base >= _NODE_FLOOR) & (fac * tail <= _SERIES_TOL * base)
         usable &= np.isfinite(fac)
         ratio = z / (1.0 - z)

@@ -488,6 +488,25 @@ class TestExitCodes:
         assert out == ""
         assert err == "bfw: error: seed must be a non-negative integer\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "--params", "1,2,3", "--grid", "1:2:3"], "--params expects 4 values for bfw, got 3"),
+        (["eval", "--params", "1,x,2,3", "--grid", "1:2:3"],
+         "--params: could not convert string to float: 'x'"),
+        (["eval", "--params", "1,1,1,1", "--grid", "1:2"], "--grid expects lo:hi:count"),
+        (["eval", "--params", "1,1,1,1", "--grid", "1:x:3"],
+         "--grid: could not convert string to float: 'x'"),
+        (["eval", "--params", "1,1,1,1", "--grid", "1:2:0"], "--grid count must be at least 1"),
+        (["compare", "--data", "pumps", "--families", ","], "--families must name at least one family"),
+        (["sample", "--n", "-1", "--params", "1,1,1,1", "--seed", "1"], "--n must be non-negative"),
+        (["sample", "--n", "3", "--params", "1,1,1", "--seed", "1"],
+         "--params expects 4 values for bfw, got 3"),
+    ])
+    def test_malformed_values_are_usage_errors(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"bfw: error: {message}\n"
+
     @pytest.mark.parametrize("grid", ["1:inf:3", "nan:1:3", "1:nan:3"])
     def test_non_finite_grid_endpoints_are_a_usage_error(self, capsys, grid):
         # no RuntimeWarning from linspace: pytest turns one into an error

@@ -490,9 +490,9 @@ BULK_U = (np.arange(50_000) + 0.5) / 50_000  # the benchmark's quantile grid
 TINY = float(np.finfo(float).tiny)
 
 
-def beta_quantile_reference(t, a, b):
-    """z with I_z(a, b) = t by Newton steps in ln z at 50 digits."""
-    with mpmath.workdps(50):
+def beta_quantile_reference(t, a, b, digits=50):
+    """z with I_z(a, b) = t by Newton steps in ln z at ``digits`` digits."""
+    with mpmath.workdps(digits):
         t, a, b = mpmath.mpf(float(t)), mpmath.mpf(float(a)), mpmath.mpf(float(b))
         log_beta = mpmath.log(mpmath.beta(a, b))
         z = mpmath.mpf(float(scipy_special.betaincinv(float(a), float(b), float(t))))
@@ -503,7 +503,7 @@ def beta_quantile_reference(t, a, b):
             slope = mpmath.exp(a * mpmath.log(z) + (b - 1) * mpmath.log1p(-z) - log_beta) / big_i
             step = mpmath.log(big_i / t) / slope
             z *= mpmath.exp(-step)
-            if abs(step) < mpmath.mpf(10) ** -45:
+            if abs(step) < mpmath.mpf(10) ** (5 - digits):
                 return z
         raise AssertionError("reference Newton did not converge")
 
@@ -571,7 +571,7 @@ class TestQuantile:
         own = np.array([scipy_special.betaincinv(*args) for args in zip(a, b, t)])
         bound = max(4.0 * EPS, worst(own))
         for batch in (u, np.concatenate([u, BULK_U[:_LARGE_FROM]])):
-            v, upper = _beta_quantile(batch, p, q, scipy_special.betaln(p, q))
+            v, upper = _beta_quantile(batch, p, q)
             v, upper = v[: u.size], upper[: u.size]
             # z of the reflected problem; a reflected element solved for y
             # directly has y < 1/2, so 1 - y loses nothing
@@ -581,10 +581,15 @@ class TestQuantile:
             # reference (betaincinv returned the smallest normal double there)
             assert all(abs(zi - float(ri)) <= 5e-324
                        for zi, ri, ok in zip(z, ref, normal) if not ok)
-        # the public inverse stays scipy's betaincinv
+        # the public inverse is the kernel's: betaincinv above the series
+        # top, and the series root, within the same bound, at or below it
         lower = ~reflected
         direct = np.asarray(inv_reg_inc_beta(u[lower], p, q))
-        assert np.array_equal(direct, own[lower])
+        above = u[lower] > special._series_top(p, q)
+        assert np.array_equal(direct[above], own[lower][above])
+        z = own.copy()
+        z[lower] = direct
+        assert worst(z) <= bound
 
     @pytest.mark.parametrize("theta", [PUBLISHED, (0.5, 0.5, 2.0, 2.0), (1.0, 0.1, 300.0, 5.0)])
     def test_bracketed_path_is_independent_of_the_batch(self, theta):
@@ -600,8 +605,8 @@ class TestQuantile:
         mixed[order] = bfw_quantile(superset[order], params)
         assert np.array_equal(mixed[other.size:], x[::7])
         # and so is the Beta quantile it rests on
-        v, upper = _beta_quantile(BULK_U, params.p, params.q, params.log_beta)
-        v_rev, upper_rev = _beta_quantile(BULK_U[::-1], params.p, params.q, params.log_beta)
+        v, upper = _beta_quantile(BULK_U, params.p, params.q)
+        v_rev, upper_rev = _beta_quantile(BULK_U[::-1], params.p, params.q)
         assert np.array_equal(v_rev, v[::-1]) and np.array_equal(upper_rev, upper[::-1])
 
     @pytest.mark.parametrize("theta", [PUBLISHED, (0.5, 0.5, 2.0, 2.0), (1.0, 0.1, 300.0, 5.0),
@@ -612,7 +617,7 @@ class TestQuantile:
         params = BFWParams(*theta)
         tiny = np.geomspace(5e-324, 2e-308, 64)
         grid = BULK_U[:: BULK_U.size // _LARGE_FROM]
-        v, upper = _beta_quantile(np.append(tiny, grid), params.p, params.q, params.log_beta)
+        v, upper = _beta_quantile(np.append(tiny, grid), params.p, params.q)
         assert not upper[: tiny.size].any()
         for ti, zi in zip(tiny, v[: tiny.size]):
             ref = beta_quantile_reference(ti, params.p, params.q)
@@ -658,6 +663,39 @@ class TestQuantile:
             x = bfw_quantile(u, params)[: QUANTILE_GRID.size]
             worst = max(float(abs(xi / ref - 1)) for xi, ref in zip(x, refs) if ref is not None)
             assert worst <= 1e-13
+
+
+class TestPublicBetaInverse:
+    """inv_reg_inc_beta, the Beta inverse of bfw_quantile behind validation."""
+
+    @pytest.mark.parametrize("shapes", [*QUANTILE_SHAPES, (5.0, 300.0)])
+    def test_no_nan_on_the_quantile_grid(self, shapes):
+        # betaincinv is NaN at (5, 300) for every u below ~1e-170
+        u = np.sort(QUANTILE_GRID)
+        y = inv_reg_inc_beta(u, *shapes)
+        assert not np.isnan(y).any()
+        assert np.all(np.diff(y) >= 0.0)
+
+    @pytest.mark.parametrize("a, b, u, root", [
+        (5.0, 300.0, 1e-200, 8.6264889059801172e-43),  # betaincinv: nan
+        (2.0, 2.0, 5e-324, 1.2833103623588054e-162),  # nan
+        (35.077, 20.328, 1e-310, 5.6374978554004668e-10),  # 5.94e-10
+        (35.077, 20.328, 5e-324, 2.3536580293159798e-10),  # 4.78e-10
+        (300.0, 5.0, 1e-310, 0.086839092802896738),  # 0.0868391021
+    ])
+    def test_series_roots_against_mpmath(self, a, b, u, root):
+        ref = beta_quantile_reference(u, a, b, digits=60)
+        assert float(ref) == pytest.approx(root, rel=EPS)
+        assert abs(inv_reg_inc_beta(u, a, b) / ref - 1) <= 4 * EPS
+
+    def test_shapes_broadcast_against_u(self):
+        u = np.array([[0.0], [1e-300], [0.3], [1.0]])
+        p, q = np.array([2.0, 300.0, 2.0]), 5.0
+        y = inv_reg_inc_beta(u, p, q)
+        assert y.shape == (4, 3)
+        for (i, j), yi in np.ndenumerate(y):
+            assert yi == inv_reg_inc_beta(float(u[i, 0]), float(p[j]), q)
+        assert np.array_equal(y[[0, -1]], [[0.0] * 3, [1.0] * 3])
 
 
 def mp_beta_cdf(y, a, b):
@@ -741,7 +779,7 @@ class TestBetaCdfKernel:
         ln_b = scipy_special.betaln(a, b)
         y = np.concatenate([np.geomspace(1e-300, 0.5, 200), 1.0 - np.geomspace(2e-16, 0.5, 200),
                             np.linspace(0.01, 0.99, 99)])
-        out = _beta_cdf(y, a, b, ln_b)
+        out = _beta_cdf(y, a, b)
         for yi, vi in zip(y, out):
             ref = mp_beta_cdf(yi, a, b)
             if ref < 1e-280:
@@ -781,8 +819,7 @@ class TestBetaCdfKernel:
         a = b = 1e6
         assert _cdf_plan(a, b) is None
         y = 0.5 + np.linspace(-5e-3, 5e-3, 2000)
-        assert np.array_equal(_beta_cdf(y, a, b, scipy_special.betaln(a, b)),
-                              scipy_special.betainc(a, b, y))
+        assert np.array_equal(_beta_cdf(y, a, b), scipy_special.betainc(a, b, y))
 
     @pytest.mark.parametrize("shapes", [(2.0, 2.0), (35.077, 20.328), (0.3, 0.7)])
     def test_nodes_near_underflow_are_betaincs(self, shapes):
@@ -791,7 +828,7 @@ class TestBetaCdfKernel:
         a, b = shapes
         y = np.concatenate([[0.0, 1.0, 5e-324, 1e-310], np.geomspace(1e-300, 1e-100, 300)])
         cdf = scipy_special.betainc(a, b, y)
-        out = _beta_cdf(y, a, b, scipy_special.betaln(a, b))
+        out = _beta_cdf(y, a, b)
         theirs = (y < TINY) | (cdf < special._NODE_FLOOR)
         theirs[1] = True
         assert np.array_equal(out[theirs], cdf[theirs])
@@ -802,8 +839,7 @@ class TestBetaCdfKernel:
         a, b = PUBLISHED[2:]
         y = np.linspace(0.01, 0.99, 2000)
         monkeypatch.setattr(special, "_SERIES_TOL", 0.0)
-        assert np.array_equal(_beta_cdf(y, a, b, scipy_special.betaln(a, b)),
-                              scipy_special.betainc(a, b, y))
+        assert np.array_equal(_beta_cdf(y, a, b), scipy_special.betainc(a, b, y))
 
 
 class TestSample:
@@ -815,6 +851,11 @@ class TestSample:
 
     def test_empty(self, published_params):
         assert bfw_sample(0, published_params, seed=1).size == 0
+
+    @pytest.mark.parametrize("n", [2.5, -1])
+    def test_n_must_be_a_non_negative_integer(self, published_params, n):
+        with pytest.raises(DomainError, match="n must be a non-negative integer"):
+            bfw_sample(n, published_params, seed=1)
 
     @pytest.mark.parametrize("n", [0, 3])
     @pytest.mark.parametrize("seed", [-1, np.int64(-5)])
@@ -846,10 +887,12 @@ NAN_SWEEP = np.concatenate([np.geomspace(5e-324, 1.79e308, 20001),
 class TestNoNaN:
     @pytest.mark.parametrize("theta", [
         PUBLISHED, (0.0207, 2.5875, 1.0, 1.0), (0.5, 0.5, 2.0, 2.0), (0.052, 0.024, 0.3, 0.7),
-        (2.0, 3.0, 0.5, 1e-3), (1e-3, 4.0, 3.0, 1.0), (2.0, 3.0, 2.0, 2.0)])
+        (2.0, 3.0, 0.5, 1e-3), (1e-3, 4.0, 3.0, 1.0), (2.0, 3.0, 2.0, 2.0),
+        (1e-200, 1.0, 2.0, 0.5)])
     def test_density_and_mode_functions_take_their_limits(self, theta):
         # w is -inf where beta/x overflows and +inf where alpha x does; the
-        # mode equation's -2 beta/x^3 term overflowed from x ~ max/(2 beta) up
+        # mode equation's -2 beta/x^3 term overflowed from x ~ max/(2 beta) up,
+        # and at alpha = 1e-200 its factor alpha^2 underflows where e^w overflows
         params = BFWParams(*theta)
         functions = {
             "fw_log_pdf": (lambda x: fw_log_pdf(x, params.base), -math.inf),
@@ -867,6 +910,10 @@ class TestNoNaN:
             assert np.all(values[over] == limit), name
             # a scalar at either end gives the batch's value
             assert [fn(5e-324), fn(1.79e308)] == [values[0], values[20000]], name
+        with np.errstate(over="ignore"):
+            ew_over = np.exp(params.alpha * NAN_SWEEP - params.beta / NAN_SWEEP) == math.inf
+        assert ew_over.any()
+        assert np.all(mode_equation(NAN_SWEEP[ew_over], params) == -math.inf)
 
 
 class TestMode:

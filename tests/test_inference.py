@@ -127,6 +127,11 @@ class TestLogLikelihood:
         # published log-likelihood reproduces directly
         assert log_likelihood(pumps, published_params) == pytest.approx(-30.768, abs=5e-4)
 
+    def test_plain_tuple_is_the_params_call(self, pumps, published_params):
+        p = published_params
+        assert (log_likelihood(pumps, (p.alpha, p.beta, p.p, p.q))
+                == log_likelihood(pumps, published_params))
+
     def test_unit_scaling_identity(self, pumps, pumps_hundreds):
         # scaling data by c and (alpha, beta) by (1/c, c) shifts the
         # log-likelihood by exactly -n log c
@@ -257,6 +262,10 @@ class TestFitMle:
         with pytest.raises(DomainError, match="score tolerance"):
             OptimizerConfig(score_tol=tol)
 
+    def test_at_least_one_start(self):
+        with pytest.raises(DomainError, match="at least one start"):
+            OptimizerConfig(starts=0)
+
 
 def weibull_reference(x, theta):
     """Scale-form Weibull log-likelihood, score and information, term by term."""
@@ -285,12 +294,12 @@ def fw_reference(x, theta):
 
 def bfw_profiled(x, theta):
     """(theta, ll, grad, info) of four-parameter rows after the profile step."""
-    return inference.BFW.kernel(x, theta, inference.BFW.workspace(x))[:4]
+    return inference.BFW.kernel(x, theta, inference.BFW.workspace(x, len(theta)))[:4]
 
 
 def kernel_rows(likelihood):
     """(ll, grad, info) from a family's kernel on one pass's own workspace."""
-    return lambda x, theta: likelihood.kernel(x, theta, likelihood.workspace(x))[1:4]
+    return lambda x, theta: likelihood.kernel(x, theta, likelihood.workspace(x, len(theta)))[1:4]
 
 
 BATCH_CASES = [
@@ -349,7 +358,7 @@ class TestBatchKernels:
             for active in (np.arange(16), np.array([1, 4, 9, 12, 15]), np.array([7])):
                 passed = inference._evaluate(likelihood.kernel, x, points[active], ws)
                 for i, row in enumerate(active):
-                    alone = likelihood.kernel(x, points[row : row + 1], likelihood.workspace(x))
+                    alone = likelihood.kernel(x, points[row : row + 1], likelihood.workspace(x, 1))
                     for got, want in zip(passed, alone):
                         if want is None:
                             assert got is None
@@ -380,7 +389,8 @@ class TestTinyObservations:
 
     def test_kernels_match_the_summed_log_density(self):
         ll = inference._bfw_evaluate(self.X, self.ROWS)[0]
-        fw = model_selection._FW.kernel(self.X, self.ROWS[:, :2], inference._Workspace(self.X))[1]
+        fw = model_selection._FW.kernel(self.X, self.ROWS[:, :2],
+                                         inference._Workspace(self.X, len(self.ROWS)))[1]
         for row in range(len(self.ROWS)):
             summed = np.sum(bfw_log_pdf(self.X, BFWParams(*self.ROWS[row])))
             assert np.isfinite(summed) and ll[row] == pytest.approx(summed, rel=1e-15)
@@ -391,7 +401,7 @@ class TestTinyObservations:
     def test_ordinary_data_take_the_direct_form(self, pumps):
         # no x^2 is subnormal: the amplitude sum is the direct one, bit for bit
         x = pumps.times
-        assert not inference._Workspace(x).tiny
+        assert not inference._Workspace(x, 1).tiny
         rows = np.exp(np.random.default_rng(2).uniform(-8.0, 8.0, (8, 2)))
         sums = inference._bfw_sums(x, rows[:, 0], rows[:, 1], 0)
         direct = np.add.reduce(np.log(rows[:, :1] + rows[:, 1:] / (x * x)), axis=-1)
@@ -641,10 +651,11 @@ class TestSplitKernel:
         # n = 5000 splits 16 rows into blocks; every profiled row equals its own evaluation
         x = bfw_sample(5000, BFWParams(0.5, 0.5, 2.0, 2.0), seed=5)
         theta = np.exp(np.random.default_rng(5).uniform(-4.0, 4.0, (16, 4)))
-        blocked = inference._evaluate(inference.BFW.kernel, x, theta, inference.BFW.workspace(x))
+        blocked = inference._evaluate(inference.BFW.kernel, x, theta,
+                                      inference.BFW.workspace(x, inference._block_rows(x.size)))
         assert len(blocked) == 5
         for row in range(16):
-            alone = inference.BFW.kernel(x, theta[row : row + 1], inference.BFW.workspace(x))
+            alone = inference.BFW.kernel(x, theta[row : row + 1], inference.BFW.workspace(x, 1))
             for got, want in zip(blocked, alone):
                 assert np.array_equal(got[row], want[0])
 
@@ -1223,6 +1234,11 @@ class TestConfidenceIntervals:
         expected = interval_bounds(fit.estimates, np.diag(fit.covariance), 0.95)
         assert confidence_intervals(fit) == expected
         assert all(interval is not None for interval in expected)
+
+    def test_fit_without_covariance_has_no_intervals(self, pumps):
+        fit = dataclasses.replace(model_selection.get_family("weibull").fit(pumps), covariance=None)
+        with pytest.raises(NumericError, match="covariance unavailable"):
+            confidence_intervals(fit)
 
     def test_level_outside_the_unit_interval_rejected(self, pumps):
         fit = model_selection.get_family("weibull").fit(pumps)

@@ -145,6 +145,19 @@ class TestStepCurves:
             StepCurve(times=np.array([2.0, 1.0]), values=np.array([0.1, 0.2]),
                       initial_value=0.0)
 
+    @pytest.mark.parametrize("times, values, initial, message", [
+        ([1.0, 2.0], [0.1], 0.0, "matching 1-d arrays"),
+        ([[1.0, 2.0]], [[0.1, 0.2]], 0.0, "matching 1-d arrays"),
+        ([1.0, 2.0], [0.1, 1.5], 0.0, "must lie in"),
+        ([1.0, 2.0], [-0.1, 0.2], 0.0, "must lie in"),
+        ([1.0, 2.0], [0.1, 0.2], 1.5, "must lie in"),
+    ])
+    def test_shapes_and_values_are_checked(self, times, values, initial, message):
+        from bfw import StepCurve
+
+        with pytest.raises(DomainError, match=message):
+            StepCurve(times=np.array(times), values=np.array(values), initial_value=initial)
+
 
 class TestFamilies:
     def test_fw_fit_on_bundled_units(self, pumps):
@@ -196,6 +209,10 @@ class TestFamilies:
         for name in ("gumbel", "wd", "weibull2p"):  # only the names the CLI offers resolve
             with pytest.raises(DomainError):
                 get_family(name)
+
+    def test_unknown_weibull_form(self):
+        with pytest.raises(DomainError, match="weibull parameterization must be"):
+            get_family("weibull", "bogus")
 
     def test_sampler_ks_per_family(self, rng):
         n = 50_000
@@ -390,7 +407,7 @@ class TestFamilyProtocol:
         rng = np.random.default_rng(11)
         for x in (pumps.times, bfw_sample(1000, BFWParams(0.5, 0.5, 2.0, 2.0), seed=2)):
             ab = np.exp(rng.uniform(-700.0, 700.0, (200, 2)))
-            _, ll, grad, info, _ = model_selection._fw_kernel(x, ab, inference._Workspace(x))
+            _, ll, grad, info, _ = model_selection._fw_kernel(x, ab, inference._Workspace(x, len(ab)))
             ll4, grad4, info4 = inference._bfw_evaluate(x, np.column_stack([ab, np.ones((200, 2))]))
             finite = np.isfinite(ll) & np.isfinite(grad).all(1) & np.isfinite(info).all((1, 2))
             finite4 = (np.isfinite(ll4) & np.isfinite(grad4[:, :2]).all(1)
