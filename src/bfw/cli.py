@@ -76,14 +76,10 @@ class _Parser(argparse.ArgumentParser):
     of the same class."""
 
     def _print_message(self, message, file=None):
-        if not message:
-            return
-        if file is None or file is sys.stderr:
-            _say(message)
-        elif file is sys.stdout:
+        if file is sys.stdout:
             _write("-", message)
         else:
-            file.write(message)
+            _say(message)
 
 
 def build_parser():

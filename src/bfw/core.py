@@ -132,20 +132,39 @@ def _saturating_ratio(num, den, message):
 
 
 def bfw_cumulative_hazard(x, params):
-    """-ln survival, which equals the integral of the hazard from 0 to x:
-    -log1p(-cdf) where the cdf is at most 1/2, -ln of the reflected
-    survival (:func:`bfw_survival`) elsewhere, each form where its argument
-    is exact.  Saturates only where the survival underflows to zero."""
-    xa = np.atleast_1d(checked(x, "x"))
-    cdf = np.asarray(bfw_cdf(xa, params))
-    far = cdf > 0.5
-    out = -np.log1p(-np.where(far, 0.0, cdf))
-    if far.any():
-        sf = np.asarray(bfw_survival(xa[far], params))
-        if np.any(sf <= 0.0):
-            raise SaturationError("survival underflowed to zero", last_value=None)
-        out[far] = -np.log(sf)
-    return _ret(out.reshape(np.shape(x)))
+    """-ln survival, which equals the integral of the hazard from 0 to x, by
+    :func:`_log_tails`.  Saturates only where the survival underflows to
+    zero."""
+    log_sf = _log_tails(np.atleast_1d(checked(x, "x")), params)[1]
+    if np.any(log_sf == -np.inf):
+        raise SaturationError("survival underflowed to zero", last_value=None)
+    return _ret(np.negative(log_sf).reshape(np.shape(x)))
+
+
+def _log_tails(arr, params):
+    """(ln cdf, ln survival) at a checked array ``arr``, from one incomplete
+    beta per element on its small side: the cdf I_G(p, q) where G is at
+    most the Beta(p, q) median (:func:`bfw.special._median`), so that the
+    cdf is at most 1/2, and the survival I_{S_G}(q, p) elsewhere.  The
+    other tail is log1p of minus that one, so neither tail is read from a
+    1 - I that rounds it away.  G and S_G are :func:`fw_cdf` and
+    :func:`fw_sf` from one e^w.  -inf where a tail underflows to zero."""
+    p, q = params.p, params.q
+    with np.errstate(all="ignore"):
+        ew = np.exp(_w(arr, params.base))
+        g = -np.expm1(-ew)
+        near = g <= special._median(p, q)
+        log_cdf, log_sf = np.empty(g.shape), np.empty(g.shape)
+        if near.any():
+            cdf = special._inc_beta(g[near], p, q)
+            log_cdf[near] = np.log(cdf)
+            log_sf[near] = np.log1p(-cdf)
+        if not near.all():
+            far = ~near
+            sf = special._inc_beta(np.exp(-ew[far]), q, p)
+            log_sf[far] = np.log(sf)
+            log_cdf[far] = np.log1p(-sf)
+    return log_cdf, log_sf
 
 
 _SMALLEST = float(np.nextafter(0.0, 1.0))
@@ -176,7 +195,13 @@ def bfw_quantile(u, params):
 
 def bfw_sample(n, params, seed):
     """Draw n variates: B ~ Beta(p, q) via a two-gamma ratio, then the
-    flexible Weibull quantile of B.  Deterministic for a fixed seed."""
+    flexible Weibull quantile of B.  Deterministic for a fixed seed.
+
+    At shapes near 0 both gammas can underflow to 0.  Those rows alone
+    take B from a second draw, made after the first, in logs:
+    ln G(a) = ln G(a + 1) + ln(U)/a with U uniform on (0, 1], and
+    B = 1/(1 + exp(ln G(q) - ln G(p))).  Every other row is its first
+    draw."""
     if n < 0 or n != int(n):
         raise DomainError("n must be a non-negative integer")
     if isinstance(seed, (int, np.integer)) and seed < 0:
@@ -187,7 +212,14 @@ def bfw_sample(n, params, seed):
     rng = np.random.default_rng(seed)
     g1 = rng.gamma(params.p, size=n)
     g2 = rng.gamma(params.q, size=n)
-    b = g1 / (g1 + g2)
+    with np.errstate(invalid="ignore"):
+        b = g1 / (g1 + g2)
+    both = np.flatnonzero(np.isnan(b))  # 0/0: both gammas underflowed
+    if both.size:
+        ln_g1, ln_g2 = (np.log(rng.gamma(a + 1.0, size=both.size))
+                        + np.log1p(-rng.random(both.size)) / a for a in (params.p, params.q))
+        with np.errstate(over="ignore"):
+            b[both] = 1.0 / (1.0 + np.exp(ln_g2 - ln_g1))
     b = np.clip(b, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
     return np.asarray(fw_quantile(b, params.base))
 

@@ -75,8 +75,12 @@ array, by damped Newton steps:
   kernels return their rows as given; there is no option and no second
   path.
 
-:func:`fit_mle` is that fitter on the four-parameter model;
-``model_selection`` supplies the two-parameter families.
+Every family's likelihood lives here: :data:`BFW`, the four-parameter
+model with its profile step; :data:`FW`, the flexible Weibull as the
+(alpha, beta) block of the same data pass at p = q = 1; :data:`WEIBULL`,
+the scale-form Weibull.  The two-parameter families start from four fixed
+points.  :func:`fit_mle` fits the four-parameter model; ``model_selection``
+compares the families.
 ``log_likelihood``/``score``/``observed_information`` are pure and
 thread-safe.
 """
@@ -570,16 +574,90 @@ class Likelihood:
     what every pass of one fit on data ``x`` shares, with buffers for
     blocks of at most ``rows`` rows; the fitter makes one per fit.
     ``starts(config)`` gives the start points in log-parameter space, one
-    per row; ``names`` name the columns of theta.
+    per row.
     """
 
     kernel: Callable
     starts: Callable
-    names: tuple[str, ...]
     workspace: Callable
 
 
-BFW = Likelihood(_bfw_profiled, _start_grid, PARAM_NAMES, _Workspace)
+BFW = Likelihood(_bfw_profiled, _start_grid, _Workspace)
+
+_TWO_PARAM_STARTS = np.log([[0.5, 0.5], [0.05, 2.0], [2.0, 0.05], [1.0, 10.0]])
+
+
+def _two_param_starts(config):
+    return _TWO_PARAM_STARTS
+
+
+def _fw_kernel(x, theta, ws):
+    """Flexible Weibull (alpha, beta) rows as four-parameter rows with
+    p = q = 1: the four-parameter kernel's data pass without the tail terms
+    that p - 1 = 0 multiplies, written into the workspace ``ws``
+    (:func:`_bfw_sums`), then its log-likelihood and the (alpha, beta) block
+    of its score and information alone.  The rows stay as given and report
+    no walk terms."""
+    sums = _bfw_sums(x, theta[:, 0], theta[:, 1], 2, ws, tails=False)
+    grad, info = np.empty((theta.shape[0], 2)), np.empty((theta.shape[0], 2, 2))
+    with np.errstate(all="ignore"):
+        _rate_terms(sums, 1.0, None, grad, info)
+        ll = sums["amp"] + sums["w"] - sums["ew"]  # ln B(1, 1) = 0
+        ll = np.where(np.isfinite(ll), ll, -np.inf)
+    return theta, ll, grad, info, None
+
+
+FW = Likelihood(_fw_kernel, _two_param_starts, _Workspace)
+
+
+def _weibull_evaluate(x, theta, ws=None):
+    """Log-likelihood (m,), score (m, 2) and observed information (m, 2, 2)
+    of a batch of scale-form Weibull rows (shape k, scale s).  With z = x/s
+    and l = ln z: the score is (n/k + sum l - sum z^k l, k (sum z^k - n)/s),
+    and the information I_kk = n/k^2 + sum z^k l^2,
+    I_ks = (n - sum z^k - k sum z^k l)/s, I_ss = k ((k + 1) sum z^k - n)/s^2.
+    ``ws``, when given, is the data's sum ln x (:func:`_weibull_workspace`),
+    formed once per fit."""
+    n = x.size
+    shape, scale = theta.T
+    with np.errstate(all="ignore"):
+        log_scale = np.log(scale)
+        z = x / scale[:, None]
+        log_z = np.log(z)
+        zs = z ** shape[:, None]
+        sum_zs = np.sum(zs, axis=-1)
+        sum_log_x = _weibull_workspace(x) if ws is None else ws
+        ll = n * np.log(shape) - n * shape * log_scale + (shape - 1.0) * sum_log_x - sum_zs
+        ll = np.where(np.isfinite(ll), ll, -np.inf)
+        zs_log_z = np.sum(zs * log_z, axis=-1)
+        d_shape = n / shape - n * log_scale + sum_log_x - zs_log_z
+        grad = np.column_stack([d_shape, shape / scale * (sum_zs - n)])
+        i_ks = (n - sum_zs - shape * zs_log_z) / scale
+        info = np.empty((theta.shape[0], 2, 2))
+        info[:, 0, 0] = n / shape**2 + np.sum(zs * log_z**2, axis=-1)
+        info[:, 0, 1] = info[:, 1, 0] = i_ks
+        info[:, 1, 1] = shape * ((shape + 1.0) * sum_zs - n) / scale**2
+    return ll, grad, info
+
+
+def weibull_loglik_grad(x, shape, scale):
+    """Log-likelihood and its (shape, scale) gradient for the scale-form Weibull."""
+    ll, grad, _ = _weibull_evaluate(x, np.array([[shape, scale]], dtype=float))
+    return ll[0], grad[0]
+
+
+def _weibull_workspace(x, rows=None):
+    """What every pass of one Weibull fit shares: the data's sum ln x."""
+    return np.sum(np.log(x))
+
+
+def _weibull_kernel(x, theta, ws):
+    """The fitter's kernel: the rows as given, their :func:`_weibull_evaluate`
+    and no walk terms."""
+    return (theta, *_weibull_evaluate(x, theta, ws=ws), None)
+
+
+WEIBULL = Likelihood(_weibull_kernel, _two_param_starts, _weibull_workspace)
 
 # Relative damping of the Newton step: the first step of every start uses
 # _DAMPING_START; an accepted step divides it by 3 (not below _DAMPING_MIN),
@@ -686,11 +764,13 @@ def _log_space(theta, grad, info):
 def _damped_steps(g, h, damping):
     """One damped Newton step per row: with H = V diag(e) V^T, the step is
     V diag(1 / (|e| + damping max|e|)) V^T g -- the Newton step where H is
-    positive definite and the damping small, an ascent direction always."""
+    positive definite and the damping small, an ascent direction always.
+    Where every |e| is 0 the step is not finite, and its trial is rejected."""
     e, v = np.linalg.eigh(h)
     abs_e = np.abs(e)
     scale = abs_e + damping[:, None] * abs_e.max(axis=1)[:, None]
-    return (v @ ((g[:, None, :] @ v)[:, 0] / scale)[:, :, None])[:, :, 0]
+    with np.errstate(all="ignore"):
+        return (v @ ((g[:, None, :] @ v)[:, 0] / scale)[:, :, None])[:, :, 0]
 
 
 def _follow(z, theta):

@@ -1,14 +1,15 @@
 """Model comparison: information criteria, Kolmogorov-Smirnov distance,
-empirical step curves, and maximum-likelihood fits for the implemented
-families (four-parameter model, its two-parameter base, and the ordinary
+empirical step curves, and the table of the implemented families (the
+four-parameter model, its two-parameter base, and the ordinary
 two-parameter Weibull).
 
-Every family is described the same way: an analytic log-likelihood, score
-and observed information over its natural parameter array with its start
-points (an :class:`~bfw.inference.Likelihood`), its CDF and log-density on
-that array, and one output map to the reported parameters.  All three are
-fitted by the one driver in :mod:`bfw.inference`, so comparison rows and
-the CLI treat them alike.
+Every family is described the same way: its fitter, which is the one
+driver of :mod:`bfw.inference` on that module's likelihood of the family
+(``BFW``, ``FW`` or ``WEIBULL``: log-likelihood, score, observed
+information and start points over the natural parameter array), its CDF
+and log-density on that array, and one output map to the reported
+parameters.  This module fits nothing itself, so comparison rows and the
+CLI treat every family alike.
 
 The Weibull family is exposed in both common parameterizations.  Its
 natural parameters are those of the scale form F(x) = 1 - exp(-(x/scale)^shape),
@@ -16,7 +17,8 @@ the default: it is the one whose fitted (shape, scale) pair matches
 published analyses of the bundled pump data once their hundreds-of-hours
 unit convention is accounted for.  The rate form F(x) = 1 - exp(-rate x^shape)
 reports (rate, shape) = (scale^-shape, shape), its covariance by the delta
-method.
+method.  :func:`weibull_loglik_grad` is the scale form's log-likelihood and
+gradient, from :mod:`bfw.inference`.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .core import BFWParams, bfw_cdf, bfw_log_pdf
 from .core import bfw_pdf  # noqa: F401 - kept for perfbench/tracing.py
 from .errors import DomainError
 from .flexible_weibull import FWParams, fw_cdf, fw_log_pdf
+from .inference import weibull_loglik_grad
 
 __all__ = [
     "InformationCriteria",
@@ -81,15 +84,13 @@ def information_criteria(ll, k, n):
 def ks_statistic(data, cdf):
     """Two-sided one-sample sup distance between the empirical CDF and ``cdf``.
 
-    Tied observations accumulate before the comparison, so the statistic is
-    exact in the presence of duplicates.
+    The empirical CDF is :func:`ecdf`, whose steps take tied observations
+    together, so the statistic is exact in the presence of duplicates.
     """
-    values, counts = np.unique(np.asarray(data.times, dtype=float), return_counts=True)
-    n = counts.sum()
-    cum = np.cumsum(counts)
-    model = np.asarray(cdf(values), dtype=float)
-    upper = np.max(cum / n - model)
-    lower = np.max(model - (cum - counts) / n)
+    curve = ecdf(data)
+    model = np.asarray(cdf(curve.times), dtype=float)
+    upper = np.max(curve.values - model)
+    lower = np.max(model - np.concatenate(([0.0], curve.values[:-1])))
     return float(max(upper, lower))
 
 
@@ -138,8 +139,8 @@ def kaplan_meier(data):
     Without censoring this reduces to S(t) = #{x > t}/n, the exact
     complement of the empirical CDF.
     """
-    values, counts = np.unique(np.asarray(data.times, dtype=float), return_counts=True)
-    return StepCurve(times=values, values=1.0 - np.cumsum(counts) / counts.sum(), initial_value=1.0)
+    curve = ecdf(data)
+    return StepCurve(times=curve.times, values=1.0 - curve.values, initial_value=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -183,90 +184,6 @@ class ModelFamily:
             return checked(self.natural(values), name)
 
 
-_TWO_PARAM_STARTS = np.log([[0.5, 0.5], [0.05, 2.0], [2.0, 0.05], [1.0, 10.0]])
-
-
-def _two_param_starts(config):
-    return _TWO_PARAM_STARTS
-
-
-def _fw_kernel(x, theta, ws):
-    """Flexible Weibull (alpha, beta) rows as four-parameter rows with
-    p = q = 1: the four-parameter kernel's data pass without the tail terms
-    that p - 1 = 0 multiplies, written into the workspace ``ws``
-    (:func:`bfw.inference._bfw_sums`), then its log-likelihood and the
-    (alpha, beta) block of its score and information alone.  The rows stay
-    as given and report no walk terms."""
-    sums = inference._bfw_sums(x, theta[:, 0], theta[:, 1], 2, ws, tails=False)
-    grad, info = np.empty((theta.shape[0], 2)), np.empty((theta.shape[0], 2, 2))
-    with np.errstate(all="ignore"):
-        inference._rate_terms(sums, 1.0, None, grad, info)
-        ll = sums["amp"] + sums["w"] - sums["ew"]  # ln B(1, 1) = 0
-        ll = np.where(np.isfinite(ll), ll, -np.inf)
-    return theta, ll, grad, info, None
-
-
-_FW = inference.Likelihood(kernel=_fw_kernel, starts=_two_param_starts, names=("alpha", "beta"),
-                           workspace=inference._Workspace)
-
-
-def _weibull_evaluate(x, theta, order=2, ws=None):
-    """Log-likelihood (m,), score (m, 2) and observed information (m, 2, 2)
-    of a batch of scale-form rows (shape k, scale s); ``order`` 1 leaves the
-    information None.  With z = x/s and l = ln z: the score is
-    (n/k + sum l - sum z^k l, k (sum z^k - n)/s), and the information
-    I_kk = n/k^2 + sum z^k l^2, I_ks = (n - sum z^k - k sum z^k l)/s,
-    I_ss = k ((k + 1) sum z^k - n)/s^2.  ``ws``, when given, is the data's
-    sum ln x (:func:`_weibull_workspace`), formed once per fit."""
-    n = x.size
-    shape, scale = theta.T
-    with np.errstate(all="ignore"):
-        log_scale = np.log(scale)
-        z = x / scale[:, None]
-        log_z = np.log(z)
-        zs = z ** shape[:, None]
-        sum_zs = np.sum(zs, axis=-1)
-        sum_log_x = _weibull_workspace(x) if ws is None else ws
-        ll = n * np.log(shape) - n * shape * log_scale + (shape - 1.0) * sum_log_x - sum_zs
-        ll = np.where(np.isfinite(ll), ll, -np.inf)
-        zs_log_z = np.sum(zs * log_z, axis=-1)
-        d_shape = n / shape - n * log_scale + sum_log_x - zs_log_z
-        grad = np.column_stack([d_shape, shape / scale * (sum_zs - n)])
-        if order == 1:
-            return ll, grad, None
-        i_ks = (n - sum_zs - shape * zs_log_z) / scale
-        info = np.empty((theta.shape[0], 2, 2))
-        info[:, 0, 0] = n / shape**2 + np.sum(zs * log_z**2, axis=-1)
-        info[:, 0, 1] = info[:, 1, 0] = i_ks
-        info[:, 1, 1] = shape * ((shape + 1.0) * sum_zs - n) / scale**2
-    return ll, grad, info
-
-
-def weibull_loglik_grad(x, shape, scale):
-    """Log-likelihood and its (shape, scale) gradient for the scale form."""
-    ll, grad, _ = _weibull_evaluate(x, np.array([[shape, scale]], dtype=float), order=1)
-    return ll[0], grad[0]
-
-
-def _weibull_workspace(x, rows=None):
-    """What every pass of one Weibull fit shares: the data's sum ln x."""
-    return np.sum(np.log(x))
-
-
-def _weibull_kernel(x, theta, ws):
-    """The fitter's kernel: the rows as given, their :func:`_weibull_evaluate`
-    and no walk terms."""
-    return (theta, *_weibull_evaluate(x, theta, ws=ws), None)
-
-
-_WEIBULL = inference.Likelihood(
-    kernel=_weibull_kernel,
-    starts=_two_param_starts,
-    names=("shape", "scale"),
-    workspace=_weibull_workspace,
-)
-
-
 def _weibull_cdf(x, theta):
     shape, scale = theta
     return -np.expm1(-((np.asarray(x, dtype=float) / scale) ** shape))
@@ -303,14 +220,15 @@ def _fit_bfw(data, config):
 # Every family once, the first the default, and the Weibull's reported
 # parameters by form, the first the default.  The bfw and fw rows look their
 # kernels up at the call, where perfbench/tracing.py patches them.
-_WEIBULL_SCALE = ModelFamily("weibull", _WEIBULL.names,
-                             partial(inference.fit_family, likelihood=_WEIBULL),
+_WEIBULL_SCALE = ModelFamily("weibull", param_names=("shape", "scale"),
+                             fitter=partial(inference.fit_family, likelihood=inference.WEIBULL),
                              cdf=_weibull_cdf, log_pdf=_weibull_log_pdf)
 _FAMILIES = {family.name: family for family in (
     ModelFamily("bfw", inference.PARAM_NAMES, _fit_bfw,
                 cdf=lambda x, theta: bfw_cdf(x, BFWParams(*theta)),
                 log_pdf=lambda x, theta: bfw_log_pdf(x, BFWParams(*theta))),
-    ModelFamily("fw", _FW.names, partial(inference.fit_family, likelihood=_FW),
+    ModelFamily("fw", inference.PARAM_NAMES[:2],
+                partial(inference.fit_family, likelihood=inference.FW),
                 cdf=lambda x, theta: fw_cdf(x, FWParams(*theta)),
                 log_pdf=lambda x, theta: fw_log_pdf(x, FWParams(*theta))),
     _WEIBULL_SCALE,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special
-from .core import bfw_cdf, bfw_log_pdf, bfw_pdf
+from .core import _log_tails, bfw_cdf, bfw_log_pdf, bfw_pdf
 from .errors import DomainError, ExpansionStabilityError
 from ._stable import _ret
 
@@ -44,16 +44,17 @@ class OrderIndex:
 def order_stat_log_pdf(x, idx, params):
     """Log density of the r-th of n: -ln B(r, n-r+1) + (r-1) ln F + (n-r) ln(1-F) + ln f.
 
-    ``bfw_log_pdf`` validates x."""
+    ln F and ln(1 - F) come from one incomplete beta per element on its
+    small side (:func:`bfw.core._log_tails`), so the right tail keeps its
+    digits where 1 - F rounds to 0.  ``bfw_log_pdf`` validates x."""
     r, n = idx.r, idx.n
     log_norm = -special.log_beta(float(r), float(n - r + 1))
     out = log_norm + np.asarray(bfw_log_pdf(x, params), dtype=float)
-    cdf = np.asarray(bfw_cdf(x, params), dtype=float)
-    with np.errstate(divide="ignore"):
-        if r > 1:
-            out = out + (r - 1) * np.log(cdf)
-        if r < n:
-            out = out + (n - r) * np.log1p(-cdf)
+    log_cdf, log_sf = _log_tails(np.atleast_1d(np.asarray(x, dtype=float)), params)
+    if r > 1:
+        out = out + (r - 1) * log_cdf.reshape(out.shape)
+    if r < n:
+        out = out + (n - r) * log_sf.reshape(out.shape)
     return _ret(out)
 
 

@@ -324,19 +324,35 @@ def _series_top(a, b):
     return math.exp(a * math.log(z0) - _log_norm(a, b))
 
 
+@functools.lru_cache(maxsize=1024)
+def _median(a, b):
+    """The Beta(a, b) median, z with I_z(a, b) = 1/2, by :func:`_inverse`."""
+    return float(_inverse(np.array([0.5]), a, b)[0])
+
+
 def _leading_root(t, a, log_norm):
     """(t a B)^(1/a) for an array t, with ``log_norm`` = ln(a B), as
     exp((ln t + ln(a B)) / a), the large part of ln t kept exact: for
     t = m 2^e it is 2^(e/a) exp((ln m + ln(a B)) / a), e/a split into a
     double and its remainder by Dekker's product, so the rounding of ~745/a
-    never reaches the result; a few eps remain."""
+    never reaches the result; a few eps remain.  At tiny a the two factors
+    can leave the normal doubles while the root is one: where 2^(e/a) is
+    below them and the other factor above 1, or that factor overflows, the
+    root is the exp of the sum of their logarithms, which adds an error of
+    about eps |e/a| ln 2 to the eps |ln(a B)/a| already in the exponent."""
     m, e = np.frexp(t)
     e = e.astype(float)
     q = e / a
     hi, lo = _two_product(q, a)
     rest = (e - hi) - lo  # e - q a, exactly up to the last rounding
-    with np.errstate(divide="ignore"):
-        return np.exp2(q) * np.exp((rest * _LN2 + np.log(m) + log_norm) / a)
+    with np.errstate(all="ignore"):
+        power = (rest * _LN2 + np.log(m) + log_norm) / a
+        lead, tail = np.exp2(q), np.exp(power)
+        root = lead * tail
+        wide = ((lead < _TINY) & (tail > 1.0)) | (tail == np.inf)
+        if wide.any():
+            root[wide] = np.exp(q[wide] * _LN2 + power[wide])
+    return root
 
 
 @functools.lru_cache(maxsize=1024)

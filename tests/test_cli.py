@@ -129,6 +129,29 @@ class TestFitCommand:
         assert float(fields["ks"]) == payload["result"]["ks"]
 
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_fit_without_covariance(self, capsys, monkeypatch, fmt):
+        # an information that is not positive definite leaves the covariance
+        # and every interval empty
+        from bfw import inference
+
+        monkeypatch.setattr(inference, "covariance_from_information",
+                            lambda info: (None, math.inf))
+        argv = ("fit", "--data", "pumps", "--family", "weibull")
+        if fmt == "json":
+            code, payload, _ = run_json(capsys, *argv)
+            result = payload["result"]
+            assert result["covariance"] is None and result["condition_number"] is None
+            assert result["ci"] == {"level": 0.95, "shape": None, "scale": None}
+        else:
+            code, out, _ = run_cli(capsys, *argv)
+            fields = dict(line.split(",", 1) for line in out.strip().splitlines()[1:])
+            assert not any(field.startswith("covariance.") for field in fields)
+            assert [fields[f"ci.{name}.{end}"] for name in ("shape", "scale")
+                    for end in ("lower", "upper")] == [""] * 4
+        assert code == 0
+
+
 class TestCompareCommand:
     def test_three_rows_sorted(self, capsys):
         code, payload, _ = run_json(
@@ -514,6 +537,18 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == "bfw: error: --grid endpoints must be finite\n"
+
+    def test_one_value_fails_the_two_parameter_fits_without_a_warning(self, capsys, tmp_path):
+        # the information is 0 there: the fitter's step divided by 0 and printed
+        # two RuntimeWarnings (errors in this suite) before the error line
+        data = tmp_path / "one.txt"
+        data.write_text("1.0\n")
+        code, out, err = run_cli(capsys, "fit", "--family", "fw", "--data", str(data))
+        assert (code, out) == (4, "")
+        assert err == "bfw: error: no optimizer start converged; inspect per-start diagnostics\n"
+        code, out, err = run_cli(capsys, "compare", "--data", str(data))
+        assert (code, err) == (0, "")
+        assert out.count("no optimizer start converged") == 2
 
 
 def load_benchmark_workloads():

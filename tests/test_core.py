@@ -541,6 +541,15 @@ class TestQuantile:
                 u, abs=1e-8
             )
 
+    @pytest.mark.parametrize("a", [1e-3, 5e-4, 1e-5, 1e-8])
+    def test_tiny_shapes_give_no_nan(self, a):
+        # a NaN Beta quantile raised "u must be in (0, 1)" for a valid u
+        u = np.linspace(0.01, 0.99, 99)
+        for shapes in ((a, a), (a, 2.0), (2.0, a)):
+            x = bfw_quantile(u, BFWParams(0.5, 0.5, *shapes))
+            assert not np.isnan(x).any() and np.all(x > 0.0), shapes
+            assert np.all(np.diff(x) >= 0.0), shapes
+
     def test_median_against_bisection(self, published_params):
         root = brentq(lambda x: bfw_cdf(x, published_params) - 0.5, 1e-6, 1e3, xtol=1e-13)
         assert bfw_quantile(0.5, published_params) == pytest.approx(root, rel=1e-9)
@@ -687,6 +696,23 @@ class TestPublicBetaInverse:
         ref = beta_quantile_reference(u, a, b, digits=60)
         assert float(ref) == pytest.approx(root, rel=EPS)
         assert abs(inv_reg_inc_beta(u, a, b) / ref - 1) <= 4 * EPS
+
+    @pytest.mark.parametrize("a", [1e-3, 5e-4, 1e-4, 1e-6, 1e-8])
+    def test_tiny_shapes_give_no_nan(self, a):
+        # the series root multiplied a 2^(e/a) that underflowed to 0 by a factor
+        # that overflowed to inf: NaN at 28 of these u at 5e-4 and 46 at 1e-4
+        u = np.linspace(0.01, 0.99, 99)
+        for shapes in ((a, a), (a, 2.0), (2.0, a), (a, 0.5)):
+            y = inv_reg_inc_beta(u, *shapes)
+            assert not np.isnan(y).any(), shapes
+            assert np.all(np.diff(y) >= 0.0), shapes
+
+    @pytest.mark.parametrize("a, u", [(5e-4, 0.46), (5e-4, 0.49), (1e-4, 0.48), (1e-3, 0.3)])
+    def test_tiny_shapes_against_mpmath(self, a, u):
+        # z = (u a B)^(1/a) to leading order: one ulp of u moves z by 1/a ulps
+        ref = beta_quantile_reference(u, a, a)
+        assert TINY < ref < 1e-10
+        assert abs(inv_reg_inc_beta(u, a, a) / ref - 1) <= 16 * EPS / a
 
     def test_shapes_broadcast_against_u(self):
         u = np.array([[0.0], [1e-300], [0.3], [1.0]])
@@ -862,6 +888,25 @@ class TestSample:
     def test_negative_seed_is_a_domain_error(self, published_params, n, seed):
         with pytest.raises(DomainError, match="seed must be a non-negative integer"):
             bfw_sample(n, published_params, seed=seed)
+
+    @pytest.mark.parametrize("a", [2e-3, 1e-3, 1e-5, 1e-8])
+    def test_tiny_shapes(self, a):
+        # both gammas underflow to 0 in about a fifth of the rows at 1e-3 (in all
+        # at 1e-8), where B = 0/0 raised "u must be in (0, 1)"; only those rows
+        # take a second draw, and every other row is its first
+        n, seed = 2000, 0
+        params = BFWParams(0.5, 0.5, a, a)
+        x = bfw_sample(n, params, seed=seed)
+        assert not np.isnan(x).any() and np.all(x > 0.0)
+        rng = np.random.default_rng(seed)
+        g1, g2 = rng.gamma(a, size=n), rng.gamma(a, size=n)
+        first = g1 + g2 > 0.0
+        assert not first.all()
+        b = np.clip(g1[first] / (g1 + g2)[first], 5e-324, 1.0 - 2.0**-53)
+        assert np.array_equal(x[first], fw_quantile(b, params.base))
+        # Beta(a, a) puts half its mass at each end as a -> 0
+        below = np.sum(x < bfw_quantile(0.5, params))
+        assert abs(below - n / 2) < 5 * math.sqrt(n / 4)
 
     def test_ks_against_model(self, published_params):
         n = 50_000

@@ -304,8 +304,8 @@ def kernel_rows(likelihood):
 
 BATCH_CASES = [
     ("bfw", inference._bfw_evaluate, bfw_reference),  # the rows as given, no profile step
-    ("fw", kernel_rows(model_selection._FW), fw_reference),
-    ("weibull", kernel_rows(model_selection._WEIBULL), weibull_reference),
+    ("fw", kernel_rows(inference.FW), fw_reference),
+    ("weibull", kernel_rows(inference.WEIBULL), weibull_reference),
 ]
 
 
@@ -353,7 +353,7 @@ class TestBatchKernels:
         # so does every profiled row, and every fw row, through one fit's
         # workspace while the active set shrinks from 16 rows to 5 and 1
         wide = np.exp(np.random.default_rng(6).uniform(-4.0, 4.0, (16, 4)))
-        for likelihood, points in ((inference.BFW, wide), (model_selection._FW, wide[:, :2])):
+        for likelihood, points in ((inference.BFW, wide), (inference.FW, wide[:, :2])):
             ws = likelihood.workspace(x, rows)
             for active in (np.arange(16), np.array([1, 4, 9, 12, 15]), np.array([7])):
                 passed = inference._evaluate(likelihood.kernel, x, points[active], ws)
@@ -389,7 +389,7 @@ class TestTinyObservations:
 
     def test_kernels_match_the_summed_log_density(self):
         ll = inference._bfw_evaluate(self.X, self.ROWS)[0]
-        fw = model_selection._FW.kernel(self.X, self.ROWS[:, :2],
+        fw = inference.FW.kernel(self.X, self.ROWS[:, :2],
                                          inference._Workspace(self.X, len(self.ROWS)))[1]
         for row in range(len(self.ROWS)):
             summed = np.sum(bfw_log_pdf(self.X, BFWParams(*self.ROWS[row])))

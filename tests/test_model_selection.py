@@ -100,6 +100,12 @@ class TestKsStatistic:
         # ECDF jumps to 2/3 at the tied point: D = 2/3 - 1/3
         assert ks_statistic(data, uniform3) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
+    def test_ties_match_a_direct_count(self, rng):
+        x = rng.integers(1, 12, size=60).astype(float)
+        cdf = lambda v: -np.expm1(-np.asarray(v, dtype=float) / 5.0)
+        gaps = [max(np.mean(x <= v) - cdf(v), cdf(v) - np.mean(x < v)) for v in np.unique(x)]
+        assert ks_statistic(Dataset(times=x), cdf) == pytest.approx(max(gaps), rel=0, abs=1e-15)
+
     def test_near_perfect_fit(self):
         n = 40
         params = FWParams(0.7, 1.1)
@@ -132,6 +138,14 @@ class TestStepCurves:
         km = kaplan_meier(pumps)
         assert np.allclose(km.values, 1.0 - emp.values, atol=1e-15)
         assert km.initial_value == 1.0
+
+    def test_km_is_the_complement_of_the_ecdf_with_ties(self):
+        data = Dataset(times=np.array([3.0, 1.0, 1.0, 2.0, 3.0, 3.0, 7.5]))
+        emp, km = ecdf(data), kaplan_meier(data)
+        assert np.array_equal(km.times, [1.0, 2.0, 3.0, 7.5])
+        assert np.array_equal(km.times, emp.times)
+        assert np.array_equal(km.values, 1.0 - emp.values)
+        assert np.array_equal(emp.values * 7, [2.0, 3.0, 6.0, 7.0])
 
     def test_km_boundaries(self, pumps):
         km = kaplan_meier(pumps)
@@ -305,6 +319,15 @@ class TestCompareModels:
         # failed rows sort last
         assert table.rows[-1].model == "bfw"
 
+    @pytest.mark.parametrize("family", ["fw", "weibull"])
+    def test_one_value_fails_to_converge_without_a_warning(self, family):
+        # the information is 0 there, so every damped step divides by 0; the
+        # suite turns a RuntimeWarning into an error
+        with pytest.raises(ConvergenceError, match="no optimizer start converged"):
+            get_family(family).fit(Dataset(times=np.array([1.0])))
+        table = compare_models(Dataset(times=np.array([1.0])), [get_family(family)])
+        assert table.rows[0].error.startswith("no optimizer start converged")
+
     def test_empty_families_rejected(self, pumps):
         with pytest.raises(DomainError):
             compare_models(pumps, [])
@@ -363,7 +386,7 @@ class TestFamilyProtocol:
     @pytest.mark.parametrize("theta", [(0.8, 1.4), (0.80773, 1.3915), (2.5, 0.3)])
     def test_weibull_information(self, pumps, theta):
         x = pumps.times
-        info = model_selection._weibull_evaluate(x, np.array([theta]))[2][0]
+        info = inference._weibull_evaluate(x, np.array([theta]))[2][0]
         numeric = np.empty((2, 2))
         for j in range(2):
             step = 1e-6 * theta[j]
@@ -407,7 +430,7 @@ class TestFamilyProtocol:
         rng = np.random.default_rng(11)
         for x in (pumps.times, bfw_sample(1000, BFWParams(0.5, 0.5, 2.0, 2.0), seed=2)):
             ab = np.exp(rng.uniform(-700.0, 700.0, (200, 2)))
-            _, ll, grad, info, _ = model_selection._fw_kernel(x, ab, inference._Workspace(x, len(ab)))
+            _, ll, grad, info, _ = inference._fw_kernel(x, ab, inference._Workspace(x, len(ab)))
             ll4, grad4, info4 = inference._bfw_evaluate(x, np.column_stack([ab, np.ones((200, 2))]))
             finite = np.isfinite(ll) & np.isfinite(grad).all(1) & np.isfinite(info).all((1, 2))
             finite4 = (np.isfinite(ll4) & np.isfinite(grad4[:, :2]).all(1)

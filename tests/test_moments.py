@@ -228,6 +228,15 @@ class TestHighPrecisionReferences:
         for s in (-1.0, 0.5):
             assert mgf(s, params) == pytest.approx(_mp_integral(theta, _exponential(s)), rel=1e-10)
 
+    def test_mgf_near_double_overflow(self, published_params):
+        # e^(18 x) moves the integrand's peak past the scan's right end, which
+        # widens until it holds it; from t ~ 19 on the integral exceeds the doubles
+        theta = tuple(published_params.as_array())
+        value = mgf(18.0, published_params)
+        assert value == pytest.approx(1.7344e292, rel=1e-4)
+        assert value == pytest.approx(_mp_integral(theta, _exponential(18.0)), rel=1e-10)
+        assert mgf(20.0, published_params) == math.inf
+
     def test_seeded_panel_never_silently_wrong(self, rng):
         checked = 0
         for _ in range(25):

@@ -1,18 +1,41 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from bfw import (
+    BFWParams,
     DomainError,
     ExpansionStabilityError,
     OrderIndex,
     bfw_cdf,
+    bfw_log_pdf,
     bfw_pdf,
+    fw_cdf,
     order_stat_pdf,
     order_stat_pdf_expansion,
+    special,
 )
+from bfw.order_stats import order_stat_log_pdf
+
+
+def mp_order_stat_pdf(x, idx, theta):
+    """The r-th of n density at 50 digits, each Beta tail from its own side:
+    I_G(p, q) for the cdf and I_{S_G}(q, p) for the survival."""
+    with mpmath.workdps(50):
+        a, b, p, q = (mpmath.mpf(v) for v in theta)
+        x = mpmath.mpf(x)
+        w = a * x - b / x
+        ew = mpmath.exp(w)
+        g, s_g = -mpmath.expm1(-ew), mpmath.exp(-ew)
+        pdf = mpmath.exp(-mpmath.log(mpmath.beta(p, q)) + mpmath.log(a + b / x**2) + w - q * ew
+                         + (p - 1) * mpmath.log(g))
+        cdf = mpmath.betainc(p, q, 0, g, regularized=True)
+        sf = mpmath.betainc(q, p, 0, s_g, regularized=True)
+        r, n = idx.r, idx.n
+        return pdf * cdf ** (r - 1) * sf ** (n - r) / mpmath.beta(r, n - r + 1)
 
 
 class TestOrderIndex:
@@ -70,6 +93,35 @@ class TestDirectForm:
                 0.0, 1.0, limit=1000,
             )[0]
             assert total == pytest.approx(1.0, abs=1e-6)
+
+
+class TestTails:
+    @pytest.mark.parametrize("x, magnitude", [(20.0, 6.748e-87), (25.0, 3.919e-142),
+                                              (30.0, 5.421e-217)])
+    def test_right_tail_against_mpmath(self, published_params, x, magnitude):
+        # ln(1 - F) as log1p(-cdf) gave 0 at x = 25 and 30 and was 3e-5 off at 20
+        idx = OrderIndex(3, 10)
+        ref = mp_order_stat_pdf(x, idx, tuple(published_params.as_array()))
+        assert float(ref) == pytest.approx(magnitude, rel=1e-3)
+        assert order_stat_pdf(x, idx, published_params) == pytest.approx(float(ref), rel=1e-10)
+        batch = order_stat_pdf(np.array([1.0, x]), idx, published_params)
+        assert batch[1] == order_stat_pdf(x, idx, published_params)
+
+    @pytest.mark.parametrize("theta", [(0.052, 0.024, 35.077, 20.328), (0.5, 0.5, 2.0, 2.0),
+                                       (1.0, 0.1, 0.3, 40.0), (1.0, 0.1, 40.0, 0.3)])
+    def test_left_of_the_median_is_the_cdf_form(self, theta):
+        # where G is at most the Beta median the cdf is the evaluated tail, and
+        # ln(1 - F) is log1p(-cdf), as before the survival side came in
+        params = BFWParams(*theta)
+        x = np.geomspace(1e-3, 40.0, 400)
+        idx = OrderIndex(3, 10)
+        near = fw_cdf(x, params.base) <= special._median(params.p, params.q)
+        assert 0 < near.sum() < x.size
+        cdf = bfw_cdf(x[near], params)
+        with np.errstate(divide="ignore"):
+            direct = (-special.log_beta(3.0, 8.0) + bfw_log_pdf(x[near], params)
+                      + 2 * np.log(cdf) + 7 * np.log1p(-cdf))
+        assert np.array_equal(order_stat_log_pdf(x, idx, params)[near], direct)
 
 
 class TestExpansionForm:
