@@ -74,6 +74,11 @@ array, by damped Newton steps:
   that a Newton step in ln q crosses one unit per pass.  The two-parameter
   kernels return their rows as given; there is no option and no second
   path.
+- Pass cost.  At n <= 1000 a pass costs mostly its few hundred small numpy
+  calls, so it forms each value once, and ``_newton`` and each kernel hold
+  the one ``np.errstate(all="ignore")`` that the helpers run under.  A
+  four-parameter pass costs ~395 us at n = 23 and ~740 at n = 1000, against
+  ~460 and ~835 with that work repeated (README, "Pass cost").
 
 Every family's likelihood lives here: :data:`BFW`, the four-parameter
 model with its profile step; :data:`FW`, the flexible Weibull as the
@@ -117,8 +122,9 @@ __all__ = [
 
 PARAM_NAMES = ("alpha", "beta", "p", "q")
 
-_rowsum = functools.partial(np.add.reduce, axis=-1)  # np.sum over the last axis
-_LOWER = np.tril_indices(4, -1)
+
+def _rowsum(a, out=None):  # a partial with the keyword out costs a dict per call
+    return np.add.reduce(a, -1, None, out)  # np.sum over the last axis
 
 
 @dataclass(frozen=True)
@@ -167,7 +173,8 @@ class _Workspace:
     :func:`bfw._stable.fw_tail_terms`, whose ratio takes the place of w),
     one (rows, n) mask and the (sums, rows) array the rows are reduced
     into.  A block of r rows writes into the leading r rows of each, so the
-    passes of a fit allocate no data-sized temporaries.
+    passes of a fit allocate no data-sized temporaries, and name the sums of
+    r rows by one dict per (r, order, tails) (:meth:`sums`).
 
     ``tiny`` is whether some x^2 is subnormal, whatever beta
     (:func:`bfw._stable.tiny_x`); only then do the passes form
@@ -182,12 +189,21 @@ class _Workspace:
             self.x2 = x * x
         self.floats = np.empty((6, rows, x.size))
         self.mask = np.empty((rows, x.size), dtype=bool)
-        self.sums = np.empty((len(_SUM_NAMES), rows))
+        self.totals = np.empty((len(_SUM_NAMES), rows))
+        self.named = {}
 
-    def buffers(self, rows):
-        """The six float buffers, the mask and the sums array for ``rows``
-        rows, as views of their leading rows."""
-        return self.floats[:, :rows], self.mask[:rows], self.sums[:, :rows]
+    def sums(self, rows, order, tails):
+        """The sums of :func:`_bfw_sums` for ``rows`` rows by name, views of
+        the sums array's leading rows, plus n, sum x and sum 1/x."""
+        key = rows, order, tails
+        sums = self.named.get(key)
+        if sums is None:
+            names = [name for name in _SUM_NAMES[: _SUM_COUNTS[order]]
+                     if tails or name not in _TAIL_SUMS]
+            sums = self.named[key] = dict(zip(names, self.totals[:, :rows]), n=self.x.size)
+            if order >= 1:
+                sums.update(x=self.sum_x, inv_x=self.sum_inv_x)
+        return sums
 
     @functools.cached_property
     def x4(self):
@@ -228,54 +244,50 @@ def _bfw_sums(x, alpha, beta, order, ws=None, tails=True):
     new one sized for them).  The sums are views of its sums array, valid
     until its next pass.
     """
-    n = x.size
     rows = alpha.size
     if ws is None:
         ws = _Workspace(x, rows)
-    (w, ew, s, f, ln_f, curv), mask, totals = ws.buffers(rows)
-    names = [name for name in _SUM_NAMES[: _SUM_COUNTS[order]] if tails or name not in _TAIL_SUMS]
-    sums = dict(zip(names, totals), n=n)
+    (w, ew, s, f, ln_f, curv), mask = ws.floats[:, :rows], ws.mask[:rows]
+    sums = ws.sums(rows, order, tails)
     x2 = ws.x2
     ac, bc = alpha[:, None], beta[:, None]
-    with np.errstate(all="ignore"):
-        w = np.subtract(np.multiply(ac, x, w), np.divide(bc, x, s), w)
-        _rowsum(w, out=sums["w"])
-        ew = np.exp(w, ew)
-        if tails:
-            ln_f, ratio, curv = fw_tail_terms(w, ew, ratio=order >= 1, curvature=order == 2,
-                                              out=(s, f, ln_f, w, curv, mask))
-            _rowsum(ln_f, out=sums["ln_f"])
-        tmp, denom = s, f  # S and F are free from here on
-        _rowsum(ew, out=sums["ew"])
-        if ws.tiny:
-            _rowsum(log_amplitude(x, ac, bc, True), out=sums["amp"])
-        else:
-            _rowsum(np.log(np.add(ac, np.divide(bc, x2, tmp), tmp), tmp), out=sums["amp"])
-        if order == 0:
-            return sums
-        denom = np.add(bc, np.multiply(ac, x2, denom), denom)
-        sums.update(x=ws.sum_x, inv_x=ws.sum_inv_x)
+    w = np.subtract(np.multiply(ac, x, w), np.divide(bc, x, s), w)
+    _rowsum(w, out=sums["w"])
+    ew = np.exp(w, ew)
+    if tails:
+        ln_f, ratio, curv = fw_tail_terms(w, ew, ratio=order >= 1, curvature=order == 2,
+                                          out=(s, f, ln_f, w, curv, mask))
+        _rowsum(ln_f, out=sums["ln_f"])
+    tmp, denom = s, f  # S and F are free from here on
+    _rowsum(ew, out=sums["ew"])
+    if ws.tiny:
+        _rowsum(log_amplitude(x, ac, bc, True), out=sums["amp"])
+    else:
+        _rowsum(np.log(np.add(ac, np.divide(bc, x2, tmp), tmp), tmp), out=sums["amp"])
+    if order == 0:
+        return sums
+    denom = np.add(bc, np.multiply(ac, x2, denom), denom)
+    _sum_products(sums, tmp, (
+        ("x2_d", np.divide, x2, denom), ("inv_d", np.divide, 1.0, denom),
+        ("x_ew", np.multiply, x, ew), ("ew_x", np.divide, ew, x),
+    ))
+    if tails:
         _sum_products(sums, tmp, (
-            ("x2_d", np.divide, x2, denom), ("inv_d", np.divide, 1.0, denom),
-            ("x_ew", np.multiply, x, ew), ("ew_x", np.divide, ew, x),
+            ("x_r", np.multiply, x, ratio), ("r_x", np.divide, ratio, x),
         ))
-        if tails:
-            _sum_products(sums, tmp, (
-                ("x_r", np.multiply, x, ratio), ("r_x", np.divide, ratio, x),
-            ))
-        if order == 1:
-            return sums
-        denom = np.square(denom, denom)
+    if order == 1:
+        return sums
+    denom = np.square(denom, denom)
+    _sum_products(sums, tmp, (
+        ("x4_d2", np.divide, ws.x4, denom), ("x2_ew", np.multiply, x2, ew),
+        ("x2_d2", np.divide, x2, denom), ("inv_d2", np.divide, 1.0, denom),
+        ("ew_x2", np.divide, ew, x2),
+    ))
+    if tails:
+        _rowsum(curv, out=sums["c"])
         _sum_products(sums, tmp, (
-            ("x4_d2", np.divide, ws.x4, denom), ("x2_ew", np.multiply, x2, ew),
-            ("x2_d2", np.divide, x2, denom), ("inv_d2", np.divide, 1.0, denom),
-            ("ew_x2", np.divide, ew, x2),
+            ("x2_c", np.multiply, x2, curv), ("c_x2", np.divide, curv, x2),
         ))
-        if tails:
-            _rowsum(curv, out=sums["c"])
-            _sum_products(sums, tmp, (
-                ("x2_c", np.multiply, x2, curv), ("c_x2", np.divide, curv, x2),
-            ))
     return sums
 
 
@@ -286,64 +298,63 @@ def _sum_products(sums, tmp, products):
         _rowsum(op(a, b, tmp), out=sums[name])
 
 
-def _bfw_assemble(sums, p, q, order):
+def _bfw_assemble(sums, p, q, order, log_beta=None, walk=None):
     """Log-likelihood, score (order >= 1) and information (order 2) of each
     row at shapes (p, q) from its :func:`_bfw_sums` of at least that order:
-    O(rows) work, no pass over the data.  A row whose log-likelihood is not representable gives -inf."""
+    O(rows) work, no pass over the data, taking ln B(p, q) from
+    ``log_beta`` when given.  A row whose log-likelihood is not representable
+    gives -inf.  Into ``walk``, when given, go the first three columns of
+    the fitter's walk terms (:func:`_bfw_profiled`), from the same products."""
     n = sums["n"]
-    with np.errstate(all="ignore"):
-        ll = (
-            -n * special._log_beta(p, q)
-            + sums["amp"]
-            + sums["w"]
-            - q * sums["ew"]
-            + (p - 1.0) * sums["ln_f"]
-        )
-        # any non-representable configuration acts as an impossible fit
-        ll = np.where(np.isfinite(ll), ll, -np.inf)
-        if order == 0:
-            return ll, None, None
-        gaps, tri_s, tri_gaps = special._log_beta_derivatives(np.array([p, q]), order)
-        grad = np.empty((ll.size, 4))
-        info = np.empty((ll.size, 4, 4)) if order == 2 else None
-        _rate_terms(sums, q, p - 1.0, grad, info)
-        grad[:, 2] = n * gaps[0] + sums["ln_f"]
-        grad[:, 3] = n * gaps[1] - sums["ew"]
-        if order == 1:
-            return ll, grad, None
-        info[:, 0, 2] = -sums["x_r"]
-        info[:, 0, 3] = sums["x_ew"]
-        info[:, 1, 2] = sums["r_x"]
-        info[:, 1, 3] = -sums["ew_x"]
-        info[:, 2, 2] = n * tri_gaps[0]
-        info[:, 2, 3] = -n * tri_s
-        info[:, 3, 3] = n * tri_gaps[1]
-    info[:, _LOWER[0], _LOWER[1]] = info[:, _LOWER[1], _LOWER[0]]
-    return ll, grad, info
+    if log_beta is None:
+        log_beta = special._log_beta(p, q)
+    n_log_beta = -n * log_beta
+    q_ew = q * sums["ew"]
+    pm1 = p - 1.0
+    tail = pm1 * sums["ln_f"]
+    ll = n_log_beta + sums["amp"] + sums["w"] - q_ew + tail
+    # any non-representable configuration acts as an impossible fit
+    ll = np.where(np.isfinite(ll), ll, -np.inf)
+    if walk is not None:
+        walk[:, 0] = _EPS * (np.abs(n_log_beta) + np.abs(sums["amp"]) + np.abs(sums["w"])
+                             + q_ew + np.abs(tail))
+        walk[:, 1] = np.log(q_ew / n)
+        walk[:, 2] = np.log(sums["ln_f"] / -n)
+    if order == 0:
+        return ll, None, None
+    gaps, tri_s, tri_gaps = special._log_beta_derivatives(p, q, order)
+    a, b, aa, ab, bb = _rate_terms(sums, q, pm1, order)
+    grad = np.array((a, b, n * gaps[0] + sums["ln_f"], n * gaps[1] - sums["ew"])).T
+    if order == 1:
+        return ll, grad, None
+    ap, aq, bp, bq = -sums["x_r"], sums["x_ew"], sums["r_x"], -sums["ew_x"]
+    pp, pq, qq = n * tri_gaps[0], -n * tri_s, n * tri_gaps[1]
+    info = np.array((aa, ab, ap, aq, ab, bb, bp, bq, ap, bp, pp, pq, aq, bq, pq, qq)).T
+    return ll, grad, info.reshape(-1, 4, 4)
 
 
-def _rate_terms(sums, q, pm1, grad, info=None):
-    """The (alpha, beta) block of the score, written into ``grad[:, :2]``,
-    and when ``info`` is given of the information, into ``info[:, :2, :2]``,
-    at shapes p and q, ``pm1`` being p - 1, from :func:`_bfw_sums` of that
-    order.  With ``pm1`` None, p = 1 and the tail sums, which p - 1 would
-    multiply, are not read: at p = q = 1 it is the two-parameter flexible
-    Weibull's.  Callers hold ``np.errstate(all="ignore")``."""
-    grad[:, 0] = sums["x2_d"] + sums["x"] - q * sums["x_ew"]
-    grad[:, 1] = sums["inv_d"] - sums["inv_x"] + q * sums["ew_x"]
+def _rate_terms(sums, q, pm1, order):
+    """The (alpha, beta) block of the score and, for ``order`` 2, of the
+    information at shapes p and q, ``pm1`` being p - 1, from
+    :func:`_bfw_sums` of that order: the entries alpha, beta, and
+    (alpha, alpha), (alpha, beta), (beta, beta), None below order 2.  With
+    ``pm1`` None, p = 1 and the tail sums, which p - 1 would multiply, are
+    not read: at p = q = 1 it is the two-parameter flexible Weibull's."""
+    a = sums["x2_d"] + sums["x"] - q * sums["x_ew"]
+    b = sums["inv_d"] - sums["inv_x"] + q * sums["ew_x"]
     if pm1 is not None:
-        grad[:, 0] += pm1 * sums["x_r"]
-        grad[:, 1] -= pm1 * sums["r_x"]
-    if info is None:
-        return
-    info[:, 0, 0] = sums["x4_d2"] + q * sums["x2_ew"]
-    info[:, 0, 1] = sums["x2_d2"] - q * sums["ew"]
-    info[:, 1, 1] = sums["inv_d2"] + q * sums["ew_x2"]
+        a += pm1 * sums["x_r"]
+        b -= pm1 * sums["r_x"]
+    if order < 2:
+        return a, b, None, None, None
+    aa = sums["x4_d2"] + q * sums["x2_ew"]
+    ab = sums["x2_d2"] - q * sums["ew"]
+    bb = sums["inv_d2"] + q * sums["ew_x2"]
     if pm1 is not None:
-        info[:, 0, 0] -= pm1 * sums["x2_c"]
-        info[:, 0, 1] += pm1 * sums["c"]
-        info[:, 1, 1] -= pm1 * sums["c_x2"]
-    info[:, 1, 0] = info[:, 0, 1]
+        aa -= pm1 * sums["x2_c"]
+        ab += pm1 * sums["c"]
+        bb -= pm1 * sums["c_x2"]
+    return a, b, aa, ab, bb
 
 
 def _bfw_evaluate(x, theta, order=2, ws=None):
@@ -353,8 +364,9 @@ def _bfw_evaluate(x, theta, order=2, ws=None):
     (:func:`_bfw_sums`) and its assembly at the rows' own shapes
     (:func:`_bfw_assemble`), written into the workspace ``ws`` as
     :func:`_bfw_sums` says."""
-    sums = _bfw_sums(x, theta[:, 0], theta[:, 1], order, ws)
-    return _bfw_assemble(sums, theta[:, 2], theta[:, 3], order)
+    with np.errstate(all="ignore"):
+        sums = _bfw_sums(x, theta[:, 0], theta[:, 1], order, ws)
+        return _bfw_assemble(sums, theta[:, 2], theta[:, 3], order)
 
 
 def _profile_shapes(n, t, shapes):
@@ -381,66 +393,49 @@ def _profile_shapes(n, t, shapes):
     once.  The Beta likelihood has a maximum only where e^-a + e^-b < 1;
     elsewhere, and where the sums are not finite, a row keeps its (p, q).
     Rows are independent.  Returns the shapes, ``shapes`` itself when no
-    row moves.
+    row moves, and their ln B(p, q).
     """
-    with np.errstate(all="ignore"):
-        g = np.exp(t / n)  # e^-a, e^-b
-        gap = 1.0 - (g[0] + g[1])
-        a = np.where(gap > 0.0, t / -n, np.nan)  # no candidate where no maximum exists
-        cand = np.array([shapes, 1.0 / (a + np.sqrt(a[0] * a[1])), 0.5 + (0.5 / gap) * g])
-        phi = np.add.reduce(cand * t, axis=1) - n * special._log_beta(cand[:, 0], cand[:, 1])
-        best = np.where(phi == phi, phi, -np.inf).argmax(axis=0)
-        if best.any():
-            shapes = cand[best, :, np.arange(best.size)].T
-        return shapes
-
-
-def _walk_terms(sums, theta, x_max):
-    """The terms by which the fitter retires a row (see ``_newton``), from
-    its :func:`_bfw_sums` and its parameters ``theta`` on data whose largest
-    value is ``x_max``, as a (rows, 5) array:
-
-    - the log-likelihood's rounding error eps (n |ln B(p, q)|
-      + |sum ln(alpha + beta/x^2)| + |sum w| + q sum e^w + |p - 1| |sum ln F|);
-    - ln(q sum e^w / n): while -q sum e^w dominates, a Newton step in ln q
-      is -1 per pass, so this is the number of passes before it comes down
-      to n;
-    - ln(-sum ln F / n): the profile step has a candidate, and can end that
-      crawl at once, only where this exceeds ln(eps / 2) (below it
-      exp(sum ln F / n) rounds to 1; -inf where every ln F rounds to 0);
-    - sqrt(beta/alpha) / x_max - 1, which ridge A takes to 0;
-    - (e - 1) q / p - 1, which ridge B takes to 0.
-    """
-    n = sums["n"]
-    alpha, beta, p, q = theta.T
-    walk = np.empty((p.size, 5))
-    with np.errstate(all="ignore"):
-        q_ew = q * sums["ew"]
-        walk[:, 0] = _EPS * (n * np.abs(special._log_beta(p, q)) + np.abs(sums["amp"])
-                             + np.abs(sums["w"]) + q_ew + np.abs((p - 1.0) * sums["ln_f"]))
-        walk[:, 1] = np.log(q_ew / n)
-        walk[:, 2] = np.log(sums["ln_f"] / -n)
-        walk[:, 3] = np.sqrt(beta / alpha) / x_max - 1.0
-        walk[:, 4] = _E_MINUS_1 * q / p - 1.0
-    return walk
+    g = np.exp(t / n)  # e^-a, e^-b
+    gap = 1.0 - (g[0] + g[1])
+    a = np.where(gap > 0.0, t / -n, np.nan)  # no candidate where no maximum exists
+    cand = np.array([shapes, 1.0 / (a + np.sqrt(a[0] * a[1])), 0.5 + (0.5 / gap) * g])
+    log_beta = special._log_beta(cand[:, 0], cand[:, 1])
+    phi = np.add.reduce(cand * t, axis=1) - n * log_beta
+    best = np.where(phi == phi, phi, -np.inf).argmax(axis=0)
+    if not best.any():
+        return shapes, log_beta[0]
+    rows = np.arange(best.size)
+    return cand[best, :, rows].T, log_beta[best, rows]
 
 
 def _bfw_profiled(x, theta, ws):
     """The four-parameter kernel of the fitter on (alpha, beta, p, q) rows:
-    one data pass at each row's (alpha, beta), the profile step of its
-    (p, q) (:func:`_profile_shapes`) from the sums of that pass, and the
-    log-likelihood, score and information assembled at the result.
-    Returns (theta, ll, grad, info, walk), ``walk`` from
-    :func:`_walk_terms`; the data pass writes into the workspace ``ws`` as
-    :func:`_bfw_sums` says."""
-    sums = _bfw_sums(x, theta[:, 0], theta[:, 1], 2, ws)
-    start = theta[:, 2:].T
-    shapes = _profile_shapes(sums["n"], np.array([sums["ln_f"], -sums["ew"]]), start)
-    ll, grad, info = _bfw_assemble(sums, shapes[0], shapes[1], 2)
+    one data pass at each row's (alpha, beta), written into the workspace
+    ``ws`` (:func:`_bfw_sums`), the profile step of its (p, q)
+    (:func:`_profile_shapes`) from the sums of that pass, and the assembly
+    at the result with the ln B(p, q) the step formed.  Returns
+    (theta, ll, grad, info, walk), ``walk`` the (rows, 5) terms by which the
+    fitter retires a row (see ``_newton``): the log-likelihood's rounding
+    error eps (n |ln B(p, q)| + |sum ln(alpha + beta/x^2)| + |sum w|
+    + q sum e^w + |p - 1| |sum ln F|); ln(q sum e^w / n), the passes of the
+    ln q crawl while -q sum e^w dominates; ln(-sum ln F / n), above
+    ln(eps / 2) where the profile step has a candidate that ends the crawl
+    (-inf where every ln F rounds to 0); and the offsets from the ridges,
+    sqrt(beta/alpha) / x_(n) - 1 (A) and (e - 1) q / p - 1 (B).
+    """
+    with np.errstate(all="ignore"):
+        sums = _bfw_sums(x, theta[:, 0], theta[:, 1], 2, ws)
+        start = theta[:, 2:].T
+        shapes, log_beta = _profile_shapes(sums["n"], np.array([sums["ln_f"], -sums["ew"]]), start)
+        p, q = shapes
+        walk = np.empty((p.size, 5))
+        ll, grad, info = _bfw_assemble(sums, p, q, 2, log_beta, walk)
+        walk[:, 3] = np.sqrt(theta[:, 1] / theta[:, 0]) / ws.x_max - 1.0
+        walk[:, 4] = _E_MINUS_1 * q / p - 1.0
     if shapes is not start:  # some row moved
         theta = theta.copy()
         theta[:, 2:] = shapes.T
-    return theta, ll, grad, info, _walk_terms(sums, theta, ws.x_max)
+    return theta, ll, grad, info, walk
 
 
 def log_likelihood(data, params):
@@ -471,18 +466,20 @@ def observed_information(data, params):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """What a caller sets of the fitter: the number of four-parameter starts
-    (the two-parameter families start from four fixed points) and the score
-    sup-norm of the convergence test, strictly positive and finite.  The
-    rest is fixed in this module (``_REL_LL_TOL``, ``_MAX_ITER`` and the
-    start range ``_START_LOG_LOW``, ``_START_LOG_HIGH``)."""
+    """What a caller sets of the fitter: the number of four-parameter starts,
+    a Python or numpy integer of at least 1 (the two-parameter families
+    start from four fixed points), and the score sup-norm of the convergence
+    test, strictly positive and finite.  The rest is fixed in this module
+    (``_REL_LL_TOL``, ``_MAX_ITER`` and the start range ``_START_LOG_LOW``,
+    ``_START_LOG_HIGH``)."""
 
     starts: int = 16
     score_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.starts < 1:
-            raise DomainError("at least one start is required")
+        starts = self.starts
+        if isinstance(starts, bool) or not isinstance(starts, (int, np.integer)) or starts < 1:
+            raise DomainError("at least one start is required, as an integer count")
         checked(self.score_tol, "score tolerance")
 
 
@@ -569,7 +566,7 @@ class Likelihood:
     holds the (starts, 5) terms by which the fitter retires a row that
     cannot converge (its log-likelihood's rounding error, the length of its
     ln q crawl, how near the profile step is to ending it and its offsets
-    from the two ridges, see :func:`_walk_terms`); a family that reports
+    from the two ridges, see :func:`_bfw_profiled`); a family that reports
     None retires no row.  ``ws`` is what ``workspace(x, rows)`` returns:
     what every pass of one fit on data ``x`` shares, with buffers for
     blocks of at most ``rows`` rows; the fitter makes one per fit.
@@ -598,13 +595,12 @@ def _fw_kernel(x, theta, ws):
     (:func:`_bfw_sums`), then its log-likelihood and the (alpha, beta) block
     of its score and information alone.  The rows stay as given and report
     no walk terms."""
-    sums = _bfw_sums(x, theta[:, 0], theta[:, 1], 2, ws, tails=False)
-    grad, info = np.empty((theta.shape[0], 2)), np.empty((theta.shape[0], 2, 2))
     with np.errstate(all="ignore"):
-        _rate_terms(sums, 1.0, None, grad, info)
+        sums = _bfw_sums(x, theta[:, 0], theta[:, 1], 2, ws, tails=False)
+        a, b, aa, ab, bb = _rate_terms(sums, 1.0, None, 2)
         ll = sums["amp"] + sums["w"] - sums["ew"]  # ln B(1, 1) = 0
         ll = np.where(np.isfinite(ll), ll, -np.inf)
-    return theta, ll, grad, info, None
+    return theta, ll, np.array((a, b)).T, np.array((aa, ab, ab, bb)).T.reshape(-1, 2, 2), None
 
 
 FW = Likelihood(_fw_kernel, _two_param_starts, _Workspace)
@@ -625,19 +621,17 @@ def _weibull_evaluate(x, theta, ws=None):
         z = x / scale[:, None]
         log_z = np.log(z)
         zs = z ** shape[:, None]
-        sum_zs = np.sum(zs, axis=-1)
+        sum_zs = _rowsum(zs)
         sum_log_x = _weibull_workspace(x) if ws is None else ws
         ll = n * np.log(shape) - n * shape * log_scale + (shape - 1.0) * sum_log_x - sum_zs
         ll = np.where(np.isfinite(ll), ll, -np.inf)
-        zs_log_z = np.sum(zs * log_z, axis=-1)
+        zs_log_z = _rowsum(zs * log_z)
         d_shape = n / shape - n * log_scale + sum_log_x - zs_log_z
-        grad = np.column_stack([d_shape, shape / scale * (sum_zs - n)])
+        grad = np.array((d_shape, shape / scale * (sum_zs - n))).T
         i_ks = (n - sum_zs - shape * zs_log_z) / scale
-        info = np.empty((theta.shape[0], 2, 2))
-        info[:, 0, 0] = n / shape**2 + np.sum(zs * log_z**2, axis=-1)
-        info[:, 0, 1] = info[:, 1, 0] = i_ks
-        info[:, 1, 1] = shape * ((shape + 1.0) * sum_zs - n) / scale**2
-    return ll, grad, info
+        i_kk = n / shape**2 + _rowsum(zs * log_z**2)
+        i_ss = shape * ((shape + 1.0) * sum_zs - n) / scale**2
+    return ll, grad, np.array((i_kk, i_ks, i_ks, i_ss)).T.reshape(-1, 2, 2)
 
 
 def weibull_loglik_grad(x, shape, scale):
@@ -751,42 +745,40 @@ def _evaluate(kernel, x, theta, ws):
 def _log_space(theta, grad, info):
     """Gradient g = theta * score and negative Hessian
     H = D I D - diag(g), D = diag(theta), of each row in z = ln theta, and
-    whether every entry of the row is finite."""
-    with np.errstate(all="ignore"):
-        g = grad * theta
-        h = theta[:, :, None] * theta[:, None, :] * info
-        diagonal = np.arange(theta.shape[1])
-        h[:, diagonal, diagonal] -= g
-    finite = np.all(np.isfinite(g), axis=1) & np.all(np.isfinite(h), axis=(1, 2))
-    return g, h, finite
+    whether every entry of the row is finite (where g is not, neither is
+    the diagonal of H)."""
+    g = grad * theta
+    h = theta[:, :, None] * theta[:, None, :] * info
+    diagonal = h.reshape(len(h), -1)[:, :: theta.shape[1] + 1]
+    np.subtract(diagonal, g, out=diagonal)
+    return g, h, np.isfinite(h).all(axis=(1, 2))
 
 
-def _damped_steps(g, h, damping):
+def _damped_steps(g, abs_e, v, damping):
     """One damped Newton step per row: with H = V diag(e) V^T, the step is
     V diag(1 / (|e| + damping max|e|)) V^T g -- the Newton step where H is
     positive definite and the damping small, an ascent direction always.
     Where every |e| is 0 the step is not finite, and its trial is rejected."""
-    e, v = np.linalg.eigh(h)
-    abs_e = np.abs(e)
     scale = abs_e + damping[:, None] * abs_e.max(axis=1)[:, None]
-    with np.errstate(all="ignore"):
-        return (v @ ((g[:, None, :] @ v)[:, 0] / scale)[:, :, None])[:, :, 0]
+    return (v @ ((g[:, None, :] @ v)[:, 0] / scale)[:, :, None])[:, :, 0]
 
 
-def _follow(z, theta):
+def _follow(z, theta, given):
     """Set z = ln theta in place where the family's kernel moved theta away
-    from e^z; elsewhere z stays as stepped."""
-    moved = theta != np.exp(z)
-    if moved.any():
-        z[moved] = np.log(theta[moved])
+    from ``given`` = e^z; elsewhere z stays as stepped."""
+    if theta is not given:
+        moved = theta != given
+        if moved.any():
+            z[moved] = np.log(theta[moved])
 
 
-def _walking(before, walk, ll, change, z, step, left):
+def _walking(before, walk, scale, change, z, step, left):
     """Which retirement trigger holds at each trial point, a (rows, 6)
     boolean array in the order of ``_RETIRE_MESSAGES``, from the point's
-    :func:`_walk_terms` ``walk``, the ln(-sum ln F / n) term ``before`` of
-    the row's previous accepted point, the log-likelihood ``change``, the
-    point ``z`` = ln theta and the ``step`` in z that led to it:
+    walk terms ``walk`` (:func:`_bfw_profiled`), the ln(-sum ln F / n) term
+    ``before`` of the row's previous accepted point, its 1 + |ll|
+    ``scale``, the log-likelihood ``change``, the point ``z`` = ln theta
+    and the ``step`` in z that led to it:
 
     - rounding: the log-likelihood's rounding error exceeds
       ``_RETIRE_ROUNDING`` (1 + |ll|), so it cannot resolve ``_REL_LL_TOL``;
@@ -802,14 +794,12 @@ def _walking(before, walk, ll, change, z, step, left):
     - q limit: ln q above ``_Q_LIMIT_LN_Q`` and rising by at least
       ``_Q_LIMIT_RISE``, with p < 1.
     """
-    scale = 1.0 + np.abs(ll)
     span = left + _RETIRE_CRAWL_SLACK
-    with np.errstate(invalid="ignore"):
-        rate = walk[:, 2] - before  # nan where both are -inf
-        ends = (rate > 0.0) & (_LN_HALF_EPS - walk[:, 2] <= rate * span)
-        near = np.abs(walk[:, 3:]) < _RIDGE_OFFSET
+    rate = walk[:, 2] - before  # nan where both are -inf
+    ends = (rate > 0.0) & (_LN_HALF_EPS - walk[:, 2] <= rate * span)
+    near = np.abs(walk[:, 3:]) < _RIDGE_OFFSET
     ln_p, ln_q = z[:, 2], z[:, 3]
-    holds = np.empty((ll.size, len(_RETIRE_MESSAGES)), dtype=bool)
+    holds = np.empty((scale.size, len(_RETIRE_MESSAGES)), dtype=bool)
     holds[:, 0] = walk[:, 0] > _RETIRE_ROUNDING * scale
     holds[:, 1] = (walk[:, 1] > span) & ~ends
     moving = np.abs(step).max(axis=1) >= _RETIRE_MOVING
@@ -818,6 +808,16 @@ def _walking(before, walk, ll, change, z, step, left):
     holds[:, 4] = near[:, 1] & (ln_p > _RIDGE_B_LN_P) & (step[:, 2] >= _RIDGE_B_RISE)
     holds[:, 5] = (ln_q > _Q_LIMIT_LN_Q) & (step[:, 3] >= _Q_LIMIT_RISE) & (ln_p < 0.0)
     return holds
+
+
+def _stop_codes(norm, change, scale, evaluations, streak, damping, score_tol):
+    """Each row's first stop that holds: converged, budget, retired, rejected."""
+    settled = (norm <= score_tol) & (change <= _REL_LL_TOL * scale)
+    return np.where(
+        settled, _CONVERGED, np.where(
+            evaluations > _MAX_ITER, _BUDGET, np.where(
+                (streak >= _RETIRE_AFTER).any(axis=1), _RETIRED, np.where(
+                    damping > _DAMPING_MAX, _REJECTED, _ACTIVE))))
 
 
 def _newton(likelihood, x, z0, config):
@@ -832,72 +832,83 @@ def _newton(likelihood, x, z0, config):
     log-likelihood, score and information per start, its stop code, accepted
     steps, kernel passes, the log-likelihoods of its improving steps and its
     stop message.
+
+    Row i of the active starts' arrays is start ``rows[i]``; they shrink on
+    a pass where a start stops.  Only rows at a new point (``fresh``) have
+    their H decomposed: a rejected trial changes only the damping.
     """
     z = np.array(z0, dtype=float)
-    m = z.shape[0]
+    m, k = z.shape
     kernel, ws = likelihood.kernel, likelihood.workspace(x, min(m, _block_rows(x.size)))
-    with np.errstate(over="ignore"):
-        theta, ll, grad, info, walk = _evaluate(kernel, x, np.exp(z), ws)
+    with np.errstate(all="ignore"):
+        given = np.exp(z)
+        theta, ll, grad, info, walk = _evaluate(kernel, x, given, ws)
+        _follow(z, theta, given)
+        g, h, finite = _log_space(theta, grad, info)
+        trajectories = [[value] for value in ll.tolist()]
+        stop = np.full(m, _ACTIVE)
+        # each start's reported point, accepted steps, kernel passes and
+        # retirement streaks, written when it stops
+        report = (theta, ll, grad, info, np.zeros(m, dtype=int), np.ones(m, dtype=int),
+                  np.zeros((m, len(_RETIRE_MESSAGES)), dtype=int))
+        rows, scale, norm = np.arange(m), 1.0 + np.abs(ll), np.abs(grad).max(axis=1)
+        abs_e, v, fresh = np.empty((m, k)), np.empty((m, k, k)), np.ones(m, dtype=bool)
+        damping, growth, change = np.full(m, _DAMPING_START), np.full(m, 2.0), np.full(m, math.inf)
+        its, evs, streak = report[4:]
         reach = None if walk is None else walk[:, 2]
-        _follow(z, theta)
-    g, h, finite = _log_space(theta, grad, info)
-    norm = np.max(np.abs(grad), axis=1)
-    stop = np.where(np.isfinite(ll) & finite, _ACTIVE, _NONFINITE)
-    iterations = np.zeros(m, dtype=int)
-    evaluations = np.ones(m, dtype=int)
-    damping = np.full(m, _DAMPING_START)
-    growth = np.full(m, 2.0)
-    change = np.full(m, math.inf)
-    streak = np.zeros((m, len(_RETIRE_MESSAGES)), dtype=int)
-    trajectories = [[float(value)] for value in ll]
-    active = np.flatnonzero(stop == _ACTIVE)
-    while True:
-        settled = (norm[active] <= config.score_tol) & (
-            change[active] <= _REL_LL_TOL * (1.0 + np.abs(ll[active])))
-        retire = (streak[active] >= _RETIRE_AFTER).any(axis=1)
-        stop[active] = np.where(
-            settled, _CONVERGED, np.where(
-                evaluations[active] > _MAX_ITER, _BUDGET, np.where(
-                    retire, _RETIRED, np.where(
-                        damping[active] > _DAMPING_MAX, _REJECTED, _ACTIVE))))
-        active = active[stop[active] == _ACTIVE]
-        if active.size == 0:
-            break
-        z_t = z[active] + _damped_steps(g[active], h[active], damping[active])
-        with np.errstate(over="ignore"):
-            theta_t, ll_t, grad_t, info_t, walk_t = _evaluate(kernel, x, np.exp(z_t), ws)
-            _follow(z_t, theta_t)
-        g_t, h_t, finite_t = _log_space(theta_t, grad_t, info_t)
-        norm_t = np.max(np.abs(grad_t), axis=1)
-        ll_a = ll[active]
-        better = ll_t > ll_a
-        close = (ll_t >= ll_a - _SLACK * (1.0 + np.abs(ll_a))) & (norm_t < norm[active])
-        accept = finite_t & (better | close)
-        evaluations[active] += 1
-        change_t = np.abs(ll_t - ll_a)  # inf for a non-representable trial
-        change[active] = change_t
-
-        rows = active[accept]
-        if walk_t is not None:
-            left = _MAX_ITER + 1 - evaluations[active]
-            holds = _walking(reach[active], walk_t, ll_t, change_t, z_t, z_t - z[active], left)
-            streak[rows] = (streak[rows] + 1) * holds[accept]
-            reach[rows] = walk_t[accept, 2]
-        z[rows], theta[rows], ll[rows] = z_t[accept], theta_t[accept], ll_t[accept]
-        grad[rows], info[rows], norm[rows] = grad_t[accept], info_t[accept], norm_t[accept]
-        g[rows], h[rows] = g_t[accept], h_t[accept]
-        iterations[rows] += 1
-        damping[rows] = np.maximum(damping[rows] / 3.0, _DAMPING_MIN)
-        growth[rows] = 2.0
-        for i in rows[better[accept]]:
-            trajectories[i].append(float(ll[i]))
-
-        rows = active[~accept]
-        damping[rows] *= growth[rows]
-        growth[rows] *= 2.0
+        code = np.where(np.isfinite(ll) & finite,
+                        _stop_codes(norm, change, scale, evs, streak, damping, config.score_tol),
+                        _NONFINITE)
+        while True:
+            done = code != _ACTIVE
+            if done.any():
+                index = rows[done]
+                stop[index] = code[done]
+                for out, now in zip(report, (theta, ll, grad, info, its, evs, streak)):
+                    out[index] = now[done]
+                keep = ~done
+                (rows, z, theta, ll, scale, grad, info, norm, g, h, abs_e, v, fresh, damping,
+                 growth, change, its, evs, streak, reach) = (
+                    None if a is None else a[keep] for a in (
+                        rows, z, theta, ll, scale, grad, info, norm, g, h, abs_e, v, fresh,
+                        damping, growth, change, its, evs, streak, reach))
+                if rows.size == 0:
+                    break
+            new = np.flatnonzero(fresh)
+            if new.size:
+                e, v[new] = np.linalg.eigh(h[new])
+                abs_e[new] = np.abs(e)
+            z_t = z + _damped_steps(g, abs_e, v, damping)
+            given = np.exp(z_t)
+            theta_t, ll_t, grad_t, info_t, walk_t = _evaluate(kernel, x, given, ws)
+            _follow(z_t, theta_t, given)
+            g_t, h_t, finite_t = _log_space(theta_t, grad_t, info_t)
+            norm_t, scale_t = np.abs(grad_t).max(axis=1), 1.0 + np.abs(ll_t)
+            better = ll_t > ll
+            close = (ll_t >= ll - _SLACK * scale) & (norm_t < norm)
+            accept = finite_t & (better | close)
+            evs += 1
+            change = np.abs(ll_t - ll)  # inf for a non-representable trial
+            if walk_t is not None:
+                holds = _walking(reach, walk_t, scale_t, change, z_t, z_t - z, _MAX_ITER + 1 - evs)
+                np.copyto(streak, (streak + 1) * holds, where=accept[:, None])
+                np.copyto(reach, walk_t[:, 2], where=accept)
+            where = (accept, accept[:, None], accept[:, None, None])
+            for now, trial in zip((z, theta, ll, scale, grad, info, norm, g, h),
+                                  (z_t, theta_t, ll_t, scale_t, grad_t, info_t, norm_t, g_t, h_t)):
+                np.copyto(now, trial, where=where[now.ndim - 1])
+            its += accept
+            damping = np.where(accept, np.maximum(damping / 3.0, _DAMPING_MIN), damping * growth)
+            growth = np.where(accept, 2.0, growth * 2.0)
+            fresh = accept
+            up = accept & better
+            for i, value in zip(rows[up].tolist(), ll_t[up].tolist()):
+                trajectories[i].append(value)
+            code = _stop_codes(norm, change, scale, evs, streak, damping, config.score_tol)
+    theta, ll, grad, info, iterations, evaluations, streaks = report
     messages = [
-        _RETIRE_MESSAGES[np.argmax(streak[i] >= _RETIRE_AFTER)] if code == _RETIRED
-        else _STOP_MESSAGES[code] for i, code in enumerate(stop)
+        _RETIRE_MESSAGES[np.argmax(streaks[i] >= _RETIRE_AFTER)] if code == _RETIRED
+        else _STOP_MESSAGES[code] for i, code in enumerate(stop.tolist())
     ]
     return theta, ll, grad, info, stop, iterations, evaluations, trajectories, messages
 

@@ -139,25 +139,27 @@ def polygamma_gaps(b, s):
 _GAP_RATIO = 64.0  # shape ratio from which the psi gaps are integrated
 
 
-def _log_beta_derivatives(shapes, order):
-    """The derivatives of -ln B(p, q) at rows ``shapes`` = (p, q), a (2, m)
-    array, for the score (order >= 1) and information (order 2) of a Beta
-    likelihood: the digamma gaps psi(p+q) - (psi(p), psi(q)), stacked like
-    ``shapes``, and for order 2 the trigamma psi'(p+q) and the trigamma gaps
-    (psi'(p), psi'(q)) - psi'(p+q).  Between shapes more than
+def _log_beta_derivatives(p, q, order):
+    """The derivatives of -ln B(p, q) at shapes p and q, for the score
+    (order >= 1) and information (order 2) of a Beta likelihood: the digamma
+    gaps psi(p+q) - (psi(p), psi(q)), a (2, m) array, and for order 2 the
+    trigamma psi'(p+q) and the trigamma gaps (psi'(p), psi'(q)) - psi'(p+q),
+    psi and psi' by one call each on (p + q, p, q).  Between shapes more than
     :data:`_GAP_RATIO` times apart, where a direct difference would lose
     some (b/s) max(1, ln b) ulps of psi(b), the gaps at the larger shape b
     come from :func:`polygamma_gaps`, which does not cancel.  Returns
     (gaps, trigamma, trigamma gaps), None for parts above ``order``.
     Callers hold ``np.errstate(all="ignore")``."""
     sp = _scipy()
-    total = shapes[0] + shapes[1]
-    gaps = sp.psi(total) - sp.psi(shapes)
+    stack = np.array([p + q, p, q])
+    psi = sp.psi(stack)
+    gaps = psi[0] - psi[1:]
     tri_s = tri_gaps = None
     if order == 2:
-        tri_s = sp.zeta(2.0, total)  # polygamma(1, s) = zeta(2, s), bit for bit
-        tri_gaps = sp.zeta(2.0, shapes) - tri_s
-    other = shapes[::-1]
+        zeta = sp.zeta(2.0, stack)  # polygamma(1, s) = zeta(2, s), bit for bit
+        tri_s = zeta[0]
+        tri_gaps = zeta[1:] - tri_s
+    shapes, other = stack[1:], stack[:0:-1]
     far = other * _GAP_RATIO < shapes
     if far.any():
         d_psi, d_tri = polygamma_gaps(shapes[far], other[far])

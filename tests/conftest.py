@@ -91,6 +91,12 @@ def benchmark_panel(benchmark_draws):
 
 
 @pytest.fixture(scope="session")
+def pumps_fit(pumps):
+    """``fit_or_error`` of the pump data, fitted once per session."""
+    return fit_or_error(pumps)
+
+
+@pytest.fixture(scope="session")
 def panel_fits(benchmark_panel):
     """label -> ``fit_or_error`` of each :func:`benchmark_panel` draw, fitted
     once per session and shared by every test that needs a panel fit."""

@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
@@ -195,6 +197,52 @@ class TestObservedInformation:
             observed_information(data, params)
 
 
+# one-row evaluations at extreme points, (data, theta, ll, score, information),
+# floats as hex and an information that raises as its NumericError message;
+# each runs without a RuntimeWarning whichever function holds the error state
+EXTREME_ONE_ROW = [
+    # w = 787 at the largest failure time and q = e^-94
+    ("pumps", (120.0, 1.0, 2.0, math.exp(-94)), "-inf",
+     ["-inf", "inf", "-0x1.d27138ebb5906p+3", "-inf"],
+     "observed information entry (alpha, alpha) is not finite"),
+    # beta/x^2 overflows at x = 1e-160
+    ("tiny", (0.052, 0.024, 35.077, 20.328), "-0x1.3294dd877a94ap+531",
+     ["0x1.6574eecb31140p+4", "-0x1.8f31d5c8679c3p+536", "-0x1.17b0122e55dc5p+526",
+      "0x1.2afd6c5653d60p-1"],
+     ["0x1.195a4d317c5abp+11", "0x1.4b94a4c664db0p+7", "-0x1.534d04f85987cp+2",
+      "0x1.730ab2fc5151cp+3", "0x1.4b94a4c664db0p+7", "0x1.ef39507b580c1p+10",
+      "0x1.6c2d4256ffcc3p+531", "-0x1.22700bf997732p+1", "-0x1.534d04f85987cp+2",
+      "0x1.6c2d4256ffcc3p+531", "0x1.b686537a1ca08p-5", "-0x1.74ff638b73eccp-4",
+      "0x1.730ab2fc5151cp+3", "-0x1.22700bf997732p+1", "-0x1.74ff638b73eccp-4",
+      "0x1.49d54debd3f36p-3"]),
+    # every parameter at an end of double range
+    ("pumps", (1e-300, 1e300, 1e-300, 1e300), "0x0.0p+0",
+     ["0x0.0p+0", "0x0.0p+0", "-0x1.383ef48400618p+1002", "0x0.0p+0"],
+     "observed information entry (p, p) is not finite"),
+    # tiny shapes, where psi'(p) overflows
+    ("pumps", (0.052, 0.024, 1.25e-158, 1.33e-79), "-0x1.062f9f68d9bb5p+13",
+     ["0x1.e29978334f490p+7", "0x1.bed88051a2ebbp+8", "0x1.0c08bc1712487p+529",
+      "-0x1.cbabcbbdf08c4p+2"],
+     "observed information entry (p, p) is not finite"),
+]
+
+
+@pytest.mark.parametrize("name, theta, ll, grad, info", EXTREME_ONE_ROW)
+def test_one_row_functions_pin_extreme_points_without_warnings(pumps, name, theta, ll, grad,
+                                                                 info):
+    data = pumps if name == "pumps" else Dataset(times=np.array([1e-160, 1.0, 2.0, 3.0, 4.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert float(log_likelihood(data, theta)).hex() == ll
+        assert [float(v).hex() for v in score(data, theta)] == grad
+        if isinstance(info, str):
+            with pytest.raises(NumericError) as excinfo:
+                observed_information(data, theta)
+            assert str(excinfo.value) == info
+        else:
+            assert [float(v).hex() for v in observed_information(data, theta).ravel()] == info
+
+
 class TestCovarianceFromInformation:
     def test_identity_reproduction(self, pumps, published_params):
         info = observed_information(pumps, published_params)
@@ -265,6 +313,15 @@ class TestFitMle:
     def test_at_least_one_start(self):
         with pytest.raises(DomainError, match="at least one start"):
             OptimizerConfig(starts=0)
+
+    @pytest.mark.parametrize("starts", [2.5, 3.0, np.float64(3.0), True, False, "3", None])
+    def test_start_count_must_be_an_integer(self, starts):
+        with pytest.raises(DomainError, match="at least one start"):
+            OptimizerConfig(starts=starts)
+
+    def test_numpy_integer_start_count_fits(self, pumps):
+        fit = fit_mle(pumps, OptimizerConfig(starts=np.int64(3)))
+        assert fit.multistart_best_of == 3
 
 
 def weibull_reference(x, theta):
@@ -380,7 +437,8 @@ class TestTinyObservations:
         assert value == pytest.approx(summed, rel=1e-15)
 
     def test_amplitude_sum_matches_mpmath(self):
-        sums = inference._bfw_sums(self.X, self.ROWS[:, 0], self.ROWS[:, 1], 0)
+        with np.errstate(all="ignore"):  # the data pass runs under its caller's error state
+            sums = inference._bfw_sums(self.X, self.ROWS[:, 0], self.ROWS[:, 1], 0)
         with mpmath.workdps(40):
             for row, (a, b) in enumerate(self.ROWS[:, :2]):
                 exact = mpmath.fsum(mpmath.log(mpmath.mpf(a) + mpmath.mpf(b) / mpmath.mpf(v) ** 2)
@@ -403,7 +461,8 @@ class TestTinyObservations:
         x = pumps.times
         assert not inference._Workspace(x, 1).tiny
         rows = np.exp(np.random.default_rng(2).uniform(-8.0, 8.0, (8, 2)))
-        sums = inference._bfw_sums(x, rows[:, 0], rows[:, 1], 0)
+        with np.errstate(all="ignore"):
+            sums = inference._bfw_sums(x, rows[:, 0], rows[:, 1], 0)
         direct = np.add.reduce(np.log(rows[:, :1] + rows[:, 1:] / (x * x)), axis=-1)
         assert np.array_equal(sums["amp"], direct)
 
@@ -677,7 +736,7 @@ class TestProfileStep:
     def profile(self, t, shapes):
         t = np.array(t, dtype=float).reshape(2, -1)
         shapes = np.array(shapes, dtype=float).reshape(2, -1)
-        return inference._profile_shapes(self.N, t, shapes)
+        return inference._profile_shapes(self.N, t, shapes)[0]
 
     @pytest.mark.parametrize("a, b", [(1e6, 3e5), (1e8, 1e8), (1e4, 1e9), (3e3, 2e4)])
     def test_small_shape_solution_solves_the_likelihood_equations(self, a, b):
@@ -702,7 +761,8 @@ class TestProfileStep:
         shapes = np.array([[0.7, 2.0, 3.0, 0.1], [1.3, 0.5, 0.2, 9.0]])
         t = np.array([[-0.01, -0.2, math.nan, -5.0], [-0.01, -0.1, -1.0, math.inf]]) * self.N
         # exp(t1/n) + exp(t2/n) >= 1 in the first two rows, sums not finite in the others
-        assert np.array_equal(inference._profile_shapes(self.N, t, shapes), shapes)
+        with np.errstate(all="ignore"):  # the step runs under its caller's error state
+            assert np.array_equal(inference._profile_shapes(self.N, t, shapes)[0], shapes)
 
     def test_never_lowers_the_log_likelihood(self, pumps, benchmark_panel):
         rng = np.random.default_rng(3)
@@ -913,8 +973,8 @@ class TestRetirement:
                 assert np.array_equal(got[0], want[i]), i
             assert alone[8][0] == batch[8][i]
 
-    def test_fits_match_the_record(self, pumps, panel_fits, fresh_fits):
-        fits = {"pumps": fit_mle(pumps), **panel_fits, **fresh_fits}
+    def test_fits_match_the_record(self, pumps_fit, panel_fits, fresh_fits):
+        fits = {"pumps": pumps_fit, **panel_fits, **fresh_fits}
         got = {label: None if isinstance(fit, ConvergenceError) else float(fit.log_likelihood).hex()
                for label, fit in fits.items()}
         assert got == RECORDED_FITS
@@ -1052,6 +1112,137 @@ class TestWorkspace:
         assert peak <= 2.1 * 2**20
 
 
+def hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def diagnostics_record(d):
+    """Every field of one :class:`StartDiagnostics`, floats as hex."""
+    return (d.index, hexes(d.theta0), float(d.log_likelihood).hex(),
+            float(d.score_inf_norm).hex(), d.converged, d.iterations, d.message, d.evaluations)
+
+
+def whole_output(fit):
+    """A digest of everything a fit reports: every field of the
+    :class:`FitResult` and of each start's diagnostics, or the
+    :class:`ConvergenceError` message with its diagnostics."""
+    if isinstance(fit, ConvergenceError):
+        record = (str(fit), [diagnostics_record(d) for d in fit.diagnostics])
+    else:
+        estimates = fit.estimates
+        if isinstance(estimates, BFWParams):
+            estimates = estimates.as_array()
+        covariance = None if fit.covariance is None else hexes(fit.covariance)
+        record = (hexes(estimates), float(fit.log_likelihood).hex(), hexes(fit.score_at_optimum),
+                  hexes(fit.observed_information), covariance, float(fit.condition_number).hex(),
+                  fit.converged, fit.iterations, fit.multistart_best_of, hexes(fit.trajectory),
+                  [diagnostics_record(d) for d in fit.starts])
+    return hashlib.sha256(repr(record).encode()).hexdigest()[:16]
+
+
+def family_fit(data, likelihood):
+    try:
+        return inference.fit_family(data, likelihood)
+    except ConvergenceError as exc:
+        return exc
+
+
+# whole_output of every fit of pumps and the benchmark's fit panel, by family
+# and dataset: the four-parameter fits of the session's fixtures, the
+# two-parameter fits of every draw; recorded before the Newton pass was
+# trimmed of repeated work, which changes none of them
+WHOLE_OUTPUTS = {
+    "bfw pumps": "418ddba4128a14eb",
+    "bfw anchor0-n50-0": "c72cdf1267d255f2",
+    "bfw anchor0-n50-1": "dfa0de9ff2a6a6cc",
+    "bfw anchor0-n50-2": "6e60d87e567bc5a8",
+    "bfw anchor1-n50-0": "7275b969397093fe",
+    "bfw anchor1-n50-1": "140b0cef38424482",
+    "bfw anchor1-n50-2": "84ffa42d6091f461",
+    "bfw anchor0-n200-0": "226ad17488a2e710",
+    "bfw anchor0-n200-1": "dd20deca081ee2c6",
+    "bfw anchor0-n200-2": "a6c9bb5a63350576",
+    "bfw anchor1-n200-0": "3a11ccc27d637b53",
+    "bfw anchor1-n200-1": "5e22eb1949c22c51",
+    "bfw anchor1-n200-2": "3dde04983cd9eb59",
+    "bfw anchor0-n1000-0": "8a5d7aba470bf9ff",
+    "bfw anchor0-n1000-1": "0fb0632e5103d097",
+    "bfw anchor0-n1000-2": "d22532979fb21712",
+    "bfw anchor1-n1000-0": "dcc3877fb32e06d0",
+    "bfw anchor1-n1000-1": "efaffa50b5051934",
+    "bfw anchor1-n1000-2": "127483fbc84149cc",
+    "bfw anchor0-n5000-0": "efa1f166e37d888f",
+    "bfw anchor1-n5000-0": "2b3eb33f8a52911e",
+    "fw pumps": "ad8c6dfd0816d850",
+    "fw anchor0-n50-0": "13b23df7b70f6ed4",
+    "fw anchor0-n50-1": "a19175e95ed793af",
+    "fw anchor0-n50-2": "0764c3ffcb324aea",
+    "fw anchor0-n50-3": "7f5bebb8c86fdc0a",
+    "fw anchor1-n50-0": "09371f7ca93963cb",
+    "fw anchor1-n50-1": "307a3751d119e2d4",
+    "fw anchor1-n50-2": "8845eed97368e505",
+    "fw anchor1-n50-3": "fa4c0a89b3c01313",
+    "fw anchor0-n200-0": "418a27a96cc3d3bd",
+    "fw anchor0-n200-1": "b5313fde4c3392b7",
+    "fw anchor0-n200-2": "befb5eedeea05305",
+    "fw anchor0-n200-3": "438d50168efd32f1",
+    "fw anchor1-n200-0": "32f7afce08f34581",
+    "fw anchor1-n200-1": "23a2e6aa6630f5e1",
+    "fw anchor1-n200-2": "9509840fd17361f9",
+    "fw anchor1-n200-3": "e328e39219dde30a",
+    "fw anchor0-n1000-0": "bd596da710db879d",
+    "fw anchor0-n1000-1": "9149f1ee23a3bf77",
+    "fw anchor0-n1000-2": "e7e0bc0e91a06c68",
+    "fw anchor0-n1000-3": "0be77940b78e74ec",
+    "fw anchor1-n1000-0": "593bc8b5b15810d2",
+    "fw anchor1-n1000-1": "7c4bf5925ca1a8c2",
+    "fw anchor1-n1000-2": "7c7febe98b1b557c",
+    "fw anchor1-n1000-3": "dcfe8e8b7657adff",
+    "fw anchor0-n5000-0": "c90b66f24ad80eee",
+    "fw anchor1-n5000-0": "210c766bd5fa4dfc",
+    "weibull pumps": "7fe13f0a804e02a0",
+    "weibull anchor0-n50-0": "ae367c2bbac15c6f",
+    "weibull anchor0-n50-1": "d54b05064dd18eb8",
+    "weibull anchor0-n50-2": "0bda96a2baa14fba",
+    "weibull anchor0-n50-3": "bad852e9181bfce5",
+    "weibull anchor1-n50-0": "f02b030a54752180",
+    "weibull anchor1-n50-1": "9a91f447590b3c6a",
+    "weibull anchor1-n50-2": "6c1b613cac0efa0f",
+    "weibull anchor1-n50-3": "6b10caf724ea37a4",
+    "weibull anchor0-n200-0": "628e9d4d31e96dff",
+    "weibull anchor0-n200-1": "aa1d408958f24ec0",
+    "weibull anchor0-n200-2": "b19715906392fec7",
+    "weibull anchor0-n200-3": "737c4fe80c6126d1",
+    "weibull anchor1-n200-0": "19a25f4915609c9b",
+    "weibull anchor1-n200-1": "b46183bf76b5c18c",
+    "weibull anchor1-n200-2": "1da3473b09fb9b62",
+    "weibull anchor1-n200-3": "5764335dda8cfc13",
+    "weibull anchor0-n1000-0": "68e34b08fd0050b2",
+    "weibull anchor0-n1000-1": "bfe9ef57b7886432",
+    "weibull anchor0-n1000-2": "4e5f45a7573bb4a0",
+    "weibull anchor0-n1000-3": "c1ed0d494166edda",
+    "weibull anchor1-n1000-0": "eaeab1db9897ca11",
+    "weibull anchor1-n1000-1": "d0eed8419230aa47",
+    "weibull anchor1-n1000-2": "50d23693c3792e91",
+    "weibull anchor1-n1000-3": "26144d4950185763",
+    "weibull anchor0-n5000-0": "196562099ff4bf6d",
+    "weibull anchor1-n5000-0": "c1a922816154b9b1",
+}
+
+
+class TestWholeOutput:
+    def test_every_fit_reports_what_was_recorded(self, pumps_fit, panel_fits, large_fits,
+                                                 pumps, benchmark_draws):
+        fits = {("bfw", label): fit for label, fit in
+                {"pumps": pumps_fit, **panel_fits, **large_fits}.items()}
+        datasets = {"pumps": pumps, **{label: data for label, (data, _) in benchmark_draws.items()}}
+        for family, likelihood in (("fw", inference.FW), ("weibull", inference.WEIBULL)):
+            fits.update({(family, label): family_fit(data, likelihood)
+                         for label, data in datasets.items()})
+        got = {f"{family} {label}": whole_output(fit) for (family, label), fit in fits.items()}
+        assert got == WHOLE_OUTPUTS
+
+
 def ridge_a_point(x_max, ln_p, a=0.00718, ratio=30.0, dps=50):
     """(alpha, beta, p, q) in mpmath on ridge A at ln p: alpha p = a,
     q/p = ``ratio`` and beta p = x_max (a x_max + p ln q), which puts the
@@ -1137,9 +1328,12 @@ class TestRidges:
             point = ridge_a_point(x.max(), ln_p)
             exact[ln_p] = float(mp_log_likelihood(x, point))
             theta = np.array([[float(v) for v in point]])
-            sums = inference._bfw_sums(x, theta[:, 0], theta[:, 1], 0)
-            kernel[ln_p] = inference._bfw_assemble(sums, theta[:, 2], theta[:, 3], 0)[0][0]
-            bound[ln_p] = inference._walk_terms(sums, theta, x.max())[0, 0]
+            walk = np.empty((1, 5))
+            with np.errstate(all="ignore"):
+                sums = inference._bfw_sums(x, theta[:, 0], theta[:, 1], 0)
+                kernel[ln_p] = inference._bfw_assemble(sums, theta[:, 2], theta[:, 3], 0,
+                                                       walk=walk)[0][0]
+            bound[ln_p] = walk[0, 0]
             at_doubles = float(mp_log_likelihood(x, theta[0]))
             assert abs(kernel[ln_p] - at_doubles) <= 16 * bound[ln_p], ln_p
         assert exact[-20] == pytest.approx(-16.65, abs=5e-3)
