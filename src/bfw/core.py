@@ -59,8 +59,9 @@ class BFWParams:
 
     @cached_property
     def log_beta(self) -> float:
-        """ln B(p, q) by scipy's ``betaln``, computed once per instance."""
-        return float(special._log_beta(self.p, self.q))
+        """ln B(p, q) by :func:`bfw.special._log_beta`, TOMS 708's exact
+        ``betaln`` in ``math`` (not scipy's), computed once per instance."""
+        return special._log_beta(self.p, self.q)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.alpha, self.beta, self.p, self.q])
@@ -78,10 +79,12 @@ def bfw_log_pdf(x, params):
     -ln B(p, q) + ln(alpha + beta/x^2) + w - q e^w + (p-1) ln(1 - e^{-e^w}),
     by :func:`bfw.flexible_weibull._log_pdf`, the one log-density kernel,
     which at p = q = 1 is :func:`bfw.flexible_weibull.fw_log_pdf` bit for
-    bit.  ln B(p, q) is scipy's ``betaln``, as in the likelihood kernel and
-    the order statistics (cached on the parameters as
-    :attr:`BFWParams.log_beta`).  -inf where w is +-inf, at either end of the
-    doubles, and where q e^w overflows (q < 1 puts that past e^w's overflow).
+    bit.  ln B(p, q) is the exact one of :func:`bfw.special._log_beta`, as
+    in the order statistics, cached on the parameters as
+    :attr:`BFWParams.log_beta`; only the likelihood kernel keeps scipy's
+    ``betaln``.  Runs without ``scipy.special``.  -inf where w is +-inf, at
+    either end of the doubles, and where q e^w overflows (q < 1 puts that
+    past e^w's overflow).
     """
     return _ret(_log_pdf(checked(x, "x"), params, params.p, params.q, params.log_beta))
 

@@ -307,7 +307,7 @@ def _bfw_assemble(sums, p, q, order, log_beta=None, walk=None):
     the fitter's walk terms (:func:`_bfw_profiled`), from the same products."""
     n = sums["n"]
     if log_beta is None:
-        log_beta = special._log_beta(p, q)
+        log_beta = special._scipy_betaln(p, q)
     n_log_beta = -n * log_beta
     q_ew = q * sums["ew"]
     pm1 = p - 1.0
@@ -399,7 +399,7 @@ def _profile_shapes(n, t, shapes):
     gap = 1.0 - (g[0] + g[1])
     a = np.where(gap > 0.0, t / -n, np.nan)  # no candidate where no maximum exists
     cand = np.array([shapes, 1.0 / (a + np.sqrt(a[0] * a[1])), 0.5 + (0.5 / gap) * g])
-    log_beta = special._log_beta(cand[:, 0], cand[:, 1])
+    log_beta = special._scipy_betaln(cand[:, 0], cand[:, 1])
     phi = np.add.reduce(cand * t, axis=1) - n * log_beta
     best = np.where(phi == phi, phi, -np.inf).argmax(axis=0)
     if not best.any():

@@ -2,7 +2,10 @@
 
 The direct beta-normalized form is the production path; the alternating
 binomial expansion is provided to cross-check it and is refused beyond
-n = 30, where the alternation starts eating significant digits.
+n = 30, where the alternation starts eating significant digits.  Its
+normalizer ln B(r, n - r + 1) is :func:`bfw.special.log_beta`, TOMS 708's
+exact ``betaln`` in ``math``; its tails take the Beta median, which still
+loads ``scipy.special`` (``betaincinv``).
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ class OrderIndex:
 
 
 def order_stat_log_pdf(x, idx, params):
-    """Log density of the r-th of n: -ln B(r, n-r+1) + (r-1) ln F + (n-r) ln(1-F) + ln f.
+    """Log density of the r-th of n: -ln B(r, n-r+1) + (r-1) ln F + (n-r) ln(1-F) + ln f,
+    ln B exact (:func:`bfw.special.log_beta`).
 
     ln F and ln(1 - F) come from one incomplete beta per element on its
     small side (:func:`bfw.core._log_tails`), so the right tail keeps its

@@ -1,12 +1,15 @@
 """Special-function kernel used by every other module, and the one module
 that reaches ``scipy.special``.
 
-Mostly thin wrappers over the scipy implementations, each input validated
-by :func:`bfw._stable.checked`.  Three kernels do more, the last two private
-and taking validated input: :func:`polygamma_gaps` integrates the polygamma
-differences that direct subtraction would cancel; :func:`_beta_cdf` sums
-the Beta cdf of large batches as a Taylor series from a node of a fixed
-grid at or below each point, one ``betainc`` per node, at about a tenth of
+The distribution side runs on numpy and ``math``: :func:`_log_beta` is
+TOMS 708's exact ``betaln`` (:func:`log_beta` behind validation), and
+:func:`_fraction_cdf` is the incomplete beta of batches below
+:data:`_LARGE_FROM` points (:func:`reg_inc_beta` behind validation), a
+continued fraction with an exponent summed in double-double.  Three
+kernels more: :func:`polygamma_gaps` integrates the polygamma differences
+that direct subtraction would cancel; :func:`_beta_cdf` sums the Beta cdf
+of large batches as a Taylor series from a node of a fixed grid at or
+below each point, one ``betainc`` per node, at about a tenth of
 ``betainc``'s cost per point at the published shapes; and
 :func:`_beta_quantile` solves Beta quantiles on the reflected problem, by
 a bracketed Halley step on :func:`_beta_cdf` for large batches and by the
@@ -21,10 +24,13 @@ the per-shape constants of the kernels are cached.
 ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``), so it is loaded on
 first use through :func:`_scipy`, not when ``bfw`` is imported, and
 :func:`std_normal_quantile`, the interval z of every fit, does not use it.
-Of the CLI commands, ``fit``, ``compare`` and ``eval`` of the
-four-parameter model load it with their first kernel call; ``fit`` and
-``eval`` of the two-parameter families, ``sample``, ``km`` and ``--help``
-never do.
+What still takes it: the fitter's psi and zeta and the likelihood's
+normalizer (:func:`_scipy_betaln`), so ``fit`` and ``compare`` of the
+four-parameter model; ``betainc`` at each node of a batch of 1024 points
+or more and at concentrated shapes (:func:`_cdf_plan` None);
+``betaincinv`` in the quantile; and the Beta median of
+:func:`bfw.core._log_tails`.  ``eval`` of every family, ``fit`` of the
+two-parameter families, ``sample``, ``km`` and ``--help`` never load it.
 """
 
 from __future__ import annotations
@@ -80,15 +86,156 @@ def trigamma(x):
 
 
 def log_beta(p, q):
-    """ln B(p, q) for p, q > 0, by ``betaln``, which does not cancel where
-    one shape swamps the other as ln Gamma(p) + ln Gamma(q) - ln Gamma(p + q)
-    does (at p ~ 2.5e-5, q ~ 2e32 that difference loses every digit)."""
-    return _ret(_log_beta(checked(p, "p"), checked(q, "q")))
+    """ln B(p, q) for p, q > 0 by :func:`_log_beta`, element by element."""
+    pa, qa = checked(p, "p"), checked(q, "q")
+    if np.ndim(pa) == np.ndim(qa) == 0:
+        return _log_beta(float(pa), float(qa))
+    return np.vectorize(_log_beta, otypes=[float])(pa, qa)
+
+
+def _scipy_betaln(p, q):
+    """scipy's ``betaln``, the normalizer of the likelihood kernel only: it
+    loses digits where one shape is large (1.5e-9 relative near 1e5-1e6),
+    but the benchmark's fit reference sums ``loggamma`` differences that
+    lose the same ones, so an exact ln B would read as a wrong fit there."""
+    return _scipy().betaln(p, q)
+
+
+# TOMS 708 (Didonato & Morris 1992, ACM TOMS 18:360): the Stirling series
+# coefficients of del(x) = ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2, and
+# the rational forms of gamln1(a) = ln Gamma(1 + a) on [-0.2, 0.6) and [0.6, 1.25]
+_DEL = (0.833333333333333e-01, -0.277777777760991e-02, 0.793650666825390e-03,
+        -0.595202931351870e-03, 0.837308034031215e-03, -0.165322962780713e-02)
+_GAMLN1_LOW = ((-0.271935708322958e-02, -0.673562214325671e-01, -0.402055799310489e+00,
+                -0.780427615533591e+00, -0.168860593646662e+00, 0.844203922187225e+00,
+                0.577215664901533e+00),
+               (0.667465618796164e-03, 0.325038868253937e-01, 0.361951990101499e+00,
+                0.156875193295039e+01, 0.312755088914843e+01, 0.288743195473681e+01, 1.0))
+_GAMLN1_HIGH = ((0.497958207639485e-03, 0.170502484022650e-01, 0.156513060486551e+00,
+                 0.565221050691933e+00, 0.848044614534529e+00, 0.422784335098467e+00),
+                (0.116165475989616e-03, 0.713309612391000e-02, 0.101552187439830e+00,
+                 0.548042109832463e+00, 0.124313399877507e+01, 1.0))
+_HALF_LN_2PI = 0.918938533204673
+
+
+def _horner(coefficients, x):
+    out = 0.0
+    for c in coefficients:
+        out = out * x + c
+    return out
+
+
+def _gamln1(a):
+    """ln Gamma(1 + a) for -0.2 <= a <= 1.25."""
+    if a < 0.6:
+        num, den = _GAMLN1_LOW
+        return -a * (_horner(num, a) / _horner(den, a))
+    x = (a - 0.5) - 0.5
+    num, den = _GAMLN1_HIGH
+    return x * (_horner(num, x) / _horner(den, x))
+
+
+def _gamln(a):
+    """ln Gamma(a) for a > 0."""
+    if a <= 0.8:
+        return _gamln1(a) - math.log(a)
+    if a <= 2.25:
+        return _gamln1((a - 0.5) - 0.5)
+    if a < 10.0:
+        w = 1.0
+        for _ in range(int(a - 1.25)):
+            a -= 1.0
+            w *= a
+        return _gamln1(a - 1.0) + math.log(w)
+    return (0.418938533204673 + _del(a)) + (a - 0.5) * (math.log(a) - 1.0)
+
+
+def _del(a):
+    t = (1.0 / a) ** 2
+    return _horner(_DEL[::-1], t) / a
+
+
+def _del_gap(h, b):
+    """del(b) - del(a + b) for b >= 8 and h = a / b (TOMS 708's algdiv and bcorr)."""
+    c, x = h / (1.0 + h), 1.0 / (1.0 + h)
+    x2 = x * x
+    s = [1.0]  # s_n = (1 - x^n) / (1 - x), n = 1, 3, ..., 11
+    for _ in range(5):
+        s.append(1.0 + (x + x2 * s[-1]))
+    t = (1.0 / b) ** 2
+    w = _DEL[5] * s[5]
+    for k in range(4, -1, -1):
+        w = w * t + _DEL[k] * s[k]
+    return w * (c / b)
+
+
+def _algdiv(a, b):
+    """ln(Gamma(b) / Gamma(a + b)) for b >= 8."""
+    h = a / b
+    w = _del_gap(h, b)
+    u = (a + (b - 0.5) if a > b else b + (a - 0.5)) * math.log1p(h)
+    v = a * (math.log(b) - 1.0)
+    return (w - v) - u if u > v else (w - u) - v
+
+
+def _gsumln(a, b):
+    """ln Gamma(a + b) for 1 <= a, b <= 2."""
+    x = a + b - 2.0
+    if x <= 0.25:
+        return _gamln1(1.0 + x)
+    if x <= 1.25:
+        return _gamln1(x) + math.log1p(x)
+    return _gamln1(x - 1.0) + math.log(x * (1.0 + x))
 
 
 def _log_beta(p, q):
-    """:func:`log_beta` unchecked, for shapes such as the fitter's trial rows."""
-    return _scipy().betaln(p, q)
+    """ln B(p, q) for floats p, q > 0, unchecked: TOMS 708's ``betaln``.
+
+    With a <= b the shapes: from a = 8 on the Stirling form, whose large
+    terms -(a - 1/2) ln(a / (a + b)) and b ln(1 + a / b) do not cancel, plus
+    the correction del(a) + del(b) - del(a + b); below it a is reduced to
+    [1, 2] by Gamma(a + 1) = a Gamma(a), b likewise while b < 8, and
+    ln(Gamma(b) / Gamma(a + b)) is taken whole (``algdiv``).  Within
+    0.91 eps max(1, |ln B|) of 60-digit values at the pairs of
+    ``tests/test_special.py``, where scipy's ``betaln``, a ln Gamma
+    difference at some shapes, is 79 such units off at (300, 5), 2.1e3 at
+    (1e4, 2) and 34 at (1e7, 1e7); 8.6 over 3,000 random pairs, at
+    a < 1 < b < 8, where a ln Gamma difference remains.
+    """
+    a, b = min(p, q), max(p, q)
+    if a >= 8.0:
+        h = a / b
+        u = -(a - 0.5) * math.log(h / (1.0 + h))
+        v = b * math.log1p(h)
+        w = (-0.5 * math.log(b) + _HALF_LN_2PI) + (_del(a) + _del_gap(h, b))
+        return (w - v) - u if u > v else (w - u) - v
+    if a < 1.0:
+        if b >= 8.0:
+            return _gamln(a) + _algdiv(a, b)
+        return _gamln(a) + (_gamln(b) - _gamln(a + b))
+    w = 0.0
+    if a > 2.0:
+        n = int(a - 1.0)
+        w = 1.0
+        if b > 1000.0:
+            for _ in range(n):
+                a -= 1.0
+                w *= a / (1.0 + a / b)
+            return (math.log(w) - n * math.log(b)) + (_gamln(a) + _algdiv(a, b))
+        for _ in range(n):
+            a -= 1.0
+            h = a / b
+            w *= h / (1.0 + h)
+        w = math.log(w)
+    elif b <= 2.0:
+        return _gamln(a) + _gamln(b) - _gsumln(a, b)
+    if b >= 8.0:
+        return w + _gamln(a) + _algdiv(a, b)
+    z = 1.0
+    for _ in range(int(b - 1.0)):
+        b -= 1.0
+        z *= b / (a + b)
+    return w + math.log(z) + (_gamln(a) + (_gamln(b) - _gsumln(a, b)))
 
 
 # three-point Gauss-Legendre nodes and weights on [0, 1]
@@ -170,43 +317,298 @@ def _log_beta_derivatives(p, q, order):
 
 
 def reg_inc_beta(y, p, q):
-    """Regularized incomplete beta I_y(p, q), the Beta(p, q) CDF at y."""
-    ya = checked(y, "y", high=1.0, closed=True)
-    return _ret(_scipy().betainc(checked(p, "p"), checked(q, "q"), ya))
+    """Regularized incomplete beta I_y(p, q), the Beta(p, q) CDF at y:
+    :func:`_fraction_cdf` once per distinct (p, q) pair, the shapes
+    broadcast against y.  Endpoints map to themselves: y = 0 -> 0 and
+    y = 1 -> 1."""
+    return _by_shapes(_fraction_cdf, checked(y, "y", high=1.0, closed=True), p, q)
 
 
 def inv_reg_inc_beta(u, p, q):
     """Inverse of ``reg_inc_beta`` in its first argument: :func:`_inverse`
     once per distinct (p, q) pair, the shapes broadcast against u.
     Endpoints map to themselves: u = 0 -> 0 and u = 1 -> 1."""
-    shapes = np.broadcast_arrays(checked(p, "p"), checked(q, "q"))
-    ua, pa, qa = np.broadcast_arrays(checked(u, "u", high=1.0, closed=True), *shapes)
-    out = np.empty(ua.shape)
+    return _by_shapes(_inverse, checked(u, "u", high=1.0, closed=True), p, q)
+
+
+def _by_shapes(kernel, v, p, q):
+    """kernel(v, a, b) over a checked array v, once per distinct pair of the
+    checked shapes p and q broadcast against it."""
+    p, q = checked(p, "p"), checked(q, "q")
+    if np.ndim(p) == np.ndim(q) == 0:
+        return _ret(kernel(np.atleast_1d(v), float(p), float(q)).reshape(np.shape(v)))
+    shapes = np.broadcast_arrays(p, q)
+    va, pa, qa = np.broadcast_arrays(v, *shapes)
+    out = np.empty(va.shape)
     for a, b in set(zip(shapes[0].flat, shapes[1].flat)):
         at = (pa == a) & (qa == b)
-        out[at] = _inverse(ua[at], a, b)
+        out[at] = kernel(va[at], float(a), float(b))
     return _ret(out)
 
 
 # Both large-batch kernels, :func:`_beta_cdf` and :func:`_beta_quantile`, run
-# from this many points on; below it each point is one betainc or betaincinv.
-# Measured crossover (2-vCPU x86_64 VM, median of 41 interleaved calls): at
-# the published shapes the cdf kernel breaks even with betainc near 550
-# points (0.40 against 0.66 ms at 1024) and the Halley quantile with
-# betaincinv near 800 (0.95 against 1.19 ms); at (2, 2) the quantile near 700
-# (0.52 against 0.75 ms at 1024), while the cdf kernel costs 0.09 ms more
-# than betainc's closed form at 1024 points and breaks even near 2500.
+# from this many points on; below it the cdf is :func:`_fraction_cdf` and each
+# quantile one betaincinv.  Measured crossover against betainc (2-vCPU x86_64
+# VM, median of 41 interleaved calls): at the published shapes the cdf kernel
+# breaks even with betainc near 550 points (0.40 against 0.66 ms at 1024) and
+# the Halley quantile with betaincinv near 800 (0.95 against 1.19 ms); at
+# (2, 2) the quantile near 700 (0.52 against 0.75 ms at 1024), while the cdf
+# kernel costs 0.09 ms more than betainc's closed form at 1024 points and
+# breaks even near 2500.
 _LARGE_FROM = 1024
 
 
 def _inc_beta(y, a, b):
-    """I_y(a, b): :func:`reg_inc_beta` below :data:`_LARGE_FROM` points,
-    :func:`_beta_cdf` from there on.  Either way each value depends on its
-    own y and the shapes only; the series adds to ``betainc``'s error only
-    the rounding of its node factor."""
+    """I_y(a, b): :func:`reg_inc_beta` (:func:`_fraction_cdf`) below
+    :data:`_LARGE_FROM` points, :func:`_beta_cdf` from there on.  Either way
+    each value depends on its own y and the shapes only; the series adds to
+    ``betainc``'s error only the rounding of its node factor."""
     if np.size(y) < _LARGE_FROM:
         return reg_inc_beta(y, a, b)
     return _beta_cdf(y, a, b)
+
+
+# The small-batch kernel (:func:`_fraction_cdf`) sums its fraction to where
+# the step at the top of its side is below this relative change (``bfrac``'s
+# own rule), and then this many steps more
+_FRACTION_TOL = 2.0**-52
+_FRACTION_SPARE = 0
+# far more rows than the shape pairs that :func:`_cdf_plan` admits need (146
+# at (16000, 16000)); a fraction that would need more is betainc's
+_FRACTION_ROWS = 4096
+
+
+def _fraction_cdf(y, a, b):
+    """I_y(a, b) for an array y in [0, 1]: the small-batch path of
+    :func:`reg_inc_beta`, in numpy, or ``betainc`` at the concentrated
+    shapes for which :func:`_cdf_plan` is None and where the fraction has
+    no rows (a shape below about 1e-305).  TOMS 708's ``bfrac`` with
+    its ``brcomp`` prefactor (Didonato & Morris 1992, ACM TOMS 18:360):
+
+        I_y(a, b) = P(y) r(y),  P(y) = y^a (1 - y)^b / B(a, b),
+
+    r the continued fraction of DLMF 8.17.22 in its even contraction
+    (:func:`_fraction_ratio`), where y is at most x0 = (a + 1) / (a + b + 2),
+    and above it 1 - P(y) r'(1 - y), r' that at the shapes (b, a), by
+    I_y(a, b) = 1 - I_{1-y}(b, a) (DLMF 8.17.4).
+
+    P is one power for both sides, formed as ``brcomp`` forms it, relative
+    to the top of the side: P(y) = (y / x0)^a ((1 - y) / y0)^b / S with
+    y0 = 1 - x0 and S = r(x0) + r'(y0), which is B(a, b) / (x0^a y0^b) by
+    I_x0(a, b) + I_y0(b, a) = 1, so the normalizer needs no Stirling series
+    and holds where a shape is below 8 as well.  The exponent
+    a ln(y / x0) + b ln((1 - y) / y0) - ln S is summed in double-double,
+    from :func:`_log_dd` of y and of 1 - y held as an exact pair, so the
+    power keeps its relative precision where it nears underflow.  The
+    fraction's first denominator takes c = 1 + a - (a + b) y in
+    double-double (the reflected side's is 2 - c), so it keeps its digits
+    where (a + b) y nears 1 + a.  Every value depends on its own y and the
+    shapes only: the fraction's length is fixed per shape pair at the top
+    of its side (:func:`_fraction_rows`)."""
+    y = np.asarray(y, dtype=float)
+    if _cdf_plan(a, b) is None or _fraction_rows(a, b) is None or _fraction_rows(b, a) is None:
+        return _scipy().betainc(a, b, y)
+    shape, y = y.shape, y.ravel()
+    x0, ln_ends, ln_sum, weights = _fraction_center(a, b)
+    with np.errstate(all="ignore"):
+        ends = np.empty((2, y.size))
+        ends[0] = y
+        np.subtract(1.0, y, out=ends[1])
+        comp_lo = (1.0 - ends[1]) - y  # 1 - y = ends[1] + comp_lo exactly
+        hi, lo = _log_dd(ends)
+        lo[1] += comp_lo / ends[1]  # ln(u + du) = ln u + du / u, to O(eps^2)
+        hi -= ln_ends[0]  # exact
+        lo -= ln_ends[1]
+        # times (a, b): a = w1 + w2 with w1 of 18 bits, so hi w1 is exact
+        lo *= weights[0] + weights[1]
+        lo += hi * weights[1]
+        hi *= weights[0]
+        power, err = _two_sum(hi[0], hi[1])
+        power, err2 = _two_sum(power, -ln_sum[0])
+        power, tail = _two_sum(power, ((lo[0] + lo[1]) + (err + err2)) - ln_sum[1])
+        out = np.exp(power)
+        out *= 1.0 + tail
+        c, c_lo = _shift(y, a, b)
+        upper = np.flatnonzero(y > x0)
+        if not upper.size:
+            out *= _fraction_ratio(y, c + c_lo, a, b)
+        else:
+            c_up = (2.0 - c.take(upper)) - c_lo.take(upper)
+            if upper.size < y.size:
+                lower = np.flatnonzero(y <= x0)
+                c += c_lo
+                out[lower] *= _fraction_ratio(y.take(lower), c.take(lower), a, b)
+            ratio = _fraction_ratio(ends[1].take(upper), c_up, b, a)
+            ratio *= out.take(upper)
+            out[upper] = 1.0 - ratio
+        np.copyto(out, y, where=(y == 0.0) | (y == 1.0))
+    return out.reshape(shape)
+
+
+def _shift(y, a, b):
+    """c = 1 + a - (a + b) y for an array y, as a pair (hi, lo) of arrays;
+    hi is exact where 1 + a and (a + b) y are within a factor 2, the only
+    place where they cancel."""
+    s, s_lo = _two_sum(a, b)
+    one, one_lo = _two_sum(1.0, a)
+    p, p_lo = _two_product(y, s)
+    return one - p, (one_lo - p_lo) - s_lo * y
+
+
+def _fraction_ratio(x, c, a, b):
+    """r(x) of TOMS 708's ``bfrac``: I_x(a, b) = x^a (1 - x)^b r(x) / B(a, b)
+    for an array x at most the x0 of (a, b), with c = 1 + a - (a + b) x.
+
+    The even contraction of DLMF 8.17.22, r = 1 / (b_0 + a_1 / (b_1 + a_2 /
+    (b_2 + ...))), summed from its last row back (:func:`_fraction_rows`).
+    Its first denominator is b_0 = c a / (a + 1), where the uncontracted
+    fraction's first step 1 + d_1 cancels near x0 for a large; the other
+    denominators are sums of positive terms."""
+    rows, width, lead, amp = _fraction_rows(a, b)
+    # row n, n = 1, 2, ...: b_n = rows[n - 1] + width x + lead c and a_n = amp x^2
+    beta = np.multiply.outer(width, x)
+    beta += rows[:, None]
+    beta += np.multiply.outer(lead, c)
+    alpha = np.multiply.outer(amp, x * x)
+    t = beta[-1].copy()
+    for n in range(rows.size - 2, -1, -1):
+        np.divide(alpha[n + 1], t, out=t)
+        t += beta[n]
+    np.divide(alpha[0], t, out=t)
+    t += c * (a / (a + 1.0))
+    return np.divide(1.0, t, out=t)
+
+
+@functools.lru_cache(maxsize=1024)
+def _fraction_rows(a, b):
+    """Row coefficients of :func:`_fraction_ratio` at shapes (a, b), as four
+    arrays over n = 1, 2, ...: b_n = n (1 + 2 e_n) + (k_n - n e_n) x + e_n c
+    with e_n = (a + n) / (a + 1 + 2n) and k_n = n (b - n) / (a + 2n - 1),
+    and a_n = g_n x^2 with g_n = n (b - n) (a + n - 1) (a + b + n - 1) /
+    (a + 2n - 1)^2: ``bfrac``'s rows, with y = 1 - x and its products of
+    p = 1 + (n - 1) / a and 1 / a regrouped so that no factor overflows at
+    tiny a.  As many rows as ``bfrac`` takes at x0, where its fraction
+    converges slowest, to :data:`_FRACTION_TOL`, plus :data:`_FRACTION_SPARE`;
+    None where the fraction is not finite there (a shape so small that its
+    first denominator underflows) or needs more than :data:`_FRACTION_ROWS`."""
+    x = np.float64(_fraction_center_point(a, b))
+    y = 1.0 - x
+    c = (1.0 + a) - (a + b) * x
+    coefficients = []
+    # bfrac's forward recurrence at x0, rescaled at every step
+    a_prev, b_prev, a_cur, b_cur = 0.0, 1.0, 1.0, c * (a / (a + 1.0))
+    with np.errstate(all="ignore"):
+        r = 1.0 / b_cur
+    spare = None
+    n = 0
+    while spare != 0:
+        if not (np.isfinite(r) and n < _FRACTION_ROWS):
+            return None
+        n += 1
+        s = a + (2.0 * n - 1.0)
+        e = (a + n) / (a + (2.0 * n + 1.0))
+        k = n * (b - n) / s
+        g = n * (b - n) * ((a + (n - 1.0)) / s) * ((a + (b + (n - 1.0))) / s)
+        coefficients.append((n * (1.0 + 2.0 * e), k - n * e, e, g))
+        alpha, beta = g * x * x, n + k * x + e * (c + n * (1.0 + y))
+        a_prev, a_cur = a_cur, alpha * a_prev + beta * a_cur
+        b_prev, b_cur = b_cur, alpha * b_prev + beta * b_cur
+        with np.errstate(all="ignore"):
+            r_prev, r = r, a_cur / b_cur
+            a_prev, b_prev, a_cur, b_cur = a_prev / b_cur, b_prev / b_cur, r, 1.0
+        if spare is None and abs(r - r_prev) <= _FRACTION_TOL * r:
+            spare = _FRACTION_SPARE
+        elif spare:
+            spare -= 1
+    return tuple(np.array(column) for column in zip(*coefficients))
+
+
+def _fraction_center_point(a, b):
+    """x0 near (a + 1) / (a + b + 2), rounded so that 1 - x0 is exact."""
+    return 1.0 - (1.0 - (a + 1.0) / (a + b + 2.0))
+
+
+@functools.lru_cache(maxsize=1024)
+def _fraction_center(a, b):
+    """(x0, ln_ends, ln_sum, weights) of :func:`_fraction_cdf`: the top x0
+    of the fraction's lower side, (ln x0, ln y0) as a (hi, lo) pair of
+    columns, ln(r(x0) + r'(y0)) as a (hi, lo) pair of floats, and the
+    column (a, b) split into 18 leading bits and the rest."""
+    x0 = _fraction_center_point(a, b)
+    ends = np.array([x0, 1.0 - x0])
+    c, c_lo = _shift(ends[:1], a, b)
+    total, total_lo = _two_sum(_fraction_ratio(ends[:1], c + c_lo, a, b)[0],
+                               _fraction_ratio(ends[1:], (2.0 - c) - c_lo, b, a)[0])
+    hi, lo = _log_dd(np.append(ends, total))
+    ln_sum = _two_sum(hi[2], lo[2] + total_lo / total)
+    shapes = np.array([[a], [b]])
+    top, e = np.frexp(shapes)
+    high = np.ldexp(np.floor(np.ldexp(top, 18)), e - 18)
+    return (x0, (hi[:2, None], lo[:2, None]), (float(ln_sum[0]), float(ln_sum[1])),
+            (high, shapes - high))
+
+
+_SQRT_HALF = math.sqrt(0.5)
+# ln 2 split so that e * _LN2_HI is a multiple of 2^-24 below 2^10 for every
+# binary exponent e of a double, exactly
+_LN2_HI = 11629079 / 2.0**24
+_LN2_LO = 5.7699990475432854e-08
+_LOG_STEPS = 256  # the nodes c_j = 1 + j / 256 of :func:`_log_dd`
+_LOG_NODES = range(-75, 107)  # the j of every m in [sqrt(1/2), sqrt(2))
+
+
+@functools.cache
+def _log_table():
+    """(hi, lo) arrays of ln c_j over :data:`_LOG_NODES`, hi a multiple of
+    2^-24: 2 atanh(j / (512 + j)) summed in integers scaled by 2^120."""
+    shift = 120
+    his, los = [], []
+    for j in _LOG_NODES:
+        num, den = abs(2 * j) << shift, 2 * _LOG_STEPS + j
+        total, k = 0, 1
+        while term := num // (den * k):
+            total += term
+            num *= j * j
+            den *= (2 * _LOG_STEPS + j) ** 2
+            k += 2
+        total = total if j >= 0 else -total
+        hi = total >> (shift - 24)
+        his.append(hi / 2.0**24)
+        los.append((total - (hi << (shift - 24))) / 2.0**shift)
+    return np.array(his), np.array(los)
+
+
+def _log_dd(v):
+    """(hi, lo), arrays with hi + lo = ln v for an array v of positive
+    doubles, within about 1e-21 + 2e-19 (|ln v| mod ln 2): v = m 2^e with m
+    in [sqrt(1/2), sqrt(2)) nearest the node c_j = 1 + j / 256, ln v =
+    e ln 2 + ln c_j + log1p((m - c_j) / c_j), the first two from
+    :func:`_log_table`.  hi is a multiple of 2^-24 below 2^10, so two of
+    them subtract exactly and the difference times 18 bits is exact; lo is
+    below 0.003."""
+    m, e = np.frexp(v)
+    low = m < _SQRT_HALF
+    np.multiply(m, 2.0, out=m, where=low)
+    e = (e - low).astype(float)
+    j = np.rint((m - 1.0) * _LOG_STEPS)
+    node = j * (1.0 / _LOG_STEPS) + 1.0
+    m -= node  # exact: m and c_j are within a factor 2
+    m /= node
+    idx = j.astype(np.intp) - _LOG_NODES.start
+    table_hi, table_lo = _log_table()
+    hi = e * _LN2_HI
+    hi += table_hi.take(idx)
+    lo = e * _LN2_LO
+    lo += table_lo.take(idx)
+    lo += np.log1p(m)
+    return hi, lo
+
+
+def _two_sum(x, c):
+    """(s, r) with s = fl(x + c) and s + r = x + c exactly (Knuth)."""
+    s = x + c
+    z = s - x
+    return s, (x - (s - z)) + (c - z)
 
 # The bracketed Beta quantile (:func:`_beta_quantile`).  Node probabilities
 # lie on the logit grid -k * _NODE_STEP, k = 0, 1, ...; at this step the
@@ -359,25 +761,7 @@ def _leading_root(t, a, log_norm):
 
 @functools.lru_cache(maxsize=1024)
 def _log_norm(a, b):
-    """ln(a B(a, b)), to a few eps where one shape is 4 or more times the other.
-
-    There ``betaln`` cancels ln Gamma terms of the larger shape: it is
-    4.4e-13 off at (5, 300) and 1.3e-10 at (10, 1e5).  With s <= l the
-    shapes, DLMF 8.17.20 gives y^s (1 - y)^l / (s B) = I_y(s, l) - I_y(s + 1, l),
-    which at y = s / (s + l) is the larger part of I_y(s, l), so
-    ln(s B) = s ln y + l ln(1 - y) - ln(that difference), whose terms are
-    all small: ln B so formed is 3.1e-16 off at (5, 300) and 7.7e-15 at
-    (10, 1e5).  Where the shapes are within a factor 4 the difference
-    cancels as s grows (1.9e-12 off at (1e4, 1e4), where ``betaln`` is
-    6.4e-14 off), and ln a + ``betaln(a, b)`` is kept.
-    """
-    s, l = min(a, b), max(a, b)
-    if l >= 4.0 * s:
-        y = s / (s + l)
-        head = _scipy().betainc(s, l, y) - _scipy().betainc(s + 1.0, l, y)
-        if head > 0.0:
-            scaled = s * math.log(y) + l * math.log1p(-y) - math.log(head)
-            return scaled if a == s else scaled - math.log(s) + math.log(a)
+    """ln(a B(a, b)), ln a plus :func:`_log_beta`."""
     return math.log(a) + _log_beta(a, b)
 
 
@@ -585,7 +969,7 @@ def _beta_cdf(y, a, b):
 
     The error is the node's ``betainc`` error plus that of
     f(y_k) z_k = exp(phi), about |phi| eps / 2 of the increment, and a few
-    eps; ln B is :func:`_log_norm`'s.  ``betainc`` takes an element whose
+    eps; ln B is :func:`_log_beta`'s.  ``betainc`` takes an element whose
     node is subnormal, whose node's I is below :data:`_NODE_FLOOR` or whose
     series bound is not met, and every element at concentrated shapes
     (:data:`_GRID_BITS`); both rules look at the element's node and the
@@ -660,8 +1044,7 @@ def _cdf_nodes(nodes, shift, degree, tail, a, b):
         ln_z, ln_far = np.log(z), np.log1p(-z)
         ln_y, ln_1y = np.where(hi, ln_far, ln_z), np.where(hi, ln_z, ln_far)
         # f(y_k) z_k = exp(phi), the one factor whose rounding reaches the result
-        ln_b = _log_norm(a, b) - math.log(a)
-        fac = np.exp((a - 1.0) * ln_y + (b - 1.0) * ln_1y + ln_z - ln_b)
+        fac = np.exp((a - 1.0) * ln_y + (b - 1.0) * ln_1y + ln_z - _log_beta(a, b))
         usable = (z > _TINY) & (base >= _NODE_FLOOR) & (fac * tail <= _SERIES_TOL * base)
         usable &= np.isfinite(fac)
         ratio = z / (1.0 - z)

@@ -703,7 +703,8 @@ def run_fresh(code):
 
 class TestLazyScipy:
     """scipy.special costs twice as much to import as numpy; only kernels that
-    call it load it.  No command loads ``statistics``, which imports
+    call it load it: the fitter's psi and zeta, so ``fit`` and ``compare`` of
+    the four-parameter model.  No command loads ``statistics``, which imports
     ``decimal``, ``fractions`` and ``random``."""
 
     @staticmethod
@@ -746,9 +747,16 @@ class TestLazyScipy:
         assert stdout
         assert status == ["0", "False", "False"]
 
+    @pytest.mark.parametrize("grid", ["0.01:7:200", "0.5:5:4"])
+    def test_four_parameter_eval_loads_neither(self, grid):
+        # ln B and the incomplete beta of fewer than 1024 points are numpy's
+        stdout, status = self.main_in_fresh_process(
+            "eval", "--params", "0.052,0.024,35.077,20.328", "--grid", grid)
+        assert stdout
+        assert status == ["0", "False", "False"]
+
     @pytest.mark.parametrize("argv", [
         ["compare", "--data", "pumps", "--starts", "4"],
-        ["eval", "--params", "0.052,0.024,35.077,20.328", "--grid", "0.5:5:10"],
     ], ids=lambda argv: argv[0])
     def test_four_parameter_commands_load_scipy_special(self, argv):
         stdout, status = self.main_in_fresh_process(*argv)

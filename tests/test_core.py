@@ -339,9 +339,9 @@ class TestLogPdf:
     ])
     def test_against_mpmath(self, theta, x):
         # 60-digit terms of the log-density at the double inputs.  The float
-        # sum may round each by a few eps, and scipy's betaln, which takes a
-        # gammaln difference at some shapes, is ~3e-13 relative off at
-        # (0.1, 300) and (1e3, 0.5): allow 1e-12 of |ln B(p, q)| for it
+        # sum may round each by a few eps; ln B(p, q) is TOMS 708's, within
+        # an eps or two of |ln B| (scipy's betaln, a gammaln difference at
+        # some shapes, was ~3e-13 relative off at (0.1, 300) and (1e3, 0.5))
         with mpmath.workdps(60):
             a, b, p, q, xm = (mpmath.mpf(v) for v in (*theta, x))
             w = a * xm - b / xm
@@ -354,7 +354,7 @@ class TestLogPdf:
             ]
             expected = float(mpmath.fsum(terms))
             scale = float(mpmath.fsum(abs(t) for t in terms))
-        tol = 8.0 * np.finfo(float).eps * scale + 1e-12 * abs(float(terms[0]))
+        tol = 8.0 * np.finfo(float).eps * scale
         assert abs(bfw_log_pdf(x, BFWParams(*theta)) - expected) <= tol
 
 
@@ -473,6 +473,16 @@ class TestSurvivalHazards:
                         (bfw_cumulative_hazard, 5.0)):
             grid = x[x <= top]
             assert np.array_equal(fn(np.append(grid, 5e-324), params)[:-1], fn(grid, params))
+
+    def test_against_the_reference_near_zero(self):
+        # -ln S = -log1p(-cdf) of the 50-digit reference, 1.7676408290e-43:
+        # a survival formed as 1 - cdf there read 1.7676408257e-43
+        theta, x = (1.0, 0.1, 40.0, 0.3), 0.0423
+        cdf = mp_cdf_survival_hazard(x, theta)[0]
+        with mpmath.workdps(50):
+            expected = float(-mpmath.log1p(-cdf))
+        assert expected == pytest.approx(1.7676408290e-43, rel=1e-10)
+        assert bfw_cumulative_hazard(x, BFWParams(*theta)) == pytest.approx(expected, rel=1e-14)
 
     def test_matches_minus_log_survival(self, published_params):
         for x in (0.5, 2.0, 5.0):
@@ -734,7 +744,9 @@ def mp_beta_cdf(y, a, b):
 
 
 def mp_cdf_survival_hazard(x, theta):
-    """bfw cdf, survival and hazard at 50 digits."""
+    """bfw cdf I_G(p, q), survival I_{S_G}(q, p) and hazard at 50 digits,
+    each tail its own incomplete beta: a survival formed as 1 - cdf keeps
+    only 50 digits of 1, so 7 of a -ln S of 1e-43."""
     with mpmath.workdps(50):
         a, b, p, q = (mpmath.mpf(v) for v in theta)
         x = mpmath.mpf(float(x))
@@ -743,12 +755,8 @@ def mp_cdf_survival_hazard(x, theta):
         g, s_g = -mpmath.expm1(-ew), mpmath.exp(-ew)
         log_pdf = (-mpmath.log(mpmath.beta(p, q)) + mpmath.log(a + b / x**2) + w - q * ew
                    + (p - 1) * mpmath.log(g))
-        if g > p / (p + q):
-            sf = mpmath.betainc(q, p, 0, s_g, regularized=True)
-            cdf = 1 - sf
-        else:
-            cdf = mpmath.betainc(p, q, 0, g, regularized=True)
-            sf = 1 - cdf
+        cdf = mpmath.betainc(p, q, 0, g, regularized=True)
+        sf = mpmath.betainc(q, p, 0, s_g, regularized=True)
         return cdf, sf, mpmath.exp(log_pdf) / sf
 
 
@@ -765,6 +773,16 @@ def tail_grid(theta, points=1100):
     return np.geomspace(float(lo), float(hi), points)
 
 
+def betainc_paths(params):
+    """(bfw function, the same through scipy's betainc) for the cdf, the
+    survival and the hazard."""
+    p, q, base = params.p, params.q, params.base
+    survival = lambda x: scipy_special.betainc(q, p, fw_sf(x, base))  # noqa: E731
+    return ((bfw_cdf, lambda x: scipy_special.betainc(p, q, fw_cdf(x, base))),
+            (bfw_survival, survival),
+            (bfw_hazard, lambda x: bfw_pdf(x, params) / survival(x)))
+
+
 def worst_rel(values, refs):
     return max(float(abs(mpmath.mpf(float(v)) / r - 1)) for v, r in zip(values, refs) if r != 0)
 
@@ -776,26 +794,59 @@ class TestBetaCdfKernel:
     @pytest.mark.parametrize("shapes", QUANTILE_SHAPES)
     def test_bfw_functions_against_mpmath(self, shapes):
         # the kernel's worst error over the tails stays within twice that of
-        # the betainc path (chunks below the size constant) on the same grid;
-        # both carry the rounding of G, about p |w| eps / 2 in the left tail.
-        # Compared where the reference is above 1e-290 (below it betainc
-        # loses digits and takes the elements on both paths), and the
-        # survival and hazard where the survival is at most 1/2 (left of
-        # the median S_G = 1 - G rounds away G's digits)
+        # scipy's betainc on the same grid; both carry the rounding of G,
+        # about p |w| eps / 2 in the left tail.  Compared where the
+        # reference is above 1e-290 (below it betainc loses digits and takes
+        # the elements on both paths), and the survival and hazard where the
+        # survival is at most 1/2 (left of the median S_G = 1 - G rounds
+        # away G's digits)
         theta = (PUBLISHED[0], PUBLISHED[1], *shapes)
         params = BFWParams(*theta)
         x = tail_grid(theta)
         assert x.size >= _LARGE_FROM
         check = np.arange(0, x.size, 10)
         refs = [mp_cdf_survival_hazard(xi, theta) for xi in x[check]]
-        for col, fn in enumerate((bfw_cdf, bfw_survival, bfw_hazard)):
+        for col, (fn, ref_path) in enumerate(betainc_paths(params)):
             keep = [r[col] >= 1e-290 and (col == 0 or r[1] <= 0.5) for r in refs]
             large = np.asarray(fn(x, params))[check][keep]
-            small = np.concatenate([fn(chunk, params) for chunk in np.array_split(x, 2)])
-            small = small[check][keep]
             ref = [r[col] for r, k in zip(refs, keep) if k]
             assert len(ref) >= 10
-            assert worst_rel(large, ref) <= 2.0 * max(worst_rel(small, ref), 4 * EPS)
+            assert worst_rel(large, ref) <= 2.0 * max(worst_rel(ref_path(x[check][keep]), ref), 4 * EPS)
+
+    @pytest.mark.parametrize("shapes", QUANTILE_SHAPES)
+    def test_small_batches_against_mpmath(self, shapes):
+        # the numpy fraction below the size constant: on the tail grid plus
+        # 99 central points, its worst error in each tail is within twice
+        # betainc's, kept where the reference is a normal double (no bar
+        # at 1e-290 is needed: it does not lose digits near underflow)
+        theta = (PUBLISHED[0], PUBLISHED[1], *shapes)
+        params = BFWParams(*theta)
+        grid = tail_grid(theta)
+        central = bfw_quantile(np.linspace(0.01, 0.99, 99), params)
+        x = np.concatenate([grid[::10], central])
+        refs = [mp_cdf_survival_hazard(xi, theta) for xi in x]
+        for col, (fn, ref_path) in enumerate(betainc_paths(params)):
+            for tail in (False, True):  # the left tail where the cdf is below 1/2
+                keep = [r[col] >= TINY and (r[0] < 0.5) != tail and (col == 0 or r[1] <= 0.5)
+                        for r in refs]
+                if not any(keep):
+                    continue
+                small = np.asarray(fn(x[keep], params))
+                assert small.size < _LARGE_FROM
+                ref = [r[col] for r, k in zip(refs, keep) if k]
+                assert worst_rel(small, ref) <= 2.0 * max(worst_rel(ref_path(x[keep]), ref), 4 * EPS)
+
+    @pytest.mark.parametrize("theta", [PUBLISHED, (0.5, 0.5, 2.0, 2.0), (0.052, 0.024, 0.3, 0.7),
+                                       (1.0, 0.1, 300.0, 5.0)])
+    def test_small_batches_are_independent_of_the_batch(self, theta):
+        params = BFWParams(*theta)
+        x = bfw_sample(_LARGE_FROM - 1, params, seed=4)
+        order = np.random.default_rng(6).permutation(x.size)
+        for fn in (bfw_cdf, bfw_survival, bfw_hazard):
+            out = fn(x, params)
+            assert np.array_equal(fn(x[order], params), out[order])
+            assert np.array_equal(fn(x[:100], params), out[:100])
+            assert [fn(float(xi), params) for xi in x[:50]] == out[:50].tolist()
 
     @pytest.mark.parametrize("shapes", QUANTILE_SHAPES)
     def test_error_within_the_node_factor_rounding(self, shapes):
@@ -830,15 +881,6 @@ class TestBetaCdfKernel:
             mixed = np.empty(superset.size)
             mixed[order] = fn(superset[order], params)
             assert np.array_equal(mixed[other.size:], out[::7])
-
-    @pytest.mark.parametrize("theta", [PUBLISHED, (0.5, 0.5, 2.0, 2.0)])
-    def test_betainc_below_the_size_constant(self, theta):
-        params = BFWParams(*theta)
-        x = bfw_sample(_LARGE_FROM - 1, params, seed=4)
-        g, s_g = fw_cdf(x, params.base), fw_sf(x, params.base)
-        assert np.array_equal(bfw_cdf(x, params), scipy_special.betainc(params.p, params.q, g))
-        assert np.array_equal(bfw_survival(x, params),
-                              scipy_special.betainc(params.q, params.p, s_g))
 
     def test_concentrated_shapes_are_betaincs(self):
         # at (1e6, 1e6) nearly every point would need its own node
@@ -961,6 +1003,20 @@ class TestNoNaN:
         assert np.all(mode_equation(NAN_SWEEP[ew_over], params) == -math.inf)
 
 
+    @pytest.mark.parametrize("theta", [
+        PUBLISHED, (0.0207, 2.5875, 1.0, 1.0), (0.5, 0.5, 2.0, 2.0), (0.052, 0.024, 0.3, 0.7),
+        (2.0, 3.0, 0.5, 1e-3), (1e-3, 4.0, 3.0, 1.0), (1e-200, 1.0, 2.0, 0.5),
+        (0.5, 0.5, 1e-8, 1e-8), (0.5, 0.5, 300.0, 5.0)])
+    def test_small_batch_tails_take_their_limits(self, theta):
+        # the numpy fraction below the size constant, over the sweep in chunks
+        params = BFWParams(*theta)
+        for chunk in np.array_split(NAN_SWEEP, 25):
+            assert chunk.size < _LARGE_FROM
+            for fn in (bfw_cdf, bfw_survival):
+                values = fn(chunk, params)
+                assert np.all((values >= 0.0) & (values <= 1.0)), fn.__name__
+
+
 class TestMode:
     def test_stationarity_by_finite_difference(self, published_params):
         x_star = bfw_mode(published_params)
@@ -1064,24 +1120,36 @@ class TestMode:
 # may not move them by a bit.  The hazards were re-recorded when the survival
 # became I_{S_G}(q, p): each new value is at least as close to 50-digit mpmath
 # as the old pdf/(1 - cdf) (at x = 12 on the published point 1.5e-14 against
-# 4.6e-13, at x = 4 on the second 5.8e-16 against 1.3e-12).  The mode at
+# 4.6e-13, at x = 4 on the second 5.8e-16 against 1.3e-12).  At the published
+# point every log density, density and hazard was re-recorded when ln B
+# became TOMS 708's (scipy's betaln(35.077, 20.328) is 1.7 units of
+# eps |ln B| off, TOMS 708's 0.9) and the survival of small batches the
+# numpy fraction: the log densities and densities moved closer to 60-digit
+# values (pdf 1.3e-14 -> 8.4e-15 at x = 0.5), and so did each survival (at
+# x = 2 3.1e-15 -> 1.2e-15); the hazard at x = 2 reads 9.85e-15 against
+# 9.41e-15, where the old survival's error had offset part of the
+# density's.  At (0.5, 0.5, 2, 2) ln B is the same, and the hazards moved
+# with the survival: 1.2e-16 -> 1.6e-16 at x = 0.7 (its survival 1.7e-16 ->
+# 5.1e-17), 3.2e-17 -> 1.9e-16 at x = 1.5 (its survival 3.6e-17 -> 1.5e-16,
+# where betainc takes the closed form of integer shapes) and
+# 5.8e-16 -> 3.3e-16 at x = 4.  The mode at
 # (0.5, 0.5, 2, 2) moved up one ulp when bfw_mode began to return the end of
 # its last bracket nearer the root, not the midpoint: from 1.29 to 0.29 ulp
 # below the 60-digit root (test_mode_against_mpmath).
 PIN_POINTS = {PUBLISHED: [0.5, 2.0, 6.0, 12.0], (0.5, 0.5, 2.0, 2.0): [0.1, 0.7, 1.5, 4.0]}
 PINNED = {
-    (PUBLISHED, "bfw_log_pdf"): ["-0x1.1e015765c3470p+0", "-0x1.1049a3f1b0880p+1",
-                                 "-0x1.cffa69a0a5ac0p+1", "-0x1.2596658b2c906p+3"],
-    (PUBLISHED, "bfw_pdf"): ["0x1.4f0b6edce0654p-2", "0x1.e8196accdcb7ep-4",
-                             "0x1.b4b179eb50f52p-6", "0x1.b2b02e403ec65p-14"],
-    (PUBLISHED, "bfw_hazard"): ["0x1.28775956dd87bp-1", "0x1.859322d219925p-2",
-                                "0x1.697baf040d0f1p-1", "0x1.69384cde3a82bp+0"],
+    (PUBLISHED, "bfw_log_pdf"): ["-0x1.1e015765c34d0p+0", "-0x1.1049a3f1b08b0p+1",
+                                 "-0x1.cffa69a0a5af0p+1", "-0x1.2596658b2c912p+3"],
+    (PUBLISHED, "bfw_pdf"): ["0x1.4f0b6edce05d6p-2", "0x1.e8196accdcac7p-4",
+                             "0x1.b4b179eb50eafp-6", "0x1.b2b02e403ebc2p-14"],
+    (PUBLISHED, "bfw_hazard"): ["0x1.28775956dd802p-1", "0x1.859322d2198a1p-2",
+                                "0x1.697baf040d084p-1", "0x1.69384cde3a7a5p+0"],
     ((0.5, 0.5, 2.0, 2.0), "bfw_log_pdf"): ["-0x1.0d0de765724a0p+2", "-0x1.e054daad52c1cp-3",
                                             "-0x1.66023bd13fe1ap+0", "-0x1.4048b3f7bcc69p+3"],
     ((0.5, 0.5, 2.0, 2.0), "bfw_pdf"): ["0x1.e96d2832e59f4p-7", "0x1.94f5b4cde318cp-1",
                                         "0x1.f9cd95f991c45p-3", "0x1.797a2c6407831p-15"],
-    ((0.5, 0.5, 2.0, 2.0), "bfw_hazard"): ["0x1.e97fcc5b9bf84p-7", "0x1.95e669220478ap+0",
-                                           "0x1.006f01f467fc4p+1", "0x1.bb32a635dba8fp+2"],
+    ((0.5, 0.5, 2.0, 2.0), "bfw_hazard"): ["0x1.e97fcc5b9bf84p-7", "0x1.95e669220478cp+0",
+                                           "0x1.006f01f467fc5p+1", "0x1.bb32a635dba8dp+2"],
 }
 PINNED_MODES = {PUBLISHED: "0x1.854923c1285ddp-4", (0.5, 0.5, 2.0, 2.0): "0x1.8d5e960cd3e86p-2"}
 KERNELS = {"bfw_log_pdf": bfw_log_pdf, "bfw_pdf": bfw_pdf, "bfw_hazard": bfw_hazard}
@@ -1115,9 +1183,11 @@ class TestBitPins:
             root = mpmath.findroot(equation, mpmath.mpf(pin))
             assert abs(pin - root) <= math.ulp(pin)
 
-    def test_cached_normalizer_is_betaln(self):
-        from scipy.special import betaln
-
+    def test_cached_normalizer_is_exact(self):
+        # TOMS 708's betaln is 1.04 ulp from the 60-digit ln B here, scipy's
+        # betaln(35.077, 20.328) 1.96 ulp
         params = BFWParams(*PUBLISHED)
-        assert params.log_beta == betaln(PUBLISHED[2], PUBLISHED[3])
+        with mpmath.workdps(60):
+            exact = mpmath.log(mpmath.beta(mpmath.mpf(PUBLISHED[2]), mpmath.mpf(PUBLISHED[3])))
+        assert abs(params.log_beta - exact) <= 1.1 * math.ulp(params.log_beta)
         assert params.log_beta is params.log_beta

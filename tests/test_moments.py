@@ -308,6 +308,15 @@ class TestShapeMeasures:
         assert summary.skewness == pytest.approx(skewness, abs=1e-6)
         assert summary.kurtosis == pytest.approx(kurtosis, rel=1e-6)
 
+    def test_concentrated_shapes_are_normalized(self):
+        # ln B(1e7, 1e7) is exact: scipy's betaln, 1.03e-7 off there, left
+        # the density's mass at 1 - 1.034e-7
+        import bfw.moments as moments_module
+
+        params = BFWParams(0.052, 0.024, 1e7, 1e7)
+        mass = moments_module._ln_x_quadrature(params, moments_module._powers([0.0])).values[0]
+        assert abs(mass - 1.0) <= 1e-8
+
     def test_published_point_keeps_its_raw_moment_values(self, published_params):
         # skewness and kurtosis as the raw-moment formula gave them, which does
         # not cancel at this point

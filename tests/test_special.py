@@ -5,6 +5,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from scipy import special as scipy_special
 from scipy.integrate import quad
 
 from bfw import special
@@ -18,6 +19,8 @@ from bfw import (
     std_normal_quantile,
     trigamma,
 )
+
+EPS = 2.0**-52
 
 
 class TestLogGamma:
@@ -110,6 +113,52 @@ class TestRegIncBeta:
             y = rng.uniform(0.0, 1.0)
             total = reg_inc_beta(y, p, q) + reg_inc_beta(1.0 - y, q, p)
             assert total == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("p, q", [(1e-8, 1e-8), (1e-8, 300.0), (300.0, 1e-8), (0.5, 0.5),
+                                      (35.077, 20.328), (1e4, 2.0), (0.05, 40.0), (5e3, 5e3)])
+    def test_limits_without_nan(self, p, q):
+        # the numpy fraction from the smallest double to 1 at tiny, skewed and
+        # large shapes: exactly 0 and 1 at the ends, no NaN, no warning
+        y = np.concatenate([[0.0, 5e-324, 1e-310], np.geomspace(1e-300, 0.5, 400),
+                            1.0 - np.geomspace(0.5, 2.0**-53, 400), [1.0]])
+        out = reg_inc_beta(y, p, q)
+        assert out[0] == 0.0 and out[-1] == 1.0
+        assert np.all((out >= 0.0) & (out <= 1.0))
+        assert np.all(np.diff(out) >= -2 * EPS * out[1:])
+
+    def test_shapes_broadcast_against_y(self):
+        y = np.array([[0.1], [0.5], [0.9]])
+        p, q = np.array([0.5, 2.0, 35.077]), 3.0
+        out = reg_inc_beta(y, p, q)
+        assert out.shape == (3, 3)
+        for (i, j), v in np.ndenumerate(out):
+            assert v == reg_inc_beta(float(y[i, 0]), float(p[j]), q)
+
+    def test_concentrated_shapes_are_betainc(self):
+        # where the node series has no plan the fraction would need hundreds
+        # of rows; betainc takes every point, as on the large-batch path
+        y = 0.5 + np.linspace(-5e-3, 5e-3, 101)
+        assert special._cdf_plan(1e6, 1e6) is None
+        assert np.array_equal(reg_inc_beta(y, 1e6, 1e6), scipy_special.betainc(1e6, 1e6, y))
+
+    def test_near_underflow_at_least_as_close_as_betainc(self):
+        # at (300, 5) betainc is 35 ulp off at I = 1e-300, 4.8e4 at 1e-303 and
+        # 5e8 at 1e-307; from I = 1e-307 to 1e-250 the fraction is within
+        # 4 eps everywhere and no farther from 50-digit values than betainc
+        # wherever betainc is more than 4 eps off
+        a, b = 300.0, 5.0
+        ln_norm = math.log(a) + special.log_beta(a, b)
+        # I ~ y^a (1 - y)^b / (a B): y from the leading term at I = 1e-307 and 1e-250
+        ends = [math.exp((math.log(t) + ln_norm - b * math.log1p(-0.1)) / a) for t in (1e-307, 1e-250)]
+        y = np.geomspace(*ends, 120)
+        new, old = reg_inc_beta(y, a, b), scipy_special.betainc(a, b, y)
+        with mpmath.workdps(50):
+            refs = [mpmath.betainc(a, b, 0, mpmath.mpf(float(v)), regularized=True) for v in y]
+        assert refs[0] < 1e-306 and refs[-1] > 1e-251
+        errors = [(abs(float(mpmath.mpf(float(n)) / r - 1)), abs(float(mpmath.mpf(float(o)) / r - 1)))
+                  for n, o, r in zip(new, old, refs)]
+        assert max(n for n, _ in errors) <= 4 * EPS
+        assert all(n <= max(o, 4 * EPS) for n, o in errors)
 
 
 class TestInvRegIncBeta:
@@ -210,11 +259,15 @@ class TestStdNormalQuantile:
         assert std_normal_quantile(np.array([])).shape == (0,)
 
 
-def mp_log_beta(p, q):
+def mp_log_beta_mpf(p, q):
     """ln B(p, q) from 60 digits plus the digits the larger shape needs."""
     with mpmath.workdps(60 + int(max(0.0, math.log10(max(p, q))))):
         p, q = mpmath.mpf(p), mpmath.mpf(q)
-        return float(mpmath.loggamma(p) + mpmath.loggamma(q) - mpmath.loggamma(p + q))
+        return mpmath.loggamma(p) + mpmath.loggamma(q) - mpmath.loggamma(p + q)
+
+
+def mp_log_beta(p, q):
+    return float(mp_log_beta_mpf(p, q))
 
 
 class TestLogBeta:
@@ -226,6 +279,19 @@ class TestLogBeta:
     def test_against_mpmath(self, p, q):
         assert special.log_beta(p, q) == pytest.approx(mp_log_beta(p, q), rel=1e-13)
         assert special.log_beta(q, p) == special.log_beta(p, q)
+
+    @pytest.mark.parametrize("p, q", [
+        (35.077, 20.328), (2.0, 2.0), (0.3, 0.7), (300.0, 5.0), (1000.0, 3.0), (1e4, 2.0),
+        (1e7, 1e7), (2.5e-5, 2e32), (1e-8, 1e-8),
+    ])
+    def test_exact_and_never_worse_than_betaln(self, p, q):
+        # TOMS 708's betaln; scipy's is 79 eps max(1, |ln B|) off at (300, 5),
+        # 2.1e3 at (1e4, 2) and 34 at (1e7, 1e7)
+        exact = mp_log_beta_mpf(p, q)
+        bound = max(1.0, abs(float(exact)))
+        error = abs(float(special.log_beta(p, q) - exact)) / bound
+        assert error <= 8 * EPS
+        assert error <= abs(float(scipy_special.betaln(p, q) - exact)) / bound
 
     def test_gammaln_difference_cancels_where_betaln_does_not(self):
         p, q = math.exp(-10.588), math.exp(74.351)
