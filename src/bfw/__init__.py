@@ -70,15 +70,7 @@ from .moments import (
     raw_moment_quadrature,
 )
 from .order_stats import OrderIndex, order_stat_pdf, order_stat_pdf_expansion
-from .special import (
-    digamma,
-    inv_reg_inc_beta,
-    log_gamma,
-    polygamma,
-    reg_inc_beta,
-    std_normal_quantile,
-    trigamma,
-)
+from .special import inv_reg_inc_beta, reg_inc_beta, std_normal_quantile
 
 __all__ = [
     "__version__",
@@ -105,7 +97,6 @@ __all__ = [
     "kaplan_meier", "get_family", "available_families", "fit_model",
     "compare_models",
     # special functions
-    "log_gamma", "polygamma", "digamma", "trigamma",
     "reg_inc_beta", "inv_reg_inc_beta", "std_normal_quantile",
     # errors
     "DomainError", "SaturationError", "NoInteriorModeError",

@@ -4,8 +4,11 @@ The direct beta-normalized form is the production path; the alternating
 binomial expansion is provided to cross-check it and is refused beyond
 n = 30, where the alternation starts eating significant digits.  Its
 normalizer ln B(r, n - r + 1) is :func:`bfw.special.log_beta`, TOMS 708's
-exact ``betaln`` in ``math``; its tails take the Beta median, which still
-loads ``scipy.special`` (``betaincinv``).
+exact ``betaln`` in ``math``.  Its tails are one incomplete beta per
+element, the numpy continued fraction at every batch size (from 1024
+points on through the node series, whose nodes it gives), with the edge
+rules of :func:`bfw.special._fraction_cdf`; they choose their side by the
+Beta median, which still loads ``scipy.special`` (``betaincinv``).
 """
 
 from __future__ import annotations

@@ -3,21 +3,21 @@ that reaches ``scipy.special``.
 
 The distribution side runs on numpy and ``math``: :func:`_log_beta` is
 TOMS 708's exact ``betaln`` (:func:`log_beta` behind validation), and
-:func:`_fraction_cdf` is the incomplete beta of batches below
-:data:`_LARGE_FROM` points (:func:`reg_inc_beta` behind validation), a
-continued fraction with an exponent summed in double-double.  Three
-kernels more: :func:`polygamma_gaps` integrates the polygamma differences
-that direct subtraction would cancel; :func:`_beta_cdf` sums the Beta cdf
-of large batches as a Taylor series from a node of a fixed grid at or
-below each point, one ``betainc`` per node, at about a tenth of
-``betainc``'s cost per point at the published shapes; and
-:func:`_beta_quantile` solves Beta quantiles on the reflected problem, by
-a bracketed Halley step on :func:`_beta_cdf` for large batches and by the
-series form where the quantile is small.  Both large-batch paths start at
-:data:`_LARGE_FROM` points.  :func:`inv_reg_inc_beta` is their Beta
-inverse (:func:`_inverse`) behind validation.  The Beta kernels take the
-shapes alone: no caller passes ln B.  Everything is pure and thread-safe;
-the per-shape constants of the kernels are cached.
+:func:`_fraction_cdf` is the one incomplete beta, a continued fraction
+with an exponent summed in double-double (:func:`reg_inc_beta` behind
+validation).  Three kernels more: :func:`polygamma_gaps` integrates the
+polygamma differences that direct subtraction would cancel;
+:func:`_beta_cdf` sums the Beta cdf of batches of :data:`_LARGE_FROM`
+points or more as a Taylor series from a node of a fixed grid at or below
+each point, the nodes' I and density factor from one fraction call, at a
+fraction of the fraction's cost per point; and :func:`_beta_quantile`
+solves Beta quantiles on the reflected problem, by a bracketed Halley step
+on :func:`_beta_cdf` for large batches and by the series form where the
+quantile is small.  Both large-batch paths start at :data:`_LARGE_FROM`
+points.  :func:`inv_reg_inc_beta` is their Beta inverse (:func:`_inverse`)
+behind validation.  The Beta kernels take the shapes alone: no caller
+passes ln B.  Everything is pure and thread-safe; the per-shape constants
+of the kernels are cached.
 
 ``scipy.special`` costs about twice as much to import as numpy (scipy
 1.17 imports ``array_api_compat.numpy``, whose namespace clone imports
@@ -26,11 +26,13 @@ first use through :func:`_scipy`, not when ``bfw`` is imported, and
 :func:`std_normal_quantile`, the interval z of every fit, does not use it.
 What still takes it: the fitter's psi and zeta and the likelihood's
 normalizer (:func:`_scipy_betaln`), so ``fit`` and ``compare`` of the
-four-parameter model; ``betainc`` at each node of a batch of 1024 points
-or more and at concentrated shapes (:func:`_cdf_plan` None);
-``betaincinv`` in the quantile; and the Beta median of
-:func:`bfw.core._log_tails`.  ``eval`` of every family, ``fit`` of the
-two-parameter families, ``sample``, ``km`` and ``--help`` never load it.
+four-parameter model; ``betaincinv`` and ``expit`` in the quantile, and
+so the Beta median of :func:`bfw.core._log_tails`; and ``betainc``,
+called from :func:`_fraction_cdf` alone, at concentrated shapes
+(:func:`_cdf_plan` None) and above x0 where I < 1/4, at either batch size.
+``eval`` of every family at the published shapes and at (300, 5), ``fit``
+of the two-parameter families, ``sample``, ``km`` and ``--help`` never
+load it.
 """
 
 from __future__ import annotations
@@ -41,13 +43,8 @@ import math
 import numpy as np
 
 from ._stable import _TINY, _ret, checked
-from .errors import DomainError
 
 __all__ = [
-    "log_gamma",
-    "polygamma",
-    "digamma",
-    "trigamma",
     "reg_inc_beta",
     "inv_reg_inc_beta",
     "log_beta",
@@ -62,27 +59,6 @@ def _scipy():
     from scipy import special
 
     return special
-
-
-def log_gamma(x):
-    """ln Gamma(x) for x > 0."""
-    return _ret(_scipy().gammaln(checked(x, "x")))
-
-
-def polygamma(order, x):
-    """Digamma (order 0) or trigamma (order 1) at x > 0."""
-    if order not in (0, 1):
-        raise DomainError("polygamma supports orders 0 and 1 only")
-    arr = checked(x, "x")
-    return _ret(_scipy().psi(arr) if order == 0 else _scipy().polygamma(1, arr))
-
-
-def digamma(x):
-    return polygamma(0, x)
-
-
-def trigamma(x):
-    return polygamma(1, x)
 
 
 def log_beta(p, q):
@@ -361,36 +337,40 @@ _LARGE_FROM = 1024
 def _inc_beta(y, a, b):
     """I_y(a, b): :func:`reg_inc_beta` (:func:`_fraction_cdf`) below
     :data:`_LARGE_FROM` points, :func:`_beta_cdf` from there on.  Either way
-    each value depends on its own y and the shapes only; the series adds to
-    ``betainc``'s error only the rounding of its node factor."""
+    each value depends on its own y and the shapes only, and both paths keep
+    the fraction's edge rules; the series adds a few eps to the fraction's
+    error at its node."""
     if np.size(y) < _LARGE_FROM:
         return reg_inc_beta(y, a, b)
     return _beta_cdf(y, a, b)
 
 
-# The small-batch kernel (:func:`_fraction_cdf`) sums its fraction to where
-# the step at the top of its side is below this relative change (``bfrac``'s
-# own rule), and then this many steps more
+# The continued fraction (:func:`_fraction_cdf`) is summed to where the step
+# at the top of its side is below this relative change (``bfrac``'s own rule)
 _FRACTION_TOL = 2.0**-52
-_FRACTION_SPARE = 0
 # far more rows than the shape pairs that :func:`_cdf_plan` admits need (146
 # at (16000, 16000)); a fraction that would need more is betainc's
 _FRACTION_ROWS = 4096
 
 
-def _fraction_cdf(y, a, b):
-    """I_y(a, b) for an array y in [0, 1]: the small-batch path of
-    :func:`reg_inc_beta`, in numpy, or ``betainc`` at the concentrated
-    shapes for which :func:`_cdf_plan` is None and where the fraction has
-    no rows (a shape below about 1e-305).  TOMS 708's ``bfrac`` with
-    its ``brcomp`` prefactor (Didonato & Morris 1992, ACM TOMS 18:360):
+def _fraction_cdf(y, a, b, power_too=False):
+    """I_y(a, b) for an array y in [0, 1], the one incomplete beta of this
+    module: the small-batch path of :func:`reg_inc_beta`, and each node's I
+    and every refused element of :func:`_beta_cdf`.  In numpy, TOMS 708's
+    ``bfrac`` with its ``brcomp`` prefactor (Didonato & Morris 1992, ACM
+    TOMS 18:360):
 
         I_y(a, b) = P(y) r(y),  P(y) = y^a (1 - y)^b / B(a, b),
 
     r the continued fraction of DLMF 8.17.22 in its even contraction
     (:func:`_fraction_ratio`), where y is at most x0 = (a + 1) / (a + b + 2),
     and above it 1 - P(y) r'(1 - y), r' that at the shapes (b, a), by
-    I_y(a, b) = 1 - I_{1-y}(b, a) (DLMF 8.17.4).
+    I_y(a, b) = 1 - I_{1-y}(b, a) (DLMF 8.17.4).  ``betainc`` is called
+    here and nowhere else in the package: at every point where
+    :func:`_cdf_plan` is None (concentrated shapes, and a shape below about
+    1e-305, where the fraction has no rows), and above x0 where
+    P r' > 3/4, since there I < 1/4 and 1 - P r' would lose more than two
+    bits (at (2, 1e-8) it kept about 8 digits of I ~ 1e-8).
 
     P is one power for both sides, formed as ``brcomp`` forms it, relative
     to the top of the side: P(y) = (y / x0)^a ((1 - y) / y0)^b / S with
@@ -399,14 +379,15 @@ def _fraction_cdf(y, a, b):
     and holds where a shape is below 8 as well.  The exponent
     a ln(y / x0) + b ln((1 - y) / y0) - ln S is summed in double-double,
     from :func:`_log_dd` of y and of 1 - y held as an exact pair, so the
-    power keeps its relative precision where it nears underflow.  The
-    fraction's first denominator takes c = 1 + a - (a + b) y in
-    double-double (the reflected side's is 2 - c), so it keeps its digits
-    where (a + b) y nears 1 + a.  Every value depends on its own y and the
-    shapes only: the fraction's length is fixed per shape pair at the top
-    of its side (:func:`_fraction_rows`)."""
+    power keeps its relative precision where it nears underflow and where a
+    shape is large.  The fraction's first denominator takes
+    c = 1 + a - (a + b) y in double-double (the reflected side's is 2 - c),
+    so it keeps its digits where (a + b) y nears 1 + a.  Every value depends
+    on its own y and the shapes only: the fraction's length is fixed per
+    shape pair at the top of its side (:func:`_fraction_rows`).  With
+    ``power_too``, at shapes with a plan and a flat y, returns (I, P)."""
     y = np.asarray(y, dtype=float)
-    if _cdf_plan(a, b) is None or _fraction_rows(a, b) is None or _fraction_rows(b, a) is None:
+    if _cdf_plan(a, b) is None:
         return _scipy().betainc(a, b, y)
     shape, y = y.shape, y.ravel()
     x0, ln_ends, ln_sum, weights = _fraction_center(a, b)
@@ -428,6 +409,7 @@ def _fraction_cdf(y, a, b):
         power, tail = _two_sum(power, ((lo[0] + lo[1]) + (err + err2)) - ln_sum[1])
         out = np.exp(power)
         out *= 1.0 + tail
+        prefactor = out.copy() if power_too else None
         c, c_lo = _shift(y, a, b)
         upper = np.flatnonzero(y > x0)
         if not upper.size:
@@ -441,8 +423,11 @@ def _fraction_cdf(y, a, b):
             ratio = _fraction_ratio(ends[1].take(upper), c_up, b, a)
             ratio *= out.take(upper)
             out[upper] = 1.0 - ratio
+            upper = upper[ratio > 0.75]  # I < 1/4: 1 - P r' loses more than 2 bits
         np.copyto(out, y, where=(y == 0.0) | (y == 1.0))
-    return out.reshape(shape)
+    if upper.size:
+        out[upper] = _scipy().betainc(a, b, y.take(upper))
+    return (out, prefactor) if power_too else out.reshape(shape)
 
 
 def _shift(y, a, b):
@@ -488,9 +473,9 @@ def _fraction_rows(a, b):
     (a + 2n - 1)^2: ``bfrac``'s rows, with y = 1 - x and its products of
     p = 1 + (n - 1) / a and 1 / a regrouped so that no factor overflows at
     tiny a.  As many rows as ``bfrac`` takes at x0, where its fraction
-    converges slowest, to :data:`_FRACTION_TOL`, plus :data:`_FRACTION_SPARE`;
-    None where the fraction is not finite there (a shape so small that its
-    first denominator underflows) or needs more than :data:`_FRACTION_ROWS`."""
+    converges slowest, to :data:`_FRACTION_TOL`; None where the fraction is
+    not finite there (a shape so small that its first denominator
+    underflows) or needs more than :data:`_FRACTION_ROWS`."""
     x = np.float64(_fraction_center_point(a, b))
     y = 1.0 - x
     c = (1.0 + a) - (a + b) * x
@@ -499,12 +484,9 @@ def _fraction_rows(a, b):
     a_prev, b_prev, a_cur, b_cur = 0.0, 1.0, 1.0, c * (a / (a + 1.0))
     with np.errstate(all="ignore"):
         r = 1.0 / b_cur
-    spare = None
-    n = 0
-    while spare != 0:
-        if not (np.isfinite(r) and n < _FRACTION_ROWS):
+    for n in range(1, _FRACTION_ROWS + 1):
+        if not np.isfinite(r):
             return None
-        n += 1
         s = a + (2.0 * n - 1.0)
         e = (a + n) / (a + (2.0 * n + 1.0))
         k = n * (b - n) / s
@@ -516,11 +498,9 @@ def _fraction_rows(a, b):
         with np.errstate(all="ignore"):
             r_prev, r = r, a_cur / b_cur
             a_prev, b_prev, a_cur, b_cur = a_prev / b_cur, b_prev / b_cur, r, 1.0
-        if spare is None and abs(r - r_prev) <= _FRACTION_TOL * r:
-            spare = _FRACTION_SPARE
-        elif spare:
-            spare -= 1
-    return tuple(np.array(column) for column in zip(*coefficients))
+        if abs(r - r_prev) <= _FRACTION_TOL * r:
+            return tuple(np.array(column) for column in zip(*coefficients))
+    return None
 
 
 def _fraction_center_point(a, b):
@@ -580,12 +560,14 @@ def _log_table():
 
 def _log_dd(v):
     """(hi, lo), arrays with hi + lo = ln v for an array v of positive
-    doubles, within about 1e-21 + 2e-19 (|ln v| mod ln 2): v = m 2^e with m
-    in [sqrt(1/2), sqrt(2)) nearest the node c_j = 1 + j / 256, ln v =
-    e ln 2 + ln c_j + log1p((m - c_j) / c_j), the first two from
-    :func:`_log_table`.  hi is a multiple of 2^-24 below 2^10, so two of
-    them subtract exactly and the difference times 18 bits is exact; lo is
-    below 0.003."""
+    doubles, within about 1e-21: v = m 2^e with m in [sqrt(1/2), sqrt(2))
+    nearest the node c_j = 1 + j / 256, ln v = e ln 2 + ln c_j + ln(1 + u)
+    with u = (m - c_j) / c_j, the first two from :func:`_log_table`.  u's
+    leading bits to 2^-24 join hi, which stays a multiple of 2^-24 below
+    2^10, so two of them subtract exactly and the difference times 18 bits
+    is exact; lo takes the rest of u, exactly up to its last rounding, and
+    ln(1 + u) - u by its series to u^8 (|u| < 2^-8).  lo is below 7e-5, so
+    a shape times lo keeps its digits where a shape is large."""
     m, e = np.frexp(v)
     low = m < _SQRT_HALF
     np.multiply(m, 2.0, out=m, where=low)
@@ -593,14 +575,25 @@ def _log_dd(v):
     j = np.rint((m - 1.0) * _LOG_STEPS)
     node = j * (1.0 / _LOG_STEPS) + 1.0
     m -= node  # exact: m and c_j are within a factor 2
+    u = m / node
+    u_hi = np.rint(u * 2.0**24)
+    u_hi *= 2.0**-24
+    m -= u_hi * node  # exact: u_hi has at most 16 bits and c_j 9
     m /= node
+    series = u * (-1.0 / 8.0)
+    for n in range(7, 1, -1):
+        series += (-1.0) ** (n + 1) / n
+        series *= u
+    series *= u
     idx = j.astype(np.intp) - _LOG_NODES.start
     table_hi, table_lo = _log_table()
     hi = e * _LN2_HI
     hi += table_hi.take(idx)
+    hi += u_hi
     lo = e * _LN2_LO
     lo += table_lo.take(idx)
-    lo += np.log1p(m)
+    lo += m
+    lo += series
     return hi, lo
 
 
@@ -901,16 +894,14 @@ _MAX_DEGREE = 30
 _SERIES_TOL = 2.0**-55
 # a node mask spans up to this many keys per point; np.unique sorts wider ranges
 _COMPACT_SPAN = 4
-# betainc loses digits where its result nears underflow (at (300, 5): 35 ulp
-# at 1e-300, 4.8e4 ulp at 1e-303, 3 ulp from 1e-295 up), so a node whose I
-# is below this is not used, and its elements are betainc's
-_NODE_FLOOR = 2.0**-960
 
 
 @functools.lru_cache(maxsize=1024)
 def _cdf_plan(a, b):
     """(shift, degree, tail) of :func:`_beta_cdf` at shapes (a, b), or None
-    where ``betainc`` takes every point (see :data:`_GRID_BITS`).
+    where ``betainc`` takes every point of both incomplete-beta paths: at
+    concentrated shapes (see :data:`_GRID_BITS`) and where the continued
+    fraction has no rows (:func:`_fraction_rows`).
 
     Nodes keep the top ``52 - shift`` bits of the mantissa of the distance
     z to the nearer end of [0, 1], so an element's series variable v is below
@@ -919,13 +910,14 @@ def _cdf_plan(a, b):
     (1 - v)^-k, k = |a - 1| + |b - 1|, and the series cut after v^degree
     leaves at most ``tail`` = U sum_{n > degree} C(k + n - 1, n) U^n of the
     integral.  U is the largest power of 2 at most 1/(2k) and 1/32, which
-    keeps that majorant near e^(1/2); the degree is the least for which ``tail`` times
-    4 max(a, b, 1) (about the largest z f(y) / I of a node) is below 2^-55.
+    keeps that majorant near e^(1/2); the degree is the least for which
+    ``tail`` times 4 max(a, b, 1) (about the largest z f(y) / I of a node)
+    is below 2^-55.
     Where a - 1 and b - 1 are non-negative integers the series ends by
     itself, after v^(a + b - 2), and nothing is cut."""
     k = abs(a - 1.0) + abs(b - 1.0)
     bits = max(_GRID_BITS[0], math.ceil(math.log2(2.0 * k))) if k > 0.5 else _GRID_BITS[0]
-    if bits > _GRID_BITS[1]:
+    if bits > _GRID_BITS[1] or _fraction_rows(a, b) is None or _fraction_rows(b, a) is None:
         return None
     step = 2.0**-bits
     terms = [1.0]  # C(k + n - 1, n) step^n, summed far beyond where they matter
@@ -962,23 +954,24 @@ def _beta_cdf(y, a, b):
     larger of them 1.  The integrand's Taylor coefficients follow a
     three-term recurrence from its logarithmic derivative; each node's
     coefficients of the integral, times f(y_k) z_k, are one row of a table,
-    and every element sums its series by Horner.  Each node's I comes from
-    one ``betainc``, and only the nodes some element needs are built.  Every
-    value depends on its own y and the shapes only: the tables are built
-    element-wise, with no reduction across nodes.
+    and every element sums its series by Horner.  Each node's I and
+    f(y_k) z_k come from one :func:`_fraction_cdf` call over the nodes, and
+    only the nodes some element needs are built.  Every value depends on
+    its own y and the shapes only: the tables are built element-wise, with
+    no reduction across nodes.
 
-    The error is the node's ``betainc`` error plus that of
-    f(y_k) z_k = exp(phi), about |phi| eps / 2 of the increment, and a few
-    eps; ln B is :func:`_log_beta`'s.  ``betainc`` takes an element whose
-    node is subnormal, whose node's I is below :data:`_NODE_FLOOR` or whose
-    series bound is not met, and every element at concentrated shapes
-    (:data:`_GRID_BITS`); both rules look at the element's node and the
-    shapes only.
+    The error is the fraction's at the node plus a few eps: f(y_k) z_k is
+    the fraction's power P(y_k), whose exponent is summed in double-double,
+    over max(y_k, 1 - y_k).  :func:`_fraction_cdf` takes an element whose
+    node or node's I is not a normal double or whose series bound is not
+    met, and every element where :func:`_cdf_plan` is None; both rules look
+    at the element's node and the shapes only, and the fraction's own edge
+    rules are those of a small batch.
     """
     y = np.asarray(y, dtype=float)
     plan = _cdf_plan(float(a), float(b)) if y.size else None
     if plan is None:
-        return _scipy().betainc(a, b, y)
+        return _fraction_cdf(y, a, b)
     shape, y = y.shape, y.ravel()
     shift, degree, tail = plan
     z = np.subtract(1.0, y)  # exact where y >= 1/2, the only place it is kept
@@ -1009,7 +1002,7 @@ def _beta_cdf(y, a, b):
     out += base.take(idx)
     if not usable.all():
         sel = np.flatnonzero(~usable.take(idx))
-        out[sel] = _scipy().betainc(a, b, y[sel])
+        out[sel] = _fraction_cdf(y[sel], a, b)
     return out.reshape(shape)
 
 
@@ -1035,19 +1028,19 @@ def _compact(key):
 def _cdf_nodes(nodes, shift, degree, tail, a, b):
     """The node table of :func:`_beta_cdf`: each node's y_k, the factor
     1/z_k of v, its I, the Horner rows (``degree`` + 1, nodes) of
-    f(y_k) z_k c_n / (n + 1), and whether the node is usable."""
+    f(y_k) z_k c_n / (n + 1), and whether the node is usable.  I and the
+    power P(y_k) = y_k^a (1 - y_k)^b / B(a, b) are :func:`_fraction_cdf`'s,
+    and f(y_k) z_k = P(y_k) / (1 - z_k)."""
     hi = (nodes & 1).astype(bool)
     z = ((nodes >> 1) << shift).view(float)
     node_y = np.where(hi, 1.0 - z, z)  # exact: a node above 1/2 is a multiple of 2^-53
-    base = _scipy().betainc(a, b, node_y)
+    base, fac = _fraction_cdf(node_y, a, b, power_too=True)
     with np.errstate(all="ignore"):  # subnormal and zero nodes are not used
-        ln_z, ln_far = np.log(z), np.log1p(-z)
-        ln_y, ln_1y = np.where(hi, ln_far, ln_z), np.where(hi, ln_z, ln_far)
-        # f(y_k) z_k = exp(phi), the one factor whose rounding reaches the result
-        fac = np.exp((a - 1.0) * ln_y + (b - 1.0) * ln_1y + ln_z - _log_beta(a, b))
-        usable = (z > _TINY) & (base >= _NODE_FLOOR) & (fac * tail <= _SERIES_TOL * base)
+        far = 1.0 - z
+        fac /= far
+        usable = (z > _TINY) & (base >= _TINY) & (fac * tail <= _SERIES_TOL * base)
         usable &= np.isfinite(fac)
-        ratio = z / (1.0 - z)
+        ratio = z / far
         e1 = np.where(hi, ratio, 1.0)  # z_k / y_k
         e2 = np.where(hi, 1.0, ratio)  # z_k / (1 - y_k)
         scale = 1.0 / z

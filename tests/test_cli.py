@@ -747,9 +747,9 @@ class TestLazyScipy:
         assert stdout
         assert status == ["0", "False", "False"]
 
-    @pytest.mark.parametrize("grid", ["0.01:7:200", "0.5:5:4"])
+    @pytest.mark.parametrize("grid", ["0.01:7:200", "0.5:5:4", "0.01:7:2000"])
     def test_four_parameter_eval_loads_neither(self, grid):
-        # ln B and the incomplete beta of fewer than 1024 points are numpy's
+        # ln B and the incomplete beta of either batch size are numpy's
         stdout, status = self.main_in_fresh_process(
             "eval", "--params", "0.052,0.024,35.077,20.328", "--grid", grid)
         assert stdout

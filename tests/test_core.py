@@ -796,8 +796,8 @@ class TestBetaCdfKernel:
         # the kernel's worst error over the tails stays within twice that of
         # scipy's betainc on the same grid; both carry the rounding of G,
         # about p |w| eps / 2 in the left tail.  Compared where the
-        # reference is above 1e-290 (below it betainc loses digits and takes
-        # the elements on both paths), and the survival and hazard where the
+        # reference is above 1e-290 (below it the betainc path loses
+        # digits), and the survival and hazard where the
         # survival is at most 1/2 (left of the median S_G = 1 - G rounds
         # away G's digits)
         theta = (PUBLISHED[0], PUBLISHED[1], *shapes)
@@ -860,7 +860,7 @@ class TestBetaCdfKernel:
         for yi, vi in zip(y, out):
             ref = mp_beta_cdf(yi, a, b)
             if ref < 1e-280:
-                continue  # betainc's own digits thin out near underflow
+                continue  # test_both_paths_against_mpmath goes down to underflow
             phi = ((a - 1) * math.log(yi) + (b - 1) * math.log1p(-yi)
                    + math.log(min(yi, 1.0 - yi)) - ln_b)
             assert abs(mpmath.mpf(float(vi)) / ref - 1) <= (abs(phi) + 64) * EPS
@@ -882,6 +882,60 @@ class TestBetaCdfKernel:
             mixed[order] = fn(superset[order], params)
             assert np.array_equal(mixed[other.size:], out[::7])
 
+    @pytest.mark.parametrize("shapes", [
+        (35.077, 20.328), (20.328, 35.077), (2.0, 2.0), (0.3, 0.7), (300.0, 5.0), (0.05, 40.0),
+        (40.0, 0.05), (2.0, 1e-8), (5.0, 0.01), (0.5, 0.05), (1e4, 2.0), (3000.0, 0.5)])
+    def test_both_paths_against_mpmath(self, shapes):
+        # the series and the fraction on one y grid, wherever the reference is a
+        # normal double: each node's I and density factor are the fraction's, so
+        # the series keeps the fraction's error to a few eps (with betainc's
+        # nodes and a node factor exp(phi) it was 488 eps at (2, 2), 349 at
+        # (3000, 0.5) and 3.8e6 at (300, 5) near underflow)
+        a, b = shapes
+        y = np.concatenate([np.geomspace(1e-300, 0.5, 200), 1.0 - np.geomspace(2e-16, 0.5, 200),
+                            np.linspace(0.01, 0.99, 99)])
+        refs = [mp_beta_cdf(yi, a, b) for yi in y]
+        keep = [ref >= TINY for ref in refs]
+        refs = [ref for ref, k in zip(refs, keep) if k]
+        assert worst_rel(_beta_cdf(y, a, b)[keep], refs) <= 8 * EPS
+        assert worst_rel(special.reg_inc_beta(y, a, b)[keep], refs) <= 8 * EPS
+
+    def test_large_batch_near_underflow(self):
+        # at (300, 5) betainc, which gave the nodes' I, was up to 3.4e8 eps off
+        # for I from 1e-295 down to 1e-307; a 1024-point batch now keeps 4 eps
+        a, b = 300.0, 5.0
+        ln_norm = math.log(a) + special.log_beta(a, b)
+        # I ~ y^a (1 - y)^b / (a B): y from the leading term at each end
+        ends = [math.exp((math.log(t) + ln_norm - b * math.log1p(-0.1)) / a) for t in (1e-307, 1e-295)]
+        y = np.geomspace(*ends, _LARGE_FROM)
+        refs = [mp_beta_cdf(yi, a, b) for yi in y[::8]]
+        assert refs[0] < 1e-306 and refs[-1] > 1e-296
+        assert worst_rel(special._inc_beta(y, a, b)[::8], refs) <= 4 * EPS
+
+    def test_published_point_near_underflow_at_both_batch_sizes(self):
+        # 17 points of a 4,000-point grid lie in x in [1.084e-3, 1.129e-3],
+        # where I_G is subnormal: all were 0 in one call (betainc underflowed
+        # at the nodes) and nonzero in 500-point calls.  Both sizes now agree
+        # with the 50-digit I at the rounded G: within 4 eps where it is a
+        # normal double, and to the last subnormal unit below
+        params = BFWParams(*PUBLISHED)
+        p, q = params.p, params.q
+        x = np.geomspace(1e-3, 10.0, 4000)
+        band = (x >= 1.084e-3) & (x <= 1.129e-3)
+        large = bfw_cdf(x, params)
+        small = np.concatenate([bfw_cdf(chunk, params) for chunk in np.split(x, 8)])
+        assert band.sum() >= 15
+        assert np.all(large[band] > 0.0) and np.all(small[band] > 0.0)
+        g = fw_cdf(x, params.base)
+        check = np.flatnonzero(band | (np.arange(x.size) % 40 == 0))
+        for i in check:
+            ref = mp_beta_cdf(g[i], p, q)
+            for value in (large[i], small[i]):
+                if ref < TINY:
+                    assert abs(mpmath.mpf(float(value)) - ref) <= 5e-324
+                else:
+                    assert abs(mpmath.mpf(float(value)) / ref - 1) <= 4 * EPS
+
     def test_concentrated_shapes_are_betaincs(self):
         # at (1e6, 1e6) nearly every point would need its own node
         a = b = 1e6
@@ -890,24 +944,24 @@ class TestBetaCdfKernel:
         assert np.array_equal(_beta_cdf(y, a, b), scipy_special.betainc(a, b, y))
 
     @pytest.mark.parametrize("shapes", [(2.0, 2.0), (35.077, 20.328), (0.3, 0.7)])
-    def test_nodes_near_underflow_are_betaincs(self, shapes):
+    def test_nodes_near_underflow_are_fractions(self, shapes):
         # a node that is subnormal, or whose I is below the floor, hands its
-        # elements to betainc, as do the ends 0 and 1
+        # elements to the continued fraction, as do the ends 0 and 1
         a, b = shapes
         y = np.concatenate([[0.0, 1.0, 5e-324, 1e-310], np.geomspace(1e-300, 1e-100, 300)])
-        cdf = scipy_special.betainc(a, b, y)
+        cdf = special._fraction_cdf(y, a, b)
         out = _beta_cdf(y, a, b)
-        theirs = (y < TINY) | (cdf < special._NODE_FLOOR)
+        theirs = (y < TINY) | (cdf < TINY)
         theirs[1] = True
         assert np.array_equal(out[theirs], cdf[theirs])
         assert out[0] == 0.0 and out[1] == 1.0
 
-    def test_series_bound_hands_nodes_to_betainc(self, monkeypatch):
+    def test_series_bound_hands_nodes_to_the_fraction(self, monkeypatch):
         # with no room for the cut-off series every node fails its bound
         a, b = PUBLISHED[2:]
         y = np.linspace(0.01, 0.99, 2000)
         monkeypatch.setattr(special, "_SERIES_TOL", 0.0)
-        assert np.array_equal(_beta_cdf(y, a, b), scipy_special.betainc(a, b, y))
+        assert np.array_equal(_beta_cdf(y, a, b), special._fraction_cdf(y, a, b))
 
 
 class TestSample:

@@ -34,7 +34,6 @@ from bfw import (
     observed_information,
     score,
     std_normal_quantile,
-    trigamma,
 )
 
 # covariance matrix published for the pump data at the four-parameter
@@ -171,7 +170,7 @@ class TestObservedInformation:
 
     def test_pq_entry_is_trigamma(self, pumps, published_params):
         info = observed_information(pumps, published_params)
-        expected = -pumps.n * trigamma(published_params.p + published_params.q)
+        expected = -pumps.n * sp.polygamma(1, published_params.p + published_params.q)
         assert info[2, 3] == pytest.approx(expected, rel=1e-14)
 
     def test_matches_finite_differences_randomized(self, rng):

@@ -9,68 +9,9 @@ from scipy import special as scipy_special
 from scipy.integrate import quad
 
 from bfw import special
-from bfw import (
-    DomainError,
-    digamma,
-    inv_reg_inc_beta,
-    log_gamma,
-    polygamma,
-    reg_inc_beta,
-    std_normal_quantile,
-    trigamma,
-)
+from bfw import DomainError, inv_reg_inc_beta, reg_inc_beta, std_normal_quantile
 
 EPS = 2.0**-52
-
-
-class TestLogGamma:
-    def test_gamma_of_one(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_gamma_of_five_is_factorial(self):
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-
-    def test_half(self):
-        # Gamma(1/2) = sqrt(pi)
-        assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-13)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
-    def test_domain(self, bad):
-        with pytest.raises(DomainError):
-            log_gamma(bad)
-
-    def test_recurrence_property(self):
-        for x in np.linspace(0.5, 20.0, 40):
-            lhs = math.exp(log_gamma(x + 1.0))
-            rhs = x * math.exp(log_gamma(x))
-            assert lhs == pytest.approx(rhs, rel=1e-10)
-
-
-class TestPolygamma:
-    def test_digamma_at_one(self):
-        assert polygamma(0, 1.0) == pytest.approx(-np.euler_gamma, rel=1e-12)
-
-    def test_trigamma_at_one(self):
-        assert polygamma(1, 1.0) == pytest.approx(math.pi**2 / 6.0, rel=1e-12)
-
-    def test_digamma_at_two(self):
-        assert polygamma(0, 2.0) == pytest.approx(1.0 - np.euler_gamma, rel=1e-12)
-
-    def test_aliases(self):
-        assert digamma(3.7) == polygamma(0, 3.7)
-        assert trigamma(3.7) == polygamma(1, 3.7)
-
-    def test_unsupported_order(self):
-        with pytest.raises(DomainError):
-            polygamma(2, 1.0)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            polygamma(0, 0.0)
-
-    def test_recurrence_property(self):
-        for x in np.geomspace(0.1, 100.0, 50):
-            assert polygamma(0, x + 1.0) - polygamma(0, x) == pytest.approx(1.0 / x, abs=1e-9)
 
 
 class TestRegIncBeta:
@@ -140,6 +81,22 @@ class TestRegIncBeta:
         y = 0.5 + np.linspace(-5e-3, 5e-3, 101)
         assert special._cdf_plan(1e6, 1e6) is None
         assert np.array_equal(reg_inc_beta(y, 1e6, 1e6), scipy_special.betainc(1e6, 1e6, y))
+
+    @pytest.mark.parametrize("p, q", [(2.0, 1e-8), (2.0, 1e-4), (5.0, 0.01), (40.0, 0.05)])
+    def test_above_x0_at_a_small_second_shape(self, p, q):
+        # above x0 = (p + 1) / (p + q + 2) the fraction forms I = 1 - P r', and
+        # I is small there when q is: it kept about eps / I of it (1.7e8 eps
+        # at (2, 1e-8), 291 at (5, 0.01), 122 at (40, 0.05)); where P r' > 3/4
+        # the points are betainc's
+        x0 = (p + 1.0) / (p + q + 2.0)
+        y = np.concatenate([x0 + (1.0 - x0) * np.linspace(0.0, 1.0, 101)[1:-1],
+                            1.0 - np.geomspace(2.0**-53, 1.0 - x0, 100)[:-1]])
+        assert np.all(y > x0)
+        out = reg_inc_beta(y, p, q)
+        with mpmath.workdps(50):
+            refs = [1 - mpmath.betainc(q, p, 0, 1 - mpmath.mpf(float(v)), regularized=True) for v in y]
+        assert min(refs) < 0.02
+        assert max(abs(float(mpmath.mpf(float(v)) / r - 1)) for v, r in zip(out, refs)) <= 8 * EPS
 
     def test_near_underflow_at_least_as_close_as_betainc(self):
         # at (300, 5) betainc is 35 ulp off at I = 1e-300, 4.8e4 at 1e-303 and
@@ -296,7 +253,7 @@ class TestLogBeta:
     def test_gammaln_difference_cancels_where_betaln_does_not(self):
         p, q = math.exp(-10.588), math.exp(74.351)
         exact = mp_log_beta(p, q)
-        difference = log_gamma(p) + log_gamma(q) - log_gamma(p + q)
+        difference = scipy_special.gammaln(p) + scipy_special.gammaln(q) - scipy_special.gammaln(p + q)
         assert abs(difference - exact) > 1.0  # every digit lost
         assert special.log_beta(p, q) == pytest.approx(exact, rel=1e-14)
 
@@ -335,7 +292,7 @@ class TestPolygammaGaps:
 
     def test_direct_differences_lose_what_the_gaps_keep(self):
         b, s = math.exp(74.351), math.exp(-10.588)
-        assert digamma(b + s) - digamma(b) == 0.0
+        assert scipy_special.psi(b + s) - scipy_special.psi(b) == 0.0
         d_psi, d_tri = special.polygamma_gaps(np.array([b]), np.array([s]))
         ref_psi, ref_tri = mp_gaps(b, s)
         assert d_psi[0] == pytest.approx(ref_psi, rel=1e-14)
@@ -370,6 +327,18 @@ class TestOneOwner:
                     if name == "_scipy":
                         callers.add(path.name)
         assert callers == {"special.py"}
+
+    def test_betainc_is_called_from_the_fraction_only(self):
+        # both incomplete-beta paths share the fraction's edge rules
+        callers = set()
+        for path in self.SOURCES:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.FunctionDef):
+                    for call in ast.walk(node):
+                        if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                                and call.func.attr == "betainc"):
+                            callers.add((path.name, node.name))
+        assert callers == {("special.py", "_fraction_cdf")}
 
     def test_core_keeps_no_batch_size_rule(self):
         from bfw import core

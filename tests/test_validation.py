@@ -21,7 +21,6 @@ from bfw import (
     bfw_quantile,
     bfw_reversed_hazard,
     bfw_survival,
-    digamma,
     fw_cdf,
     fw_log_pdf,
     fw_pdf,
@@ -29,13 +28,11 @@ from bfw import (
     fw_sf,
     get_family,
     inv_reg_inc_beta,
-    log_gamma,
     mode_equation,
     order_stat_pdf,
     order_stat_pdf_expansion,
     reg_inc_beta,
     std_normal_quantile,
-    trigamma,
 )
 from bfw.special import log_beta
 
@@ -65,9 +62,6 @@ ENTRY_POINTS = [
     ("mode_equation", lambda v: mode_equation(v, BFW), "x", POSITIVE),
     ("order_stat_pdf", lambda v: order_stat_pdf(v, IDX, BFW), "x", POSITIVE),
     ("order_stat_pdf_expansion", lambda v: order_stat_pdf_expansion(v, IDX, BFW), "x", POSITIVE),
-    ("log_gamma", log_gamma, "x", POSITIVE),
-    ("digamma", digamma, "x", POSITIVE),
-    ("trigamma", trigamma, "x", POSITIVE),
     ("log_beta.p", lambda v: log_beta(v, 2.0), "p", POSITIVE),
     ("log_beta.q", lambda v: log_beta(2.0, v), "q", POSITIVE),
     ("reg_inc_beta.y", lambda v: reg_inc_beta(v, 2.0, 3.0), "y", CLOSED_UNIT),
