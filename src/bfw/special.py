@@ -560,8 +560,9 @@ def _log_table():
 
 def _log_dd(v):
     """(hi, lo), arrays with hi + lo = ln v for an array v of positive
-    doubles, within about 1e-21: v = m 2^e with m in [sqrt(1/2), sqrt(2))
-    nearest the node c_j = 1 + j / 256, ln v = e ln 2 + ln c_j + ln(1 + u)
+    doubles, within 2e-20 and within eps |ln v|: v = m 2^e with m in
+    [sqrt(1/2), sqrt(2)) nearest the node c_j = 1 + j / 256,
+    ln v = e ln 2 + ln c_j + ln(1 + u)
     with u = (m - c_j) / c_j, the first two from :func:`_log_table`.  u's
     leading bits to 2^-24 join hi, which stays a multiple of 2^-24 below
     2^10, so two of them subtract exactly and the difference times 18 bits

@@ -118,6 +118,52 @@ class TestRegIncBeta:
         assert all(n <= max(o, 4 * EPS) for n, o in errors)
 
 
+class TestFractionParts:
+    """The double-double pieces the fraction builds I from: ln v as a split
+    pair and the power P(y) = y^a (1 - y)^b / B(a, b)."""
+
+    @pytest.mark.parametrize("v", [
+        5e-324, 2.2250738585072014e-308, 1e-300, 1e-5, 0.5, math.sqrt(0.5),
+        math.nextafter(math.sqrt(0.5), 0.0), 0.9990234375, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52,
+        1.7976931348623157e308,
+    ])
+    def test_log_dd_against_mpmath(self, v):
+        hi, lo = special._log_dd(np.array([v]))
+        with mpmath.workdps(50):
+            exact = mpmath.log(mpmath.mpf(v))
+            error = abs(float(mpmath.mpf(float(hi[0])) + mpmath.mpf(float(lo[0])) - exact))
+        assert error <= 2e-20
+        assert error <= EPS * abs(float(exact))  # relative near v = 1 as well
+
+    def test_log_dd_split_keeps_products_exact(self):
+        # hi a multiple of 2^-24 below 2^10, so hi times an 18-bit weight is
+        # exact; lo small, so a large shape times lo keeps its digits
+        rng = np.random.default_rng(3)
+        v = np.concatenate([np.exp(rng.uniform(-744.0, 709.0, 20000)), [5e-324, 1.0, 1.7976931348623157e308]])
+        hi, lo = special._log_dd(v)
+        assert np.array_equal(hi * 2.0**24, np.rint(hi * 2.0**24))
+        assert np.abs(hi).max() < 2.0**10
+        assert np.abs(lo).max() < 7e-5
+
+    @pytest.mark.parametrize("shapes", [(2.0, 2.0), (0.5, 0.5), (300.0, 5.0), (1e4, 2.0), (0.05, 2.0),
+                                        (1e-3, 1e-3)])
+    def test_power_against_mpmath(self, shapes):
+        a, b = shapes
+        y = np.concatenate([np.geomspace(1e-300, 0.5, 60), 1.0 - np.geomspace(2.0**-53, 0.5, 60)[::-1]])
+        values, power = special._fraction_cdf(y, a, b, power_too=True)
+        assert np.array_equal(values, special._fraction_cdf(y, a, b))
+        checked = 0
+        with mpmath.workdps(50):
+            norm = mpmath.beta(a, b)
+            for v, got in zip(y, power):
+                v = mpmath.mpf(float(v))
+                exact = v**a * (1 - v) ** b / norm
+                if 1e-300 < exact < 1e300:
+                    checked += 1
+                    assert abs(float(mpmath.mpf(float(got)) / exact - 1)) <= 4 * EPS, (float(v), shapes)
+        assert checked >= 50
+
+
 class TestInvRegIncBeta:
     def test_symmetric_median(self):
         assert inv_reg_inc_beta(0.5, 3.0, 3.0) == pytest.approx(0.5, abs=1e-13)
@@ -227,6 +273,32 @@ def mp_log_beta(p, q):
     return float(mp_log_beta_mpf(p, q))
 
 
+class TestGamln:
+    """TOMS 708's ln Gamma, which :func:`special.log_beta` is built on."""
+
+    def test_known_values(self):
+        assert special._gamln(1.0) == 0.0
+        assert special._gamln(2.0) == 0.0
+        assert special._gamln(5.0) == pytest.approx(math.log(24.0), rel=2 * EPS)
+        assert special._gamln(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=2 * EPS)
+
+    def test_against_mpmath(self):
+        # every branch: a <= 0.8, 0.8 < a <= 2.25, below 10 and from 10
+        xs = np.concatenate([np.geomspace(1e-300, 1e300, 120), np.linspace(0.05, 20.0, 400)])
+        with mpmath.workdps(40):
+            for x in xs:
+                exact = mpmath.loggamma(float(x))
+                error = abs(float(special._gamln(float(x)) - exact))
+                assert error <= 2 * EPS * max(1.0, abs(float(exact))), x
+
+    def test_recurrence_property(self):
+        # each term within 2 eps max(1, |ln Gamma|), so the difference within twice that
+        for x in np.linspace(0.5, 20.0, 40):
+            upper = special._gamln(x + 1.0)
+            bound = 4 * EPS * max(1.0, abs(upper))
+            assert upper - special._gamln(x) == pytest.approx(math.log(x), abs=bound)
+
+
 class TestLogBeta:
     @pytest.mark.parametrize("p, q", [
         (math.exp(-10.588), math.exp(74.351)),  # where pumps start 7 of the gammaln kernel stopped
@@ -309,6 +381,27 @@ class TestPolygammaGaps:
             for i in range(size):
                 alone = special.polygamma_gaps(b[i : i + 1], s[i : i + 1])
                 assert (d_psi[i], d_tri[i]) == (alone[0][0], alone[1][0])
+
+
+class TestLogBetaDerivatives:
+    @pytest.mark.parametrize("p, q", [(2.0, 3.0), (0.5, 0.5), (1e-3, 7.0), (1e4, 2.0), (2.0, 1e4),
+                                      (1e6, 0.01)])
+    def test_against_mpmath(self, p, q):
+        # the digamma gaps psi(p+q) - (psi(p), psi(q)), the trigamma at p + q
+        # and the trigamma gaps (psi'(p), psi'(q)) - psi'(p+q); the last two
+        # pairs are more than 64 times apart, where the gaps are integrated
+        with np.errstate(all="ignore"):
+            gaps, tri, tri_gaps = special._log_beta_derivatives(np.array([p]), np.array([q]), 2)
+        assert special._log_beta_derivatives(np.array([p]), np.array([q]), 1)[1:] == (None, None)
+        with mpmath.workdps(50):
+            s, shapes = mpmath.mpf(p) + mpmath.mpf(q), (mpmath.mpf(p), mpmath.mpf(q))
+            exact_tri = mpmath.polygamma(1, s)
+            for i, shape in enumerate(shapes):
+                exact_gap = mpmath.digamma(s) - mpmath.digamma(shape)
+                exact_tri_gap = mpmath.polygamma(1, shape) - exact_tri
+                assert abs(float(mpmath.mpf(float(gaps[i][0])) / exact_gap - 1)) <= 4 * EPS
+                assert abs(float(mpmath.mpf(float(tri_gaps[i][0])) / exact_tri_gap - 1)) <= 4 * EPS
+            assert abs(float(mpmath.mpf(float(tri[0])) / exact_tri - 1)) <= 4 * EPS
 
 
 class TestOneOwner:
