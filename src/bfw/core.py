@@ -2,7 +2,10 @@
 
 The distribution passes the flexible Weibull CDF through the regularized
 incomplete beta function with shapes (p, q).  The CDF is always evaluated
-through the incomplete-beta ratio, which is exact for every q > 0.  The
+through the incomplete-beta ratio, which is exact for every q > 0.  Both
+Beta tails read the smaller of G and S_G = 1 - G, from one e^w
+(:func:`_side`), and :mod:`bfw.special` forms the other argument as its
+complement, so neither tail loses digits where G or S_G rounds near 1.  The
 density is the exp of the log density, which the base model's log-density
 kernel (:func:`bfw.flexible_weibull._log_pdf`) forms with the shapes and
 ln B(p, q), so that neither e^{e^w} nor the beta normalizer can overflow.
@@ -23,7 +26,8 @@ import numpy as np
 from . import special
 from ._stable import _ret, checked, checked_fields, fw_tail_terms
 from .errors import DomainError, NoInteriorModeError, SaturationError
-from .flexible_weibull import FWParams, _log_pdf, _w, _x_at_exponent, fw_cdf, fw_quantile, fw_sf
+from .flexible_weibull import FWParams, _log_pdf, _w, _x_at_exponent, fw_quantile
+from .flexible_weibull import fw_cdf  # noqa: F401 - kept for perfbench/tracing.py
 
 __all__ = [
     "BFWParams",
@@ -69,8 +73,10 @@ class BFWParams:
 
 def bfw_cdf(x, params):
     """I_{G(x)}(p, q) with G the flexible Weibull CDF, by
-    :func:`bfw.special._inc_beta`."""
-    return special._inc_beta(fw_cdf(x, params.base), params.p, params.q)
+    :func:`bfw.special._inc_beta` at the smaller of G and S_G = 1 - G
+    (:func:`_side`), so the cdf keeps its digits where G rounds near 1 (at
+    (0.5, 0.5, 2, 0.05), x = 8 gives 0.919195, not 1)."""
+    return _ret(special._inc_beta(*_side(checked(x, "x"), params), params.p, params.q))
 
 
 def bfw_log_pdf(x, params):
@@ -95,13 +101,28 @@ def bfw_pdf(x, params):
 
 
 def bfw_survival(x, params):
-    """I_{S_G(x)}(q, p) with S_G = ``fw_sf`` the flexible Weibull survival:
+    """I_{S_G(x)}(q, p) with S_G the flexible Weibull survival:
     1 - bfw_cdf(x) by the reflection I_y(p, q) = 1 - I_{1-y}(q, p)
     (DLMF 8.17.4), so the right tail keeps its relative precision where
     1 - cdf would round to zero (at the published estimates, x = 25 gives
     8.5773e-19, not 0).  Nonincreasing; 1 where x -> 0+.  By
-    :func:`bfw.special._inc_beta`, like :func:`bfw_cdf`."""
-    return special._inc_beta(fw_sf(x, params.base), params.q, params.p)
+    :func:`bfw.special._inc_beta` at the same argument as :func:`bfw_cdf`,
+    the smaller of G and S_G, so S_G keeps its digits where it rounds near
+    1 as well."""
+    z, upper = _side(checked(x, "x"), params)
+    return _ret(special._inc_beta(z, ~upper, params.q, params.p))
+
+
+def _side(arr, params):
+    """(z, upper) at a checked ``arr``: z = min(G, S_G) and ``upper`` where
+    z is S_G, the arguments of :func:`bfw.special._inc_beta`.  G = -expm1(-e^w)
+    and S_G = exp(-e^w) come from one e^w, each exact to an ulp relative, so
+    the smaller is the exact argument of its tail and the Beta kernels form
+    the other as its complement."""
+    with np.errstate(all="ignore"):
+        neg = -np.exp(_w(np.asarray(arr, dtype=float), params.base))
+        g, s_g = -np.expm1(neg), np.exp(neg)
+    return np.minimum(g, s_g), s_g < g
 
 
 def bfw_hazard(x, params):
@@ -145,28 +166,20 @@ def bfw_cumulative_hazard(x, params):
 
 
 def _log_tails(arr, params):
-    """(ln cdf, ln survival) at a checked array ``arr``, from one incomplete
-    beta per element on its small side: the cdf I_G(p, q) where G is at
-    most the Beta(p, q) median (:func:`bfw.special._median`), so that the
-    cdf is at most 1/2, and the survival I_{S_G}(q, p) elsewhere.  The
-    other tail is log1p of minus that one, so neither tail is read from a
-    1 - I that rounds it away.  G and S_G are :func:`fw_cdf` and
-    :func:`fw_sf` from one e^w.  -inf where a tail underflows to zero."""
-    p, q = params.p, params.q
-    with np.errstate(all="ignore"):
-        ew = np.exp(_w(arr, params.base))
-        g = -np.expm1(-ew)
-        near = g <= special._median(p, q)
-        log_cdf, log_sf = np.empty(g.shape), np.empty(g.shape)
-        if near.any():
-            cdf = special._inc_beta(g[near], p, q)
-            log_cdf[near] = np.log(cdf)
-            log_sf[near] = np.log1p(-cdf)
-        if not near.all():
-            far = ~near
-            sf = special._inc_beta(np.exp(-ew[far]), q, p)
-            log_sf[far] = np.log(sf)
-            log_cdf[far] = np.log1p(-sf)
+    """(ln cdf, ln survival) at a checked array ``arr``: the cdf
+    I_G(p, q) at every element, and the survival I_{S_G}(q, p) only where
+    the cdf is above 1/2, both at :func:`_side`'s argument.  The other tail
+    is log1p of minus the one at most 1/2, so neither tail is read from a
+    1 - I that rounds it away.  -inf where a tail underflows to zero."""
+    z, upper = _side(arr, params)
+    with np.errstate(divide="ignore"):
+        cdf = special._inc_beta(z, upper, params.p, params.q)
+        log_cdf, log_sf = np.log(cdf), np.log1p(-cdf)
+        right = np.flatnonzero(cdf > 0.5)
+        if right.size:
+            sf = special._inc_beta(z[right], ~upper[right], params.q, params.p)
+            log_sf[right] = np.log(sf)
+            log_cdf[right] = np.log1p(-sf)
     return log_cdf, log_sf
 
 

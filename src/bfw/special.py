@@ -5,7 +5,12 @@ The distribution side runs on numpy and ``math``: :func:`_log_beta` is
 TOMS 708's exact ``betaln`` (:func:`log_beta` behind validation), and
 :func:`_fraction_cdf` is the one incomplete beta, a continued fraction
 with an exponent summed in double-double (:func:`reg_inc_beta` behind
-validation).  Three kernels more: :func:`polygamma_gaps` integrates the
+validation).  This module alone chooses the side of a Beta tail: like TOMS
+708's ``bratio(a, b, x, y)``, the cdf kernels (:func:`_inc_beta`,
+:func:`_fraction_cdf`, :func:`_beta_cdf`) take z = min(y, 1 - y), which the
+caller holds exactly, and whether z is 1 - y, and form the other argument as
+z's double-double complement, so a y within an ulp of 1 keeps its digits.
+Three kernels more: :func:`polygamma_gaps` integrates the
 polygamma differences that direct subtraction would cancel;
 :func:`_beta_cdf` sums the Beta cdf of batches of :data:`_LARGE_FROM`
 points or more as a Taylor series from a node of a fixed grid at or below
@@ -26,13 +31,13 @@ first use through :func:`_scipy`, not when ``bfw`` is imported, and
 :func:`std_normal_quantile`, the interval z of every fit, does not use it.
 What still takes it: the fitter's psi and zeta and the likelihood's
 normalizer (:func:`_scipy_betaln`), so ``fit`` and ``compare`` of the
-four-parameter model; ``betaincinv`` and ``expit`` in the quantile, and
-so the Beta median of :func:`bfw.core._log_tails`; and ``betainc``,
-called from :func:`_fraction_cdf` alone, at concentrated shapes
-(:func:`_cdf_plan` None) and above x0 where I < 1/4, at either batch size.
-``eval`` of every family at the published shapes and at (300, 5), ``fit``
-of the two-parameter families, ``sample``, ``km`` and ``--help`` never
-load it.
+four-parameter model; ``betaincinv`` and ``expit`` in the quantile; and
+``betainc`` and ``betaincc`` at z, called from :func:`_fraction_cdf`
+alone, at concentrated shapes (:func:`_cdf_plan` None) and above x0 where
+I < 1/4, at either batch size.  ``eval`` of every family, the order
+statistics and the cumulative hazard at the published shapes and at
+(300, 5), ``fit`` of the two-parameter families, ``sample``, ``km`` and
+``--help`` never load it.
 """
 
 from __future__ import annotations
@@ -294,10 +299,11 @@ def _log_beta_derivatives(p, q, order):
 
 def reg_inc_beta(y, p, q):
     """Regularized incomplete beta I_y(p, q), the Beta(p, q) CDF at y:
-    :func:`_fraction_cdf` once per distinct (p, q) pair, the shapes
-    broadcast against y.  Endpoints map to themselves: y = 0 -> 0 and
-    y = 1 -> 1."""
-    return _by_shapes(_fraction_cdf, checked(y, "y", high=1.0, closed=True), p, q)
+    :func:`_fraction_cdf` at z = min(y, 1 - y), which is exact, once per
+    distinct (p, q) pair, the shapes broadcast against y.  Endpoints map to
+    themselves: y = 0 -> 0 and y = 1 -> 1."""
+    return _by_shapes(lambda v, a, b: _fraction_cdf(np.minimum(v, 1.0 - v), v > 0.5, a, b),
+                      checked(y, "y", high=1.0, closed=True), p, q)
 
 
 def inv_reg_inc_beta(u, p, q):
@@ -334,15 +340,16 @@ def _by_shapes(kernel, v, p, q):
 _LARGE_FROM = 1024
 
 
-def _inc_beta(y, a, b):
-    """I_y(a, b): :func:`reg_inc_beta` (:func:`_fraction_cdf`) below
+def _inc_beta(z, upper, a, b):
+    """I_y(a, b) at y = z, or y = 1 - z where ``upper``, for arrays z in
+    [0, 1/2] and ``upper`` of one shape: :func:`_fraction_cdf` below
     :data:`_LARGE_FROM` points, :func:`_beta_cdf` from there on.  Either way
-    each value depends on its own y and the shapes only, and both paths keep
+    each value depends on its own z and the shapes only, and both paths keep
     the fraction's edge rules; the series adds a few eps to the fraction's
     error at its node."""
-    if np.size(y) < _LARGE_FROM:
-        return reg_inc_beta(y, a, b)
-    return _beta_cdf(y, a, b)
+    if np.size(z) < _LARGE_FROM:
+        return _fraction_cdf(z, upper, a, b)
+    return _beta_cdf(z, upper, a, b)
 
 
 # The continued fraction (:func:`_fraction_cdf`) is summed to where the step
@@ -353,22 +360,27 @@ _FRACTION_TOL = 2.0**-52
 _FRACTION_ROWS = 4096
 
 
-def _fraction_cdf(y, a, b, power_too=False):
-    """I_y(a, b) for an array y in [0, 1], the one incomplete beta of this
-    module: the small-batch path of :func:`reg_inc_beta`, and each node's I
-    and every refused element of :func:`_beta_cdf`.  In numpy, TOMS 708's
-    ``bfrac`` with its ``brcomp`` prefactor (Didonato & Morris 1992, ACM
-    TOMS 18:360):
+def _fraction_cdf(z, upper, a, b, power_too=False):
+    """I_y(a, b) at y = z, or y = 1 - z where ``upper``, for arrays z in
+    [0, 1/2] and ``upper`` of one shape: the one incomplete beta of this
+    module, the small-batch path of :func:`_inc_beta` and
+    :func:`reg_inc_beta`, and each node's I and every refused element of
+    :func:`_beta_cdf`.  In numpy, TOMS 708's ``bfrac`` with its ``brcomp``
+    prefactor (Didonato & Morris 1992, ACM TOMS 18:360):
 
         I_y(a, b) = P(y) r(y),  P(y) = y^a (1 - y)^b / B(a, b),
 
     r the continued fraction of DLMF 8.17.22 in its even contraction
     (:func:`_fraction_ratio`), where y is at most x0 = (a + 1) / (a + b + 2),
     and above it 1 - P(y) r'(1 - y), r' that at the shapes (b, a), by
-    I_y(a, b) = 1 - I_{1-y}(b, a) (DLMF 8.17.4).  ``betainc`` is called
-    here and nowhere else in the package: at every point where
+    I_y(a, b) = 1 - I_{1-y}(b, a) (DLMF 8.17.4).  Like TOMS 708's
+    ``bratio(a, b, x, y)`` it reads both arguments: z exactly, and its
+    complement 1 - z as a double-double pair, so y keeps its digits where it
+    is within an ulp of 1.  ``betainc`` and ``betaincc`` are called here and
+    nowhere else in the package, on z: ``betainc(a, b, z)``, or
+    ``betaincc(b, a, z)`` where ``upper``.  They take every point where
     :func:`_cdf_plan` is None (concentrated shapes, and a shape below about
-    1e-305, where the fraction has no rows), and above x0 where
+    1e-305, where the fraction has no rows), and every point above x0 where
     P r' > 3/4, since there I < 1/4 and 1 - P r' would lose more than two
     bits (at (2, 1e-8) it kept about 8 digits of I ~ 1e-8).
 
@@ -378,66 +390,72 @@ def _fraction_cdf(y, a, b, power_too=False):
     I_x0(a, b) + I_y0(b, a) = 1, so the normalizer needs no Stirling series
     and holds where a shape is below 8 as well.  The exponent
     a ln(y / x0) + b ln((1 - y) / y0) - ln S is summed in double-double,
-    from :func:`_log_dd` of y and of 1 - y held as an exact pair, so the
-    power keeps its relative precision where it nears underflow and where a
-    shape is large.  The fraction's first denominator takes
-    c = 1 + a - (a + b) y in double-double (the reflected side's is 2 - c),
-    so it keeps its digits where (a + b) y nears 1 + a.  Every value depends
-    on its own y and the shapes only: the fraction's length is fixed per
-    shape pair at the top of its side (:func:`_fraction_rows`).  With
-    ``power_too``, at shapes with a plan and a flat y, returns (I, P)."""
-    y = np.asarray(y, dtype=float)
+    from :func:`_log_dd` of z and of its complement, so the power keeps its
+    relative precision where it nears underflow and where a shape is large.
+    The fraction's first denominator takes c = 1 + a - (a + b) y in
+    double-double (the reflected side's is 2 - c), so it keeps its digits
+    where (a + b) y nears 1 + a.  Every value depends on its own z and the
+    shapes only: the fraction's length is fixed per shape pair at the top of
+    its side (:func:`_fraction_rows`).  With ``power_too``, at shapes with a
+    plan, returns (I, P) over the flattened z."""
+    shape, z, upper = np.shape(z), np.ravel(z), np.ravel(upper)
     if _cdf_plan(a, b) is None:
-        return _scipy().betainc(a, b, y)
-    shape, y = y.shape, y.ravel()
-    x0, ln_ends, ln_sum, weights = _fraction_center(a, b)
-    with np.errstate(all="ignore"):
-        ends = np.empty((2, y.size))
-        ends[0] = y
-        np.subtract(1.0, y, out=ends[1])
-        comp_lo = (1.0 - ends[1]) - y  # 1 - y = ends[1] + comp_lo exactly
-        hi, lo = _log_dd(ends)
-        lo[1] += comp_lo / ends[1]  # ln(u + du) = ln u + du / u, to O(eps^2)
-        hi -= ln_ends[0]  # exact
-        lo -= ln_ends[1]
-        # times (a, b): a = w1 + w2 with w1 of 18 bits, so hi w1 is exact
-        lo *= weights[0] + weights[1]
-        lo += hi * weights[1]
-        hi *= weights[0]
-        power, err = _two_sum(hi[0], hi[1])
-        power, err2 = _two_sum(power, -ln_sum[0])
-        power, tail = _two_sum(power, ((lo[0] + lo[1]) + (err + err2)) - ln_sum[1])
-        out = np.exp(power)
-        out *= 1.0 + tail
-        prefactor = out.copy() if power_too else None
-        c, c_lo = _shift(y, a, b)
-        upper = np.flatnonzero(y > x0)
-        if not upper.size:
-            out *= _fraction_ratio(y, c + c_lo, a, b)
-        else:
-            c_up = (2.0 - c.take(upper)) - c_lo.take(upper)
-            if upper.size < y.size:
-                lower = np.flatnonzero(y <= x0)
-                c += c_lo
-                out[lower] *= _fraction_ratio(y.take(lower), c.take(lower), a, b)
-            ratio = _fraction_ratio(ends[1].take(upper), c_up, b, a)
-            ratio *= out.take(upper)
-            out[upper] = 1.0 - ratio
-            upper = upper[ratio > 0.75]  # I < 1/4: 1 - P r' loses more than 2 bits
-        np.copyto(out, y, where=(y == 0.0) | (y == 1.0))
-    if upper.size:
-        out[upper] = _scipy().betainc(a, b, y.take(upper))
+        out, prefactor, scipy_at = np.empty(z.size), None, np.arange(z.size)
+    else:
+        x0, ln_ends, ln_sum, weights = _fraction_center(a, b)
+        with np.errstate(all="ignore"):
+            ends = np.empty((2, z.size))
+            ends[0] = z
+            np.subtract(1.0, z, out=ends[1])
+            comp_lo = (1.0 - ends[1]) - z  # 1 - z = ends[1] + comp_lo exactly
+            hi, lo = _log_dd(ends)
+            lo[1] += comp_lo / ends[1]  # ln(u + du) = ln u + du / u, to O(eps^2)
+            if upper.any():  # rows (y, 1 - y)
+                ends, hi, lo = (np.where(upper, pair[::-1], pair) for pair in (ends, hi, lo))
+            y, y1 = ends
+            hi -= ln_ends[0]  # exact
+            lo -= ln_ends[1]
+            # times (a, b): a = w1 + w2 with w1 of 18 bits, so hi w1 is exact
+            lo *= weights[0] + weights[1]
+            lo += hi * weights[1]
+            hi *= weights[0]
+            power, err = _two_sum(hi[0], hi[1])
+            power, err2 = _two_sum(power, -ln_sum[0])
+            power, tail = _two_sum(power, ((lo[0] + lo[1]) + (err + err2)) - ln_sum[1])
+            out = np.exp(power)
+            out *= 1.0 + tail
+            prefactor = out.copy() if power_too else None
+            c, c_lo = _shift(y, a, b, comp_lo * upper)  # y = ends[0] + comp_lo where upper
+            above = np.flatnonzero(y > x0)
+            if not above.size:
+                out *= _fraction_ratio(y, c + c_lo, a, b)
+            else:
+                c_up = (2.0 - c.take(above)) - c_lo.take(above)
+                if above.size < y.size:
+                    lower = np.flatnonzero(y <= x0)
+                    c += c_lo
+                    out[lower] *= _fraction_ratio(y.take(lower), c.take(lower), a, b)
+                ratio = _fraction_ratio(y1.take(above), c_up, b, a)
+                ratio *= out.take(above)
+                out[above] = 1.0 - ratio
+                above = above[ratio > 0.75]  # I < 1/4: 1 - P r' loses more than 2 bits
+            np.copyto(out, upper, where=z == 0.0)  # y = 0 -> 0 and y = 1 -> 1
+        scipy_at = above
+    if scipy_at.size:
+        sp, at, part = _scipy(), upper.take(scipy_at), z.take(scipy_at)
+        sp.betainc(a, b, part, out=part, where=~at)
+        out[scipy_at] = sp.betaincc(b, a, part, out=part, where=at)
     return (out, prefactor) if power_too else out.reshape(shape)
 
 
-def _shift(y, a, b):
-    """c = 1 + a - (a + b) y for an array y, as a pair (hi, lo) of arrays;
-    hi is exact where 1 + a and (a + b) y are within a factor 2, the only
-    place where they cancel."""
+def _shift(y, a, b, y_lo=0.0):
+    """c = 1 + a - (a + b) (y + y_lo) for an array y, as a pair (hi, lo) of
+    arrays; hi is exact where 1 + a and (a + b) y are within a factor 2, the
+    only place where they cancel."""
     s, s_lo = _two_sum(a, b)
     one, one_lo = _two_sum(1.0, a)
     p, p_lo = _two_product(y, s)
-    return one - p, (one_lo - p_lo) - s_lo * y
+    return one - p, (one_lo - p_lo) - s_lo * y - s * y_lo
 
 
 def _fraction_ratio(x, c, a, b):
@@ -722,12 +740,6 @@ def _series_top(a, b):
     return math.exp(a * math.log(z0) - _log_norm(a, b))
 
 
-@functools.lru_cache(maxsize=1024)
-def _median(a, b):
-    """The Beta(a, b) median, z with I_z(a, b) = 1/2, by :func:`_inverse`."""
-    return float(_inverse(np.array([0.5]), a, b)[0])
-
-
 def _leading_root(t, a, log_norm):
     """(t a B)^(1/a) for an array t, with ``log_norm`` = ln(a B), as
     exp((ln t + ln(a B)) / a), the large part of ln t kept exact: for
@@ -811,7 +823,7 @@ def _halley_quantile(t, a, b):
     del tau, j
     y = np.exp(ln_z)
     with np.errstate(all="ignore"):
-        big_i = _beta_cdf(y, a, b)
+        big_i = _beta_cdf(np.minimum(y, 1.0 - y), y > 0.5, a, b)
         g = np.subtract(big_i, t)
         g /= t
         np.log1p(g, out=g)  # ln(I / t), without rounding I / t
@@ -935,19 +947,19 @@ def _cdf_plan(a, b):
     return None
 
 
-def _beta_cdf(y, a, b):
-    """I_y(a, b) for an array y in [0, 1] and shapes a, b > 0, by a
-    node-grid series; the large-batch path of :func:`bfw.core.bfw_cdf` and
-    :func:`bfw.core.bfw_survival` and the cdf of the Halley step of
-    :func:`_beta_quantile`.
+def _beta_cdf(z, upper, a, b):
+    """I_y(a, b) at y = z, or y = 1 - z where ``upper``, for arrays z in
+    [0, 1/2] and ``upper`` of one shape and shapes a, b > 0, by a node-grid
+    series; the large-batch path of :func:`_inc_beta` and the cdf of the
+    Halley step of :func:`_beta_quantile`.
 
     Each element adds to the I of a node y_k <= y the integral of the
     density from y_k to y, so the increment never cancels, and the result
     keeps the relative precision of the node's I wherever it lies.  A node
-    keeps the top bits of z = min(y, 1 - y) (see :func:`_cdf_plan`): below
-    1/2 the bits of y rounded down, above it those of 1 - y rounded up, so
-    y_k and 1 - y_k are both exact doubles and y - y_k <= 2^(shift - 52) z_k.
-    With v = (y - y_k) / z_k,
+    keeps the top bits of z (see :func:`_cdf_plan`): rounded down where z is
+    y, rounded up where it is 1 - y, so y_k and 1 - y_k are both exact
+    doubles and |z - z_k| <= 2^(shift - 52) z_k.  With
+    v = (y - y_k) / z_k = +-(z - z_k) / z_k,
 
         inc = f(y_k) z_k int_0^v (1 + e1 s)^(a-1) (1 - e2 s)^(b-1) ds,
 
@@ -958,7 +970,7 @@ def _beta_cdf(y, a, b):
     and every element sums its series by Horner.  Each node's I and
     f(y_k) z_k come from one :func:`_fraction_cdf` call over the nodes, and
     only the nodes some element needs are built.  Every value depends on
-    its own y and the shapes only: the tables are built element-wise, with
+    its own z and the shapes only: the tables are built element-wise, with
     no reduction across nodes.
 
     The error is the fraction's at the node plus a few eps: f(y_k) z_k is
@@ -969,31 +981,26 @@ def _beta_cdf(y, a, b):
     at the element's node and the shapes only, and the fraction's own edge
     rules are those of a small batch.
     """
-    y = np.asarray(y, dtype=float)
-    plan = _cdf_plan(float(a), float(b)) if y.size else None
+    shape, z, upper = np.shape(z), np.ravel(z), np.ravel(upper)
+    plan = _cdf_plan(float(a), float(b)) if z.size else None
     if plan is None:
-        return _fraction_cdf(y, a, b)
-    shape, y = y.shape, y.ravel()
+        return _fraction_cdf(z, upper, a, b).reshape(shape)
     shift, degree, tail = plan
-    z = np.subtract(1.0, y)  # exact where y >= 1/2, the only place it is kept
-    np.minimum(y, z, out=z)
     bits = z.view(np.int64)
     key = bits >> shift  # z rounded down to a node ...
-    hi = y > 0.5
     up = (key << shift) != bits
-    up &= hi  # ... or up, where z is 1 - y
-    del z, bits
+    up &= upper  # ... or up, where z is 1 - y
+    del bits
     key += up
     del up
     key <<= 1
-    key += hi  # a node is (z_k, whether y_k = 1 - z_k)
-    del hi
+    key += upper  # a node is (z_k, whether y_k = 1 - z_k)
     nodes, idx = _compact(key)
     del key
-    node_y, scale, base, coef, usable = _cdf_nodes(nodes, shift, degree, tail, a, b)
-    # v = (y - y_k) / z_k; y - y_k is exact (both within a factor 2, or both in [1/2, 1])
-    v = node_y.take(idx)
-    np.subtract(y, v, out=v)
+    node_z, scale, base, coef, usable = _cdf_nodes(nodes, shift, degree, tail, a, b)
+    # v = +-(z - z_k) / z_k; z - z_k is exact (both within a factor 2)
+    v = node_z.take(idx)
+    np.subtract(z, v, out=v)
     v *= scale.take(idx)
     out = coef[degree].take(idx)
     for n in range(degree - 1, -1, -1):
@@ -1003,7 +1010,7 @@ def _beta_cdf(y, a, b):
     out += base.take(idx)
     if not usable.all():
         sel = np.flatnonzero(~usable.take(idx))
-        out[sel] = _fraction_cdf(y[sel], a, b)
+        out[sel] = _fraction_cdf(z[sel], upper[sel], a, b)
     return out.reshape(shape)
 
 
@@ -1027,15 +1034,14 @@ def _compact(key):
 
 
 def _cdf_nodes(nodes, shift, degree, tail, a, b):
-    """The node table of :func:`_beta_cdf`: each node's y_k, the factor
-    1/z_k of v, its I, the Horner rows (``degree`` + 1, nodes) of
-    f(y_k) z_k c_n / (n + 1), and whether the node is usable.  I and the
-    power P(y_k) = y_k^a (1 - y_k)^b / B(a, b) are :func:`_fraction_cdf`'s,
-    and f(y_k) z_k = P(y_k) / (1 - z_k)."""
+    """The node table of :func:`_beta_cdf`: each node's z_k, the factor
+    +-1/z_k of v (negative where y_k = 1 - z_k), its I, the Horner rows
+    (``degree`` + 1, nodes) of f(y_k) z_k c_n / (n + 1), and whether the
+    node is usable.  I and the power P(y_k) = y_k^a (1 - y_k)^b / B(a, b)
+    are :func:`_fraction_cdf`'s, and f(y_k) z_k = P(y_k) / (1 - z_k)."""
     hi = (nodes & 1).astype(bool)
     z = ((nodes >> 1) << shift).view(float)
-    node_y = np.where(hi, 1.0 - z, z)  # exact: a node above 1/2 is a multiple of 2^-53
-    base, fac = _fraction_cdf(node_y, a, b, power_too=True)
+    base, fac = _fraction_cdf(z, hi, a, b, power_too=True)
     with np.errstate(all="ignore"):  # subnormal and zero nodes are not used
         far = 1.0 - z
         fac /= far
@@ -1044,7 +1050,7 @@ def _cdf_nodes(nodes, shift, degree, tail, a, b):
         ratio = z / far
         e1 = np.where(hi, ratio, 1.0)  # z_k / y_k
         e2 = np.where(hi, 1.0, ratio)  # z_k / (1 - y_k)
-        scale = 1.0 / z
+        scale = np.where(hi, -1.0, 1.0) / z
     fac[~usable] = e1[~usable] = e2[~usable] = scale[~usable] = base[~usable] = 0.0
     # Taylor coefficients c_n of g(s) = (1 + e1 s)^alpha (1 - e2 s)^beta from
     # (1 + e1 s)(1 - e2 s) g' = (alpha e1 (1 - e2 s) - beta e2 (1 + e1 s)) g:
@@ -1059,7 +1065,7 @@ def _cdf_nodes(nodes, shift, degree, tail, a, b):
         if n < degree:
             nxt = (lead - n * both) * cur - (alpha + beta + 1.0 - n) * prod * prev
             prev, cur = cur, nxt / (n + 1.0)
-    return node_y, scale, base, coef, usable
+    return z, scale, base, coef, usable
 
 
 # Wichura's AS241 (PPND16) numerator and denominator coefficients, highest

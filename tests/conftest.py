@@ -33,6 +33,13 @@ def moment_panel():
             for i in range(64)]
 
 
+def beta_side(y):
+    """(z, upper) of an exact y in [0, 1]: z = min(y, 1 - y), exact, and
+    ``upper`` where z is 1 - y, the arguments of the private Beta kernels."""
+    y = np.asarray(y, dtype=float)
+    return np.minimum(y, 1.0 - y), y > 0.5
+
+
 def panel_draw(truth, n, seed):
     return Dataset(times=bfw_sample(n, truth, seed=seed))
 

@@ -41,7 +41,7 @@ from bfw import special
 from bfw.flexible_weibull import _x_at_exponent
 from bfw.special import _LARGE_FROM, _beta_cdf, _beta_quantile, _cdf_plan
 from bfw.inference import Dataset
-from conftest import moment_panel
+from conftest import beta_side, moment_panel
 
 PUBLISHED = (0.052, 0.024, 35.077, 20.328)
 
@@ -856,7 +856,7 @@ class TestBetaCdfKernel:
         ln_b = scipy_special.betaln(a, b)
         y = np.concatenate([np.geomspace(1e-300, 0.5, 200), 1.0 - np.geomspace(2e-16, 0.5, 200),
                             np.linspace(0.01, 0.99, 99)])
-        out = _beta_cdf(y, a, b)
+        out = _beta_cdf(*beta_side(y), a, b)
         for yi, vi in zip(y, out):
             ref = mp_beta_cdf(yi, a, b)
             if ref < 1e-280:
@@ -897,7 +897,7 @@ class TestBetaCdfKernel:
         refs = [mp_beta_cdf(yi, a, b) for yi in y]
         keep = [ref >= TINY for ref in refs]
         refs = [ref for ref, k in zip(refs, keep) if k]
-        assert worst_rel(_beta_cdf(y, a, b)[keep], refs) <= 8 * EPS
+        assert worst_rel(_beta_cdf(*beta_side(y), a, b)[keep], refs) <= 8 * EPS
         assert worst_rel(special.reg_inc_beta(y, a, b)[keep], refs) <= 8 * EPS
 
     def test_large_batch_near_underflow(self):
@@ -910,14 +910,15 @@ class TestBetaCdfKernel:
         y = np.geomspace(*ends, _LARGE_FROM)
         refs = [mp_beta_cdf(yi, a, b) for yi in y[::8]]
         assert refs[0] < 1e-306 and refs[-1] > 1e-296
-        assert worst_rel(special._inc_beta(y, a, b)[::8], refs) <= 4 * EPS
+        assert worst_rel(special._inc_beta(*beta_side(y), a, b)[::8], refs) <= 4 * EPS
 
     def test_published_point_near_underflow_at_both_batch_sizes(self):
         # 17 points of a 4,000-point grid lie in x in [1.084e-3, 1.129e-3],
         # where I_G is subnormal: all were 0 in one call (betainc underflowed
         # at the nodes) and nonzero in 500-point calls.  Both sizes now agree
-        # with the 50-digit I at the rounded G: within 4 eps where it is a
-        # normal double, and to the last subnormal unit below
+        # with the 50-digit I at the argument read, the rounded G or, where
+        # it is smaller, S_G: within 4 eps where it is a normal double, and to
+        # the last subnormal unit below
         params = BFWParams(*PUBLISHED)
         p, q = params.p, params.q
         x = np.geomspace(1e-3, 10.0, 4000)
@@ -926,10 +927,10 @@ class TestBetaCdfKernel:
         small = np.concatenate([bfw_cdf(chunk, params) for chunk in np.split(x, 8)])
         assert band.sum() >= 15
         assert np.all(large[band] > 0.0) and np.all(small[band] > 0.0)
-        g = fw_cdf(x, params.base)
+        g, s_g = fw_cdf(x, params.base), fw_sf(x, params.base)
         check = np.flatnonzero(band | (np.arange(x.size) % 40 == 0))
         for i in check:
-            ref = mp_beta_cdf(g[i], p, q)
+            ref = mp_beta_cdf(g[i], p, q) if g[i] <= s_g[i] else 1 - mp_beta_cdf(s_g[i], q, p)
             for value in (large[i], small[i]):
                 if ref < TINY:
                     assert abs(mpmath.mpf(float(value)) - ref) <= 5e-324
@@ -937,11 +938,14 @@ class TestBetaCdfKernel:
                     assert abs(mpmath.mpf(float(value)) / ref - 1) <= 4 * EPS
 
     def test_concentrated_shapes_are_betaincs(self):
-        # at (1e6, 1e6) nearly every point would need its own node
+        # at (1e6, 1e6) nearly every point would need its own node; above
+        # y = 1/2 scipy reads the exact 1 - y (betainc(a, b, y) was up to
+        # 207 eps off there, betaincc(b, a, 1 - y) 0.28)
         a = b = 1e6
         assert _cdf_plan(a, b) is None
         y = 0.5 + np.linspace(-5e-3, 5e-3, 2000)
-        assert np.array_equal(_beta_cdf(y, a, b), scipy_special.betainc(a, b, y))
+        scipy_cdf = np.where(y > 0.5, scipy_special.betaincc(b, a, 1.0 - y), scipy_special.betainc(a, b, y))
+        assert np.array_equal(_beta_cdf(*beta_side(y), a, b), scipy_cdf)
 
     @pytest.mark.parametrize("shapes", [(2.0, 2.0), (35.077, 20.328), (0.3, 0.7)])
     def test_nodes_near_underflow_are_fractions(self, shapes):
@@ -949,8 +953,8 @@ class TestBetaCdfKernel:
         # elements to the continued fraction, as do the ends 0 and 1
         a, b = shapes
         y = np.concatenate([[0.0, 1.0, 5e-324, 1e-310], np.geomspace(1e-300, 1e-100, 300)])
-        cdf = special._fraction_cdf(y, a, b)
-        out = _beta_cdf(y, a, b)
+        cdf = special._fraction_cdf(*beta_side(y), a, b)
+        out = _beta_cdf(*beta_side(y), a, b)
         theirs = (y < TINY) | (cdf < TINY)
         theirs[1] = True
         assert np.array_equal(out[theirs], cdf[theirs])
@@ -961,7 +965,68 @@ class TestBetaCdfKernel:
         a, b = PUBLISHED[2:]
         y = np.linspace(0.01, 0.99, 2000)
         monkeypatch.setattr(special, "_SERIES_TOL", 0.0)
-        assert np.array_equal(_beta_cdf(y, a, b), special._fraction_cdf(y, a, b))
+        assert np.array_equal(_beta_cdf(*beta_side(y), a, b), special._fraction_cdf(*beta_side(y), a, b))
+
+
+def mp_small_side_tails(x, theta):
+    """bfw cdf, survival and density at 50 digits, from the incomplete beta
+    at the smaller of G and S_G, the other tail its complement: mpmath's
+    I_{S_G}(40, 0.05) at S_G = 1 - 3e-42 is 1e-13 off."""
+    with mpmath.workdps(50):
+        a, b, p, q = (mpmath.mpf(v) for v in theta)
+        x = mpmath.mpf(float(x))
+        w = a * x - b / x
+        ew = mpmath.exp(w)
+        g, s_g = -mpmath.expm1(-ew), mpmath.exp(-ew)
+        pdf = mpmath.exp(-mpmath.log(mpmath.beta(p, q)) + mpmath.log(a + b / x**2) + w - q * ew
+                         + (p - 1) * mpmath.log(g))
+        if g <= s_g:
+            cdf = mpmath.betainc(p, q, 0, g, regularized=True)
+            return cdf, 1 - cdf, pdf
+        sf = mpmath.betainc(q, p, 0, s_g, regularized=True)
+        return 1 - sf, sf, pdf
+
+
+class TestSmallShapeTails:
+    """Both tails read the smaller of G and S_G.  Where a shape is small,
+    much of the Beta mass lies where G or S_G is within an ulp of 1, and the
+    tail read from that rounded argument was off at O(1).  Each point is
+    checked at both batch sizes against 50-digit mpmath at the exact x, to
+    8 eps or the tail's condition number |x f / tail| times eps."""
+
+    @staticmethod
+    def check(fn, col, x, theta, expected):
+        params = BFWParams(*theta)
+        refs = [mp_small_side_tails(xi, theta) for xi in x]
+        assert [float(ref[col]) for ref in refs] == pytest.approx(expected, rel=1e-6)
+        for batch in (x, np.resize(x, _LARGE_FROM)):
+            out = np.asarray(fn(batch, params))[:x.size]
+            for xi, value, ref in zip(x, out, refs):
+                tail = ref[col]
+                cond = float(xi * ref[2] / tail)
+                assert abs(float(mpmath.mpf(float(value)) / tail - 1)) <= max(8.0, cond) * EPS
+
+    def test_cdf_where_g_rounds_near_one(self):
+        # q = 0.05: bfw_cdf read G = 1 - 1.2e-16 and 1 - 5.3e-23 (1.0) and
+        # returned 0.832714 and 1.0
+        self.check(bfw_cdf, 0, np.array([7.34, 8.0]), (0.5, 0.5, 2.0, 0.05), [0.832130, 0.919195])
+
+    def test_survival_where_s_g_rounds_near_one(self):
+        # p = 0.05: 1.0, 1.0 and 0.4999999998814 at the 0.01, 0.1 and 0.5 quantiles
+        theta = (0.5, 0.5, 0.05, 40.0)
+        x = np.asarray(bfw_quantile(np.array([0.01, 0.1, 0.5]), BFWParams(*theta)))
+        self.check(bfw_survival, 1, x, theta, [0.99, 0.9, 0.5])
+
+    def test_survival_where_the_cdf_is_small(self):
+        # the survival read S_G = 1 - 6.1e-20, which is 1.0, and returned 1.0
+        self.check(bfw_survival, 1, np.array([5.425e-4]), (0.052, 0.024, 0.3, 0.7),
+                   [0.999998521634356])
+
+    def test_survival_at_a_tiny_first_shape(self):
+        # p = 0.00205: 1.0 at the 0.9 quantile
+        theta = (3.75, 0.00167, 0.00205, 6618.0)
+        x = np.atleast_1d(bfw_quantile(0.9, BFWParams(*theta)))
+        self.check(bfw_survival, 1, x, theta, [0.1])
 
 
 class TestSample:

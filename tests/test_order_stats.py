@@ -13,12 +13,12 @@ from bfw import (
     bfw_cdf,
     bfw_log_pdf,
     bfw_pdf,
-    fw_cdf,
     order_stat_pdf,
     order_stat_pdf_expansion,
     special,
 )
 from bfw.order_stats import order_stat_log_pdf
+from bfw.special import _LARGE_FROM
 
 
 def mp_order_stat_pdf(x, idx, theta):
@@ -107,15 +107,28 @@ class TestTails:
         batch = order_stat_pdf(np.array([1.0, x]), idx, published_params)
         assert batch[1] == order_stat_pdf(x, idx, published_params)
 
+    @pytest.mark.parametrize("theta", [(0.052, 0.024, 0.002, 0.25), (0.052, 0.024, 0.01, 0.5)])
+    def test_tiny_g_above_a_tinier_beta_median(self, theta):
+        # at p = 0.002 the Beta median is ~1e-151: where G lies between it and
+        # eps/2, S_G = exp(-e^w) rounds to 1, and the survival read from it
+        # (the side of the median split) made ln F -inf and the density 0;
+        # both batch sizes now match 50-digit mpmath
+        params, idx = BFWParams(*theta), OrderIndex(3, 10)
+        x = np.array([3.5e-4, 4e-4, 5e-4, 6e-4, 1e-3, 2e-3])  # G from 1.7e-30 to 6.1e-6
+        refs = [mp_order_stat_pdf(xi, idx, theta) for xi in x]
+        for batch in (x, np.resize(x, _LARGE_FROM)):
+            out = order_stat_pdf(batch, idx, params)[:x.size]
+            assert out.tolist() == pytest.approx([float(r) for r in refs], rel=1e-13)
+
     @pytest.mark.parametrize("theta", [(0.052, 0.024, 35.077, 20.328), (0.5, 0.5, 2.0, 2.0),
                                        (1.0, 0.1, 0.3, 40.0), (1.0, 0.1, 40.0, 0.3)])
     def test_left_of_the_median_is_the_cdf_form(self, theta):
-        # where G is at most the Beta median the cdf is the evaluated tail, and
+        # where the cdf is at most 1/2 it is the evaluated tail, and
         # ln(1 - F) is log1p(-cdf), as before the survival side came in
         params = BFWParams(*theta)
         x = np.geomspace(1e-3, 40.0, 400)
         idx = OrderIndex(3, 10)
-        near = fw_cdf(x, params.base) <= special._median(params.p, params.q)
+        near = bfw_cdf(x, params) <= 0.5
         assert 0 < near.sum() < x.size
         cdf = bfw_cdf(x[near], params)
         with np.errstate(divide="ignore"):

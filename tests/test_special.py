@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 from bfw import special
 from bfw import DomainError, inv_reg_inc_beta, reg_inc_beta, std_normal_quantile
+from conftest import beta_side
 
 EPS = 2.0**-52
 
@@ -77,10 +78,13 @@ class TestRegIncBeta:
 
     def test_concentrated_shapes_are_betainc(self):
         # where the node series has no plan the fraction would need hundreds
-        # of rows; betainc takes every point, as on the large-batch path
+        # of rows; scipy takes every point, as on the large-batch path, at
+        # the exact 1 - y above y = 1/2
         y = 0.5 + np.linspace(-5e-3, 5e-3, 101)
         assert special._cdf_plan(1e6, 1e6) is None
-        assert np.array_equal(reg_inc_beta(y, 1e6, 1e6), scipy_special.betainc(1e6, 1e6, y))
+        scipy_cdf = np.where(y > 0.5, scipy_special.betaincc(1e6, 1e6, 1.0 - y),
+                             scipy_special.betainc(1e6, 1e6, y))
+        assert np.array_equal(reg_inc_beta(y, 1e6, 1e6), scipy_cdf)
 
     @pytest.mark.parametrize("p, q", [(2.0, 1e-8), (2.0, 1e-4), (5.0, 0.01), (40.0, 0.05)])
     def test_above_x0_at_a_small_second_shape(self, p, q):
@@ -150,8 +154,8 @@ class TestFractionParts:
     def test_power_against_mpmath(self, shapes):
         a, b = shapes
         y = np.concatenate([np.geomspace(1e-300, 0.5, 60), 1.0 - np.geomspace(2.0**-53, 0.5, 60)[::-1]])
-        values, power = special._fraction_cdf(y, a, b, power_too=True)
-        assert np.array_equal(values, special._fraction_cdf(y, a, b))
+        values, power = special._fraction_cdf(*beta_side(y), a, b, power_too=True)
+        assert np.array_equal(values, special._fraction_cdf(*beta_side(y), a, b))
         checked = 0
         with mpmath.workdps(50):
             norm = mpmath.beta(a, b)
@@ -422,16 +426,28 @@ class TestOneOwner:
         assert callers == {"special.py"}
 
     def test_betainc_is_called_from_the_fraction_only(self):
-        # both incomplete-beta paths share the fraction's edge rules
+        # both incomplete-beta paths share the fraction's edge rules, and
+        # scipy's upper tail betaincc is handed the same argument z
         callers = set()
         for path in self.SOURCES:
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.FunctionDef):
                     for call in ast.walk(node):
                         if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
-                                and call.func.attr == "betainc"):
-                            callers.add((path.name, node.name))
-        assert callers == {("special.py", "_fraction_cdf")}
+                                and call.func.attr in ("betainc", "betaincc")):
+                            callers.add((path.name, node.name, call.func.attr))
+        assert callers == {("special.py", "_fraction_cdf", "betainc"),
+                           ("special.py", "_fraction_cdf", "betaincc")}
+
+    def test_special_owns_the_side_choice(self):
+        # the Beta kernels take z = min(y, 1 - y) and a side; core computes
+        # neither tail from fw_cdf or fw_sf, and no Beta median splits them
+        from bfw import core
+
+        assert not hasattr(special, "_median")
+        called = {node.func.id for node in ast.walk(ast.parse(Path(core.__file__).read_text()))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert not called & {"fw_cdf", "fw_sf"}
 
     def test_core_keeps_no_batch_size_rule(self):
         from bfw import core
