@@ -72,11 +72,12 @@ class BFWParams:
 
 
 def bfw_cdf(x, params):
-    """I_{G(x)}(p, q) with G the flexible Weibull CDF, by
-    :func:`bfw.special._inc_beta` at the smaller of G and S_G = 1 - G
+    """I_{G(x)}(p, q) with G the flexible Weibull CDF, the lower tail of
+    :func:`bfw.special._beta_tails` at the smaller of G and S_G = 1 - G
     (:func:`_side`), so the cdf keeps its digits where G rounds near 1 (at
     (0.5, 0.5, 2, 0.05), x = 8 gives 0.919195, not 1)."""
-    return _ret(special._inc_beta(*_side(checked(x, "x"), params), params.p, params.q))
+    z, upper = _side(checked(x, "x"), params)
+    return _ret(special._beta_tails(z, upper, params.p, params.q, sf=False)[0])
 
 
 def bfw_log_pdf(x, params):
@@ -105,17 +106,18 @@ def bfw_survival(x, params):
     1 - bfw_cdf(x) by the reflection I_y(p, q) = 1 - I_{1-y}(q, p)
     (DLMF 8.17.4), so the right tail keeps its relative precision where
     1 - cdf would round to zero (at the published estimates, x = 25 gives
-    8.5773e-19, not 0).  Nonincreasing; 1 where x -> 0+.  By
-    :func:`bfw.special._inc_beta` at the same argument as :func:`bfw_cdf`,
-    the smaller of G and S_G, so S_G keeps its digits where it rounds near
-    1 as well."""
+    8.5773e-19, not 0).  Nonincreasing; 1 where x -> 0+.  The upper tail of
+    :func:`bfw.special._beta_tails` at the shapes (p, q) and the argument of
+    :func:`bfw_cdf`, the smaller of G and S_G, so S_G keeps its digits where
+    it rounds near 1 as well; below 1024 points the cdf and the survival
+    are the two tails of one continued-fraction pass."""
     z, upper = _side(checked(x, "x"), params)
-    return _ret(special._inc_beta(z, ~upper, params.q, params.p))
+    return _ret(special._beta_tails(z, upper, params.p, params.q, cdf=False)[1])
 
 
 def _side(arr, params):
     """(z, upper) at a checked ``arr``: z = min(G, S_G) and ``upper`` where
-    z is S_G, the arguments of :func:`bfw.special._inc_beta`.  G = -expm1(-e^w)
+    z is S_G, the arguments of :func:`bfw.special._beta_tails`.  G = -expm1(-e^w)
     and S_G = exp(-e^w) come from one e^w, each exact to an ulp relative, so
     the smaller is the exact argument of its tail and the Beta kernels form
     the other as its complement."""
@@ -158,29 +160,31 @@ def _saturating_ratio(num, den, message):
 def bfw_cumulative_hazard(x, params):
     """-ln survival, which equals the integral of the hazard from 0 to x, by
     :func:`_log_tails`.  Saturates only where the survival underflows to
-    zero."""
+    zero, reporting the largest cumulative hazard still finite on the
+    request (None if there is none)."""
     log_sf = _log_tails(np.atleast_1d(checked(x, "x")), params)[1]
     if np.any(log_sf == -np.inf):
-        raise SaturationError("survival underflowed to zero", last_value=None)
+        finite = log_sf[log_sf > -np.inf]
+        raise SaturationError("survival underflowed to zero",
+                              last_value=float(-finite.min()) if finite.size else None)
     return _ret(np.negative(log_sf).reshape(np.shape(x)))
 
 
 def _log_tails(arr, params):
-    """(ln cdf, ln survival) at a checked array ``arr``: the cdf
-    I_G(p, q) at every element, and the survival I_{S_G}(q, p) only where
-    the cdf is above 1/2, both at :func:`_side`'s argument.  The other tail
-    is log1p of minus the one at most 1/2, so neither tail is read from a
-    1 - I that rounds it away.  -inf where a tail underflows to zero."""
+    """(ln cdf, ln survival) at a checked array ``arr``, both Beta tails
+    from one :func:`bfw.special._beta_tails` call at :func:`_side`'s
+    argument: the log of the cdf where it is at most 1/2 and of the
+    survival elsewhere, and the other log1p of minus it, so neither tail is
+    read from a 1 - I that rounds it away.  Below 1024 points each tail at
+    most 1/2 is the log of :func:`bfw_cdf` or :func:`bfw_survival` bit for
+    bit.  -inf where a tail underflows to zero."""
     z, upper = _side(arr, params)
+    cdf, sf = special._beta_tails(z, upper, params.p, params.q)
+    right = cdf > 0.5
+    small = np.where(right, sf, cdf)
     with np.errstate(divide="ignore"):
-        cdf = special._inc_beta(z, upper, params.p, params.q)
-        log_cdf, log_sf = np.log(cdf), np.log1p(-cdf)
-        right = np.flatnonzero(cdf > 0.5)
-        if right.size:
-            sf = special._inc_beta(z[right], ~upper[right], params.q, params.p)
-            log_sf[right] = np.log(sf)
-            log_cdf[right] = np.log1p(-sf)
-    return log_cdf, log_sf
+        near, far = np.log(small), np.log1p(-small)
+    return np.where(right, far, near), np.where(right, near, far)
 
 
 _SMALLEST = float(np.nextafter(0.0, 1.0))

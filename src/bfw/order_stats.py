@@ -4,13 +4,13 @@ The direct beta-normalized form is the production path; the alternating
 binomial expansion is provided to cross-check it and is refused beyond
 n = 30, where the alternation starts eating significant digits.  Its
 normalizer ln B(r, n - r + 1) is :func:`bfw.special.log_beta`, TOMS 708's
-exact ``betaln`` in ``math``.  Its tails are the cdf at every element and
-the survival where the cdf is above 1/2 (:func:`bfw.core._log_tails`),
-each the numpy continued fraction at every batch size (from 1024 points on
-through the node series, whose nodes it gives), with the edge rules of
-:func:`bfw.special._fraction_cdf`.  No Beta median is solved for, so the
-order statistics load ``scipy.special`` only where the fraction hands off
-to it.
+exact ``betaln`` in ``math``.  Its tails, the cdf and the survival, come
+from one :func:`bfw.core._log_tails` call: below 1024 points both from one
+numpy continued-fraction pass at (p, q) (:func:`bfw.special._fraction_tails`,
+with its edge rules), the same pass as :func:`bfw.core.bfw_cdf` and
+:func:`bfw.core.bfw_survival`; from 1024 points on through the node series,
+whose nodes the fraction gives.  No Beta median is solved for, so the order
+statistics load ``scipy.special`` only where the fraction hands off to it.
 """
 
 from __future__ import annotations
@@ -53,9 +53,9 @@ def order_stat_log_pdf(x, idx, params):
     """Log density of the r-th of n: -ln B(r, n-r+1) + (r-1) ln F + (n-r) ln(1-F) + ln f,
     ln B exact (:func:`bfw.special.log_beta`).
 
-    ln F and ln(1 - F) each come from the tail that is at most 1/2
-    (:func:`bfw.core._log_tails`), so the right tail keeps its digits where
-    1 - F rounds to 0.  ``bfw_log_pdf`` validates x."""
+    ln F and ln(1 - F) each come from the tail that is at most 1/2, both
+    tails from one call (:func:`bfw.core._log_tails`), so the right tail
+    keeps its digits where 1 - F rounds to 0.  ``bfw_log_pdf`` validates x."""
     r, n = idx.r, idx.n
     log_norm = -special.log_beta(float(r), float(n - r + 1))
     out = log_norm + np.asarray(bfw_log_pdf(x, params), dtype=float)

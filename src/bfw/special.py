@@ -3,26 +3,30 @@ that reaches ``scipy.special``.
 
 The distribution side runs on numpy and ``math``: :func:`_log_beta` is
 TOMS 708's exact ``betaln`` (:func:`log_beta` behind validation), and
-:func:`_fraction_cdf` is the one incomplete beta, a continued fraction
-with an exponent summed in double-double (:func:`reg_inc_beta` behind
-validation).  This module alone chooses the side of a Beta tail: like TOMS
-708's ``bratio(a, b, x, y)``, the cdf kernels (:func:`_inc_beta`,
-:func:`_fraction_cdf`, :func:`_beta_cdf`) take z = min(y, 1 - y), which the
-caller holds exactly, and whether z is 1 - y, and form the other argument as
-z's double-double complement, so a y within an ulp of 1 keeps its digits.
-Three kernels more: :func:`polygamma_gaps` integrates the
-polygamma differences that direct subtraction would cancel;
-:func:`_beta_cdf` sums the Beta cdf of batches of :data:`_LARGE_FROM`
-points or more as a Taylor series from a node of a fixed grid at or below
-each point, the nodes' I and density factor from one fraction call, at a
-fraction of the fraction's cost per point; and :func:`_beta_quantile`
-solves Beta quantiles on the reflected problem, by a bracketed Halley step
-on :func:`_beta_cdf` for large batches and by the series form where the
-quantile is small.  Both large-batch paths start at :data:`_LARGE_FROM`
-points.  :func:`inv_reg_inc_beta` is their Beta inverse (:func:`_inverse`)
-behind validation.  The Beta kernels take the shapes alone: no caller
-passes ln B.  Everything is pure and thread-safe; the per-shape constants
-of the kernels are cached.
+:func:`_fraction_tails` is the one incomplete beta, a continued fraction
+with an exponent summed in double-double that returns both Beta tails,
+I_y(a, b) and I_{1-y}(b, a), from one pass, as TOMS 708's ``bratio``
+returns w and w1 = 1 - w (:func:`reg_inc_beta` is its lower tail behind
+validation).  This module alone chooses the side of a Beta tail: like
+``bratio(a, b, x, y)``, the tail kernels (:func:`_beta_tails`,
+:func:`_fraction_tails`, :func:`_beta_cdf`) take z = min(y, 1 - y), which
+the caller holds exactly, and whether z is 1 - y, and form the other
+argument as z's double-double complement, so a y within an ulp of 1 keeps
+its digits.  :func:`_beta_tails` is the entry of :mod:`bfw.core`: below
+:data:`_LARGE_FROM` points the cdf, the survival and the log tails all
+read one fraction pass at (p, q).  Three kernels more:
+:func:`polygamma_gaps` integrates the polygamma differences that direct
+subtraction would cancel; :func:`_beta_cdf` sums the Beta cdf of batches
+of :data:`_LARGE_FROM` points or more as a Taylor series from a node of a
+fixed grid at or below each point, the nodes' I and density factor from
+one fraction call, at a fraction of the fraction's cost per point; and
+:func:`_beta_quantile` solves Beta quantiles on the reflected problem, by a
+bracketed Halley step on :func:`_beta_cdf` for large batches and by the
+series form where the quantile is small.  Both large-batch paths start at
+:data:`_LARGE_FROM` points.  :func:`inv_reg_inc_beta` is their Beta
+inverse (:func:`_inverse`) behind validation.  The Beta kernels take the
+shapes alone: no caller passes ln B.  Everything is pure and thread-safe;
+the per-shape constants of the kernels are cached.
 
 ``scipy.special`` costs about twice as much to import as numpy (scipy
 1.17 imports ``array_api_compat.numpy``, whose namespace clone imports
@@ -32,12 +36,12 @@ first use through :func:`_scipy`, not when ``bfw`` is imported, and
 What still takes it: the fitter's psi and zeta and the likelihood's
 normalizer (:func:`_scipy_betaln`), so ``fit`` and ``compare`` of the
 four-parameter model; ``betaincinv`` and ``expit`` in the quantile; and
-``betainc`` and ``betaincc`` at z, called from :func:`_fraction_cdf`
-alone, at concentrated shapes (:func:`_cdf_plan` None) and above x0 where
-I < 1/4, at either batch size.  ``eval`` of every family, the order
-statistics and the cumulative hazard at the published shapes and at
-(300, 5), ``fit`` of the two-parameter families, ``sample``, ``km`` and
-``--help`` never load it.
+``betainc`` and ``betaincc`` at z, called from :func:`_fraction_tails`
+alone, at concentrated shapes (:func:`_cdf_plan` None) and for a tail read
+as the complement of a direct tail above 3/4, at either batch size.
+``eval`` of every family, the order statistics and the cumulative hazard
+at the published shapes and at (300, 5), ``fit`` of the two-parameter
+families, ``sample``, ``km`` and ``--help`` never load it.
 """
 
 from __future__ import annotations
@@ -298,12 +302,14 @@ def _log_beta_derivatives(p, q, order):
 
 
 def reg_inc_beta(y, p, q):
-    """Regularized incomplete beta I_y(p, q), the Beta(p, q) CDF at y:
-    :func:`_fraction_cdf` at z = min(y, 1 - y), which is exact, once per
-    distinct (p, q) pair, the shapes broadcast against y.  Endpoints map to
-    themselves: y = 0 -> 0 and y = 1 -> 1."""
-    return _by_shapes(lambda v, a, b: _fraction_cdf(np.minimum(v, 1.0 - v), v > 0.5, a, b),
-                      checked(y, "y", high=1.0, closed=True), p, q)
+    """Regularized incomplete beta I_y(p, q), the Beta(p, q) CDF at y: the
+    lower tail of :func:`_fraction_tails` at z = min(y, 1 - y), which is
+    exact, once per distinct (p, q) pair, the shapes broadcast against y.
+    Endpoints map to themselves: y = 0 -> 0 and y = 1 -> 1."""
+    def lower(v, a, b):
+        return _fraction_tails(np.minimum(v, 1.0 - v), v > 0.5, a, b, sf=False)[0]
+
+    return _by_shapes(lower, checked(y, "y", high=1.0, closed=True), p, q)
 
 
 def inv_reg_inc_beta(u, p, q):
@@ -329,8 +335,8 @@ def _by_shapes(kernel, v, p, q):
 
 
 # Both large-batch kernels, :func:`_beta_cdf` and :func:`_beta_quantile`, run
-# from this many points on; below it the cdf is :func:`_fraction_cdf` and each
-# quantile one betaincinv.  Measured crossover against betainc (2-vCPU x86_64
+# from this many points on; below it the tails are one :func:`_fraction_tails`
+# pass and each quantile one betaincinv.  Measured crossover against betainc (2-vCPU x86_64
 # VM, median of 41 interleaved calls): at the published shapes the cdf kernel
 # breaks even with betainc near 550 points (0.40 against 0.66 ms at 1024) and
 # the Halley quantile with betaincinv near 800 (0.95 against 1.19 ms); at
@@ -340,19 +346,34 @@ def _by_shapes(kernel, v, p, q):
 _LARGE_FROM = 1024
 
 
-def _inc_beta(z, upper, a, b):
-    """I_y(a, b) at y = z, or y = 1 - z where ``upper``, for arrays z in
-    [0, 1/2] and ``upper`` of one shape: :func:`_fraction_cdf` below
-    :data:`_LARGE_FROM` points, :func:`_beta_cdf` from there on.  Either way
-    each value depends on its own z and the shapes only, and both paths keep
-    the fraction's edge rules; the series adds a few eps to the fraction's
-    error at its node."""
+def _beta_tails(z, upper, a, b, cdf=True, sf=True):
+    """(I_y(a, b), I_{1-y}(b, a)) at y = z, or y = 1 - z where ``upper``, for
+    arrays z in [0, 1/2] and ``upper`` of one shape, None for a tail not
+    read (``cdf``, ``sf``): the Beta tails of :mod:`bfw.core`.
+
+    Below :data:`_LARGE_FROM` points both come from one
+    :func:`_fraction_tails` pass at (a, b), so a tail read alone is the one
+    read with the other, bit for bit.  From there on a tail read alone is
+    one :func:`_beta_cdf` call, and both together are I_y(a, b) on every
+    element and, where that is above 1/2, I_{1-y}(b, a) by this function on
+    those elements; elsewhere the upper tail is 1 - I_y(a, b), at least
+    1/2.  Both paths keep the fraction's edge rules; the series adds a few
+    eps to the fraction's error at its node."""
     if np.size(z) < _LARGE_FROM:
-        return _fraction_cdf(z, upper, a, b)
-    return _beta_cdf(z, upper, a, b)
+        return _fraction_tails(z, upper, a, b, cdf, sf)[:2]
+    if not sf:
+        return _beta_cdf(z, upper, a, b), None
+    if not cdf:
+        return None, _beta_cdf(z, ~upper, b, a)
+    low = _beta_cdf(z, upper, a, b)
+    high = 1.0 - low
+    right = low > 0.5
+    if right.any():
+        high[right] = _beta_tails(z[right], ~upper[right], b, a, sf=False)[0]
+    return low, high
 
 
-# The continued fraction (:func:`_fraction_cdf`) is summed to where the step
+# The continued fraction (:func:`_fraction_tails`) is summed to where the step
 # at the top of its side is below this relative change (``bfrac``'s own rule)
 _FRACTION_TOL = 2.0**-52
 # far more rows than the shape pairs that :func:`_cdf_plan` admits need (146
@@ -360,29 +381,36 @@ _FRACTION_TOL = 2.0**-52
 _FRACTION_ROWS = 4096
 
 
-def _fraction_cdf(z, upper, a, b, power_too=False):
-    """I_y(a, b) at y = z, or y = 1 - z where ``upper``, for arrays z in
-    [0, 1/2] and ``upper`` of one shape: the one incomplete beta of this
-    module, the small-batch path of :func:`_inc_beta` and
-    :func:`reg_inc_beta`, and each node's I and every refused element of
-    :func:`_beta_cdf`.  In numpy, TOMS 708's ``bfrac`` with its ``brcomp``
-    prefactor (Didonato & Morris 1992, ACM TOMS 18:360):
+def _fraction_tails(z, upper, a, b, cdf=True, sf=True):
+    """(I_y(a, b), I_{1-y}(b, a), P(y)) at y = z, or y = 1 - z where
+    ``upper``, for arrays z in [0, 1/2] and ``upper`` of one shape: both
+    Beta tails from one pass, None for a tail not read (``cdf``, ``sf``),
+    and P over the flattened z, None where :func:`_cdf_plan` is None.  The
+    one incomplete beta of this module: the small-batch path of
+    :func:`_beta_tails`, the lower tail of :func:`reg_inc_beta`, and each
+    node's I and P and every refused element of :func:`_beta_cdf`.  In
+    numpy, TOMS 708's ``bfrac`` with its ``brcomp`` prefactor (Didonato &
+    Morris 1992, ACM TOMS 18:360):
 
         I_y(a, b) = P(y) r(y),  P(y) = y^a (1 - y)^b / B(a, b),
 
     r the continued fraction of DLMF 8.17.22 in its even contraction
     (:func:`_fraction_ratio`), where y is at most x0 = (a + 1) / (a + b + 2),
-    and above it 1 - P(y) r'(1 - y), r' that at the shapes (b, a), by
-    I_y(a, b) = 1 - I_{1-y}(b, a) (DLMF 8.17.4).  Like TOMS 708's
+    and above it I_{1-y}(b, a) = P(y) r'(1 - y), r' that at the shapes
+    (b, a).  That direct tail is each element's, and the other is 1 minus it
+    (DLMF 8.17.4), as ``bratio`` returns w and w1 = 1 - w from one
+    evaluation; the elements of both sides share one ratio loop.  Like
     ``bratio(a, b, x, y)`` it reads both arguments: z exactly, and its
     complement 1 - z as a double-double pair, so y keeps its digits where it
     is within an ulp of 1.  ``betainc`` and ``betaincc`` are called here and
-    nowhere else in the package, on z: ``betainc(a, b, z)``, or
-    ``betaincc(b, a, z)`` where ``upper``.  They take every point where
-    :func:`_cdf_plan` is None (concentrated shapes, and a shape below about
-    1e-305, where the fraction has no rows), and every point above x0 where
-    P r' > 3/4, since there I < 1/4 and 1 - P r' would lose more than two
-    bits (at (2, 1e-8) it kept about 8 digits of I ~ 1e-8).
+    nowhere else in the package, on z, and only for a tail that is read:
+    I_y(a, b) is ``betainc(a, b, z)``, or ``betaincc(b, a, z)`` where
+    ``upper``, and I_{1-y}(b, a) the other of the two at the shapes (b, a).
+    They take every point where :func:`_cdf_plan` is None (concentrated
+    shapes, and a shape below about 1e-305, where the fraction has no rows),
+    and the complement of every direct tail above 3/4, since there the
+    complement is below 1/4 and 1 - P r would lose more than two bits (at
+    (2, 1e-8) it kept about 8 digits of I ~ 1e-8).
 
     P is one power for both sides, formed as ``brcomp`` forms it, relative
     to the top of the side: P(y) = (y / x0)^a ((1 - y) / y0)^b / S with
@@ -396,12 +424,10 @@ def _fraction_cdf(z, upper, a, b, power_too=False):
     double-double (the reflected side's is 2 - c), so it keeps its digits
     where (a + b) y nears 1 + a.  Every value depends on its own z and the
     shapes only: the fraction's length is fixed per shape pair at the top of
-    its side (:func:`_fraction_rows`).  With ``power_too``, at shapes with a
-    plan, returns (I, P) over the flattened z."""
+    its side (:func:`_fraction_rows`)."""
     shape, z, upper = np.shape(z), np.ravel(z), np.ravel(upper)
-    if _cdf_plan(a, b) is None:
-        out, prefactor, scipy_at = np.empty(z.size), None, np.arange(z.size)
-    else:
+    power = None
+    if _cdf_plan(a, b) is not None:
         x0, ln_ends, ln_sum, weights = _fraction_center(a, b)
         with np.errstate(all="ignore"):
             ends = np.empty((2, z.size))
@@ -422,30 +448,37 @@ def _fraction_cdf(z, upper, a, b, power_too=False):
             power, err = _two_sum(hi[0], hi[1])
             power, err2 = _two_sum(power, -ln_sum[0])
             power, tail = _two_sum(power, ((lo[0] + lo[1]) + (err + err2)) - ln_sum[1])
-            out = np.exp(power)
-            out *= 1.0 + tail
-            prefactor = out.copy() if power_too else None
+            power = np.exp(power)
+            power *= 1.0 + tail
             c, c_lo = _shift(y, a, b, comp_lo * upper)  # y = ends[0] + comp_lo where upper
-            above = np.flatnonzero(y > x0)
-            if not above.size:
-                out *= _fraction_ratio(y, c + c_lo, a, b)
-            else:
-                c_up = (2.0 - c.take(above)) - c_lo.take(above)
-                if above.size < y.size:
-                    lower = np.flatnonzero(y <= x0)
-                    c += c_lo
-                    out[lower] *= _fraction_ratio(y.take(lower), c.take(lower), a, b)
-                ratio = _fraction_ratio(y1.take(above), c_up, b, a)
-                ratio *= out.take(above)
-                out[above] = 1.0 - ratio
-                above = above[ratio > 0.75]  # I < 1/4: 1 - P r' loses more than 2 bits
-            np.copyto(out, upper, where=z == 0.0)  # y = 0 -> 0 and y = 1 -> 1
-        scipy_at = above
-    if scipy_at.size:
-        sp, at, part = _scipy(), upper.take(scipy_at), z.take(scipy_at)
-        sp.betainc(a, b, part, out=part, where=~at)
-        out[scipy_at] = sp.betaincc(b, a, part, out=part, where=at)
-    return (out, prefactor) if power_too else out.reshape(shape)
+            reflected = y > x0  # the direct tail is I_{1-y}(b, a)
+            # the reflected side's x is 1 - y and its c is 2 - c
+            np.subtract(2.0, c, out=c, where=reflected)
+            np.negative(c_lo, out=c_lo, where=reflected)
+            c += c_lo
+            ratio = _fraction_ratio(np.where(reflected, y1, y), c, a, b, reflected)
+            direct = ratio * power
+            other = 1.0 - direct
+            far = direct > 0.75  # the complement 1 - P r loses more than 2 bits
+            edge = z == 0.0  # y = 0 -> (0, 1) and y = 1 -> (1, 0)
+    tails = []
+    for read, s, t, at_one, flip in ((cdf, a, b, upper, False), (sf, b, a, ~upper, True)):
+        if not read:
+            tails.append(None)
+            continue
+        if power is None:
+            tail, scipy_at = np.empty(z.size), np.arange(z.size)
+        else:
+            side = reflected ^ flip  # where this tail is 1 minus the direct one
+            tail = np.where(side, other, direct)
+            np.copyto(tail, at_one, where=edge)
+            scipy_at = np.flatnonzero(side & far)
+        if scipy_at.size:
+            sp, at, part = _scipy(), at_one.take(scipy_at), z.take(scipy_at)
+            sp.betainc(s, t, part, out=part, where=~at)
+            tail[scipy_at] = sp.betaincc(t, s, part, out=part, where=at)
+        tails.append(tail.reshape(shape))
+    return tails[0], tails[1], power
 
 
 def _shift(y, a, b, y_lo=0.0):
@@ -458,28 +491,57 @@ def _shift(y, a, b, y_lo=0.0):
     return one - p, (one_lo - p_lo) - s_lo * y - s * y_lo
 
 
-def _fraction_ratio(x, c, a, b):
-    """r(x) of TOMS 708's ``bfrac``: I_x(a, b) = x^a (1 - x)^b r(x) / B(a, b)
-    for an array x at most the x0 of (a, b), with c = 1 + a - (a + b) x.
+def _fraction_ratio(x, c, a, b, reflected):
+    """r(x) of TOMS 708's ``bfrac``, I_x(a, b) = x^a (1 - x)^b r(x) / B(a, b),
+    for an array x at most the x0 of (a, b) and c = 1 + a - (a + b) x; where
+    ``reflected`` the same at the shapes (b, a) and their x0.
 
     The even contraction of DLMF 8.17.22, r = 1 / (b_0 + a_1 / (b_1 + a_2 /
     (b_2 + ...))), summed from its last row back (:func:`_fraction_rows`).
     Its first denominator is b_0 = c a / (a + 1), where the uncontracted
     fraction's first step 1 + d_1 cancels near x0 for a large; the other
-    denominators are sums of positive terms."""
-    rows, width, lead, amp = _fraction_rows(a, b)
+    denominators are sums of positive terms.  Both shape orders run one
+    loop over the rows of :func:`_fraction_table`, as deep as the deeper
+    order present; the shorter is padded below its last row with rows
+    b_n = 1 and a_n = 0, through which the sum passes unchanged (at its last
+    row a_n / t + b_n is b_n), so each value is bit for bit the one of a
+    loop over its own rows."""
+    rows, width, lead, amp, first, depths = _fraction_table(a, b)
+    depth = max(depths[0] if not reflected.all() else 1, depths[1] if reflected.any() else 1)
+    side = reflected.astype(np.intp)
     # row n, n = 1, 2, ...: b_n = rows[n - 1] + width x + lead c and a_n = amp x^2
-    beta = np.multiply.outer(width, x)
-    beta += rows[:, None]
-    beta += np.multiply.outer(lead, c)
-    alpha = np.multiply.outer(amp, x * x)
+    beta = width[:depth].take(side, axis=1)
+    beta *= x
+    beta += rows[:depth].take(side, axis=1)
+    step = lead[:depth].take(side, axis=1)
+    step *= c
+    beta += step
+    alpha = amp[:depth].take(side, axis=1)
+    alpha *= x * x
     t = beta[-1].copy()
-    for n in range(rows.size - 2, -1, -1):
-        np.divide(alpha[n + 1], t, out=t)
-        t += beta[n]
+    for a_n, b_n in zip(alpha[:0:-1], beta[-2::-1]):
+        np.divide(a_n, t, out=t)
+        t += b_n
     np.divide(alpha[0], t, out=t)
-    t += c * (a / (a + 1.0))
+    t += c * first.take(side)
     return np.divide(1.0, t, out=t)
+
+
+@functools.lru_cache(maxsize=1024)
+def _fraction_table(a, b):
+    """The rows of :func:`_fraction_ratio`: :func:`_fraction_rows` at (a, b)
+    and at (b, a) as the two columns of four (depth, 2) arrays, the shorter
+    padded with rows b_n = 1 and a_n = 0, then the factors a / (a + 1) and
+    b / (b + 1) of the first denominators and each order's own depth."""
+    orders = (_fraction_rows(a, b), _fraction_rows(b, a))
+    depths = tuple(order[0].size for order in orders)
+    columns = []
+    for k, pad in enumerate((1.0, 0.0, 0.0, 0.0)):
+        column = np.full((max(depths), 2), pad)
+        for j, order in enumerate(orders):
+            column[:depths[j], j] = order[k]
+        columns.append(column)
+    return (*columns, np.array([a / (a + 1.0), b / (b + 1.0)]), depths)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -528,15 +590,15 @@ def _fraction_center_point(a, b):
 
 @functools.lru_cache(maxsize=1024)
 def _fraction_center(a, b):
-    """(x0, ln_ends, ln_sum, weights) of :func:`_fraction_cdf`: the top x0
+    """(x0, ln_ends, ln_sum, weights) of :func:`_fraction_tails`: the top x0
     of the fraction's lower side, (ln x0, ln y0) as a (hi, lo) pair of
     columns, ln(r(x0) + r'(y0)) as a (hi, lo) pair of floats, and the
     column (a, b) split into 18 leading bits and the rest."""
     x0 = _fraction_center_point(a, b)
     ends = np.array([x0, 1.0 - x0])
     c, c_lo = _shift(ends[:1], a, b)
-    total, total_lo = _two_sum(_fraction_ratio(ends[:1], c + c_lo, a, b)[0],
-                               _fraction_ratio(ends[1:], (2.0 - c) - c_lo, b, a)[0])
+    total, total_lo = _two_sum(*_fraction_ratio(ends, np.append(c + c_lo, (2.0 - c) - c_lo),
+                                                a, b, np.array([False, True])))
     hi, lo = _log_dd(np.append(ends, total))
     ln_sum = _two_sum(hi[2], lo[2] + total_lo / total)
     shapes = np.array([[a], [b]])
@@ -950,7 +1012,7 @@ def _cdf_plan(a, b):
 def _beta_cdf(z, upper, a, b):
     """I_y(a, b) at y = z, or y = 1 - z where ``upper``, for arrays z in
     [0, 1/2] and ``upper`` of one shape and shapes a, b > 0, by a node-grid
-    series; the large-batch path of :func:`_inc_beta` and the cdf of the
+    series; the large-batch path of :func:`_beta_tails` and the cdf of the
     Halley step of :func:`_beta_quantile`.
 
     Each element adds to the I of a node y_k <= y the integral of the
@@ -968,14 +1030,14 @@ def _beta_cdf(z, upper, a, b):
     three-term recurrence from its logarithmic derivative; each node's
     coefficients of the integral, times f(y_k) z_k, are one row of a table,
     and every element sums its series by Horner.  Each node's I and
-    f(y_k) z_k come from one :func:`_fraction_cdf` call over the nodes, and
+    f(y_k) z_k come from one :func:`_fraction_tails` call over the nodes, and
     only the nodes some element needs are built.  Every value depends on
     its own z and the shapes only: the tables are built element-wise, with
     no reduction across nodes.
 
     The error is the fraction's at the node plus a few eps: f(y_k) z_k is
     the fraction's power P(y_k), whose exponent is summed in double-double,
-    over max(y_k, 1 - y_k).  :func:`_fraction_cdf` takes an element whose
+    over max(y_k, 1 - y_k).  :func:`_fraction_tails` takes an element whose
     node or node's I is not a normal double or whose series bound is not
     met, and every element where :func:`_cdf_plan` is None; both rules look
     at the element's node and the shapes only, and the fraction's own edge
@@ -984,7 +1046,7 @@ def _beta_cdf(z, upper, a, b):
     shape, z, upper = np.shape(z), np.ravel(z), np.ravel(upper)
     plan = _cdf_plan(float(a), float(b)) if z.size else None
     if plan is None:
-        return _fraction_cdf(z, upper, a, b).reshape(shape)
+        return _fraction_tails(z, upper, a, b, sf=False)[0].reshape(shape)
     shift, degree, tail = plan
     bits = z.view(np.int64)
     key = bits >> shift  # z rounded down to a node ...
@@ -1010,7 +1072,7 @@ def _beta_cdf(z, upper, a, b):
     out += base.take(idx)
     if not usable.all():
         sel = np.flatnonzero(~usable.take(idx))
-        out[sel] = _fraction_cdf(z[sel], upper[sel], a, b)
+        out[sel] = _fraction_tails(z[sel], upper[sel], a, b, sf=False)[0]
     return out.reshape(shape)
 
 
@@ -1038,10 +1100,10 @@ def _cdf_nodes(nodes, shift, degree, tail, a, b):
     +-1/z_k of v (negative where y_k = 1 - z_k), its I, the Horner rows
     (``degree`` + 1, nodes) of f(y_k) z_k c_n / (n + 1), and whether the
     node is usable.  I and the power P(y_k) = y_k^a (1 - y_k)^b / B(a, b)
-    are :func:`_fraction_cdf`'s, and f(y_k) z_k = P(y_k) / (1 - z_k)."""
+    are :func:`_fraction_tails`', and f(y_k) z_k = P(y_k) / (1 - z_k)."""
     hi = (nodes & 1).astype(bool)
     z = ((nodes >> 1) << shift).view(float)
-    base, fac = _fraction_cdf(z, hi, a, b, power_too=True)
+    base, _, fac = _fraction_tails(z, hi, a, b, sf=False)
     with np.errstate(all="ignore"):  # subnormal and zero nodes are not used
         far = 1.0 - z
         fac /= far

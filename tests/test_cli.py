@@ -755,6 +755,18 @@ class TestLazyScipy:
         assert stdout
         assert status == ["0", "False", "False"]
 
+    def test_order_statistics_and_cumulative_hazard_leave_it_unloaded(self):
+        # both Beta tails of a 200-point grid come from the numpy fraction
+        proc = run_fresh(
+            "import sys\nimport numpy as np\nimport bfw\n"
+            "params = bfw.BFWParams(0.052, 0.024, 35.077, 20.328)\n"
+            "x = np.linspace(0.01, 7.0, 200)\n"
+            "assert (bfw.order_stat_pdf(x, bfw.OrderIndex(3, 10), params) > 0).all()\n"
+            "assert (bfw.bfw_cumulative_hazard(x, params) > 0).all()\n"
+            "print('scipy.special' in sys.modules)"
+        )
+        assert proc.stdout.split() == ["False"]
+
     @pytest.mark.parametrize("argv", [
         ["compare", "--data", "pumps", "--starts", "4"],
     ], ids=lambda argv: argv[0])

@@ -37,7 +37,7 @@ from bfw import (
     raw_moment_quadrature,
 )
 from bfw._stable import log_amplitude, tiny_x
-from bfw import special
+from bfw import core, special
 from bfw.flexible_weibull import _x_at_exponent
 from bfw.special import _LARGE_FROM, _beta_cdf, _beta_quantile, _cdf_plan
 from bfw.inference import Dataset
@@ -424,6 +424,18 @@ class TestSurvivalHazards:
         with pytest.raises(SaturationError):
             bfw_hazard(1e4, published_params)
 
+    def test_cumulative_hazard_saturation_reports_the_largest_finite_value(self, published_params):
+        # as the hazards report theirs: -ln S at the largest x whose survival
+        # is still positive, and None where no survival is
+        x = np.array([0.5, 12.0, 30.0, 1e4, 3.0])
+        with pytest.raises(SaturationError) as info:
+            bfw_cumulative_hazard(x, published_params)
+        finite = bfw_cumulative_hazard(x[x < 1e4], published_params)
+        assert info.value.last_value == finite.max() == finite[2]
+        with pytest.raises(SaturationError) as info:
+            bfw_cumulative_hazard(np.array([1e4, 2e4]), published_params)
+        assert info.value.last_value is None
+
     def test_reversed_hazard_identity(self, published_params, rng):
         xs = rng.uniform(0.2, 5.0, size=50)
         r = bfw_reversed_hazard(xs, published_params)
@@ -745,8 +757,10 @@ def mp_beta_cdf(y, a, b):
 
 def mp_cdf_survival_hazard(x, theta):
     """bfw cdf I_G(p, q), survival I_{S_G}(q, p) and hazard at 50 digits,
-    each tail its own incomplete beta: a survival formed as 1 - cdf keeps
-    only 50 digits of 1, so 7 of a -ln S of 1e-43."""
+    the tail at the smaller of G and S_G from the incomplete beta and the
+    other its complement (mpmath's betainc at an argument within ~1e-40 of
+    1 is 1e-13 off).  A complement near 1 keeps only 50 digits of 1, so a
+    -ln S near 0 is -log1p(-cdf), not -ln of the survival here."""
     with mpmath.workdps(50):
         a, b, p, q = (mpmath.mpf(v) for v in theta)
         x = mpmath.mpf(float(x))
@@ -755,8 +769,12 @@ def mp_cdf_survival_hazard(x, theta):
         g, s_g = -mpmath.expm1(-ew), mpmath.exp(-ew)
         log_pdf = (-mpmath.log(mpmath.beta(p, q)) + mpmath.log(a + b / x**2) + w - q * ew
                    + (p - 1) * mpmath.log(g))
-        cdf = mpmath.betainc(p, q, 0, g, regularized=True)
-        sf = mpmath.betainc(q, p, 0, s_g, regularized=True)
+        if g <= s_g:
+            cdf = mpmath.betainc(p, q, 0, g, regularized=True)
+            sf = 1 - cdf
+        else:
+            sf = mpmath.betainc(q, p, 0, s_g, regularized=True)
+            cdf = 1 - sf
         return cdf, sf, mpmath.exp(log_pdf) / sf
 
 
@@ -910,7 +928,7 @@ class TestBetaCdfKernel:
         y = np.geomspace(*ends, _LARGE_FROM)
         refs = [mp_beta_cdf(yi, a, b) for yi in y[::8]]
         assert refs[0] < 1e-306 and refs[-1] > 1e-296
-        assert worst_rel(special._inc_beta(*beta_side(y), a, b)[::8], refs) <= 4 * EPS
+        assert worst_rel(special._beta_tails(*beta_side(y), a, b, sf=False)[0][::8], refs) <= 4 * EPS
 
     def test_published_point_near_underflow_at_both_batch_sizes(self):
         # 17 points of a 4,000-point grid lie in x in [1.084e-3, 1.129e-3],
@@ -953,7 +971,7 @@ class TestBetaCdfKernel:
         # elements to the continued fraction, as do the ends 0 and 1
         a, b = shapes
         y = np.concatenate([[0.0, 1.0, 5e-324, 1e-310], np.geomspace(1e-300, 1e-100, 300)])
-        cdf = special._fraction_cdf(*beta_side(y), a, b)
+        cdf = special._fraction_tails(*beta_side(y), a, b, sf=False)[0]
         out = _beta_cdf(*beta_side(y), a, b)
         theirs = (y < TINY) | (cdf < TINY)
         theirs[1] = True
@@ -965,7 +983,29 @@ class TestBetaCdfKernel:
         a, b = PUBLISHED[2:]
         y = np.linspace(0.01, 0.99, 2000)
         monkeypatch.setattr(special, "_SERIES_TOL", 0.0)
-        assert np.array_equal(_beta_cdf(*beta_side(y), a, b), special._fraction_cdf(*beta_side(y), a, b))
+        assert np.array_equal(_beta_cdf(*beta_side(y), a, b), special._fraction_tails(*beta_side(y), a, b, sf=False)[0])
+
+
+class TestOnePass:
+    """Below the size constant the cdf, the survival and the log tails of
+    the order statistics and the cumulative hazard are the two tails of one
+    continued-fraction pass at (p, q)."""
+
+    @pytest.mark.parametrize("theta", [PUBLISHED, (0.5, 0.5, 2.0, 2.0), (0.052, 0.024, 0.3, 0.7),
+                                       (1.0, 0.1, 300.0, 5.0), (0.5, 0.5, 0.05, 40.0),
+                                       (1.0, 1.0, 163.57, 0.241)])
+    def test_log_tails_are_the_logs_of_cdf_and_survival(self, theta):
+        # each log tail is the log of the function's value, bit for bit,
+        # where that tail is at most 1/2
+        params = BFWParams(*theta)
+        x = np.concatenate([tail_grid(theta, 400), bfw_quantile(np.linspace(0.01, 0.99, 99), params)])
+        assert x.size < _LARGE_FROM
+        cdf, sf = bfw_cdf(x, params), bfw_survival(x, params)
+        log_cdf, log_sf = core._log_tails(x, params)
+        for log_tail, tail in ((log_cdf, cdf), (log_sf, sf)):
+            near = tail <= 0.5
+            assert 0 < near.sum() < x.size
+            assert np.array_equal(log_tail[near], np.log(tail[near]))
 
 
 def mp_small_side_tails(x, theta):
@@ -1254,14 +1294,18 @@ class TestMode:
 # 5.8e-16 -> 3.3e-16 at x = 4.  The mode at
 # (0.5, 0.5, 2, 2) moved up one ulp when bfw_mode began to return the end of
 # its last bracket nearer the root, not the midpoint: from 1.29 to 0.29 ulp
-# below the 60-digit root (test_mode_against_mpmath).
+# below the 60-digit root (test_mode_against_mpmath).  The published
+# hazard at x = 0.5 moved up one ulp when the survival of small batches
+# became the upper tail of the one continued-fraction pass at (p, q): the
+# survival's error against 50-digit mpmath went 2.0e-16 -> 4.0e-16 and the
+# hazard's 8.12e-15 -> 7.93e-15.
 PIN_POINTS = {PUBLISHED: [0.5, 2.0, 6.0, 12.0], (0.5, 0.5, 2.0, 2.0): [0.1, 0.7, 1.5, 4.0]}
 PINNED = {
     (PUBLISHED, "bfw_log_pdf"): ["-0x1.1e015765c34d0p+0", "-0x1.1049a3f1b08b0p+1",
                                  "-0x1.cffa69a0a5af0p+1", "-0x1.2596658b2c912p+3"],
     (PUBLISHED, "bfw_pdf"): ["0x1.4f0b6edce05d6p-2", "0x1.e8196accdcac7p-4",
                              "0x1.b4b179eb50eafp-6", "0x1.b2b02e403ebc2p-14"],
-    (PUBLISHED, "bfw_hazard"): ["0x1.28775956dd802p-1", "0x1.859322d2198a1p-2",
+    (PUBLISHED, "bfw_hazard"): ["0x1.28775956dd803p-1", "0x1.859322d2198a1p-2",
                                 "0x1.697baf040d084p-1", "0x1.69384cde3a7a5p+0"],
     ((0.5, 0.5, 2.0, 2.0), "bfw_log_pdf"): ["-0x1.0d0de765724a0p+2", "-0x1.e054daad52c1cp-3",
                                             "-0x1.66023bd13fe1ap+0", "-0x1.4048b3f7bcc69p+3"],

@@ -154,8 +154,7 @@ class TestFractionParts:
     def test_power_against_mpmath(self, shapes):
         a, b = shapes
         y = np.concatenate([np.geomspace(1e-300, 0.5, 60), 1.0 - np.geomspace(2.0**-53, 0.5, 60)[::-1]])
-        values, power = special._fraction_cdf(*beta_side(y), a, b, power_too=True)
-        assert np.array_equal(values, special._fraction_cdf(*beta_side(y), a, b))
+        power = special._fraction_tails(*beta_side(y), a, b)[2]
         checked = 0
         with mpmath.workdps(50):
             norm = mpmath.beta(a, b)
@@ -166,6 +165,82 @@ class TestFractionParts:
                     checked += 1
                     assert abs(float(mpmath.mpf(float(got)) / exact - 1)) <= 4 * EPS, (float(v), shapes)
         assert checked >= 50
+
+
+TINY = float(np.finfo(float).tiny)
+BOTH_TAIL_SHAPES = [(35.077, 20.328), (2.0, 2.0), (0.3, 0.7), (300.0, 5.0), (0.05, 40.0),
+                    (40.0, 0.05), (2.0, 1e-8), (1e4, 2.0)]
+
+
+def mp_beta_tails(y, a, b):
+    """(I_y(a, b), I_{1-y}(b, a)) at 50 digits for a double y, the tail
+    below the mean from the incomplete beta and the other its complement."""
+    with mpmath.workdps(50):
+        y, a, b = mpmath.mpf(float(y)), mpmath.mpf(a), mpmath.mpf(b)
+        if y > a / (a + b):
+            upper = mpmath.betainc(b, a, 0, 1 - y, regularized=True)
+            return 1 - upper, upper
+        lower = mpmath.betainc(a, b, 0, y, regularized=True)
+        return lower, 1 - lower
+
+
+def tail_y_grid():
+    return np.concatenate([np.geomspace(1e-300, 0.5, 200), 1.0 - np.geomspace(2e-16, 0.5, 200),
+                           np.linspace(0.01, 0.99, 99)])
+
+
+class TestBothTails:
+    """special._fraction_tails: I_y(a, b) and I_{1-y}(b, a) from one pass,
+    the elements of both sides of x0 in one ratio loop."""
+
+    @pytest.mark.parametrize("shapes", BOTH_TAIL_SHAPES)
+    def test_mixed_sides_equal_each_side_alone(self, shapes):
+        # the shorter fraction is padded with rows that leave it unchanged
+        a, b = shapes
+        y = tail_y_grid()
+        z, upper = beta_side(y)
+        right = np.where(upper, 1.0 - z, z) > special._fraction_center(a, b)[0]
+        assert 0 < right.sum() < y.size
+        both = special._fraction_tails(z, upper, a, b)
+        for side in (right, ~right):
+            alone = special._fraction_tails(z[side], upper[side], a, b)
+            for value, value_alone in zip(both, alone):
+                assert np.array_equal(value[side], value_alone)
+
+    @pytest.mark.parametrize("shapes", [(0.05, 40.0), (40.0, 0.05)])
+    def test_padded_ratio_loop_is_each_order_alone(self, shapes):
+        # (0.05, 40) takes 8 rows and (40, 0.05) 45
+        a, b = shapes
+        x = np.concatenate([np.linspace(1e-6, 0.02, 50), np.linspace(1e-6, 0.97, 70)])
+        reflected = np.arange(x.size) >= 50
+        c = np.where(reflected, special._shift(x, b, a)[0], special._shift(x, a, b)[0])
+        assert special._fraction_rows(a, b)[0].size != special._fraction_rows(b, a)[0].size
+        both = special._fraction_ratio(x, c, a, b, reflected)
+        for side in (reflected, ~reflected):
+            alone = special._fraction_ratio(x[side], c[side], a, b, reflected[side])
+            assert np.array_equal(both[side], alone)
+
+    @pytest.mark.parametrize("shapes", BOTH_TAIL_SHAPES)
+    def test_each_tail_against_mpmath(self, shapes):
+        # the bar of TestBetaCdfKernel.test_both_paths_against_mpmath, for
+        # each tail wherever its reference is a normal double
+        a, b = shapes
+        y = tail_y_grid()
+        tails = special._fraction_tails(*beta_side(y), a, b)[:2]
+        refs = [mp_beta_tails(v, a, b) for v in y]
+        for col, values in enumerate(tails):
+            keep = [ref[col] >= TINY for ref in refs]
+            worst = max(abs(float(mpmath.mpf(float(v)) / ref[col] - 1))
+                        for v, ref, k in zip(values, refs, keep) if k)
+            assert worst <= 8 * EPS, (col, worst / EPS)
+
+    @pytest.mark.parametrize("shapes", [(35.077, 20.328), (0.3, 0.7), (2.0, 1e-8), (1e6, 1e6)])
+    def test_a_tail_read_alone_is_the_one_read_with_the_other(self, shapes):
+        a, b = shapes
+        y = tail_y_grid()
+        cdf, sf, _ = special._fraction_tails(*beta_side(y), a, b)
+        assert np.array_equal(special._fraction_tails(*beta_side(y), a, b, sf=False)[0], cdf)
+        assert np.array_equal(special._fraction_tails(*beta_side(y), a, b, cdf=False)[1], sf)
 
 
 class TestInvRegIncBeta:
@@ -436,8 +511,30 @@ class TestOneOwner:
                         if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
                                 and call.func.attr in ("betainc", "betaincc")):
                             callers.add((path.name, node.name, call.func.attr))
-        assert callers == {("special.py", "_fraction_cdf", "betainc"),
-                           ("special.py", "_fraction_cdf", "betaincc")}
+        assert callers == {("special.py", "_fraction_tails", "betainc"),
+                           ("special.py", "_fraction_tails", "betaincc")}
+
+    @pytest.mark.parametrize("theta", [(0.052, 0.024, 35.077, 20.328), (0.5, 0.5, 0.3, 0.7)])
+    def test_log_tails_make_one_fraction_pass(self, monkeypatch, theta):
+        # below the size constant both tails of every element come from one
+        # fraction call with one ratio loop, elements on both sides of x0
+        from bfw import BFWParams, core
+
+        params = BFWParams(*theta)
+        x = np.geomspace(1e-2, 1e2, 200) * math.sqrt(params.beta / params.alpha)
+        z, upper = core._side(x, params)
+        right = np.where(upper, 1.0 - z, z) > special._fraction_center(params.p, params.q)[0]
+        assert 0 < right.sum() < x.size
+        core._log_tails(x, params)  # the per-shape constants are cached from here on
+        calls = dict.fromkeys(["_fraction_tails", "_fraction_ratio"], 0)
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(special, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(special, name, counted)
+        core._log_tails(x, params)
+        assert calls == {"_fraction_tails": 1, "_fraction_ratio": 1}
 
     def test_special_owns_the_side_choice(self):
         # the Beta kernels take z = min(y, 1 - y) and a side; core computes
