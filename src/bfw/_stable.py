@@ -121,8 +121,9 @@ def fw_tail_terms(w, ew, log_cdf=True, ratio=False, curvature=False, out=None):
     zero, ln F is w and the ratio 1; where S is subnormal or zero, the ratio
     is e^w e^{700 - e^w} e^{-700} with the subtraction exact; where e^w
     overflows to inf, ln F, the ratio and the curvature are 0.  A limit is
-    patched only when an element needs it, and every element gets the value
-    it would get alone, so rows of a batch stay independent.
+    patched, and each form of ln F formed, only where the range of e^w
+    reaches it, and every element gets the value it would get alone, so
+    rows of a batch stay independent.
 
     ``out``, when given, holds the buffers, each shaped like ``ew``: five
     float arrays, which receive S, F, ln F, the ratio and the curvature
@@ -133,41 +134,55 @@ def fw_tail_terms(w, ew, log_cdf=True, ratio=False, curvature=False, out=None):
     result is a new array.
     """
     shape = np.shape(ew)
-    w, ew = np.atleast_1d(w, ew)
-    s, f, ln_f, r, curv, mask = (None,) * 6 if out is None else out
     with np.errstate(all="ignore"):
-        any_tiny = np.less(ew, _TINY, mask).any()
-        if log_cdf or curvature:
-            s = np.exp(np.negative(ew, s), s)
-            f = np.negative(np.expm1(np.negative(ew, f), f), f)
-        if log_cdf:
-            ln_f = np.log1p(np.negative(s, ln_f), ln_f)
-            np.putmask(ln_f, np.less(ew, _LN2, mask), np.log(f, curv))
-            if any_tiny:
-                np.putmask(ln_f, np.less(ew, _TINY, mask), w)
-        if ratio or curvature:
-            if log_cdf or curvature:
-                r = np.divide(np.multiply(ew, s, r), f, r)
-            else:
-                r = np.divide(ew, np.expm1(ew, r), r)
-            if any_tiny:
-                np.putmask(r, np.less(ew, _TINY, mask), 1.0)
-            deep = np.greater(ew, _DEEP, mask)
-            overflow = False
-            if deep.any():
-                u = ew[deep]
-                overflow = u.max() == np.inf
-                # e^w = inf takes the limit 0, as the largest double does
-                r[deep] = np.minimum(u, _HUGE) * np.exp(_SHIFT - u) * _EXP_NEG_SHIFT
-        if curvature:
-            curv = np.subtract(np.subtract(1.0, ew, curv), s, curv)
-            curv = np.divide(np.multiply(r, curv, curv), f, curv)
-            if overflow:  # 0 (1 - e^w) is NaN where e^w = inf; the limit is 0
-                np.putmask(curv, np.equal(ew, np.inf, mask), 0.0)
-            small = np.less(ew, _SERIES_BELOW, mask)
-            if small.any():
-                u = ew[small]
-                u2 = u * u
-                curv[small] = u * (-0.5 + u * (1.0 / 6.0 + u2 * (-1.0 / 180.0 + u2 / 5040.0)))
-    terms = (ln_f if log_cdf else None), (r if ratio else None), (curv if curvature else None)
+        terms = _tail_terms(*np.atleast_1d(w, ew), log_cdf, ratio, curvature, out)
     return tuple(None if t is None else t.reshape(shape) for t in terms)
+
+
+def _tail_terms(w, ew, log_cdf, ratio, curvature, out):
+    """:func:`fw_tail_terms` on arrays of at least one dimension, the terms
+    shaped like ``ew``, for callers that hold ``np.errstate(all="ignore")``
+    (the likelihood kernel's data pass)."""
+    s, f, ln_f, r, curv, mask = (None,) * 6 if out is None else out
+    # the range of e^w gates every patch and form; a NaN opens every gate,
+    # and each patch then reads its own mask, which NaN does not enter
+    lo = np.minimum.reduce(ew, None, None, None, False, np.inf)
+    hi = np.maximum.reduce(ew, None, None, None, False, -np.inf)
+    if lo != lo:
+        lo, hi = -np.inf, np.inf
+    if log_cdf or curvature:
+        neg = np.negative(ew, f)  # -e^w, then F in its place
+        s = np.exp(neg, s)
+        f = np.negative(np.expm1(neg, neg), neg)
+    if log_cdf:
+        if hi < _LN2:
+            ln_f = np.log(f, ln_f)
+        else:
+            ln_f = np.log1p(np.negative(s, ln_f), ln_f)
+            if lo < _LN2:
+                np.putmask(ln_f, np.less(ew, _LN2, mask), np.log(f, curv))
+        if lo < _TINY:
+            np.putmask(ln_f, np.less(ew, _TINY, mask), w)
+    if ratio or curvature:
+        if log_cdf or curvature:
+            r = np.divide(np.multiply(ew, s, r), f, r)
+        else:
+            r = np.divide(ew, np.expm1(ew, r), r)
+        if lo < _TINY:
+            np.putmask(r, np.less(ew, _TINY, mask), 1.0)
+        if hi > _DEEP:
+            deep = np.greater(ew, _DEEP, mask)
+            u = ew[deep]
+            # e^w = inf takes the limit 0, as the largest double does
+            r[deep] = np.minimum(u, _HUGE) * np.exp(_SHIFT - u) * _EXP_NEG_SHIFT
+    if curvature:
+        curv = np.subtract(np.subtract(1.0, ew, curv), s, curv)
+        curv = np.divide(np.multiply(r, curv, curv), f, curv)
+        if hi == np.inf:  # 0 (1 - e^w) is NaN where e^w = inf; the limit is 0
+            np.putmask(curv, np.equal(ew, np.inf, mask), 0.0)
+        if lo < _SERIES_BELOW:
+            small = np.less(ew, _SERIES_BELOW, mask)
+            u = ew[small]
+            u2 = u * u
+            curv[small] = u * (-0.5 + u * (1.0 / 6.0 + u2 * (-1.0 / 180.0 + u2 / 5040.0)))
+    return (ln_f if log_cdf else None), (r if ratio else None), (curv if curvature else None)

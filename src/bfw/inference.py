@@ -100,7 +100,7 @@ from typing import Callable
 import numpy as np
 
 from . import special
-from ._stable import checked, fw_tail_terms, log_amplitude, tiny_x
+from ._stable import _tail_terms, checked, log_amplitude, tiny_x
 from .core import BFWParams
 from .errors import ConvergenceError, DomainError, NumericError
 
@@ -155,26 +155,33 @@ def _row(params):
     return np.array([[a, b, p, q]])
 
 
-# the per-row sums of _bfw_sums, those of order 0 first, then 1 and 2
+# The rows of _Workspace.totals.  The first three runs of five are the terms
+# of the entries (a, b, aa, bb, ab) of the (alpha, beta) block (_rate_terms):
+# the D-weighted sums, the sums that q multiplies and those that p - 1 does.
 _SUM_NAMES = (
-    "ew", "ln_f", "amp", "w",
-    "x2_d", "inv_d", "x_ew", "x_r", "ew_x", "r_x",
-    "x4_d2", "x2_ew", "x2_c", "x2_d2", "c", "inv_d2", "ew_x2", "c_x2",
+    "x2_d", "inv_d", "x4_d2", "inv_d2", "x2_d2",
+    "x_ew", "ew_x", "x2_ew", "ew_x2", "ew",
+    "x_r", "r_x", "x2_c", "c_x2", "c",
+    "w", "amp", "ln_f",
 )
-_SUM_COUNTS = (4, 10, 18)  # sums up to each order
+_D_RUN, _Q_RUN, _P_RUN = slice(0, 5), slice(5, 10), slice(10, 15)
+_ORDERS = dict.fromkeys(("ew", "w", "amp", "ln_f"), 0) | dict.fromkeys(
+    ("x2_d", "inv_d", "x_ew", "ew_x", "x_r", "r_x"), 1)  # the rest are of order 2
 _TAIL_SUMS = frozenset(("ln_f", "x_r", "r_x", "x2_c", "c", "c_x2"))  # of ln F, ratio, curvature
+# the sign of the q term of each entry (a, b, aa, bb, ab); the p - 1 term has the other
+_Q_SIGNS = np.array([-1.0, 1.0, 1.0, 1.0, -1.0])[:, None]
 
 
 class _Workspace:
-    """The data ``x`` of one fit with what its passes share: x^2, and x^4,
+    """The data ``x`` of one fit with what its passes share: x^2 and x^4,
     sum x and sum 1/x on first use, and for blocks of up to ``rows`` rows
     the buffers of the kernel (:func:`_bfw_sums`): six (rows, n) float
-    arrays in one allocation (w, e^w and four of the five of
-    :func:`bfw._stable.fw_tail_terms`, whose ratio takes the place of w),
-    one (rows, n) mask and the (sums, rows) array the rows are reduced
-    into.  A block of r rows writes into the leading r rows of each, so the
-    passes of a fit allocate no data-sized temporaries, and name the sums of
-    r rows by one dict per (r, order, tails) (:meth:`sums`).
+    arrays in one allocation and one (rows, n) mask, of which a block of r
+    rows writes the leading r rows, so the passes of a fit allocate no
+    data-sized temporaries.  The r rows are reduced into ``totals[r]``, a
+    contiguous (sums, r) array in the order of ``_SUM_NAMES``, made on the
+    first pass of r rows, and their sums are named by one dict per
+    (r, order, tails) (:meth:`sums`).
 
     ``tiny`` is whether some x^2 is subnormal, whatever beta
     (:func:`bfw._stable.tiny_x`); only then do the passes form
@@ -187,28 +194,30 @@ class _Workspace:
         self.tiny = tiny_x(x, 0.0)
         with np.errstate(all="ignore"):
             self.x2 = x * x
+            self.x4 = self.x2 * self.x2
         self.floats = np.empty((6, rows, x.size))
         self.mask = np.empty((rows, x.size), dtype=bool)
-        self.totals = np.empty((len(_SUM_NAMES), rows))
+        self.totals = {}
         self.named = {}
 
     def sums(self, rows, order, tails):
         """The sums of :func:`_bfw_sums` for ``rows`` rows by name, views of
-        the sums array's leading rows, plus n, sum x and sum 1/x."""
+        the rows of ``totals[rows]``, plus n, that whole array (``all``), and
+        from order 1 on sum x, sum 1/x and the ``offsets``
+        (sum x, -sum 1/x, 0, 0, 0) of the entries of :func:`_rate_terms`."""
         key = rows, order, tails
         sums = self.named.get(key)
         if sums is None:
-            names = [name for name in _SUM_NAMES[: _SUM_COUNTS[order]]
-                     if tails or name not in _TAIL_SUMS]
-            sums = self.named[key] = dict(zip(names, self.totals[:, :rows]), n=self.x.size)
+            block = self.totals.get(rows)
+            if block is None:
+                block = self.totals[rows] = np.empty((len(_SUM_NAMES), rows))
+            sums = self.named[key] = {
+                name: row for name, row in zip(_SUM_NAMES, block)
+                if _ORDERS.get(name, 2) <= order and (tails or name not in _TAIL_SUMS)}
+            sums.update(n=self.x.size, all=block)
             if order >= 1:
-                sums.update(x=self.sum_x, inv_x=self.sum_inv_x)
+                sums.update(x=self.sum_x, inv_x=self.sum_inv_x, offsets=self.offsets)
         return sums
-
-    @functools.cached_property
-    def x4(self):
-        with np.errstate(all="ignore"):
-            return self.x2 * self.x2
 
     @functools.cached_property
     def sum_x(self):
@@ -218,6 +227,10 @@ class _Workspace:
     def sum_inv_x(self):
         with np.errstate(all="ignore"):
             return _rowsum(1.0 / self.x)
+
+    @functools.cached_property
+    def offsets(self):
+        return np.array([self.sum_x, -self.sum_inv_x, 0.0, 0.0, 0.0])[:, None]
 
     @functools.cached_property
     def x_max(self):
@@ -239,63 +252,81 @@ def _bfw_sums(x, alpha, beta, order, ws=None, tails=True):
     curvature) nor the sums ``_TAIL_SUMS`` they enter are formed: at
     p = q = 1, the flexible Weibull, every one is multiplied by p - 1 = 0.
 
-    Every elementwise result is written into the buffers of ``ws``, a
+    Every elementwise result is written into the six buffers of ``ws``, a
     :class:`_Workspace` for ``x`` with room for these rows (``ws`` None: a
-    new one sized for them).  The sums are views of its sums array, valid
-    until its next pass.
+    new one sized for them).  The buffers hold, in turn: w, then the ratio,
+    then products (0); e^w (1); S, then the amplitude and products (2); the
+    curvature (3); ln F, then products (4); F, then D, D^2 and a product
+    (5).  The terms of two or three sums are formed in buffers an equal step
+    apart, so that one ``np.add.reduce`` over that strided view sums them
+    into rows of the sums array an equal step apart, eight reductions for
+    the eighteen sums; each row is still summed pairwise on its own.  The
+    sums are views of the sums array, valid until its next pass of as many
+    rows.
     """
     rows = alpha.size
     if ws is None:
         ws = _Workspace(x, rows)
-    (w, ew, s, f, ln_f, curv), mask = ws.floats[:, :rows], ws.mask[:rows]
+    floats = ws.floats[:, :rows]
     sums = ws.sums(rows, order, tails)
+    total = sums["all"]
     x2 = ws.x2
     ac, bc = alpha[:, None], beta[:, None]
-    w = np.subtract(np.multiply(ac, x, w), np.divide(bc, x, s), w)
-    _rowsum(w, out=sums["w"])
-    ew = np.exp(w, ew)
-    if tails:
-        ln_f, ratio, curv = fw_tail_terms(w, ew, ratio=order >= 1, curvature=order == 2,
-                                          out=(s, f, ln_f, w, curv, mask))
-        _rowsum(ln_f, out=sums["ln_f"])
-    tmp, denom = s, f  # S and F are free from here on
-    _rowsum(ew, out=sums["ew"])
+    w, ew, amp, curv, ln_f, d = floats  # w's buffer takes the ratio, S's the amplitude, F's D
+    pair = floats[2:5:2]  # products, two at a time
+    np.subtract(np.multiply(ac, x, w), np.divide(bc, x, amp), w)
+    np.exp(w, ew)
+    _rowsum(floats[:2], total[15:8:-6])  # w, e^w
+    if tails:  # under an error state of its own, as bfw._stable.fw_tail_terms
+        with np.errstate(all="ignore"):
+            _tail_terms(w, ew, True, order >= 1, order == 2, (amp, d, ln_f, w, curv, ws.mask[:rows]))
     if ws.tiny:
-        _rowsum(log_amplitude(x, ac, bc, True), out=sums["amp"])
+        np.copyto(amp, log_amplitude(x, ac, bc, True))
     else:
-        _rowsum(np.log(np.add(ac, np.divide(bc, x2, tmp), tmp), tmp), out=sums["amp"])
+        np.log(np.add(ac, np.divide(bc, x2, amp), amp), amp)
+    if tails:
+        _rowsum(pair, total[16:18])  # the amplitude, ln F
+    else:
+        _rowsum(amp, total[16])
     if order == 0:
         return sums
-    denom = np.add(bc, np.multiply(ac, x2, denom), denom)
-    _sum_products(sums, tmp, (
-        ("x2_d", np.divide, x2, denom), ("inv_d", np.divide, 1.0, denom),
-        ("x_ew", np.multiply, x, ew), ("ew_x", np.divide, ew, x),
-    ))
+    np.add(bc, np.multiply(ac, x2, d), d)
+    np.divide(x2, d, pair[0])
+    np.divide(1.0, d, pair[1])
+    _rowsum(pair, total[0:2])  # x^2/D, 1/D
     if tails:
-        _sum_products(sums, tmp, (
-            ("x_r", np.multiply, x, ratio), ("r_x", np.divide, ratio, x),
-        ))
+        np.multiply(w, x, pair[0])
+        np.multiply(ew, x, pair[1])
+        _rowsum(pair, total[10:4:-5])  # x r, x e^w
+        np.divide(w, x, pair[0])
+        np.divide(ew, x, pair[1])
+        _rowsum(pair, total[11:5:-5])  # r/x, e^w/x
+    else:
+        np.multiply(ew, x, pair[0])
+        np.divide(ew, x, pair[1])
+        _rowsum(pair, total[5:7])  # x e^w, e^w/x
     if order == 1:
         return sums
-    denom = np.square(denom, denom)
-    _sum_products(sums, tmp, (
-        ("x4_d2", np.divide, ws.x4, denom), ("x2_ew", np.multiply, x2, ew),
-        ("x2_d2", np.divide, x2, denom), ("inv_d2", np.divide, 1.0, denom),
-        ("ew_x2", np.divide, ew, x2),
-    ))
+    np.square(d, d)  # the ratio is free from here on
+    np.divide(ws.x4, d, w)
+    np.divide(1.0, d, amp)
+    np.divide(x2, d, ln_f)
+    _rowsum(floats[0:5:2], total[2:5])  # x^4, 1, x^2 over D^2
+    np.multiply(ew, x2, w)
+    np.divide(ew, x2, amp)
+    _rowsum(floats[0:3:2], total[7:9])  # x^2 e^w, e^w/x^2
     if tails:
-        _rowsum(curv, out=sums["c"])
-        _sum_products(sums, tmp, (
-            ("x2_c", np.multiply, x2, curv), ("c_x2", np.divide, curv, x2),
-        ))
+        np.multiply(curv, x2, d)
+        np.divide(curv, x2, ln_f)
+        _rowsum(floats[5:2:-1], total[12:15])  # x^2 c, c/x^2, c
     return sums
 
 
-def _sum_products(sums, tmp, products):
-    """Each ``sums[name]``, from (name, ufunc, a, b) in ``products``, set to
-    the row sums of ufunc(a, b), formed in the buffer ``tmp``."""
-    for name, op, a, b in products:
-        _rowsum(op(a, b, tmp), out=sums[name])
+# the rows of the assembly's entries (a, b, aa, bb, ab, score p, score q,
+# ap, bp, aq, bq, pp, qq, pq) that make the score and the information
+_SCORE_ENTRIES = np.array([0, 1, 5, 6])
+_INFO_ENTRIES = np.array([2, 4, 7, 9, 4, 3, 8, 10, 7, 8, 11, 13, 9, 10, 13, 12])
+_N_SIGNS = np.array([1.0, 1.0, -1.0])[:, None]  # of n times the trigamma gaps and trigamma
 
 
 def _bfw_assemble(sums, p, q, order, log_beta=None, walk=None):
@@ -304,7 +335,13 @@ def _bfw_assemble(sums, p, q, order, log_beta=None, walk=None):
     O(rows) work, no pass over the data, taking ln B(p, q) from
     ``log_beta`` when given.  A row whose log-likelihood is not representable
     gives -inf.  Into ``walk``, when given, go the first three columns of
-    the fitter's walk terms (:func:`_bfw_profiled`), from the same products."""
+    the fitter's walk terms (:func:`_bfw_profiled`), from the same products.
+
+    The entries of the score and information are formed as the rows of one
+    (14, rows) array, like entries by one call over runs of the sums (the
+    (alpha, beta) block by :func:`_rate_terms`), and gathered from it by
+    ``_SCORE_ENTRIES`` and ``_INFO_ENTRIES``.
+    """
     n = sums["n"]
     if log_beta is None:
         log_beta = special._scipy_betaln(p, q)
@@ -316,45 +353,50 @@ def _bfw_assemble(sums, p, q, order, log_beta=None, walk=None):
     # any non-representable configuration acts as an impossible fit
     ll = np.where(np.isfinite(ll), ll, -np.inf)
     if walk is not None:
-        walk[:, 0] = _EPS * (np.abs(n_log_beta) + np.abs(sums["amp"]) + np.abs(sums["w"])
-                             + q_ew + np.abs(tail))
-        walk[:, 1] = np.log(q_ew / n)
-        walk[:, 2] = np.log(sums["ln_f"] / -n)
+        terms = walk.T
+        amp_w = np.abs(sums["all"][16:14:-1])  # |sum amplitude|, |sum w|
+        np.multiply(_EPS, np.abs(n_log_beta) + amp_w[0] + amp_w[1] + q_ew + np.abs(tail),
+                    terms[0])
+        np.divide(q_ew, n, terms[1])
+        np.divide(sums["ln_f"], -n, terms[2])
+        np.log(terms[1:3], terms[1:3])
     if order == 0:
         return ll, None, None
-    gaps, tri_s, tri_gaps = special._log_beta_derivatives(p, q, order)
-    a, b, aa, ab, bb = _rate_terms(sums, q, pm1, order)
-    grad = np.array((a, b, n * gaps[0] + sums["ln_f"], n * gaps[1] - sums["ew"])).T
+    gaps, tri = special._log_beta_derivatives(p, q, order)
+    total = sums["all"]
+    entries = np.empty((14, p.size))
+    _rate_terms(sums, q, pm1, order, entries[: 5 if order == 2 else 2])
+    np.multiply(n, gaps, entries[5:7])
+    entries[5] += sums["ln_f"]
+    entries[6] -= sums["ew"]
     if order == 1:
-        return ll, grad, None
-    ap, aq, bp, bq = -sums["x_r"], sums["x_ew"], sums["r_x"], -sums["ew_x"]
-    pp, pq, qq = n * tri_gaps[0], -n * tri_s, n * tri_gaps[1]
-    info = np.array((aa, ab, ap, aq, ab, bb, bp, bq, ap, bp, pp, pq, aq, bq, pq, qq)).T
-    return ll, grad, info.reshape(-1, 4, 4)
+        return ll, entries[_SCORE_ENTRIES].T, None
+    np.multiply(total[_P_RUN][:2], _Q_SIGNS[:2], entries[7:9])  # -sum x r, sum r/x
+    np.multiply(total[_Q_RUN][:2], -_Q_SIGNS[:2], entries[9:11])  # sum x e^w, -sum e^w/x
+    np.multiply(n * _N_SIGNS, tri, entries[11:14])  # n psi' gaps, -n psi'(p + q)
+    return ll, entries[_SCORE_ENTRIES].T, entries[_INFO_ENTRIES].T.reshape(-1, 4, 4)
 
 
-def _rate_terms(sums, q, pm1, order):
+def _rate_terms(sums, q, pm1, order, out=None):
     """The (alpha, beta) block of the score and, for ``order`` 2, of the
     information at shapes p and q, ``pm1`` being p - 1, from
-    :func:`_bfw_sums` of that order: the entries alpha, beta, and
-    (alpha, alpha), (alpha, beta), (beta, beta), None below order 2.  With
-    ``pm1`` None, p = 1 and the tail sums, which p - 1 would multiply, are
-    not read: at p = q = 1 it is the two-parameter flexible Weibull's."""
-    a = sums["x2_d"] + sums["x"] - q * sums["x_ew"]
-    b = sums["inv_d"] - sums["inv_x"] + q * sums["ew_x"]
+    :func:`_bfw_sums` of that order: the rows a, b and at order 2 also
+    (alpha, alpha), (beta, beta), (alpha, beta) of one array, ``out`` when
+    given.  Entry i is D_i + offset_i +- q Q_i -+ (p - 1) P_i over the runs
+    of the sums (``_SUM_NAMES``), signed by ``_Q_SIGNS``: one call per term
+    for every entry, and each entry in the order of operations of its own
+    formula, since u - v is exactly u + (-v).  With ``pm1`` None, p = 1 and
+    the tail sums, which p - 1 would multiply, are not read: at p = q = 1 it
+    is the two-parameter flexible Weibull's."""
+    k = 5 if order == 2 else 2
+    total, signs = sums["all"], _Q_SIGNS[:k]
+    terms = np.add(total[_D_RUN][:k], sums["offsets"][:k], out)  # + 0 leaves a sum of x >= 0
+    step = np.multiply(total[_Q_RUN][:k], q)
+    terms += np.multiply(step, signs, step)
     if pm1 is not None:
-        a += pm1 * sums["x_r"]
-        b -= pm1 * sums["r_x"]
-    if order < 2:
-        return a, b, None, None, None
-    aa = sums["x4_d2"] + q * sums["x2_ew"]
-    ab = sums["x2_d2"] - q * sums["ew"]
-    bb = sums["inv_d2"] + q * sums["ew_x2"]
-    if pm1 is not None:
-        aa -= pm1 * sums["x2_c"]
-        ab += pm1 * sums["c"]
-        bb -= pm1 * sums["c_x2"]
-    return a, b, aa, ab, bb
+        np.multiply(total[_P_RUN][:k], pm1, step)
+        terms -= np.multiply(step, signs, step)
+    return terms
 
 
 def _bfw_evaluate(x, theta, order=2, ws=None):
@@ -400,9 +442,9 @@ def _profile_shapes(n, t, shapes):
     a = np.where(gap > 0.0, t / -n, np.nan)  # no candidate where no maximum exists
     cand = np.array([shapes, 1.0 / (a + np.sqrt(a[0] * a[1])), 0.5 + (0.5 / gap) * g])
     log_beta = special._scipy_betaln(cand[:, 0], cand[:, 1])
-    phi = np.add.reduce(cand * t, axis=1) - n * log_beta
-    best = np.where(phi == phi, phi, -np.inf).argmax(axis=0)
-    if not best.any():
+    phi = np.add.reduce(cand * t, 1) - n * log_beta
+    best = np.fmax(phi, -np.inf).argmax(axis=0)  # a NaN phi reads -inf
+    if not np.count_nonzero(best):
         return shapes, log_beta[0]
     rows = np.arange(best.size)
     return cand[best, :, rows].T, log_beta[best, rows]
@@ -428,10 +470,12 @@ def _bfw_profiled(x, theta, ws):
         start = theta[:, 2:].T
         shapes, log_beta = _profile_shapes(sums["n"], np.array([sums["ln_f"], -sums["ew"]]), start)
         p, q = shapes
-        walk = np.empty((p.size, 5))
+        walk = np.empty((5, p.size)).T  # each term a contiguous row
         ll, grad, info = _bfw_assemble(sums, p, q, 2, log_beta, walk)
-        walk[:, 3] = np.sqrt(theta[:, 1] / theta[:, 0]) / ws.x_max - 1.0
-        walk[:, 4] = _E_MINUS_1 * q / p - 1.0
+        ridge_a, ridge_b = walk.T[3:]
+        np.divide(np.sqrt(np.divide(theta[:, 1], theta[:, 0], ridge_a), ridge_a), ws.x_max, ridge_a)
+        np.subtract(ridge_a, 1.0, ridge_a)
+        np.subtract(np.divide(np.multiply(_E_MINUS_1, q, ridge_b), p, ridge_b), 1.0, ridge_b)
     if shapes is not start:  # some row moved
         theta = theta.copy()
         theta[:, 2:] = shapes.T
@@ -597,10 +641,13 @@ def _fw_kernel(x, theta, ws):
     no walk terms."""
     with np.errstate(all="ignore"):
         sums = _bfw_sums(x, theta[:, 0], theta[:, 1], 2, ws, tails=False)
-        a, b, aa, ab, bb = _rate_terms(sums, 1.0, None, 2)
+        entries = _rate_terms(sums, 1.0, None, 2)  # a, b, aa, bb, ab
         ll = sums["amp"] + sums["w"] - sums["ew"]  # ln B(1, 1) = 0
         ll = np.where(np.isfinite(ll), ll, -np.inf)
-    return theta, ll, np.array((a, b)).T, np.array((aa, ab, ab, bb)).T.reshape(-1, 2, 2), None
+    return theta, ll, entries[:2].T, entries[_FW_INFO_ENTRIES].T.reshape(-1, 2, 2), None
+
+
+_FW_INFO_ENTRIES = np.array([2, 4, 4, 3])
 
 
 FW = Likelihood(_fw_kernel, _two_param_starts, _Workspace)
@@ -749,9 +796,10 @@ def _log_space(theta, grad, info):
     the diagonal of H)."""
     g = grad * theta
     h = theta[:, :, None] * theta[:, None, :] * info
-    diagonal = h.reshape(len(h), -1)[:, :: theta.shape[1] + 1]
+    flat = h.reshape(len(h), -1)
+    diagonal = flat[:, :: theta.shape[1] + 1]
     np.subtract(diagonal, g, out=diagonal)
-    return g, h, np.isfinite(h).all(axis=(1, 2))
+    return g, h, np.logical_and.reduce(np.isfinite(flat), 1)
 
 
 def _damped_steps(g, abs_e, v, damping):
@@ -759,7 +807,7 @@ def _damped_steps(g, abs_e, v, damping):
     V diag(1 / (|e| + damping max|e|)) V^T g -- the Newton step where H is
     positive definite and the damping small, an ascent direction always.
     Where every |e| is 0 the step is not finite, and its trial is rejected."""
-    scale = abs_e + damping[:, None] * abs_e.max(axis=1)[:, None]
+    scale = abs_e + damping[:, None] * np.maximum.reduce(abs_e, 1)[:, None]
     return (v @ ((g[:, None, :] @ v)[:, 0] / scale)[:, :, None])[:, :, 0]
 
 
@@ -794,30 +842,44 @@ def _walking(before, walk, scale, change, z, step, left):
     - q limit: ln q above ``_Q_LIMIT_LN_Q`` and rising by at least
       ``_Q_LIMIT_RISE``, with p < 1.
     """
+    holds = np.zeros((len(_RETIRE_MESSAGES), scale.size), dtype=bool)
+    np.greater(walk[:, 0], _RETIRE_ROUNDING * scale, holds[0])
+    # each other trigger is formed only where one of its factors holds on some row
     span = left + _RETIRE_CRAWL_SLACK
-    rate = walk[:, 2] - before  # nan where both are -inf
-    ends = (rate > 0.0) & (_LN_HALF_EPS - walk[:, 2] <= rate * span)
-    near = np.abs(walk[:, 3:]) < _RIDGE_OFFSET
+    crawl = walk[:, 1] > span
+    if crawl.any():
+        rate = walk[:, 2] - before  # nan where both are -inf
+        ends = (rate > 0.0) & (_LN_HALF_EPS - walk[:, 2] <= rate * span)
+        np.logical_and(crawl, ~ends, holds[1])
+    flat = change <= _REL_LL_TOL * scale
+    if flat.any():
+        np.logical_and(flat, np.maximum.reduce(np.abs(step), 1) >= _RETIRE_MOVING, holds[2])
     ln_p, ln_q = z[:, 2], z[:, 3]
-    holds = np.empty((scale.size, len(_RETIRE_MESSAGES)), dtype=bool)
-    holds[:, 0] = walk[:, 0] > _RETIRE_ROUNDING * scale
-    holds[:, 1] = (walk[:, 1] > span) & ~ends
-    moving = np.abs(step).max(axis=1) >= _RETIRE_MOVING
-    holds[:, 2] = (change <= _REL_LL_TOL * scale) & moving
-    holds[:, 3] = near[:, 0] & (ln_p < _RIDGE_A_LN_P) & (step[:, 2] < 0.0)
-    holds[:, 4] = near[:, 1] & (ln_p > _RIDGE_B_LN_P) & (step[:, 2] >= _RIDGE_B_RISE)
-    holds[:, 5] = (ln_q > _Q_LIMIT_LN_Q) & (step[:, 3] >= _Q_LIMIT_RISE) & (ln_p < 0.0)
-    return holds
+    near_a = np.abs(walk[:, 3]) < _RIDGE_OFFSET
+    if near_a.any():
+        np.logical_and(near_a & (ln_p < _RIDGE_A_LN_P), step[:, 2] < 0.0, holds[3])
+    near_b = np.abs(walk[:, 4]) < _RIDGE_OFFSET
+    if near_b.any():
+        np.logical_and(near_b & (ln_p > _RIDGE_B_LN_P), step[:, 2] >= _RIDGE_B_RISE, holds[4])
+    high_q = ln_q > _Q_LIMIT_LN_Q
+    if high_q.any():
+        np.logical_and(high_q & (step[:, 3] >= _Q_LIMIT_RISE), ln_p < 0.0, holds[5])
+    return holds.T
+
+
+# the stop codes in the order of _stop_codes' tests, the last for none
+_STOP_ORDER = np.array([_CONVERGED, _BUDGET, _RETIRED, _REJECTED, _ACTIVE])
 
 
 def _stop_codes(norm, change, scale, evaluations, streak, damping, score_tol):
     """Each row's first stop that holds: converged, budget, retired, rejected."""
-    settled = (norm <= score_tol) & (change <= _REL_LL_TOL * scale)
-    return np.where(
-        settled, _CONVERGED, np.where(
-            evaluations > _MAX_ITER, _BUDGET, np.where(
-                (streak >= _RETIRE_AFTER).any(axis=1), _RETIRED, np.where(
-                    damping > _DAMPING_MAX, _REJECTED, _ACTIVE))))
+    holds = np.empty((len(_STOP_ORDER), norm.size), dtype=bool)
+    np.logical_and(norm <= score_tol, change <= _REL_LL_TOL * scale, holds[0])
+    np.greater(evaluations, _MAX_ITER, holds[1])
+    np.logical_or.reduce(streak >= _RETIRE_AFTER, 1, None, holds[2])
+    np.greater(damping, _DAMPING_MAX, holds[3])
+    holds[4] = True
+    return _STOP_ORDER[holds.argmax(axis=0)]
 
 
 def _newton(likelihood, x, z0, config):
@@ -834,8 +896,13 @@ def _newton(likelihood, x, z0, config):
     stop message.
 
     Row i of the active starts' arrays is start ``rows[i]``; they shrink on
-    a pass where a start stops.  Only rows at a new point (``fresh``) have
-    their H decomposed: a rejected trial changes only the damping.
+    a pass where a start stops.  An accepted trial is copied into its row of
+    the nine arrays of the point (z, theta, ll, 1 + |ll|, score,
+    information, score sup-norm, g, H); when every trial of a pass is
+    accepted the trial's arrays become the point's instead, and when none
+    is nothing is copied.  H is decomposed on a pass after some row moved,
+    all rows at once: a rejected row's H is unchanged, and its
+    decomposition with it.
     """
     z = np.array(z0, dtype=float)
     m, k = z.shape
@@ -851,7 +918,7 @@ def _newton(likelihood, x, z0, config):
         # retirement streaks, written when it stops
         report = (theta, ll, grad, info, np.zeros(m, dtype=int), np.ones(m, dtype=int),
                   np.zeros((m, len(_RETIRE_MESSAGES)), dtype=int))
-        rows, scale, norm = np.arange(m), 1.0 + np.abs(ll), np.abs(grad).max(axis=1)
+        rows, scale, norm = np.arange(m), 1.0 + np.abs(ll), np.maximum.reduce(np.abs(grad), 1)
         abs_e, v, fresh = np.empty((m, k)), np.empty((m, k, k)), np.ones(m, dtype=bool)
         damping, growth, change = np.full(m, _DAMPING_START), np.full(m, 2.0), np.full(m, math.inf)
         its, evs, streak = report[4:]
@@ -874,16 +941,15 @@ def _newton(likelihood, x, z0, config):
                         damping, growth, change, its, evs, streak, reach))
                 if rows.size == 0:
                     break
-            new = np.flatnonzero(fresh)
-            if new.size:
-                e, v[new] = np.linalg.eigh(h[new])
-                abs_e[new] = np.abs(e)
+            if fresh.any():  # a rejected row's H is unchanged, and so is its decomposition
+                e, v = np.linalg.eigh(h)
+                abs_e = np.abs(e)
             z_t = z + _damped_steps(g, abs_e, v, damping)
             given = np.exp(z_t)
             theta_t, ll_t, grad_t, info_t, walk_t = _evaluate(kernel, x, given, ws)
             _follow(z_t, theta_t, given)
             g_t, h_t, finite_t = _log_space(theta_t, grad_t, info_t)
-            norm_t, scale_t = np.abs(grad_t).max(axis=1), 1.0 + np.abs(ll_t)
+            norm_t, scale_t = np.maximum.reduce(np.abs(grad_t), 1), 1.0 + np.abs(ll_t)
             better = ll_t > ll
             close = (ll_t >= ll - _SLACK * scale) & (norm_t < norm)
             accept = finite_t & (better | close)
@@ -891,15 +957,23 @@ def _newton(likelihood, x, z0, config):
             change = np.abs(ll_t - ll)  # inf for a non-representable trial
             if walk_t is not None:
                 holds = _walking(reach, walk_t, scale_t, change, z_t, z_t - z, _MAX_ITER + 1 - evs)
-                np.copyto(streak, (streak + 1) * holds, where=accept[:, None])
+                np.multiply(streak + 1, holds, streak, where=accept[:, None])
                 np.copyto(reach, walk_t[:, 2], where=accept)
-            where = (accept, accept[:, None], accept[:, None, None])
-            for now, trial in zip((z, theta, ll, scale, grad, info, norm, g, h),
-                                  (z_t, theta_t, ll_t, scale_t, grad_t, info_t, norm_t, g_t, h_t)):
-                np.copyto(now, trial, where=where[now.ndim - 1])
+            taken = np.count_nonzero(accept)
+            if taken == rows.size:  # every trial is the new point: take its arrays
+                z, theta, ll, scale, grad, info, norm, g, h = (
+                    z_t, theta_t, ll_t, scale_t, grad_t, info_t, norm_t, g_t, h_t)
+            elif taken:
+                where = (accept, accept[:, None], accept[:, None, None])
+                for now, trial in zip((z, theta, ll, scale, grad, info, norm, g, h),
+                                      (z_t, theta_t, ll_t, scale_t, grad_t, info_t, norm_t, g_t, h_t)):
+                    np.copyto(now, trial, where=where[now.ndim - 1])
             its += accept
-            damping = np.where(accept, np.maximum(damping / 3.0, _DAMPING_MIN), damping * growth)
-            growth = np.where(accept, 2.0, growth * 2.0)
+            rejected = damping * growth
+            damping = np.maximum(damping / 3.0, _DAMPING_MIN)
+            np.copyto(damping, rejected, where=~accept)
+            growth *= 2.0
+            np.copyto(growth, 2.0, where=accept)
             fresh = accept
             up = accept & better
             for i, value in zip(rows[up].tolist(), ll_t[up].tolist()):

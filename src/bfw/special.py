@@ -224,10 +224,10 @@ def _log_beta(p, q):
 
 
 # three-point Gauss-Legendre nodes and weights on [0, 1]
-_GAUSS_NODES = 0.5 + 0.5 * np.sqrt(0.6) * np.array([-1.0, 0.0, 1.0])[:, None]
-# weights of the psi' and 2 zeta(3, .) rows, one column per node
-_GAUSS_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0 * np.array([1.0, 2.0])[:, None]
-_ZETA_ORDERS = np.array([2.0, 3.0])[:, None, None]  # psi' = zeta(2, .), -psi'' = 2 zeta(3, .)
+_GAUSS_NODES = 0.5 + 0.5 * np.sqrt(0.6) * np.array([-1.0, 0.0, 1.0])[:, None, None]
+# weights of the psi' and 2 zeta(3, .) rows, one row per node
+_GAUSS_WEIGHTS = (np.array([5.0, 8.0, 5.0]) / 18.0 * np.array([1.0, 2.0])[:, None]).T[:, :, None]
+_ZETA_ORDERS = np.array([2.0, 3.0])[:, None]  # psi' = zeta(2, .), -psi'' = 2 zeta(3, .)
 _LEADING_FROM = 2.0**60  # base from which the gaps are their leading terms
 
 
@@ -249,18 +249,25 @@ def polygamma_gaps(b, s):
     leading terms ln(1 + s/b) and 1/b - 1/(b + s); the rest is below
     1/b relative.
     """
-    b, s = np.asarray(b, dtype=float), np.asarray(s, dtype=float)
+    with np.errstate(over="ignore"):
+        return _polygamma_gaps(np.asarray(b, dtype=float), np.asarray(s, dtype=float))
+
+
+def _polygamma_gaps(b, s):
+    """:func:`polygamma_gaps` on float arrays, for callers that hold
+    ``np.errstate(all="ignore")`` (:func:`_log_beta_derivatives`)."""
     shift = b < 1.0
-    zeta = _scipy().zeta(_ZETA_ORDERS, b + shift + s * _GAUSS_NODES)
-    # an explicit sum over the nodes: a matrix product rounds differently with
-    # the number of columns, and each element must get the value it gets alone
-    w = _GAUSS_WEIGHTS[:, :, None]
-    d_psi, d_tri = s * (w[:, 0] * zeta[:, 0] + w[:, 1] * zeta[:, 1] + w[:, 2] * zeta[:, 2])
+    # (node, order, element); an explicit sum over the nodes: a matrix product
+    # rounds differently with the number of columns, and each element must get
+    # the value it gets alone
+    terms = np.multiply(_scipy().zeta(_ZETA_ORDERS, b + shift + s * _GAUSS_NODES), _GAUSS_WEIGHTS)
+    d_psi, d_tri = s * (terms[0] + terms[1] + terms[2])
     if shift.any():
-        with np.errstate(over="ignore"):
-            t = (s[shift] / b[shift]) / (b[shift] + s[shift])  # 1/b - 1/(b + s)
-            d_psi[shift] += t
-            d_tri[shift] += t * (1.0 / b[shift] + 1.0 / (b[shift] + s[shift]))
+        bs, ss = b[shift], s[shift]
+        bs_ss = bs + ss
+        t = (ss / bs) / bs_ss  # 1/b - 1/(b + s)
+        d_psi[shift] += t
+        d_tri[shift] += t * (1.0 / bs + 1.0 / bs_ss)
     huge = b >= _LEADING_FROM
     if huge.any():
         d_psi[huge] = np.log1p(s[huge] / b[huge])
@@ -275,30 +282,29 @@ def _log_beta_derivatives(p, q, order):
     """The derivatives of -ln B(p, q) at shapes p and q, for the score
     (order >= 1) and information (order 2) of a Beta likelihood: the digamma
     gaps psi(p+q) - (psi(p), psi(q)), a (2, m) array, and for order 2 the
-    trigamma psi'(p+q) and the trigamma gaps (psi'(p), psi'(q)) - psi'(p+q),
-    psi and psi' by one call each on (p + q, p, q).  Between shapes more than
-    :data:`_GAP_RATIO` times apart, where a direct difference would lose
-    some (b/s) max(1, ln b) ulps of psi(b), the gaps at the larger shape b
-    come from :func:`polygamma_gaps`, which does not cancel.  Returns
-    (gaps, trigamma, trigamma gaps), None for parts above ``order``.
+    (3, m) array of the trigamma gaps (psi'(p), psi'(q)) - psi'(p+q) and the
+    trigamma psi'(p+q), psi and psi' by one call each on (p, q, p + q).
+    Between shapes more than :data:`_GAP_RATIO` times apart, where a direct
+    difference would lose some (b/s) max(1, ln b) ulps of psi(b), the gaps
+    at the larger shape b come from :func:`polygamma_gaps`, which does not
+    cancel.  Returns (gaps, trigammas), None for the second below order 2.
     Callers hold ``np.errstate(all="ignore")``."""
     sp = _scipy()
-    stack = np.array([p + q, p, q])
+    stack = np.array([p, q, p + q])
     psi = sp.psi(stack)
-    gaps = psi[0] - psi[1:]
-    tri_s = tri_gaps = None
+    gaps = np.subtract(psi[2], psi[:2], psi[:2])
+    tri = None
     if order == 2:
-        zeta = sp.zeta(2.0, stack)  # polygamma(1, s) = zeta(2, s), bit for bit
-        tri_s = zeta[0]
-        tri_gaps = zeta[1:] - tri_s
-    shapes, other = stack[1:], stack[:0:-1]
+        tri = sp.zeta(2.0, stack)  # polygamma(1, s) = zeta(2, s), bit for bit
+        np.subtract(tri[:2], tri[2], tri[:2])
+    shapes, other = stack[:2], stack[1::-1]
     far = other * _GAP_RATIO < shapes
     if far.any():
-        d_psi, d_tri = polygamma_gaps(shapes[far], other[far])
+        d_psi, d_tri = _polygamma_gaps(shapes[far], other[far])
         gaps[far] = d_psi
         if order == 2:
-            tri_gaps[far] = d_tri
-    return gaps, tri_s, tri_gaps
+            tri[:2][far] = d_tri
+    return gaps, tri
 
 
 def reg_inc_beta(y, p, q):

@@ -959,17 +959,27 @@ RETIRED_STARTS = [
 
 
 class TestRetirement:
-    def test_each_start_alone_matches_the_batch(self, pumps):
-        # rows never interact, so a start runs the same alone; before the Gauss sums
-        # of the psi gaps were an explicit node sum, pumps start 10 read
-        # -29.373470865574575 in the batch and -29.37347086557469 alone
+    @pytest.mark.parametrize("family, draw", [
+        ("BFW", None), ("FW", None), ("WEIBULL", None),
+        # n = 5000: the batch evaluates its 16 starts in row blocks of 6
+        ("BFW", "anchor1-n5000-0"),
+    ])
+    def test_each_start_alone_matches_the_batch(self, pumps, benchmark_draws, family, draw):
+        # rows never interact, so a start runs the same alone, diagnostics and all;
+        # before the Gauss sums of the psi gaps were an explicit node sum, pumps
+        # start 10 read -29.373470865574575 in the batch and -29.37347086557469 alone
+        likelihood = getattr(inference, family)
+        x = pumps.times if draw is None else benchmark_draws[draw][0].times
         config = OptimizerConfig()
-        z0 = inference.BFW.starts(config)
-        batch = inference._newton(inference.BFW, pumps.times, z0, config)
+        z0 = likelihood.starts(config)
+        batch = inference._newton(likelihood, x, z0, config)
+        if draw is not None:
+            assert inference._block_rows(x.size) < len(z0)
         for i in range(len(z0)):
-            alone = inference._newton(inference.BFW, pumps.times, z0[i : i + 1], config)
+            alone = inference._newton(likelihood, x, z0[i : i + 1], config)
             for got, want in zip(alone[:7], batch[:7]):  # theta, ll, ..., evaluations
                 assert np.array_equal(got[0], want[i]), i
+            assert alone[7][0] == batch[7][i]  # the trajectory
             assert alone[8][0] == batch[8][i]
 
     def test_fits_match_the_record(self, pumps_fit, panel_fits, fresh_fits):
@@ -1083,6 +1093,31 @@ def fit_record(fit):
 
 
 class TestWorkspace:
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_fewer_rows_after_a_full_pass_match_a_fresh_workspace(self, pumps, rows):
+        # a pass writes the leading rows of the workspace's buffers and sums: a pass
+        # of fewer rows after a 16-row one reads none of the longer pass's rows
+        x = pumps.times
+        theta = np.exp(inference.BFW.starts(OptimizerConfig()))
+        part = theta[-rows:]
+        used = inference._Workspace(x, len(theta))
+        for tails in (True, False):
+            with np.errstate(all="ignore"):
+                inference._bfw_sums(x, theta[:, 0], theta[:, 1], 2, used, tails)
+                got = {name: np.copy(value) for name, value in
+                       inference._bfw_sums(x, part[:, 0], part[:, 1], 2, used, tails).items()}
+                want = inference._bfw_sums(x, part[:, 0], part[:, 1], 2,
+                                           inference._Workspace(x, rows), tails)
+            assert got.keys() == want.keys()
+            for name in want:
+                assert np.array_equal(got[name], want[name]), (tails, name)
+        for likelihood, params in ((inference.BFW, theta), (inference.FW, theta[:, :2])):
+            likelihood.kernel(x, params, used)
+            got = likelihood.kernel(x, params[-rows:], used)
+            want = likelihood.kernel(x, params[-rows:], likelihood.workspace(x, rows))
+            for a, b in zip(got, want):  # theta, ll, score, information, walk terms
+                assert (a is None and b is None) or np.array_equal(a, b)
+
     def test_large_draws_match_the_record(self, large_fits):
         assert isinstance(large_fits["anchor0-n5000-0"], ConvergenceError)
         assert {label: start_records(fit) for label, fit in large_fits.items()} == LARGE_DRAW_STARTS

@@ -467,11 +467,13 @@ class TestLogBetaDerivatives:
                                       (1e6, 0.01)])
     def test_against_mpmath(self, p, q):
         # the digamma gaps psi(p+q) - (psi(p), psi(q)), the trigamma at p + q
-        # and the trigamma gaps (psi'(p), psi'(q)) - psi'(p+q); the last two
-        # pairs are more than 64 times apart, where the gaps are integrated
+        # and the trigamma gaps (psi'(p), psi'(q)) - psi'(p+q), the last two as
+        # one (3, m) array (gaps first); the last two pairs are more than 64
+        # times apart, where the gaps are integrated
         with np.errstate(all="ignore"):
-            gaps, tri, tri_gaps = special._log_beta_derivatives(np.array([p]), np.array([q]), 2)
-        assert special._log_beta_derivatives(np.array([p]), np.array([q]), 1)[1:] == (None, None)
+            gaps, trigammas = special._log_beta_derivatives(np.array([p]), np.array([q]), 2)
+        tri_gaps, tri = trigammas[:2], trigammas[2]
+        assert special._log_beta_derivatives(np.array([p]), np.array([q]), 1)[1] is None
         with mpmath.workdps(50):
             s, shapes = mpmath.mpf(p) + mpmath.mpf(q), (mpmath.mpf(p), mpmath.mpf(q))
             exact_tri = mpmath.polygamma(1, s)
