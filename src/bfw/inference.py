@@ -75,10 +75,12 @@ array, by damped Newton steps:
   kernels return their rows as given; there is no option and no second
   path.
 - Pass cost.  At n <= 1000 a pass costs mostly its few hundred small numpy
-  calls, so it forms each value once, and ``_newton`` and each kernel hold
-  the one ``np.errstate(all="ignore")`` that the helpers run under.  A
-  four-parameter pass costs ~395 us at n = 23 and ~740 at n = 1000, against
-  ~460 and ~835 with that work repeated (README, "Pass cost").
+  calls, so it forms each value once, reduces its sums a few at a time,
+  copies no state it does not change, and ``_newton`` and each kernel hold
+  the one ``np.errstate(all="ignore")`` that the helpers run under (the
+  data pass opens one more around the tail terms).  A four-parameter pass
+  costs ~370 us at n = 23 and ~820 at n = 1000 on a 2-vCPU VM (README,
+  "Pass cost").
 
 Every family's likelihood lives here: :data:`BFW`, the four-parameter
 model with its profile step; :data:`FW`, the flexible Weibull as the
@@ -807,7 +809,7 @@ def _damped_steps(g, abs_e, v, damping):
     V diag(1 / (|e| + damping max|e|)) V^T g -- the Newton step where H is
     positive definite and the damping small, an ascent direction always.
     Where every |e| is 0 the step is not finite, and its trial is rejected."""
-    scale = abs_e + damping[:, None] * np.maximum.reduce(abs_e, 1)[:, None]
+    scale = abs_e + damping[:, None] * abs_e.max(axis=1)[:, None]
     return (v @ ((g[:, None, :] @ v)[:, 0] / scale)[:, :, None])[:, :, 0]
 
 
@@ -853,7 +855,7 @@ def _walking(before, walk, scale, change, z, step, left):
         np.logical_and(crawl, ~ends, holds[1])
     flat = change <= _REL_LL_TOL * scale
     if flat.any():
-        np.logical_and(flat, np.maximum.reduce(np.abs(step), 1) >= _RETIRE_MOVING, holds[2])
+        np.logical_and(flat, np.abs(step).max(axis=1) >= _RETIRE_MOVING, holds[2])
     ln_p, ln_q = z[:, 2], z[:, 3]
     near_a = np.abs(walk[:, 3]) < _RIDGE_OFFSET
     if near_a.any():
@@ -918,7 +920,7 @@ def _newton(likelihood, x, z0, config):
         # retirement streaks, written when it stops
         report = (theta, ll, grad, info, np.zeros(m, dtype=int), np.ones(m, dtype=int),
                   np.zeros((m, len(_RETIRE_MESSAGES)), dtype=int))
-        rows, scale, norm = np.arange(m), 1.0 + np.abs(ll), np.maximum.reduce(np.abs(grad), 1)
+        rows, scale, norm = np.arange(m), 1.0 + np.abs(ll), np.abs(grad).max(axis=1)
         abs_e, v, fresh = np.empty((m, k)), np.empty((m, k, k)), np.ones(m, dtype=bool)
         damping, growth, change = np.full(m, _DAMPING_START), np.full(m, 2.0), np.full(m, math.inf)
         its, evs, streak = report[4:]
@@ -949,7 +951,7 @@ def _newton(likelihood, x, z0, config):
             theta_t, ll_t, grad_t, info_t, walk_t = _evaluate(kernel, x, given, ws)
             _follow(z_t, theta_t, given)
             g_t, h_t, finite_t = _log_space(theta_t, grad_t, info_t)
-            norm_t, scale_t = np.maximum.reduce(np.abs(grad_t), 1), 1.0 + np.abs(ll_t)
+            norm_t, scale_t = np.abs(grad_t).max(axis=1), 1.0 + np.abs(ll_t)
             better = ll_t > ll
             close = (ll_t >= ll - _SLACK * scale) & (norm_t < norm)
             accept = finite_t & (better | close)
@@ -969,11 +971,8 @@ def _newton(likelihood, x, z0, config):
                                       (z_t, theta_t, ll_t, scale_t, grad_t, info_t, norm_t, g_t, h_t)):
                     np.copyto(now, trial, where=where[now.ndim - 1])
             its += accept
-            rejected = damping * growth
-            damping = np.maximum(damping / 3.0, _DAMPING_MIN)
-            np.copyto(damping, rejected, where=~accept)
-            growth *= 2.0
-            np.copyto(growth, 2.0, where=accept)
+            damping = np.where(accept, np.maximum(damping / 3.0, _DAMPING_MIN), damping * growth)
+            growth = np.where(accept, 2.0, growth * 2.0)
             fresh = accept
             up = accept & better
             for i, value in zip(rows[up].tolist(), ll_t[up].tolist()):
