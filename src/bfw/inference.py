@@ -175,7 +175,7 @@ _Q_SIGNS = np.array([-1.0, 1.0, 1.0, 1.0, -1.0])[:, None]
 
 
 class _Workspace:
-    """The data ``x`` of one fit with what its passes share: x^2 and x^4,
+    """The data ``x`` of one fit with what its passes share: x^2, and x^4,
     sum x and sum 1/x on first use, and for blocks of up to ``rows`` rows
     the buffers of the kernel (:func:`_bfw_sums`): six (rows, n) float
     arrays in one allocation and one (rows, n) mask, of which a block of r
@@ -196,7 +196,6 @@ class _Workspace:
         self.tiny = tiny_x(x, 0.0)
         with np.errstate(all="ignore"):
             self.x2 = x * x
-            self.x4 = self.x2 * self.x2
         self.floats = np.empty((6, rows, x.size))
         self.mask = np.empty((rows, x.size), dtype=bool)
         self.totals = {}
@@ -220,6 +219,11 @@ class _Workspace:
             if order >= 1:
                 sums.update(x=self.sum_x, inv_x=self.sum_inv_x, offsets=self.offsets)
         return sums
+
+    @functools.cached_property
+    def x4(self):
+        with np.errstate(all="ignore"):
+            return self.x2 * self.x2
 
     @functools.cached_property
     def sum_x(self):
