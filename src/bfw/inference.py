@@ -375,12 +375,13 @@ def _bfw_assemble(sums, p, q, order, log_beta=None, walk=None):
     np.multiply(n, gaps, entries[5:7])
     entries[5] += sums["ln_f"]
     entries[6] -= sums["ew"]
+    by_row = entries.T
     if order == 1:
-        return ll, entries[_SCORE_ENTRIES].T, None
+        return ll, by_row.take(_SCORE_ENTRIES, 1), None
     np.multiply(total[_P_RUN][:2], _Q_SIGNS[:2], entries[7:9])  # -sum x r, sum r/x
     np.multiply(total[_Q_RUN][:2], -_Q_SIGNS[:2], entries[9:11])  # sum x e^w, -sum e^w/x
     np.multiply(n * _N_SIGNS, tri, entries[11:14])  # n psi' gaps, -n psi'(p + q)
-    return ll, entries[_SCORE_ENTRIES].T, entries[_INFO_ENTRIES].T.reshape(-1, 4, 4)
+    return ll, by_row.take(_SCORE_ENTRIES, 1), by_row.take(_INFO_ENTRIES, 1).reshape(-1, 4, 4)
 
 
 def _rate_terms(sums, q, pm1, order, out=None):

@@ -262,16 +262,15 @@ def _polygamma_gaps(b, s):
     # the value it gets alone
     terms = np.multiply(_scipy().zeta(_ZETA_ORDERS, b + shift + s * _GAUSS_NODES), _GAUSS_WEIGHTS)
     d_psi, d_tri = s * (terms[0] + terms[1] + terms[2])
+    b_s = b + s
+    t = (s / b) / b_s  # 1/b - 1/(b + s)
     if shift.any():
-        bs, ss = b[shift], s[shift]
-        bs_ss = bs + ss
-        t = (ss / bs) / bs_ss  # 1/b - 1/(b + s)
-        d_psi[shift] += t
-        d_tri[shift] += t * (1.0 / bs + 1.0 / bs_ss)
+        np.add(d_psi, t, d_psi, where=shift)
+        np.add(d_tri, t * (1.0 / b + 1.0 / b_s), d_tri, where=shift)
     huge = b >= _LEADING_FROM
     if huge.any():
         d_psi[huge] = np.log1p(s[huge] / b[huge])
-        d_tri[huge] = (s[huge] / b[huge]) / (b[huge] + s[huge])
+        d_tri[huge] = t[huge]
     return d_psi, d_tri
 
 
