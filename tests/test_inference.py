@@ -959,28 +959,25 @@ RETIRED_STARTS = [
 
 
 class TestRetirement:
-    @pytest.mark.parametrize("family, draw", [
-        ("BFW", None), ("FW", None), ("WEIBULL", None),
-        # n = 5000: the batch evaluates its 16 starts in row blocks of 6
-        ("BFW", "anchor1-n5000-0"),
-    ])
-    def test_each_start_alone_matches_the_batch(self, pumps, benchmark_draws, family, draw):
-        # rows never interact, so a start runs the same alone, diagnostics and all;
-        # before the Gauss sums of the psi gaps were an explicit node sum, pumps
-        # start 10 read -29.373470865574575 in the batch and -29.37347086557469 alone
-        likelihood = getattr(inference, family)
-        x = pumps.times if draw is None else benchmark_draws[draw][0].times
+    def test_each_start_alone_matches_the_batch(self, pumps, benchmark_draws):
+        # rows never interact, so a start runs the same alone, diagnostics and all,
+        # in every family and when the batch is evaluated in row blocks (n = 5000:
+        # blocks of 6 rows); before the Gauss sums of the psi gaps were an explicit
+        # node sum, pumps start 10 read -29.373470865574575 in the batch and
+        # -29.37347086557469 alone
+        large = benchmark_draws["anchor1-n5000-0"][0].times
         config = OptimizerConfig()
-        z0 = likelihood.starts(config)
-        batch = inference._newton(likelihood, x, z0, config)
-        if draw is not None:
-            assert inference._block_rows(x.size) < len(z0)
-        for i in range(len(z0)):
-            alone = inference._newton(likelihood, x, z0[i : i + 1], config)
-            for got, want in zip(alone[:7], batch[:7]):  # theta, ll, ..., evaluations
-                assert np.array_equal(got[0], want[i]), i
-            assert alone[7][0] == batch[7][i]  # the trajectory
-            assert alone[8][0] == batch[8][i]
+        for likelihood, x in ((inference.BFW, pumps.times), (inference.FW, pumps.times),
+                              (inference.WEIBULL, pumps.times), (inference.BFW, large)):
+            z0 = likelihood.starts(config)
+            batch = inference._newton(likelihood, x, z0, config)
+            for i in range(len(z0)):
+                alone = inference._newton(likelihood, x, z0[i : i + 1], config)
+                for got, want in zip(alone[:7], batch[:7]):  # theta, ll, ..., evaluations
+                    assert np.array_equal(got[0], want[i]), (likelihood.kernel.__name__, x.size, i)
+                assert alone[7][0] == batch[7][i]  # the trajectory
+                assert alone[8][0] == batch[8][i]
+        assert inference._block_rows(large.size) < len(inference.BFW.starts(config))
 
     def test_fits_match_the_record(self, pumps_fit, panel_fits, fresh_fits):
         fits = {"pumps": pumps_fit, **panel_fits, **fresh_fits}
@@ -1095,28 +1092,40 @@ def fit_record(fit):
 class TestWorkspace:
     @pytest.mark.parametrize("rows", [1, 5])
     def test_fewer_rows_after_a_full_pass_match_a_fresh_workspace(self, pumps, rows):
-        # a pass writes the leading rows of the workspace's buffers and sums: a pass
-        # of fewer rows after a 16-row one reads none of the longer pass's rows
+        # a pass writes the leading rows of the workspace's buffers and the sums
+        # array of its row count: after a 16-row pass, a pass of fewer rows gives
+        # what a fresh workspace gives whose buffers and sums hold NaN, so it
+        # reads nothing the longer pass left and nothing it did not write itself
         x = pumps.times
         theta = np.exp(inference.BFW.starts(OptimizerConfig()))
         part = theta[-rows:]
+
+        def fresh(tails):
+            ws = inference._Workspace(x, rows)
+            ws.floats.fill(np.nan)
+            for order in range(3):
+                ws.sums(rows, order, tails)
+            ws.totals[rows].fill(np.nan)
+            return ws
+
         used = inference._Workspace(x, len(theta))
         for tails in (True, False):
             with np.errstate(all="ignore"):
                 inference._bfw_sums(x, theta[:, 0], theta[:, 1], 2, used, tails)
                 got = {name: np.copy(value) for name, value in
-                       inference._bfw_sums(x, part[:, 0], part[:, 1], 2, used, tails).items()}
-                want = inference._bfw_sums(x, part[:, 0], part[:, 1], 2,
-                                           inference._Workspace(x, rows), tails)
-            assert got.keys() == want.keys()
-            for name in want:
-                assert np.array_equal(got[name], want[name]), (tails, name)
-        for likelihood, params in ((inference.BFW, theta), (inference.FW, theta[:, :2])):
+                       inference._bfw_sums(x, part[:, 0], part[:, 1], 2, used, tails).items()
+                       if name != "all"}
+                want = inference._bfw_sums(x, part[:, 0], part[:, 1], 2, fresh(tails), tails)
+            assert got.keys() == want.keys() - {"all"}
+            for name in got:
+                assert np.array_equal(got[name], want[name], equal_nan=True), (tails, name)
+        for likelihood, params, tails in ((inference.BFW, theta, True),
+                                          (inference.FW, theta[:, :2], False)):
             likelihood.kernel(x, params, used)
             got = likelihood.kernel(x, params[-rows:], used)
-            want = likelihood.kernel(x, params[-rows:], likelihood.workspace(x, rows))
+            want = likelihood.kernel(x, params[-rows:], fresh(tails))
             for a, b in zip(got, want):  # theta, ll, score, information, walk terms
-                assert (a is None and b is None) or np.array_equal(a, b)
+                assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True)
 
     def test_large_draws_match_the_record(self, large_fits):
         assert isinstance(large_fits["anchor0-n5000-0"], ConvergenceError)
