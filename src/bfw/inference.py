@@ -345,8 +345,8 @@ def _bfw_assemble(sums, p, q, order, log_beta=None, walk=None):
 
     The entries of the score and information are formed as the rows of one
     (14, rows) array, like entries by one call over runs of the sums (the
-    (alpha, beta) block by :func:`_rate_terms`), and gathered from it by
-    ``_SCORE_ENTRIES`` and ``_INFO_ENTRIES``.
+    (alpha, beta) block by :func:`_rate_terms`), and taken from it row by
+    row (``_SCORE_ENTRIES``, ``_INFO_ENTRIES``) as contiguous arrays.
     """
     n = sums["n"]
     if log_beta is None:
